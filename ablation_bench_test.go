@@ -1,5 +1,5 @@
-// Ablation benchmarks: quantify the design choices DESIGN.md calls out by
-// knocking each one out and measuring the throughput that remains.
+// Ablation benchmarks: quantify the paper's design choices by knocking
+// each one out and measuring the throughput that remains.
 //
 //	go test -bench=Ablation -benchmem
 package steadystate_test
@@ -12,6 +12,7 @@ import (
 
 	steadystate "repro"
 	"repro/internal/baseline"
+	"repro/internal/lp"
 )
 
 // BenchmarkAblationSingleTree measures what the best single extracted
@@ -55,10 +56,7 @@ func BenchmarkAblationSingleTree(b *testing.B) {
 // (gather-then-reduce). On Fig 6 this halves the throughput.
 func BenchmarkAblationComputeAtTarget(b *testing.B) {
 	p, order, target := steadystate.PaperFig6()
-	free, err := steadystate.SolveReduce(p, order, target)
-	if err != nil {
-		b.Fatal(err)
-	}
+	free := mustSolve(b, p, steadystate.ReduceSpec(order, target))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pr, err := steadystate.NewReduceProblem(p, order, target)
@@ -115,10 +113,7 @@ func BenchmarkAblationGatherVsReduce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rSol, err := steadystate.SolveReduce(p, order, order[0])
-		if err != nil {
-			b.Fatal(err)
-		}
+		rSol := mustSolve(b, p, steadystate.ReduceSpec(order, order[0]))
 		if rSol.Throughput().Cmp(gSol.Throughput()) < 0 {
 			b.Fatal("reduce should not be slower than gather on a chain")
 		}
@@ -142,14 +137,15 @@ func tiers42CompositeSpec(tb testing.TB) (*steadystate.Platform, steadystate.Spe
 
 // BenchmarkAblationDenseLP knocks out the sparse tableau: it solves the
 // Tiers-42 composite scenario on the sparse default and on the dense
-// escape hatch (WithDenseLP) each iteration and reports the wall-clock
-// ratio. Both solves run the identical pivot sequence — the benchmark
+// reference (lp.WithTableau with lp.TableauDense) each iteration and
+// reports the wall-clock ratio. Both solves run the identical pivot sequence — the benchmark
 // fails if the exact throughputs diverge — so the ratio isolates the
 // per-pivot cost of multiplying zeros. Expected ≥ 1.5× (≈ 2.4× measured
 // on the reference container).
 func BenchmarkAblationDenseLP(b *testing.B) {
 	p, spec := tiers42CompositeSpec(b)
 	ctx := context.Background()
+	denseCtx := lp.WithTableau(ctx, lp.TableauDense)
 	var sparseTot, denseTot time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -160,7 +156,7 @@ func BenchmarkAblationDenseLP(b *testing.B) {
 		}
 		sparseTot += time.Since(start)
 		start = time.Now()
-		dense, err := steadystate.Solve(ctx, p, spec, steadystate.WithDenseLP())
+		dense, err := steadystate.Solve(denseCtx, p, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,8 +185,9 @@ func BenchmarkAblationSparseLPSolve(b *testing.B) {
 
 func BenchmarkAblationDenseLPSolve(b *testing.B) {
 	p, spec := tiers42CompositeSpec(b)
+	ctx := lp.WithTableau(context.Background(), lp.TableauDense)
 	for i := 0; i < b.N; i++ {
-		if _, err := steadystate.Solve(context.Background(), p, spec, steadystate.WithDenseLP()); err != nil {
+		if _, err := steadystate.Solve(ctx, p, spec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,13 +197,10 @@ func BenchmarkAblationDenseLPSolve(b *testing.B) {
 // split messages (Figure 4(b) vs 4(a)).
 func BenchmarkAblationUnsplitCost(b *testing.B) {
 	p, src, targets := steadystate.PaperFig2()
-	sol, err := steadystate.SolveScatter(p, src, targets)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol := mustSolve(b, p, steadystate.ScatterSpec(src, targets...))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched, err := steadystate.ScatterSchedule(sol)
+		sched, err := sol.Schedule()
 		if err != nil {
 			b.Fatal(err)
 		}

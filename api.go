@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/composite"
+	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/lp"
 	"repro/internal/obs"
@@ -23,6 +24,8 @@ import (
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/scatter"
+	"repro/internal/schedule"
+	"repro/internal/sim"
 )
 
 // Kind names a collective operation of the steady-state framework.
@@ -349,7 +352,6 @@ type solveOptions struct {
 	taskTime    func(NodeID, ReduceTask) Rat
 	blockSize   Rat
 	fixedPeriod *big.Int
-	denseLP     bool
 	trace       bool
 }
 
@@ -391,16 +393,6 @@ func WithFixedPeriod(period *big.Int) SolveOption {
 // pivot.
 func WithTrace() SolveOption {
 	return func(o *solveOptions) { o.trace = true }
-}
-
-// WithDenseLP solves on the dense simplex tableau instead of the sparse
-// default. The two implementations execute the same pivot sequence and
-// return bit-identical solutions — dense differs only in per-pivot cost
-// (it multiplies every column, zeros included). It is valid for every
-// kind and exists as an escape hatch and as the baseline of the
-// dense-vs-sparse ablation benchmarks.
-func WithDenseLP() SolveOption {
-	return func(o *solveOptions) { o.denseLP = true }
 }
 
 // optionsFor materializes the options and rejects combinations the kind
@@ -484,8 +476,7 @@ func unsolvable(err error) error {
 }
 
 // Solution is a solved collective, whatever its kind. All arithmetic is
-// exact: Throughput and Period are bit-identical to the legacy per-kind
-// entry points. Capabilities a kind lacks return ErrUnsupported.
+// exact. Capabilities a kind lacks return ErrUnsupported.
 type Solution interface {
 	// Kind returns the collective kind that was solved.
 	Kind() Kind
@@ -590,14 +581,14 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 		ctx = context.Background()
 	}
 	start := time.Now()
-	// Peek the trace flag before option validation so the tracer can root
-	// the span tree around the whole solve, including model assembly.
-	var peek solveOptions
-	for _, opt := range opts {
-		opt(&peek)
+	o, err := optionsFor(spec.Kind, opts)
+	if err != nil {
+		return nil, unsolvable(err)
 	}
+	// The tracer roots the span tree around the whole solve, including
+	// model assembly.
 	var tracer *obs.Tracer
-	if peek.trace {
+	if o.trace {
 		tracer = obs.NewTracer("solve")
 		tracer.Root().SetAttr("kind", string(spec.Kind))
 		ctx = obs.WithTracer(ctx, tracer)
@@ -615,39 +606,25 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 			ctx = lp.WithWarmBasis(ctx, ws)
 		}
 	}
-	sol, err := s.solve(ctx, spec, opts...)
+	sol, err := s.solve(ctx, spec, o)
 	if err != nil {
 		return nil, err
 	}
-	if t, ok := sol.(durationRecorder); ok {
-		t.setSolveDuration(time.Since(start))
-	}
+	b := sol.base()
+	b.dur = time.Since(start)
 	if ws != nil {
 		s.bases.Put(basisKey, ws.Final)
-		if w, ok := sol.(warmRecorder); ok {
-			w.setWarm(ws.Used, ws.RejectReason, ws.PivotsSaved)
-		}
+		b.warmUsed, b.warmReject, b.warmSaved = ws.Used, ws.RejectReason, ws.PivotsSaved
 	}
 	if tracer != nil {
-		if t, ok := sol.(traceRecorder); ok {
-			t.setTrace(tracer.Finish())
-		}
+		b.trace = tracer.Finish()
 	}
 	return sol, nil
 }
 
-func (s *Solver) solve(ctx context.Context, spec Spec, opts ...SolveOption) (Solution, error) {
-	o, err := optionsFor(spec.Kind, opts)
-	if err != nil {
-		return nil, unsolvable(err)
-	}
+func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions) (solved, error) {
 	if err := spec.validate(s.p); err != nil {
 		return nil, unsolvable(err)
-	}
-	if o.denseLP {
-		// The tableau selection rides the context all the way into the
-		// simplex, so one decoration covers plain and composite solves.
-		ctx = lp.WithTableau(ctx, lp.TableauDense)
 	}
 
 	switch spec.Kind {
@@ -656,38 +633,11 @@ func (s *Solver) solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 		if err != nil {
 			return nil, unsolvable(err)
 		}
-		switch {
-		case mem.Scatter != nil:
-			sol, err := mem.Scatter.SolveCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return &scatterSolution{spec: spec, sol: sol}, nil
-		case mem.Broadcast != nil:
-			sol, err := mem.Broadcast.SolveCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return &broadcastSolution{spec: spec, sol: sol}, nil
-		case mem.Gossip != nil:
-			sol, err := mem.Gossip.SolveCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return &gossipSolution{spec: spec, sol: sol}, nil
-		case mem.Reduce != nil:
-			sol, err := mem.Reduce.SolveCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return &reduceSolution{spec: spec, sol: sol, fixed: o.fixedPeriod}, nil
-		default:
-			sol, err := mem.Prefix.SolveCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return &prefixSolution{spec: spec, sol: sol}, nil
+		ms, err := solveMember(ctx, mem)
+		if err != nil {
+			return nil, err
 		}
+		return newSolution(spec, ms, o.fixedPeriod), nil
 
 	case KindReduceScatter:
 		// Reduce-scatter is the composite of N concurrent reduces: the
@@ -716,6 +666,27 @@ func (s *Solver) solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 		return s.solveComposite(ctx, spec, spec.Members, spec.Weights, o)
 	}
 	return nil, unsolvable(fmt.Errorf("steadystate: unknown collective kind %q", spec.Kind))
+}
+
+// solveMember solves a base-kind member as its own LP — a plain solve —
+// and returns the result in the composite's per-member form, so plain
+// solves and composite members wrap through the same newSolution.
+func solveMember(ctx context.Context, mem composite.Member) (*composite.MemberSolution, error) {
+	ms := &composite.MemberSolution{Weight: mem.Weight}
+	var err error
+	switch {
+	case mem.Scatter != nil:
+		ms.Scatter, err = mem.Scatter.SolveCtx(ctx)
+	case mem.Broadcast != nil:
+		ms.Broadcast, err = mem.Broadcast.SolveCtx(ctx)
+	case mem.Gossip != nil:
+		ms.Gossip, err = mem.Gossip.SolveCtx(ctx)
+	case mem.Reduce != nil:
+		ms.Reduce, err = mem.Reduce.SolveCtx(ctx)
+	default:
+		ms.Prefix, err = mem.Prefix.SolveCtx(ctx)
+	}
+	return ms, err
 }
 
 // newMember builds the kind-specific problem of a base spec, with the
@@ -787,7 +758,7 @@ func (s *Solver) newMember(spec Spec, weight Rat, o *solveOptions) (composite.Me
 
 // solveComposite assembles the member problems into one shared-capacity LP
 // and solves it.
-func (s *Solver) solveComposite(ctx context.Context, spec Spec, memberSpecs []Spec, weights []Rat, o *solveOptions) (Solution, error) {
+func (s *Solver) solveComposite(ctx context.Context, spec Spec, memberSpecs []Spec, weights []Rat, o *solveOptions) (solved, error) {
 	members := make([]composite.Member, len(memberSpecs))
 	for i, ms := range memberSpecs {
 		w := rat.One()
@@ -808,149 +779,138 @@ func (s *Solver) solveComposite(ctx context.Context, spec Spec, memberSpecs []Sp
 	if err != nil {
 		return nil, err
 	}
-	return &compositeSolution{spec: spec, memberSpecs: append([]Spec(nil), memberSpecs...), sol: sol}, nil
+	return newCompositeSolution(spec, memberSpecs, sol), nil
 }
 
 // ---------------------------------------------------------------------------
-// Kind-specific Solution implementations
+// The Solution implementation
 
-// timed stores the wall-clock duration of the Solve call that produced a
-// solution; every kind-specific solution embeds it so Report can carry
-// the solver cost alongside the LP counters.
-type timed struct{ dur time.Duration }
+// kindSolution is the surface every kind-specific solution shares
+// (*ScatterSolution, *BroadcastSolution, *GossipSolution, *ReduceSolution,
+// *PrefixSolution, *CompositeSolution).
+type kindSolution interface {
+	Throughput() Rat
+	Period() *big.Int
+	Verify() error
+	String() string
+}
 
-// durationRecorder is satisfied by all kind-specific solutions via the
-// embedded timed.
-type durationRecorder interface{ setSolveDuration(time.Duration) }
+// solution is the Solution of every kind: the spec it answers, the
+// kind-specific solution it wraps with that solution's LP counters, the
+// per-kind schedule/simulation/report behaviour chosen by its constructor,
+// and the telemetry of the Solve call that produced it.
+type solution struct {
+	spec     Spec
+	inner    kindSolution
+	stats    core.FlowStats
+	schedule func() (*Schedule, error)
+	simModel func() (*SimModel, error)
+	// extend adds the kind-specific fields to a report (nil: none).
+	extend func(*Report) error
 
-func (t *timed) setSolveDuration(d time.Duration) { t.dur = d }
-func (t *timed) solveMS() float64                 { return float64(t.dur) / float64(time.Millisecond) }
-
-// traced stores the span-structured trace of the Solve call that produced
-// a solution (nil unless the call used WithTrace); every kind-specific
-// solution embeds it so Report can carry the trace.
-type traced struct{ trace *obs.Trace }
-
-// traceRecorder is satisfied by all kind-specific solutions via the
-// embedded traced.
-type traceRecorder interface{ setTrace(*obs.Trace) }
-
-func (t *traced) setTrace(tr *obs.Trace) { t.trace = tr }
-
-// warmed stores the warm-start outcome of the Solve call that produced a
-// solution (all zero unless the session had a basis cache attached);
-// every kind-specific solution embeds it so Report can carry
-// warm_start/warm_reject/lp_warm_pivots_saved.
-type warmed struct {
+	// Telemetry of the Solve call: its wall-clock duration, its trace (nil
+	// without WithTrace) and its warm-start outcome (zero without a basis
+	// cache). Composite members, solved jointly, carry none.
+	dur        time.Duration
+	trace      *obs.Trace
 	warmUsed   bool
 	warmReject string
 	warmSaved  int
 }
 
-// warmRecorder is satisfied by all kind-specific solutions via the
-// embedded warmed.
-type warmRecorder interface {
-	setWarm(used bool, reject string, saved int)
+// solved is what the solve paths return: a Solution whose telemetry
+// Solver.Solve fills in once the solve is done.
+type solved interface {
+	Solution
+	base() *solution
 }
 
-func (w *warmed) setWarm(used bool, reject string, saved int) {
-	w.warmUsed, w.warmReject, w.warmSaved = used, reject, saved
-}
-
-// stamp copies the warm-start outcome onto a report.
-func (w *warmed) stamp(r *Report) {
-	r.WarmStart = w.warmUsed
-	r.WarmReject = w.warmReject
-	r.WarmPivotsSaved = w.warmSaved
-}
-
-type scatterSolution struct {
-	timed
-	traced
-	warmed
-	spec Spec
-	sol  *ScatterSolution
-}
-
-func (s *scatterSolution) Kind() Kind                   { return KindScatter }
-func (s *scatterSolution) Spec() Spec                   { return s.spec }
-func (s *scatterSolution) Throughput() Rat              { return s.sol.Throughput() }
-func (s *scatterSolution) Period() *big.Int             { return s.sol.Period() }
-func (s *scatterSolution) Schedule() (*Schedule, error) { return ScatterSchedule(s.sol) }
-func (s *scatterSolution) SimModel() (*SimModel, error) { return ScatterSimModel(s.sol), nil }
-func (s *scatterSolution) Verify() error                { return s.sol.Verify() }
-func (s *scatterSolution) Unwrap() any                  { return s.sol }
-func (s *scatterSolution) String() string               { return s.sol.String() }
-func (s *scatterSolution) Report() (*Report, error) {
-	r := newReport(KindScatter, s.sol.Throughput(), s.sol.Period(), s.sol.Stats)
-	r.SolveMS = s.solveMS()
+func (s *solution) base() *solution              { return s }
+func (s *solution) Kind() Kind                   { return s.spec.Kind }
+func (s *solution) Spec() Spec                   { return s.spec }
+func (s *solution) Throughput() Rat              { return s.inner.Throughput() }
+func (s *solution) Period() *big.Int             { return s.inner.Period() }
+func (s *solution) Schedule() (*Schedule, error) { return s.schedule() }
+func (s *solution) SimModel() (*SimModel, error) { return s.simModel() }
+func (s *solution) Verify() error                { return s.inner.Verify() }
+func (s *solution) Unwrap() any                  { return s.inner }
+func (s *solution) String() string               { return s.inner.String() }
+func (s *solution) Report() (*Report, error) {
+	r := newReport(s.spec.Kind, s.inner.Throughput(), s.inner.Period(), s.stats)
+	r.SolveMS = float64(s.dur) / float64(time.Millisecond)
 	r.Trace = s.trace
-	s.warmed.stamp(r)
+	r.WarmStart, r.WarmReject, r.WarmPivotsSaved = s.warmUsed, s.warmReject, s.warmSaved
+	if s.extend != nil {
+		if err := s.extend(r); err != nil {
+			return nil, err
+		}
+	}
 	return r, nil
 }
 
-type broadcastSolution struct {
-	timed
-	traced
-	warmed
-	spec Spec
-	sol  *BroadcastSolution
+// newSolution wraps one solved base-kind collective — a plain solve or a
+// composite member — as the Solution answering spec. It is the single
+// place the per-kind behaviour is chosen. fixed is the WithFixedPeriod
+// truncation of a reduce or gather (nil otherwise).
+func newSolution(spec Spec, ms *composite.MemberSolution, fixed *big.Int) solved {
+	switch {
+	case ms.Scatter != nil:
+		sol := ms.Scatter
+		return &solution{spec: spec, inner: sol, stats: sol.Stats,
+			// The period serializes into matching slots (the construction
+			// behind the paper's Figures 3–4).
+			schedule: func() (*Schedule, error) {
+				return schedule.FromFlow(sol.Flow, scatter.UnitSize, func(c core.Commodity) string {
+					return "m_" + sol.Problem.Platform.Node(c.Dst).Name
+				})
+			},
+			simModel: func() (*SimModel, error) { return sim.ScatterModel(sol), nil },
+		}
+	case ms.Broadcast != nil:
+		sol := ms.Broadcast
+		return &solution{spec: spec, inner: sol, stats: sol.Stats,
+			// The carry stream — the messages physically moved, one shared
+			// copy per edge — decomposes into one-port-safe matching slots.
+			schedule: func() (*Schedule, error) {
+				return schedule.MergeFlows(sol.Problem.Platform, sol.Period(),
+					[]schedule.MemberFlow{composite.BroadcastMemberFlow(sol, "")})
+			},
+			// The replay replicates per target: each target's bundled
+			// virtual flow is a commodity of its own, delivered against TP
+			// per target.
+			simModel: func() (*SimModel, error) { return sim.BroadcastModel(sol), nil },
+		}
+	case ms.Gossip != nil:
+		sol := ms.Gossip
+		p := sol.Problem.Platform
+		return &solution{spec: spec, inner: sol, stats: sol.Stats,
+			schedule: func() (*Schedule, error) {
+				return schedule.FromFlow(sol.Flow, gossip.UnitSize, func(c core.Commodity) string {
+					return "m_" + p.Node(c.Src).Name + "_" + p.Node(c.Dst).Name
+				})
+			},
+			simModel: func() (*SimModel, error) { return sim.GossipModel(sol), nil },
+		}
+	case ms.Prefix != nil:
+		sol := ms.Prefix
+		return &solution{spec: spec, inner: sol, stats: sol.Stats,
+			schedule: func() (*Schedule, error) {
+				return nil, fmt.Errorf("prefix schedule construction: %w", ErrUnsupported)
+			},
+			simModel: func() (*SimModel, error) { return sim.PrefixModel(sol), nil },
+		}
+	}
+	s := &reduceSolution{sol: ms.Reduce, fixed: fixed}
+	s.solution = solution{spec: spec, inner: ms.Reduce, stats: ms.Reduce.Stats,
+		schedule: s.treeSchedule, simModel: s.treeSimModel, extend: s.treeReport}
+	return s
 }
 
-func (s *broadcastSolution) Kind() Kind       { return KindBroadcast }
-func (s *broadcastSolution) Spec() Spec       { return s.spec }
-func (s *broadcastSolution) Throughput() Rat  { return s.sol.Throughput() }
-func (s *broadcastSolution) Period() *big.Int { return s.sol.Period() }
-
-// Schedule decomposes the carry stream — the messages physically moved,
-// one shared copy per edge — into one-port-safe matching slots.
-func (s *broadcastSolution) Schedule() (*Schedule, error) { return BroadcastSchedule(s.sol) }
-
-// SimModel replays the carry stream with per-target replication: each
-// target's bundled virtual flow is a commodity of its own, delivered
-// against TP per target.
-func (s *broadcastSolution) SimModel() (*SimModel, error) { return BroadcastSimModel(s.sol), nil }
-func (s *broadcastSolution) Verify() error                { return s.sol.Verify() }
-func (s *broadcastSolution) Unwrap() any                  { return s.sol }
-func (s *broadcastSolution) String() string               { return s.sol.String() }
-func (s *broadcastSolution) Report() (*Report, error) {
-	r := newReport(KindBroadcast, s.sol.Throughput(), s.sol.Period(), s.sol.Stats)
-	r.SolveMS = s.solveMS()
-	r.Trace = s.trace
-	s.warmed.stamp(r)
-	return r, nil
-}
-
-type gossipSolution struct {
-	timed
-	traced
-	warmed
-	spec Spec
-	sol  *GossipSolution
-}
-
-func (s *gossipSolution) Kind() Kind                   { return KindGossip }
-func (s *gossipSolution) Spec() Spec                   { return s.spec }
-func (s *gossipSolution) Throughput() Rat              { return s.sol.Throughput() }
-func (s *gossipSolution) Period() *big.Int             { return s.sol.Period() }
-func (s *gossipSolution) Schedule() (*Schedule, error) { return GossipSchedule(s.sol) }
-func (s *gossipSolution) SimModel() (*SimModel, error) { return GossipSimModel(s.sol), nil }
-func (s *gossipSolution) Verify() error                { return s.sol.Verify() }
-func (s *gossipSolution) Unwrap() any                  { return s.sol }
-func (s *gossipSolution) String() string               { return s.sol.String() }
-func (s *gossipSolution) Report() (*Report, error) {
-	r := newReport(KindGossip, s.sol.Throughput(), s.sol.Period(), s.sol.Stats)
-	r.SolveMS = s.solveMS()
-	r.Trace = s.trace
-	s.warmed.stamp(r)
-	return r, nil
-}
-
+// reduceSolution is the Solution of a reduce or gather: it adds the
+// Certified capability — the tree family proving the throughput — on
+// which its schedule, simulation and report build.
 type reduceSolution struct {
-	timed
-	traced
-	warmed
-	spec  Spec
+	solution
 	sol   *ReduceSolution
 	fixed *big.Int
 
@@ -963,7 +923,7 @@ type reduceSolution struct {
 
 // certify lazily integerizes the solution and extracts its tree family
 // (plus the fixed-period plan when requested), caching the result.
-func (s *reduceSolution) certify() {
+func (s *reduceSolution) certify() error {
 	s.once.Do(func() {
 		s.app = s.sol.Integerize()
 		s.trees, s.err = s.app.ExtractTrees()
@@ -971,30 +931,23 @@ func (s *reduceSolution) certify() {
 			s.plan, s.err = ApproximateFixedPeriod(s.app, s.trees, s.fixed)
 		}
 	})
+	return s.err
 }
-
-func (s *reduceSolution) Kind() Kind       { return s.spec.Kind }
-func (s *reduceSolution) Spec() Spec       { return s.spec }
-func (s *reduceSolution) Throughput() Rat  { return s.sol.Throughput() }
-func (s *reduceSolution) Period() *big.Int { return s.sol.Period() }
-func (s *reduceSolution) Verify() error    { return s.sol.Verify() }
-func (s *reduceSolution) Unwrap() any      { return s.sol }
-func (s *reduceSolution) String() string   { return s.sol.String() }
 
 // Certificate returns the integer application and the reduction-tree
 // family certifying the throughput (Theorem 1).
 func (s *reduceSolution) Certificate() (*ReduceApplication, []*ReductionTree, error) {
-	s.certify()
-	if s.err != nil {
-		return nil, nil, s.err
+	if err := s.certify(); err != nil {
+		return nil, nil, err
 	}
 	return s.app, s.trees, nil
 }
 
-func (s *reduceSolution) Schedule() (*Schedule, error) {
-	s.certify()
-	if s.err != nil {
-		return nil, s.err
+// treeSchedule serializes the tree family — or the fixed-period plan's
+// re-weighted trees at its period — into matching slots.
+func (s *reduceSolution) treeSchedule() (*Schedule, error) {
+	if err := s.certify(); err != nil {
+		return nil, err
 	}
 	if s.plan != nil {
 		return ReduceSchedule(s.app, s.plan.Trees, s.plan.Period)
@@ -1002,57 +955,25 @@ func (s *reduceSolution) Schedule() (*Schedule, error) {
 	return ReduceSchedule(s.app, s.trees, nil)
 }
 
-func (s *reduceSolution) SimModel() (*SimModel, error) {
-	s.certify()
-	if s.err != nil {
-		return nil, s.err
+func (s *reduceSolution) treeSimModel() (*SimModel, error) {
+	if err := s.certify(); err != nil {
+		return nil, err
 	}
-	return ReduceSimModel(s.app), nil
+	return sim.ReduceModel(s.app), nil
 }
 
-func (s *reduceSolution) Report() (*Report, error) {
-	s.certify()
-	if s.err != nil {
-		return nil, s.err
+// treeReport adds the tree count and the fixed-period approximation.
+func (s *reduceSolution) treeReport(r *Report) error {
+	if err := s.certify(); err != nil {
+		return err
 	}
-	r := newReport(s.spec.Kind, s.sol.Throughput(), s.sol.Period(), s.sol.Stats)
-	r.SolveMS = s.solveMS()
-	r.Trace = s.trace
-	s.warmed.stamp(r)
 	r.Trees = len(s.trees)
 	if s.plan != nil {
 		r.FixedPeriod = s.plan.Period.String()
 		r.FixedThroughput = s.plan.Throughput.RatString()
 		r.FixedLoss = s.plan.Loss.RatString()
 	}
-	return r, nil
-}
-
-type prefixSolution struct {
-	timed
-	traced
-	warmed
-	spec Spec
-	sol  *PrefixSolution
-}
-
-func (s *prefixSolution) Kind() Kind       { return KindPrefix }
-func (s *prefixSolution) Spec() Spec       { return s.spec }
-func (s *prefixSolution) Throughput() Rat  { return s.sol.Throughput() }
-func (s *prefixSolution) Period() *big.Int { return s.sol.Period() }
-func (s *prefixSolution) Verify() error    { return s.sol.Verify() }
-func (s *prefixSolution) Unwrap() any      { return s.sol }
-func (s *prefixSolution) String() string   { return s.sol.String() }
-func (s *prefixSolution) Schedule() (*Schedule, error) {
-	return nil, fmt.Errorf("prefix schedule construction: %w", ErrUnsupported)
-}
-func (s *prefixSolution) SimModel() (*SimModel, error) { return PrefixSimModel(s.sol), nil }
-func (s *prefixSolution) Report() (*Report, error) {
-	r := newReport(KindPrefix, s.sol.Throughput(), s.sol.Period(), s.sol.Stats)
-	r.SolveMS = s.solveMS()
-	r.Trace = s.trace
-	s.warmed.stamp(r)
-	return r, nil
+	return nil
 }
 
 // Concurrent is implemented by composite and reduce-scatter solutions:
@@ -1063,35 +984,31 @@ type Concurrent interface {
 	Members() []Solution
 }
 
+// compositeSolution is the Solution of the composite kinds (composite,
+// reducescatter, allreduce): it adds the Concurrent capability. Its
+// schedule is the merged periodic schedule — the union of every member's
+// transfers over the LCM of the member periods, decomposed into
+// one-port-safe matching slots (member i's transfers are labeled
+// "op<i>:…").
 type compositeSolution struct {
-	timed
-	traced
-	warmed
-	spec        Spec
+	solution
 	memberSpecs []Spec
 	sol         *composite.Solution
 }
 
-func (s *compositeSolution) Kind() Kind       { return s.spec.Kind }
-func (s *compositeSolution) Spec() Spec       { return s.spec }
-func (s *compositeSolution) Throughput() Rat  { return s.sol.Throughput() }
-func (s *compositeSolution) Period() *big.Int { return s.sol.Period() }
-func (s *compositeSolution) Verify() error    { return s.sol.Verify() }
-func (s *compositeSolution) Unwrap() any      { return s.sol }
-func (s *compositeSolution) String() string   { return s.sol.String() }
+func newCompositeSolution(spec Spec, memberSpecs []Spec, sol *composite.Solution) *compositeSolution {
+	s := &compositeSolution{memberSpecs: append([]Spec(nil), memberSpecs...), sol: sol}
+	s.solution = solution{spec: spec, inner: sol, stats: sol.Stats,
+		schedule: sol.Schedule, simModel: s.mergedSimModel, extend: s.memberReports}
+	return s
+}
 
-// Schedule returns the merged periodic schedule: the union of every
-// member's transfers over the LCM of the member periods, decomposed into
-// one-port-safe matching slots (member i's transfers are labeled
-// "op<i>:…").
-func (s *compositeSolution) Schedule() (*Schedule, error) { return s.sol.Schedule() }
-
-// SimModel returns the merged multi-member model: every member's model,
-// scaled to the composite period and namespaced "op<i>:" (matching the
-// merged schedule's transfer labels), superposed into one replay. Read a
-// member's deliveries with Result.MinDeliveredPrefix(SimMemberPrefix(i));
+// mergedSimModel returns the merged multi-member model: every member's
+// model, scaled to the composite period and namespaced "op<i>:" (matching
+// the merged schedule's transfer labels), superposed into one replay. Read
+// a member's deliveries with Result.MinDeliveredPrefix(SimMemberPrefix(i));
 // per-member submodels remain available via Members()[i].SimModel().
-func (s *compositeSolution) SimModel() (*SimModel, error) {
+func (s *compositeSolution) mergedSimModel() (*SimModel, error) {
 	members := s.Members()
 	models := make([]*SimModel, len(members))
 	labels := make([]string, len(members))
@@ -1112,36 +1029,19 @@ func (s *compositeSolution) SimModel() (*SimModel, error) {
 func (s *compositeSolution) Members() []Solution {
 	out := make([]Solution, len(s.sol.Members))
 	for i, ms := range s.sol.Members {
-		spec := s.memberSpecs[i]
-		switch {
-		case ms.Scatter != nil:
-			out[i] = &scatterSolution{spec: spec, sol: ms.Scatter}
-		case ms.Broadcast != nil:
-			out[i] = &broadcastSolution{spec: spec, sol: ms.Broadcast}
-		case ms.Gossip != nil:
-			out[i] = &gossipSolution{spec: spec, sol: ms.Gossip}
-		case ms.Reduce != nil:
-			out[i] = &reduceSolution{spec: spec, sol: ms.Reduce}
-		case ms.Prefix != nil:
-			out[i] = &prefixSolution{spec: spec, sol: ms.Prefix}
-		}
+		out[i] = newSolution(s.memberSpecs[i], ms, nil)
 	}
 	return out
 }
 
-// Report summarizes the composite — common throughput, merged period, the
-// shared LP size — plus one member report per member (throughput Weight·TP
+// memberReports adds one member report per member (throughput Weight·TP
 // and the member's own period; tree counts are available through
 // Members()[i].(Certified) without the extraction cost here).
-func (s *compositeSolution) Report() (*Report, error) {
-	r := newReport(s.spec.Kind, s.sol.TP, s.sol.Period(), s.sol.Stats)
-	r.SolveMS = s.solveMS()
-	r.Trace = s.trace
-	s.warmed.stamp(r)
+func (s *compositeSolution) memberReports(r *Report) error {
 	for i, ms := range s.sol.Members {
 		mr := newReport(s.memberSpecs[i].Kind, ms.Throughput, ms.Period(), s.sol.Stats)
 		mr.Weight = ms.Weight.RatString()
 		r.Members = append(r.Members, mr)
 	}
-	return r, nil
+	return nil
 }

@@ -1,12 +1,14 @@
-// Tests for the unified Collective API: equivalence with the legacy
-// per-kind entry points on the paper platforms, error paths, context
-// cancellation, and the Spec/Scenario/Report serialization formats.
+// Tests for the unified Collective API: the paper platforms' exact values,
+// equivalence with problem-level solves, the capability set of every kind,
+// error paths, context cancellation, and the Spec/Scenario/Report
+// serialization formats.
 package steadystate_test
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/big"
 	"reflect"
 	"sync"
@@ -50,27 +52,100 @@ func ratEq(t *testing.T, got steadystate.Rat, want string, what string) {
 	}
 }
 
-// TestSolveEquivalenceFig2Scatter: the unified entry point and the legacy
-// wrapper must produce bit-exact identical throughputs on the paper's
-// Figure 2 scatter.
+// mustSolve solves spec on p through the unified entry point, failing the
+// test or benchmark on error.
+func mustSolve(tb testing.TB, p *steadystate.Platform, spec steadystate.Spec, opts ...steadystate.SolveOption) steadystate.Solution {
+	tb.Helper()
+	sol, err := steadystate.Solve(context.Background(), p, spec, opts...)
+	if err != nil {
+		tb.Fatalf("Solve %s: %v", spec.Kind, err)
+	}
+	return sol
+}
+
+// TestSolutionCapabilities pins, for every kind and for every member kind
+// of a composite, the Kind, the dynamic type Unwrap returns, and which
+// optional capabilities the solution implements — absent ones included,
+// since callers branch on these type assertions (a scatter that turned
+// Certified would send cmd/sscollect down the reduce path).
+func TestSolutionCapabilities(t *testing.T) {
+	p, order, target := steadystate.PaperFig6()
+	base := []steadystate.Spec{
+		steadystate.ScatterSpec(order[0], order[1], order[2]),
+		steadystate.BroadcastSpec(order[0], order[1], order[2]),
+		steadystate.GossipSpec(order, order),
+		steadystate.ReduceSpec(order, target),
+		steadystate.GatherSpec(order, target),
+		steadystate.PrefixSpec(order...),
+	}
+	type caps struct {
+		unwrap     any
+		certified  bool
+		concurrent bool
+	}
+	want := map[steadystate.Kind]caps{
+		steadystate.KindScatter:       {(*steadystate.ScatterSolution)(nil), false, false},
+		steadystate.KindBroadcast:     {(*steadystate.BroadcastSolution)(nil), false, false},
+		steadystate.KindGossip:        {(*steadystate.GossipSolution)(nil), false, false},
+		steadystate.KindReduce:        {(*steadystate.ReduceSolution)(nil), true, false},
+		steadystate.KindGather:        {(*steadystate.ReduceSolution)(nil), true, false},
+		steadystate.KindPrefix:        {(*steadystate.PrefixSolution)(nil), false, false},
+		steadystate.KindReduceScatter: {(*steadystate.CompositeSolution)(nil), false, true},
+		steadystate.KindAllreduce:     {(*steadystate.CompositeSolution)(nil), false, true},
+		steadystate.KindComposite:     {(*steadystate.CompositeSolution)(nil), false, true},
+	}
+	check := func(label string, sol steadystate.Solution, kind steadystate.Kind) {
+		t.Helper()
+		w, ok := want[kind]
+		if !ok {
+			t.Fatalf("%s: no expectation for kind %q", label, kind)
+		}
+		if sol.Kind() != kind {
+			t.Errorf("%s: Kind() = %q, want %q", label, sol.Kind(), kind)
+		}
+		if got, exp := reflect.TypeOf(sol.Unwrap()), reflect.TypeOf(w.unwrap); got != exp {
+			t.Errorf("%s: Unwrap() is %v, want %v", label, got, exp)
+		}
+		if _, ok := sol.(steadystate.Certified); ok != w.certified {
+			t.Errorf("%s: implements Certified = %v, want %v", label, ok, w.certified)
+		}
+		if _, ok := sol.(steadystate.Concurrent); ok != w.concurrent {
+			t.Errorf("%s: implements Concurrent = %v, want %v", label, ok, w.concurrent)
+		}
+	}
+
+	specs := append(append([]steadystate.Spec(nil), base...),
+		steadystate.ReduceScatterSpec(order...),
+		steadystate.AllreduceSpec(order...),
+		steadystate.CompositeSpec(base, nil))
+	if len(specs) != len(want) {
+		t.Fatalf("%d specs for %d kinds", len(specs), len(want))
+	}
+	for _, spec := range specs {
+		sol := mustSolve(t, p, spec)
+		check(string(spec.Kind), sol, spec.Kind)
+		if spec.Kind != steadystate.KindComposite {
+			continue
+		}
+		members := sol.(steadystate.Concurrent).Members()
+		if len(members) != len(base) {
+			t.Fatalf("composite has %d members, want %d", len(members), len(base))
+		}
+		for i, m := range members {
+			check(fmt.Sprintf("composite member %d", i), m, base[i].Kind)
+		}
+	}
+}
+
+// TestSolveEquivalenceFig2Scatter: the unified entry point must reproduce
+// the paper's exact Figure 2 scatter throughput.
 func TestSolveEquivalenceFig2Scatter(t *testing.T) {
 	p, src, targets := steadystate.PaperFig2()
 	sol, err := steadystate.Solve(context.Background(), p, steadystate.ScatterSpec(src, targets...))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	legacy, err := steadystate.SolveScatter(p, src, targets)
-	if err != nil {
-		t.Fatalf("SolveScatter: %v", err)
-	}
 	ratEq(t, sol.Throughput(), "1/2", "Solve fig2 TP")
-	if sol.Throughput().Cmp(legacy.Throughput()) != 0 {
-		t.Errorf("Solve TP %s != SolveScatter TP %s",
-			sol.Throughput().RatString(), legacy.Throughput().RatString())
-	}
-	if sol.Period().Cmp(legacy.Period()) != 0 {
-		t.Errorf("Solve period %s != legacy period %s", sol.Period(), legacy.Period())
-	}
 	if sol.Kind() != steadystate.KindScatter {
 		t.Errorf("Kind = %q", sol.Kind())
 	}
@@ -90,26 +165,14 @@ func TestSolveEquivalenceFig6ReduceAndPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve reduce: %v", err)
 	}
-	legacy, err := steadystate.SolveReduce(p, order, target)
-	if err != nil {
-		t.Fatalf("SolveReduce: %v", err)
-	}
 	ratEq(t, rsol.Throughput(), "1", "Solve fig6 reduce TP")
-	if rsol.Throughput().Cmp(legacy.Throughput()) != 0 {
-		t.Error("reduce throughput mismatch between Solve and SolveReduce")
-	}
 
 	psol, err := steadystate.Solve(context.Background(), p, steadystate.PrefixSpec(order...))
 	if err != nil {
 		t.Fatalf("Solve prefix: %v", err)
 	}
-	plegacy, err := steadystate.SolvePrefix(p, order)
-	if err != nil {
-		t.Fatalf("SolvePrefix: %v", err)
-	}
-	if psol.Throughput().Cmp(plegacy.Throughput()) != 0 {
-		t.Errorf("prefix throughput mismatch: %s vs %s",
-			psol.Throughput().RatString(), plegacy.Throughput().RatString())
+	if psol.Throughput().Sign() <= 0 {
+		t.Error("prefix TP must be positive")
 	}
 }
 
@@ -145,7 +208,7 @@ func TestSolveEquivalenceFig9Reduce(t *testing.T) {
 	}
 }
 
-// TestSolveEquivalenceGossip checks gossip through both paths on a ring.
+// TestSolveEquivalenceGossip checks gossip on a ring.
 func TestSolveEquivalenceGossip(t *testing.T) {
 	p := steadystate.Ring(4, steadystate.R(1, 2), steadystate.R(1, 1))
 	var nodes []steadystate.NodeID
@@ -155,14 +218,6 @@ func TestSolveEquivalenceGossip(t *testing.T) {
 	sol, err := steadystate.Solve(context.Background(), p, steadystate.GossipSpec(nodes, nodes))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
-	}
-	legacy, err := steadystate.SolveGossip(p, nodes, nodes)
-	if err != nil {
-		t.Fatalf("SolveGossip: %v", err)
-	}
-	if sol.Throughput().Cmp(legacy.Throughput()) != 0 {
-		t.Errorf("gossip TP mismatch: %s vs %s",
-			sol.Throughput().RatString(), legacy.Throughput().RatString())
 	}
 	if sol.Throughput().Sign() <= 0 {
 		t.Error("gossip TP must be positive")

@@ -1,6 +1,5 @@
 // Benchmarks regenerating every experimental artifact of the paper, one
-// bench per figure/proposition (see DESIGN.md §4 for the index and
-// EXPERIMENTS.md for paper-vs-measured results). Run with:
+// bench per figure/proposition. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -30,10 +29,7 @@ func requireRat(b *testing.B, got steadystate.Rat, want string, what string) {
 func BenchmarkFig2ScatterToy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, src, targets := steadystate.PaperFig2()
-		sol, err := steadystate.SolveScatter(p, src, targets)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sol := mustSolve(b, p, steadystate.ScatterSpec(src, targets...))
 		requireRat(b, sol.Throughput(), "1/2", "Fig2 TP")
 	}
 }
@@ -42,13 +38,10 @@ func BenchmarkFig2ScatterToy(b *testing.B) {
 // matchings (Figure 3: the paper finds 4).
 func BenchmarkFig3Matchings(b *testing.B) {
 	p, src, targets := steadystate.PaperFig2()
-	sol, err := steadystate.SolveScatter(p, src, targets)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol := mustSolve(b, p, steadystate.ScatterSpec(src, targets...))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched, err := steadystate.ScatterSchedule(sol)
+		sched, err := sol.Schedule()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,13 +55,10 @@ func BenchmarkFig3Matchings(b *testing.B) {
 // the exact period and whole messages at the scaled period.
 func BenchmarkFig4Schedule(b *testing.B) {
 	p, src, targets := steadystate.PaperFig2()
-	sol, err := steadystate.SolveScatter(p, src, targets)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol := mustSolve(b, p, steadystate.ScatterSpec(src, targets...))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched, err := steadystate.ScatterSchedule(sol)
+		sched, err := sol.Schedule()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,10 +98,7 @@ func BenchmarkFig5ReductionTree(b *testing.B) {
 func BenchmarkFig6ReduceToy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, order, target := steadystate.PaperFig6()
-		sol, err := steadystate.SolveReduce(p, order, target)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sol := mustSolve(b, p, steadystate.ReduceSpec(order, target))
 		requireRat(b, sol.Throughput(), "1", "Fig6 TP")
 	}
 }
@@ -120,10 +107,7 @@ func BenchmarkFig6ReduceToy(b *testing.B) {
 // Fig-6 solution (Figure 7: the paper finds trees of weight 1/3 and 2/3).
 func BenchmarkFig7TreeExtraction(b *testing.B) {
 	p, order, target := steadystate.PaperFig6()
-	sol, err := steadystate.SolveReduce(p, order, target)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol := mustSolve(b, p, steadystate.ReduceSpec(order, target)).Unwrap().(*steadystate.ReduceSolution)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		app := sol.Integerize()
@@ -192,11 +176,11 @@ func BenchmarkFig11TreeExtraction(b *testing.B) {
 // protocol and reports the achieved fraction of the TP·K bound.
 func BenchmarkProp1AsymptoticScatter(b *testing.B) {
 	p, src, targets := steadystate.PaperFig2()
-	sol, err := steadystate.SolveScatter(p, src, targets)
+	sol := mustSolve(b, p, steadystate.ScatterSpec(src, targets...))
+	m, err := sol.SimModel()
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := steadystate.ScatterSimModel(sol)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := steadystate.Simulate(m, 1000)
@@ -216,12 +200,11 @@ func BenchmarkProp1AsymptoticScatter(b *testing.B) {
 // BenchmarkProp3AsymptoticReduce simulates the pipelined reduce protocol.
 func BenchmarkProp3AsymptoticReduce(b *testing.B) {
 	p, order, target := steadystate.PaperFig6()
-	sol, err := steadystate.SolveReduce(p, order, target)
+	sol := mustSolve(b, p, steadystate.ReduceSpec(order, target))
+	m, err := sol.SimModel()
 	if err != nil {
 		b.Fatal(err)
 	}
-	app := sol.Integerize()
-	m := steadystate.ReduceSimModel(app)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := steadystate.Simulate(m, 1000)
@@ -278,10 +261,7 @@ func BenchmarkGossipTiers(b *testing.B) {
 	p := steadystate.Tiers(steadystate.DefaultTiersConfig(17))
 	parts := p.Participants()
 	for i := 0; i < b.N; i++ {
-		sol, err := steadystate.SolveGossip(p, parts[:3], parts[len(parts)-3:])
-		if err != nil {
-			b.Fatal(err)
-		}
+		sol := mustSolve(b, p, steadystate.GossipSpec(parts[:3], parts[len(parts)-3:]))
 		if sol.Throughput().Sign() <= 0 {
 			b.Fatal("TP must be positive")
 		}
@@ -293,10 +273,7 @@ func BenchmarkGossipTiers(b *testing.B) {
 func BenchmarkPrefixToy(b *testing.B) {
 	p, order, _ := steadystate.PaperFig6()
 	for i := 0; i < b.N; i++ {
-		sol, err := steadystate.SolvePrefix(p, order)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sol := mustSolve(b, p, steadystate.PrefixSpec(order...))
 		if sol.Throughput().Sign() <= 0 {
 			b.Fatal("TP must be positive")
 		}
@@ -317,10 +294,7 @@ func BenchmarkBaselineScatter(b *testing.B) {
 	p.AddEdge(a, d, steadystate.R(1, 1))
 	p.AddEdge(c, d, steadystate.R(3, 1))
 	for i := 0; i < b.N; i++ {
-		sol, err := steadystate.SolveScatter(p, s, []steadystate.NodeID{d})
-		if err != nil {
-			b.Fatal(err)
-		}
+		sol := mustSolve(b, p, steadystate.ScatterSpec(s, d))
 		base, err := steadystate.SinglePathScatter(p, s, []steadystate.NodeID{d})
 		if err != nil {
 			b.Fatal(err)
@@ -373,10 +347,7 @@ func BenchmarkScalingScatter(b *testing.B) {
 			p := steadystate.Tiers(cfg)
 			parts := p.Participants()
 			for i := 0; i < b.N; i++ {
-				sol, err := steadystate.SolveScatter(p, parts[0], parts[1:])
-				if err != nil {
-					b.Fatal(err)
-				}
+				sol := mustSolve(b, p, steadystate.ScatterSpec(parts[0], parts[1:]...)).Unwrap().(*steadystate.ScatterSolution)
 				b.ReportMetric(float64(sol.Stats.Pivots), "pivots")
 			}
 		})
@@ -394,10 +365,7 @@ func BenchmarkScalingReduce(b *testing.B) {
 				order = append(order, node.ID)
 			}
 			for i := 0; i < b.N; i++ {
-				sol, err := steadystate.SolveReduce(p, order, order[0])
-				if err != nil {
-					b.Fatal(err)
-				}
+				sol := mustSolve(b, p, steadystate.ReduceSpec(order, order[0])).Unwrap().(*steadystate.ReduceSolution)
 				b.ReportMetric(float64(sol.Stats.Pivots), "pivots")
 			}
 		})

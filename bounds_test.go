@@ -54,10 +54,7 @@ func TestScatterRespectsPortBounds(t *testing.T) {
 		parts := p.Participants()
 		src := parts[0]
 		targets := parts[1:5]
-		sol, err := steadystate.SolveScatter(p, src, targets)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		sol := mustSolve(t, p, steadystate.ScatterSpec(src, targets...))
 		for i, bound := range scatterUpperBounds(p, src, targets) {
 			if sol.Throughput().Cmp(bound) > 0 {
 				t.Errorf("seed %d: TP %s exceeds port bound %d (%s)",
@@ -112,10 +109,7 @@ func TestGossipBoundedByScatterOfBusiestSource(t *testing.T) {
 	parts := p.Participants()
 	sources := parts[:3]
 	targets := parts[len(parts)-3:]
-	gsol, err := steadystate.SolveGossip(p, sources, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gsol := mustSolve(t, p, steadystate.GossipSpec(sources, targets))
 	for _, s := range sources {
 		var ts []steadystate.NodeID
 		for _, tt := range targets {
@@ -123,10 +117,7 @@ func TestGossipBoundedByScatterOfBusiestSource(t *testing.T) {
 				ts = append(ts, tt)
 			}
 		}
-		ssol, err := steadystate.SolveScatter(p, s, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ssol := mustSolve(t, p, steadystate.ScatterSpec(s, ts...))
 		if gsol.Throughput().Cmp(ssol.Throughput()) > 0 {
 			t.Errorf("gossip TP %s beats single-source scatter TP %s from %s",
 				gsol.Throughput().RatString(), ssol.Throughput().RatString(), p.Node(s).Name)
@@ -136,11 +127,11 @@ func TestGossipBoundedByScatterOfBusiestSource(t *testing.T) {
 
 func TestPublicLatencySimulation(t *testing.T) {
 	p, src, targets := steadystate.PaperFig2()
-	sol, err := steadystate.SolveScatter(p, src, targets)
+	m, err := mustSolve(t, p, steadystate.ScatterSpec(src, targets...)).SimModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := steadystate.SimulateLatency(steadystate.ScatterSimModel(sol), 100)
+	res, err := steadystate.SimulateLatency(m, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +142,7 @@ func TestPublicLatencySimulation(t *testing.T) {
 		t.Error("relayed scatter should have ≥ 1 period of latency")
 	}
 	// Delivered totals must match the plain simulator.
-	plain, err := steadystate.Simulate(steadystate.ScatterSimModel(sol), 100)
+	plain, err := steadystate.Simulate(m, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	steadystate "repro"
 )
 
 // capture redirects the report writer for the duration of fn.
@@ -104,30 +99,5 @@ func TestSessionExperiment(t *testing.T) {
 	}
 	if !strings.Contains(got, "solver session:") {
 		t.Errorf("session output:\n%s", got)
-	}
-}
-
-func TestRunScenario(t *testing.T) {
-	p, src, targets := steadystate.PaperFig2()
-	sc := &steadystate.Scenario{Platform: p, Spec: steadystate.ScatterSpec(src, targets...)}
-	data, err := json.Marshal(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fig2.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got := capture(func() {
-		if err := runScenario(path); err != nil {
-			t.Errorf("runScenario: %v", err)
-		}
-	})
-	var rep steadystate.Report
-	if err := json.Unmarshal([]byte(got), &rep); err != nil {
-		t.Fatalf("report output is not JSON: %v\n%s", err, got)
-	}
-	if rep.Throughput != "1/2" {
-		t.Errorf("report TP = %s, want 1/2", rep.Throughput)
 	}
 }

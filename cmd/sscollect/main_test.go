@@ -143,9 +143,30 @@ func TestScenarioFileCarriesSpec(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := runOK(t, "-platform", path)
+	report := filepath.Join(t.TempDir(), "report.json")
+	out := runOK(t, "-platform", path, "-report", report)
 	if !strings.Contains(out, "scatter throughput") {
 		t.Errorf("output:\n%s", out)
+	}
+	// -report is the single-scenario runner: the file holds the indented
+	// report JSON plus a trailing newline.
+	data, err = os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep steadystate.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	if rep.Kind != steadystate.KindScatter || rep.Throughput != "1/2" {
+		t.Errorf("report = %+v, want scatter with TP 1/2", rep)
+	}
+	want, err := json.MarshalIndent(&rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != string(want)+"\n" {
+		t.Errorf("report bytes are not the indented JSON plus newline:\n%s", data)
 	}
 }
 

@@ -59,10 +59,7 @@ func TestGoldenTiersFixtureSolves(t *testing.T) {
 		t.Fatalf("fixture invalid: %v", err)
 	}
 	parts := p.Participants()
-	sol, err := steadystate.SolveScatter(p, parts[0], parts[1:3])
-	if err != nil {
-		t.Fatalf("solve: %v", err)
-	}
+	sol := mustSolve(t, p, steadystate.ScatterSpec(parts[0], parts[1:3]...))
 	if sol.Throughput().Sign() <= 0 {
 		t.Error("fixture scatter TP must be positive")
 	}
@@ -75,10 +72,7 @@ func TestGoldenTiersFixtureSolves(t *testing.T) {
 	if err := json.Unmarshal(data, q); err != nil {
 		t.Fatal(err)
 	}
-	sol2, err := steadystate.SolveScatter(q, parts[0], parts[1:3])
-	if err != nil {
-		t.Fatalf("re-parsed solve: %v", err)
-	}
+	sol2 := mustSolve(t, q, steadystate.ScatterSpec(parts[0], parts[1:3]...))
 	if sol.Throughput().Cmp(sol2.Throughput()) != 0 {
 		t.Errorf("round trip changed TP: %s vs %s",
 			sol.Throughput().RatString(), sol2.Throughput().RatString())

@@ -33,10 +33,7 @@ func TestIntegrationScatterSweep(t *testing.T) {
 		src := parts[0]
 		targets := parts[1:]
 
-		sol, err := steadystate.SolveScatter(p, src, targets)
-		if err != nil {
-			t.Fatalf("platform %d: solve: %v", i, err)
-		}
+		sol := mustSolve(t, p, steadystate.ScatterSpec(src, targets...))
 		if err := sol.Verify(); err != nil {
 			t.Errorf("platform %d: verify: %v", i, err)
 		}
@@ -56,7 +53,7 @@ func TestIntegrationScatterSweep(t *testing.T) {
 		}
 
 		// Schedule construction and invariants.
-		sched, err := steadystate.ScatterSchedule(sol)
+		sched, err := sol.Schedule()
 		if err != nil {
 			t.Fatalf("platform %d: schedule: %v", i, err)
 		}
@@ -65,7 +62,10 @@ func TestIntegrationScatterSweep(t *testing.T) {
 		}
 
 		// Dynamic protocol: ratio within (0, 1].
-		m := steadystate.ScatterSimModel(sol)
+		m, err := sol.SimModel()
+		if err != nil {
+			t.Fatalf("platform %d: model: %v", i, err)
+		}
 		res, err := steadystate.Simulate(m, 300)
 		if err != nil {
 			t.Fatalf("platform %d: simulate: %v", i, err)
@@ -170,14 +170,11 @@ func TestIntegrationGossipSweep(t *testing.T) {
 		parts := p.Participants()
 		sources := parts[:2]
 		targets := parts[len(parts)-2:]
-		sol, err := steadystate.SolveGossip(p, sources, targets)
-		if err != nil {
-			t.Fatalf("platform %d: solve: %v", i, err)
-		}
+		sol := mustSolve(t, p, steadystate.GossipSpec(sources, targets))
 		if err := sol.Verify(); err != nil {
 			t.Errorf("platform %d: verify: %v", i, err)
 		}
-		sched, err := steadystate.GossipSchedule(sol)
+		sched, err := sol.Schedule()
 		if err != nil {
 			t.Fatalf("platform %d: schedule: %v", i, err)
 		}
@@ -195,10 +192,7 @@ func TestIntegrationScatterSubsetMonotonicity(t *testing.T) {
 	src := parts[0]
 	prev := steadystate.Rat(nil)
 	for k := 2; k <= len(parts); k++ {
-		sol, err := steadystate.SolveScatter(p, src, parts[1:k])
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
+		sol := mustSolve(t, p, steadystate.ScatterSpec(src, parts[1:k]...))
 		if prev != nil && sol.Throughput().Cmp(prev) > 0 {
 			t.Errorf("k=%d: TP %s increased from %s with more targets",
 				k, sol.Throughput().RatString(), prev.RatString())
@@ -220,10 +214,7 @@ func TestIntegrationReduceParticipantMonotonicity(t *testing.T) {
 	}
 	prev := steadystate.Rat(nil)
 	for k := 2; k <= len(all); k++ {
-		sol, err := steadystate.SolveReduce(p, all[:k], all[0])
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
+		sol := mustSolve(t, p, steadystate.ReduceSpec(all[:k], all[0]))
 		if prev != nil && sol.Throughput().Cmp(prev) > 0 {
 			t.Errorf("k=%d: TP %s increased from %s with more participants",
 				k, sol.Throughput().RatString(), prev.RatString())

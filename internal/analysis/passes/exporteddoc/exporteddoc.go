@@ -1,10 +1,9 @@
 // Package exporteddoc enforces the repository's documentation bar:
-// every exported identifier carries a doc comment. It is cmd/doccheck's
-// rule (PR 5) ported onto the analysis framework, so one sslint run
-// covers documentation alongside the exactness and determinism
-// invariants; cmd/doccheck remains as a thin wrapper over CheckFile.
+// every exported identifier carries a doc comment. It runs under sslint,
+// so one run covers documentation alongside the exactness and
+// determinism invariants.
 //
-// The rule, unchanged from doccheck:
+// The rule:
 //
 //   - functions and methods (methods only when their receiver type is
 //     itself exported) need a doc comment on the declaration;
@@ -27,8 +26,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// A Finding is one undocumented exported identifier.
-type Finding struct {
+// finding is one undocumented exported identifier.
+type finding struct {
 	// Pos locates the offending declaration.
 	Pos token.Pos
 	// What classifies the identifier: function, method, type, const or
@@ -41,18 +40,17 @@ type Finding struct {
 // run reports a diagnostic per undocumented exported identifier.
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		for _, finding := range CheckFile(f) {
-			pass.Reportf(finding.Pos, "exported %s %s is missing a doc comment", finding.What, finding.Name)
+		for _, fd := range checkFile(f) {
+			pass.Reportf(fd.Pos, "exported %s %s is missing a doc comment", fd.What, fd.Name)
 		}
 	}
 	return nil
 }
 
-// CheckFile returns the file's undocumented exported identifiers in
-// declaration order. cmd/doccheck calls it directly on parsed
-// directories.
-func CheckFile(f *ast.File) []Finding {
-	var out []Finding
+// checkFile returns the file's undocumented exported identifiers in
+// declaration order.
+func checkFile(f *ast.File) []finding {
+	var out []finding
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
@@ -66,7 +64,7 @@ func CheckFile(f *ast.File) []Finding {
 
 // checkFunc flags exported functions — and methods on exported receiver
 // types — without doc comments.
-func checkFunc(d *ast.FuncDecl) []Finding {
+func checkFunc(d *ast.FuncDecl) []finding {
 	if !d.Name.IsExported() || d.Doc != nil {
 		return nil
 	}
@@ -78,18 +76,18 @@ func checkFunc(d *ast.FuncDecl) []Finding {
 		}
 		what, name = "method", recv+"."+d.Name.Name
 	}
-	return []Finding{{Pos: d.Pos(), What: what, Name: name}}
+	return []finding{{Pos: d.Pos(), What: what, Name: name}}
 }
 
 // checkGen flags exported type, const and var specs whose group and
 // spec both lack documentation.
-func checkGen(d *ast.GenDecl) []Finding {
-	var out []Finding
+func checkGen(d *ast.GenDecl) []finding {
+	var out []finding
 	for _, spec := range d.Specs {
 		switch s := spec.(type) {
 		case *ast.TypeSpec:
 			if s.Name.IsExported() && d.Doc == nil && s.Doc == nil {
-				out = append(out, Finding{Pos: s.Pos(), What: "type", Name: s.Name.Name})
+				out = append(out, finding{Pos: s.Pos(), What: "type", Name: s.Name.Name})
 			}
 		case *ast.ValueSpec:
 			if d.Doc != nil || s.Doc != nil || s.Comment != nil {
@@ -101,7 +99,7 @@ func checkGen(d *ast.GenDecl) []Finding {
 			}
 			for _, name := range s.Names {
 				if name.IsExported() {
-					out = append(out, Finding{Pos: name.Pos(), What: what, Name: name.Name})
+					out = append(out, finding{Pos: name.Pos(), What: what, Name: name.Name})
 				}
 			}
 		}

@@ -9,7 +9,8 @@ import (
 )
 
 // TestFlagged checks undocumented functions, types and methods are
-// caught, and unexported receivers are exempt.
+// caught, and undocumented methods on unexported receivers (value or
+// pointer) are exempt.
 func TestFlagged(t *testing.T) {
 	analysistest.Run(t, exporteddoc.Analyzer, "testdata/flagged", "repro/internal/fixture")
 }

@@ -10,5 +10,6 @@ func (t Thing) Method() {} // want "exported method Thing.Method is missing a do
 
 type hidden struct{}
 
-// Method on an unexported type is not API surface.
-func (h hidden) Method() {}
+func (h hidden) Method() {} // undocumented, but not API surface: no want
+
+func (h *hidden) PointerMethod() {}

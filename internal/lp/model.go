@@ -39,8 +39,8 @@
 //   - dense (simplex.go): each row is a full integer vector. It wins only
 //     when rows are mostly full (density near 1, e.g. tiny textbook
 //     programs), where the sparse index bookkeeping buys nothing. It is
-//     kept selectable — WithTableau(ctx, TableauDense), surfaced as the
-//     steadystate.WithDenseLP option — as an escape hatch and as the
+//     kept selectable — WithTableau(ctx, TableauDense) — as the
+//     reference the equivalence tests compare against and as the
 //     baseline for ablation benchmarks.
 package lp
 

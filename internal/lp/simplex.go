@@ -39,8 +39,8 @@ type tableauCtxKey struct{}
 
 // WithTableau returns a context that selects the tableau implementation
 // for every Model.SolveCtx beneath it. Solvers thread one context from the
-// public API down to the simplex, so a single context decoration switches
-// an entire composite solve (steadystate.WithDenseLP uses this).
+// public API down to the simplex, so decorating the context passed to
+// steadystate.Solve switches an entire composite solve.
 func WithTableau(ctx context.Context, impl TableauImpl) context.Context {
 	return context.WithValue(ctx, tableauCtxKey{}, impl)
 }

@@ -26,7 +26,7 @@ func Fig9Problem(t testing.TB) *Problem {
 // TestPaperFig9Reduce runs the paper's main experiment end to end: solve
 // SSR on the 14-node Tiers platform and extract the reduction trees. The
 // paper reports TP = 2/9 and two trees of weight 1/9 each; our link
-// bandwidths are re-sampled in-range (see DESIGN.md), so we assert the
+// bandwidths are re-sampled in-range (see topology.PaperFig9), so we assert the
 // shape: a positive small-rational TP, a valid polynomial tree family
 // covering it exactly, and a verified solution.
 func TestPaperFig9Reduce(t *testing.T) {

@@ -62,8 +62,10 @@ func PaperFig6() (p *graph.Platform, order []graph.NodeID, target graph.NodeID) 
 // reduction. The edge set and processor speeds are reproduced exactly from
 // the figure; link bandwidths are chosen within the ranges visible in the
 // figure (LAN 1000, MAN ≈125–295, WAN ≈2–14; costs are 1/bandwidth), since
-// the exact random draws are not recoverable from the published figure —
-// see DESIGN.md for this substitution.
+// the exact random draws are not recoverable from the published figure.
+// Because of this substitution the exact optimum need not equal the
+// paper's 2/9; the edge set, the speeds and the message size are the
+// paper's.
 //
 // The returned order lists participants by their logical index 0..7
 // (node11, node8, node13, node9, node6, node12, node7, node10), so P_i in

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	steadystate "repro"
+	"repro/internal/lp"
 )
 
 // simConformanceCase is one (kind, platform) cell of the suite.
@@ -234,7 +235,7 @@ func TestSimReplayIdentityDenseVsSparse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sparse Solve: %v", err)
 			}
-			dense, err := steadystate.Solve(ctx, c.p, c.spec, steadystate.WithDenseLP())
+			dense, err := steadystate.Solve(lp.WithTableau(ctx, lp.TableauDense), c.p, c.spec)
 			if err != nil {
 				t.Fatalf("dense Solve: %v", err)
 			}

@@ -1,5 +1,5 @@
 // Dense-vs-sparse LP equivalence at the API level: the sparse tableau
-// (the default) and the dense tableau (WithDenseLP) must return
+// (the default) and the dense tableau (lp.WithTableau) must return
 // bit-identical solutions — same exact throughput, same pivot counts, both
 // Verify-clean — for every collective kind, on seeded topogen-style
 // platforms. The per-pivot arithmetic is the only thing the representation
@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	steadystate "repro"
+	"repro/internal/lp"
 )
 
 // equivalenceSpecs enumerates one spec per collective kind (plus a mixed
@@ -52,7 +53,7 @@ func TestSparseDenseEquivalenceAcrossKinds(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sparse solve: %v", err)
 				}
-				dense, err := steadystate.Solve(ctx, p, spec, steadystate.WithDenseLP())
+				dense, err := steadystate.Solve(lp.WithTableau(ctx, lp.TableauDense), p, spec)
 				if err != nil {
 					t.Fatalf("dense solve: %v", err)
 				}

@@ -14,7 +14,7 @@
 // together with a concrete periodic schedule achieving it:
 //
 //   - Scatter (Section 3): one source, one distinct message per target per
-//     operation. SolveScatter returns the optimal typed multi-route flow.
+//     operation; the optimum is a typed multi-route flow.
 //   - Broadcast (companion work): one source, the same message to every
 //     target per operation — the scatter LP with one commodity replicated
 //     to all targets, charged to the one-port model through shared
@@ -23,7 +23,7 @@
 //     distinct message to every target per operation.
 //   - Reduce (Section 4): participants P_0…P_N hold values v_i, and
 //     v_0 ⊕ … ⊕ v_N (⊕ associative, non-commutative) must reach a target.
-//     SolveReduce returns the optimal rates of partial-result transfers
+//     The optimum consists of the rates of partial-result transfers
 //     v[k,m] and merge tasks T_{k,l,m}; ExtractTrees certifies them as a
 //     small weighted family of reduction trees (Theorem 1).
 //   - Parallel prefix (Section 6 extension): every rank i receives v[0,i].
@@ -91,19 +91,13 @@
 // approximation (Section 4.6), dynamic simulation of the buffered
 // steady-state protocol (Section 3.4), baseline comparators, and topology
 // generation (including the paper's own example platforms).
-//
-// The per-collective entry points below (SolveScatter, SolveGossip,
-// SolveReduce, SolvePrefix) predate the unified API; they remain as thin
-// deprecated wrappers delegating to Solve.
 package steadystate
 
 import (
-	"context"
 	"math/big"
 
 	"repro/internal/baseline"
 	"repro/internal/composite"
-	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/prefix"
@@ -152,20 +146,6 @@ type ScatterProblem = scatter.Problem
 // ScatterSolution is a solved Series of Scatters.
 type ScatterSolution = scatter.Solution
 
-// SolveScatter computes the optimal steady-state scatter throughput from
-// source to targets and the typed multi-route flow achieving it
-// (linear program SSSP(G)).
-//
-// Deprecated: use Solve with ScatterSpec(source, targets...), which adds
-// context cancellation and the uniform Solution interface.
-func SolveScatter(p *Platform, source NodeID, targets []NodeID) (*ScatterSolution, error) {
-	sol, err := Solve(context.Background(), p, ScatterSpec(source, targets...))
-	if err != nil {
-		return nil, err
-	}
-	return sol.Unwrap().(*ScatterSolution), nil
-}
-
 // ---------------------------------------------------------------------------
 // Broadcast (companion work)
 
@@ -187,19 +167,6 @@ type GossipProblem = gossip.Problem
 
 // GossipSolution is a solved Series of Gossips.
 type GossipSolution = gossip.Solution
-
-// SolveGossip computes the optimal steady-state personalized all-to-all
-// throughput (linear program SSPA2A(G)).
-//
-// Deprecated: use Solve with GossipSpec(sources, targets), which adds
-// context cancellation and the uniform Solution interface.
-func SolveGossip(p *Platform, sources, targets []NodeID) (*GossipSolution, error) {
-	sol, err := Solve(context.Background(), p, GossipSpec(sources, targets))
-	if err != nil {
-		return nil, err
-	}
-	return sol.Unwrap().(*GossipSolution), nil
-}
 
 // ---------------------------------------------------------------------------
 // Reduce (Section 4)
@@ -227,20 +194,6 @@ type ReduceTask = reduce.Task
 // participants (order[i] holds v_i); target stores the final result.
 func NewReduceProblem(p *Platform, order []NodeID, target NodeID) (*ReduceProblem, error) {
 	return reduce.NewProblem(p, order, target)
-}
-
-// SolveReduce computes the optimal steady-state reduce throughput with
-// unit-size partial results.
-//
-// Deprecated: use Solve with ReduceSpec(order, target) — and
-// WithMessageSize / WithTaskTime instead of mutating a ReduceProblem —
-// which adds context cancellation and the uniform Solution interface.
-func SolveReduce(p *Platform, order []NodeID, target NodeID) (*ReduceSolution, error) {
-	sol, err := Solve(context.Background(), p, ReduceSpec(order, target))
-	if err != nil {
-		return nil, err
-	}
-	return sol.Unwrap().(*ReduceSolution), nil
 }
 
 // NewGatherProblem configures a Series of Gathers as a reduce whose
@@ -291,19 +244,6 @@ type PrefixProblem = prefix.Problem
 // PrefixSolution is a solved prefix series.
 type PrefixSolution = prefix.Solution
 
-// SolvePrefix computes the optimal steady-state parallel-prefix
-// throughput: every rank i receives v[0,i] per operation.
-//
-// Deprecated: use Solve with PrefixSpec(order...), which adds context
-// cancellation and the uniform Solution interface.
-func SolvePrefix(p *Platform, order []NodeID) (*PrefixSolution, error) {
-	sol, err := Solve(context.Background(), p, PrefixSpec(order...))
-	if err != nil {
-		return nil, err
-	}
-	return sol.Unwrap().(*PrefixSolution), nil
-}
-
 // ---------------------------------------------------------------------------
 // Schedules (Sections 3.3, 4.3)
 
@@ -313,30 +253,6 @@ type Schedule = schedule.Schedule
 
 // ScheduleSlot is one slot of a periodic schedule.
 type ScheduleSlot = schedule.Slot
-
-// ScatterSchedule serializes a scatter solution's period into matching
-// slots (the construction behind the paper's Figures 3–4).
-func ScatterSchedule(sol *ScatterSolution) (*Schedule, error) {
-	return schedule.FromFlow(sol.Flow, scatter.UnitSize, func(c core.Commodity) string {
-		return "m_" + sol.Problem.Platform.Node(c.Dst).Name
-	})
-}
-
-// GossipSchedule serializes a gossip solution's period.
-func GossipSchedule(sol *GossipSolution) (*Schedule, error) {
-	p := sol.Problem.Platform
-	return schedule.FromFlow(sol.Flow, gossip.UnitSize, func(c core.Commodity) string {
-		return "m_" + p.Node(c.Src).Name + "_" + p.Node(c.Dst).Name
-	})
-}
-
-// BroadcastSchedule serializes a broadcast solution's period: the carry
-// stream — the messages physically moved, one shared copy per edge — is
-// decomposed into one-port-safe matching slots.
-func BroadcastSchedule(sol *BroadcastSolution) (*Schedule, error) {
-	return schedule.MergeFlows(sol.Problem.Platform, sol.Period(),
-		[]schedule.MemberFlow{composite.BroadcastMemberFlow(sol, "")})
-}
 
 // ReduceSchedule serializes a reduce tree family's period; pass a nil
 // period to use the application's exact period, or a fixed-period plan's
@@ -353,28 +269,6 @@ type SimModel = sim.Model
 
 // SimResult reports a finished simulation run.
 type SimResult = sim.Result
-
-// ScatterSimModel builds the simulation model of a scatter solution.
-func ScatterSimModel(sol *ScatterSolution) *SimModel { return sim.ScatterModel(sol) }
-
-// GossipSimModel builds the simulation model of a gossip solution.
-func GossipSimModel(sol *GossipSolution) *SimModel { return sim.GossipModel(sol) }
-
-// ReduceSimModel builds the simulation model of a reduce application.
-func ReduceSimModel(app *ReduceApplication) *SimModel { return sim.ReduceModel(app) }
-
-// BroadcastSimModel builds the simulation model of a broadcast solution:
-// the shared carry stream y(e) is replayed with per-target replication —
-// each target's bundled virtual flow x(e, b_t) is its own commodity, so
-// delivered counts are checked against TP per target, not per physical
-// edge-copy.
-func BroadcastSimModel(sol *BroadcastSolution) *SimModel { return sim.BroadcastModel(sol) }
-
-// PrefixSimModel builds the simulation model of a prefix solution: every
-// rank delivers its prefix v[0,i] through a per-period quota sink (surplus
-// stays buffered for forwarding), and rank 0's locally owned v[0,0] is
-// credited directly.
-func PrefixSimModel(sol *PrefixSolution) *SimModel { return sim.PrefixModel(sol) }
 
 // MergeSimModels superposes per-member simulation models over a common
 // period (each member period must divide it), namespacing each member's

@@ -9,21 +9,22 @@ import (
 
 func TestPublicScatterEndToEnd(t *testing.T) {
 	p, src, targets := steadystate.PaperFig2()
-	sol, err := steadystate.SolveScatter(p, src, targets)
-	if err != nil {
-		t.Fatalf("SolveScatter: %v", err)
-	}
+	sol := mustSolve(t, p, steadystate.ScatterSpec(src, targets...))
 	if sol.Throughput().RatString() != "1/2" {
 		t.Errorf("TP = %s, want 1/2", sol.Throughput().RatString())
 	}
-	sched, err := steadystate.ScatterSchedule(sol)
+	sched, err := sol.Schedule()
 	if err != nil {
-		t.Fatalf("ScatterSchedule: %v", err)
+		t.Fatalf("Schedule: %v", err)
 	}
 	if err := sched.Verify(); err != nil {
 		t.Errorf("schedule: %v", err)
 	}
-	res, err := steadystate.Simulate(steadystate.ScatterSimModel(sol), 200)
+	m, err := sol.SimModel()
+	if err != nil {
+		t.Fatalf("SimModel: %v", err)
+	}
+	res, err := steadystate.Simulate(m, 200)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -34,10 +35,7 @@ func TestPublicScatterEndToEnd(t *testing.T) {
 
 func TestPublicReduceEndToEnd(t *testing.T) {
 	p, order, target := steadystate.PaperFig6()
-	sol, err := steadystate.SolveReduce(p, order, target)
-	if err != nil {
-		t.Fatalf("SolveReduce: %v", err)
-	}
+	sol := mustSolve(t, p, steadystate.ReduceSpec(order, target)).Unwrap().(*steadystate.ReduceSolution)
 	if sol.Throughput().RatString() != "1" {
 		t.Errorf("TP = %s, want 1", sol.Throughput().RatString())
 	}
@@ -71,20 +69,14 @@ func TestPublicGossipAndPrefix(t *testing.T) {
 	for _, n := range p.Nodes() {
 		nodes = append(nodes, n.ID)
 	}
-	gsol, err := steadystate.SolveGossip(p, nodes, nodes)
-	if err != nil {
-		t.Fatalf("SolveGossip: %v", err)
-	}
+	gsol := mustSolve(t, p, steadystate.GossipSpec(nodes, nodes))
 	if gsol.Throughput().Sign() <= 0 {
 		t.Error("gossip TP must be positive")
 	}
-	if _, err := steadystate.GossipSchedule(gsol); err != nil {
-		t.Errorf("GossipSchedule: %v", err)
+	if _, err := gsol.Schedule(); err != nil {
+		t.Errorf("gossip Schedule: %v", err)
 	}
-	psol, err := steadystate.SolvePrefix(p, nodes)
-	if err != nil {
-		t.Fatalf("SolvePrefix: %v", err)
-	}
+	psol := mustSolve(t, p, steadystate.PrefixSpec(nodes...))
 	if psol.Throughput().Sign() <= 0 {
 		t.Error("prefix TP must be positive")
 	}
@@ -103,10 +95,7 @@ func TestPublicBaselinesAndTopologies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SinglePathScatter: %v", err)
 	}
-	sol, err := steadystate.SolveScatter(p, center, leaves)
-	if err != nil {
-		t.Fatalf("SolveScatter: %v", err)
-	}
+	sol := mustSolve(t, p, steadystate.ScatterSpec(center, leaves...))
 	if sol.Throughput().Cmp(base.Throughput) < 0 {
 		t.Error("LP below baseline")
 	}

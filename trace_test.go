@@ -12,13 +12,14 @@ import (
 	"testing"
 
 	steadystate "repro"
+	"repro/internal/lp"
 )
 
-// traceReport solves the spec with tracing on and returns the report.
-func traceReport(t *testing.T, s *steadystate.Solver, spec steadystate.Spec, extra ...steadystate.SolveOption) *steadystate.Report {
+// traceReport solves the spec under ctx with tracing on and returns the
+// report.
+func traceReport(t *testing.T, ctx context.Context, s *steadystate.Solver, spec steadystate.Spec) *steadystate.Report {
 	t.Helper()
-	opts := append([]steadystate.SolveOption{steadystate.WithTrace()}, extra...)
-	sol, err := s.Solve(context.Background(), spec, opts...)
+	sol, err := s.Solve(ctx, spec, steadystate.WithTrace())
 	if err != nil {
 		t.Fatalf("traced solve: %v", err)
 	}
@@ -92,13 +93,14 @@ func TestTraceGoldenStructure(t *testing.T) {
 	p := loadFixture(t, "tiers42.json")
 	parts := p.Participants()
 	solver := steadystate.NewSolver(p)
+	ctx := context.Background()
 	specs := map[string]steadystate.Spec{
 		"scatter": steadystate.ScatterSpec(parts[0], parts[1:3]...),
 		"reduce":  steadystate.ReduceSpec(parts[:4], parts[0]),
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
-			rep := traceReport(t, solver, spec)
+			rep := traceReport(t, ctx, solver, spec)
 			checkTraceReconciles(t, rep)
 
 			// Wall clock lives only in timing blocks: present on every span,
@@ -122,14 +124,15 @@ func TestTraceGoldenStructure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := json.Marshal(traceReport(t, solver, spec).Trace.WithoutTiming())
+			again, err := json.Marshal(traceReport(t, ctx, solver, spec).Trace.WithoutTiming())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(again) != string(golden) {
 				t.Errorf("repeat solve changed the trace:\n%s\n%s", golden, again)
 			}
-			dense, err := json.Marshal(traceReport(t, solver, spec, steadystate.WithDenseLP()).Trace.WithoutTiming())
+			denseCtx := lp.WithTableau(ctx, lp.TableauDense)
+			dense, err := json.Marshal(traceReport(t, denseCtx, solver, spec).Trace.WithoutTiming())
 			if err != nil {
 				t.Fatal(err)
 			}
