@@ -5,12 +5,22 @@
 // bounded by the schedule depth. Dense-vs-sparse and warm-vs-cold solves
 // must additionally produce byte-identical models (same fingerprint) and
 // identical delivered counts, pinning the whole solve→model→replay chain
-// as deterministic.
+// as deterministic. Every case is also pinned across commits against
+// testdata/solve-identity.golden: report, LP pivot path, simulation model
+// and schedule.
 package steadystate_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math/big"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	steadystate "repro"
@@ -271,5 +281,77 @@ func TestSimReplayIdentityWarmVsCold(t *testing.T) {
 			}
 			sameReplay(t, c.name, cold, warm, c.periods)
 		})
+	}
+}
+
+// solveIdentityLine renders one case of the cross-commit identity golden:
+// the report without its wall-clock fields, a digest of the lp.* spans of
+// the timing-free trace (pivot, Bland and degenerate counters, objective
+// waypoints), the simulation model fingerprint, and a digest of the Gantt
+// rendering of the schedule (or "unsupported" for kinds without one).
+func solveIdentityLine(t *testing.T, name string, sol steadystate.Solution) string {
+	t.Helper()
+	rep, err := sol.Report()
+	if err != nil {
+		t.Fatalf("%s: Report: %v", name, err)
+	}
+	if rep.Trace == nil {
+		t.Fatalf("%s: traced solve has no trace", name)
+	}
+	lpHash := sha256.New()
+	rep.Trace.WithoutTiming().Root.Walk(func(s *steadystate.Span) {
+		if !strings.HasPrefix(s.Name, "lp.") {
+			return
+		}
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("%s: marshal span %s: %v", name, s.Name, err)
+		}
+		lpHash.Write(data)
+		lpHash.Write([]byte{'\n'})
+	})
+	rep.SolveMS, rep.Trace = 0, nil
+	report, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatalf("%s: marshal report: %v", name, err)
+	}
+	model, err := sol.SimModel()
+	if err != nil {
+		t.Fatalf("%s: SimModel: %v", name, err)
+	}
+	gantt := "unsupported"
+	sched, err := sol.Schedule()
+	switch {
+	case errors.Is(err, steadystate.ErrUnsupported):
+	case err != nil:
+		t.Fatalf("%s: Schedule: %v", name, err)
+	default:
+		sum := sha256.Sum256([]byte(sched.Gantt()))
+		gantt = hex.EncodeToString(sum[:])
+	}
+	return fmt.Sprintf("%s\treport=%s\tlp=%s\tsim=%s\tgantt=%s\n",
+		name, report, hex.EncodeToString(lpHash.Sum(nil)), model.Fingerprint(), gantt)
+}
+
+// TestSolveIdentityGolden pins every conformance case, solved sparse, cold
+// and traced, against testdata/solve-identity.golden. Refactors of the
+// solve path must leave the file byte-identical: the same reports, the
+// same pivot sequences, the same simulation models and the same schedules.
+func TestSolveIdentityGolden(t *testing.T) {
+	ctx := context.Background()
+	var got strings.Builder
+	for _, c := range simConformanceCases(t) {
+		sol, err := steadystate.Solve(ctx, c.p, c.spec, steadystate.WithTrace())
+		if err != nil {
+			t.Fatalf("%s: Solve: %v", c.name, err)
+		}
+		got.WriteString(solveIdentityLine(t, c.name, sol))
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "solve-identity.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(golden) {
+		t.Errorf("solve identity differs from testdata/solve-identity.golden:\ngot:\n%s\nwant:\n%s", got.String(), golden)
 	}
 }
