@@ -648,8 +648,8 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	// structural fingerprint matches this model, pivot the tableau
 	// directly into that basis. If the rebuilt basis is primal-feasible
 	// for the new right-hand side, phase 1 is skipped entirely; otherwise
-	// the half-rebuilt tableau is discarded and a cold phase 1 runs,
-	// seeded with ratio-test pivots toward the warm basis.
+	// the half-rebuilt tableau is discarded and the untouched cold path
+	// runs, so a rejected candidate changes no pivot and no value.
 	warm := checkWarmBasis(warmTake(ctx), fp, t.nRows(), nCols, artCols)
 	warmOK := false
 	rebuildPivots := 0
@@ -698,9 +698,6 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 		_, p1Span := obs.StartSpan(ctx, "lp.phase1")
 		rec := newPivotRecorder(p1Span, nCols+1)
 		t.installPhase1(artCols)
-		if warm != nil && warm.reason == WarmRejectInfeasible {
-			seedPhase1(t, warm.cols, nCols)
-		}
 		if err := iterate(ctx, t, rec); err != nil {
 			if errors.Is(err, ErrUnbounded) {
 				// Phase 1 objective is bounded (≥ −Σb); unbounded here means

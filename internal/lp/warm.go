@@ -43,7 +43,7 @@ const (
 	WarmRejectSingular = "singular_basis"
 	// WarmRejectInfeasible marks a structurally valid basis that is not
 	// primal-feasible for the new right-hand side; the solve fell back to
-	// a phase 1 seeded from the warm basis.
+	// a cold phase 1.
 	WarmRejectInfeasible = "infeasible_basis"
 )
 
@@ -258,31 +258,6 @@ func warmFeasible(t tableau, artCols []bool) bool {
 		}
 	}
 	return true
-}
-
-// seedPhase1 performs ratio-test-guarded pivots that steer a cold phase 1
-// toward the (structurally valid but infeasible-as-is) warm basis: each
-// wanted column still nonbasic enters through the ordinary leaving-row
-// test, so primal feasibility is preserved and the subsequent iterate
-// loop converges from a vertex near the previous optimum. Purely a
-// warm-start accelerant — correctness never depends on it.
-func seedPhase1(t tableau, want []int, nCols int) {
-	basicNow := make([]bool, nCols)
-	for i := 0; i < t.nRows(); i++ {
-		basicNow[t.basic(i)] = true
-	}
-	for _, c := range want {
-		if basicNow[c] {
-			continue
-		}
-		r := t.leaving(c)
-		if r < 0 {
-			continue
-		}
-		basicNow[t.basic(r)] = false
-		basicNow[c] = true
-		t.pivot(r, c)
-	}
 }
 
 // warmSpan emits the lp.warmstart span: one per solve that carried a

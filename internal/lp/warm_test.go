@@ -210,10 +210,11 @@ func TestWarmFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestWarmInfeasibleBasisFallsBack drives the seeded-fallback path: the
-// warm basis matches structurally but is not primal-feasible for the new
-// right-hand side, so the solve reports WarmRejectInfeasible and still
-// lands on the cold optimum under both tableaus.
+// TestWarmInfeasibleBasisFallsBack drives the infeasible-rejection path:
+// the warm basis matches structurally but is not primal-feasible for the
+// new right-hand side, so the solve reports WarmRejectInfeasible and runs
+// the untouched cold path — the same pivot counters and the same optimal
+// vertex as a cold solve, under both tableaus.
 func TestWarmInfeasibleBasisFallsBack(t *testing.T) {
 	// max x s.t. x + y = 5, y ≤ 3, x ≤ B. At B=10 the optimal basis is
 	// {x, s_y, s_x} with x = 5. Re-priced for B=4 the same basis gives
@@ -251,6 +252,16 @@ func TestWarmInfeasibleBasisFallsBack(t *testing.T) {
 		if !rat.Eq(warm.Objective, cold.Objective) {
 			t.Fatalf("fallback objective %s != cold %s (%s)",
 				warm.Objective.RatString(), cold.Objective.RatString(), impl)
+		}
+		if warm.Iterations != cold.Iterations || warm.Phase1Iterations != cold.Phase1Iterations {
+			t.Errorf("fallback pivots %d (phase 1 %d) != cold %d (phase 1 %d) (%s)",
+				warm.Iterations, warm.Phase1Iterations, cold.Iterations, cold.Phase1Iterations, impl)
+		}
+		wv, cv := warm.Values(), cold.Values()
+		for i := range cv {
+			if !rat.Eq(wv[i], cv[i]) {
+				t.Errorf("fallback value %d = %s, cold %s (%s)", i, wv[i].RatString(), cv[i].RatString(), impl)
+			}
 		}
 	}
 }
