@@ -21,10 +21,7 @@ import (
 // for Series of Reduces).
 func BenchmarkAblationSingleTree(b *testing.B) {
 	pr := fig9Problem(b)
-	sol, err := pr.Solve()
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol, _ := solveReduceProblem(b, pr)
 	app := sol.Integerize()
 	trees, err := app.ExtractTrees()
 	if err != nil {
@@ -64,10 +61,7 @@ func BenchmarkAblationComputeAtTarget(b *testing.B) {
 			b.Fatal(err)
 		}
 		pr.ComputeAt = []steadystate.NodeID{target}
-		sol, err := pr.Solve()
-		if err != nil {
-			b.Fatal(err)
-		}
+		sol, _ := solveReduceProblem(b, pr)
 		if sol.Throughput().Cmp(free.Throughput()) > 0 {
 			b.Fatal("restriction increased throughput")
 		}
@@ -81,10 +75,7 @@ func BenchmarkAblationComputeAtTarget(b *testing.B) {
 // support; this bench tracks its cost on the largest instance).
 func BenchmarkAblationCycleCancellation(b *testing.B) {
 	pr := fig9Problem(b)
-	sol, err := pr.Solve()
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol, _ := solveReduceProblem(b, pr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		app := sol.Integerize()
@@ -109,10 +100,7 @@ func BenchmarkAblationGatherVsReduce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		gSol, err := g.Solve()
-		if err != nil {
-			b.Fatal(err)
-		}
+		gSol, _ := solveReduceProblem(b, g)
 		rSol := mustSolve(b, p, steadystate.ReduceSpec(order, order[0]))
 		if rSol.Throughput().Cmp(gSol.Throughput()) < 0 {
 			b.Fatal("reduce should not be slower than gather on a chain")

@@ -629,15 +629,16 @@ func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions) (solved,
 
 	switch spec.Kind {
 	case KindScatter, KindBroadcast, KindGossip, KindReduce, KindGather, KindPrefix:
+		// A plain solve is the one-member composite.
 		mem, err := s.newMember(spec, rat.One(), o)
 		if err != nil {
 			return nil, unsolvable(err)
 		}
-		ms, err := solveMember(ctx, mem)
+		sol, err := s.solveMembers(ctx, []composite.Member{mem})
 		if err != nil {
 			return nil, err
 		}
-		return newSolution(spec, ms, o.fixedPeriod), nil
+		return newSolution(spec, sol.Members[0], sol.Stats, o.fixedPeriod), nil
 
 	case KindReduceScatter:
 		// Reduce-scatter is the composite of N concurrent reduces: the
@@ -666,27 +667,6 @@ func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions) (solved,
 		return s.solveComposite(ctx, spec, spec.Members, spec.Weights, o)
 	}
 	return nil, unsolvable(fmt.Errorf("steadystate: unknown collective kind %q", spec.Kind))
-}
-
-// solveMember solves a base-kind member as its own LP — a plain solve —
-// and returns the result in the composite's per-member form, so plain
-// solves and composite members wrap through the same newSolution.
-func solveMember(ctx context.Context, mem composite.Member) (*composite.MemberSolution, error) {
-	ms := &composite.MemberSolution{Weight: mem.Weight}
-	var err error
-	switch {
-	case mem.Scatter != nil:
-		ms.Scatter, err = mem.Scatter.SolveCtx(ctx)
-	case mem.Broadcast != nil:
-		ms.Broadcast, err = mem.Broadcast.SolveCtx(ctx)
-	case mem.Gossip != nil:
-		ms.Gossip, err = mem.Gossip.SolveCtx(ctx)
-	case mem.Reduce != nil:
-		ms.Reduce, err = mem.Reduce.SolveCtx(ctx)
-	default:
-		ms.Prefix, err = mem.Prefix.SolveCtx(ctx)
-	}
-	return ms, err
 }
 
 // newMember builds the kind-specific problem of a base spec, with the
@@ -756,8 +736,18 @@ func (s *Solver) newMember(spec Spec, weight Rat, o *solveOptions) (composite.Me
 	return composite.Member{}, fmt.Errorf("steadystate: %q cannot be a composite member", spec.Kind)
 }
 
-// solveComposite assembles the member problems into one shared-capacity LP
-// and solves it.
+// solveMembers assembles the members into one shared-capacity LP and
+// solves it — the single LP path of every kind.
+func (s *Solver) solveMembers(ctx context.Context, members []composite.Member) (*composite.Solution, error) {
+	cp, err := composite.NewProblem(s.p, members)
+	if err != nil {
+		return nil, unsolvable(err)
+	}
+	return cp.SolveCtx(ctx)
+}
+
+// solveComposite builds the member problems of a composite kind and
+// solves them jointly.
 func (s *Solver) solveComposite(ctx context.Context, spec Spec, memberSpecs []Spec, weights []Rat, o *solveOptions) (solved, error) {
 	members := make([]composite.Member, len(memberSpecs))
 	for i, ms := range memberSpecs {
@@ -771,11 +761,7 @@ func (s *Solver) solveComposite(ctx context.Context, spec Spec, memberSpecs []Sp
 		}
 		members[i] = mem
 	}
-	cp, err := composite.NewProblem(s.p, members)
-	if err != nil {
-		return nil, unsolvable(err)
-	}
-	sol, err := cp.SolveCtx(ctx)
+	sol, err := s.solveMembers(ctx, members)
 	if err != nil {
 		return nil, err
 	}
@@ -796,9 +782,9 @@ type kindSolution interface {
 }
 
 // solution is the Solution of every kind: the spec it answers, the
-// kind-specific solution it wraps with that solution's LP counters, the
-// per-kind schedule/simulation/report behaviour chosen by its constructor,
-// and the telemetry of the Solve call that produced it.
+// kind-specific solution it wraps with the LP counters of the solve that
+// produced it, the per-kind schedule/simulation/report behaviour chosen by
+// its constructor, and the telemetry of the Solve call.
 type solution struct {
 	spec     Spec
 	inner    kindSolution
@@ -848,15 +834,16 @@ func (s *solution) Report() (*Report, error) {
 	return r, nil
 }
 
-// newSolution wraps one solved base-kind collective — a plain solve or a
-// composite member — as the Solution answering spec. It is the single
-// place the per-kind behaviour is chosen. fixed is the WithFixedPeriod
-// truncation of a reduce or gather (nil otherwise).
-func newSolution(spec Spec, ms *composite.MemberSolution, fixed *big.Int) solved {
+// newSolution wraps one solved base-kind collective — the member of a
+// plain (one-member) solve or of a composite — as the Solution answering
+// spec, with the LP counters of the solve. It is the single place the
+// per-kind behaviour is chosen. fixed is the WithFixedPeriod truncation of
+// a reduce or gather (nil otherwise).
+func newSolution(spec Spec, ms *composite.MemberSolution, stats core.FlowStats, fixed *big.Int) solved {
 	switch {
 	case ms.Scatter != nil:
 		sol := ms.Scatter
-		return &solution{spec: spec, inner: sol, stats: sol.Stats,
+		return &solution{spec: spec, inner: sol, stats: stats,
 			// The period serializes into matching slots (the construction
 			// behind the paper's Figures 3–4).
 			schedule: func() (*Schedule, error) {
@@ -868,7 +855,7 @@ func newSolution(spec Spec, ms *composite.MemberSolution, fixed *big.Int) solved
 		}
 	case ms.Broadcast != nil:
 		sol := ms.Broadcast
-		return &solution{spec: spec, inner: sol, stats: sol.Stats,
+		return &solution{spec: spec, inner: sol, stats: stats,
 			// The carry stream — the messages physically moved, one shared
 			// copy per edge — decomposes into one-port-safe matching slots.
 			schedule: func() (*Schedule, error) {
@@ -883,7 +870,7 @@ func newSolution(spec Spec, ms *composite.MemberSolution, fixed *big.Int) solved
 	case ms.Gossip != nil:
 		sol := ms.Gossip
 		p := sol.Problem.Platform
-		return &solution{spec: spec, inner: sol, stats: sol.Stats,
+		return &solution{spec: spec, inner: sol, stats: stats,
 			schedule: func() (*Schedule, error) {
 				return schedule.FromFlow(sol.Flow, gossip.UnitSize, func(c core.Commodity) string {
 					return "m_" + p.Node(c.Src).Name + "_" + p.Node(c.Dst).Name
@@ -893,7 +880,7 @@ func newSolution(spec Spec, ms *composite.MemberSolution, fixed *big.Int) solved
 		}
 	case ms.Prefix != nil:
 		sol := ms.Prefix
-		return &solution{spec: spec, inner: sol, stats: sol.Stats,
+		return &solution{spec: spec, inner: sol, stats: stats,
 			schedule: func() (*Schedule, error) {
 				return nil, fmt.Errorf("prefix schedule construction: %w", ErrUnsupported)
 			},
@@ -901,7 +888,7 @@ func newSolution(spec Spec, ms *composite.MemberSolution, fixed *big.Int) solved
 		}
 	}
 	s := &reduceSolution{sol: ms.Reduce, fixed: fixed}
-	s.solution = solution{spec: spec, inner: ms.Reduce, stats: ms.Reduce.Stats,
+	s.solution = solution{spec: spec, inner: ms.Reduce, stats: stats,
 		schedule: s.treeSchedule, simModel: s.treeSimModel, extend: s.treeReport}
 	return s
 }
@@ -1029,7 +1016,7 @@ func (s *compositeSolution) mergedSimModel() (*SimModel, error) {
 func (s *compositeSolution) Members() []Solution {
 	out := make([]Solution, len(s.sol.Members))
 	for i, ms := range s.sol.Members {
-		out[i] = newSolution(s.memberSpecs[i], ms, nil)
+		out[i] = newSolution(s.memberSpecs[i], ms, s.sol.Stats, nil)
 	}
 	return out
 }

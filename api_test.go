@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	steadystate "repro"
+	"repro/internal/composite"
+	"repro/internal/core"
 )
 
 // TestErrUnsolvableTagging: problem-level failures — invalid specs,
@@ -61,6 +63,23 @@ func mustSolve(tb testing.TB, p *steadystate.Platform, spec steadystate.Spec, op
 		tb.Fatalf("Solve %s: %v", spec.Kind, err)
 	}
 	return sol
+}
+
+// solveReduceProblem solves a hand-built reduce or gather problem — one
+// customized beyond what the solve options express — as a one-member
+// composite, the single LP path, and returns the member's solution and
+// the LP counters.
+func solveReduceProblem(tb testing.TB, pr *steadystate.ReduceProblem) (*steadystate.ReduceSolution, core.FlowStats) {
+	tb.Helper()
+	cp, err := composite.NewProblem(pr.Platform, []composite.Member{composite.ReduceMember(pr, steadystate.R(1, 1))})
+	if err != nil {
+		tb.Fatalf("composite.NewProblem: %v", err)
+	}
+	sol, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		tb.Fatalf("reduce solve: %v", err)
+	}
+	return sol.Members[0].Reduce, sol.Stats
 }
 
 // TestSolutionCapabilities pins, for every kind and for every member kind
@@ -177,8 +196,8 @@ func TestSolveEquivalenceFig6ReduceAndPrefix(t *testing.T) {
 }
 
 // TestSolveEquivalenceFig9Reduce runs the headline Tiers experiment
-// through both paths: Solve + WithMessageSize versus the legacy
-// problem-level customization.
+// through both paths: Solve + WithMessageSize versus a hand-built
+// problem with its size function customized.
 func TestSolveEquivalenceFig9Reduce(t *testing.T) {
 	p, order, target := steadystate.PaperFig9()
 	size := steadystate.PaperFig9MessageSize()
@@ -194,17 +213,14 @@ func TestSolveEquivalenceFig9Reduce(t *testing.T) {
 		t.Fatalf("NewReduceProblem: %v", err)
 	}
 	pr.SizeOf = func(steadystate.ReduceRange) steadystate.Rat { return size }
-	legacy, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("legacy solve: %v", err)
-	}
+	manual, _ := solveReduceProblem(t, pr)
 
-	if sol.Throughput().Cmp(legacy.Throughput()) != 0 {
-		t.Errorf("fig9 TP mismatch: Solve %s vs legacy %s",
-			sol.Throughput().RatString(), legacy.Throughput().RatString())
+	if sol.Throughput().Cmp(manual.Throughput()) != 0 {
+		t.Errorf("fig9 TP mismatch: Solve %s vs hand-built %s",
+			sol.Throughput().RatString(), manual.Throughput().RatString())
 	}
-	if sol.Period().Cmp(legacy.Period()) != 0 {
-		t.Errorf("fig9 period mismatch: %s vs %s", sol.Period(), legacy.Period())
+	if sol.Period().Cmp(manual.Period()) != 0 {
+		t.Errorf("fig9 period mismatch: %s vs %s", sol.Period(), manual.Period())
 	}
 }
 
@@ -224,8 +240,8 @@ func TestSolveEquivalenceGossip(t *testing.T) {
 	}
 }
 
-// TestSolveGatherEquivalence checks the gather kind against the legacy
-// gather problem constructor.
+// TestSolveGatherEquivalence checks the gather kind against a problem
+// built by hand with the gather constructor.
 func TestSolveGatherEquivalence(t *testing.T) {
 	p := steadystate.Chain(3, steadystate.R(1, 2), steadystate.R(1, 1))
 	order := p.Participants()
@@ -240,13 +256,10 @@ func TestSolveGatherEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGatherProblem: %v", err)
 	}
-	legacy, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("legacy solve: %v", err)
-	}
-	if sol.Throughput().Cmp(legacy.Throughput()) != 0 {
+	manual, _ := solveReduceProblem(t, pr)
+	if sol.Throughput().Cmp(manual.Throughput()) != 0 {
 		t.Errorf("gather TP mismatch: %s vs %s",
-			sol.Throughput().RatString(), legacy.Throughput().RatString())
+			sol.Throughput().RatString(), manual.Throughput().RatString())
 	}
 	if sol.Kind() != steadystate.KindGather {
 		t.Errorf("Kind = %q", sol.Kind())

@@ -77,10 +77,7 @@ func TestReduceRespectsTargetBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sol, err := pr.Solve()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		sol, _ := solveReduceProblem(t, pr)
 		minIn := (*big.Rat)(nil)
 		for _, e := range p.InEdges(target) {
 			if minIn == nil || e.Cost.Cmp(minIn) < 0 {
@@ -179,10 +176,7 @@ func TestPublicGatherProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol, _ := solveReduceProblem(t, pr)
 	if sol.Throughput().RatString() != "1/2" {
 		t.Errorf("gather TP = %s, want 1/2", sol.Throughput().RatString())
 	}

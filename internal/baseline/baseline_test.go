@@ -1,14 +1,31 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/scatter"
 	"repro/internal/topology"
 )
+
+// solve solves one member on its own: a one-member composite, the single
+// LP path.
+func solve(t *testing.T, p *graph.Platform, mem composite.Member) *composite.MemberSolution {
+	t.Helper()
+	cp, err := composite.NewProblem(p, []composite.Member{mem})
+	if err != nil {
+		t.Fatalf("composite.NewProblem: %v", err)
+	}
+	sol, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	return sol.Members[0]
+}
 
 func TestSinglePathScatterFig2(t *testing.T) {
 	p, src, targets := topology.PaperFig2()
@@ -62,10 +79,7 @@ func TestLPBeatsSinglePath(t *testing.T) {
 		t.Fatalf("baseline: %v", err)
 	}
 	pr, _ := scatter.NewProblem(p, s, []graph.NodeID{d})
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("LP: %v", err)
-	}
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
 	if sol.Throughput().Cmp(base.Throughput) <= 0 {
 		t.Errorf("LP TP %s should strictly beat single-path TP %s",
 			sol.Throughput().RatString(), base.Throughput.RatString())
@@ -135,10 +149,7 @@ func TestLPBeatsSingleTreeOnFig9(t *testing.T) {
 	if err != nil {
 		t.Fatalf("binary: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("LP: %v", err)
-	}
+	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Reduce
 	t.Logf("fig9 throughputs: LP=%s (~%.4f)  flat=%s (~%.4f)  binary=%s (~%.4f)",
 		sol.TP.RatString(), rat.Float(sol.TP),
 		flat.Throughput.RatString(), rat.Float(flat.Throughput),

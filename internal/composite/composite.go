@@ -1,6 +1,8 @@
 // Package composite implements concurrent steady-state collectives: the
 // superposition of several collective operations on one heterogeneous
 // platform, solved as a single linear program with shared capacity rows.
+// It is also the repository's one LP driver: a plain solve of one
+// collective is the single-member composite.
 //
 // The paper expresses every collective (scatter, broadcast, gossip,
 // reduce, gather, prefix) as the same kind of steady-state LP over one
@@ -162,8 +164,8 @@ func NewProblem(p *graph.Platform, members []Member) (*Problem, error) {
 
 // MemberSolution is one member's share of a solved composite: an ordinary
 // per-kind solution whose rates satisfy the member's own conservation and
-// delivery constraints at Throughput = Weight · TP. Its Stats mirror the
-// whole composite LP (the members were solved jointly).
+// delivery constraints at Throughput = Weight · TP. The members were
+// solved jointly, so the LP counters live once, on Solution.Stats.
 type MemberSolution struct {
 	Weight     rat.Rat
 	Throughput rat.Rat
@@ -329,7 +331,8 @@ func BroadcastMemberFlow(sol *scatter.BroadcastSolution, label string) schedule.
 }
 
 // Solution is a solved composite: the common base throughput TP (member i
-// runs at Weight_i · TP) and the per-member sub-solutions.
+// runs at Weight_i · TP), the per-member sub-solutions, and the size,
+// sparsity and pivot counters of the one LP that produced them.
 type Solution struct {
 	Problem *Problem
 	TP      rat.Rat
@@ -348,15 +351,13 @@ type memberFragments struct {
 // memberLabel prefixes variable and constraint names of member i.
 func memberLabel(i int) string { return fmt.Sprintf("op%d:", i) }
 
-// Solve builds and solves the shared-capacity LP.
-func (pr *Problem) Solve() (*Solution, error) { return pr.SolveCtx(context.Background()) }
-
-// SolveCtx is Solve honoring context cancellation inside the simplex loop.
-// The assembly mirrors the per-kind solvers phase by phase — transfer
-// variables, then the shared port rows, then task variables, then the
-// shared compute rows, then per-member conservation and delivery — so a
-// single-member composite produces a model structurally identical to the
-// plain solver's and therefore the bit-exact same throughput and period.
+// SolveCtx builds and solves the shared-capacity LP, honoring context
+// cancellation inside the simplex loop. It is the one steady-state LP
+// driver: a plain solve of one collective is the single-member case.
+// Assembly runs phase by phase — transfer variables, then the shared port
+// rows, then task variables, then the shared compute rows, then
+// per-member conservation and delivery — so variables and constraints
+// come out in a deterministic order whatever the member set.
 func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	m := lp.NewMaximize()
 	tp := m.Var("TP")
@@ -431,7 +432,6 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 		Stats:   core.StatsOf(m, sol),
 	}
 	_, exSpan := obs.StartSpan(ctx, "extract")
-	exSpan.SetAttr("kind", "composite")
 	exSpan.SetAttr("members", len(pr.Members))
 	defer exSpan.End()
 	for i, mem := range pr.Members {
@@ -439,23 +439,15 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 		ms := &MemberSolution{Weight: rat.Copy(mem.Weight), Throughput: rat.Copy(memTP)}
 		switch {
 		case mem.Scatter != nil:
-			ms.Scatter = &scatter.Solution{
-				Problem: mem.Scatter,
-				Flow:    frags[i].flow.Extract(sol, memTP),
-				Stats:   out.Stats,
-			}
+			ms.Scatter = &scatter.Solution{Problem: mem.Scatter, Flow: frags[i].flow.Extract(sol, memTP)}
 		case mem.Broadcast != nil:
-			ms.Broadcast = frags[i].bcast.Extract(sol, memTP, out.Stats)
+			ms.Broadcast = frags[i].bcast.Extract(sol, memTP)
 		case mem.Gossip != nil:
-			ms.Gossip = &gossip.Solution{
-				Problem: mem.Gossip,
-				Flow:    frags[i].flow.Extract(sol, memTP),
-				Stats:   out.Stats,
-			}
+			ms.Gossip = &gossip.Solution{Problem: mem.Gossip, Flow: frags[i].flow.Extract(sol, memTP)}
 		case mem.Reduce != nil:
-			ms.Reduce = frags[i].red.Extract(sol, memTP, out.Stats)
+			ms.Reduce = frags[i].red.Extract(sol, memTP)
 		case mem.Prefix != nil:
-			ms.Prefix = frags[i].pre.Extract(sol, memTP, out.Stats)
+			ms.Prefix = frags[i].pre.Extract(sol, memTP)
 		}
 		out.Members = append(out.Members, ms)
 	}
@@ -465,15 +457,6 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 // Throughput returns the common base throughput TP; member i delivers
 // Weight_i · TP operations per time unit.
 func (s *Solution) Throughput() rat.Rat { return rat.Copy(s.TP) }
-
-// MemberThroughputs returns the per-member delivered rates Weight_i · TP.
-func (s *Solution) MemberThroughputs() []rat.Rat {
-	out := make([]rat.Rat, len(s.Members))
-	for i, ms := range s.Members {
-		out[i] = rat.Copy(ms.Throughput)
-	}
-	return out
-}
 
 // Period returns the merged schedule period: the LCM of the member
 // periods.

@@ -1,6 +1,8 @@
 package composite
 
 import (
+	"context"
+	"math/big"
 	"testing"
 
 	"repro/internal/gossip"
@@ -23,34 +25,38 @@ func twoNode(t *testing.T, c, s rat.Rat) (*graph.Platform, graph.NodeID, graph.N
 	return p, a, b
 }
 
+// solve solves the members as one shared-capacity LP; a single member is
+// the plain solve of its collective.
+func solve(t *testing.T, p *graph.Platform, members ...Member) *Solution {
+	t.Helper()
+	cp, err := NewProblem(p, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol
+}
+
+// TestSingleReduceMemberMatchesPlainSolve: a one-member composite is the
+// plain solve — on Figure 6 it reaches the paper's optimum TP = 1 at
+// period 1, and the member's own reduce solution agrees with the
+// composite on both.
 func TestSingleReduceMemberMatchesPlainSolve(t *testing.T) {
 	p, order, target := topology.PaperFig6()
-	plain, err := reduce.NewProblem(p, order, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	memberPr, err := reduce.NewProblem(p, order, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewProblem(p, []Member{ReduceMember(memberPr, rat.One())})
-	if err != nil {
-		t.Fatal(err)
+	got := solve(t, p, ReduceMember(memberPr, rat.One()))
+	want := got.Members[0].Reduce
+	if !rat.Eq(got.TP, rat.One()) || !rat.Eq(got.TP, want.Throughput()) {
+		t.Errorf("TP = %s, member TP = %s, want 1", got.TP.RatString(), want.Throughput().RatString())
 	}
-	got, err := cp.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rat.Eq(got.TP, want.Throughput()) {
-		t.Errorf("TP = %s, want %s", got.TP.RatString(), want.Throughput().RatString())
-	}
-	if got.Period().Cmp(want.Period()) != 0 {
-		t.Errorf("period = %s, want %s", got.Period().String(), want.Period().String())
+	if got.Period().Cmp(big.NewInt(1)) != 0 || got.Period().Cmp(want.Period()) != 0 {
+		t.Errorf("period = %s, member period = %s, want 1", got.Period().String(), want.Period().String())
 	}
 	if err := got.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
@@ -69,10 +75,7 @@ func TestTwoConcurrentReducesShareCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := plainPr.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := solve(t, p, ReduceMember(plainPr, rat.One()))
 
 	var members []Member
 	for _, target := range order {
@@ -82,14 +85,7 @@ func TestTwoConcurrentReducesShareCapacity(t *testing.T) {
 		}
 		members = append(members, ReduceMember(pr, rat.One()))
 	}
-	cp, err := NewProblem(p, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := cp.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solve(t, p, members...)
 	if !rat.Eq(sol.TP, plain.Throughput()) {
 		t.Errorf("concurrent TP = %s, want standalone %s", sol.TP.RatString(), plain.Throughput().RatString())
 	}
@@ -126,19 +122,12 @@ func TestMixedMembersVerifyAndSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewProblem(p, []Member{
+	sol := solve(t, p,
 		ScatterMember(sc, rat.One()),
 		GossipMember(go1, rat.One()),
 		ReduceMember(red, rat.Int(2)),
 		PrefixMember(pre, rat.One()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := cp.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	)
 	if sol.TP.Sign() <= 0 {
 		t.Fatal("expected positive common throughput")
 	}

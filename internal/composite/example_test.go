@@ -1,6 +1,7 @@
 package composite
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -32,7 +33,7 @@ func ExampleProblem() {
 	if err != nil {
 		panic(err)
 	}
-	sol, err := pr.Solve()
+	sol, err := pr.SolveCtx(context.Background())
 	if err != nil {
 		panic(err)
 	}

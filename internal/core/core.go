@@ -5,11 +5,14 @@
 // asymptotic-optimality bookkeeping of Section 3.4 (buffer sizes,
 // initialization latency, steady period count).
 //
-// Every collective in this repository follows the same recipe: build a
-// linear program whose variables are fractional per-edge message rates
-// (plus, for reduce, fractional per-node task rates), add the one-port
-// constraints via OccupancyBuilder, maximize the throughput TP, and hand
-// the rational solution to the schedule and tree-extraction machinery.
+// Every collective in this repository follows the same recipe: declare
+// fractional per-edge message rates (plus, for reduce, fractional per-node
+// task rates) as an LP fragment, register their busy time on the shared
+// OccupancyBuilder and ComputeBuilder, and add the collective's own
+// conservation and delivery rows. internal/composite owns the model: it
+// assembles the fragments of one or more collectives, maximizes the
+// throughput TP, and hands the rational solution to the schedule and
+// tree-extraction machinery.
 package core
 
 import (

@@ -50,11 +50,22 @@ func StatsOf(m *lp.Model, sol *lp.Solution) FlowStats {
 	}
 }
 
-// SolveUniformFlow builds and solves the steady-state LP of the paper's
-// Section 3 (SSSP(G)) / Section 3.5 (SSPA2A(G)): maximize the common
-// throughput TP such that every commodity is delivered to its destination
-// at rate TP per time unit, subject to per-edge occupation ≤ 1, the
-// one-port constraints and the conservation law at every forwarding node.
+// flowKey identifies a transfer variable of a FlowFragment.
+type flowKey struct {
+	e EdgeKey
+	c Commodity
+}
+
+// FlowFragment is one uniform-flow collective's share of a linear program:
+// the transfer variables of its commodities, with their one-port occupancy
+// registered on a (possibly shared) OccupancyBuilder. A single fragment at
+// weight 1 is the paper's Section 3 (SSSP(G)) / Section 3.5 (SSPA2A(G))
+// program: maximize the common throughput TP such that every commodity is
+// delivered to its destination at rate TP per time unit, subject to
+// per-edge occupation ≤ 1, the one-port constraints and the conservation
+// law at every forwarding node. Several fragments on one model with one
+// shared builder superpose concurrent collectives on the same platform
+// capacity; internal/composite assembles and solves both cases.
 //
 // Following the paper's conservation reading ("all the packets reaching a
 // node which is not their final destination are transferred"), the
@@ -64,51 +75,6 @@ func StatsOf(m *lp.Model, sol *lp.Solution) FlowStats {
 // their own source and messages leaving their destination — which keeps the
 // LP smaller and rules out self-delivery cycles that would otherwise
 // inflate TP.
-func SolveUniformFlow(p *graph.Platform, commodities []Commodity) (*Flow[Commodity], FlowStats, error) {
-	return SolveUniformFlowCtx(context.Background(), p, commodities)
-}
-
-// SolveUniformFlowCtx is SolveUniformFlow honoring context cancellation
-// inside the simplex loop.
-func SolveUniformFlowCtx(ctx context.Context, p *graph.Platform, commodities []Commodity) (*Flow[Commodity], FlowStats, error) {
-	m := lp.NewMaximize()
-	tp := m.Var("TP")
-	m.SetObjective(tp, rat.One())
-	occ := NewOccupancy(p)
-	frag, err := NewFlowFragment(ctx, m, "", p, commodities, occ)
-	if err != nil {
-		return nil, FlowStats{}, err
-	}
-	occ.AddConstraints(m)
-	frag.AddFlowConstraints(m, "", tp, rat.One())
-
-	sol, err := m.SolveCtx(ctx)
-	if err != nil {
-		return nil, FlowStats{}, fmt.Errorf("core: flow LP: %w", err)
-	}
-	if err := m.Verify(sol.Values()); err != nil {
-		return nil, FlowStats{}, fmt.Errorf("core: flow LP solution failed verification: %w", err)
-	}
-
-	_, exSpan := obs.StartSpan(ctx, "extract")
-	f := frag.Extract(sol, sol.Objective)
-	exSpan.SetAttr("kind", "flow")
-	exSpan.End()
-	return f, StatsOf(m, sol), nil
-}
-
-// flowKey identifies a transfer variable of a FlowFragment.
-type flowKey struct {
-	e EdgeKey
-	c Commodity
-}
-
-// FlowFragment is one uniform-flow collective's share of a linear program:
-// the transfer variables of its commodities, with their one-port occupancy
-// registered on a (possibly shared) OccupancyBuilder. A single fragment on
-// a private model is the plain scatter/gossip LP; several fragments on one
-// model with one shared builder superpose concurrent collectives on the
-// same platform capacity.
 type FlowFragment struct {
 	Platform    *graph.Platform
 	Commodities []Commodity
@@ -207,9 +173,9 @@ func NewFlowFragment(ctx context.Context, m *lp.Model, label string, p *graph.Pl
 
 // AddFlowConstraints adds the fragment's conservation constraints at
 // forwarding nodes and the delivery of weight·tp at every destination.
-// With weight 1 on a private model this is exactly the plain SSSP/SSPA2A
-// program; in a shared model, weight scales the member's delivered rate
-// relative to the common objective tp.
+// With weight 1 as the model's only fragment this is exactly the plain
+// SSSP/SSPA2A program; in a shared model, weight scales the member's
+// delivered rate relative to the common objective tp.
 func (f *FlowFragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weight rat.Rat) {
 	p := f.Platform
 	for _, c := range f.Commodities {

@@ -1,12 +1,49 @@
-package core
+package core_test
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/composite"
+	"repro/internal/core"
+	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/lp"
 	"repro/internal/rat"
+	"repro/internal/scatter"
 	"repro/internal/topology"
 )
+
+// solve solves one scatter or gossip member on its own — a one-member
+// composite, the single LP path — and returns its flow and the LP
+// counters.
+func solve(t *testing.T, p *graph.Platform, mem composite.Member) (*core.Flow[core.Commodity], core.FlowStats) {
+	t.Helper()
+	cp, err := composite.NewProblem(p, []composite.Member{mem})
+	if err != nil {
+		t.Fatalf("composite.NewProblem: %v", err)
+	}
+	sol, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	ms := sol.Members[0]
+	if ms.Gossip != nil {
+		return ms.Gossip.Flow, sol.Stats
+	}
+	return ms.Scatter.Flow, sol.Stats
+}
+
+// scatterMember returns the scatter from src to targets — the commodities
+// (src, t), in target order — as a weight-1 member.
+func scatterMember(t *testing.T, p *graph.Platform, src graph.NodeID, targets ...graph.NodeID) composite.Member {
+	t.Helper()
+	pr, err := scatter.NewProblem(p, src, targets)
+	if err != nil {
+		t.Fatalf("scatter.NewProblem: %v", err)
+	}
+	return composite.ScatterMember(pr, rat.One())
+}
 
 func TestSolveUniformFlowSingleEdge(t *testing.T) {
 	p := graph.New()
@@ -14,17 +51,14 @@ func TestSolveUniformFlowSingleEdge(t *testing.T) {
 	b := p.AddNode("b", rat.One())
 	p.AddEdge(a, b, rat.New(1, 4)) // 4 messages per time unit
 
-	f, stats, err := SolveUniformFlow(p, []Commodity{{a, b}})
-	if err != nil {
-		t.Fatalf("SolveUniformFlow: %v", err)
-	}
+	f, stats := solve(t, p, scatterMember(t, p, a, b))
 	if !rat.Eq(f.Throughput, rat.Int(4)) {
 		t.Errorf("TP = %s, want 4", f.Throughput.RatString())
 	}
 	if stats.Vars == 0 || stats.Constraints == 0 {
 		t.Errorf("stats look empty: %+v", stats)
 	}
-	if err := f.VerifyOnePort(func(Commodity) rat.Rat { return rat.One() }); err != nil {
+	if err := f.VerifyOnePort(func(core.Commodity) rat.Rat { return rat.One() }); err != nil {
 		t.Errorf("one-port: %v", err)
 	}
 }
@@ -33,11 +67,8 @@ func TestSolveUniformFlowSingleEdge(t *testing.T) {
 // exactly 1/2, and the m0 stream must use both routes.
 func TestSolveUniformFlowPaperFig2(t *testing.T) {
 	p, src, targets := topology.PaperFig2()
-	comms := []Commodity{{src, targets[0]}, {src, targets[1]}}
-	f, _, err := SolveUniformFlow(p, comms)
-	if err != nil {
-		t.Fatalf("SolveUniformFlow: %v", err)
-	}
+	comms := []core.Commodity{{src, targets[0]}, {src, targets[1]}}
+	f, _ := solve(t, p, scatterMember(t, p, src, targets[0], targets[1]))
 	if !rat.Eq(f.Throughput, rat.New(1, 2)) {
 		t.Fatalf("TP = %s, want exactly 1/2", f.Throughput.RatString())
 	}
@@ -83,14 +114,11 @@ func TestSolveUniformFlowMultipathRequired(t *testing.T) {
 	p.AddEdge(a, d, rat.One())
 	p.AddEdge(b, d, rat.Int(3))
 
-	f, _, err := SolveUniformFlow(p, []Commodity{{s, d}})
-	if err != nil {
-		t.Fatalf("SolveUniformFlow: %v", err)
-	}
+	f, _ := solve(t, p, scatterMember(t, p, s, d))
 	if !rat.Eq(f.Throughput, rat.New(1, 2)) {
 		t.Fatalf("TP = %s, want 1/2", f.Throughput.RatString())
 	}
-	com := Commodity{s, d}
+	com := core.Commodity{s, d}
 	viaA := f.Send(a, d, com)
 	viaB := f.Send(b, d, com)
 	if rat.IsZero(viaA) || rat.IsZero(viaB) {
@@ -108,15 +136,12 @@ func TestSolveUniformFlowConservation(t *testing.T) {
 	p.AddEdge(s, r, rat.One())
 	p.AddEdge(r, d, rat.New(1, 2))
 
-	f, _, err := SolveUniformFlow(p, []Commodity{{s, d}})
-	if err != nil {
-		t.Fatalf("SolveUniformFlow: %v", err)
-	}
+	f, _ := solve(t, p, scatterMember(t, p, s, d))
 	// Bottleneck is the s→r edge: 1 message per time unit.
 	if !rat.Eq(f.Throughput, rat.One()) {
 		t.Errorf("TP = %s, want 1", f.Throughput.RatString())
 	}
-	in, out := f.InflowOutflow(r, Commodity{s, d})
+	in, out := f.InflowOutflow(r, core.Commodity{s, d})
 	if !rat.Eq(in, out) {
 		t.Errorf("conservation violated at router: in=%s out=%s", in.RatString(), out.RatString())
 	}
@@ -133,28 +158,25 @@ func TestSolveUniformFlowGossip(t *testing.T) {
 	p.AddLink(ids[1], ids[2], rat.One())
 	p.AddLink(ids[0], ids[2], rat.One())
 
-	var comms []Commodity
-	for _, s := range ids {
-		for _, d := range ids {
-			if s != d {
-				comms = append(comms, Commodity{s, d})
-			}
-		}
-	}
-	f, _, err := SolveUniformFlow(p, comms)
+	// Sources == targets: every ordered pair of distinct nodes is a
+	// commodity.
+	pr, err := gossip.NewProblem(p, ids, ids)
 	if err != nil {
-		t.Fatalf("SolveUniformFlow: %v", err)
+		t.Fatalf("gossip.NewProblem: %v", err)
 	}
+	f, _ := solve(t, p, composite.GossipMember(pr, rat.One()))
 	// Every node sends 2 unit messages per gossip and its out-port allows
 	// 1 per time unit → TP = 1/2 (direct sends saturate all ports).
 	if !rat.Eq(f.Throughput, rat.New(1, 2)) {
 		t.Errorf("TP = %s, want 1/2", f.Throughput.RatString())
 	}
-	if err := f.VerifyOnePort(func(Commodity) rat.Rat { return rat.One() }); err != nil {
+	if err := f.VerifyOnePort(func(core.Commodity) rat.Rat { return rat.One() }); err != nil {
 		t.Errorf("one-port: %v", err)
 	}
 }
 
+// TestSolveUniformFlowErrors: the flow fragment rejects commodity sets
+// with no uniform-flow LP before declaring any variable.
 func TestSolveUniformFlowErrors(t *testing.T) {
 	p := graph.New()
 	a := p.AddNode("a", rat.One())
@@ -163,16 +185,20 @@ func TestSolveUniformFlowErrors(t *testing.T) {
 	p.AddEdge(a, b, rat.One())
 	_ = c // isolated
 
-	if _, _, err := SolveUniformFlow(p, nil); err == nil {
+	assemble := func(comms []core.Commodity) error {
+		_, err := core.NewFlowFragment(context.Background(), lp.NewMaximize(), "", p, comms, core.NewOccupancy(p))
+		return err
+	}
+	if err := assemble(nil); err == nil {
 		t.Error("empty commodities should fail")
 	}
-	if _, _, err := SolveUniformFlow(p, []Commodity{{a, a}}); err == nil {
+	if err := assemble([]core.Commodity{{a, a}}); err == nil {
 		t.Error("self commodity should fail")
 	}
-	if _, _, err := SolveUniformFlow(p, []Commodity{{a, b}, {a, b}}); err == nil {
+	if err := assemble([]core.Commodity{{a, b}, {a, b}}); err == nil {
 		t.Error("duplicate commodity should fail")
 	}
-	if _, _, err := SolveUniformFlow(p, []Commodity{{a, c}}); err == nil {
+	if err := assemble([]core.Commodity{{a, c}}); err == nil {
 		t.Error("unreachable destination should fail")
 	}
 }
@@ -185,15 +211,15 @@ func TestCancelCyclesRemovesCirculation(t *testing.T) {
 	p.AddEdge(a, b, rat.One())
 	p.AddLink(b, c, rat.One())
 
-	f := NewFlow[Commodity](p)
-	com := Commodity{a, b}
+	f := core.NewFlow[core.Commodity](p)
+	com := core.Commodity{a, b}
 	f.Throughput = rat.New(1, 3)
 	f.SetSend(a, b, com, rat.New(1, 3)) // genuine delivery
 	// A useless circulation b→c→b.
 	f.SetSend(b, c, com, rat.New(1, 5))
 	f.SetSend(c, b, com, rat.New(1, 5))
 
-	CancelCycles(f)
+	core.CancelCycles(f)
 
 	if !rat.Eq(f.Send(a, b, com), rat.New(1, 3)) {
 		t.Errorf("delivery edge changed: %s", f.Send(a, b, com).RatString())
@@ -216,8 +242,8 @@ func TestCancelCyclesPartialOverlap(t *testing.T) {
 	p.AddLink(n[2], n[3], rat.One())
 	p.AddLink(n[0], n[3], rat.One())
 
-	f := NewFlow[Commodity](p)
-	com := Commodity{n[0], n[2]}
+	f := core.NewFlow[core.Commodity](p)
+	com := core.Commodity{n[0], n[2]}
 	// Cycle a→b→a at rate 1/7 and a→b→c→d→a at rate 1/9.
 	f.SetSend(n[0], n[1], com, rat.Add(rat.New(1, 7), rat.New(1, 9)))
 	f.SetSend(n[1], n[0], com, rat.New(1, 7))
@@ -225,7 +251,7 @@ func TestCancelCyclesPartialOverlap(t *testing.T) {
 	f.SetSend(n[2], n[3], com, rat.New(1, 9))
 	f.SetSend(n[3], n[0], com, rat.New(1, 9))
 
-	CancelCycles(f)
+	core.CancelCycles(f)
 
 	// All edges should be gone: the whole flow was circulation.
 	for k, m := range f.Sends {
@@ -242,19 +268,11 @@ func TestSolveUniformFlowOnTiers(t *testing.T) {
 	cfg := topology.DefaultTiersConfig(17)
 	p := topology.Tiers(cfg)
 	parts := p.Participants()
-	src := parts[0]
-	var comms []Commodity
-	for _, d := range parts[1:] {
-		comms = append(comms, Commodity{src, d})
-	}
-	f, stats, err := SolveUniformFlow(p, comms)
-	if err != nil {
-		t.Fatalf("SolveUniformFlow: %v", err)
-	}
+	f, stats := solve(t, p, scatterMember(t, p, parts[0], parts[1:]...))
 	if f.Throughput.Sign() <= 0 {
 		t.Error("throughput should be positive on a connected platform")
 	}
-	if err := f.VerifyOnePort(func(Commodity) rat.Rat { return rat.One() }); err != nil {
+	if err := f.VerifyOnePort(func(core.Commodity) rat.Rat { return rat.One() }); err != nil {
 		t.Errorf("one-port: %v", err)
 	}
 	t.Logf("tiers scatter: TP=%s vars=%d cons=%d pivots=%d",

@@ -4,14 +4,14 @@
 // processor per operation; the goal is the common steady-state throughput
 // TP achieved simultaneously by every (source, target) stream.
 //
-// Solve builds the linear program SSPA2A(G) — the same one-port and
-// conservation structure as the scatter program, with message types m_{k,l}
-// indexed by both the emitting and the receiving processor — and solves it
+// A Problem's commodities m_{k,l}, indexed by both the emitting and the
+// receiving processor, feed the linear program SSPA2A(G) — the same
+// one-port and conservation structure as the scatter program — through
+// core.FlowFragment; the composite package assembles and solves it
 // exactly over the rationals.
 package gossip
 
 import (
-	"context"
 	"fmt"
 	"math/big"
 	"sort"
@@ -67,16 +67,6 @@ func NewProblem(p *graph.Platform, sources, targets []graph.NodeID) (*Problem, e
 	}, nil
 }
 
-// NewAllgatherProblem returns the gossip instance modeling an allgather
-// over order: every participant redistributes its own segment to every
-// other rank (sources == targets == order, self-addressed pairs excluded).
-// It is the second phase of the allreduce decomposition — after a
-// reduce-scatter leaves rank i holding reduced segment i, this gossip
-// delivers every segment to every rank.
-func NewAllgatherProblem(p *graph.Platform, order []graph.NodeID) (*Problem, error) {
-	return NewProblem(p, order, order)
-}
-
 // Commodities returns the message types m_{k,l} of the instance: one per
 // (source, target) pair with distinct endpoints, in deterministic order.
 func (pr *Problem) Commodities() []core.Commodity {
@@ -95,19 +85,6 @@ func (pr *Problem) Commodities() []core.Commodity {
 type Solution struct {
 	Problem *Problem
 	Flow    *core.Flow[core.Commodity]
-	Stats   core.FlowStats
-}
-
-// Solve builds and solves SSPA2A(G).
-func (pr *Problem) Solve() (*Solution, error) { return pr.SolveCtx(context.Background()) }
-
-// SolveCtx is Solve honoring context cancellation inside the simplex loop.
-func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
-	flow, stats, err := core.SolveUniformFlowCtx(ctx, pr.Platform, pr.Commodities())
-	if err != nil {
-		return nil, fmt.Errorf("gossip: %w", err)
-	}
-	return &Solution{Problem: pr, Flow: flow, Stats: stats}, nil
 }
 
 // Throughput returns TP: gossip operations per time unit.

@@ -1,14 +1,33 @@
-package gossip
+package gossip_test
 
 import (
+	"context"
 	"math/big"
 	"strings"
 	"testing"
 
+	"repro/internal/composite"
+	"repro/internal/core"
+	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/topology"
 )
+
+// solve solves the gossip on its own: a one-member composite, the single
+// LP path.
+func solve(t *testing.T, pr *gossip.Problem) *gossip.Solution {
+	t.Helper()
+	cp, err := composite.NewProblem(pr.Platform, []composite.Member{composite.GossipMember(pr, rat.One())})
+	if err != nil {
+		t.Fatalf("composite.NewProblem: %v", err)
+	}
+	sol, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	return sol.Members[0].Gossip
+}
 
 func triangle(t *testing.T) (*graph.Platform, []graph.NodeID) {
 	t.Helper()
@@ -25,17 +44,14 @@ func triangle(t *testing.T) (*graph.Platform, []graph.NodeID) {
 
 func TestAllToAllTriangle(t *testing.T) {
 	p, ids := triangle(t)
-	pr, err := NewProblem(p, ids, ids)
+	pr, err := gossip.NewProblem(p, ids, ids)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
 	if got := len(pr.Commodities()); got != 6 {
 		t.Fatalf("commodities = %d, want 6 (self pairs excluded)", got)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, pr)
 	// Each node emits 2 messages per gossip through a 1-capacity port:
 	// TP = 1/2.
 	if !rat.Eq(sol.Throughput(), rat.New(1, 2)) {
@@ -52,14 +68,11 @@ func TestAllToAllTriangle(t *testing.T) {
 func TestGossipSubsetSourcesTargets(t *testing.T) {
 	// Sources {a}, targets {b, c}: degenerates to a scatter.
 	p, ids := triangle(t)
-	pr, err := NewProblem(p, ids[:1], ids[1:])
+	pr, err := gossip.NewProblem(p, ids[:1], ids[1:])
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, pr)
 	// a sends 2 unit messages per operation out of one port → 1/2.
 	if !rat.Eq(sol.Throughput(), rat.New(1, 2)) {
 		t.Errorf("TP = %s, want 1/2", sol.Throughput().RatString())
@@ -73,7 +86,7 @@ func TestGossipOverlapExcludesSelf(t *testing.T) {
 	// Sources and targets overlap on one node: the (x, x) commodity is
 	// excluded, others remain.
 	p, ids := triangle(t)
-	pr, err := NewProblem(p, []graph.NodeID{ids[0], ids[1]}, []graph.NodeID{ids[1], ids[2]})
+	pr, err := gossip.NewProblem(p, []graph.NodeID{ids[0], ids[1]}, []graph.NodeID{ids[1], ids[2]})
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
@@ -81,10 +94,7 @@ func TestGossipOverlapExcludesSelf(t *testing.T) {
 	if got := len(pr.Commodities()); got != 3 {
 		t.Fatalf("commodities = %d, want 3", got)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, pr)
 	if err := sol.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
@@ -92,16 +102,16 @@ func TestGossipOverlapExcludesSelf(t *testing.T) {
 
 func TestGossipValidation(t *testing.T) {
 	p, ids := triangle(t)
-	if _, err := NewProblem(p, nil, ids); err == nil {
+	if _, err := gossip.NewProblem(p, nil, ids); err == nil {
 		t.Error("no sources should fail")
 	}
-	if _, err := NewProblem(p, ids, nil); err == nil {
+	if _, err := gossip.NewProblem(p, ids, nil); err == nil {
 		t.Error("no targets should fail")
 	}
-	if _, err := NewProblem(p, []graph.NodeID{ids[0], ids[0]}, ids); err == nil {
+	if _, err := gossip.NewProblem(p, []graph.NodeID{ids[0], ids[0]}, ids); err == nil {
 		t.Error("duplicate source should fail")
 	}
-	if _, err := NewProblem(p, ids[:1], ids[:1]); err == nil {
+	if _, err := gossip.NewProblem(p, ids[:1], ids[:1]); err == nil {
 		t.Error("single self pair should fail")
 	}
 
@@ -110,18 +120,15 @@ func TestGossipValidation(t *testing.T) {
 	a := q.AddNode("a", rat.One())
 	b := q.AddNode("b", rat.One())
 	q.AddEdge(a, b, rat.One())
-	if _, err := NewProblem(q, []graph.NodeID{b}, []graph.NodeID{a}); err == nil {
+	if _, err := gossip.NewProblem(q, []graph.NodeID{b}, []graph.NodeID{a}); err == nil {
 		t.Error("unreachable pair should fail")
 	}
 }
 
 func TestGossipProtocolRatio(t *testing.T) {
 	p, ids := triangle(t)
-	pr, _ := NewProblem(p, ids, ids)
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	pr, _ := gossip.NewProblem(p, ids, ids)
+	sol := solve(t, pr)
 	proto := sol.Protocol(big.NewInt(100000))
 	ratio := proto.Ratio(sol.Throughput())
 	if ratio.Cmp(rat.One()) > 0 || rat.Less(ratio, rat.New(95, 100)) {
@@ -131,11 +138,8 @@ func TestGossipProtocolRatio(t *testing.T) {
 
 func TestGossipString(t *testing.T) {
 	p, ids := triangle(t)
-	pr, _ := NewProblem(p, ids[:1], ids[1:])
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	pr, _ := gossip.NewProblem(p, ids[:1], ids[1:])
+	sol := solve(t, pr)
 	out := sol.String()
 	if !strings.Contains(out, "gossip throughput") || !strings.Contains(out, "send(") {
 		t.Errorf("String output unexpected:\n%s", out)
@@ -154,14 +158,11 @@ func TestGossipStarRelay(t *testing.T) {
 		p.AddLink(c, id, rat.One())
 		leaves = append(leaves, id)
 	}
-	pr, err := NewProblem(p, leaves, leaves)
+	pr, err := gossip.NewProblem(p, leaves, leaves)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, pr)
 	if !rat.Eq(sol.Throughput(), rat.New(1, 6)) {
 		t.Errorf("TP = %s, want 1/6", sol.Throughput().RatString())
 	}
@@ -177,14 +178,11 @@ func TestGossipOnTiers(t *testing.T) {
 	p := topology.Tiers(topology.DefaultTiersConfig(31))
 	parts := p.Participants()
 	// Keep the commodity count modest: 3 sources × 3 targets.
-	pr, err := NewProblem(p, parts[:3], parts[len(parts)-3:])
+	pr, err := gossip.NewProblem(p, parts[:3], parts[len(parts)-3:])
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, pr)
 	if sol.Throughput().Sign() <= 0 {
 		t.Error("TP should be positive")
 	}
@@ -193,21 +191,27 @@ func TestGossipOnTiers(t *testing.T) {
 	}
 }
 
-// TestAllgatherIsGossip: the allgather convenience (every participant
-// redistributes its segment to every other rank) is exactly the gossip
-// with sources == targets == order, commodity for commodity.
+// TestAllgatherIsGossip: the allgather phase of an allreduce (every
+// participant redistributes its segment to every other rank) is the
+// gossip with sources == targets == order: its commodities are every
+// ordered pair of distinct ranks, source-major, and on the triangle it
+// runs at the all-to-all rate 1/2.
 func TestAllgatherIsGossip(t *testing.T) {
 	p, ids := triangle(t)
-	ag, err := NewAllgatherProblem(p, ids)
-	if err != nil {
-		t.Fatalf("NewAllgatherProblem: %v", err)
-	}
-	plain, err := NewProblem(p, ids, ids)
+	ag, err := gossip.NewProblem(p, ids, ids)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	if got, want := ag.Commodities(), plain.Commodities(); len(got) != len(want) {
-		t.Fatalf("allgather has %d commodities, gossip %d", len(got), len(want))
+	var want []core.Commodity
+	for _, s := range ids {
+		for _, d := range ids {
+			if s != d {
+				want = append(want, core.Commodity{Src: s, Dst: d})
+			}
+		}
+	}
+	if got := ag.Commodities(); len(got) != len(want) {
+		t.Fatalf("allgather has %d commodities, want %d", len(got), len(want))
 	} else {
 		for i := range got {
 			if got[i] != want[i] {
@@ -215,16 +219,11 @@ func TestAllgatherIsGossip(t *testing.T) {
 			}
 		}
 	}
-	agSol, err := ag.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
+	agSol := solve(t, ag)
+	if !rat.Eq(agSol.Throughput(), rat.New(1, 2)) {
+		t.Errorf("allgather TP = %s, want 1/2", agSol.Throughput().RatString())
 	}
-	plainSol, err := plain.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if agSol.Throughput().Cmp(plainSol.Throughput()) != 0 {
-		t.Errorf("allgather TP = %s, gossip TP = %s",
-			agSol.Throughput().RatString(), plainSol.Throughput().RatString())
+	if err := agSol.Verify(); err != nil {
+		t.Errorf("Verify: %v", err)
 	}
 }

@@ -9,7 +9,8 @@
 // constraints, but the conservation law at P_i for its own prefix v[0,i]
 // is charged an extra TP of deliveries — the prefix may still be forwarded
 // or consumed to build longer ranges for higher ranks, so rank sinks are
-// quota deliveries rather than absorbing sinks.
+// quota deliveries rather than absorbing sinks. Fragment declares that
+// program; internal/composite assembles and solves it.
 package prefix
 
 import (
@@ -113,38 +114,6 @@ type Solution struct {
 	TP      rat.Rat
 	Sends   map[reduce.SendKey]rat.Rat
 	Tasks   map[reduce.TaskKey]rat.Rat
-	Stats   core.FlowStats
-}
-
-// Solve builds and solves the prefix LP exactly over the rationals.
-func (pr *Problem) Solve() (*Solution, error) { return pr.SolveCtx(context.Background()) }
-
-// SolveCtx is Solve honoring context cancellation inside the simplex loop.
-func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
-	m := lp.NewMaximize()
-	tp := m.Var("TP")
-	m.SetObjective(tp, rat.One())
-	occ := core.NewOccupancy(pr.Platform)
-	comp := core.NewCompute(pr.Platform)
-	frag := pr.NewFragment(ctx, m, "", occ)
-	occ.AddConstraints(m)
-	frag.AddComputeVars(m, "", comp)
-	comp.AddConstraints(m)
-	frag.AddFlowConstraints(m, "", tp, rat.One())
-
-	sol, err := m.SolveCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("prefix: LP: %w", err)
-	}
-	if err := m.Verify(sol.Values()); err != nil {
-		return nil, fmt.Errorf("prefix: LP solution failed verification: %w", err)
-	}
-	stats := core.StatsOf(m, sol)
-	_, exSpan := obs.StartSpan(ctx, "extract")
-	out := frag.Extract(sol, sol.Objective, stats)
-	exSpan.SetAttr("kind", "prefix")
-	exSpan.End()
-	return out, nil
 }
 
 // Fragment is one prefix instance's share of a linear program, following
@@ -260,13 +229,12 @@ func (f *Fragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weig
 
 // Extract reads the fragment's solved rates into a Solution with the
 // given throughput.
-func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat, stats core.FlowStats) *Solution {
+func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat) *Solution {
 	out := &Solution{
 		Problem: f.Problem,
 		TP:      rat.Copy(tp),
 		Sends:   make(map[reduce.SendKey]rat.Rat),
 		Tasks:   make(map[reduce.TaskKey]rat.Rat),
-		Stats:   stats,
 	}
 	for k, v := range f.Sends {
 		if val := sol.Value(v); val.Sign() > 0 {

@@ -1,14 +1,32 @@
-package prefix
+package prefix_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/graph"
+	"repro/internal/prefix"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/topology"
 )
+
+// solve solves one prefix or reduce problem on its own: a one-member
+// composite, the single LP path.
+func solve(t *testing.T, p *graph.Platform, mem composite.Member) *composite.MemberSolution {
+	t.Helper()
+	cp, err := composite.NewProblem(p, []composite.Member{mem})
+	if err != nil {
+		t.Fatalf("composite.NewProblem: %v", err)
+	}
+	sol, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	return sol.Members[0]
+}
 
 func TestTwoNodePrefix(t *testing.T) {
 	// P0 – P1, unit everything. Rank 0's prefix v[0,0] is already local;
@@ -19,14 +37,11 @@ func TestTwoNodePrefix(t *testing.T) {
 	a := p.AddNode("P0", rat.One())
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, err := NewProblem(p, []graph.NodeID{a, b})
+	pr, err := prefix.NewProblem(p, []graph.NodeID{a, b})
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Prefix
 	if !rat.Eq(sol.TP, rat.One()) {
 		t.Errorf("TP = %s, want 1", sol.TP.RatString())
 	}
@@ -37,14 +52,11 @@ func TestTwoNodePrefix(t *testing.T) {
 
 func TestPrefixOnFig6Triangle(t *testing.T) {
 	p, order, _ := topology.PaperFig6()
-	pr, err := NewProblem(p, order)
+	pr, err := prefix.NewProblem(p, order)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Prefix
 	if sol.TP.Sign() <= 0 {
 		t.Fatal("TP must be positive")
 	}
@@ -54,10 +66,7 @@ func TestPrefixOnFig6Triangle(t *testing.T) {
 	// A prefix needs strictly more work than a reduce to the same nodes
 	// (every rank is a delivery), so TP_prefix ≤ TP_reduce.
 	rpr, _ := reduce.NewProblem(p, order, order[0])
-	rsol, err := rpr.Solve()
-	if err != nil {
-		t.Fatalf("reduce Solve: %v", err)
-	}
+	rsol := solve(t, p, composite.ReduceMember(rpr, rat.One())).Reduce
 	if sol.TP.Cmp(rsol.TP) > 0 {
 		t.Errorf("prefix TP %s exceeds reduce TP %s", sol.TP.RatString(), rsol.TP.RatString())
 	}
@@ -66,10 +75,10 @@ func TestPrefixOnFig6Triangle(t *testing.T) {
 
 func TestPrefixValidation(t *testing.T) {
 	p, order, _ := topology.PaperFig6()
-	if _, err := NewProblem(p, order[:1]); err == nil {
+	if _, err := prefix.NewProblem(p, order[:1]); err == nil {
 		t.Error("single participant should fail")
 	}
-	if _, err := NewProblem(p, []graph.NodeID{order[0], order[0]}); err == nil {
+	if _, err := prefix.NewProblem(p, []graph.NodeID{order[0], order[0]}); err == nil {
 		t.Error("duplicate participant should fail")
 	}
 	q := graph.New()
@@ -78,7 +87,7 @@ func TestPrefixValidation(t *testing.T) {
 	b := q.AddNode("b", rat.One())
 	q.AddLink(a, b, rat.One())
 	q.AddLink(b, r, rat.One())
-	if _, err := NewProblem(q, []graph.NodeID{a, r}); err == nil {
+	if _, err := prefix.NewProblem(q, []graph.NodeID{a, r}); err == nil {
 		t.Error("router participant should fail")
 	}
 	// One-directional chain fails rank reachability (rank 0 must reach
@@ -87,11 +96,11 @@ func TestPrefixValidation(t *testing.T) {
 	x := u.AddNode("x", rat.One())
 	y := u.AddNode("y", rat.One())
 	u.AddEdge(y, x, rat.One()) // only y→x
-	if _, err := NewProblem(u, []graph.NodeID{x, y}); err == nil {
+	if _, err := prefix.NewProblem(u, []graph.NodeID{x, y}); err == nil {
 		t.Error("rank-unreachable order should fail")
 	}
 	// The reverse order works: rank 0 = y can reach rank 1 = x.
-	if _, err := NewProblem(u, []graph.NodeID{y, x}); err != nil {
+	if _, err := prefix.NewProblem(u, []graph.NodeID{y, x}); err != nil {
 		t.Errorf("reverse order should validate: %v", err)
 	}
 }
@@ -102,14 +111,11 @@ func TestPrefixChain(t *testing.T) {
 	for _, name := range []string{"n0", "n1", "n2"} {
 		order = append(order, p.MustLookup(name))
 	}
-	pr, err := NewProblem(p, order)
+	pr, err := prefix.NewProblem(p, order)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Prefix
 	if sol.TP.Sign() <= 0 {
 		t.Error("TP must be positive")
 	}
@@ -126,11 +132,8 @@ func TestPrefixString(t *testing.T) {
 	a := p.AddNode("P0", rat.One())
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, _ := NewProblem(p, []graph.NodeID{a, b})
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	pr, _ := prefix.NewProblem(p, []graph.NodeID{a, b})
+	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Prefix
 	if !strings.Contains(sol.String(), "prefix throughput") {
 		t.Errorf("String:\n%s", sol.String())
 	}
@@ -141,11 +144,8 @@ func TestPrefixVerifyCatchesTampering(t *testing.T) {
 	a := p.AddNode("P0", rat.One())
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, _ := NewProblem(p, []graph.NodeID{a, b})
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	pr, _ := prefix.NewProblem(p, []graph.NodeID{a, b})
+	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Prefix
 	sol.TP = rat.Add(sol.TP, rat.One())
 	if err := sol.Verify(); err == nil {
 		t.Error("Verify accepted inflated TP")

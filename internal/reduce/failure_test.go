@@ -1,4 +1,4 @@
-package reduce
+package reduce_test
 
 import (
 	"math/big"
@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rat"
+	"repro/internal/reduce"
 	"repro/internal/topology"
 )
 
@@ -15,7 +16,7 @@ import (
 // consistent application must make FIND_TREE fail with a diagnostic, not
 // loop or return a bogus family.
 func TestExtractTreesStuckOnCorruptedApplication(t *testing.T) {
-	sol := solveFig6(t)
+	sol, _ := solveFig6(t)
 	app := sol.Integerize()
 	if len(app.Sends) == 0 {
 		t.Skip("optimum has no transfers to corrupt")
@@ -36,7 +37,7 @@ func TestExtractTreesStuckOnCorruptedApplication(t *testing.T) {
 // TestExtractTreesInflatedOps: an application claiming more operations
 // than its actions can cover must fail cleanly.
 func TestExtractTreesInflatedOps(t *testing.T) {
-	sol := solveFig6(t)
+	sol, _ := solveFig6(t)
 	app := sol.Integerize()
 	app.Ops = new(big.Int).Add(app.Ops, big.NewInt(5))
 	if _, err := app.ExtractTrees(); err == nil {
@@ -55,16 +56,16 @@ func TestExtractTreesCycleGuard(t *testing.T) {
 	p.AddLink(a, b, rat.One())
 	p.AddLink(b, c, rat.One())
 	p.AddLink(a, c, rat.One())
-	pr, err := NewProblem(p, []graph.NodeID{a, b, c}, a)
+	pr, err := reduce.NewProblem(p, []graph.NodeID{a, b, c}, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := Range{0, 2}
-	app := &Application{
+	final := reduce.Range{0, 2}
+	app := &reduce.Application{
 		Problem: pr,
 		Period:  big.NewInt(1),
 		Ops:     big.NewInt(1),
-		Sends: map[SendKey]*big.Int{
+		Sends: map[reduce.SendKey]*big.Int{
 			// v[0,2] circulating b↔c, one copy entering the target from b,
 			// but nothing ever produces it: the expansion must hit the
 			// depth guard or a stuck state, never hang.
@@ -72,7 +73,7 @@ func TestExtractTreesCycleGuard(t *testing.T) {
 			{From: c, To: b, R: final}: big.NewInt(1),
 			{From: b, To: c, R: final}: big.NewInt(1),
 		},
-		Tasks: map[TaskKey]*big.Int{},
+		Tasks: map[reduce.TaskKey]*big.Int{},
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -102,15 +103,12 @@ func TestReduceStressFiveParticipants(t *testing.T) {
 	p := topology.Tiers(cfg)
 	parts := p.Participants()
 	order := parts[:5]
-	pr, err := NewProblem(p, order, order[0])
+	pr, err := reduce.NewProblem(p, order, order[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol, stats := solve(t, pr)
 	if err := sol.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -119,7 +117,7 @@ func TestReduceStressFiveParticipants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExtractTrees: %v", err)
 	}
-	if err := VerifyDecomposition(app, trees); err != nil {
+	if err := reduce.VerifyDecomposition(app, trees); err != nil {
 		t.Fatalf("decomposition: %v", err)
 	}
 	for i, tree := range trees {
@@ -128,5 +126,5 @@ func TestReduceStressFiveParticipants(t *testing.T) {
 		}
 	}
 	t.Logf("N=5 tiers: TP=%s, %d trees, %d pivots, %v",
-		sol.TP.RatString(), len(trees), sol.Stats.Pivots, time.Since(start).Round(time.Millisecond))
+		sol.TP.RatString(), len(trees), stats.Pivots, time.Since(start).Round(time.Millisecond))
 }

@@ -1,4 +1,4 @@
-package reduce
+package reduce_test
 
 import (
 	"math/big"
@@ -6,20 +6,21 @@ import (
 	"time"
 
 	"repro/internal/rat"
+	"repro/internal/reduce"
 	"repro/internal/topology"
 )
 
 // Fig9Problem builds the paper's Figure 9 experiment: the reconstructed
 // Tiers platform, uniform message size 10, task time 10/speed.
-func Fig9Problem(t testing.TB) *Problem {
+func Fig9Problem(t testing.TB) *reduce.Problem {
 	t.Helper()
 	p, order, target := topology.PaperFig9()
-	pr, err := NewProblem(p, order, target)
+	pr, err := reduce.NewProblem(p, order, target)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
 	size := topology.PaperFig9MessageSize()
-	pr.SizeOf = func(Range) rat.Rat { return size }
+	pr.SizeOf = func(reduce.Range) rat.Rat { return size }
 	return pr
 }
 
@@ -35,14 +36,11 @@ func TestPaperFig9Reduce(t *testing.T) {
 	}
 	pr := Fig9Problem(t)
 	start := time.Now()
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol, stats := solve(t, pr)
 	solveTime := time.Since(start)
 	t.Logf("fig9: TP=%s (~%.4f) vars=%d constraints=%d pivots=%d in %v",
 		sol.TP.RatString(), rat.Float(sol.TP),
-		sol.Stats.Vars, sol.Stats.Constraints, sol.Stats.Pivots, solveTime)
+		stats.Vars, stats.Constraints, stats.Pivots, solveTime)
 
 	if sol.TP.Sign() <= 0 {
 		t.Fatal("TP must be positive")
@@ -56,7 +54,7 @@ func TestPaperFig9Reduce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExtractTrees: %v", err)
 	}
-	if err := VerifyDecomposition(app, trees); err != nil {
+	if err := reduce.VerifyDecomposition(app, trees); err != nil {
 		t.Fatalf("VerifyDecomposition: %v", err)
 	}
 	for i, tree := range trees {
@@ -73,7 +71,7 @@ func TestPaperFig9Reduce(t *testing.T) {
 
 	// Fixed-period approximation sweep (Proposition 4).
 	for _, fixed := range []int64{10, 100, 1000} {
-		plan, err := ApproximateFixedPeriod(app, trees, big.NewInt(fixed))
+		plan, err := reduce.ApproximateFixedPeriod(app, trees, big.NewInt(fixed))
 		if err != nil {
 			t.Fatalf("ApproximateFixedPeriod(%d): %v", fixed, err)
 		}

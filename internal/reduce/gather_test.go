@@ -1,10 +1,11 @@
-package reduce
+package reduce_test
 
 import (
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/rat"
+	"repro/internal/reduce"
 	"repro/internal/topology"
 )
 
@@ -17,14 +18,11 @@ func TestGatherChain(t *testing.T) {
 	for _, name := range []string{"n0", "n1", "n2"} {
 		order = append(order, p.MustLookup(name))
 	}
-	pr, err := NewGatherProblem(p, order, order[0], rat.One())
+	pr, err := reduce.NewGatherProblem(p, order, order[0], rat.One())
 	if err != nil {
 		t.Fatalf("NewGatherProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol, _ := solve(t, pr)
 	if !rat.Eq(sol.TP, rat.New(1, 2)) {
 		t.Errorf("TP = %s, want 1/2", sol.TP.RatString())
 	}
@@ -38,14 +36,11 @@ func TestGatherBlockSizeScales(t *testing.T) {
 	a := p.AddNode("a", rat.One())
 	b := p.AddNode("b", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, err := NewGatherProblem(p, []graph.NodeID{a, b}, a, rat.Int(4))
+	pr, err := reduce.NewGatherProblem(p, []graph.NodeID{a, b}, a, rat.Int(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol, _ := solve(t, pr)
 	// One 4-unit block crosses b→a per op → TP = 1/4.
 	if !rat.Eq(sol.TP, rat.New(1, 4)) {
 		t.Errorf("TP = %s, want 1/4", sol.TP.RatString())
@@ -57,13 +52,13 @@ func TestGatherValidation(t *testing.T) {
 	a := p.AddNode("a", rat.One())
 	b := p.AddNode("b", rat.One())
 	p.AddLink(a, b, rat.One())
-	if _, err := NewGatherProblem(p, []graph.NodeID{a, b}, a, rat.Zero()); err == nil {
+	if _, err := reduce.NewGatherProblem(p, []graph.NodeID{a, b}, a, rat.Zero()); err == nil {
 		t.Error("zero block size accepted")
 	}
-	if _, err := NewGatherProblem(p, []graph.NodeID{a, b}, a, nil); err == nil {
+	if _, err := reduce.NewGatherProblem(p, []graph.NodeID{a, b}, a, nil); err == nil {
 		t.Error("nil block size accepted")
 	}
-	if _, err := NewGatherProblem(p, []graph.NodeID{a}, a, rat.One()); err == nil {
+	if _, err := reduce.NewGatherProblem(p, []graph.NodeID{a}, a, rat.One()); err == nil {
 		t.Error("single participant accepted")
 	}
 }
@@ -74,20 +69,17 @@ func TestGatherTreesExtract(t *testing.T) {
 	for _, name := range []string{"n0", "n1", "n2"} {
 		order = append(order, p.MustLookup(name))
 	}
-	pr, err := NewGatherProblem(p, order, order[0], rat.One())
+	pr, err := reduce.NewGatherProblem(p, order, order[0], rat.One())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol, _ := solve(t, pr)
 	app := sol.Integerize()
 	trees, err := app.ExtractTrees()
 	if err != nil {
 		t.Fatalf("ExtractTrees: %v", err)
 	}
-	if err := VerifyDecomposition(app, trees); err != nil {
+	if err := reduce.VerifyDecomposition(app, trees); err != nil {
 		t.Errorf("decomposition: %v", err)
 	}
 }
@@ -96,24 +88,18 @@ func TestComputeAtRestriction(t *testing.T) {
 	// Fig-6 platform with tasks restricted to the target: the LP can no
 	// longer offload merges, so TP can only drop (or stay equal).
 	p, order, target := topology.PaperFig6()
-	free, err := NewProblem(p, order, target)
+	free, err := reduce.NewProblem(p, order, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freeSol, err := free.Solve()
-	if err != nil {
-		t.Fatalf("free Solve: %v", err)
-	}
+	freeSol, _ := solve(t, free)
 
-	restricted, err := NewProblem(p, order, target)
+	restricted, err := reduce.NewProblem(p, order, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restricted.ComputeAt = []graph.NodeID{target}
-	rSol, err := restricted.Solve()
-	if err != nil {
-		t.Fatalf("restricted Solve: %v", err)
-	}
+	rSol, _ := solve(t, restricted)
 	if rSol.TP.Cmp(freeSol.TP) > 0 {
 		t.Errorf("restricting compute increased TP: %s > %s",
 			rSol.TP.RatString(), freeSol.TP.RatString())
@@ -132,14 +118,11 @@ func TestComputeAtRestriction(t *testing.T) {
 
 func TestComputeAtVerifyCatchesEscapees(t *testing.T) {
 	p, order, target := topology.PaperFig6()
-	pr, err := NewProblem(p, order, target)
+	pr, err := reduce.NewProblem(p, order, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol, _ := solve(t, pr)
 	// Retroactively restrict: any off-target task must now fail Verify.
 	pr.ComputeAt = []graph.NodeID{target}
 	offTarget := false

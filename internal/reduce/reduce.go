@@ -6,7 +6,8 @@
 //
 // The package provides:
 //
-//   - the linear program SSR(G) (equations (7)–(11)): variables are
+//   - the linear program SSR(G) (equations (7)–(11)) as an LP fragment
+//     that internal/composite assembles and solves: variables are
 //     fractional per-edge transfer rates of partial results v[k,m] and
 //     fractional per-node rates of reduction tasks T_{k,l,m} (which merge
 //     v[k,l] ⊕ v[l+1,m] → v[k,m]), under one-port, compute-occupation and
@@ -201,46 +202,15 @@ type Solution struct {
 	TP      rat.Rat
 	Sends   map[SendKey]rat.Rat
 	Tasks   map[TaskKey]rat.Rat
-	Stats   core.FlowStats
-}
-
-// Solve builds and solves SSR(G) exactly over the rationals.
-func (pr *Problem) Solve() (*Solution, error) { return pr.SolveCtx(context.Background()) }
-
-// SolveCtx is Solve honoring context cancellation inside the simplex loop.
-func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
-	m := lp.NewMaximize()
-	tp := m.Var("TP")
-	m.SetObjective(tp, rat.One())
-	occ := core.NewOccupancy(pr.Platform)
-	comp := core.NewCompute(pr.Platform)
-	frag := pr.NewFragment(ctx, m, "", occ)
-	occ.AddConstraints(m)
-	frag.AddComputeVars(m, "", comp)
-	comp.AddConstraints(m)
-	frag.AddFlowConstraints(m, "", tp, rat.One())
-
-	sol, err := m.SolveCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("reduce: SSR LP: %w", err)
-	}
-	if err := m.Verify(sol.Values()); err != nil {
-		return nil, fmt.Errorf("reduce: LP solution failed verification: %w", err)
-	}
-	stats := core.StatsOf(m, sol)
-	_, exSpan := obs.StartSpan(ctx, "extract")
-	out := frag.Extract(sol, sol.Objective, stats)
-	exSpan.SetAttr("kind", "reduce")
-	exSpan.End()
-	return out, nil
 }
 
 // Fragment is one reduce instance's share of a linear program: its
 // transfer and task variables, with occupancy registered on (possibly
-// shared) port and compute builders. A single fragment on a private model
-// is exactly the plain SSR(G) program; several fragments on one model
+// shared) port and compute builders. A model holding this one fragment is
+// exactly the plain SSR(G) program; several fragments on one model
 // superpose concurrent reduce-family collectives on the same platform
-// capacity — the construction behind reduce-scatter.
+// capacity — the construction behind reduce-scatter. Either way
+// internal/composite assembles and solves the model.
 //
 // Assembly is three-phase so shared rows aggregate every member before
 // they are emitted: NewFragment (transfer variables + port occupancy) for
@@ -305,9 +275,9 @@ func (f *Fragment) AddComputeVars(m *lp.Model, label string, comp *core.ComputeB
 
 // AddFlowConstraints adds the conservation law (10) and the throughput
 // equation (11), with the delivered rate of final results constrained to
-// weight·tp. With weight 1 on a private model this is the plain SSR
-// program; in a shared model, weight scales the member's rate relative to
-// the common objective tp.
+// weight·tp. With weight 1 as the model's only fragment this is the plain
+// SSR program; in a shared model, weight scales the member's rate relative
+// to the common objective tp.
 func (f *Fragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weight rat.Rat) {
 	pr := f.Problem
 	n := pr.N()
@@ -385,13 +355,12 @@ func (f *Fragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weig
 
 // Extract reads the fragment's solved rates into a Solution with the
 // given throughput, canceling zero-net send circulations.
-func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat, stats core.FlowStats) *Solution {
+func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat) *Solution {
 	out := &Solution{
 		Problem: f.Problem,
 		TP:      rat.Copy(tp),
 		Sends:   make(map[SendKey]rat.Rat),
 		Tasks:   make(map[TaskKey]rat.Rat),
-		Stats:   stats,
 	}
 	for k, v := range f.Sends {
 		if val := sol.Value(v); val.Sign() > 0 {

@@ -1,48 +1,66 @@
-package reduce
+package reduce_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/composite"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rat"
+	"repro/internal/reduce"
 	"repro/internal/topology"
 )
 
-func solveFig6(t *testing.T) *Solution {
+// solve solves a reduce (or gather) problem on its own: a one-member
+// composite, the single LP path. It returns the solution and the LP
+// counters.
+func solve(t *testing.T, pr *reduce.Problem) (*reduce.Solution, core.FlowStats) {
 	t.Helper()
-	p, order, target := topology.PaperFig6()
-	pr, err := NewProblem(p, order, target)
+	cp, err := composite.NewProblem(pr.Platform, []composite.Member{composite.ReduceMember(pr, rat.One())})
 	if err != nil {
-		t.Fatalf("NewProblem: %v", err)
+		t.Fatalf("composite.NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
+	sol, err := cp.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	return sol
+	return sol.Members[0].Reduce, sol.Stats
+}
+
+// solveFig6 solves the paper's Figure 6 reduce and returns the solution
+// and the LP counters.
+func solveFig6(t *testing.T) (*reduce.Solution, core.FlowStats) {
+	t.Helper()
+	p, order, target := topology.PaperFig6()
+	pr, err := reduce.NewProblem(p, order, target)
+	if err != nil {
+		t.Fatalf("NewProblem: %v", err)
+	}
+	return solve(t, pr)
 }
 
 func TestRangeAndTaskBasics(t *testing.T) {
-	r := Range{1, 6}
+	r := reduce.Range{1, 6}
 	if r.String() != "v[1,6]" || r.IsLeaf() || r.Len() != 6 {
 		t.Errorf("Range basics wrong: %v %v %v", r.String(), r.IsLeaf(), r.Len())
 	}
-	if !(Range{3, 3}).IsLeaf() {
+	if !(reduce.Range{3, 3}).IsLeaf() {
 		t.Error("v[3,3] should be a leaf")
 	}
-	task := Task{0, 1, 4}
+	task := reduce.Task{0, 1, 4}
 	if task.String() != "T[0,1,4]" {
 		t.Errorf("Task.String = %s", task.String())
 	}
-	if task.Left() != (Range{0, 1}) || task.Right() != (Range{2, 4}) || task.Result() != (Range{0, 4}) {
+	if task.Left() != (reduce.Range{0, 1}) || task.Right() != (reduce.Range{2, 4}) || task.Result() != (reduce.Range{0, 4}) {
 		t.Error("Task ranges wrong")
 	}
 }
 
 func TestProblemEnumeration(t *testing.T) {
 	p, order, target := topology.PaperFig6()
-	pr, err := NewProblem(p, order, target)
+	pr, err := reduce.NewProblem(p, order, target)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
@@ -60,10 +78,10 @@ func TestProblemEnumeration(t *testing.T) {
 
 func TestNewProblemValidation(t *testing.T) {
 	p, order, target := topology.PaperFig6()
-	if _, err := NewProblem(p, order[:1], target); err == nil {
+	if _, err := reduce.NewProblem(p, order[:1], target); err == nil {
 		t.Error("single participant should fail")
 	}
-	if _, err := NewProblem(p, []graph.NodeID{order[0], order[0], order[1]}, target); err == nil {
+	if _, err := reduce.NewProblem(p, []graph.NodeID{order[0], order[0], order[1]}, target); err == nil {
 		t.Error("duplicate participant should fail")
 	}
 
@@ -73,10 +91,10 @@ func TestNewProblemValidation(t *testing.T) {
 	b := q.AddNode("b", rat.One())
 	q.AddLink(a, b, rat.One())
 	q.AddLink(a, r, rat.One())
-	if _, err := NewProblem(q, []graph.NodeID{a, r}, a); err == nil {
+	if _, err := reduce.NewProblem(q, []graph.NodeID{a, r}, a); err == nil {
 		t.Error("router participant should fail")
 	}
-	if _, err := NewProblem(q, []graph.NodeID{a, b}, r); err == nil {
+	if _, err := reduce.NewProblem(q, []graph.NodeID{a, b}, r); err == nil {
 		t.Error("router target should fail")
 	}
 
@@ -87,7 +105,7 @@ func TestNewProblemValidation(t *testing.T) {
 	z := u.AddNode("z", rat.One())
 	u.AddEdge(x, y, rat.One())
 	_ = z
-	if _, err := NewProblem(u, []graph.NodeID{x, z}, y); err == nil {
+	if _, err := reduce.NewProblem(u, []graph.NodeID{x, z}, y); err == nil {
 		t.Error("unreachable participant should fail")
 	}
 }
@@ -95,7 +113,7 @@ func TestNewProblemValidation(t *testing.T) {
 // TestPaperFig6Throughput is the paper's toy reduce: TP must be exactly 1
 // (three reduce operations every three time units).
 func TestPaperFig6Throughput(t *testing.T) {
-	sol := solveFig6(t)
+	sol, stats := solveFig6(t)
 	if !rat.Eq(sol.TP, rat.One()) {
 		t.Fatalf("TP = %s, want exactly 1", sol.TP.RatString())
 	}
@@ -103,7 +121,7 @@ func TestPaperFig6Throughput(t *testing.T) {
 		t.Errorf("Verify: %v", err)
 	}
 	t.Logf("fig6 LP: %d vars, %d constraints, %d pivots",
-		sol.Stats.Vars, sol.Stats.Constraints, sol.Stats.Pivots)
+		stats.Vars, stats.Constraints, stats.Pivots)
 }
 
 func TestTwoNodeReduce(t *testing.T) {
@@ -115,14 +133,11 @@ func TestTwoNodeReduce(t *testing.T) {
 	a := p.AddNode("P0", rat.One())
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, err := NewProblem(p, []graph.NodeID{a, b}, a)
+	pr, err := reduce.NewProblem(p, []graph.NodeID{a, b}, a)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol, _ := solve(t, pr)
 	if !rat.Eq(sol.TP, rat.One()) {
 		t.Errorf("TP = %s, want 1", sol.TP.RatString())
 	}
@@ -140,21 +155,18 @@ func TestTwoNodeReduceSlowCompute(t *testing.T) {
 	a := p.AddNode("P0", rat.New(1, 4))
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, err := NewProblem(p, []graph.NodeID{a, b}, a)
+	pr, err := reduce.NewProblem(p, []graph.NodeID{a, b}, a)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol, _ := solve(t, pr)
 	if !rat.Eq(sol.TP, rat.One()) {
 		t.Errorf("TP = %s, want 1 (offload to P1)", sol.TP.RatString())
 	}
 	// The solution must ship v[0,0] away from the slow target.
 	shipped := rat.Zero()
 	for k, r := range sol.Sends {
-		if k.From == a && k.R == (Range{0, 0}) {
+		if k.From == a && k.R == (reduce.Range{0, 0}) {
 			shipped.Add(shipped, r)
 		}
 	}
@@ -170,7 +182,7 @@ func TestNonCommutativeOrderRespected(t *testing.T) {
 	// All tasks in any solution must merge contiguous, adjacent ranges —
 	// guaranteed by construction of the Task type, but Verify must also
 	// reject hand-built solutions that fabricate non-adjacent merges.
-	sol := solveFig6(t)
+	sol, _ := solveFig6(t)
 	for k := range sol.Tasks {
 		if k.T.L < k.T.K || k.T.L >= k.T.M {
 			t.Errorf("task %s violates k ≤ l < m", k.T)
@@ -179,7 +191,7 @@ func TestNonCommutativeOrderRespected(t *testing.T) {
 }
 
 func TestVerifyCatchesTampering(t *testing.T) {
-	sol := solveFig6(t)
+	sol, _ := solveFig6(t)
 	// Remove one task: conservation must break.
 	for k := range sol.Tasks {
 		saved := sol.Tasks[k]
@@ -203,7 +215,7 @@ func TestVerifyCatchesTampering(t *testing.T) {
 }
 
 func TestSolutionStringRendering(t *testing.T) {
-	sol := solveFig6(t)
+	sol, _ := solveFig6(t)
 	out := sol.String()
 	if !strings.Contains(out, "reduce throughput TP = 1") {
 		t.Errorf("String output:\n%s", out)
@@ -220,14 +232,11 @@ func TestReduceChainPlatform(t *testing.T) {
 	n0 := p.MustLookup("n0")
 	n1 := p.MustLookup("n1")
 	n2 := p.MustLookup("n2")
-	pr, err := NewProblem(p, []graph.NodeID{n0, n1, n2}, n0)
+	pr, err := reduce.NewProblem(p, []graph.NodeID{n0, n1, n2}, n0)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol, _ := solve(t, pr)
 	// P0's in-port carries one v[1,2] per op → TP = 1; both compute and
 	// the n1→n0 link allow it.
 	if !rat.Eq(sol.TP, rat.One()) {
@@ -244,15 +253,12 @@ func TestReduceCustomSizes(t *testing.T) {
 	a := p.AddNode("P0", rat.Int(10))
 	b := p.AddNode("P1", rat.Int(10))
 	p.AddLink(a, b, rat.One())
-	pr, err := NewProblem(p, []graph.NodeID{a, b}, a)
+	pr, err := reduce.NewProblem(p, []graph.NodeID{a, b}, a)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	pr.SizeOf = func(Range) rat.Rat { return rat.Int(2) }
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	pr.SizeOf = func(reduce.Range) rat.Rat { return rat.Int(2) }
+	sol, _ := solve(t, pr)
 	if !rat.Eq(sol.TP, rat.New(1, 2)) {
 		t.Errorf("TP = %s, want 1/2 with size-2 messages", sol.TP.RatString())
 	}

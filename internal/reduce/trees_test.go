@@ -1,4 +1,4 @@
-package reduce
+package reduce_test
 
 import (
 	"math/big"
@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rat"
+	"repro/internal/reduce"
 	"repro/internal/topology"
 )
 
-func extractFig6(t *testing.T) (*Solution, *Application, []*Tree) {
+func extractFig6(t *testing.T) (*reduce.Solution, *reduce.Application, []*reduce.Tree) {
 	t.Helper()
-	sol := solveFig6(t)
+	sol, _ := solveFig6(t)
 	app := sol.Integerize()
 	trees, err := app.ExtractTrees()
 	if err != nil {
@@ -22,7 +23,7 @@ func extractFig6(t *testing.T) (*Solution, *Application, []*Tree) {
 }
 
 func TestIntegerize(t *testing.T) {
-	sol := solveFig6(t)
+	sol, _ := solveFig6(t)
 	app := sol.Integerize()
 	if app.Period.Sign() <= 0 {
 		t.Fatal("period must be positive")
@@ -52,7 +53,7 @@ func TestPaperFig7TreeExtraction(t *testing.T) {
 	if len(trees) == 0 {
 		t.Fatal("no trees extracted")
 	}
-	if err := VerifyDecomposition(app, trees); err != nil {
+	if err := reduce.VerifyDecomposition(app, trees); err != nil {
 		t.Fatalf("VerifyDecomposition: %v", err)
 	}
 	for i, tree := range trees {
@@ -95,18 +96,18 @@ func TestTreeActionsListing(t *testing.T) {
 
 func TestTreeValidateRejectsBadTrees(t *testing.T) {
 	p, order, target := topology.PaperFig6()
-	pr, _ := NewProblem(p, order, target)
+	pr, _ := reduce.NewProblem(p, order, target)
 
 	// Wrong root range.
-	bad := &Tree{Weight: big.NewInt(1), Root: &TreeNode{Range: Range{0, 1}, At: target, Kind: Leaf}}
+	bad := &reduce.Tree{Weight: big.NewInt(1), Root: &reduce.TreeNode{Range: reduce.Range{0, 1}, At: target, Kind: reduce.Leaf}}
 	if err := bad.Validate(pr); err == nil {
 		t.Error("wrong root accepted")
 	}
 	// Leaf on the wrong node.
-	bad2 := &Tree{Weight: big.NewInt(1), Root: &TreeNode{
-		Range: Range{0, 2}, At: target, Kind: Compute, Task: Task{0, 0, 2},
-		Left:  &TreeNode{Range: Range{0, 0}, At: order[1], Kind: Leaf}, // v0 owned by order[0]
-		Right: &TreeNode{Range: Range{1, 2}, At: target, Kind: Leaf},   // not a leaf range
+	bad2 := &reduce.Tree{Weight: big.NewInt(1), Root: &reduce.TreeNode{
+		Range: reduce.Range{0, 2}, At: target, Kind: reduce.Compute, Task: reduce.Task{0, 0, 2},
+		Left:  &reduce.TreeNode{Range: reduce.Range{0, 0}, At: order[1], Kind: reduce.Leaf}, // v0 owned by order[0]
+		Right: &reduce.TreeNode{Range: reduce.Range{1, 2}, At: target, Kind: reduce.Leaf},   // not a leaf range
 	}}
 	if err := bad2.Validate(pr); err == nil {
 		t.Error("bad leaf accepted")
@@ -118,12 +119,12 @@ func TestTreeValidateRejectsBadTrees(t *testing.T) {
 	c := q.AddNode("c", rat.One())
 	q.AddLink(a, b, rat.One())
 	q.AddLink(b, c, rat.One())
-	qr, _ := NewProblem(q, []graph.NodeID{a, c}, a)
-	badEdge := &Tree{Weight: big.NewInt(1), Root: &TreeNode{
-		Range: Range{0, 1}, At: a, Kind: Compute, Task: Task{0, 0, 1},
-		Left: &TreeNode{Range: Range{0, 0}, At: a, Kind: Leaf},
-		Right: &TreeNode{Range: Range{1, 1}, At: a, Kind: Receive,
-			From: &TreeNode{Range: Range{1, 1}, At: c, Kind: Leaf}}, // no edge c→a
+	qr, _ := reduce.NewProblem(q, []graph.NodeID{a, c}, a)
+	badEdge := &reduce.Tree{Weight: big.NewInt(1), Root: &reduce.TreeNode{
+		Range: reduce.Range{0, 1}, At: a, Kind: reduce.Compute, Task: reduce.Task{0, 0, 1},
+		Left: &reduce.TreeNode{Range: reduce.Range{0, 0}, At: a, Kind: reduce.Leaf},
+		Right: &reduce.TreeNode{Range: reduce.Range{1, 1}, At: a, Kind: reduce.Receive,
+			From: &reduce.TreeNode{Range: reduce.Range{1, 1}, At: c, Kind: reduce.Leaf}}, // no edge c→a
 	}}
 	if err := badEdge.Validate(qr); err == nil {
 		t.Error("missing-edge transfer accepted")
@@ -135,11 +136,8 @@ func TestExtractTreesTwoNode(t *testing.T) {
 	a := p.AddNode("P0", rat.One())
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, _ := NewProblem(p, []graph.NodeID{a, b}, a)
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	pr, _ := reduce.NewProblem(p, []graph.NodeID{a, b}, a)
+	sol, _ := solve(t, pr)
 	app := sol.Integerize()
 	trees, err := app.ExtractTrees()
 	if err != nil {
@@ -151,7 +149,7 @@ func TestExtractTreesTwoNode(t *testing.T) {
 	if err := trees[0].Validate(pr); err != nil {
 		t.Errorf("tree invalid: %v", err)
 	}
-	if err := VerifyDecomposition(app, trees); err != nil {
+	if err := reduce.VerifyDecomposition(app, trees); err != nil {
 		t.Errorf("decomposition: %v", err)
 	}
 }
@@ -162,17 +160,14 @@ func TestExtractTreesChain(t *testing.T) {
 	for _, name := range []string{"n0", "n1", "n2", "n3"} {
 		order = append(order, p.MustLookup(name))
 	}
-	pr, _ := NewProblem(p, order, order[0])
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	pr, _ := reduce.NewProblem(p, order, order[0])
+	sol, _ := solve(t, pr)
 	app := sol.Integerize()
 	trees, err := app.ExtractTrees()
 	if err != nil {
 		t.Fatalf("ExtractTrees: %v", err)
 	}
-	if err := VerifyDecomposition(app, trees); err != nil {
+	if err := reduce.VerifyDecomposition(app, trees); err != nil {
 		t.Errorf("decomposition: %v", err)
 	}
 	for i, tree := range trees {
@@ -186,7 +181,7 @@ func TestApproximateFixedPeriod(t *testing.T) {
 	sol, app, trees := extractFig6(t)
 	_ = sol
 	for _, fixed := range []int64{1, 2, 5, 10, 100} {
-		plan, err := ApproximateFixedPeriod(app, trees, big.NewInt(fixed))
+		plan, err := reduce.ApproximateFixedPeriod(app, trees, big.NewInt(fixed))
 		if err != nil {
 			t.Fatalf("ApproximateFixedPeriod(%d): %v", fixed, err)
 		}
@@ -199,7 +194,7 @@ func TestApproximateFixedPeriod(t *testing.T) {
 		}
 	}
 	// Loss must vanish as the fixed period grows (Proposition 4).
-	plan, err := ApproximateFixedPeriod(app, trees, big.NewInt(1000000))
+	plan, err := reduce.ApproximateFixedPeriod(app, trees, big.NewInt(1000000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +205,10 @@ func TestApproximateFixedPeriod(t *testing.T) {
 
 func TestApproximateFixedPeriodValidation(t *testing.T) {
 	_, app, trees := extractFig6(t)
-	if _, err := ApproximateFixedPeriod(app, trees, big.NewInt(0)); err == nil {
+	if _, err := reduce.ApproximateFixedPeriod(app, trees, big.NewInt(0)); err == nil {
 		t.Error("zero period accepted")
 	}
-	if _, err := ApproximateFixedPeriod(app, trees, nil); err == nil {
+	if _, err := reduce.ApproximateFixedPeriod(app, trees, nil); err == nil {
 		t.Error("nil period accepted")
 	}
 }

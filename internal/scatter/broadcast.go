@@ -70,9 +70,10 @@ type broadcastKey struct {
 // BroadcastFragment is one broadcast's share of a linear program: the
 // shared per-edge carry variables (whose busy time is registered on a
 // possibly shared OccupancyBuilder) plus the per-target virtual flow
-// variables bounded by them. A single fragment on a private model is the
+// variables bounded by them. A model holding this one fragment is the
 // plain broadcast LP; several fragments on one model superpose broadcasts
-// with other collectives on the same platform capacity.
+// with other collectives on the same platform capacity. Either way
+// internal/composite assembles and solves the model.
 type BroadcastFragment struct {
 	Problem *BroadcastProblem
 	carry   map[core.EdgeKey]lp.Var
@@ -147,9 +148,9 @@ func (pr *BroadcastProblem) NewFragment(ctx context.Context, m *lp.Model, label 
 
 // AddFlowConstraints adds the replication bounds x(e, b_t) ≤ y(e), the
 // per-target conservation at forwarding nodes, and the delivery of
-// weight·tp at every target. With weight 1 on a private model this is the
-// plain broadcast program; in a shared model, weight scales the
-// broadcast's delivered rate relative to the common objective tp.
+// weight·tp at every target. With weight 1 as the model's only fragment
+// this is the plain broadcast program; in a shared model, weight scales
+// the broadcast's delivered rate relative to the common objective tp.
 func (f *BroadcastFragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weight rat.Rat) {
 	p := f.Problem.Platform
 	for _, e := range p.Edges() {
@@ -211,7 +212,7 @@ func (f *BroadcastFragment) AddFlowConstraints(m *lp.Model, label string, tp lp.
 // with the given throughput: per-target flows are cycle-canceled, and the
 // carry rate of each edge is tightened to the maximum per-target flow it
 // must cover (the LP may leave slack in y within the port capacity).
-func (f *BroadcastFragment) Extract(sol *lp.Solution, tp rat.Rat, stats core.FlowStats) *BroadcastSolution {
+func (f *BroadcastFragment) Extract(sol *lp.Solution, tp rat.Rat) *BroadcastSolution {
 	flow := core.NewFlow[core.Commodity](f.Problem.Platform)
 	flow.Throughput = rat.Copy(tp)
 	for k, v := range f.sends {
@@ -236,7 +237,6 @@ func (f *BroadcastFragment) Extract(sol *lp.Solution, tp rat.Rat, stats core.Flo
 		TP:      rat.Copy(tp),
 		Flow:    flow,
 		Carry:   carry,
-		Stats:   stats,
 	}
 }
 
@@ -255,36 +255,6 @@ type BroadcastSolution struct {
 	// max over targets of the virtual flows — the rate the one-port model
 	// is charged for.
 	Carry map[core.EdgeKey]rat.Rat
-	Stats core.FlowStats
-}
-
-// Solve builds and solves the broadcast LP.
-func (pr *BroadcastProblem) Solve() (*BroadcastSolution, error) {
-	return pr.SolveCtx(context.Background())
-}
-
-// SolveCtx is Solve honoring context cancellation inside the simplex loop.
-func (pr *BroadcastProblem) SolveCtx(ctx context.Context) (*BroadcastSolution, error) {
-	m := lp.NewMaximize()
-	tp := m.Var("TP")
-	m.SetObjective(tp, rat.One())
-	occ := core.NewOccupancy(pr.Platform)
-	frag := pr.NewFragment(ctx, m, "", occ)
-	occ.AddConstraints(m)
-	frag.AddFlowConstraints(m, "", tp, rat.One())
-
-	sol, err := m.SolveCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("broadcast: %w", err)
-	}
-	if err := m.Verify(sol.Values()); err != nil {
-		return nil, fmt.Errorf("broadcast: LP solution failed verification: %w", err)
-	}
-	_, exSpan := obs.StartSpan(ctx, "extract")
-	out := frag.Extract(sol, sol.Objective, core.StatsOf(m, sol))
-	exSpan.SetAttr("kind", "broadcast")
-	exSpan.End()
-	return out, nil
 }
 
 // Throughput returns TP: broadcasts initiated per time unit.

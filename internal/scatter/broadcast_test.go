@@ -1,11 +1,13 @@
-package scatter
+package scatter_test
 
 import (
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rat"
+	"repro/internal/scatter"
 )
 
 // chain3 builds a directed chain a→b→c with unit costs.
@@ -24,19 +26,19 @@ func chain3(t *testing.T) (*graph.Platform, graph.NodeID, graph.NodeID, graph.No
 // construction.
 func TestNewBroadcastProblemValidation(t *testing.T) {
 	p, a, b, c := chain3(t)
-	if _, err := NewBroadcastProblem(p, a, nil); err == nil {
+	if _, err := scatter.NewBroadcastProblem(p, a, nil); err == nil {
 		t.Error("no targets should fail")
 	}
-	if _, err := NewBroadcastProblem(p, a, []graph.NodeID{a}); err == nil {
+	if _, err := scatter.NewBroadcastProblem(p, a, []graph.NodeID{a}); err == nil {
 		t.Error("source as target should fail")
 	}
-	if _, err := NewBroadcastProblem(p, a, []graph.NodeID{b, b}); err == nil {
+	if _, err := scatter.NewBroadcastProblem(p, a, []graph.NodeID{b, b}); err == nil {
 		t.Error("duplicate target should fail")
 	}
-	if _, err := NewBroadcastProblem(p, c, []graph.NodeID{a}); err == nil {
+	if _, err := scatter.NewBroadcastProblem(p, c, []graph.NodeID{a}); err == nil {
 		t.Error("unreachable target should fail")
 	}
-	if _, err := NewBroadcastProblem(p, a, []graph.NodeID{b, c}); err != nil {
+	if _, err := scatter.NewBroadcastProblem(p, a, []graph.NodeID{b, c}); err != nil {
 		t.Errorf("valid problem rejected: %v", err)
 	}
 }
@@ -46,14 +48,11 @@ func TestNewBroadcastProblemValidation(t *testing.T) {
 // exactly once — TP = 1 where a scatter of distinct messages would halve.
 func TestBroadcastChainRelay(t *testing.T) {
 	p, a, b, c := chain3(t)
-	pr, err := NewBroadcastProblem(p, a, []graph.NodeID{b, c})
+	pr, err := scatter.NewBroadcastProblem(p, a, []graph.NodeID{b, c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solve(t, p, composite.BroadcastMember(pr, rat.One())).Broadcast
 	if got := sol.Throughput().RatString(); got != "1" {
 		t.Errorf("TP = %s, want 1", got)
 	}
@@ -76,14 +75,10 @@ func TestBroadcastChainRelay(t *testing.T) {
 // replicate; the broadcast and scatter optima coincide.
 func TestBroadcastSingleTargetMatchesScatter(t *testing.T) {
 	p, a, b, _ := chain3(t)
-	bsol, err := must(NewBroadcastProblem(p, a, []graph.NodeID{b})).Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssol, err := must(NewProblem(p, a, []graph.NodeID{b})).Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bpr := must(scatter.NewBroadcastProblem(p, a, []graph.NodeID{b}))
+	spr := must(scatter.NewProblem(p, a, []graph.NodeID{b}))
+	bsol := solve(t, p, composite.BroadcastMember(bpr, rat.One())).Broadcast
+	ssol := solve(t, p, composite.ScatterMember(spr, rat.One())).Scatter
 	if bsol.Throughput().Cmp(ssol.Throughput()) != 0 {
 		t.Errorf("broadcast TP = %s, scatter TP = %s",
 			bsol.Throughput().RatString(), ssol.Throughput().RatString())
@@ -94,10 +89,8 @@ func TestBroadcastSingleTargetMatchesScatter(t *testing.T) {
 // carry rates no longer cover the per-target flows.
 func TestBroadcastVerifyCatchesTampering(t *testing.T) {
 	p, a, b, c := chain3(t)
-	sol, err := must(NewBroadcastProblem(p, a, []graph.NodeID{b, c})).Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := must(scatter.NewBroadcastProblem(p, a, []graph.NodeID{b, c}))
+	sol := solve(t, p, composite.BroadcastMember(pr, rat.One())).Broadcast
 	sol.Carry[core.EdgeKey{From: a, To: b}] = rat.New(1, 4)
 	if err := sol.Verify(); err == nil {
 		t.Error("Verify accepted a carry rate below the flows it must cover")

@@ -5,15 +5,16 @@
 // the (rational) number of scatter operations initiated per time unit —
 // under the one-port model.
 //
-// Solve builds the linear program SSSP(G) (equations (1)–(6)), solves it
-// exactly over the rationals, and returns the per-edge typed message rates.
-// The companion helpers expose the Section 3.4 machinery: the integer
-// period, per-node buffer requirements, and the asymptotically optimal
-// buffered protocol parameters used to prove Proposition 1.
+// A Problem's commodities (source, t), one per target, feed the linear
+// program SSSP(G) (equations (1)–(6)) through core.FlowFragment; the
+// composite package assembles and solves it exactly over the rationals,
+// and the Solution holds the per-edge typed message rates. The companion
+// helpers expose the Section 3.4 machinery: the integer period, per-node
+// buffer requirements, and the asymptotically optimal buffered protocol
+// parameters used to prove Proposition 1.
 package scatter
 
 import (
-	"context"
 	"fmt"
 	"math/big"
 	"sort"
@@ -62,24 +63,7 @@ type Solution struct {
 	Problem *Problem
 	// Flow maps every directed edge and message type m_t (identified by
 	// the commodity (source, t)) to its fractional per-time-unit rate.
-	Flow  *core.Flow[core.Commodity]
-	Stats core.FlowStats
-}
-
-// Solve builds and solves SSSP(G).
-func (pr *Problem) Solve() (*Solution, error) { return pr.SolveCtx(context.Background()) }
-
-// SolveCtx is Solve honoring context cancellation inside the simplex loop.
-func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
-	comms := make([]core.Commodity, len(pr.Targets))
-	for i, t := range pr.Targets {
-		comms[i] = core.Commodity{Src: pr.Source, Dst: t}
-	}
-	flow, stats, err := core.SolveUniformFlowCtx(ctx, pr.Platform, comms)
-	if err != nil {
-		return nil, fmt.Errorf("scatter: %w", err)
-	}
-	return &Solution{Problem: pr, Flow: flow, Stats: stats}, nil
+	Flow *core.Flow[core.Commodity]
 }
 
 // Throughput returns TP: scatters initiated per time unit.

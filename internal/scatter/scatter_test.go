@@ -1,26 +1,41 @@
-package scatter
+package scatter_test
 
 import (
+	"context"
 	"math/big"
 	"strings"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/graph"
 	"repro/internal/rat"
+	"repro/internal/scatter"
 	"repro/internal/topology"
 )
 
-func solveFig2(t *testing.T) *Solution {
+// solve solves one scatter or broadcast problem on its own: a one-member
+// composite, the single LP path.
+func solve(t *testing.T, p *graph.Platform, mem composite.Member) *composite.MemberSolution {
 	t.Helper()
-	p, src, targets := topology.PaperFig2()
-	pr, err := NewProblem(p, src, targets)
+	cp, err := composite.NewProblem(p, []composite.Member{mem})
 	if err != nil {
-		t.Fatalf("NewProblem: %v", err)
+		t.Fatalf("composite.NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
+	sol, err := cp.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
+	return sol.Members[0]
+}
+
+func solveFig2(t *testing.T) *scatter.Solution {
+	t.Helper()
+	p, src, targets := topology.PaperFig2()
+	pr, err := scatter.NewProblem(p, src, targets)
+	if err != nil {
+		t.Fatalf("NewProblem: %v", err)
+	}
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
 	return sol
 }
 
@@ -37,17 +52,17 @@ func TestPaperFig2Throughput(t *testing.T) {
 
 func TestNewProblemValidation(t *testing.T) {
 	p, src, targets := topology.PaperFig2()
-	if _, err := NewProblem(p, src, nil); err == nil {
+	if _, err := scatter.NewProblem(p, src, nil); err == nil {
 		t.Error("no targets should fail")
 	}
-	if _, err := NewProblem(p, src, []graph.NodeID{src}); err == nil {
+	if _, err := scatter.NewProblem(p, src, []graph.NodeID{src}); err == nil {
 		t.Error("source as target should fail")
 	}
-	if _, err := NewProblem(p, src, []graph.NodeID{targets[0], targets[0]}); err == nil {
+	if _, err := scatter.NewProblem(p, src, []graph.NodeID{targets[0], targets[0]}); err == nil {
 		t.Error("duplicate target should fail")
 	}
 	// P0 cannot reach P1 (edges point downward only).
-	if _, err := NewProblem(p, targets[0], []graph.NodeID{targets[1]}); err == nil {
+	if _, err := scatter.NewProblem(p, targets[0], []graph.NodeID{targets[1]}); err == nil {
 		t.Error("unreachable target should fail")
 	}
 }
@@ -62,14 +77,11 @@ func TestStarScatterThroughput(t *testing.T) {
 	for i := 0; i < n; i++ {
 		targets = append(targets, p.MustLookup("leaf"+string(rune('0'+i))))
 	}
-	pr, err := NewProblem(p, center, targets)
+	pr, err := scatter.NewProblem(p, center, targets)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
 	if !rat.Eq(sol.Throughput(), rat.New(1, n)) {
 		t.Errorf("TP = %s, want 1/%d", sol.Throughput().RatString(), n)
 	}
@@ -85,14 +97,11 @@ func TestChainScatterRelaying(t *testing.T) {
 	p := topology.Chain(4, rat.One(), rat.One())
 	n0 := p.MustLookup("n0")
 	targets := []graph.NodeID{p.MustLookup("n1"), p.MustLookup("n2"), p.MustLookup("n3")}
-	pr, err := NewProblem(p, n0, targets)
+	pr, err := scatter.NewProblem(p, n0, targets)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
 	if !rat.Eq(sol.Throughput(), rat.New(1, 3)) {
 		t.Errorf("TP = %s, want 1/3", sol.Throughput().RatString())
 	}
@@ -111,14 +120,11 @@ func TestHeterogeneousBeatsBottleneck(t *testing.T) {
 	sl := p.AddNode("slow", rat.One())
 	p.AddEdge(s, f, rat.One())
 	p.AddEdge(s, sl, rat.Int(5))
-	pr, err := NewProblem(p, s, []graph.NodeID{f, sl})
+	pr, err := scatter.NewProblem(p, s, []graph.NodeID{f, sl})
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
 	// Source out-port: TP·1 + TP·5 ≤ 1 → TP = 1/6.
 	if !rat.Eq(sol.Throughput(), rat.New(1, 6)) {
 		t.Errorf("TP = %s, want 1/6", sol.Throughput().RatString())
@@ -198,14 +204,11 @@ func TestScatterOnTiersPlatform(t *testing.T) {
 	}
 	p := topology.Tiers(topology.DefaultTiersConfig(23))
 	parts := p.Participants()
-	pr, err := NewProblem(p, parts[0], parts[1:])
+	pr, err := scatter.NewProblem(p, parts[0], parts[1:])
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
 	if sol.Throughput().Sign() <= 0 {
 		t.Error("TP should be positive")
 	}

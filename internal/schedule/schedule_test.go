@@ -1,29 +1,45 @@
-package schedule
+package schedule_test
 
 import (
+	"context"
 	"math/big"
 	"strings"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/core"
+	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/scatter"
+	"repro/internal/schedule"
 	"repro/internal/topology"
 )
 
-func fig2Schedule(t *testing.T) (*scatter.Solution, *Schedule) {
+// solve solves one scatter, gossip or reduce problem on its own: a one-member
+// composite, the single LP path.
+func solve(t *testing.T, p *graph.Platform, mem composite.Member) *composite.MemberSolution {
+	t.Helper()
+	cp, err := composite.NewProblem(p, []composite.Member{mem})
+	if err != nil {
+		t.Fatalf("composite.NewProblem: %v", err)
+	}
+	sol, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	return sol.Members[0]
+}
+
+func fig2Schedule(t *testing.T) (*scatter.Solution, *schedule.Schedule) {
 	t.Helper()
 	p, src, targets := topology.PaperFig2()
 	pr, err := scatter.NewProblem(p, src, targets)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	sched, err := FromFlow(sol.Flow, scatter.UnitSize, func(c core.Commodity) string {
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
+	sched, err := schedule.FromFlow(sol.Flow, scatter.UnitSize, func(c core.Commodity) string {
 		return "m_" + p.Node(c.Dst).Name
 	})
 	if err != nil {
@@ -73,7 +89,7 @@ func TestFromFlowDeterministic(t *testing.T) {
 		for _, label := range []string{"w", "x", "y", "z"} {
 			flow.SetSend(a, b, label, rat.New(1, 4))
 		}
-		sched, err := FromFlow(flow, func(string) rat.Rat { return rat.One() },
+		sched, err := schedule.FromFlow(flow, func(string) rat.Rat { return rat.One() },
 			func(c string) string { return c })
 		if err != nil {
 			t.Fatalf("FromFlow: %v", err)
@@ -127,7 +143,7 @@ func TestVerifyCatchesBrokenSchedules(t *testing.T) {
 		slot := broken.Slots[0]
 		dup := slot.Transfers[0]
 		slot.Transfers = append(slot.Transfers, dup)
-		broken.Slots = append([]Slot{slot}, broken.Slots[1:]...)
+		broken.Slots = append([]schedule.Slot{slot}, broken.Slots[1:]...)
 		if err := broken.Verify(); err == nil {
 			t.Error("duplicate sender in slot accepted")
 		}
@@ -153,7 +169,7 @@ func TestFromFlowRejectsOverloadedFlow(t *testing.T) {
 	f := core.NewFlow[int](p)
 	f.SetSend(a, b, 0, rat.New(3, 4))
 	f.SetSend(a, c, 1, rat.New(3, 4)) // a's out port: 3/2 > 1
-	_, err := FromFlow(f, func(int) rat.Rat { return rat.One() }, func(i int) string { return "m" })
+	_, err := schedule.FromFlow(f, func(int) rat.Rat { return rat.One() }, func(i int) string { return "m" })
 	if err == nil {
 		t.Error("overloaded flow accepted")
 	}
@@ -178,19 +194,13 @@ func TestScheduleFromGossipFlow(t *testing.T) {
 	p.AddLink(ids[0], ids[1], rat.One())
 	p.AddLink(ids[1], ids[2], rat.One())
 	p.AddLink(ids[0], ids[2], rat.One())
-	var comms []core.Commodity
-	for _, s := range ids {
-		for _, d := range ids {
-			if s != d {
-				comms = append(comms, core.Commodity{Src: s, Dst: d})
-			}
-		}
-	}
-	f, _, err := core.SolveUniformFlow(p, comms)
+	// Sources == targets: every ordered pair of distinct nodes is a stream.
+	pr, err := gossip.NewProblem(p, ids, ids)
 	if err != nil {
-		t.Fatalf("SolveUniformFlow: %v", err)
+		t.Fatalf("gossip.NewProblem: %v", err)
 	}
-	sched, err := FromFlow(f, func(core.Commodity) rat.Rat { return rat.One() },
+	f := solve(t, p, composite.GossipMember(pr, rat.One())).Gossip.Flow
+	sched, err := schedule.FromFlow(f, func(core.Commodity) rat.Rat { return rat.One() },
 		func(c core.Commodity) string {
 			return p.Node(c.Src).Name + ">" + p.Node(c.Dst).Name
 		})
@@ -219,14 +229,14 @@ func TestMergeFlows(t *testing.T) {
 
 	// Member 0 streams a→b at rate 1 (busy 1/2); member 1 streams b→c at
 	// rate 1/2 and computes at c for 1/4 per time unit.
-	members := []MemberFlow{
-		{Transfers: []FlowTransfer{{From: a, To: b, Label: "op0:x", Size: rat.One(), Rate: rat.One()}}},
+	members := []schedule.MemberFlow{
+		{Transfers: []schedule.FlowTransfer{{From: a, To: b, Label: "op0:x", Size: rat.One(), Rate: rat.One()}}},
 		{
-			Transfers:   []FlowTransfer{{From: b, To: c, Label: "op1:y", Size: rat.One(), Rate: rat.New(1, 2)}},
+			Transfers:   []schedule.FlowTransfer{{From: b, To: c, Label: "op1:y", Size: rat.One(), Rate: rat.New(1, 2)}},
 			ComputeTime: map[graph.NodeID]rat.Rat{c: rat.New(1, 4)},
 		},
 	}
-	sched, err := MergeFlows(p, big.NewInt(4), members)
+	sched, err := schedule.MergeFlows(p, big.NewInt(4), members)
 	if err != nil {
 		t.Fatalf("MergeFlows: %v", err)
 	}
@@ -253,11 +263,11 @@ func TestMergeFlowsRejectsOverload(t *testing.T) {
 	b := p.AddNode("b", rat.One())
 	p.AddLink(a, b, rat.One())
 
-	members := []MemberFlow{
-		{Transfers: []FlowTransfer{{From: a, To: b, Label: "op0:x", Size: rat.One(), Rate: rat.New(3, 4)}}},
-		{Transfers: []FlowTransfer{{From: a, To: b, Label: "op1:y", Size: rat.One(), Rate: rat.New(1, 2)}}},
+	members := []schedule.MemberFlow{
+		{Transfers: []schedule.FlowTransfer{{From: a, To: b, Label: "op0:x", Size: rat.One(), Rate: rat.New(3, 4)}}},
+		{Transfers: []schedule.FlowTransfer{{From: a, To: b, Label: "op1:y", Size: rat.One(), Rate: rat.New(1, 2)}}},
 	}
-	if _, err := MergeFlows(p, big.NewInt(4), members); err == nil {
+	if _, err := schedule.MergeFlows(p, big.NewInt(4), members); err == nil {
 		t.Fatal("oversubscribed port should fail to decompose")
 	}
 }

@@ -1,12 +1,14 @@
-package schedule
+package schedule_test
 
 import (
 	"math/big"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
+	"repro/internal/schedule"
 	"repro/internal/topology"
 )
 
@@ -17,10 +19,7 @@ func fig6Trees(t *testing.T) (*reduce.Solution, *reduce.Application, []*reduce.T
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Reduce
 	app := sol.Integerize()
 	trees, err := app.ExtractTrees()
 	if err != nil {
@@ -34,7 +33,7 @@ func fig6Trees(t *testing.T) (*reduce.Solution, *reduce.Application, []*reduce.T
 // computation overlapped, everything within the period.
 func TestPaperFig6PipelinedSchedule(t *testing.T) {
 	sol, app, trees := fig6Trees(t)
-	sched, err := FromTrees(app, trees, nil)
+	sched, err := schedule.FromTrees(app, trees, nil)
 	if err != nil {
 		t.Fatalf("FromTrees: %v", err)
 	}
@@ -59,7 +58,7 @@ func TestFromTreesFixedPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ApproximateFixedPeriod: %v", err)
 	}
-	sched, err := FromTrees(app, plan.Trees, fixed)
+	sched, err := schedule.FromTrees(app, plan.Trees, fixed)
 	if err != nil {
 		t.Fatalf("FromTrees: %v", err)
 	}
@@ -81,16 +80,13 @@ func TestFromTreesChainReduce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Reduce
 	app := sol.Integerize()
 	trees, err := app.ExtractTrees()
 	if err != nil {
 		t.Fatalf("ExtractTrees: %v", err)
 	}
-	sched, err := FromTrees(app, trees, nil)
+	sched, err := schedule.FromTrees(app, trees, nil)
 	if err != nil {
 		t.Fatalf("FromTrees: %v", err)
 	}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/composite"
+	"repro/internal/rat"
 	"repro/internal/scatter"
 	"repro/internal/topology"
 )
@@ -16,10 +19,15 @@ func ExampleRun() {
 	if err != nil {
 		panic(err)
 	}
-	sol, err := pr.Solve()
+	cp, err := composite.NewProblem(p, []composite.Member{composite.ScatterMember(pr, rat.One())})
 	if err != nil {
 		panic(err)
 	}
+	solved, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	sol := solved.Members[0].Scatter
 	res, err := Run(ScatterModel(sol), 100)
 	if err != nil {
 		panic(err)

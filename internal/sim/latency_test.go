@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
@@ -76,10 +77,7 @@ func TestRunLatencyMatchesRunThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
 	m := ScatterModel(sol)
 	plain, err := Run(m, 200)
 	if err != nil {
@@ -108,10 +106,7 @@ func TestRunLatencyReduceOldestIngredientWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Reduce
 	app := sol.Integerize()
 	res, err := RunLatency(ReduceModel(app), 100)
 	if err != nil {

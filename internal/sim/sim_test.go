@@ -1,15 +1,32 @@
 package sim
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/scatter"
 	"repro/internal/topology"
 )
+
+// solve solves one member on its own: a one-member composite, the single
+// LP path.
+func solve(t *testing.T, p *graph.Platform, mem composite.Member) *composite.MemberSolution {
+	t.Helper()
+	cp, err := composite.NewProblem(p, []composite.Member{mem})
+	if err != nil {
+		t.Fatalf("composite.NewProblem: %v", err)
+	}
+	sol, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	return sol.Members[0]
+}
 
 func TestRunValidation(t *testing.T) {
 	p := graph.New()
@@ -70,10 +87,7 @@ func TestScatterSimPaperFig2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
 	m := ScatterModel(sol)
 
 	prevRatio := rat.Zero()
@@ -110,10 +124,7 @@ func TestReduceSimPaperFig6(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Reduce
 	app := sol.Integerize()
 	m := ReduceModel(app)
 
@@ -148,10 +159,7 @@ func TestReduceSimChain(t *testing.T) {
 		order = append(order, p.MustLookup(name))
 	}
 	pr, _ := reduce.NewProblem(p, order, order[0])
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Reduce
 	app := sol.Integerize()
 	res, err := Run(ReduceModel(app), 200)
 	if err != nil {
@@ -172,10 +180,7 @@ func TestReduceSimChain(t *testing.T) {
 func TestThroughputConvergesToTP(t *testing.T) {
 	p, src, targets := topology.PaperFig2()
 	pr, _ := scatter.NewProblem(p, src, targets)
-	sol, err := pr.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
 	m := ScatterModel(sol)
 	res, err := Run(m, 2000)
 	if err != nil {

@@ -171,8 +171,10 @@ type GossipSolution = gossip.Solution
 // ---------------------------------------------------------------------------
 // Reduce (Section 4)
 
-// ReduceProblem is a Series of Reduces instance; customize SizeOf and
-// TaskTime before calling Solve for non-uniform message sizes.
+// ReduceProblem is a Series of Reduces instance — the input of the
+// fixed-tree baselines (FlatReduceTree, BinaryReduceTree). Solve a reduce
+// through Solve with ReduceSpec; WithMessageSize and WithTaskTime set its
+// size and task-time functions.
 type ReduceProblem = reduce.Problem
 
 // ReduceSolution is a solved Series of Reduces.
