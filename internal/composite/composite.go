@@ -223,14 +223,7 @@ func (ms *MemberSolution) AllRates() []rat.Rat {
 	case ms.Reduce != nil:
 		return ms.Reduce.AllRates()
 	case ms.Prefix != nil:
-		rates := []rat.Rat{rat.Copy(ms.Prefix.TP)}
-		for _, r := range ms.Prefix.Sends {
-			rates = append(rates, rat.Copy(r)) //sslint:allow order-insensitive: rates feed DenominatorLCM
-		}
-		for _, r := range ms.Prefix.Tasks {
-			rates = append(rates, rat.Copy(r)) //sslint:allow order-insensitive: rates feed DenominatorLCM
-		}
-		return rates
+		return ms.Prefix.AllRates()
 	}
 	return nil
 }

@@ -261,15 +261,6 @@ func newModel(maximize bool) *Model {
 // phases) observable without constructing pathological cycling programs.
 func (m *Model) setBlandAfter(n int) { m.blandOverride = n }
 
-// Maximizing reports whether the model's objective is maximized.
-func (m *Model) Maximizing() bool { return m.maximize }
-
-// NumVars returns the number of variables declared so far.
-func (m *Model) NumVars() int { return len(m.names) }
-
-// NumConstraints returns the number of constraints added so far.
-func (m *Model) NumConstraints() int { return len(m.cons) }
-
 // Var declares a new nonnegative variable with the given name and returns
 // its handle. Names must be unique; Var panics on a duplicate because a
 // duplicate always indicates a bug in the model builder.
@@ -283,15 +274,6 @@ func (m *Model) Var(name string) Var {
 	m.index[name] = v
 	return v
 }
-
-// LookupVar returns the variable with the given name, if any.
-func (m *Model) LookupVar(name string) (Var, bool) {
-	v, ok := m.index[name]
-	return v, ok
-}
-
-// VarName returns the name of v.
-func (m *Model) VarName(v Var) string { return m.names[v] }
 
 // SetUpper bounds v ≤ u (in addition to the implicit v ≥ 0). A nil u
 // removes the bound.

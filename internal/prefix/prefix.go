@@ -75,39 +75,6 @@ func NewProblem(p *graph.Platform, order []graph.NodeID) (*Problem, error) {
 // N returns the largest participant index.
 func (pr *Problem) N() int { return len(pr.Order) - 1 }
 
-// ranges and tasks enumerate the variable space (same shapes as reduce).
-func (pr *Problem) ranges() []reduce.Range {
-	var out []reduce.Range
-	for k := 0; k <= pr.N(); k++ {
-		for m := k; m <= pr.N(); m++ {
-			out = append(out, reduce.Range{K: k, M: m})
-		}
-	}
-	return out
-}
-
-func (pr *Problem) tasks() []reduce.Task {
-	var out []reduce.Task
-	for k := 0; k <= pr.N(); k++ {
-		for l := k; l < pr.N(); l++ {
-			for m := l + 1; m <= pr.N(); m++ {
-				out = append(out, reduce.Task{K: k, L: l, M: m})
-			}
-		}
-	}
-	return out
-}
-
-func (pr *Problem) computeNodes() []graph.NodeID {
-	var out []graph.NodeID
-	for _, n := range pr.Platform.Nodes() {
-		if !n.Router && n.Speed.Sign() > 0 {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // Solution is a solved prefix series.
 type Solution struct {
 	Problem *Problem
@@ -141,7 +108,7 @@ func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, o
 		Tasks:   make(map[reduce.TaskKey]lp.Var),
 	}
 	for _, e := range pr.Platform.Edges() {
-		for _, r := range pr.ranges() {
+		for _, r := range reduce.Ranges(pr.N()) {
 			if r.IsLeaf() && e.To == pr.Order[r.K] {
 				continue // a leaf never flows into its owner
 			}
@@ -161,8 +128,8 @@ func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, o
 // task's time with comp.
 func (f *Fragment) AddComputeVars(m *lp.Model, label string, comp *core.ComputeBuilder) {
 	pr := f.Problem
-	for _, node := range pr.computeNodes() {
-		for _, t := range pr.tasks() {
+	for _, node := range reduce.ComputeNodes(pr.Platform, nil) {
+		for _, t := range reduce.Tasks(pr.N()) {
 			k := reduce.TaskKey{Node: node, T: t}
 			v := m.Var(fmt.Sprintf("%scons(%s,%s)", label, pr.Platform.Node(node).Name, t))
 			f.Tasks[k] = v
@@ -178,7 +145,7 @@ func (f *Fragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weig
 	pr := f.Problem
 	n := pr.N()
 	for _, node := range pr.Platform.Nodes() {
-		for _, r := range pr.ranges() {
+		for _, r := range reduce.Ranges(pr.N()) {
 			if r.IsLeaf() && pr.Order[r.K] == node.ID {
 				continue // unlimited local supply of v[i,i]
 			}
@@ -252,17 +219,21 @@ func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat) *Solution {
 // Throughput returns TP: prefix operations per time unit.
 func (s *Solution) Throughput() rat.Rat { return rat.Copy(s.TP) }
 
-// Period returns the integer schedule period.
-func (s *Solution) Period() *big.Int {
-	rates := []rat.Rat{rat.Copy(s.TP)}
+// AllRates returns every rate in the solution plus TP (for the period
+// computation).
+func (s *Solution) AllRates() []rat.Rat {
+	out := []rat.Rat{rat.Copy(s.TP)}
 	for _, r := range s.Sends {
-		rates = append(rates, rat.Copy(r)) //sslint:allow order-insensitive: rates feed DenominatorLCM
+		out = append(out, rat.Copy(r)) //sslint:allow order-insensitive: rates feed DenominatorLCM
 	}
 	for _, r := range s.Tasks {
-		rates = append(rates, rat.Copy(r)) //sslint:allow order-insensitive: rates feed DenominatorLCM
+		out = append(out, rat.Copy(r)) //sslint:allow order-insensitive: rates feed DenominatorLCM
 	}
-	return rat.DenominatorLCM(rates...)
+	return out
 }
+
+// Period returns the integer schedule period (LCM of all denominators).
+func (s *Solution) Period() *big.Int { return rat.DenominatorLCM(s.AllRates()...) }
 
 // Verify re-checks one-port, compute occupation and the per-rank
 // conservation/delivery balance, independent of the LP solver.
@@ -292,7 +263,7 @@ func (s *Solution) Verify() error {
 	}
 
 	for _, node := range pr.Platform.Nodes() {
-		for _, r := range pr.ranges() {
+		for _, r := range reduce.Ranges(pr.N()) {
 			if r.IsLeaf() && pr.Order[r.K] == node.ID {
 				continue
 			}

@@ -128,23 +128,26 @@ func NewProblem(p *graph.Platform, order []graph.NodeID, target graph.NodeID) (*
 // N returns the largest participant index (participants are P_0 … P_N).
 func (pr *Problem) N() int { return len(pr.Order) - 1 }
 
-// Ranges enumerates all partial-result types v[k,m], k ≤ m.
-func (pr *Problem) Ranges() []Range {
+// Ranges enumerates all partial-result types v[k,m] over participants
+// P_0 … P_n, 0 ≤ k ≤ m ≤ n, in (k, m) order. Reduce and prefix share the
+// enumeration, so their variables come out in the same order.
+func Ranges(n int) []Range {
 	var out []Range
-	for k := 0; k <= pr.N(); k++ {
-		for m := k; m <= pr.N(); m++ {
+	for k := 0; k <= n; k++ {
+		for m := k; m <= n; m++ {
 			out = append(out, Range{k, m})
 		}
 	}
 	return out
 }
 
-// Tasks enumerates all task types T_{k,l,m}, k ≤ l < m.
-func (pr *Problem) Tasks() []Task {
+// Tasks enumerates all task types T_{k,l,m} over participants P_0 … P_n,
+// 0 ≤ k ≤ l < m ≤ n, in (k, l, m) order.
+func Tasks(n int) []Task {
 	var out []Task
-	for k := 0; k <= pr.N(); k++ {
-		for l := k; l < pr.N(); l++ {
-			for m := l + 1; m <= pr.N(); m++ {
+	for k := 0; k <= n; k++ {
+		for l := k; l < n; l++ {
+			for m := l + 1; m <= n; m++ {
 				out = append(out, Task{k, l, m})
 			}
 		}
@@ -162,20 +165,20 @@ func (pr *Problem) owner(id graph.NodeID) int {
 	return -1
 }
 
-// computeNodes returns the nodes allowed to run reduction tasks: every
-// non-router node with positive speed, intersected with ComputeAt when the
-// restriction is set.
-func (pr *Problem) computeNodes() []graph.NodeID {
+// ComputeNodes returns the nodes of p allowed to run reduction tasks, in
+// node order: every non-router node with positive speed, intersected with
+// only when it is non-nil (a nil restriction allows every capable node).
+func ComputeNodes(p *graph.Platform, only []graph.NodeID) []graph.NodeID {
 	allowed := func(graph.NodeID) bool { return true }
-	if pr.ComputeAt != nil {
-		set := make(map[graph.NodeID]bool, len(pr.ComputeAt))
-		for _, id := range pr.ComputeAt {
+	if only != nil {
+		set := make(map[graph.NodeID]bool, len(only))
+		for _, id := range only {
 			set[id] = true
 		}
 		allowed = func(id graph.NodeID) bool { return set[id] }
 	}
 	var out []graph.NodeID
-	for _, n := range pr.Platform.Nodes() {
+	for _, n := range p.Nodes() {
 		if !n.Router && n.Speed.Sign() > 0 && allowed(n.ID) {
 			out = append(out, n.ID)
 		}
@@ -240,7 +243,7 @@ func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, o
 		Tasks:   make(map[TaskKey]lp.Var),
 	}
 	for _, e := range pr.Platform.Edges() {
-		for _, r := range pr.Ranges() {
+		for _, r := range Ranges(pr.N()) {
 			if r == final && e.From == pr.Target {
 				continue
 			}
@@ -263,8 +266,8 @@ func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, o
 // (9), with α substituted out), registering each task's time with comp.
 func (f *Fragment) AddComputeVars(m *lp.Model, label string, comp *core.ComputeBuilder) {
 	pr := f.Problem
-	for _, node := range pr.computeNodes() {
-		for _, t := range pr.Tasks() {
+	for _, node := range ComputeNodes(pr.Platform, pr.ComputeAt) {
+		for _, t := range Tasks(pr.N()) {
 			k := TaskKey{node, t}
 			v := m.Var(fmt.Sprintf("%scons(%s,%s)", label, pr.Platform.Node(node).Name, t))
 			f.Tasks[k] = v
@@ -286,7 +289,7 @@ func (f *Fragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weig
 	// Conservation law (10) at every node for every range, except the
 	// unlimited leaf at its owner and the final result at the target.
 	for _, node := range pr.Platform.Nodes() {
-		for _, r := range pr.Ranges() {
+		for _, r := range Ranges(pr.N()) {
 			if r.IsLeaf() && pr.Order[r.K] == node.ID {
 				continue
 			}
@@ -431,7 +434,7 @@ func (s *Solution) Verify() error {
 
 	// Compute occupation.
 	allowedCompute := make(map[graph.NodeID]bool)
-	for _, id := range pr.computeNodes() {
+	for _, id := range ComputeNodes(pr.Platform, pr.ComputeAt) {
 		allowedCompute[id] = true
 	}
 	alpha := make(map[graph.NodeID]rat.Rat)
@@ -454,7 +457,7 @@ func (s *Solution) Verify() error {
 
 	// Conservation.
 	for _, node := range pr.Platform.Nodes() {
-		for _, r := range pr.Ranges() {
+		for _, r := range Ranges(pr.N()) {
 			if r.IsLeaf() && pr.Order[r.K] == node.ID {
 				continue
 			}

@@ -68,10 +68,10 @@ func TestProblemEnumeration(t *testing.T) {
 		t.Errorf("N = %d, want 2", pr.N())
 	}
 	// Ranges: (N+1)(N+2)/2 = 6; tasks: C(N+2,3) = 4.
-	if got := len(pr.Ranges()); got != 6 {
+	if got := len(reduce.Ranges(pr.N())); got != 6 {
 		t.Errorf("ranges = %d, want 6", got)
 	}
-	if got := len(pr.Tasks()); got != 4 {
+	if got := len(reduce.Tasks(pr.N())); got != 4 {
 		t.Errorf("tasks = %d, want 4", got)
 	}
 }
