@@ -20,9 +20,6 @@
 //   - context.Context parameters that the function body never uses — an
 //     accepted-but-dropped context is how a new solver loop silently
 //     becomes uncancellable.
-//
-// Functions whose doc comment carries a "Deprecated:" notice are exempt
-// (frozen compatibility surface).
 package ctxflow
 
 import (
@@ -49,7 +46,7 @@ func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || isDeprecated(fd) {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			checkSolveEntry(pass, fd)
@@ -58,12 +55,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// isDeprecated reports whether the declaration's doc comment contains a
-// Deprecated: notice.
-func isDeprecated(fd *ast.FuncDecl) bool {
-	return fd.Doc != nil && strings.Contains(fd.Doc.Text(), "Deprecated:")
 }
 
 // checkSolveEntry flags exported Solve* functions that neither accept a
@@ -117,7 +108,7 @@ func checkRootContexts(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if name == "Background" && inNilGuard(pass, fd, call) {
 			return true
 		}
-		pass.Reportf(call.Pos(), "context.%s() severs the cancellation chain: propagate the caller's ctx (nil-guard normalization and Deprecated wrappers are exempt)", name)
+		pass.Reportf(call.Pos(), "context.%s() severs the cancellation chain: propagate the caller's ctx (nil-guard normalization and Ctx-delegating wrappers are exempt)", name)
 		return true
 	})
 }

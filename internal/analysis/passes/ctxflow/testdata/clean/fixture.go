@@ -20,10 +20,3 @@ func (p *Problem) SolveCtx(ctx context.Context) error {
 func (p *Problem) Solve() error {
 	return p.SolveCtx(context.Background())
 }
-
-// SolveOld is frozen compatibility surface.
-//
-// Deprecated: use SolveCtx.
-func (p *Problem) SolveOld() error {
-	return context.Background().Err()
-}

@@ -28,3 +28,11 @@ func Detach(ctx context.Context) context.Context {
 	_ = ctx
 	return context.Background() // want "context.Background\\(\\) severs the cancellation chain"
 }
+
+// SolveOld carries a Deprecated: notice, which exempts it from nothing:
+// it neither accepts a context nor delegates, and it mints a root one.
+//
+// Deprecated: use SolvePlain.
+func (p *Problem) SolveOld() error { // want "SolveOld does not accept a context.Context"
+	return context.Background().Err() // want "context.Background\\(\\) severs the cancellation chain"
+}
