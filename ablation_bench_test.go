@@ -8,11 +8,9 @@ import (
 	"context"
 	"math/big"
 	"testing"
-	"time"
 
 	steadystate "repro"
 	"repro/internal/baseline"
-	"repro/internal/lp"
 )
 
 // BenchmarkAblationSingleTree measures what the best single extracted
@@ -123,59 +121,15 @@ func tiers42CompositeSpec(tb testing.TB) (*steadystate.Platform, steadystate.Spe
 	return p, steadystate.ReduceScatterSpec(parts[0], parts[1], parts[2])
 }
 
-// BenchmarkAblationDenseLP knocks out the sparse tableau: it solves the
-// Tiers-42 composite scenario on the sparse default and on the dense
-// reference (lp.WithTableau with lp.TableauDense) each iteration and
-// reports the wall-clock ratio. Both solves run the identical pivot sequence — the benchmark
-// fails if the exact throughputs diverge — so the ratio isolates the
-// per-pivot cost of multiplying zeros. Expected ≥ 1.5× (≈ 2.4× measured
-// on the reference container).
-func BenchmarkAblationDenseLP(b *testing.B) {
-	p, spec := tiers42CompositeSpec(b)
-	ctx := context.Background()
-	denseCtx := lp.WithTableau(ctx, lp.TableauDense)
-	var sparseTot, denseTot time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		sparse, err := steadystate.Solve(ctx, p, spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sparseTot += time.Since(start)
-		start = time.Now()
-		dense, err := steadystate.Solve(denseCtx, p, spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		denseTot += time.Since(start)
-		if sparse.Throughput().Cmp(dense.Throughput()) != 0 {
-			b.Fatalf("tableaus disagree: sparse %s, dense %s",
-				sparse.Throughput().RatString(), dense.Throughput().RatString())
-		}
-	}
-	// One aggregate ratio over all iterations (ReportMetric overwrites per
-	// call, so reporting inside the loop would keep only the last sample).
-	b.ReportMetric(float64(denseTot)/float64(sparseTot), "dense/sparse")
-}
-
-// BenchmarkAblationSparseLPSolve and BenchmarkAblationDenseLPSolve time
-// the two tableaus separately on the same scenario, so the CI artifact
-// trend carries absolute solve times per representation.
+// BenchmarkAblationSparseLPSolve times the sparse tableau alone on the
+// scenario, so the CI artifact trend carries absolute solve times. Its
+// dense counterpart, BenchmarkAblationDenseLPSolve, and the dense/sparse
+// ratio, BenchmarkAblationDenseLP, live in internal/lp: only that
+// package's test binary can select the dense reference tableau.
 func BenchmarkAblationSparseLPSolve(b *testing.B) {
 	p, spec := tiers42CompositeSpec(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := steadystate.Solve(context.Background(), p, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationDenseLPSolve(b *testing.B) {
-	p, spec := tiers42CompositeSpec(b)
-	ctx := lp.WithTableau(context.Background(), lp.TableauDense)
-	for i := 0; i < b.N; i++ {
-		if _, err := steadystate.Solve(ctx, p, spec); err != nil {
 			b.Fatal(err)
 		}
 	}

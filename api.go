@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/lp"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/prefix"
 	"repro/internal/rat"
@@ -541,7 +542,7 @@ type BasisCache = lp.BasisCache
 // NewBasisCache returns a basis cache retaining up to capacity entries
 // with least-recently-used eviction. A capacity <= 0 yields a cache
 // that stores nothing (useful for disabling warm starts via config).
-func NewBasisCache(capacity int) *BasisCache { return lp.NewBasisCache(capacity) }
+func NewBasisCache(capacity int) *BasisCache { return lru.New[*lp.Basis](capacity) }
 
 // NewSolver returns a solving session for the platform.
 func NewSolver(p *Platform) *Solver {
@@ -602,7 +603,8 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 	if s.bases != nil {
 		if specKey, err := spec.CanonicalKey(); err == nil {
 			basisKey = fmt.Sprintf("%d|%s", s.p.NumNodes(), specKey)
-			ws = &lp.WarmStart{Basis: s.bases.Get(basisKey)}
+			cached, _ := s.bases.Get(basisKey)
+			ws = &lp.WarmStart{Basis: cached}
 			ctx = lp.WithWarmBasis(ctx, ws)
 		}
 	}

@@ -10,13 +10,12 @@
 // does not take one. The analyzer flags, outside package main and
 // tests:
 //
-//   - calls to context.Background or context.TODO, except in the two
-//     sanctioned idioms: the nil-context normalization guard
-//     (`if ctx == nil { ctx = context.Background() }`) and a
-//     single-return convenience wrapper delegating to its own *Ctx
-//     variant (`func (p *P) Solve() { return p.SolveCtx(context.Background()) }`);
-//   - exported functions or methods named Solve* that neither take a
-//     context.Context parameter nor are such a delegating wrapper;
+//   - calls to context.Background or context.TODO, except in the one
+//     sanctioned idiom, the nil-context normalization guard
+//     (`if ctx == nil { ctx = context.Background() }`);
+//   - exported functions or methods named Solve* that do not take a
+//     context.Context parameter — a context-free convenience wrapper
+//     around a *Ctx variant included;
 //   - context.Context parameters that the function body never uses — an
 //     accepted-but-dropped context is how a new solver loop silently
 //     becomes uncancellable.
@@ -57,17 +56,17 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkSolveEntry flags exported Solve* functions that neither accept a
-// context nor delegate to their own *Ctx variant.
+// checkSolveEntry flags exported Solve* functions that do not accept a
+// context.
 func checkSolveEntry(pass *analysis.Pass, fd *ast.FuncDecl) {
 	name := fd.Name.Name
 	if !fd.Name.IsExported() || !strings.HasPrefix(name, "Solve") {
 		return
 	}
-	if ctxParam(pass, fd) != nil || isCtxDelegation(fd) {
+	if ctxParam(pass, fd) != nil {
 		return
 	}
-	pass.Reportf(fd.Name.Pos(), "exported %s does not accept a context.Context: cancellation cannot reach the simplex (add a ctx parameter or delegate to %sCtx)", name, name)
+	pass.Reportf(fd.Name.Pos(), "exported %s does not accept a context.Context: cancellation cannot reach the simplex (add a ctx parameter)", name)
 }
 
 // checkCtxParamUsed flags a context parameter the body never reads —
@@ -91,11 +90,8 @@ func checkCtxParamUsed(pass *analysis.Pass, fd *ast.FuncDecl) {
 }
 
 // checkRootContexts flags context.Background()/TODO() calls outside the
-// sanctioned idioms.
+// nil-guard idiom.
 func checkRootContexts(pass *analysis.Pass, fd *ast.FuncDecl) {
-	if isCtxDelegation(fd) {
-		return
-	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -108,7 +104,7 @@ func checkRootContexts(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if name == "Background" && inNilGuard(pass, fd, call) {
 			return true
 		}
-		pass.Reportf(call.Pos(), "context.%s() severs the cancellation chain: propagate the caller's ctx (nil-guard normalization and Ctx-delegating wrappers are exempt)", name)
+		pass.Reportf(call.Pos(), "context.%s() severs the cancellation chain: propagate the caller's ctx (only nil-guard normalization is exempt)", name)
 		return true
 	})
 }
@@ -163,41 +159,6 @@ func rootContextCall(pass *analysis.Pass, call *ast.CallExpr) string {
 		return sel.Sel.Name
 	}
 	return ""
-}
-
-// isCtxDelegation reports whether the function body is a single return
-// statement calling <name>Ctx — the sanctioned context-free convenience
-// wrapper around a context-aware variant.
-func isCtxDelegation(fd *ast.FuncDecl) bool {
-	if len(fd.Body.List) != 1 {
-		return false
-	}
-	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
-	if !ok {
-		return false
-	}
-	want := fd.Name.Name + "Ctx"
-	found := false
-	for _, res := range ret.Results {
-		ast.Inspect(res, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				if fun.Name == want {
-					found = true
-				}
-			case *ast.SelectorExpr:
-				if fun.Sel.Name == want {
-					found = true
-				}
-			}
-			return !found
-		})
-	}
-	return found
 }
 
 // inNilGuard reports whether the call appears as the right-hand side of

@@ -13,8 +13,8 @@ func TestFlagged(t *testing.T) {
 	analysistest.Run(t, ctxflow.Analyzer, "testdata/flagged", "repro/internal/fixture")
 }
 
-// TestClean checks the sanctioned idioms — nil-guard normalization and
-// single-return Ctx delegation — stay quiet.
+// TestClean checks the sanctioned idiom — nil-guard normalization —
+// stays quiet.
 func TestClean(t *testing.T) {
 	if diags := analysistest.Diagnostics(t, ctxflow.Analyzer, "testdata/clean", "repro/internal/fixture"); len(diags) != 0 {
 		t.Fatalf("clean fixture flagged: %v", diags)

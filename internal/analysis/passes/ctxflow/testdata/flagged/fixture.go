@@ -7,7 +7,7 @@ import "context"
 // Problem hosts the solver entry points.
 type Problem struct{}
 
-// SolvePlain neither accepts a context nor delegates to a Ctx variant.
+// SolvePlain does not accept a context.
 func (p *Problem) SolvePlain() error { // want "SolvePlain does not accept a context.Context"
 	return nil
 }
@@ -30,9 +30,21 @@ func Detach(ctx context.Context) context.Context {
 }
 
 // SolveOld carries a Deprecated: notice, which exempts it from nothing:
-// it neither accepts a context nor delegates, and it mints a root one.
+// it does not accept a context, and it mints a root one.
 //
 // Deprecated: use SolvePlain.
 func (p *Problem) SolveOld() error { // want "SolveOld does not accept a context.Context"
 	return context.Background().Err() // want "context.Background\\(\\) severs the cancellation chain"
+}
+
+// SolveCtx honors its caller's context.
+func (p *Problem) SolveCtx(ctx context.Context) error {
+	return ctx.Err()
+}
+
+// Solve is a context-free convenience wrapper delegating to SolveCtx.
+// Delegation exempts it from nothing: it does not accept a context, and
+// it mints a root one.
+func (p *Problem) Solve() error { // want "Solve does not accept a context.Context"
+	return p.SolveCtx(context.Background()) // want "context.Background\\(\\) severs the cancellation chain"
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestOccupancyBuilderConstraints(t *testing.T) {
 	occ.Add(b, a, y, rat.New(1, 2))
 	occ.AddConstraints(m)
 
-	sol, err := m.Solve()
+	sol, err := m.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestOccupancyBuilderOnePortCouplesEdges(t *testing.T) {
 	occ.Add(s, v, y, rat.One())
 	occ.AddConstraints(m)
 
-	sol, err := m.Solve()
+	sol, err := m.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

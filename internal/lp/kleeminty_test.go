@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"testing"
@@ -43,7 +44,7 @@ func kleeMinty(n int) (*Model, *big.Int) {
 func TestKleeMintyCubes(t *testing.T) {
 	for _, n := range []int{3, 5, 8, 10} {
 		m, want := kleeMinty(n)
-		sol, err := m.Solve()
+		sol, err := m.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -63,7 +64,7 @@ func TestKleeMintyPivotGrowth(t *testing.T) {
 	// count: the fallback threshold plus the post-switch Bland walk keeps
 	// it finite and small for n=12.
 	m, want := kleeMinty(12)
-	sol, err := m.Solve()
+	sol, err := m.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestLargeDiagonalLP(t *testing.T) {
 			NewExpr().Plus(new(big.Rat).SetInt(scale), v), Leq, new(big.Rat).SetInt(rhs))
 		total.Add(total, new(big.Rat).SetFrac(rhs, scale))
 	}
-	sol, err := m.Solve()
+	sol, err := m.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

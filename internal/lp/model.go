@@ -15,33 +15,32 @@
 //     are stored as sorted sparse (Var, coeff) vectors — Expr merges
 //     duplicate variables as it is built — and Stats reports the model's
 //     nonzero count and density.
-//   - Solve: two-phase primal simplex. Pivoting uses Dantzig's rule and
+//   - SolveCtx: two-phase primal simplex. Pivoting uses Dantzig's rule and
 //     falls back to Bland's rule (which provably terminates) when the
-//     iteration count suggests cycling.
+//     iteration count suggests cycling. The context cancels the solve
+//     between pivots and may offer a warm-start basis (WithWarmBasis).
 //   - Verify: independent feasibility check of a solution against the model,
 //     used by tests and callers to guard against solver defects.
 //
-// # Tableau representations
+// # Tableau representation
 //
-// The simplex tableau is pluggable (see the tableau interface in
-// simplex.go); both implementations store rows fraction-free as integer
-// numerators over one positive per-row denominator, re-normalized by their
-// content gcd after every pivot, and both produce the exact same pivot
-// sequence — solutions, pivot counts and objective values are bit-identical:
+// The simplex tableau stores rows fraction-free as integer numerators over
+// one positive per-row denominator, re-normalized by their content gcd
+// after every pivot. Production solves run on one representation, the
+// sparse tableau (sparse.go): each row keeps only its nonzero entries as
+// parallel (column, numerator) slices sorted by column. The steady-state
+// LPs are extremely sparse — a one-port or compute row touches only a
+// node's incident edges, a conservation row only one commodity's
+// variables around one node — so pivots cost O(nnz) big.Int
+// multiplications instead of O(columns). Composite solves, whose variable
+// counts multiply by the member count, win the most.
 //
-//   - sparse (sparse.go, the default): each row keeps only its nonzero
-//     entries as parallel (column, numerator) slices sorted by column. The
-//     steady-state LPs are extremely sparse — a one-port or compute row
-//     touches only a node's incident edges, a conservation row only one
-//     commodity's variables around one node — so pivots cost O(nnz) big.Int
-//     multiplications instead of O(columns). Composite solves, whose
-//     variable counts multiply by the member count, win the most.
-//   - dense (simplex.go): each row is a full integer vector. It wins only
-//     when rows are mostly full (density near 1, e.g. tiny textbook
-//     programs), where the sparse index bookkeeping buys nothing. It is
-//     kept selectable — WithTableau(ctx, TableauDense) — as the
-//     reference the equivalence tests compare against and as the
-//     baseline for ablation benchmarks.
+// A dense reference tableau, each row a full integer vector, lives in the
+// package's tests (dense_test.go) behind the same tableau interface. Tests
+// select it with WithDenseTableau, which only the package's test binary
+// can see, and require the exact same pivot sequence from both: solutions,
+// pivot counts and objective values are bit-identical. The dense/sparse
+// ablation benchmarks live there too.
 package lp
 
 import (
@@ -313,7 +312,7 @@ func (m *Model) AddConstraint(name string, expr Expr, sense Sense, rhs rat.Rat) 
 // constraints; Density is NonZeros over the Vars×Constraints matrix area
 // (0 for an empty model). The steady-state LPs sit well under 10% — each
 // one-port, compute or conservation row touches only one node's incident
-// variables — which is why the sparse tableau is the default.
+// variables — which is why the simplex tableau stores rows sparsely.
 type Stats struct {
 	Vars        int
 	Constraints int
@@ -352,16 +351,6 @@ type Solution struct {
 	// factorization rather than search — they appear as rebuild_pivots on
 	// the lp.warmstart trace span, not in Iterations or here.
 	Phase1Iterations int
-
-	// WarmUsed reports whether this solve started from a warm basis
-	// offered via WithWarmBasis.
-	WarmUsed bool
-	// WarmRejectReason is the WarmReject* constant explaining a declined
-	// warm basis; empty when none was offered or the offer was used.
-	WarmRejectReason string
-	// WarmPivotsSaved estimates the phase-1 pivots avoided relative to
-	// the solve that minted the warm basis; zero unless WarmUsed.
-	WarmPivotsSaved int
 
 	// basisCols / fingerprint / nCols snapshot the certified basis and the
 	// model structure it belongs to, for Solution.Basis.
@@ -419,7 +408,7 @@ func (s *Solution) String() string {
 	return b.String()
 }
 
-// Infeasible and Unbounded are the two failure modes of Solve.
+// Infeasible and Unbounded are the two failure modes of SolveCtx.
 var (
 	// ErrInfeasible is returned when no assignment satisfies the
 	// constraints.

@@ -10,50 +10,6 @@ import (
 	"repro/internal/rat"
 )
 
-// TableauImpl selects the storage representation of the simplex tableau.
-// Both implementations execute the exact same pivot sequence and return
-// bit-identical solutions; they differ only in per-pivot cost (see the
-// package documentation).
-type TableauImpl int
-
-const (
-	// TableauSparse stores rows as sorted (column, numerator) pairs over a
-	// shared denominator — the default, and the faster choice for the
-	// steady-state LPs, whose rows touch only a node's incident variables.
-	TableauSparse TableauImpl = iota
-	// TableauDense stores rows as full integer vectors — the escape hatch
-	// and the ablation baseline; faster only for near-full matrices.
-	TableauDense
-)
-
-// String names the implementation for reports and benchmarks.
-func (t TableauImpl) String() string {
-	if t == TableauDense {
-		return "dense"
-	}
-	return "sparse"
-}
-
-// tableauCtxKey carries the tableau selection through a context.
-type tableauCtxKey struct{}
-
-// WithTableau returns a context that selects the tableau implementation
-// for every Model.SolveCtx beneath it. Solvers thread one context from the
-// public API down to the simplex, so decorating the context passed to
-// steadystate.Solve switches an entire composite solve.
-func WithTableau(ctx context.Context, impl TableauImpl) context.Context {
-	return context.WithValue(ctx, tableauCtxKey{}, impl)
-}
-
-// TableauFrom reports the tableau implementation the context selects
-// (TableauSparse when undecorated).
-func TableauFrom(ctx context.Context) TableauImpl {
-	if v, ok := ctx.Value(tableauCtxKey{}).(TableauImpl); ok {
-		return v
-	}
-	return TableauSparse
-}
-
 // colVal is one nonzero tableau entry under construction: the column index
 // and the integer numerator (the row's shared denominator travels
 // alongside). Rows are assembled with strictly increasing columns.
@@ -62,13 +18,15 @@ type colVal struct {
 	num *big.Int
 }
 
-// tableau is the pluggable pivoting storage of the two-phase simplex. The
-// driver in SolveCtx owns the phase logic (row assembly, phase-1
-// artificials, the drive-out loop, phase-2 objective installation,
-// extraction); the implementations own entry storage and the pivot
-// arithmetic. Both implementations must pick identical entering/leaving
-// columns on identical states so that dense and sparse solves are
-// bit-equivalent — the equivalence tests pin this.
+// tableau is the pivoting storage of the two-phase simplex. The driver in
+// SolveCtx owns the phase logic (row assembly, phase-1 artificials, the
+// drive-out loop, phase-2 objective installation, extraction); the
+// implementation owns entry storage and the pivot arithmetic. The sparse
+// tableau (sparse.go) is the only production implementation. The
+// interface is the seam through which this package's tests substitute
+// the dense reference tableau (dense_test.go), which must pick identical
+// entering/leaving columns on identical states so that dense and sparse
+// solves are bit-equivalent — the equivalence tests pin this.
 type tableau interface {
 	// addRow appends a constraint row with the given sorted nonzero
 	// entries (including the rhs column) over denominator den, with the
@@ -129,10 +87,15 @@ type tableau interface {
 	nonzeros() int
 }
 
-// newTableau constructs the selected implementation.
-func newTableau(impl TableauImpl, nCols, blandAfter int) tableau {
-	if impl == TableauDense {
-		return newDenseTableau(nCols, blandAfter)
+// tableauCtxKey carries a substitute tableau constructor through a
+// context. Only this package's tests set it (export_test.go).
+type tableauCtxKey struct{}
+
+// newTableau builds the sparse tableau, or the substitute the context
+// carries.
+func newTableau(ctx context.Context, nCols, blandAfter int) tableau {
+	if mk, ok := ctx.Value(tableauCtxKey{}).(func(nCols, blandAfter int) tableau); ok {
+		return mk(nCols, blandAfter)
 	}
 	return newSparseTableau(nCols, blandAfter)
 }
@@ -174,317 +137,7 @@ func iterate(ctx context.Context, t tableau, rec *pivotRecorder) error {
 }
 
 // ---------------------------------------------------------------------------
-// Dense implementation
-
-// row is one dense tableau row: rational entries n[j]/d with a shared
-// positive denominator d. Keeping rows as integer vectors makes pivots
-// pure big.Int arithmetic (no per-operation gcd as big.Rat would do) and
-// lets a pivot skip every row whose pivot-column entry is zero.
-type row struct {
-	n []*big.Int
-	d *big.Int
-}
-
-func newRow(cols int) *row {
-	r := &row{n: make([]*big.Int, cols), d: big.NewInt(1)}
-	for j := range r.n {
-		r.n[j] = new(big.Int)
-	}
-	return r
-}
-
-// normalize divides the row through by the gcd of its denominator and all
-// entries, keeping numbers small across pivots.
-func (r *row) normalize() {
-	g := new(big.Int).Set(r.d)
-	for _, v := range r.n {
-		if v.Sign() == 0 {
-			continue
-		}
-		g.GCD(nil, nil, g, new(big.Int).Abs(v))
-		if g.Cmp(bigOne) == 0 {
-			return
-		}
-	}
-	r.d.Quo(r.d, g)
-	for _, v := range r.n {
-		if v.Sign() != 0 {
-			v.Quo(v, g)
-		}
-	}
-}
-
-var bigOne = big.NewInt(1)
-
-// rational returns entry j as an exact rational.
-func (r *row) rational(j int) rat.Rat { return ratFromBigInts(r.n[j], r.d) }
-
-// denseTableau is the dense simplex tableau in solved (basic) form.
-// Column layout: structural variables, then slacks, then artificials, then
-// the right-hand side as the final column.
-type denseTableau struct {
-	rows  []*row
-	obj   *row  // reduced-cost row: obj.n[j]/obj.d = cB·B⁻¹Aj − cj; rhs = objective value
-	basis []int // basis[i] = column basic in row i
-	dead  []bool
-	rhs   int // index of the rhs column
-	// iteration bookkeeping
-	pivots     int
-	blandAfter int
-	bland      bool
-}
-
-func newDenseTableau(nCols, blandAfter int) *denseTableau {
-	return &denseTableau{
-		rhs:        nCols,
-		dead:       make([]bool, nCols),
-		blandAfter: blandAfter,
-	}
-}
-
-func (t *denseTableau) addRow(entries []colVal, den *big.Int, basic int) {
-	r := newRow(t.rhs + 1)
-	for _, e := range entries {
-		r.n[e.col].Set(e.num)
-	}
-	r.d = new(big.Int).Set(den)
-	r.normalize()
-	t.rows = append(t.rows, r)
-	t.basis = append(t.basis, basic)
-}
-
-func (t *denseTableau) nRows() int           { return len(t.rows) }
-func (t *denseTableau) basic(i int) int      { return t.basis[i] }
-func (t *denseTableau) pivotCount() int      { return t.pivots }
-func (t *denseTableau) objRHSSign() int      { return t.obj.n[t.rhs].Sign() }
-func (t *denseTableau) value(i int) rat.Rat  { return t.rows[i].rational(t.rhs) }
-func (t *denseTableau) objValue() rat.Rat    { return t.obj.rational(t.rhs) }
-func (t *denseTableau) blandActive() bool    { return t.bland }
-func (t *denseTableau) rowRHSSign(i int) int { return t.rows[i].n[t.rhs].Sign() }
-
-func (t *denseTableau) nonzeros() int {
-	nnz := 0
-	for _, r := range t.rows {
-		for _, v := range r.n {
-			if v.Sign() != 0 {
-				nnz++
-			}
-		}
-	}
-	return nnz
-}
-
-func (t *denseTableau) resetRule(budget int) {
-	t.bland = false
-	t.blandAfter = t.pivots + budget
-}
-
-func (t *denseTableau) markDead(cols []bool) {
-	for j, dead := range cols {
-		if dead {
-			t.dead[j] = true
-		}
-	}
-}
-
-func (t *denseTableau) firstNonzero(i int, skip []bool) (int, int) {
-	r := t.rows[i]
-	for j := 0; j < t.rhs; j++ {
-		if !skip[j] && r.n[j].Sign() != 0 {
-			return j, r.n[j].Sign()
-		}
-	}
-	return -1, 0
-}
-
-func (t *denseTableau) negateRow(i int) {
-	for _, v := range t.rows[i].n {
-		v.Neg(v)
-	}
-}
-
-func (t *denseTableau) colSign(i, c int) int { return t.rows[i].n[c].Sign() }
-
-// dropRow splices row i out with explicit copies. The earlier
-// append-based splice (`append(t.rows[:i], t.rows[i+1:]...)`) shifted in
-// place but left the dropped row aliased past the new length in the
-// backing array — a stale *row kept alive (and, symmetrically in the
-// sparse tableau, scratch-buffer-sharing rows kept reachable) for the
-// lifetime of the solve. Clearing the vacated tail slot severs the alias.
-func (t *denseTableau) dropRow(i int) {
-	n := len(t.rows)
-	copy(t.rows[i:], t.rows[i+1:])
-	t.rows[n-1] = nil
-	t.rows = t.rows[:n-1]
-	copy(t.basis[i:], t.basis[i+1:])
-	t.basis = t.basis[:n-1]
-}
-
-func (t *denseTableau) installPhase1(art []bool) {
-	w := newRow(t.rhs + 1)
-	for j := 0; j < t.rhs; j++ {
-		if art[j] {
-			w.n[j].SetInt64(1)
-		}
-	}
-	t.obj = w
-	for i, b := range t.basis {
-		if art[b] {
-			// w ← w − (w[b]/1)·row_i normalized: w[b] is 1, the row has
-			// row_i[b] = 1 as a rational, so subtract the row in rational
-			// form.
-			t.eliminateRational(w, t.rows[i], b)
-		}
-	}
-}
-
-func (t *denseTableau) installObjective(entries []colVal, den *big.Int) {
-	z := newRow(t.rhs + 1)
-	z.d = new(big.Int).Set(den)
-	for _, e := range entries {
-		z.n[e.col].Set(e.num)
-	}
-	t.obj = z
-	for i, b := range t.basis {
-		if z.n[b].Sign() != 0 {
-			t.eliminateRational(z, t.rows[i], b)
-		}
-	}
-}
-
-// pivot performs a Gauss-Jordan pivot at (pr, pc). The entry must be
-// strictly positive (as a rational).
-func (t *denseTableau) pivot(pr, pc int) {
-	prow := t.rows[pr]
-	p := prow.n[pc] // > 0
-	for i, ri := range t.rows {
-		if i == pr {
-			continue
-		}
-		t.eliminate(ri, prow, p, pc)
-	}
-	if t.obj != nil {
-		// Warm-basis rebuild pivots run before any objective is installed.
-		t.eliminate(t.obj, prow, p, pc)
-	}
-	// Row pr itself: divide by the pivot, i.e. its denominator becomes the
-	// old pivot numerator (entries unchanged).
-	prow.d = new(big.Int).Set(p)
-	prow.normalize()
-	t.basis[pr] = pc
-	t.pivots++
-}
-
-// eliminate applies ri ← ri − (ri[pc]/p)·prow in row-integer form:
-// n'[j] = n[j]·p − n[pc]·prow.n[j], d' = d·p, then renormalizes.
-func (t *denseTableau) eliminate(ri, prow *row, p *big.Int, pc int) {
-	f := ri.n[pc]
-	if f.Sign() == 0 {
-		return // row untouched by this pivot
-	}
-	f = new(big.Int).Set(f) // ri.n[pc] is overwritten below
-	var tmp big.Int
-	for j, nj := range ri.n {
-		pj := prow.n[j]
-		switch {
-		case pj.Sign() == 0:
-			if nj.Sign() != 0 {
-				nj.Mul(nj, p)
-			}
-		case nj.Sign() == 0:
-			nj.Mul(f, pj)
-			nj.Neg(nj)
-		default:
-			nj.Mul(nj, p)
-			tmp.Mul(f, pj)
-			nj.Sub(nj, &tmp)
-		}
-	}
-	ri.d = new(big.Int).Mul(ri.d, p)
-	ri.normalize()
-}
-
-// entering picks the entering column, or -1 if the tableau is optimal.
-// Dantzig's rule (most negative reduced cost) normally; Bland's rule
-// (lowest index with negative reduced cost) once cycling is suspected.
-func (t *denseTableau) entering() int {
-	if !t.bland && t.pivots > t.blandAfter {
-		t.bland = true
-	}
-	best := -1
-	for j := 0; j < t.rhs; j++ {
-		if t.dead[j] || t.obj.n[j].Sign() >= 0 {
-			continue
-		}
-		if t.bland {
-			return j
-		}
-		// All obj entries share one denominator, so numerators compare.
-		if best == -1 || t.obj.n[j].Cmp(t.obj.n[best]) < 0 {
-			best = j
-		}
-	}
-	return best
-}
-
-// leaving runs the ratio test for entering column c: the feasible basis row
-// minimizing rhs_i / a_ic over rows with a_ic > 0. Returns -1 when the
-// column is unbounded. Ties break toward the smallest basic column index
-// (required by Bland's rule; harmless otherwise).
-func (t *denseTableau) leaving(c int) int {
-	best := -1
-	var bn, bd *big.Int // best ratio = bn/bd, bd > 0
-	for i, ri := range t.rows {
-		a := ri.n[c]
-		if a.Sign() <= 0 {
-			continue
-		}
-		b := ri.n[t.rhs]
-		if best == -1 {
-			best, bn, bd = i, b, a
-			continue
-		}
-		// compare b/a vs bn/bd  ⇔  b·bd vs bn·a (a, bd > 0)
-		l := new(big.Int).Mul(b, bd)
-		r := new(big.Int).Mul(bn, a)
-		switch l.Cmp(r) {
-		case -1:
-			best, bn, bd = i, b, a
-		case 0:
-			if t.basis[i] < t.basis[best] {
-				best, bn, bd = i, b, a
-			}
-		}
-	}
-	return best
-}
-
-// eliminateRational performs z ← z − z[col]·row, where the row is in solved
-// form (its col entry equals 1 as a rational, i.e. r.n[col] == r.d). Used
-// when (re)installing an objective row over an existing basis:
-//
-//	z'_j = (z.n[j]·r.d − z.n[col]·r.n[j]) / (z.d·r.d)
-func (t *denseTableau) eliminateRational(z *row, r *row, col int) {
-	f := new(big.Int).Set(z.n[col])
-	if f.Sign() == 0 {
-		return
-	}
-	var tmp big.Int
-	for j, nj := range z.n {
-		nj.Mul(nj, r.d)
-		tmp.Mul(f, r.n[j])
-		nj.Sub(nj, &tmp)
-	}
-	z.d = new(big.Int).Mul(z.d, r.d)
-	z.normalize()
-}
-
-// ---------------------------------------------------------------------------
 // Two-phase driver
-
-// Solve optimizes the model and returns an optimal solution, or
-// ErrInfeasible / ErrUnbounded.
-func (m *Model) Solve() (*Solution, error) { return m.SolveCtx(context.Background()) }
 
 // normRow is one constraint row in solver-normal form: canonical sorted
 // terms, a sense, and (after normalization) a nonnegative right-hand side.
@@ -532,8 +185,8 @@ func (m *Model) normalizedRows() []normRow {
 // buildTableau assembles a fresh tableau in the initial (slack/artificial)
 // basis from normalized rows. Column layout: structural | slacks |
 // artificials | rhs. Returns the tableau and the artificial-column mask.
-func buildTableau(impl TableauImpl, rowsIn []normRow, nStruct, nSlack, nCols, budget int) (tableau, []bool) {
-	t := newTableau(impl, nCols, budget)
+func buildTableau(ctx context.Context, rowsIn []normRow, nStruct, nSlack, nCols, budget int) (tableau, []bool) {
+	t := newTableau(ctx, nCols, budget)
 	slackAt := nStruct
 	artAt := nStruct + nSlack
 	artCols := make([]bool, nCols)
@@ -608,11 +261,11 @@ func finalBasis(t tableau) []int {
 	return cols
 }
 
-// SolveCtx is Solve honoring context cancellation: the simplex loop checks
-// ctx between pivots and returns an error wrapping ctx.Err() when the
-// context is canceled or its deadline expires. The context also selects
-// the tableau representation (WithTableau; sparse by default) and may
-// offer a warm-start basis (WithWarmBasis; cold by default).
+// SolveCtx optimizes the model and returns an optimal solution, or
+// ErrInfeasible / ErrUnbounded. The simplex loop checks ctx between
+// pivots and returns an error wrapping ctx.Err() when the context is
+// canceled or its deadline expires. The context may also offer a
+// warm-start basis (WithWarmBasis; cold by default).
 func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	nStruct := len(m.names)
 	rowsIn := m.normalizedRows()
@@ -630,13 +283,12 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	}
 	nCols := nStruct + nSlack + nArt
 	budget := blandBudget(len(rowsIn), nCols, m.blandOverride)
-	impl := TableauFrom(ctx)
 	fp := structuralFingerprint(nStruct, rowsIn)
 
 	// With a tracer in ctx, each stage below opens a span; undecorated
 	// contexts yield nil spans and nil recorders, whose methods no-op.
 	_, rowsSpan := obs.StartSpan(ctx, "lp.rows")
-	t, artCols := buildTableau(impl, rowsIn, nStruct, nSlack, nCols, budget)
+	t, artCols := buildTableau(ctx, rowsIn, nStruct, nSlack, nCols, budget)
 	rowsSpan.SetAttr("rows", t.nRows())
 	rowsSpan.SetAttr("structural", nStruct)
 	rowsSpan.SetAttr("slacks", nSlack)
@@ -665,7 +317,7 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 		rebuildPivots = t.pivotCount()
 		warmSpan(ctx, len(warm.cols), warmOK, warm.reason, rebuildPivots)
 		if !warmOK {
-			t, artCols = buildTableau(impl, rowsIn, nStruct, nSlack, nCols, budget)
+			t, artCols = buildTableau(ctx, rowsIn, nStruct, nSlack, nCols, budget)
 			rebuildPivots = 0
 		}
 	} else if warm != nil && warm.ws.Basis != nil {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -11,7 +12,7 @@ import (
 
 func mustSolve(t *testing.T, m *Model) *Solution {
 	t.Helper()
-	sol, err := m.Solve()
+	sol, err := m.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestSolveInfeasible(t *testing.T) {
 	m.SetObjective(x, rat.One())
 	m.AddConstraint("lo", NewExpr().Plus1(x), Geq, rat.Int(5))
 	m.AddConstraint("hi", NewExpr().Plus1(x), Leq, rat.Int(3))
-	if _, err := m.Solve(); err != ErrInfeasible {
+	if _, err := m.SolveCtx(context.Background()); err != ErrInfeasible {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -105,7 +106,7 @@ func TestSolveUnbounded(t *testing.T) {
 	m.SetObjective(x, rat.One())
 	// y is constrained, x is free to grow.
 	m.AddConstraint("c", NewExpr().Plus1(y), Leq, rat.Int(3))
-	if _, err := m.Solve(); err != ErrUnbounded {
+	if _, err := m.SolveCtx(context.Background()); err != ErrUnbounded {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 }
@@ -451,7 +452,7 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 			}
 			model.AddConstraint(fmt.Sprintf("c%d", i), e, Leq, b[i])
 		}
-		sol, err := model.Solve()
+		sol, err := model.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: Solve: %v", trial, err)
 		}

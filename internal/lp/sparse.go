@@ -56,11 +56,12 @@ func (r *sparseRow) sign(col int) int {
 }
 
 // sparseTableau is the sparse simplex tableau — same solved (basic) form
-// and column layout as denseTableau, same pivot rules, sparse rows. Row
-// updates run allocation-free through tableau-owned scratch buffers and a
-// big.Int pool: the profile of the composite workloads is dominated by
-// small-integer multiplies, so avoiding per-update garbage is what turns
-// the skipped zero-columns into wall-clock speedup over the dense tableau.
+// and column layout as the dense reference tableau (dense_test.go), same
+// pivot rules, sparse rows. Row updates run allocation-free through
+// tableau-owned scratch buffers and a big.Int pool: the profile of the
+// composite workloads is dominated by small-integer multiplies, so
+// avoiding per-update garbage is what turns the skipped zero-columns into
+// wall-clock speedup over the dense tableau.
 type sparseTableau struct {
 	rows  []*sparseRow
 	obj   *sparseRow
@@ -100,6 +101,8 @@ func (t *sparseTableau) alloc() *big.Int {
 	}
 	return new(big.Int)
 }
+
+var bigOne = big.NewInt(1)
 
 // normalizeRow divides the row through by the gcd of its denominator and
 // all entries — the same content gcd the dense row computes (zero entries

@@ -16,8 +16,8 @@ import (
 // path, not merely reach the same optimum).
 func solveBoth(t *testing.T, m *Model) (*Solution, *Solution) {
 	t.Helper()
-	sparse, sErr := m.SolveCtx(WithTableau(context.Background(), TableauSparse))
-	dense, dErr := m.SolveCtx(WithTableau(context.Background(), TableauDense))
+	sparse, sErr := m.SolveCtx(sparseKind.ctx())
+	dense, dErr := m.SolveCtx(denseKind.ctx())
 	if (sErr == nil) != (dErr == nil) {
 		t.Fatalf("sparse err = %v, dense err = %v", sErr, dErr)
 	}
@@ -150,7 +150,7 @@ func TestSparseDenseInfeasibleUnbounded(t *testing.T) {
 // TestSparseDenseRandom cross-checks the two implementations on random
 // small LPs (a different corner of the space than the structured
 // steady-state programs; the brute-force oracle test already pins the
-// dense result against vertex enumeration).
+// sparse result against vertex enumeration).
 func TestSparseDenseRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 80; trial++ {
@@ -317,7 +317,7 @@ func TestBlandOverridePerSolve(t *testing.T) {
 		go func(override int) {
 			defer wg.Done()
 			for k := 0; k < 20; k++ {
-				sol, err := build(override).Solve()
+				sol, err := build(override).SolveCtx(context.Background())
 				if err != nil {
 					t.Errorf("Solve: %v", err)
 					return

@@ -26,10 +26,10 @@ func tracedModel() *Model {
 
 // solveTraced solves the model with a tracer installed and returns the
 // solution plus the finished trace.
-func solveTraced(t *testing.T, m *Model, impl TableauImpl) (*Solution, *obs.Trace) {
+func solveTraced(t *testing.T, m *Model, kind tableauKind) (*Solution, *obs.Trace) {
 	t.Helper()
 	tracer := obs.NewTracer("solve")
-	ctx := obs.WithTracer(WithTableau(context.Background(), impl), tracer)
+	ctx := obs.WithTracer(kind.ctx(), tracer)
 	sol, err := m.SolveCtx(ctx)
 	if err != nil {
 		t.Fatalf("traced solve: %v", err)
@@ -54,9 +54,9 @@ func findSpan(root *obs.Span, name string) *obs.Span {
 // included), the two phase spans sum to Solution.Iterations, and the
 // per-rule splits account for every pivot the iterate loop observed.
 func TestTracedPhaseSpansReconcile(t *testing.T) {
-	for _, impl := range []TableauImpl{TableauSparse, TableauDense} {
-		t.Run(impl.String(), func(t *testing.T) {
-			sol, trace := solveTraced(t, tracedModel(), impl)
+	for _, kind := range bothKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			sol, trace := solveTraced(t, tracedModel(), kind)
 
 			rows := findSpan(trace.Root, "lp.rows")
 			if rows == nil {
@@ -116,8 +116,8 @@ func TestTracedPhaseSpansReconcile(t *testing.T) {
 // states: their timing-stripped traces — pivot counts, rule splits,
 // nonzero trajectories, objective waypoints — serialize byte-identically.
 func TestTracedDenseSparseIdenticalTrace(t *testing.T) {
-	_, sparse := solveTraced(t, tracedModel(), TableauSparse)
-	_, dense := solveTraced(t, tracedModel(), TableauDense)
+	_, sparse := solveTraced(t, tracedModel(), sparseKind)
+	_, dense := solveTraced(t, tracedModel(), denseKind)
 	a, err := json.Marshal(sparse.WithoutTiming())
 	if err != nil {
 		t.Fatal(err)

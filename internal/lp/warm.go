@@ -1,13 +1,12 @@
 package lp
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -113,10 +112,10 @@ type WarmStart struct {
 type warmCtxKey struct{}
 
 // WithWarmBasis returns a context that offers ws to the next
-// Model.SolveCtx beneath it. Like WithTableau, the decoration travels the
-// whole solver stack; unlike it, the handoff is consumed by exactly one
-// solve (steady-state solves run one LP per session solve, so the solve
-// that consumes it is the solve the caller meant).
+// Model.SolveCtx beneath it. The decoration travels the whole solver
+// stack, but the handoff is consumed by exactly one solve (steady-state
+// solves run one LP per session solve, so the solve that consumes it is
+// the solve the caller meant).
 func WithWarmBasis(ctx context.Context, ws *WarmStart) context.Context {
 	return context.WithValue(ctx, warmCtxKey{}, ws)
 }
@@ -277,19 +276,14 @@ func warmSpan(ctx context.Context, basisSize int, used bool, reason string, rebu
 	span.End()
 }
 
-// finish writes the attempt's outcome back onto the handoff and the
-// solution.
+// finish writes the attempt's outcome and the solution's certified basis
+// back onto the handoff.
 func (w *warmAttempt) finish(sol *Solution, used bool, reason string, phase1Pivots int) {
-	sol.WarmUsed = used
-	sol.WarmRejectReason = reason
+	saved := 0
 	if used && w.ws.Basis != nil {
-		if saved := w.ws.Basis.originPhase1 - phase1Pivots; saved > 0 {
-			sol.WarmPivotsSaved = saved
-		}
+		saved = max(w.ws.Basis.originPhase1-phase1Pivots, 0)
 	}
-	w.ws.Used = sol.WarmUsed
-	w.ws.RejectReason = sol.WarmRejectReason
-	w.ws.PivotsSaved = sol.WarmPivotsSaved
+	w.ws.Used, w.ws.RejectReason, w.ws.PivotsSaved = used, reason, saved
 	w.ws.Final = sol.Basis()
 	if used && w.ws.Final != nil && w.ws.Basis != nil {
 		// A warm-started solve spends (near) zero phase-1 pivots of its
@@ -304,82 +298,11 @@ func (w *warmAttempt) finish(sol *Solution, used bool, reason string, phase1Pivo
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Basis cache
-
-// BasisCache is a bounded, mutex-guarded LRU of certified bases, keyed by
-// the caller's notion of "same problem shape" (the steady-state Solver
-// keys it by node count and canonical spec key, deliberately coarser than
-// the platform content hash so perturbed platforms still hit — the
-// fingerprint check inside the solve is what guarantees safety). A zero
-// or negative capacity stores nothing. Safe for concurrent use.
-type BasisCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	items map[string]*list.Element
-}
-
-// basisEntry is one cache slot.
-type basisEntry struct {
-	key string
-	b   *Basis
-}
-
-// NewBasisCache returns a basis cache holding at most capacity entries.
-func NewBasisCache(capacity int) *BasisCache {
-	return &BasisCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
-	}
-}
-
-// Get returns the cached basis for key, or nil; a hit refreshes recency.
-func (c *BasisCache) Get(key string) *Basis {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*basisEntry).b
-}
-
-// Put stores the basis under key, evicting the least-recently-used entry
-// beyond capacity. A nil basis is ignored.
-func (c *BasisCache) Put(key string, b *Basis) {
-	if c == nil || b == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return
-	}
-	if el, ok := c.items[key]; ok {
-		el.Value.(*basisEntry).b = b
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&basisEntry{key: key, b: b})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*basisEntry).key)
-	}
-}
-
-// Len returns the number of cached bases.
-func (c *BasisCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+// BasisCache is a bounded LRU of certified bases, keyed by the caller's
+// notion of "same problem shape" (the steady-state Solver keys it by node
+// count and canonical spec key, deliberately coarser than the platform
+// content hash so perturbed platforms still hit — the fingerprint check
+// inside the solve is what guarantees safety). A zero or negative
+// capacity stores nothing, and a nil cache is inert. Safe for concurrent
+// use.
+type BasisCache = lru.Cache[*Basis]

@@ -6,18 +6,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/lru"
 	"repro/internal/rat"
 )
 
-// warmSolve solves m with the given candidate basis under impl and
-// returns the solution plus the handoff outcome.
-func warmSolve(t *testing.T, m *Model, b *Basis, impl TableauImpl) (*Solution, *WarmStart) {
+// warmSolve solves m on the named tableau with the given candidate basis
+// and returns the solution plus the handoff outcome.
+func warmSolve(t *testing.T, m *Model, b *Basis, kind tableauKind) (*Solution, *WarmStart) {
 	t.Helper()
 	ws := &WarmStart{Basis: b}
-	ctx := WithWarmBasis(WithTableau(context.Background(), impl), ws)
+	ctx := WithWarmBasis(kind.ctx(), ws)
 	sol, err := m.SolveCtx(ctx)
 	if err != nil {
-		t.Fatalf("warm solve (%s): %v", impl, err)
+		t.Fatalf("warm solve (%s): %v", kind, err)
 	}
 	if err := m.Verify(sol.Values()); err != nil {
 		t.Fatalf("warm solution fails verification: %v", err)
@@ -47,11 +48,11 @@ func degenerateProgram(f rat.Rat) *Model {
 
 // TestWarmResolveSkipsPhase1 pins the headline warm-start contract: a
 // model re-solved from its own certified basis spends no iterate pivots
-// in phase 1 (only the deterministic basis rebuild), reports WarmUsed,
+// in phase 1 (only the deterministic basis rebuild), reports ws.Used,
 // and reproduces the cold optimum bit for bit — under both tableaus.
 func TestWarmResolveSkipsPhase1(t *testing.T) {
-	for _, impl := range []TableauImpl{TableauSparse, TableauDense} {
-		cold, err := degenerateProgram(rat.One()).SolveCtx(WithTableau(context.Background(), impl))
+	for _, kind := range bothKinds {
+		cold, err := degenerateProgram(rat.One()).SolveCtx(kind.ctx())
 		if err != nil {
 			t.Fatalf("cold solve: %v", err)
 		}
@@ -60,9 +61,9 @@ func TestWarmResolveSkipsPhase1(t *testing.T) {
 			t.Fatal("cold solution minted no basis")
 		}
 		m := degenerateProgram(rat.One())
-		warm, ws := warmSolve(t, m, b, impl)
-		if !ws.Used || !warm.WarmUsed {
-			t.Fatalf("warm basis not used (%s): reject %q", impl, ws.RejectReason)
+		warm, ws := warmSolve(t, m, b, kind)
+		if !ws.Used {
+			t.Fatalf("warm basis not used (%s): reject %q", kind, ws.RejectReason)
 		}
 		if !rat.Eq(warm.Objective, cold.Objective) {
 			t.Fatalf("warm objective %s != cold %s", warm.Objective.RatString(), cold.Objective.RatString())
@@ -75,10 +76,10 @@ func TestWarmResolveSkipsPhase1(t *testing.T) {
 		}
 		if warm.Phase1Iterations > cold.Phase1Iterations {
 			t.Fatalf("warm phase-1 pivots %d above cold %d (%s)",
-				warm.Phase1Iterations, cold.Phase1Iterations, impl)
+				warm.Phase1Iterations, cold.Phase1Iterations, kind)
 		}
 		if p2 := warm.Iterations - warm.Phase1Iterations; p2 != 0 {
-			t.Fatalf("re-solve from the optimal basis spent %d phase-2 pivots (%s)", p2, impl)
+			t.Fatalf("re-solve from the optimal basis spent %d phase-2 pivots (%s)", p2, kind)
 		}
 		if ws.Final == nil {
 			t.Fatal("warm solve minted no final basis")
@@ -127,7 +128,7 @@ func TestWarmPerturbedEquivalence(t *testing.T) {
 	warmUses := 0
 	for trial := 0; trial < 60; trial++ {
 		seed := rng.Int63()
-		cold, err := build(seed, rat.One()).Solve()
+		cold, err := build(seed, rat.One()).SolveCtx(context.Background())
 		if err != nil {
 			continue
 		}
@@ -143,8 +144,8 @@ func TestWarmPerturbedEquivalence(t *testing.T) {
 			}
 			continue
 		}
-		sparse, wsS := warmSolve(t, build(seed, rat.New(21, 20)), b, TableauSparse)
-		dense, wsD := warmSolve(t, build(seed, rat.New(21, 20)), b, TableauDense)
+		sparse, wsS := warmSolve(t, build(seed, rat.New(21, 20)), b, sparseKind)
+		dense, wsD := warmSolve(t, build(seed, rat.New(21, 20)), b, denseKind)
 		if wsS.Used != wsD.Used || wsS.RejectReason != wsD.RejectReason {
 			t.Fatalf("trial %d: warm outcome diverged: sparse (%v,%q) dense (%v,%q)",
 				trial, wsS.Used, wsS.RejectReason, wsD.Used, wsD.RejectReason)
@@ -185,19 +186,19 @@ func TestWarmFingerprintMismatch(t *testing.T) {
 	x := donor.Var("x")
 	donor.SetObjective(x, rat.One())
 	donor.AddConstraint("c", NewExpr().Plus1(x), Leq, rat.Int(3))
-	dsol, err := donor.Solve()
+	dsol, err := donor.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := degenerateProgram(rat.One())
-	warm, ws := warmSolve(t, m, dsol.Basis(), TableauSparse)
+	warm, ws := warmSolve(t, m, dsol.Basis(), sparseKind)
 	if ws.Used {
 		t.Fatal("structurally foreign basis was accepted")
 	}
-	if ws.RejectReason != WarmRejectFingerprint || warm.WarmRejectReason != WarmRejectFingerprint {
-		t.Fatalf("reject reason %q / %q, want %q", ws.RejectReason, warm.WarmRejectReason, WarmRejectFingerprint)
+	if ws.RejectReason != WarmRejectFingerprint {
+		t.Fatalf("reject reason %q, want %q", ws.RejectReason, WarmRejectFingerprint)
 	}
-	cold, err := degenerateProgram(rat.One()).Solve()
+	cold, err := degenerateProgram(rat.One()).SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,38 +230,38 @@ func TestWarmInfeasibleBasisFallsBack(t *testing.T) {
 		m.AddConstraint("xcap", NewExpr().Plus1(x), Leq, rat.Int(bound))
 		return m
 	}
-	sol5, err := build(10).Solve()
+	sol5, err := build(10).SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := sol5.Basis()
-	for _, impl := range []TableauImpl{TableauSparse, TableauDense} {
-		cold, err := build(4).SolveCtx(WithTableau(context.Background(), impl))
+	for _, kind := range bothKinds {
+		cold, err := build(4).SolveCtx(kind.ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, ws := warmSolve(t, build(4), b, impl)
+		warm, ws := warmSolve(t, build(4), b, kind)
 		if ws.Used {
 			// The optimal basis of B=5 keeps the cap slack nonbasic at x=B;
 			// with B=2 that stays feasible only if the basis never priced
 			// the slack — guard the test's premise.
-			t.Fatalf("expected infeasible warm basis to be rejected (%s)", impl)
+			t.Fatalf("expected infeasible warm basis to be rejected (%s)", kind)
 		}
 		if ws.RejectReason != WarmRejectInfeasible {
-			t.Fatalf("reject reason %q, want %q (%s)", ws.RejectReason, WarmRejectInfeasible, impl)
+			t.Fatalf("reject reason %q, want %q (%s)", ws.RejectReason, WarmRejectInfeasible, kind)
 		}
 		if !rat.Eq(warm.Objective, cold.Objective) {
 			t.Fatalf("fallback objective %s != cold %s (%s)",
-				warm.Objective.RatString(), cold.Objective.RatString(), impl)
+				warm.Objective.RatString(), cold.Objective.RatString(), kind)
 		}
 		if warm.Iterations != cold.Iterations || warm.Phase1Iterations != cold.Phase1Iterations {
 			t.Errorf("fallback pivots %d (phase 1 %d) != cold %d (phase 1 %d) (%s)",
-				warm.Iterations, warm.Phase1Iterations, cold.Iterations, cold.Phase1Iterations, impl)
+				warm.Iterations, warm.Phase1Iterations, cold.Iterations, cold.Phase1Iterations, kind)
 		}
 		wv, cv := warm.Values(), cold.Values()
 		for i := range cv {
 			if !rat.Eq(wv[i], cv[i]) {
-				t.Errorf("fallback value %d = %s, cold %s (%s)", i, wv[i].RatString(), cv[i].RatString(), impl)
+				t.Errorf("fallback value %d = %s, cold %s (%s)", i, wv[i].RatString(), cv[i].RatString(), kind)
 			}
 		}
 	}
@@ -272,10 +273,10 @@ func TestWarmInfeasibleBasisFallsBack(t *testing.T) {
 // stale aliased row or scratch buffer from the first pass would corrupt
 // the second.
 func TestDropRowRegression(t *testing.T) {
-	for _, impl := range []TableauImpl{TableauSparse, TableauDense} {
-		first, err := degenerateProgram(rat.One()).SolveCtx(WithTableau(context.Background(), impl))
+	for _, kind := range bothKinds {
+		first, err := degenerateProgram(rat.One()).SolveCtx(kind.ctx())
 		if err != nil {
-			t.Fatalf("first solve (%s): %v", impl, err)
+			t.Fatalf("first solve (%s): %v", kind, err)
 		}
 		if !rat.Eq(first.Objective, rat.Int(11)) {
 			t.Fatalf("objective = %s, want 11", first.Objective.RatString())
@@ -286,11 +287,11 @@ func TestDropRowRegression(t *testing.T) {
 		}
 		// Warm re-solve with perturbed coefficients: rebuild pivots run on
 		// a tableau that must be internally consistent after the drops.
-		second, ws := warmSolve(t, degenerateProgram(rat.New(10, 9)), b, impl)
+		second, ws := warmSolve(t, degenerateProgram(rat.New(10, 9)), b, kind)
 		if !ws.Used {
-			t.Fatalf("warm basis rejected after drop (%s): %q", impl, ws.RejectReason)
+			t.Fatalf("warm basis rejected after drop (%s): %q", kind, ws.RejectReason)
 		}
-		third, _ := warmSolve(t, degenerateProgram(rat.New(10, 9)), second.Basis(), impl)
+		third, _ := warmSolve(t, degenerateProgram(rat.New(10, 9)), second.Basis(), kind)
 		if !rat.Eq(second.Objective, third.Objective) {
 			t.Fatalf("re-pivot after drop diverged: %s vs %s",
 				second.Objective.RatString(), third.Objective.RatString())
@@ -300,59 +301,70 @@ func TestDropRowRegression(t *testing.T) {
 
 // TestBasisCacheLRU pins the cache's bounded deterministic behavior.
 func TestBasisCacheLRU(t *testing.T) {
-	sol, err := degenerateProgram(rat.One()).Solve()
+	sol, err := degenerateProgram(rat.One()).SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := sol.Basis()
-	c := NewBasisCache(2)
+	c := lru.New[*Basis](2)
 	c.Put("a", b)
 	c.Put("b", b)
-	if c.Get("a") == nil {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a evicted under capacity")
 	}
 	c.Put("c", b) // evicts b (a was refreshed)
-	if c.Get("b") != nil {
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("lru entry not evicted")
 	}
-	if c.Get("a") == nil || c.Get("c") == nil {
-		t.Fatal("resident entries missing")
+	if got, ok := c.Get("a"); !ok || got != b {
+		t.Fatal("resident entry a missing")
+	}
+	if got, ok := c.Get("c"); !ok || got != b {
+		t.Fatal("resident entry c missing")
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
 	var nilCache *BasisCache
 	nilCache.Put("x", b)
-	if nilCache.Get("x") != nil || nilCache.Len() != 0 {
+	if _, ok := nilCache.Get("x"); ok || nilCache.Len() != 0 {
 		t.Fatal("nil cache must be inert")
 	}
-	zero := NewBasisCache(0)
+	zero := lru.New[*Basis](0)
 	zero.Put("x", b)
 	if zero.Len() != 0 {
 		t.Fatal("zero-capacity cache stored an entry")
 	}
 }
 
-// TestWarmHandoffConsumedOnce pins the one-solve-per-handoff contract.
+// TestWarmHandoffConsumedOnce pins the one-solve-per-handoff contract:
+// a second solve under the same context runs cold — it spends the cold
+// solve's phase-1 pivots and leaves the handoff's outcome untouched.
 func TestWarmHandoffConsumedOnce(t *testing.T) {
-	sol, err := degenerateProgram(rat.One()).Solve()
+	cold, err := degenerateProgram(rat.One()).SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := &WarmStart{Basis: sol.Basis()}
+	ws := &WarmStart{Basis: cold.Basis()}
 	ctx := WithWarmBasis(context.Background(), ws)
 	first, err := degenerateProgram(rat.One()).SolveCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.WarmUsed {
-		t.Fatal("first solve did not consume the handoff")
+	if !ws.Used || first.Phase1Iterations >= cold.Phase1Iterations {
+		t.Fatalf("first solve did not consume the handoff: used %v, phase-1 pivots %d (cold %d)",
+			ws.Used, first.Phase1Iterations, cold.Phase1Iterations)
 	}
+	final := ws.Final
 	second, err := degenerateProgram(rat.One()).SolveCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.WarmUsed {
-		t.Fatal("second solve reused a consumed handoff")
+	if second.Phase1Iterations != cold.Phase1Iterations {
+		t.Fatalf("second solve spent %d phase-1 pivots, cold %d: it reused a consumed handoff",
+			second.Phase1Iterations, cold.Phase1Iterations)
+	}
+	if ws.Final != final {
+		t.Fatal("second solve wrote to a consumed handoff")
 	}
 }

@@ -1,4 +1,4 @@
-package serve
+package lru
 
 import (
 	"fmt"
@@ -9,14 +9,14 @@ import (
 
 func TestLRUEvictionDeterminism(t *testing.T) {
 	// Eviction order is a pure function of the Get/Put sequence.
-	c := newLRU(2)
+	c := New[int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3) // evicts a (least recently used)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("a survived eviction")
 	}
-	if v, ok := c.Get("b"); !ok || v.(int) != 2 {
+	if v, ok := c.Get("b"); !ok || v != 2 {
 		t.Fatalf("b: got %v, %v", v, ok)
 	}
 	if got, want := c.Keys(), []string{"b", "c"}; !reflect.DeepEqual(got, want) {
@@ -35,7 +35,7 @@ func TestLRUEvictionDeterminism(t *testing.T) {
 
 	// Replaying the same sequence lands in the same state.
 	replay := func() []string {
-		r := newLRU(2)
+		r := New[int](2)
 		r.Put("a", 1)
 		r.Put("b", 2)
 		r.Put("c", 3)
@@ -54,12 +54,12 @@ func TestLRUEvictionDeterminism(t *testing.T) {
 }
 
 func TestLRUPutRefreshesExisting(t *testing.T) {
-	c := newLRU(2)
+	c := New[int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("a", 10) // refresh, not insert: b stays
 	c.Put("c", 3)  // evicts b
-	if v, ok := c.Get("a"); !ok || v.(int) != 10 {
+	if v, ok := c.Get("a"); !ok || v != 10 {
 		t.Fatalf("a: got %v, %v; want 10, true", v, ok)
 	}
 	if _, ok := c.Get("b"); ok {
@@ -71,13 +71,13 @@ func TestLRUPutRefreshesExisting(t *testing.T) {
 }
 
 func TestLRUGetOrPut(t *testing.T) {
-	c := newLRU(4)
+	c := New[string](4)
 	calls := 0
-	make1 := func() any { calls++; return "v1" }
-	if v := c.GetOrPut("k", make1); v.(string) != "v1" {
+	make1 := func() string { calls++; return "v1" }
+	if v := c.GetOrPut("k", make1); v != "v1" {
 		t.Fatalf("first GetOrPut: %v", v)
 	}
-	if v := c.GetOrPut("k", func() any { calls++; return "v2" }); v.(string) != "v1" {
+	if v := c.GetOrPut("k", func() string { calls++; return "v2" }); v != "v1" {
 		t.Fatalf("second GetOrPut rebuilt: %v", v)
 	}
 	if calls != 1 {
@@ -86,7 +86,7 @@ func TestLRUGetOrPut(t *testing.T) {
 }
 
 func TestLRUDisabled(t *testing.T) {
-	c := newLRU(0)
+	c := New[int](0)
 	c.Put("a", 1)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("zero-capacity cache stored a value")
@@ -98,7 +98,7 @@ func TestLRUDisabled(t *testing.T) {
 
 func TestLRUConcurrent(t *testing.T) {
 	// Smoke for the race detector: concurrent readers and writers.
-	c := newLRU(16)
+	c := New[int](16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -108,7 +108,7 @@ func TestLRUConcurrent(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g+i)%24)
 				c.Put(key, i)
 				c.Get(key)
-				c.GetOrPut(key, func() any { return i })
+				c.GetOrPut(key, func() int { return i })
 			}
 		}(g)
 	}

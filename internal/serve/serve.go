@@ -46,6 +46,7 @@ import (
 
 	steadystate "repro"
 	"repro/internal/lp"
+	"repro/internal/lru"
 )
 
 // Config sizes a Server. Zero values select the defaults.
@@ -251,8 +252,8 @@ type taskResult struct {
 type Server struct {
 	cfg      Config
 	queue    chan *task
-	cache    *lruCache
-	sessions *lruCache
+	cache    *lru.Cache[*steadystate.Report]
+	sessions *lru.Cache[*steadystate.Solver]
 	bases    *steadystate.BasisCache
 	metrics  *Metrics
 	workers  chan struct{} // closed when every worker has exited
@@ -287,8 +288,8 @@ func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		queue:    make(chan *task, cfg.QueueDepth),
-		cache:    newLRU(cfg.CacheSize),
-		sessions: newLRU(cfg.SessionCacheSize),
+		cache:    lru.New[*steadystate.Report](cfg.CacheSize),
+		sessions: lru.New[*steadystate.Solver](cfg.SessionCacheSize),
 		bases:    steadystate.NewBasisCache(cfg.BasisCacheSize),
 		workers:  make(chan struct{}),
 	}
@@ -449,7 +450,7 @@ func (s *Server) solve(ctx context.Context, sc *steadystate.Scenario, block, tra
 
 	if rep, ok := s.cache.Get(key); ok {
 		s.metrics.hit()
-		return rep.(*steadystate.Report), true, nil
+		return rep, true, nil
 	}
 	s.metrics.miss()
 
@@ -458,9 +459,9 @@ func (s *Server) solve(ctx context.Context, sc *steadystate.Scenario, block, tra
 	if !s.admit() {
 		return nil, false, errDraining()
 	}
-	session := s.sessions.GetOrPut(platformKeyOf(key), func() any {
+	session := s.sessions.GetOrPut(platformKeyOf(key), func() *steadystate.Solver {
 		return steadystate.NewSolver(sc.Platform).UseBasisCache(s.bases)
-	}).(*steadystate.Solver)
+	})
 
 	t := &task{
 		ctx:      ctx,

@@ -2,12 +2,13 @@
 // seeded Tiers platform, must replay through SimModel with delivered
 // counts inside [TP·K − warmup, TP·K] — Lemma 1 as the ceiling and the
 // buffered protocol's pipeline-fill bound as the floor, with the warmup
-// bounded by the schedule depth. Dense-vs-sparse and warm-vs-cold solves
-// must additionally produce byte-identical models (same fingerprint) and
-// identical delivered counts, pinning the whole solve→model→replay chain
-// as deterministic. Every case is also pinned across commits against
-// testdata/solve-identity.golden: report, LP pivot path, simulation model
-// and schedule.
+// bounded by the schedule depth. Warm-vs-cold solves must additionally
+// produce byte-identical models (same fingerprint) and identical delivered
+// counts, pinning the whole solve→model→replay chain as deterministic
+// (internal/lp pins the same for dense-vs-sparse solves, since only its
+// test binary can select the dense tableau). Every case is also pinned
+// across commits against testdata/solve-identity.golden: report, LP pivot
+// path, simulation model and schedule.
 package steadystate_test
 
 import (
@@ -24,7 +25,6 @@ import (
 	"testing"
 
 	steadystate "repro"
-	"repro/internal/lp"
 )
 
 // simConformanceCase is one (kind, platform) cell of the suite.
@@ -223,34 +223,6 @@ func sameReplay(t *testing.T, label string, a, b steadystate.Solution, periods i
 		if other := rb.Delivered[e]; other == nil || d.Cmp(other) != 0 {
 			t.Errorf("%s: sink %v delivered %s vs %v", label, e, d, other)
 		}
-	}
-}
-
-// TestSimReplayIdentityDenseVsSparse: the dense and sparse LP cores walk
-// bit-identical pivot sequences, so the models they induce must be
-// byte-identical and replay identically.
-func TestSimReplayIdentityDenseVsSparse(t *testing.T) {
-	ctx := context.Background()
-	p2, src2, targets2 := steadystate.PaperFig2()
-	p6, order6, _ := steadystate.PaperFig6()
-	cases := []simConformanceCase{
-		{"broadcast/fig2", p2, steadystate.BroadcastSpec(src2, targets2...), 30},
-		{"prefix/fig6", p6, steadystate.PrefixSpec(order6...), 30},
-		{"reducescatter/fig6", p6, steadystate.ReduceScatterSpec(order6...), 30},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			sparse, err := steadystate.Solve(ctx, c.p, c.spec)
-			if err != nil {
-				t.Fatalf("sparse Solve: %v", err)
-			}
-			dense, err := steadystate.Solve(lp.WithTableau(ctx, lp.TableauDense), c.p, c.spec)
-			if err != nil {
-				t.Fatalf("dense Solve: %v", err)
-			}
-			sameReplay(t, c.name, sparse, dense, c.periods)
-		})
 	}
 }
 

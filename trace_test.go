@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	steadystate "repro"
-	"repro/internal/lp"
 )
 
 // traceReport solves the spec under ctx with tracing on and returns the
@@ -85,10 +84,11 @@ func checkTraceReconciles(t *testing.T, rep *steadystate.Report) {
 
 // TestTraceGoldenStructure pins the trace contract on the tiers42
 // fixture: every span carries a timing block, WithoutTiming strips them
-// all, repeated solves serialize byte-identically modulo timing, the
-// dense tableau replays the same trace, and the pivot attributes
-// reconcile with the report counters — for a scatter (pure flow LP) and
-// a reduce (tree extraction included).
+// all, repeated solves serialize byte-identically modulo timing, and the
+// pivot attributes reconcile with the report counters — for a scatter
+// (pure flow LP) and a reduce (tree extraction included). That the dense
+// tableau replays the same trace is pinned in internal/lp
+// (TestTraceIdentityDenseVsSparse).
 func TestTraceGoldenStructure(t *testing.T) {
 	p := loadFixture(t, "tiers42.json")
 	parts := p.Participants()
@@ -118,8 +118,7 @@ func TestTraceGoldenStructure(t *testing.T) {
 			})
 
 			// The structural projection is a pure function of the scenario:
-			// byte-identical across repeat solves and across tableau
-			// implementations.
+			// byte-identical across repeat solves.
 			golden, err := json.Marshal(bare)
 			if err != nil {
 				t.Fatal(err)
@@ -130,14 +129,6 @@ func TestTraceGoldenStructure(t *testing.T) {
 			}
 			if string(again) != string(golden) {
 				t.Errorf("repeat solve changed the trace:\n%s\n%s", golden, again)
-			}
-			denseCtx := lp.WithTableau(ctx, lp.TableauDense)
-			dense, err := json.Marshal(traceReport(t, denseCtx, solver, spec).Trace.WithoutTiming())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(dense) != string(golden) {
-				t.Errorf("dense tableau changed the trace:\n%s\n%s", golden, dense)
 			}
 		})
 	}
