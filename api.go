@@ -25,7 +25,6 @@ import (
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/scatter"
-	"repro/internal/schedule"
 	"repro/internal/sim"
 )
 
@@ -376,10 +375,16 @@ func WithBlockSize(size Rat) SolveOption {
 }
 
 // WithFixedPeriod truncates the reduce/gather tree family to the given
-// period (Section 4.6): Schedule returns the fixed-period schedule and
-// Report includes the approximation's throughput and loss.
+// positive period (Section 4.6): Schedule returns the fixed-period
+// schedule and Report includes the approximation's throughput and loss.
 func WithFixedPeriod(period *big.Int) SolveOption {
-	return func(o *solveOptions) { o.fixedPeriod = new(big.Int).Set(period) }
+	return func(o *solveOptions) {
+		// A nil period becomes zero, so Solve rejects it as non-positive.
+		o.fixedPeriod = new(big.Int)
+		if period != nil {
+			o.fixedPeriod.Set(period)
+		}
+	}
 }
 
 // WithTrace records a span-structured trace of the solve — model
@@ -397,7 +402,8 @@ func WithTrace() SolveOption {
 }
 
 // optionsFor materializes the options and rejects combinations the kind
-// does not support, so misuse fails loudly instead of being ignored.
+// does not support and non-positive sizes and periods, so misuse fails
+// loudly instead of being ignored or surfacing later as an unbounded LP.
 func optionsFor(kind Kind, opts []SolveOption) (*solveOptions, error) {
 	o := &solveOptions{}
 	for _, opt := range opts {
@@ -444,13 +450,14 @@ func optionsFor(kind Kind, opts []SolveOption) (*solveOptions, error) {
 			return nil, fmt.Errorf("steadystate: WithFixedPeriod is not supported for %s specs", KindComposite)
 		}
 	}
+	if o.messageSize != nil && o.messageSize.Sign() <= 0 {
+		return nil, fmt.Errorf("steadystate: WithMessageSize must be positive, got %s", o.messageSize.RatString())
+	}
+	if o.fixedPeriod != nil && o.fixedPeriod.Sign() <= 0 {
+		return nil, fmt.Errorf("steadystate: WithFixedPeriod must be positive, got %s", o.fixedPeriod)
+	}
 	return o, nil
 }
-
-// ErrUnsupported marks a Solution capability a collective kind does not
-// provide (for example prefix solutions have no schedule construction in
-// the paper). Test with errors.Is.
-var ErrUnsupported = errors.New("steadystate: operation not supported for this collective kind")
 
 // ErrUnsolvable marks solve failures that are the problem's fault rather
 // than the solver's: an invalid spec, bad options, or an impossible
@@ -477,7 +484,7 @@ func unsolvable(err error) error {
 }
 
 // Solution is a solved collective, whatever its kind. All arithmetic is
-// exact. Capabilities a kind lacks return ErrUnsupported.
+// exact, and every kind provides every method.
 type Solution interface {
 	// Kind returns the collective kind that was solved.
 	Kind() Kind
@@ -836,68 +843,52 @@ func (s *solution) Report() (*Report, error) {
 	return r, nil
 }
 
-// newSolution wraps one solved base-kind collective — the member of a
-// plain (one-member) solve or of a composite — as the Solution answering
-// spec, with the LP counters of the solve. It is the single place the
-// per-kind behaviour is chosen. fixed is the WithFixedPeriod truncation of
-// a reduce or gather (nil otherwise).
+// newSolution wraps one solved base-kind member — of a plain (one-member)
+// solve or of a composite — as the Solution answering spec, with the LP
+// counters of the solve. The member schedules itself, the one materializing
+// path of every base kind; only a reduce or gather part is wrapped in
+// reduceSolution, which adds the tree certificate its schedule and report
+// build on. fixed is the WithFixedPeriod truncation of a reduce or gather
+// (nil otherwise).
 func newSolution(spec Spec, ms *composite.MemberSolution, stats core.FlowStats, fixed *big.Int) solved {
-	switch {
-	case ms.Scatter != nil:
-		sol := ms.Scatter
-		return &solution{spec: spec, inner: sol, stats: stats,
-			// The period serializes into matching slots (the construction
-			// behind the paper's Figures 3–4).
-			schedule: func() (*Schedule, error) {
-				return schedule.FromFlow(sol.Flow, scatter.UnitSize, func(c core.Commodity) string {
-					return "m_" + sol.Problem.Platform.Node(c.Dst).Name
-				})
-			},
-			simModel: func() (*SimModel, error) { return sim.ScatterModel(sol), nil },
-		}
-	case ms.Broadcast != nil:
-		sol := ms.Broadcast
-		return &solution{spec: spec, inner: sol, stats: stats,
-			// The carry stream — the messages physically moved, one shared
-			// copy per edge — decomposes into one-port-safe matching slots.
-			schedule: func() (*Schedule, error) {
-				return schedule.MergeFlows(sol.Problem.Platform, sol.Period(),
-					[]schedule.MemberFlow{composite.BroadcastMemberFlow(sol, "")})
-			},
-			// The replay replicates per target: each target's bundled
-			// virtual flow is a commodity of its own, delivered against TP
-			// per target.
-			simModel: func() (*SimModel, error) { return sim.BroadcastModel(sol), nil },
-		}
-	case ms.Gossip != nil:
-		sol := ms.Gossip
-		p := sol.Problem.Platform
-		return &solution{spec: spec, inner: sol, stats: stats,
-			schedule: func() (*Schedule, error) {
-				return schedule.FromFlow(sol.Flow, gossip.UnitSize, func(c core.Commodity) string {
-					return "m_" + p.Node(c.Src).Name + "_" + p.Node(c.Dst).Name
-				})
-			},
-			simModel: func() (*SimModel, error) { return sim.GossipModel(sol), nil },
-		}
-	case ms.Prefix != nil:
-		sol := ms.Prefix
-		return &solution{spec: spec, inner: sol, stats: stats,
-			schedule: func() (*Schedule, error) {
-				return nil, fmt.Errorf("prefix schedule construction: %w", ErrUnsupported)
-			},
-			simModel: func() (*SimModel, error) { return sim.PrefixModel(sol), nil },
-		}
+	sol := solution{spec: spec, inner: ms.Part, stats: stats, schedule: ms.Schedule,
+		simModel: func() (*SimModel, error) { return partSimModel(ms.Part) }}
+	red, ok := ms.Part.(*ReduceSolution)
+	if !ok {
+		return &sol
 	}
-	s := &reduceSolution{sol: ms.Reduce, fixed: fixed}
-	s.solution = solution{spec: spec, inner: ms.Reduce, stats: stats,
-		schedule: s.treeSchedule, simModel: s.treeSimModel, extend: s.treeReport}
+	s := &reduceSolution{solution: sol, sol: red, fixed: fixed}
+	s.schedule, s.extend = s.treeSchedule, s.treeReport
 	return s
+}
+
+// partSimModel builds the replay model of one solved base-kind member: the
+// one place a kind chooses its simulation adapter, for plain solves and
+// merged composite models alike. A broadcast replicates per target (each
+// target's bundled virtual flow is a commodity of its own, delivered
+// against TP per target); a reduce or gather replays its integer
+// application.
+func partSimModel(part composite.Part) (*SimModel, error) {
+	switch part := part.(type) {
+	case *ScatterSolution:
+		return sim.ScatterModel(part), nil
+	case *BroadcastSolution:
+		return sim.BroadcastModel(part), nil
+	case *GossipSolution:
+		return sim.GossipModel(part), nil
+	case *ReduceSolution:
+		return sim.ReduceModel(part.Integerize()), nil
+	case *PrefixSolution:
+		return sim.PrefixModel(part), nil
+	}
+	return nil, fmt.Errorf("steadystate: no simulation model for %T", part)
 }
 
 // reduceSolution is the Solution of a reduce or gather: it adds the
 // Certified capability — the tree family proving the throughput — on
-// which its schedule, simulation and report build.
+// which its schedule and report build: Schedule serializes the trees (or
+// the WithFixedPeriod plan's re-weighted trees), and Report adds the tree
+// count and the fixed-period approximation.
 type reduceSolution struct {
 	solution
 	sol   *ReduceSolution
@@ -942,13 +933,6 @@ func (s *reduceSolution) treeSchedule() (*Schedule, error) {
 		return ReduceSchedule(s.app, s.plan.Trees, s.plan.Period)
 	}
 	return ReduceSchedule(s.app, s.trees, nil)
-}
-
-func (s *reduceSolution) treeSimModel() (*SimModel, error) {
-	if err := s.certify(); err != nil {
-		return nil, err
-	}
-	return sim.ReduceModel(s.app), nil
 }
 
 // treeReport adds the tree count and the fixed-period approximation.
@@ -998,11 +982,10 @@ func newCompositeSolution(spec Spec, memberSpecs []Spec, sol *composite.Solution
 // a member's deliveries with Result.MinDeliveredPrefix(SimMemberPrefix(i));
 // per-member submodels remain available via Members()[i].SimModel().
 func (s *compositeSolution) mergedSimModel() (*SimModel, error) {
-	members := s.Members()
-	models := make([]*SimModel, len(members))
-	labels := make([]string, len(members))
-	for i, mem := range members {
-		m, err := mem.SimModel()
+	models := make([]*SimModel, len(s.sol.Members))
+	labels := make([]string, len(s.sol.Members))
+	for i, ms := range s.sol.Members {
+		m, err := partSimModel(ms.Part)
 		if err != nil {
 			return nil, fmt.Errorf("%s member %d simulation model: %w", s.spec.Kind, i, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,10 +20,10 @@ import (
 	"repro/internal/core"
 )
 
-// TestErrUnsolvableTagging: problem-level failures — invalid specs,
-// impossible instances — are tagged ErrUnsolvable for errors.Is without
-// changing their messages, so callers (the serving layer) can separate
-// client faults from solver faults.
+// TestErrUnsolvableTagging: problem-level failures — invalid specs, bad
+// option values, impossible instances — are tagged ErrUnsolvable for
+// errors.Is without changing their messages, so callers (the serving
+// layer) can separate client faults from solver faults.
 func TestErrUnsolvableTagging(t *testing.T) {
 	p := steadystate.NewPlatform()
 	a := p.AddNode("a", steadystate.R(1, 1))
@@ -44,6 +45,30 @@ func TestErrUnsolvableTagging(t *testing.T) {
 	p.AddLink(a, b, steadystate.R(1, 2))
 	if _, err := steadystate.Solve(context.Background(), p, steadystate.ScatterSpec(a, b)); err != nil {
 		t.Fatalf("solvable scenario errored: %v", err)
+	}
+
+	// Non-positive sizes and periods are rejected before any LP is built,
+	// not left to surface as an unbounded LP or a failing Report.
+	p6, order, target := steadystate.PaperFig6()
+	red := steadystate.ReduceSpec(order, target)
+	for _, c := range []struct {
+		name string
+		spec steadystate.Spec
+		opt  steadystate.SolveOption
+	}{
+		{"zero fixed period", red, steadystate.WithFixedPeriod(big.NewInt(0))},
+		{"negative fixed period", red, steadystate.WithFixedPeriod(big.NewInt(-4))},
+		{"nil fixed period", red, steadystate.WithFixedPeriod(nil)},
+		{"zero message size", red, steadystate.WithMessageSize(steadystate.R(0, 1))},
+		{"negative message size", red, steadystate.WithMessageSize(steadystate.R(-1, 1))},
+		{"zero prefix message size", steadystate.PrefixSpec(order...), steadystate.WithMessageSize(steadystate.R(0, 1))},
+		{"zero composite message size", steadystate.CompositeSpec([]steadystate.Spec{red}, nil),
+			steadystate.WithMessageSize(steadystate.R(0, 1))},
+	} {
+		_, err := steadystate.Solve(context.Background(), p6, c.spec, c.opt)
+		if !errors.Is(err, steadystate.ErrUnsolvable) || !strings.Contains(err.Error(), "must be positive") {
+			t.Errorf("%s: err %v, want an ErrUnsolvable positivity error", c.name, err)
+		}
 	}
 }
 
@@ -79,7 +104,7 @@ func solveReduceProblem(tb testing.TB, pr *steadystate.ReduceProblem) (*steadyst
 	if err != nil {
 		tb.Fatalf("reduce solve: %v", err)
 	}
-	return sol.Members[0].Reduce, sol.Stats
+	return sol.Members[0].Part.(*steadystate.ReduceSolution), sol.Stats
 }
 
 // TestSolutionCapabilities pins, for every kind and for every member kind
@@ -266,9 +291,9 @@ func TestSolveGatherEquivalence(t *testing.T) {
 	}
 }
 
-// TestSolutionUniformSurface exercises Schedule/SimModel/Report on every
-// kind that supports them and keeps the one genuinely unsupported surface
-// (prefix Schedule) pinned on the ErrUnsupported path.
+// TestSolutionUniformSurface exercises Schedule/SimModel/Report on
+// scatter, reduce and gossip, then checks the prefix schedule verifies and
+// its replay respects Lemma 1.
 func TestSolutionUniformSurface(t *testing.T) {
 	ctx := context.Background()
 	p, src, targets := steadystate.PaperFig2()
@@ -316,8 +341,12 @@ func TestSolutionUniformSurface(t *testing.T) {
 	}
 
 	psol := solve(p6, steadystate.PrefixSpec(order...))
-	if _, err := psol.Schedule(); !errors.Is(err, steadystate.ErrUnsupported) {
-		t.Errorf("prefix Schedule error = %v, want ErrUnsupported", err)
+	psched, err := psol.Schedule()
+	if err != nil {
+		t.Fatalf("prefix Schedule: %v", err)
+	}
+	if err := psched.Verify(); err != nil {
+		t.Errorf("prefix schedule invalid: %v", err)
 	}
 	pm, err := psol.SimModel()
 	if err != nil {

@@ -29,7 +29,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -188,19 +187,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *showSched {
 		sched, err := sol.Schedule()
-		switch {
-		case errors.Is(err, steadystate.ErrUnsupported):
-			fmt.Fprintf(stderr, "sscollect: no schedule construction for %s; skipping -schedule\n", spec.Kind)
-		case err != nil:
+		if err != nil {
 			return fmt.Errorf("schedule: %w", err)
-		default:
-			fmt.Fprint(stdout, sched.Gantt())
 		}
+		fmt.Fprint(stdout, sched.Gantt())
 	}
 
 	if *simulate > 0 {
-		// Every kind builds a simulation model (composites via the merged
-		// member models), so there is no ErrUnsupported escape here.
 		m, err := sol.SimModel()
 		if err != nil {
 			return fmt.Errorf("simulation model: %w", err)

@@ -199,12 +199,19 @@ func TestReportFile(t *testing.T) {
 	}
 }
 
-func TestPrefixScheduleUnsupportedIsNotFatal(t *testing.T) {
-	// -schedule on a prefix solve degrades to a notice (no schedule
-	// construction for prefix); -simulate runs for real, since every kind
-	// now builds a simulation model.
+// TestPrefixScheduleOnFig6: -schedule prints the prefix's periodic
+// schedule — its partial-result transfers decomposed into one-port-safe
+// slots over the period — and -simulate replays it.
+func TestPrefixScheduleOnFig6(t *testing.T) {
 	out := runOK(t, "-platform", "fig6", "-op", "prefix", "-schedule", "-simulate", "10")
-	for _, want := range []string{"prefix throughput", "simulated 10 periods"} {
+	for _, want := range []string{
+		"prefix throughput TP = 1/4 (period 4)",
+		"period 4, 4 slots",
+		"slot boundaries:   [0,1) [1,2) [2,3) [3,4)",
+		"P0→P1:             - - 1/2×v[0,1] 1/2×v[0,1]",
+		"P2→P0:             1×v[2,2] - - -",
+		"simulated 10 periods",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"math/big"
 	"reflect"
+	"strings"
 	"testing"
 
 	steadystate "repro"
@@ -17,7 +18,10 @@ import (
 // TestCompositeSingleMemberBitExact: a composite of one member with weight
 // 1 must degenerate to the plain solver bit-exactly — same throughput and
 // same period — for every base kind. The composite assembles the same LP
-// phase by phase, so the simplex walks the same pivots.
+// phase by phase, so the simplex walks the same pivots. Outside the reduce
+// family, whose plain schedule serializes its certified trees instead, a
+// plain schedule is the one-member composite's merged schedule: the same
+// slots, without the member's "op0:" label namespace.
 func TestCompositeSingleMemberBitExact(t *testing.T) {
 	ctx := context.Background()
 	p2, src, targets := steadystate.PaperFig2()
@@ -32,6 +36,7 @@ func TestCompositeSingleMemberBitExact(t *testing.T) {
 		opts []steadystate.SolveOption
 	}{
 		{"scatter", p2, steadystate.ScatterSpec(src, targets...), nil},
+		{"broadcast", p2, steadystate.BroadcastSpec(src, targets...), nil},
 		{"gossip", p6, steadystate.GossipSpec(order, order), nil},
 		{"reduce", p6, steadystate.ReduceSpec(order, target), nil},
 		{"gather", chain, steadystate.GatherSpec(chainOrder, chainOrder[0]),
@@ -68,6 +73,21 @@ func TestCompositeSingleMemberBitExact(t *testing.T) {
 			if members[0].Throughput().Cmp(plain.Throughput()) != 0 {
 				t.Errorf("member TP = %s, want %s",
 					members[0].Throughput().RatString(), plain.Throughput().RatString())
+			}
+			if _, certified := plain.(steadystate.Certified); certified {
+				return
+			}
+			plainSched, err := plain.Schedule()
+			if err != nil {
+				t.Fatalf("plain Schedule: %v", err)
+			}
+			compSched, err := comp.Schedule()
+			if err != nil {
+				t.Fatalf("composite Schedule: %v", err)
+			}
+			want := strings.ReplaceAll(compSched.Gantt(), steadystate.SimMemberPrefix(0), "")
+			if got := plainSched.Gantt(); got != want {
+				t.Errorf("plain schedule is not the one-member composite's:\n--- plain\n%s\n--- composite without op0:\n%s", got, want)
 			}
 		})
 	}

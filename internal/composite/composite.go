@@ -26,10 +26,14 @@
 //
 // Each member's variables keep their own conservation structure (the
 // members exchange no data), so the per-member sub-solutions are ordinary
-// scatter/gossip/reduce/prefix solutions and reuse the existing schedule,
-// tree-extraction and verification machinery. The merged periodic schedule
-// decomposes the union of all members' transfers into one sequence of
-// one-port-safe matching slots over the LCM of the member periods.
+// scatter/broadcast/gossip/reduce/prefix solutions (a MemberSolution's
+// Part) and reuse the existing tree-extraction and verification
+// machinery. The merged periodic schedule decomposes the union of all
+// members' transfers into one sequence of one-port-safe matching slots
+// over the LCM of the member periods; a member's own schedule
+// (MemberSolution.Schedule) is the one-member case of the same
+// construction, and it is the schedule of every plain scatter, broadcast,
+// gossip and prefix solve.
 package composite
 
 import (
@@ -162,6 +166,19 @@ func NewProblem(p *graph.Platform, members []Member) (*Problem, error) {
 	return &Problem{Platform: p, Members: append([]Member(nil), members...)}, nil
 }
 
+// Part is a solved base-kind collective — one member's share of a solved
+// composite: a *scatter.Solution, *scatter.BroadcastSolution,
+// *gossip.Solution, *reduce.Solution or *prefix.Solution.
+type Part interface {
+	Throughput() rat.Rat
+	Period() *big.Int
+	// AllRates returns the part's rates plus its throughput: the input to
+	// the period computation.
+	AllRates() []rat.Rat
+	Verify() error
+	String() string
+}
+
 // MemberSolution is one member's share of a solved composite: an ordinary
 // per-kind solution whose rates satisfy the member's own conservation and
 // delivery constraints at Throughput = Weight · TP. The members were
@@ -169,64 +186,22 @@ func NewProblem(p *graph.Platform, members []Member) (*Problem, error) {
 type MemberSolution struct {
 	Weight     rat.Rat
 	Throughput rat.Rat
-	Scatter    *scatter.Solution
-	Broadcast  *scatter.BroadcastSolution
-	Gossip     *gossip.Solution
-	Reduce     *reduce.Solution
-	Prefix     *prefix.Solution
+	// Part is the member's own per-kind solution.
+	Part Part
+
+	kind     string
+	platform *graph.Platform
 }
 
 // Kind names the member's collective family.
-func (ms *MemberSolution) Kind() string {
-	switch {
-	case ms.Scatter != nil:
-		return "scatter"
-	case ms.Broadcast != nil:
-		return "broadcast"
-	case ms.Gossip != nil:
-		return "gossip"
-	case ms.Reduce != nil:
-		return "reduce"
-	case ms.Prefix != nil:
-		return "prefix"
-	}
-	return "empty"
-}
+func (ms *MemberSolution) Kind() string { return ms.kind }
 
 // Verify re-checks the member's own constraints (conservation, delivery at
 // Weight·TP, per-member occupations).
-func (ms *MemberSolution) Verify() error {
-	switch {
-	case ms.Scatter != nil:
-		return ms.Scatter.Verify()
-	case ms.Broadcast != nil:
-		return ms.Broadcast.Verify()
-	case ms.Gossip != nil:
-		return ms.Gossip.Verify()
-	case ms.Reduce != nil:
-		return ms.Reduce.Verify()
-	case ms.Prefix != nil:
-		return ms.Prefix.Verify()
-	}
-	return fmt.Errorf("composite: empty member solution")
-}
+func (ms *MemberSolution) Verify() error { return ms.Part.Verify() }
 
 // AllRates returns the member's rates plus its throughput.
-func (ms *MemberSolution) AllRates() []rat.Rat {
-	switch {
-	case ms.Scatter != nil:
-		return ms.Scatter.Flow.AllRates()
-	case ms.Broadcast != nil:
-		return ms.Broadcast.AllRates()
-	case ms.Gossip != nil:
-		return ms.Gossip.Flow.AllRates()
-	case ms.Reduce != nil:
-		return ms.Reduce.AllRates()
-	case ms.Prefix != nil:
-		return ms.Prefix.AllRates()
-	}
-	return nil
-}
+func (ms *MemberSolution) AllRates() []rat.Rat { return ms.Part.AllRates() }
 
 // Period returns the member's own integer schedule period (LCM of its rate
 // denominators).
@@ -234,66 +209,65 @@ func (ms *MemberSolution) Period() *big.Int {
 	return rat.DenominatorLCM(ms.AllRates()...)
 }
 
-// sizeOf returns the member's message-size function over its range types
-// (unit for scatter/gossip commodities).
-func (ms *MemberSolution) sizeOf(r reduce.Range) rat.Rat {
-	switch {
-	case ms.Reduce != nil:
-		return ms.Reduce.Problem.SizeOf(r)
-	case ms.Prefix != nil:
-		return ms.Prefix.Problem.SizeOf(r)
-	}
-	return rat.One()
+// Schedule builds the member's own periodic schedule: its transfers at its
+// own period, decomposed into one-port-safe matching slots — the
+// one-member case of Solution.Schedule, and the schedule of a plain
+// scatter, broadcast, gossip or prefix solve (a plain reduce or gather
+// serializes its certified trees instead).
+func (ms *MemberSolution) Schedule() (*schedule.Schedule, error) {
+	return schedule.MergeFlows(ms.platform, ms.Period(), []schedule.MemberFlow{ms.flows("")})
 }
 
 // flows returns the member's transfers and compute occupation for the
 // merged schedule and the shared-capacity checks, with labels prefixed for
-// the member. Transfers are emitted in deterministic order.
-func (ms *MemberSolution) flows(p *graph.Platform, label string) schedule.MemberFlow {
-	var out schedule.MemberFlow
-	switch {
-	case ms.Broadcast != nil:
-		out = BroadcastMemberFlow(ms.Broadcast, label)
-	case ms.Scatter != nil, ms.Gossip != nil:
-		var flow *core.Flow[core.Commodity]
-		if ms.Scatter != nil {
-			flow = ms.Scatter.Flow
-		} else {
-			flow = ms.Gossip.Flow
-		}
-		for e, types := range flow.Sends {
+// the member. Scatter and gossip label a transfer by its commodity, a
+// broadcast moves its carry stream — one shared copy per edge, not one
+// per target — and the reduce family labels partial results by range and
+// adds its compute time. Transfers are emitted in deterministic order: the
+// matching decomposition is order-sensitive, so map-ordered rates would
+// otherwise lay out different slots run to run.
+func (ms *MemberSolution) flows(label string) schedule.MemberFlow {
+	p := ms.platform
+	out := schedule.MemberFlow{ComputeTime: make(map[graph.NodeID]rat.Rat)}
+	add := func(from, to graph.NodeID, lbl string, size, r rat.Rat) {
+		out.Transfers = append(out.Transfers, schedule.FlowTransfer{
+			From: from, To: to, Label: label + lbl, Size: size, Rate: rat.Copy(r),
+		})
+	}
+	var sends map[reduce.SendKey]rat.Rat
+	var tasks map[reduce.TaskKey]rat.Rat
+	var sizeOf func(reduce.Range) rat.Rat
+	var taskTime func(graph.NodeID, reduce.Task) rat.Rat
+	switch part := ms.Part.(type) {
+	case *scatter.Solution:
+		for e, types := range part.Flow.Sends {
 			for c, r := range types {
-				lbl := label + "m_" + p.Node(c.Dst).Name
-				if ms.Gossip != nil {
-					lbl = label + "m_" + p.Node(c.Src).Name + "_" + p.Node(c.Dst).Name
-				}
-				out.Transfers = append(out.Transfers, schedule.FlowTransfer{
-					From: e.From, To: e.To, Label: lbl, Size: rat.One(), Rate: rat.Copy(r),
-				})
+				add(e.From, e.To, "m_"+p.Node(c.Dst).Name, rat.One(), r)
 			}
 		}
-	case ms.Reduce != nil, ms.Prefix != nil:
-		var sends map[reduce.SendKey]rat.Rat
-		var tasks map[reduce.TaskKey]rat.Rat
-		var taskTime func(graph.NodeID, reduce.Task) rat.Rat
-		if ms.Reduce != nil {
-			sends, tasks, taskTime = ms.Reduce.Sends, ms.Reduce.Tasks, ms.Reduce.Problem.TaskTime
-		} else {
-			sends, tasks, taskTime = ms.Prefix.Sends, ms.Prefix.Tasks, ms.Prefix.Problem.TaskTime
-		}
-		for k, r := range sends {
-			out.Transfers = append(out.Transfers, schedule.FlowTransfer{
-				From: k.From, To: k.To, Label: label + k.R.String(),
-				Size: ms.sizeOf(k.R), Rate: rat.Copy(r),
-			})
-		}
-		out.ComputeTime = make(map[graph.NodeID]rat.Rat)
-		for k, r := range tasks {
-			if out.ComputeTime[k.Node] == nil {
-				out.ComputeTime[k.Node] = rat.Zero()
+	case *gossip.Solution:
+		for e, types := range part.Flow.Sends {
+			for c, r := range types {
+				add(e.From, e.To, "m_"+p.Node(c.Src).Name+"_"+p.Node(c.Dst).Name, rat.One(), r)
 			}
-			out.ComputeTime[k.Node].Add(out.ComputeTime[k.Node], rat.Mul(r, taskTime(k.Node, k.T)))
 		}
+	case *scatter.BroadcastSolution:
+		for _, tr := range part.CarryTransfers() {
+			add(tr.From, tr.To, "bcast", rat.One(), tr.Rate)
+		}
+	case *reduce.Solution:
+		sends, tasks, sizeOf, taskTime = part.Sends, part.Tasks, part.Problem.SizeOf, part.Problem.TaskTime
+	case *prefix.Solution:
+		sends, tasks, sizeOf, taskTime = part.Sends, part.Tasks, part.Problem.SizeOf, part.Problem.TaskTime
+	}
+	for k, r := range sends {
+		add(k.From, k.To, k.R.String(), sizeOf(k.R), r)
+	}
+	for k, r := range tasks {
+		if out.ComputeTime[k.Node] == nil {
+			out.ComputeTime[k.Node] = rat.Zero()
+		}
+		out.ComputeTime[k.Node].Add(out.ComputeTime[k.Node], rat.Mul(r, taskTime(k.Node, k.T)))
 	}
 	sort.Slice(out.Transfers, func(i, j int) bool {
 		a, b := out.Transfers[i], out.Transfers[j]
@@ -305,21 +279,6 @@ func (ms *MemberSolution) flows(p *graph.Platform, label string) schedule.Member
 		}
 		return a.Label < b.Label
 	})
-	return out
-}
-
-// BroadcastMemberFlow converts a broadcast solution's carry stream — the
-// messages physically moved, one shared copy per edge, not one per
-// target — into a merged-schedule member flow, with every transfer
-// labeled label+"bcast". It is the single conversion point for both the
-// standalone broadcast schedule and composite merged schedules.
-func BroadcastMemberFlow(sol *scatter.BroadcastSolution, label string) schedule.MemberFlow {
-	var out schedule.MemberFlow
-	for _, tr := range sol.CarryTransfers() {
-		out.Transfers = append(out.Transfers, schedule.FlowTransfer{
-			From: tr.From, To: tr.To, Label: label + "bcast", Size: rat.One(), Rate: tr.Rate,
-		})
-	}
 	return out
 }
 
@@ -341,8 +300,10 @@ type memberFragments struct {
 	pre   *prefix.Fragment
 }
 
-// memberLabel prefixes variable and constraint names of member i.
-func memberLabel(i int) string { return fmt.Sprintf("op%d:", i) }
+// MemberLabel returns member i's namespace, "op<i>:": it prefixes the
+// member's LP variable and constraint names, its transfer labels in the
+// merged schedule, and its commodities in a merged simulation model.
+func MemberLabel(i int) string { return fmt.Sprintf("op%d:", i) }
 
 // SolveCtx builds and solves the shared-capacity LP, honoring context
 // cancellation inside the simplex loop. It is the one steady-state LP
@@ -360,7 +321,7 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 
 	frags := make([]memberFragments, len(pr.Members))
 	for i, mem := range pr.Members {
-		label := memberLabel(i)
+		label := MemberLabel(i)
 		switch {
 		case mem.Scatter != nil:
 			comms := make([]core.Commodity, len(mem.Scatter.Targets))
@@ -388,7 +349,7 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	}
 	occ.AddConstraints(m)
 	for i := range pr.Members {
-		label := memberLabel(i)
+		label := MemberLabel(i)
 		switch {
 		case frags[i].red != nil:
 			frags[i].red.AddComputeVars(m, label, comp)
@@ -398,7 +359,7 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	}
 	comp.AddConstraints(m)
 	for i, mem := range pr.Members {
-		label := memberLabel(i)
+		label := MemberLabel(i)
 		switch {
 		case frags[i].flow != nil:
 			frags[i].flow.AddFlowConstraints(m, label, tp, mem.Weight)
@@ -429,18 +390,19 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	defer exSpan.End()
 	for i, mem := range pr.Members {
 		memTP := rat.Mul(mem.Weight, sol.Objective)
-		ms := &MemberSolution{Weight: rat.Copy(mem.Weight), Throughput: rat.Copy(memTP)}
+		ms := &MemberSolution{Weight: rat.Copy(mem.Weight), Throughput: rat.Copy(memTP),
+			kind: mem.Kind(), platform: pr.Platform}
 		switch {
 		case mem.Scatter != nil:
-			ms.Scatter = &scatter.Solution{Problem: mem.Scatter, Flow: frags[i].flow.Extract(sol, memTP)}
+			ms.Part = &scatter.Solution{Problem: mem.Scatter, Flow: frags[i].flow.Extract(sol, memTP)}
 		case mem.Broadcast != nil:
-			ms.Broadcast = frags[i].bcast.Extract(sol, memTP)
+			ms.Part = frags[i].bcast.Extract(sol, memTP)
 		case mem.Gossip != nil:
-			ms.Gossip = &gossip.Solution{Problem: mem.Gossip, Flow: frags[i].flow.Extract(sol, memTP)}
+			ms.Part = &gossip.Solution{Problem: mem.Gossip, Flow: frags[i].flow.Extract(sol, memTP)}
 		case mem.Reduce != nil:
-			ms.Reduce = frags[i].red.Extract(sol, memTP)
+			ms.Part = frags[i].red.Extract(sol, memTP)
 		case mem.Prefix != nil:
-			ms.Prefix = frags[i].pre.Extract(sol, memTP)
+			ms.Part = frags[i].pre.Extract(sol, memTP)
 		}
 		out.Members = append(out.Members, ms)
 	}
@@ -477,7 +439,7 @@ func (s *Solution) Verify() error {
 		if err := ms.Verify(); err != nil {
 			return fmt.Errorf("composite: member %d: %w", i, err)
 		}
-		mf := ms.flows(p, "")
+		mf := ms.flows("")
 		for _, tr := range mf.Transfers {
 			occ := rat.Mul(rat.Mul(tr.Rate, tr.Size), p.Cost(tr.From, tr.To))
 			k := core.EdgeKey{From: tr.From, To: tr.To}
@@ -532,12 +494,11 @@ func (s *Solution) Verify() error {
 // member's transfers over the LCM period, decomposed into one-port-safe
 // matching slots; member i's transfers are labeled "op<i>:…".
 func (s *Solution) Schedule() (*schedule.Schedule, error) {
-	period := s.Period()
 	members := make([]schedule.MemberFlow, len(s.Members))
 	for i, ms := range s.Members {
-		members[i] = ms.flows(s.Problem.Platform, memberLabel(i))
+		members[i] = ms.flows(MemberLabel(i))
 	}
-	return schedule.MergeFlows(s.Problem.Platform, period, members)
+	return schedule.MergeFlows(s.Problem.Platform, s.Period(), members)
 }
 
 // String renders the composite in the spirit of the paper's figures: the

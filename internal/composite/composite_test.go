@@ -3,6 +3,7 @@ package composite
 import (
 	"context"
 	"math/big"
+	"strings"
 	"testing"
 
 	"repro/internal/gossip"
@@ -51,7 +52,7 @@ func TestSingleReduceMemberMatchesPlainSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := solve(t, p, ReduceMember(memberPr, rat.One()))
-	want := got.Members[0].Reduce
+	want := got.Members[0].Part.(*reduce.Solution)
 	if !rat.Eq(got.TP, rat.One()) || !rat.Eq(got.TP, want.Throughput()) {
 		t.Errorf("TP = %s, member TP = %s, want 1", got.TP.RatString(), want.Throughput().RatString())
 	}
@@ -173,5 +174,49 @@ func TestNewProblemRejectsBadMembers(t *testing.T) {
 	}
 	if _, err := NewProblem(p, []Member{ReduceMember(otherRed, rat.One())}); err == nil {
 		t.Error("member on a different platform should fail")
+	}
+}
+
+// TestMemberScheduleDeterministic pins the sort in flows: the matching
+// decomposition is order-sensitive — when one edge carries several
+// equal-weight message types, its tie-break follows insertion order — and
+// the member's rates live in maps, so without the sort the slot layout
+// would vary run to run. A gossip from four sources through a hub to one
+// target puts four equal-rate commodities on the hub's one out-edge;
+// rebuilding its schedule must always yield the same slots.
+func TestMemberScheduleDeterministic(t *testing.T) {
+	p := graph.New()
+	hub := p.AddNode("H", rat.One())
+	target := p.AddNode("T", rat.One())
+	p.AddEdge(hub, target, rat.One())
+	var sources []graph.NodeID
+	for _, name := range []string{"S0", "S1", "S2", "S3"} {
+		s := p.AddNode(name, rat.One())
+		p.AddEdge(s, hub, rat.One())
+		sources = append(sources, s)
+	}
+	pr, err := gossip.NewProblem(p, sources, []graph.NodeID{target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := solve(t, p, GossipMember(pr, rat.One())).Members[0]
+	build := func() string {
+		sched, err := ms.Schedule()
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		if err := sched.Verify(); err != nil {
+			t.Fatalf("schedule invalid: %v", err)
+		}
+		return sched.Gantt()
+	}
+	ref := build()
+	if !strings.Contains(ref, "period 4, 4 slots") {
+		t.Fatalf("want the hub's four unit streams in 4 slots of period 4:\n%s", ref)
+	}
+	for i := 0; i < 16; i++ {
+		if got := build(); got != ref {
+			t.Fatalf("schedule differs between identical builds (iteration %d):\n--- first\n%s\n--- now\n%s", i, ref, got)
+		}
 	}
 }

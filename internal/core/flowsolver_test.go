@@ -27,11 +27,10 @@ func solve(t *testing.T, p *graph.Platform, mem composite.Member) (*core.Flow[co
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	ms := sol.Members[0]
-	if ms.Gossip != nil {
-		return ms.Gossip.Flow, sol.Stats
+	if g, ok := sol.Members[0].Part.(*gossip.Solution); ok {
+		return g.Flow, sol.Stats
 	}
-	return ms.Scatter.Flow, sol.Stats
+	return sol.Members[0].Part.(*scatter.Solution).Flow, sol.Stats
 }
 
 // scatterMember returns the scatter from src to targets — the commodities

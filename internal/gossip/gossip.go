@@ -93,6 +93,10 @@ func (s *Solution) Throughput() rat.Rat { return rat.Copy(s.Flow.Throughput) }
 // Period returns the integer schedule period (LCM of rate denominators).
 func (s *Solution) Period() *big.Int { return s.Flow.Period() }
 
+// AllRates returns the throughput and every send rate — the input to the
+// period computation.
+func (s *Solution) AllRates() []rat.Rat { return s.Flow.AllRates() }
+
 // UnitSize is the message size function (unit-size messages).
 func UnitSize(core.Commodity) rat.Rat { return rat.One() }
 

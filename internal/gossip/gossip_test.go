@@ -26,7 +26,7 @@ func solve(t *testing.T, pr *gossip.Problem) *gossip.Solution {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	return sol.Members[0].Gossip
+	return sol.Members[0].Part.(*gossip.Solution)
 }
 
 func triangle(t *testing.T) (*graph.Platform, []graph.NodeID) {

@@ -26,7 +26,7 @@ func solve(t *testing.T, pr *reduce.Problem) (*reduce.Solution, core.FlowStats) 
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	return sol.Members[0].Reduce, sol.Stats
+	return sol.Members[0].Part.(*reduce.Solution), sol.Stats
 }
 
 // solveFig6 solves the paper's Figure 6 reduce and returns the solution

@@ -52,7 +52,7 @@ func TestBroadcastChainRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := solve(t, p, composite.BroadcastMember(pr, rat.One())).Broadcast
+	sol := solve(t, p, composite.BroadcastMember(pr, rat.One())).Part.(*scatter.BroadcastSolution)
 	if got := sol.Throughput().RatString(); got != "1" {
 		t.Errorf("TP = %s, want 1", got)
 	}
@@ -77,8 +77,8 @@ func TestBroadcastSingleTargetMatchesScatter(t *testing.T) {
 	p, a, b, _ := chain3(t)
 	bpr := must(scatter.NewBroadcastProblem(p, a, []graph.NodeID{b}))
 	spr := must(scatter.NewProblem(p, a, []graph.NodeID{b}))
-	bsol := solve(t, p, composite.BroadcastMember(bpr, rat.One())).Broadcast
-	ssol := solve(t, p, composite.ScatterMember(spr, rat.One())).Scatter
+	bsol := solve(t, p, composite.BroadcastMember(bpr, rat.One())).Part.(*scatter.BroadcastSolution)
+	ssol := solve(t, p, composite.ScatterMember(spr, rat.One())).Part.(*scatter.Solution)
 	if bsol.Throughput().Cmp(ssol.Throughput()) != 0 {
 		t.Errorf("broadcast TP = %s, scatter TP = %s",
 			bsol.Throughput().RatString(), ssol.Throughput().RatString())
@@ -90,7 +90,7 @@ func TestBroadcastSingleTargetMatchesScatter(t *testing.T) {
 func TestBroadcastVerifyCatchesTampering(t *testing.T) {
 	p, a, b, c := chain3(t)
 	pr := must(scatter.NewBroadcastProblem(p, a, []graph.NodeID{b, c}))
-	sol := solve(t, p, composite.BroadcastMember(pr, rat.One())).Broadcast
+	sol := solve(t, p, composite.BroadcastMember(pr, rat.One())).Part.(*scatter.BroadcastSolution)
 	sol.Carry[core.EdgeKey{From: a, To: b}] = rat.New(1, 4)
 	if err := sol.Verify(); err == nil {
 		t.Error("Verify accepted a carry rate below the flows it must cover")

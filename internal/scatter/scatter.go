@@ -77,6 +77,10 @@ func UnitSize(core.Commodity) rat.Rat { return rat.One() }
 // every per-period message count send(e, m_t)·T is an integer.
 func (s *Solution) Period() *big.Int { return s.Flow.Period() }
 
+// AllRates returns the throughput and every send rate — the input to the
+// period computation.
+func (s *Solution) AllRates() []rat.Rat { return s.Flow.AllRates() }
+
 // Verify checks the solution against the paper's constraints, independent
 // of the LP solver: one-port feasibility, conservation at every node other
 // than the source and the type's target, and delivery of exactly TP per

@@ -2,28 +2,25 @@ package schedule
 
 import (
 	"fmt"
+	"math/big"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rat"
 )
 
-// ExampleFromFlow turns a solved steady-state flow — here two messages
-// per time unit on a half-cost link — into its periodic one-port
+// ExampleMergeFlows turns one solved steady-state stream — here two
+// messages per time unit on a half-cost link — into its periodic one-port
 // schedule.
-func ExampleFromFlow() {
+func ExampleMergeFlows() {
 	p := graph.New()
 	a := p.AddNode("a", rat.One())
 	b := p.AddNode("b", rat.One())
 	p.AddEdge(a, b, rat.New(1, 2))
 
-	flow := core.NewFlow[core.Commodity](p)
-	flow.Throughput = rat.New(2, 1)
-	flow.SetSend(a, b, core.Commodity{Src: a, Dst: b}, rat.New(2, 1))
-
-	sched, err := FromFlow(flow,
-		func(core.Commodity) rat.Rat { return rat.One() },
-		func(core.Commodity) string { return "m_b" })
+	member := MemberFlow{Transfers: []FlowTransfer{
+		{From: a, To: b, Label: "m_b", Size: rat.One(), Rate: rat.New(2, 1)},
+	}}
+	sched, err := MergeFlows(p, big.NewInt(1), []MemberFlow{member})
 	if err != nil {
 		panic(err)
 	}

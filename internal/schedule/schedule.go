@@ -14,11 +14,12 @@
 // 4(a)); Unsplit rescales the period so that every slot moves a whole
 // number of messages (Figure 4(b)).
 //
-// Two constructions are exposed: FromFlow serializes one solved
-// scatter/gossip flow, and MergeFlows superposes the transfer demands of
-// several concurrent collectives (composite, reduce-scatter, allreduce
-// members, broadcast carry streams) over a common period — typically the
-// LCM of the member periods — into a single one-port-safe slot sequence.
+// Two constructions are exposed. MergeFlows superposes the typed transfer
+// demands of one or more collectives over a common period — the LCM of
+// the member periods — into a single one-port-safe slot sequence; every
+// solved member, and so every plain solve of a base kind, schedules
+// through it (composite.MemberSolution.Schedule). FromTrees serializes a
+// reduce's certified reduction-tree family instead.
 package schedule
 
 import (
@@ -27,7 +28,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/rat"
@@ -71,44 +71,6 @@ type payload struct {
 	// perTime is messages per time unit: count/weight, used to convert a
 	// step's duration back to a message count.
 	perTime rat.Rat
-}
-
-// FromFlow builds the periodic schedule of a scatter/gossip solution: one
-// bipartite edge per (platform edge, message type), weighted by its busy
-// time within the integer period.
-func FromFlow[C comparable](flow *core.Flow[C], sizeOf func(C) rat.Rat, label func(C) string) (*Schedule, error) {
-	period := new(big.Rat).SetInt(flow.Period())
-	var transfers []matching.Transfer
-	nNodes := flow.Platform.NumNodes()
-	for e, types := range flow.Sends {
-		cost := flow.Platform.Cost(e.From, e.To)
-		for c, rate := range types {
-			count := rat.Mul(rate, period)   // messages per period
-			unit := rat.Mul(sizeOf(c), cost) // time per message
-			weight := rat.Mul(count, unit)   // busy time per period
-			perTime := rat.Inv(unit)         // messages per time unit
-			transfers = append(transfers, matching.Transfer{
-				Sender:   int(e.From),
-				Receiver: int(e.To),
-				Weight:   weight,
-				Payload:  payload{label: label(c), perTime: perTime},
-			})
-		}
-	}
-	// flow.Sends iteration is map-ordered; the matching decomposition is
-	// order-sensitive (which matching is extracted first decides the slot
-	// layout), so sort before assembling to keep schedules reproducible.
-	sort.Slice(transfers, func(i, j int) bool {
-		a, b := transfers[i], transfers[j]
-		if a.Sender != b.Sender {
-			return a.Sender < b.Sender
-		}
-		if a.Receiver != b.Receiver {
-			return a.Receiver < b.Receiver
-		}
-		return a.Payload.(payload).label < b.Payload.(payload).label
-	})
-	return assemble(flow.Platform, period, transfers, nil, nNodes)
 }
 
 // FlowTransfer is one typed steady-state message stream contributed to a
@@ -165,12 +127,13 @@ func MergeFlows(p *graph.Platform, period *big.Int, members []MemberFlow) (*Sche
 	if len(computeLoad) == 0 {
 		computeLoad = nil
 	}
-	return assemble(p, per, transfers, computeLoad, p.NumNodes())
+	return assemble(p, per, transfers, computeLoad)
 }
 
 // assemble runs the matching decomposition and lays out the slots.
 func assemble(p *graph.Platform, period rat.Rat, transfers []matching.Transfer,
-	computeLoad map[graph.NodeID]rat.Rat, nNodes int) (*Schedule, error) {
+	computeLoad map[graph.NodeID]rat.Rat) (*Schedule, error) {
+	nNodes := p.NumNodes()
 	if len(transfers) > 0 {
 		delta := matching.MaxWeightedDegree(nNodes, nNodes, transfers)
 		if delta.Cmp(period) > 0 {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/composite"
-	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/rat"
@@ -17,7 +16,7 @@ import (
 )
 
 // solve solves one scatter, gossip or reduce problem on its own: a one-member
-// composite, the single LP path.
+// composite, the single LP path, whose member schedules itself.
 func solve(t *testing.T, p *graph.Platform, mem composite.Member) *composite.MemberSolution {
 	t.Helper()
 	cp, err := composite.NewProblem(p, []composite.Member{mem})
@@ -38,14 +37,12 @@ func fig2Schedule(t *testing.T) (*scatter.Solution, *schedule.Schedule) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Scatter
-	sched, err := schedule.FromFlow(sol.Flow, scatter.UnitSize, func(c core.Commodity) string {
-		return "m_" + p.Node(c.Dst).Name
-	})
+	ms := solve(t, p, composite.ScatterMember(pr, rat.One()))
+	sched, err := ms.Schedule()
 	if err != nil {
-		t.Fatalf("FromFlow: %v", err)
+		t.Fatalf("Schedule: %v", err)
 	}
-	return sol, sched
+	return ms.Part.(*scatter.Solution), sched
 }
 
 // TestPaperFig4Schedule builds the concrete periodic schedule for the
@@ -70,38 +67,6 @@ func TestPaperFig4Schedule(t *testing.T) {
 		}
 	}
 	t.Log("\n" + sched.Gantt())
-}
-
-// TestFromFlowDeterministic pins the mapdeterminism fix: FromFlow feeds
-// the order-sensitive matching decomposition from a map range — when one
-// edge carries several equal-weight message types, the decomposition's
-// tie-break follows insertion (i.e. map iteration) order, so without the
-// sort the slot layout varied run to run. Building the same schedule
-// repeatedly must yield identical slot sequences.
-func TestFromFlowDeterministic(t *testing.T) {
-	build := func() string {
-		p := graph.New()
-		a := p.AddNode("A", rat.One())
-		b := p.AddNode("B", rat.One())
-		p.AddEdge(a, b, rat.One())
-		flow := core.NewFlow[string](p)
-		flow.Throughput = rat.New(1, 4)
-		for _, label := range []string{"w", "x", "y", "z"} {
-			flow.SetSend(a, b, label, rat.New(1, 4))
-		}
-		sched, err := schedule.FromFlow(flow, func(string) rat.Rat { return rat.One() },
-			func(c string) string { return c })
-		if err != nil {
-			t.Fatalf("FromFlow: %v", err)
-		}
-		return sched.Gantt()
-	}
-	ref := build()
-	for i := 0; i < 8; i++ {
-		if got := build(); got != ref {
-			t.Fatalf("schedule differs between identical builds (iteration %d):\n--- first\n%s\n--- now\n%s", i, ref, got)
-		}
-	}
 }
 
 func TestUnsplitProducesWholeMessages(t *testing.T) {
@@ -157,21 +122,21 @@ func TestVerifyCatchesBrokenSchedules(t *testing.T) {
 	}
 }
 
-func TestFromFlowRejectsOverloadedFlow(t *testing.T) {
-	// Hand-build an infeasible flow (port busy > 1 per unit) and check
-	// the schedule builder rejects it.
+// TestMergeFlowsRejectsOverloadedMember: a single member whose own
+// transfers oversubscribe a port (busy > 1 per time unit) has no schedule.
+func TestMergeFlowsRejectsOverloadedMember(t *testing.T) {
 	p := graph.New()
 	a := p.AddNode("a", rat.One())
 	b := p.AddNode("b", rat.One())
 	c := p.AddNode("c", rat.One())
 	p.AddEdge(a, b, rat.One())
 	p.AddEdge(a, c, rat.One())
-	f := core.NewFlow[int](p)
-	f.SetSend(a, b, 0, rat.New(3, 4))
-	f.SetSend(a, c, 1, rat.New(3, 4)) // a's out port: 3/2 > 1
-	_, err := schedule.FromFlow(f, func(int) rat.Rat { return rat.One() }, func(i int) string { return "m" })
-	if err == nil {
-		t.Error("overloaded flow accepted")
+	member := schedule.MemberFlow{Transfers: []schedule.FlowTransfer{
+		{From: a, To: b, Label: "m_b", Size: rat.One(), Rate: rat.New(3, 4)},
+		{From: a, To: c, Label: "m_c", Size: rat.One(), Rate: rat.New(3, 4)}, // a's out port: 3/2 > 1
+	}}
+	if _, err := schedule.MergeFlows(p, big.NewInt(4), []schedule.MemberFlow{member}); err == nil {
+		t.Error("overloaded member accepted")
 	}
 }
 
@@ -199,13 +164,9 @@ func TestScheduleFromGossipFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gossip.NewProblem: %v", err)
 	}
-	f := solve(t, p, composite.GossipMember(pr, rat.One())).Gossip.Flow
-	sched, err := schedule.FromFlow(f, func(core.Commodity) rat.Rat { return rat.One() },
-		func(c core.Commodity) string {
-			return p.Node(c.Src).Name + ">" + p.Node(c.Dst).Name
-		})
+	sched, err := solve(t, p, composite.GossipMember(pr, rat.One())).Schedule()
 	if err != nil {
-		t.Fatalf("FromFlow: %v", err)
+		t.Fatalf("Schedule: %v", err)
 	}
 	if err := sched.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)

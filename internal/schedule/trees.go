@@ -56,5 +56,5 @@ func FromTrees(app *reduce.Application, trees []*reduce.Tree, period *big.Int) (
 		}
 	}
 
-	return assemble(p, periodRat, transfers, computeLoad, p.NumNodes())
+	return assemble(p, periodRat, transfers, computeLoad)
 }

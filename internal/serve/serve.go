@@ -182,14 +182,13 @@ func errDeadline() *ServiceError {
 }
 
 // errSolve classifies a solver failure by fault. Recognized problem-level
-// failures — invalid or impossible scenarios (steadystate.ErrUnsolvable),
-// infeasible or unbounded LPs, unsupported capabilities — are the
+// failures — invalid or impossible scenarios and bad options
+// (steadystate.ErrUnsolvable), infeasible or unbounded LPs — are the
 // client's 400; anything unrecognized is a server fault and answers 500,
 // telling clients a retry elsewhere may succeed and keeping error-rate
 // monitoring honest.
 func errSolve(err error) *ServiceError {
 	if errors.Is(err, steadystate.ErrUnsolvable) ||
-		errors.Is(err, steadystate.ErrUnsupported) ||
 		errors.Is(err, lp.ErrInfeasible) || errors.Is(err, lp.ErrUnbounded) {
 		return &ServiceError{Status: 400, Code: CodeUnsolvable, Message: err.Error()}
 	}

@@ -287,7 +287,6 @@ func TestSolveErrorClassification(t *testing.T) {
 		{"infeasible LP", fmt.Errorf("scatter: %w", lp.ErrInfeasible), 400, "unsolvable"},
 		{"unbounded LP", fmt.Errorf("gossip: %w", lp.ErrUnbounded), 400, "unsolvable"},
 		{"tagged unsolvable", fmt.Errorf("wrapped: %w", steadystate.ErrUnsolvable), 400, "unsolvable"},
-		{"unsupported capability", fmt.Errorf("no schedule: %w", steadystate.ErrUnsupported), 400, "unsolvable"},
 		{"internal fault", errors.New("tableau corrupted"), 500, "internal"},
 	}
 	for _, tc := range cases {

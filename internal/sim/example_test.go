@@ -27,7 +27,7 @@ func ExampleRun() {
 	if err != nil {
 		panic(err)
 	}
-	sol := solved.Members[0].Scatter
+	sol := solved.Members[0].Part.(*scatter.Solution)
 	res, err := Run(ScatterModel(sol), 100)
 	if err != nil {
 		panic(err)

@@ -8,13 +8,6 @@ import (
 	"repro/internal/graph"
 )
 
-// MemberPrefix returns the commodity-namespace prefix of member i in a
-// merged model: "op<i>:", matching the transfer labels of the merged
-// periodic schedule (schedule.MergeFlows via composite.Solution.Schedule).
-// Pass it to Result.MinDeliveredPrefix to read one member's deliveries out
-// of a merged replay.
-func MemberPrefix(i int) string { return fmt.Sprintf("op%d:", i) }
-
 // Merge superposes per-member simulation models into one model over a
 // common period — the dynamic counterpart of schedule.MergeFlows. Every
 // member model's period must divide the merged period (the composite

@@ -206,8 +206,8 @@ func (r *Result) MinDelivered() *big.Int {
 
 // MinDeliveredPrefix returns the smallest delivery count over the sinks
 // whose type starts with the given prefix — the per-member MinDelivered of
-// a merged composite model (use MemberPrefix(i) as the prefix). It returns
-// 0 when no sink matches.
+// a merged composite model (pass member i's label, composite.MemberLabel(i),
+// as the prefix). It returns 0 when no sink matches.
 func (r *Result) MinDeliveredPrefix(prefix string) *big.Int {
 	var min *big.Int
 	for e, d := range r.Delivered {

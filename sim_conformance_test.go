@@ -16,7 +16,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/big"
 	"os"
@@ -260,7 +259,7 @@ func TestSimReplayIdentityWarmVsCold(t *testing.T) {
 // the report without its wall-clock fields, a digest of the lp.* spans of
 // the timing-free trace (pivot, Bland and degenerate counters, objective
 // waypoints), the simulation model fingerprint, and a digest of the Gantt
-// rendering of the schedule (or "unsupported" for kinds without one).
+// rendering of the schedule.
 func solveIdentityLine(t *testing.T, name string, sol steadystate.Solution) string {
 	t.Helper()
 	rep, err := sol.Report()
@@ -291,18 +290,13 @@ func solveIdentityLine(t *testing.T, name string, sol steadystate.Solution) stri
 	if err != nil {
 		t.Fatalf("%s: SimModel: %v", name, err)
 	}
-	gantt := "unsupported"
 	sched, err := sol.Schedule()
-	switch {
-	case errors.Is(err, steadystate.ErrUnsupported):
-	case err != nil:
+	if err != nil {
 		t.Fatalf("%s: Schedule: %v", name, err)
-	default:
-		sum := sha256.Sum256([]byte(sched.Gantt()))
-		gantt = hex.EncodeToString(sum[:])
 	}
+	gantt := sha256.Sum256([]byte(sched.Gantt()))
 	return fmt.Sprintf("%s\treport=%s\tlp=%s\tsim=%s\tgantt=%s\n",
-		name, report, hex.EncodeToString(lpHash.Sum(nil)), model.Fingerprint(), gantt)
+		name, report, hex.EncodeToString(lpHash.Sum(nil)), model.Fingerprint(), hex.EncodeToString(gantt[:]))
 }
 
 // TestSolveIdentityGolden pins every conformance case, solved sparse, cold

@@ -234,7 +234,9 @@ type CompositeProblem = composite.Problem
 // what a composite or reduce-scatter Solution unwraps to.
 type CompositeSolution = composite.Solution
 
-// CompositeMemberSolution is one member's share of a solved composite.
+// CompositeMemberSolution is one member's share of a solved composite: its
+// Part is the member's per-kind solution, and Schedule builds the member's
+// own periodic schedule.
 type CompositeMemberSolution = composite.MemberSolution
 
 // ---------------------------------------------------------------------------
@@ -283,7 +285,7 @@ func MergeSimModels(p *Platform, period *big.Int, members []*SimModel, labels []
 // SimMemberPrefix returns member i's commodity-namespace prefix ("op<i>:")
 // in a merged composite model; pass it to SimResult.MinDeliveredPrefix to
 // read that member's delivered counts.
-func SimMemberPrefix(i int) string { return sim.MemberPrefix(i) }
+func SimMemberPrefix(i int) string { return composite.MemberLabel(i) }
 
 // Simulate runs the Section 3.4 protocol for the given number of periods
 // and reports delivered operations, buffer high-water marks and the end of
