@@ -679,70 +679,61 @@ func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions) (solved,
 }
 
 // newMember builds the kind-specific problem of a base spec, with the
-// options applied, wrapped as a weighted composite member. It is the
-// single problem-construction path for both plain and composite solves.
+// options applied, and pairs it with its weight as a composite member. It
+// is the single problem-construction path for both plain and composite
+// solves.
 func (s *Solver) newMember(spec Spec, weight Rat, o *solveOptions) (composite.Member, error) {
+	var pr core.Collective
+	var err error
 	switch spec.Kind {
 	case KindScatter:
-		pr, err := scatter.NewProblem(s.p, spec.Source, spec.Targets)
-		if err != nil {
-			return composite.Member{}, err
-		}
-		return composite.ScatterMember(pr, weight), nil
+		pr, err = scatter.NewProblem(s.p, spec.Source, spec.Targets)
 
 	case KindBroadcast:
-		pr, err := scatter.NewBroadcastProblem(s.p, spec.Source, spec.Targets)
-		if err != nil {
-			return composite.Member{}, err
-		}
-		return composite.BroadcastMember(pr, weight), nil
+		pr, err = scatter.NewBroadcastProblem(s.p, spec.Source, spec.Targets)
 
 	case KindGossip:
-		pr, err := gossip.NewProblem(s.p, spec.Sources, spec.Targets)
-		if err != nil {
-			return composite.Member{}, err
-		}
-		return composite.GossipMember(pr, weight), nil
+		pr, err = gossip.NewProblem(s.p, spec.Sources, spec.Targets)
 
 	case KindReduce, KindGather:
-		var pr *ReduceProblem
-		var err error
+		var red *ReduceProblem
 		if spec.Kind == KindGather {
 			block := o.blockSize
 			if block == nil {
 				block = rat.One()
 			}
-			pr, err = reduce.NewGatherProblem(s.p, spec.Order, spec.Target, block)
+			red, err = reduce.NewGatherProblem(s.p, spec.Order, spec.Target, block)
 		} else {
-			pr, err = reduce.NewProblem(s.p, spec.Order, spec.Target)
+			red, err = reduce.NewProblem(s.p, spec.Order, spec.Target)
 			if err == nil && o.messageSize != nil {
 				size := rat.Copy(o.messageSize)
-				pr.SizeOf = func(ReduceRange) Rat { return size }
+				red.SizeOf = func(ReduceRange) Rat { return size }
 			}
 		}
-		if err != nil {
-			return composite.Member{}, err
+		if err == nil && o.taskTime != nil {
+			red.TaskTime = o.taskTime
 		}
-		if o.taskTime != nil {
-			pr.TaskTime = o.taskTime
-		}
-		return composite.ReduceMember(pr, weight), nil
+		pr = red
 
 	case KindPrefix:
-		pr, err := prefix.NewProblem(s.p, spec.Order)
-		if err != nil {
-			return composite.Member{}, err
-		}
-		if o.messageSize != nil {
+		var pre *PrefixProblem
+		pre, err = prefix.NewProblem(s.p, spec.Order)
+		if err == nil && o.messageSize != nil {
 			size := rat.Copy(o.messageSize)
-			pr.SizeOf = func(ReduceRange) Rat { return size }
+			pre.SizeOf = func(ReduceRange) Rat { return size }
 		}
-		if o.taskTime != nil {
-			pr.TaskTime = o.taskTime
+		if err == nil && o.taskTime != nil {
+			pre.TaskTime = o.taskTime
 		}
-		return composite.PrefixMember(pr, weight), nil
+		pr = pre
+
+	default:
+		return composite.Member{}, fmt.Errorf("steadystate: %q cannot be a composite member", spec.Kind)
 	}
-	return composite.Member{}, fmt.Errorf("steadystate: %q cannot be a composite member", spec.Kind)
+	if err != nil {
+		return composite.Member{}, err
+	}
+	return composite.Member{Weight: weight, Problem: pr}, nil
 }
 
 // solveMembers assembles the members into one shared-capacity LP and
@@ -868,7 +859,7 @@ func newSolution(spec Spec, ms *composite.MemberSolution, stats core.FlowStats, 
 // target's bundled virtual flow is a commodity of its own, delivered
 // against TP per target); a reduce or gather replays its integer
 // application.
-func partSimModel(part composite.Part) (*SimModel, error) {
+func partSimModel(part core.Part) (*SimModel, error) {
 	switch part := part.(type) {
 	case *ScatterSolution:
 		return sim.ScatterModel(part), nil
@@ -1011,7 +1002,7 @@ func (s *compositeSolution) Members() []Solution {
 // Members()[i].(Certified) without the extraction cost here).
 func (s *compositeSolution) memberReports(r *Report) error {
 	for i, ms := range s.sol.Members {
-		mr := newReport(s.memberSpecs[i].Kind, ms.Throughput, ms.Period(), s.sol.Stats)
+		mr := newReport(s.memberSpecs[i].Kind, ms.Throughput, ms.Part.Period(), s.sol.Stats)
 		mr.Weight = ms.Weight.RatString()
 		r.Members = append(r.Members, mr)
 	}

@@ -96,7 +96,7 @@ func mustSolve(tb testing.TB, p *steadystate.Platform, spec steadystate.Spec, op
 // the LP counters.
 func solveReduceProblem(tb testing.TB, pr *steadystate.ReduceProblem) (*steadystate.ReduceSolution, core.FlowStats) {
 	tb.Helper()
-	cp, err := composite.NewProblem(pr.Platform, []composite.Member{composite.ReduceMember(pr, steadystate.R(1, 1))})
+	cp, err := composite.NewProblem(pr.Platform, []composite.Member{{Weight: steadystate.R(1, 1), Problem: pr}})
 	if err != nil {
 		tb.Fatalf("composite.NewProblem: %v", err)
 	}

@@ -79,7 +79,7 @@ func TestLPBeatsSinglePath(t *testing.T) {
 		t.Fatalf("baseline: %v", err)
 	}
 	pr, _ := scatter.NewProblem(p, s, []graph.NodeID{d})
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Part.(*scatter.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
 	if sol.Throughput().Cmp(base.Throughput) <= 0 {
 		t.Errorf("LP TP %s should strictly beat single-path TP %s",
 			sol.Throughput().RatString(), base.Throughput.RatString())
@@ -149,7 +149,7 @@ func TestLPBeatsSingleTreeOnFig9(t *testing.T) {
 	if err != nil {
 		t.Fatalf("binary: %v", err)
 	}
-	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Part.(*reduce.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.Solution)
 	t.Logf("fig9 throughputs: LP=%s (~%.4f)  flat=%s (~%.4f)  binary=%s (~%.4f)",
 		sol.TP.RatString(), rat.Float(sol.TP),
 		flat.Throughput.RatString(), rat.Float(flat.Throughput),

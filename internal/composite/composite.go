@@ -24,16 +24,21 @@
 //     member redistributing each participant's reduced segment to every
 //     other rank, at the same weight-one rate.
 //
-// Each member's variables keep their own conservation structure (the
-// members exchange no data), so the per-member sub-solutions are ordinary
+// A member is any problem implementing the core member contract
+// (core.Collective): SolveCtx assembles, solves and extracts every member
+// through that contract alone, and the solution verifies and schedules
+// it the same way, so the package holds no per-kind code and imports no
+// kind package. Each member's
+// variables keep their own conservation structure (the members exchange
+// no data), so the per-member sub-solutions are ordinary
 // scatter/broadcast/gossip/reduce/prefix solutions (a MemberSolution's
 // Part) and reuse the existing tree-extraction and verification
 // machinery. The merged periodic schedule decomposes the union of all
-// members' transfers into one sequence of one-port-safe matching slots
-// over the LCM of the member periods; a member's own schedule
-// (MemberSolution.Schedule) is the one-member case of the same
-// construction, and it is the schedule of every plain scatter, broadcast,
-// gossip and prefix solve.
+// members' transfers (each Part's Demand) into one sequence of
+// one-port-safe matching slots over the LCM of the member periods; a
+// member's own schedule (MemberSolution.Schedule) is the one-member case
+// of the same construction, and it is the schedule of every plain
+// scatter, broadcast, gossip and prefix solve.
 package composite
 
 import (
@@ -44,105 +49,19 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/obs"
-	"repro/internal/prefix"
 	"repro/internal/rat"
-	"repro/internal/reduce"
-	"repro/internal/scatter"
 	"repro/internal/schedule"
 )
 
-// Member is one collective of a composite: exactly one problem field is
-// set, and Weight scales the member's delivered rate relative to the
-// common base throughput (member i delivers Weight_i · TP per time unit).
+// Member is one collective of a composite: a base-kind problem, and the
+// Weight that scales its delivered rate relative to the common base
+// throughput (member i delivers Weight_i · TP per time unit).
 type Member struct {
-	Weight    rat.Rat
-	Scatter   *scatter.Problem
-	Broadcast *scatter.BroadcastProblem
-	Gossip    *gossip.Problem
-	Reduce    *reduce.Problem
-	Prefix    *prefix.Problem
-}
-
-// ScatterMember wraps a scatter problem as a weighted member.
-func ScatterMember(pr *scatter.Problem, weight rat.Rat) Member {
-	return Member{Weight: rat.Copy(weight), Scatter: pr}
-}
-
-// BroadcastMember wraps a broadcast problem as a weighted member.
-func BroadcastMember(pr *scatter.BroadcastProblem, weight rat.Rat) Member {
-	return Member{Weight: rat.Copy(weight), Broadcast: pr}
-}
-
-// GossipMember wraps a gossip problem as a weighted member.
-func GossipMember(pr *gossip.Problem, weight rat.Rat) Member {
-	return Member{Weight: rat.Copy(weight), Gossip: pr}
-}
-
-// ReduceMember wraps a reduce (or gather) problem as a weighted member.
-func ReduceMember(pr *reduce.Problem, weight rat.Rat) Member {
-	return Member{Weight: rat.Copy(weight), Reduce: pr}
-}
-
-// PrefixMember wraps a prefix problem as a weighted member.
-func PrefixMember(pr *prefix.Problem, weight rat.Rat) Member {
-	return Member{Weight: rat.Copy(weight), Prefix: pr}
-}
-
-// Kind names the member's collective family.
-func (mem Member) Kind() string {
-	switch {
-	case mem.Scatter != nil:
-		return "scatter"
-	case mem.Broadcast != nil:
-		return "broadcast"
-	case mem.Gossip != nil:
-		return "gossip"
-	case mem.Reduce != nil:
-		return "reduce"
-	case mem.Prefix != nil:
-		return "prefix"
-	}
-	return "empty"
-}
-
-// platform returns the platform of the member's problem.
-func (mem Member) platform() *graph.Platform {
-	switch {
-	case mem.Scatter != nil:
-		return mem.Scatter.Platform
-	case mem.Broadcast != nil:
-		return mem.Broadcast.Platform
-	case mem.Gossip != nil:
-		return mem.Gossip.Platform
-	case mem.Reduce != nil:
-		return mem.Reduce.Platform
-	case mem.Prefix != nil:
-		return mem.Prefix.Platform
-	}
-	return nil
-}
-
-func (mem Member) validate(i int, p *graph.Platform) error {
-	set := 0
-	for _, ok := range []bool{mem.Scatter != nil, mem.Broadcast != nil, mem.Gossip != nil, mem.Reduce != nil, mem.Prefix != nil} {
-		if ok {
-			set++
-		}
-	}
-	if set != 1 {
-		return fmt.Errorf("composite: member %d must set exactly one problem, has %d", i, set)
-	}
-	if mem.Weight == nil || mem.Weight.Sign() <= 0 {
-		return fmt.Errorf("composite: member %d has non-positive weight", i)
-	}
-	if mem.platform() != p {
-		return fmt.Errorf("composite: member %d is bound to a different platform", i)
-	}
-	return nil
+	Weight  rat.Rat
+	Problem core.Collective
 }
 
 // Problem is a set of collectives solved as one steady-state LP on one
@@ -153,30 +72,27 @@ type Problem struct {
 }
 
 // NewProblem validates and returns a composite instance. Every member must
-// reference the same platform value the composite is built on.
+// have a problem, a positive weight, and reference the same platform value
+// the composite is built on. The composite keeps its own copy of every
+// weight.
 func NewProblem(p *graph.Platform, members []Member) (*Problem, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("composite: no members")
 	}
+	own := make([]Member, len(members))
 	for i, mem := range members {
-		if err := mem.validate(i, p); err != nil {
-			return nil, err
+		if mem.Problem == nil {
+			return nil, fmt.Errorf("composite: member %d has no problem", i)
 		}
+		if mem.Weight == nil || mem.Weight.Sign() <= 0 {
+			return nil, fmt.Errorf("composite: member %d has non-positive weight", i)
+		}
+		if mem.Problem.Host() != p {
+			return nil, fmt.Errorf("composite: member %d is bound to a different platform", i)
+		}
+		own[i] = Member{Weight: rat.Copy(mem.Weight), Problem: mem.Problem}
 	}
-	return &Problem{Platform: p, Members: append([]Member(nil), members...)}, nil
-}
-
-// Part is a solved base-kind collective — one member's share of a solved
-// composite: a *scatter.Solution, *scatter.BroadcastSolution,
-// *gossip.Solution, *reduce.Solution or *prefix.Solution.
-type Part interface {
-	Throughput() rat.Rat
-	Period() *big.Int
-	// AllRates returns the part's rates plus its throughput: the input to
-	// the period computation.
-	AllRates() []rat.Rat
-	Verify() error
-	String() string
+	return &Problem{Platform: p, Members: own}, nil
 }
 
 // MemberSolution is one member's share of a solved composite: an ordinary
@@ -187,27 +103,13 @@ type MemberSolution struct {
 	Weight     rat.Rat
 	Throughput rat.Rat
 	// Part is the member's own per-kind solution.
-	Part Part
+	Part core.Part
 
-	kind     string
-	platform *graph.Platform
+	problem core.Collective
 }
 
 // Kind names the member's collective family.
-func (ms *MemberSolution) Kind() string { return ms.kind }
-
-// Verify re-checks the member's own constraints (conservation, delivery at
-// Weight·TP, per-member occupations).
-func (ms *MemberSolution) Verify() error { return ms.Part.Verify() }
-
-// AllRates returns the member's rates plus its throughput.
-func (ms *MemberSolution) AllRates() []rat.Rat { return ms.Part.AllRates() }
-
-// Period returns the member's own integer schedule period (LCM of its rate
-// denominators).
-func (ms *MemberSolution) Period() *big.Int {
-	return rat.DenominatorLCM(ms.AllRates()...)
-}
+func (ms *MemberSolution) Kind() string { return ms.problem.Kind() }
 
 // Schedule builds the member's own periodic schedule: its transfers at its
 // own period, decomposed into one-port-safe matching slots — the
@@ -215,62 +117,20 @@ func (ms *MemberSolution) Period() *big.Int {
 // scatter, broadcast, gossip or prefix solve (a plain reduce or gather
 // serializes its certified trees instead).
 func (ms *MemberSolution) Schedule() (*schedule.Schedule, error) {
-	return schedule.MergeFlows(ms.platform, ms.Period(), []schedule.MemberFlow{ms.flows("")})
+	return schedule.MergeFlows(ms.problem.Host(), ms.Part.Period(), []core.Demand{ms.flows("")})
 }
 
-// flows returns the member's transfers and compute occupation for the
-// merged schedule and the shared-capacity checks, with labels prefixed for
-// the member. Scatter and gossip label a transfer by its commodity, a
-// broadcast moves its carry stream — one shared copy per edge, not one
-// per target — and the reduce family labels partial results by range and
-// adds its compute time. Transfers are emitted in deterministic order: the
-// matching decomposition is order-sensitive, so map-ordered rates would
-// otherwise lay out different slots run to run.
-func (ms *MemberSolution) flows(label string) schedule.MemberFlow {
-	p := ms.platform
-	out := schedule.MemberFlow{ComputeTime: make(map[graph.NodeID]rat.Rat)}
-	add := func(from, to graph.NodeID, lbl string, size, r rat.Rat) {
-		out.Transfers = append(out.Transfers, schedule.FlowTransfer{
-			From: from, To: to, Label: label + lbl, Size: size, Rate: rat.Copy(r),
-		})
+// flows returns the member's demand for a schedule, with labels prefixed
+// for the member and the transfers in deterministic order: the matching
+// decomposition is order-sensitive, so map-ordered rates would otherwise
+// lay out different slots run to run.
+func (ms *MemberSolution) flows(label string) core.Demand {
+	d := ms.Part.Demand()
+	for i := range d.Transfers {
+		d.Transfers[i].Label = label + d.Transfers[i].Label
 	}
-	var sends map[reduce.SendKey]rat.Rat
-	var tasks map[reduce.TaskKey]rat.Rat
-	var sizeOf func(reduce.Range) rat.Rat
-	var taskTime func(graph.NodeID, reduce.Task) rat.Rat
-	switch part := ms.Part.(type) {
-	case *scatter.Solution:
-		for e, types := range part.Flow.Sends {
-			for c, r := range types {
-				add(e.From, e.To, "m_"+p.Node(c.Dst).Name, rat.One(), r)
-			}
-		}
-	case *gossip.Solution:
-		for e, types := range part.Flow.Sends {
-			for c, r := range types {
-				add(e.From, e.To, "m_"+p.Node(c.Src).Name+"_"+p.Node(c.Dst).Name, rat.One(), r)
-			}
-		}
-	case *scatter.BroadcastSolution:
-		for _, tr := range part.CarryTransfers() {
-			add(tr.From, tr.To, "bcast", rat.One(), tr.Rate)
-		}
-	case *reduce.Solution:
-		sends, tasks, sizeOf, taskTime = part.Sends, part.Tasks, part.Problem.SizeOf, part.Problem.TaskTime
-	case *prefix.Solution:
-		sends, tasks, sizeOf, taskTime = part.Sends, part.Tasks, part.Problem.SizeOf, part.Problem.TaskTime
-	}
-	for k, r := range sends {
-		add(k.From, k.To, k.R.String(), sizeOf(k.R), r)
-	}
-	for k, r := range tasks {
-		if out.ComputeTime[k.Node] == nil {
-			out.ComputeTime[k.Node] = rat.Zero()
-		}
-		out.ComputeTime[k.Node].Add(out.ComputeTime[k.Node], rat.Mul(r, taskTime(k.Node, k.T)))
-	}
-	sort.Slice(out.Transfers, func(i, j int) bool {
-		a, b := out.Transfers[i], out.Transfers[j]
+	sort.Slice(d.Transfers, func(i, j int) bool {
+		a, b := d.Transfers[i], d.Transfers[j]
 		if a.From != b.From {
 			return a.From < b.From
 		}
@@ -279,7 +139,7 @@ func (ms *MemberSolution) flows(label string) schedule.MemberFlow {
 		}
 		return a.Label < b.Label
 	})
-	return out
+	return d
 }
 
 // Solution is a solved composite: the common base throughput TP (member i
@@ -290,14 +150,6 @@ type Solution struct {
 	TP      rat.Rat
 	Members []*MemberSolution
 	Stats   core.FlowStats
-}
-
-// memberFragments holds one member's LP fragments during assembly.
-type memberFragments struct {
-	flow  *core.FlowFragment
-	bcast *scatter.BroadcastFragment
-	red   *reduce.Fragment
-	pre   *prefix.Fragment
 }
 
 // MemberLabel returns member i's namespace, "op<i>:": it prefixes the
@@ -319,57 +171,21 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	occ := core.NewOccupancy(pr.Platform)
 	comp := core.NewCompute(pr.Platform)
 
-	frags := make([]memberFragments, len(pr.Members))
+	frags := make([]core.Fragment, len(pr.Members))
 	for i, mem := range pr.Members {
-		label := MemberLabel(i)
-		switch {
-		case mem.Scatter != nil:
-			comms := make([]core.Commodity, len(mem.Scatter.Targets))
-			for j, t := range mem.Scatter.Targets {
-				comms[j] = core.Commodity{Src: mem.Scatter.Source, Dst: t}
-			}
-			f, err := core.NewFlowFragment(ctx, m, label, pr.Platform, comms, occ)
-			if err != nil {
-				return nil, fmt.Errorf("composite: member %d: %w", i, err)
-			}
-			frags[i].flow = f
-		case mem.Broadcast != nil:
-			frags[i].bcast = mem.Broadcast.NewFragment(ctx, m, label, occ)
-		case mem.Gossip != nil:
-			f, err := core.NewFlowFragment(ctx, m, label, pr.Platform, mem.Gossip.Commodities(), occ)
-			if err != nil {
-				return nil, fmt.Errorf("composite: member %d: %w", i, err)
-			}
-			frags[i].flow = f
-		case mem.Reduce != nil:
-			frags[i].red = mem.Reduce.NewFragment(ctx, m, label, occ)
-		case mem.Prefix != nil:
-			frags[i].pre = mem.Prefix.NewFragment(ctx, m, label, occ)
+		f, err := mem.Problem.NewFragment(ctx, m, MemberLabel(i), occ)
+		if err != nil {
+			return nil, fmt.Errorf("composite: member %d: %w", i, err)
 		}
+		frags[i] = f
 	}
 	occ.AddConstraints(m)
-	for i := range pr.Members {
-		label := MemberLabel(i)
-		switch {
-		case frags[i].red != nil:
-			frags[i].red.AddComputeVars(m, label, comp)
-		case frags[i].pre != nil:
-			frags[i].pre.AddComputeVars(m, label, comp)
-		}
+	for i, f := range frags {
+		f.AddComputeVars(m, MemberLabel(i), comp)
 	}
 	comp.AddConstraints(m)
-	for i, mem := range pr.Members {
-		label := MemberLabel(i)
-		switch {
-		case frags[i].flow != nil:
-			frags[i].flow.AddFlowConstraints(m, label, tp, mem.Weight)
-		case frags[i].bcast != nil:
-			frags[i].bcast.AddFlowConstraints(m, label, tp, mem.Weight)
-		case frags[i].red != nil:
-			frags[i].red.AddFlowConstraints(m, label, tp, mem.Weight)
-		case frags[i].pre != nil:
-			frags[i].pre.AddFlowConstraints(m, label, tp, mem.Weight)
-		}
+	for i, f := range frags {
+		f.AddFlowConstraints(m, MemberLabel(i), tp, pr.Members[i].Weight)
 	}
 
 	sol, err := m.SolveCtx(ctx)
@@ -390,21 +206,8 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	defer exSpan.End()
 	for i, mem := range pr.Members {
 		memTP := rat.Mul(mem.Weight, sol.Objective)
-		ms := &MemberSolution{Weight: rat.Copy(mem.Weight), Throughput: rat.Copy(memTP),
-			kind: mem.Kind(), platform: pr.Platform}
-		switch {
-		case mem.Scatter != nil:
-			ms.Part = &scatter.Solution{Problem: mem.Scatter, Flow: frags[i].flow.Extract(sol, memTP)}
-		case mem.Broadcast != nil:
-			ms.Part = frags[i].bcast.Extract(sol, memTP)
-		case mem.Gossip != nil:
-			ms.Part = &gossip.Solution{Problem: mem.Gossip, Flow: frags[i].flow.Extract(sol, memTP)}
-		case mem.Reduce != nil:
-			ms.Part = frags[i].red.Extract(sol, memTP)
-		case mem.Prefix != nil:
-			ms.Part = frags[i].pre.Extract(sol, memTP)
-		}
-		out.Members = append(out.Members, ms)
+		out.Members = append(out.Members, &MemberSolution{Weight: rat.Copy(mem.Weight),
+			Throughput: rat.Copy(memTP), Part: frags[i].Extract(sol, memTP), problem: mem.Problem})
 	}
 	return out, nil
 }
@@ -418,7 +221,7 @@ func (s *Solution) Throughput() rat.Rat { return rat.Copy(s.TP) }
 func (s *Solution) Period() *big.Int {
 	rates := []rat.Rat{rat.Copy(s.TP)}
 	for _, ms := range s.Members {
-		rates = append(rates, ms.AllRates()...)
+		rates = append(rates, ms.Part.AllRates()...)
 	}
 	return rat.DenominatorLCM(rates...)
 }
@@ -436,10 +239,10 @@ func (s *Solution) Verify() error {
 	compTot := make(map[graph.NodeID]rat.Rat)
 
 	for i, ms := range s.Members {
-		if err := ms.Verify(); err != nil {
+		if err := ms.Part.Verify(); err != nil {
 			return fmt.Errorf("composite: member %d: %w", i, err)
 		}
-		mf := ms.flows("")
+		mf := ms.Part.Demand()
 		for _, tr := range mf.Transfers {
 			occ := rat.Mul(rat.Mul(tr.Rate, tr.Size), p.Cost(tr.From, tr.To))
 			k := core.EdgeKey{From: tr.From, To: tr.To}
@@ -494,7 +297,7 @@ func (s *Solution) Verify() error {
 // member's transfers over the LCM period, decomposed into one-port-safe
 // matching slots; member i's transfers are labeled "op<i>:…".
 func (s *Solution) Schedule() (*schedule.Schedule, error) {
-	members := make([]schedule.MemberFlow, len(s.Members))
+	members := make([]core.Demand, len(s.Members))
 	for i, ms := range s.Members {
 		members[i] = ms.flows(MemberLabel(i))
 	}

@@ -51,7 +51,7 @@ func TestSingleReduceMemberMatchesPlainSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := solve(t, p, ReduceMember(memberPr, rat.One()))
+	got := solve(t, p, Member{Weight: rat.One(), Problem: memberPr})
 	want := got.Members[0].Part.(*reduce.Solution)
 	if !rat.Eq(got.TP, rat.One()) || !rat.Eq(got.TP, want.Throughput()) {
 		t.Errorf("TP = %s, member TP = %s, want 1", got.TP.RatString(), want.Throughput().RatString())
@@ -76,7 +76,7 @@ func TestTwoConcurrentReducesShareCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := solve(t, p, ReduceMember(plainPr, rat.One()))
+	plain := solve(t, p, Member{Weight: rat.One(), Problem: plainPr})
 
 	var members []Member
 	for _, target := range order {
@@ -84,7 +84,7 @@ func TestTwoConcurrentReducesShareCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		members = append(members, ReduceMember(pr, rat.One()))
+		members = append(members, Member{Weight: rat.One(), Problem: pr})
 	}
 	sol := solve(t, p, members...)
 	if !rat.Eq(sol.TP, plain.Throughput()) {
@@ -124,10 +124,10 @@ func TestMixedMembersVerifyAndSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol := solve(t, p,
-		ScatterMember(sc, rat.One()),
-		GossipMember(go1, rat.One()),
-		ReduceMember(red, rat.Int(2)),
-		PrefixMember(pre, rat.One()),
+		Member{Weight: rat.One(), Problem: sc},
+		Member{Weight: rat.One(), Problem: go1},
+		Member{Weight: rat.Int(2), Problem: red},
+		Member{Weight: rat.One(), Problem: pre},
 	)
 	if sol.TP.Sign() <= 0 {
 		t.Fatal("expected positive common throughput")
@@ -161,19 +161,56 @@ func TestNewProblemRejectsBadMembers(t *testing.T) {
 	if _, err := NewProblem(p, []Member{{Weight: rat.One()}}); err == nil {
 		t.Error("member with no problem should fail")
 	}
-	if _, err := NewProblem(p, []Member{ReduceMember(red, rat.Zero())}); err == nil {
+	if _, err := NewProblem(p, []Member{{Weight: rat.Zero(), Problem: red}}); err == nil {
 		t.Error("zero weight should fail")
-	}
-	if _, err := NewProblem(p, []Member{{Weight: rat.One(), Reduce: red, Prefix: &prefix.Problem{}}}); err == nil {
-		t.Error("member with two problems should fail")
 	}
 	other, _, _ := topology.PaperFig6()
 	otherRed, err := reduce.NewProblem(other, []graph.NodeID{0, 1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewProblem(p, []Member{ReduceMember(otherRed, rat.One())}); err == nil {
+	if _, err := NewProblem(p, []Member{{Weight: rat.One(), Problem: otherRed}}); err == nil {
 		t.Error("member on a different platform should fail")
+	}
+}
+
+// TestNewProblemCopiesWeights: the composite keeps its own copy of every
+// member weight, so mutating the caller's value after NewProblem does not
+// change the rate the member runs at.
+func TestNewProblemCopiesWeights(t *testing.T) {
+	p, a, b := twoNode(t, rat.One(), rat.One())
+	pr, err := scatter.NewProblem(p, a, []graph.NodeID{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := rat.One()
+	cp, err := NewProblem(p, []Member{{Weight: w, Problem: pr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetInt64(7)
+	sol, err := cp.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := sol.Members[0]
+	if !rat.Eq(ms.Weight, rat.One()) || !rat.Eq(ms.Throughput, sol.TP) {
+		t.Errorf("member runs at weight %s (TP %s, member %s), want 1",
+			ms.Weight.RatString(), sol.TP.RatString(), ms.Throughput.RatString())
+	}
+}
+
+// TestSolveWrapsMemberError: a member whose fragment cannot be assembled
+// fails the solve with its index and the fragment's own error.
+func TestSolveWrapsMemberError(t *testing.T) {
+	p, a, _ := twoNode(t, rat.One(), rat.One())
+	cp, err := NewProblem(p, []Member{{Weight: rat.One(), Problem: &scatter.Problem{Platform: p, Source: a}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cp.SolveCtx(context.Background())
+	if err == nil || err.Error() != "composite: member 0: core: no commodities" {
+		t.Errorf("SolveCtx error = %v, want %q", err, "composite: member 0: core: no commodities")
 	}
 }
 
@@ -199,7 +236,7 @@ func TestMemberScheduleDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := solve(t, p, GossipMember(pr, rat.One())).Members[0]
+	ms := solve(t, p, Member{Weight: rat.One(), Problem: pr}).Members[0]
 	build := func() string {
 		sched, err := ms.Schedule()
 		if err != nil {

@@ -27,8 +27,8 @@ func ExampleProblem() {
 		panic(err)
 	}
 	pr, err := NewProblem(p, []Member{
-		ScatterMember(ab, rat.One()),
-		ScatterMember(ba, rat.One()),
+		{Weight: rat.One(), Problem: ab},
+		{Weight: rat.One(), Problem: ba},
 	})
 	if err != nil {
 		panic(err)

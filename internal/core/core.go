@@ -9,10 +9,13 @@
 // fractional per-edge message rates (plus, for reduce, fractional per-node
 // task rates) as an LP fragment, register their busy time on the shared
 // OccupancyBuilder and ComputeBuilder, and add the collective's own
-// conservation and delivery rows. internal/composite owns the model: it
-// assembles the fragments of one or more collectives, maximizes the
-// throughput TP, and hands the rational solution to the schedule and
-// tree-extraction machinery.
+// conservation and delivery rows. The package also holds the contract of
+// that recipe, which every kind implements: a Collective problem declares
+// a Fragment, the Fragment extracts a Part, and the Part lists its Demand
+// on the platform. internal/composite owns the model and drives each
+// member through the contract alone: it assembles the fragments of one or
+// more collectives, maximizes the throughput TP, and hands the rational
+// solution to the schedule and tree-extraction machinery.
 package core
 
 import (

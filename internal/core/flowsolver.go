@@ -79,6 +79,7 @@ type FlowFragment struct {
 	Platform    *graph.Platform
 	Commodities []Commodity
 	sends       map[flowKey]lp.Var
+	part        func(*Flow[Commodity]) Part
 }
 
 // NewFlowFragment validates the commodities and declares their transfer
@@ -86,9 +87,10 @@ type FlowFragment struct {
 // prefixes variable names so several fragments can share one model. The
 // caller emits the port constraints (occ.AddConstraints) once after every
 // fragment has been declared, then calls AddFlowConstraints per fragment.
-// ctx carries the solve trace, if any: assembly opens an "assemble" span
-// with a "reachability" child covering the pruning-index computation.
-func NewFlowFragment(ctx context.Context, m *lp.Model, label string, p *graph.Platform, commodities []Commodity, occ *OccupancyBuilder) (*FlowFragment, error) {
+// part wraps the extracted flow as the kind's solution. ctx carries the
+// solve trace, if any: assembly opens an "assemble" span with a
+// "reachability" child covering the pruning-index computation.
+func NewFlowFragment(ctx context.Context, m *lp.Model, label string, p *graph.Platform, commodities []Commodity, occ *OccupancyBuilder, part func(*Flow[Commodity]) Part) (*FlowFragment, error) {
 	ctx, asmSpan := obs.StartSpan(ctx, "assemble")
 	asmSpan.SetAttr("kind", "flow")
 	asmSpan.SetAttr("label", label)
@@ -146,6 +148,7 @@ func NewFlowFragment(ctx context.Context, m *lp.Model, label string, p *graph.Pl
 		Platform:    p,
 		Commodities: append([]Commodity(nil), commodities...),
 		sends:       make(map[flowKey]lp.Var),
+		part:        part,
 	}
 	allowed := func(e graph.Edge, c Commodity) bool {
 		// A useful transfer starts somewhere the commodity can exist and
@@ -170,6 +173,9 @@ func NewFlowFragment(ctx context.Context, m *lp.Model, label string, p *graph.Pl
 	asmSpan.SetAttr("vars", len(f.sends))
 	return f, nil
 }
+
+// AddComputeVars declares nothing: a forwarding collective runs no tasks.
+func (f *FlowFragment) AddComputeVars(*lp.Model, string, *ComputeBuilder) {}
 
 // AddFlowConstraints adds the fragment's conservation constraints at
 // forwarding nodes and the delivery of weight·tp at every destination.
@@ -217,15 +223,16 @@ func (f *FlowFragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, 
 }
 
 // Extract reads the fragment's solved rates into a typed flow with the
-// given throughput, canceling zero-net circulations.
-func (f *FlowFragment) Extract(sol *lp.Solution, tp rat.Rat) *Flow[Commodity] {
+// given throughput, canceling zero-net circulations, and wraps it as the
+// kind's solution.
+func (f *FlowFragment) Extract(sol *lp.Solution, tp rat.Rat) Part {
 	out := NewFlow[Commodity](f.Platform)
 	out.Throughput = rat.Copy(tp)
 	for k, v := range f.sends {
 		out.SetSend(k.e.From, k.e.To, k.c, sol.Value(v))
 	}
 	CancelCycles(out)
-	return out
+	return f.part(out)
 }
 
 // CancelCycles removes pure circulations from each commodity of the flow:

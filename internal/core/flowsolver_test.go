@@ -41,7 +41,7 @@ func scatterMember(t *testing.T, p *graph.Platform, src graph.NodeID, targets ..
 	if err != nil {
 		t.Fatalf("scatter.NewProblem: %v", err)
 	}
-	return composite.ScatterMember(pr, rat.One())
+	return composite.Member{Weight: rat.One(), Problem: pr}
 }
 
 func TestSolveUniformFlowSingleEdge(t *testing.T) {
@@ -163,7 +163,7 @@ func TestSolveUniformFlowGossip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gossip.NewProblem: %v", err)
 	}
-	f, _ := solve(t, p, composite.GossipMember(pr, rat.One()))
+	f, _ := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr})
 	// Every node sends 2 unit messages per gossip and its out-port allows
 	// 1 per time unit → TP = 1/2 (direct sends saturate all ports).
 	if !rat.Eq(f.Throughput, rat.New(1, 2)) {
@@ -185,7 +185,7 @@ func TestSolveUniformFlowErrors(t *testing.T) {
 	_ = c // isolated
 
 	assemble := func(comms []core.Commodity) error {
-		_, err := core.NewFlowFragment(context.Background(), lp.NewMaximize(), "", p, comms, core.NewOccupancy(p))
+		_, err := core.NewFlowFragment(context.Background(), lp.NewMaximize(), "", p, comms, core.NewOccupancy(p), nil)
 		return err
 	}
 	if err := assemble(nil); err == nil {

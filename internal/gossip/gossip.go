@@ -12,6 +12,7 @@
 package gossip
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sort"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/lp"
 	"repro/internal/rat"
 )
 
@@ -81,6 +83,19 @@ func (pr *Problem) Commodities() []core.Commodity {
 	return out
 }
 
+// Kind names the collective family.
+func (pr *Problem) Kind() string { return "gossip" }
+
+// Host returns the platform the problem is bound to.
+func (pr *Problem) Host() *graph.Platform { return pr.Platform }
+
+// NewFragment declares the gossip's commodities into m through
+// core.NewFlowFragment.
+func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) (core.Fragment, error) {
+	return core.NewFlowFragment(ctx, m, label, pr.Platform, pr.Commodities(), occ,
+		func(f *core.Flow[core.Commodity]) core.Part { return &Solution{Problem: pr, Flow: f} })
+}
+
 // Solution is a solved Series of Gossips.
 type Solution struct {
 	Problem *Problem
@@ -99,6 +114,13 @@ func (s *Solution) AllRates() []rat.Rat { return s.Flow.AllRates() }
 
 // UnitSize is the message size function (unit-size messages).
 func UnitSize(core.Commodity) rat.Rat { return rat.One() }
+
+// Demand lists one unit-size transfer per edge and message type, labeled
+// "m_<source>_<target>".
+func (s *Solution) Demand() core.Demand {
+	return core.Demand{Transfers: s.Flow.Transfers(
+		func(c core.Commodity) string { return "m_" + s.name(c.Src) + "_" + s.name(c.Dst) })}
+}
 
 // Verify re-checks the SSPA2A constraints independently of the solver:
 // one-port feasibility, conservation at forwarding nodes, and delivery of

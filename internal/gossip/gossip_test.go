@@ -18,7 +18,7 @@ import (
 // LP path.
 func solve(t *testing.T, pr *gossip.Problem) *gossip.Solution {
 	t.Helper()
-	cp, err := composite.NewProblem(pr.Platform, []composite.Member{composite.GossipMember(pr, rat.One())})
+	cp, err := composite.NewProblem(pr.Platform, []composite.Member{{Weight: rat.One(), Problem: pr}})
 	if err != nil {
 		t.Fatalf("composite.NewProblem: %v", err)
 	}

@@ -75,6 +75,12 @@ func NewProblem(p *graph.Platform, order []graph.NodeID) (*Problem, error) {
 // N returns the largest participant index.
 func (pr *Problem) N() int { return len(pr.Order) - 1 }
 
+// Kind names the collective family.
+func (pr *Problem) Kind() string { return "prefix" }
+
+// Host returns the platform the problem is bound to.
+func (pr *Problem) Host() *graph.Platform { return pr.Platform }
+
 // Solution is a solved prefix series.
 type Solution struct {
 	Problem *Problem
@@ -97,7 +103,7 @@ type Fragment struct {
 // into its owner), registering their busy time with occ. label prefixes
 // variable names so several fragments can share one model. ctx carries
 // the solve trace, if any: assembly opens an "assemble" span.
-func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) *Fragment {
+func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) (core.Fragment, error) {
 	_, asmSpan := obs.StartSpan(ctx, "assemble")
 	asmSpan.SetAttr("kind", "prefix")
 	asmSpan.SetAttr("label", label)
@@ -121,7 +127,7 @@ func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, o
 	}
 	asmSpan.SetAttr("vars", len(f.Sends))
 	asmSpan.End()
-	return f
+	return f, nil
 }
 
 // AddComputeVars declares the computation variables, registering each
@@ -196,7 +202,7 @@ func (f *Fragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weig
 
 // Extract reads the fragment's solved rates into a Solution with the
 // given throughput.
-func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat) *Solution {
+func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat) core.Part {
 	out := &Solution{
 		Problem: f.Problem,
 		TP:      rat.Copy(tp),
@@ -235,6 +241,12 @@ func (s *Solution) AllRates() []rat.Rat {
 // Period returns the integer schedule period (LCM of all denominators).
 func (s *Solution) Period() *big.Int { return rat.DenominatorLCM(s.AllRates()...) }
 
+// Demand lists the transfers of partial results and the compute time of
+// the tasks, as a reduce does.
+func (s *Solution) Demand() core.Demand {
+	return reduce.DemandOf(s.Sends, s.Tasks, s.Problem.SizeOf, s.Problem.TaskTime)
+}
+
 // Verify re-checks one-port, compute occupation and the per-rank
 // conservation/delivery balance, independent of the LP solver.
 func (s *Solution) Verify() error {
@@ -249,17 +261,8 @@ func (s *Solution) Verify() error {
 		return fmt.Errorf("prefix: %w", err)
 	}
 
-	alpha := make(map[graph.NodeID]rat.Rat)
-	for k, r := range s.Tasks {
-		if alpha[k.Node] == nil {
-			alpha[k.Node] = rat.Zero()
-		}
-		alpha[k.Node].Add(alpha[k.Node], rat.Mul(r, pr.TaskTime(k.Node, k.T)))
-	}
-	for id, a := range alpha {
-		if a.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("prefix: node %s computes for %s > 1", pr.Platform.Node(id).Name, a.RatString())
-		}
+	if err := reduce.VerifyCompute(pr.Platform, nil, s.Tasks, pr.TaskTime); err != nil {
+		return fmt.Errorf("prefix: %w", err)
 	}
 
 	for _, node := range pr.Platform.Nodes() {

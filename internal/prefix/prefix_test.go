@@ -41,7 +41,7 @@ func TestTwoNodePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Part.(*prefix.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
 	if !rat.Eq(sol.TP, rat.One()) {
 		t.Errorf("TP = %s, want 1", sol.TP.RatString())
 	}
@@ -56,7 +56,7 @@ func TestPrefixOnFig6Triangle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Part.(*prefix.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
 	if sol.TP.Sign() <= 0 {
 		t.Fatal("TP must be positive")
 	}
@@ -66,7 +66,7 @@ func TestPrefixOnFig6Triangle(t *testing.T) {
 	// A prefix needs strictly more work than a reduce to the same nodes
 	// (every rank is a delivery), so TP_prefix ≤ TP_reduce.
 	rpr, _ := reduce.NewProblem(p, order, order[0])
-	rsol := solve(t, p, composite.ReduceMember(rpr, rat.One())).Part.(*reduce.Solution)
+	rsol := solve(t, p, composite.Member{Weight: rat.One(), Problem: rpr}).Part.(*reduce.Solution)
 	if sol.TP.Cmp(rsol.TP) > 0 {
 		t.Errorf("prefix TP %s exceeds reduce TP %s", sol.TP.RatString(), rsol.TP.RatString())
 	}
@@ -115,7 +115,7 @@ func TestPrefixChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Part.(*prefix.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
 	if sol.TP.Sign() <= 0 {
 		t.Error("TP must be positive")
 	}
@@ -133,7 +133,7 @@ func TestPrefixString(t *testing.T) {
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
 	pr, _ := prefix.NewProblem(p, []graph.NodeID{a, b})
-	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Part.(*prefix.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
 	if !strings.Contains(sol.String(), "prefix throughput") {
 		t.Errorf("String:\n%s", sol.String())
 	}
@@ -145,9 +145,35 @@ func TestPrefixVerifyCatchesTampering(t *testing.T) {
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
 	pr, _ := prefix.NewProblem(p, []graph.NodeID{a, b})
-	sol := solve(t, p, composite.PrefixMember(pr, rat.One())).Part.(*prefix.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
 	sol.TP = rat.Add(sol.TP, rat.One())
 	if err := sol.Verify(); err == nil {
 		t.Error("Verify accepted inflated TP")
+	}
+}
+
+// TestPrefixVerifyRejectsTaskOnRouter: a task at a node that cannot
+// compute is reported before its task time is evaluated — a router's zero
+// speed has none.
+func TestPrefixVerifyRejectsTaskOnRouter(t *testing.T) {
+	p := graph.New()
+	a := p.AddNode("a", rat.One())
+	r := p.AddRouter("r")
+	b := p.AddNode("b", rat.One())
+	p.AddLink(a, r, rat.One())
+	p.AddLink(r, b, rat.One())
+	pr, err := prefix.NewProblem(p, []graph.NodeID{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol := &prefix.Solution{
+		Problem: pr,
+		TP:      rat.One(),
+		Sends:   map[reduce.SendKey]rat.Rat{},
+		Tasks:   map[reduce.TaskKey]rat.Rat{{Node: r, T: reduce.Task{K: 0, L: 0, M: 1}}: rat.One()},
+	}
+	err = sol.Verify()
+	if err == nil || !strings.Contains(err.Error(), "task on non-computing node r") {
+		t.Errorf("Verify = %v, want a task on non-computing node r", err)
 	}
 }

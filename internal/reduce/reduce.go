@@ -128,6 +128,12 @@ func NewProblem(p *graph.Platform, order []graph.NodeID, target graph.NodeID) (*
 // N returns the largest participant index (participants are P_0 … P_N).
 func (pr *Problem) N() int { return len(pr.Order) - 1 }
 
+// Kind names the collective family; a gather is a reduce.
+func (pr *Problem) Kind() string { return "reduce" }
+
+// Host returns the platform the problem is bound to.
+func (pr *Problem) Host() *graph.Platform { return pr.Platform }
+
 // Ranges enumerates all partial-result types v[k,m] over participants
 // P_0 … P_n, 0 ≤ k ≤ m ≤ n, in (k, m) order. Reduce and prefix share the
 // enumeration, so their variables come out in the same order.
@@ -213,13 +219,8 @@ type Solution struct {
 // exactly the plain SSR(G) program; several fragments on one model
 // superpose concurrent reduce-family collectives on the same platform
 // capacity — the construction behind reduce-scatter. Either way
-// internal/composite assembles and solves the model.
-//
-// Assembly is three-phase so shared rows aggregate every member before
-// they are emitted: NewFragment (transfer variables + port occupancy) for
-// every member, then occ.AddConstraints once; AddComputeVars (task
-// variables + compute occupancy) for every member, then comp.AddConstraints
-// once; AddFlowConstraints (conservation + throughput) for every member.
+// internal/composite assembles it in the three phases of core.Fragment
+// and solves the model.
 type Fragment struct {
 	Problem *Problem
 	Sends   map[SendKey]lp.Var
@@ -231,7 +232,7 @@ type Fragment struct {
 // never flows into its owner — registering their busy time with occ. label
 // prefixes variable names so several fragments can share one model. ctx
 // carries the solve trace, if any: assembly opens an "assemble" span.
-func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) *Fragment {
+func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) (core.Fragment, error) {
 	_, asmSpan := obs.StartSpan(ctx, "assemble")
 	asmSpan.SetAttr("kind", "reduce")
 	asmSpan.SetAttr("label", label)
@@ -259,7 +260,7 @@ func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, o
 	}
 	asmSpan.SetAttr("vars", len(f.Sends))
 	asmSpan.End()
-	return f
+	return f, nil
 }
 
 // AddComputeVars declares the computation variables (equations (7) and
@@ -358,7 +359,7 @@ func (f *Fragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weig
 
 // Extract reads the fragment's solved rates into a Solution with the
 // given throughput, canceling zero-net send circulations.
-func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat) *Solution {
+func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat) core.Part {
 	out := &Solution{
 		Problem: f.Problem,
 		TP:      rat.Copy(tp),
@@ -415,6 +416,57 @@ func (s *Solution) AllRates() []rat.Rat {
 // Period returns the integer schedule period (LCM of all denominators).
 func (s *Solution) Period() *big.Int { return rat.DenominatorLCM(s.AllRates()...) }
 
+// Demand lists one transfer per edge and partial result, labeled by its
+// range and sized by SizeOf, and the compute time of the tasks.
+func (s *Solution) Demand() core.Demand {
+	return DemandOf(s.Sends, s.Tasks, s.Problem.SizeOf, s.Problem.TaskTime)
+}
+
+// DemandOf is the demand of a reduce-family solution with the given rates,
+// size and task-time functions: reduce and prefix share it.
+func DemandOf(sends map[SendKey]rat.Rat, tasks map[TaskKey]rat.Rat, sizeOf func(Range) rat.Rat, taskTime func(graph.NodeID, Task) rat.Rat) core.Demand {
+	d := core.Demand{ComputeTime: computeTime(tasks, taskTime)}
+	for k, r := range sends {
+		d.Transfers = append(d.Transfers, core.FlowTransfer{From: k.From, To: k.To, Label: k.R.String(), Size: sizeOf(k.R), Rate: rat.Copy(r)}) //sslint:allow order-insensitive: a demand's transfers are unordered by contract
+	}
+	return d
+}
+
+// computeTime sums, per node, the time its tasks take per time unit:
+// α(P) = Σ_T cons(P, T) · w(P, T).
+func computeTime(tasks map[TaskKey]rat.Rat, taskTime func(graph.NodeID, Task) rat.Rat) map[graph.NodeID]rat.Rat {
+	alpha := make(map[graph.NodeID]rat.Rat)
+	for k, r := range tasks {
+		if alpha[k.Node] == nil {
+			alpha[k.Node] = rat.Zero()
+		}
+		alpha[k.Node].Add(alpha[k.Node], rat.Mul(r, taskTime(k.Node, k.T)))
+	}
+	return alpha
+}
+
+// VerifyCompute checks the compute occupation of a reduce-family
+// solution: every task runs on one of ComputeNodes(p, only) — checked
+// first, since a router or a zero-speed node has no task time — and no
+// node computes for more than one time unit per time unit.
+func VerifyCompute(p *graph.Platform, only []graph.NodeID, tasks map[TaskKey]rat.Rat, taskTime func(graph.NodeID, Task) rat.Rat) error {
+	allowedCompute := make(map[graph.NodeID]bool)
+	for _, id := range ComputeNodes(p, only) {
+		allowedCompute[id] = true
+	}
+	for k := range tasks {
+		if !allowedCompute[k.Node] {
+			return fmt.Errorf("task on non-computing node %s", p.Node(k.Node).Name)
+		}
+	}
+	for id, a := range computeTime(tasks, taskTime) {
+		if a.Cmp(rat.One()) > 0 {
+			return fmt.Errorf("node %s computes for %s > 1 per time unit", p.Node(id).Name, a.RatString())
+		}
+	}
+	return nil
+}
+
 // Verify re-checks every SSR constraint on the solution, independent of
 // the LP solver: one-port and compute occupations, the conservation law,
 // and the throughput equation. It returns the first violation.
@@ -432,27 +484,8 @@ func (s *Solution) Verify() error {
 		return fmt.Errorf("reduce: %w", err)
 	}
 
-	// Compute occupation.
-	allowedCompute := make(map[graph.NodeID]bool)
-	for _, id := range ComputeNodes(pr.Platform, pr.ComputeAt) {
-		allowedCompute[id] = true
-	}
-	alpha := make(map[graph.NodeID]rat.Rat)
-	for k, r := range s.Tasks {
-		node := pr.Platform.Node(k.Node)
-		if !allowedCompute[k.Node] {
-			return fmt.Errorf("reduce: task on non-computing node %s", node.Name)
-		}
-		if alpha[k.Node] == nil {
-			alpha[k.Node] = rat.Zero()
-		}
-		alpha[k.Node].Add(alpha[k.Node], rat.Mul(r, pr.TaskTime(k.Node, k.T)))
-	}
-	for id, a := range alpha {
-		if a.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("reduce: node %s computes for %s > 1 per time unit",
-				pr.Platform.Node(id).Name, a.RatString())
-		}
+	if err := VerifyCompute(pr.Platform, pr.ComputeAt, s.Tasks, pr.TaskTime); err != nil {
+		return fmt.Errorf("reduce: %w", err)
 	}
 
 	// Conservation.

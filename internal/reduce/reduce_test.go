@@ -18,7 +18,7 @@ import (
 // counters.
 func solve(t *testing.T, pr *reduce.Problem) (*reduce.Solution, core.FlowStats) {
 	t.Helper()
-	cp, err := composite.NewProblem(pr.Platform, []composite.Member{composite.ReduceMember(pr, rat.One())})
+	cp, err := composite.NewProblem(pr.Platform, []composite.Member{{Weight: rat.One(), Problem: pr}})
 	if err != nil {
 		t.Fatalf("composite.NewProblem: %v", err)
 	}

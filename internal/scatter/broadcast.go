@@ -61,6 +61,12 @@ func NewBroadcastProblem(p *graph.Platform, source graph.NodeID, targets []graph
 	return &BroadcastProblem{Platform: p, Source: source, Targets: append([]graph.NodeID(nil), targets...)}, nil
 }
 
+// Kind names the collective family.
+func (pr *BroadcastProblem) Kind() string { return "broadcast" }
+
+// Host returns the platform the problem is bound to.
+func (pr *BroadcastProblem) Host() *graph.Platform { return pr.Platform }
+
 // broadcastKey identifies one per-target flow variable of a fragment.
 type broadcastKey struct {
 	e core.EdgeKey
@@ -88,7 +94,7 @@ type BroadcastFragment struct {
 // declared, then calls AddFlowConstraints per fragment. ctx carries the
 // solve trace, if any: assembly opens an "assemble" span with a
 // "reachability" child covering the pruning-index computation.
-func (pr *BroadcastProblem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) *BroadcastFragment {
+func (pr *BroadcastProblem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) (core.Fragment, error) {
 	ctx, asmSpan := obs.StartSpan(ctx, "assemble")
 	asmSpan.SetAttr("kind", "broadcast")
 	asmSpan.SetAttr("label", label)
@@ -143,8 +149,11 @@ func (pr *BroadcastProblem) NewFragment(ctx context.Context, m *lp.Model, label 
 	}
 	asmSpan.SetAttr("vars", len(f.carry)+len(f.sends))
 	asmSpan.End()
-	return f
+	return f, nil
 }
+
+// AddComputeVars declares nothing: a broadcast runs no tasks.
+func (f *BroadcastFragment) AddComputeVars(*lp.Model, string, *core.ComputeBuilder) {}
 
 // AddFlowConstraints adds the replication bounds x(e, b_t) ≤ y(e), the
 // per-target conservation at forwarding nodes, and the delivery of
@@ -212,7 +221,7 @@ func (f *BroadcastFragment) AddFlowConstraints(m *lp.Model, label string, tp lp.
 // with the given throughput: per-target flows are cycle-canceled, and the
 // carry rate of each edge is tightened to the maximum per-target flow it
 // must cover (the LP may leave slack in y within the port capacity).
-func (f *BroadcastFragment) Extract(sol *lp.Solution, tp rat.Rat) *BroadcastSolution {
+func (f *BroadcastFragment) Extract(sol *lp.Solution, tp rat.Rat) core.Part {
 	flow := core.NewFlow[core.Commodity](f.Problem.Platform)
 	flow.Throughput = rat.Copy(tp)
 	for k, v := range f.sends {
@@ -348,28 +357,15 @@ func (s *BroadcastSolution) Verify() error {
 	return nil
 }
 
-// CarryTransfer is one physical message stream of a broadcast solution:
-// Rate distinct unit-size messages per time unit on the edge From→To.
-type CarryTransfer struct {
-	From, To graph.NodeID
-	Rate     rat.Rat
-}
-
-// CarryTransfers returns the broadcast's physical demand — one transfer
-// per edge at the carry rate, in deterministic order — for schedule
-// construction and shared-capacity accounting.
-func (s *BroadcastSolution) CarryTransfers() []CarryTransfer {
-	out := make([]CarryTransfer, 0, len(s.Carry))
+// Demand lists the broadcast's physical load: one unit-size transfer per
+// edge at the carry rate, labeled "bcast" — one shared copy per edge, not
+// one per target.
+func (s *BroadcastSolution) Demand() core.Demand {
+	var d core.Demand
 	for e, r := range s.Carry {
-		out = append(out, CarryTransfer{From: e.From, To: e.To, Rate: rat.Copy(r)})
+		d.Transfers = append(d.Transfers, core.FlowTransfer{From: e.From, To: e.To, Label: "bcast", Size: rat.One(), Rate: rat.Copy(r)}) //sslint:allow order-insensitive: a demand's transfers are unordered by contract
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
+	return d
 }
 
 // String renders the solution as the paper's figures do: throughput, then

@@ -52,7 +52,7 @@ func TestBroadcastChainRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := solve(t, p, composite.BroadcastMember(pr, rat.One())).Part.(*scatter.BroadcastSolution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.BroadcastSolution)
 	if got := sol.Throughput().RatString(); got != "1" {
 		t.Errorf("TP = %s, want 1", got)
 	}
@@ -65,7 +65,7 @@ func TestBroadcastChainRelay(t *testing.T) {
 	if err := sol.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
-	trs := sol.CarryTransfers()
+	trs := sol.Demand().Transfers
 	if len(trs) != 2 {
 		t.Errorf("got %d carry transfers, want 2", len(trs))
 	}
@@ -77,8 +77,8 @@ func TestBroadcastSingleTargetMatchesScatter(t *testing.T) {
 	p, a, b, _ := chain3(t)
 	bpr := must(scatter.NewBroadcastProblem(p, a, []graph.NodeID{b}))
 	spr := must(scatter.NewProblem(p, a, []graph.NodeID{b}))
-	bsol := solve(t, p, composite.BroadcastMember(bpr, rat.One())).Part.(*scatter.BroadcastSolution)
-	ssol := solve(t, p, composite.ScatterMember(spr, rat.One())).Part.(*scatter.Solution)
+	bsol := solve(t, p, composite.Member{Weight: rat.One(), Problem: bpr}).Part.(*scatter.BroadcastSolution)
+	ssol := solve(t, p, composite.Member{Weight: rat.One(), Problem: spr}).Part.(*scatter.Solution)
 	if bsol.Throughput().Cmp(ssol.Throughput()) != 0 {
 		t.Errorf("broadcast TP = %s, scatter TP = %s",
 			bsol.Throughput().RatString(), ssol.Throughput().RatString())
@@ -90,7 +90,7 @@ func TestBroadcastSingleTargetMatchesScatter(t *testing.T) {
 func TestBroadcastVerifyCatchesTampering(t *testing.T) {
 	p, a, b, c := chain3(t)
 	pr := must(scatter.NewBroadcastProblem(p, a, []graph.NodeID{b, c}))
-	sol := solve(t, p, composite.BroadcastMember(pr, rat.One())).Part.(*scatter.BroadcastSolution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.BroadcastSolution)
 	sol.Carry[core.EdgeKey{From: a, To: b}] = rat.New(1, 4)
 	if err := sol.Verify(); err == nil {
 		t.Error("Verify accepted a carry rate below the flows it must cover")

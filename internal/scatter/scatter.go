@@ -15,6 +15,7 @@
 package scatter
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sort"
@@ -22,6 +23,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/lp"
 	"repro/internal/rat"
 )
 
@@ -57,6 +59,23 @@ func NewProblem(p *graph.Platform, source graph.NodeID, targets []graph.NodeID) 
 	return &Problem{Platform: p, Source: source, Targets: append([]graph.NodeID(nil), targets...)}, nil
 }
 
+// Kind names the collective family.
+func (pr *Problem) Kind() string { return "scatter" }
+
+// Host returns the platform the problem is bound to.
+func (pr *Problem) Host() *graph.Platform { return pr.Platform }
+
+// NewFragment declares the scatter's commodities (source, t), one per
+// target, into m through core.NewFlowFragment.
+func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) (core.Fragment, error) {
+	comms := make([]core.Commodity, len(pr.Targets))
+	for j, t := range pr.Targets {
+		comms[j] = core.Commodity{Src: pr.Source, Dst: t}
+	}
+	return core.NewFlowFragment(ctx, m, label, pr.Platform, comms, occ,
+		func(f *core.Flow[core.Commodity]) core.Part { return &Solution{Problem: pr, Flow: f} })
+}
+
 // Solution is a solved Series of Scatters: the optimal throughput and the
 // steady-state communication pattern achieving it.
 type Solution struct {
@@ -80,6 +99,13 @@ func (s *Solution) Period() *big.Int { return s.Flow.Period() }
 // AllRates returns the throughput and every send rate — the input to the
 // period computation.
 func (s *Solution) AllRates() []rat.Rat { return s.Flow.AllRates() }
+
+// Demand lists one unit-size transfer per edge and message type, labeled
+// "m_<target>".
+func (s *Solution) Demand() core.Demand {
+	p := s.Problem.Platform
+	return core.Demand{Transfers: s.Flow.Transfers(func(c core.Commodity) string { return "m_" + p.Node(c.Dst).Name })}
+}
 
 // Verify checks the solution against the paper's constraints, independent
 // of the LP solver: one-port feasibility, conservation at every node other

@@ -35,7 +35,7 @@ func solveFig2(t *testing.T) *scatter.Solution {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Part.(*scatter.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
 	return sol
 }
 
@@ -81,7 +81,7 @@ func TestStarScatterThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Part.(*scatter.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
 	if !rat.Eq(sol.Throughput(), rat.New(1, n)) {
 		t.Errorf("TP = %s, want 1/%d", sol.Throughput().RatString(), n)
 	}
@@ -101,7 +101,7 @@ func TestChainScatterRelaying(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Part.(*scatter.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
 	if !rat.Eq(sol.Throughput(), rat.New(1, 3)) {
 		t.Errorf("TP = %s, want 1/3", sol.Throughput().RatString())
 	}
@@ -124,7 +124,7 @@ func TestHeterogeneousBeatsBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Part.(*scatter.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
 	// Source out-port: TP·1 + TP·5 ≤ 1 → TP = 1/6.
 	if !rat.Eq(sol.Throughput(), rat.New(1, 6)) {
 		t.Errorf("TP = %s, want 1/6", sol.Throughput().RatString())
@@ -208,7 +208,7 @@ func TestScatterOnTiersPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Part.(*scatter.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
 	if sol.Throughput().Sign() <= 0 {
 		t.Error("TP should be positive")
 	}

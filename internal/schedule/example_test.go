@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rat"
 )
@@ -17,10 +18,10 @@ func ExampleMergeFlows() {
 	b := p.AddNode("b", rat.One())
 	p.AddEdge(a, b, rat.New(1, 2))
 
-	member := MemberFlow{Transfers: []FlowTransfer{
+	member := core.Demand{Transfers: []core.FlowTransfer{
 		{From: a, To: b, Label: "m_b", Size: rat.One(), Rate: rat.New(2, 1)},
 	}}
-	sched, err := MergeFlows(p, big.NewInt(1), []MemberFlow{member})
+	sched, err := MergeFlows(p, big.NewInt(1), []core.Demand{member})
 	if err != nil {
 		panic(err)
 	}

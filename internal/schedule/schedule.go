@@ -15,11 +15,12 @@
 // number of messages (Figure 4(b)).
 //
 // Two constructions are exposed. MergeFlows superposes the typed transfer
-// demands of one or more collectives over a common period — the LCM of
-// the member periods — into a single one-port-safe slot sequence; every
-// solved member, and so every plain solve of a base kind, schedules
-// through it (composite.MemberSolution.Schedule). FromTrees serializes a
-// reduce's certified reduction-tree family instead.
+// demands of one or more collectives (each solved part's core.Demand) over
+// a common period — the LCM of the member periods — into a single
+// one-port-safe slot sequence; every solved member, and so every plain
+// solve of a base kind, schedules through it
+// (composite.MemberSolution.Schedule). FromTrees serializes a reduce's
+// certified reduction-tree family instead.
 package schedule
 
 import (
@@ -28,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/rat"
@@ -73,34 +75,17 @@ type payload struct {
 	perTime rat.Rat
 }
 
-// FlowTransfer is one typed steady-state message stream contributed to a
-// merged schedule: Rate messages of the given Size per time unit on the
-// edge From→To.
-type FlowTransfer struct {
-	From, To graph.NodeID
-	Label    string
-	Size     rat.Rat
-	Rate     rat.Rat
-}
-
-// MemberFlow is one collective's demand inside a merged schedule: its
-// typed transfers plus (for reduce-family members) the per-node compute
-// occupation per time unit.
-type MemberFlow struct {
-	Transfers []FlowTransfer
-	// ComputeTime maps a node to its compute busy fraction (≤ 1); it is
-	// scaled by the period into the schedule's ComputeLoad.
-	ComputeTime map[graph.NodeID]rat.Rat
-}
-
 // MergeFlows builds one periodic schedule for several collectives
 // superposed on the same platform: the union of every member's transfers
-// over the common integer period (normally the LCM of the member periods)
-// is decomposed into one sequence of one-port-safe matching slots. The
-// members must jointly satisfy the shared one-port constraints — as
-// solutions of one shared-capacity LP do — or the decomposition fails with
-// the port whose busy time overruns the period.
-func MergeFlows(p *graph.Platform, period *big.Int, members []MemberFlow) (*Schedule, error) {
+// (its core.Demand) over the common integer period (normally the LCM of
+// the member periods) is decomposed into one sequence of one-port-safe
+// matching slots, and the members' compute times, scaled by the period,
+// become the schedule's ComputeLoad. The decomposition follows the order
+// of the transfers, so callers list them deterministically. The members
+// must jointly satisfy the shared one-port constraints — as solutions of
+// one shared-capacity LP do — or the decomposition fails with the port
+// whose busy time overruns the period.
+func MergeFlows(p *graph.Platform, period *big.Int, members []core.Demand) (*Schedule, error) {
 	per := new(big.Rat).SetInt(period)
 	var transfers []matching.Transfer
 	computeLoad := make(map[graph.NodeID]rat.Rat)

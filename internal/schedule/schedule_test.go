@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/composite"
+	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/rat"
@@ -37,7 +38,7 @@ func fig2Schedule(t *testing.T) (*scatter.Solution, *schedule.Schedule) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	ms := solve(t, p, composite.ScatterMember(pr, rat.One()))
+	ms := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr})
 	sched, err := ms.Schedule()
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
@@ -131,11 +132,11 @@ func TestMergeFlowsRejectsOverloadedMember(t *testing.T) {
 	c := p.AddNode("c", rat.One())
 	p.AddEdge(a, b, rat.One())
 	p.AddEdge(a, c, rat.One())
-	member := schedule.MemberFlow{Transfers: []schedule.FlowTransfer{
+	member := core.Demand{Transfers: []core.FlowTransfer{
 		{From: a, To: b, Label: "m_b", Size: rat.One(), Rate: rat.New(3, 4)},
 		{From: a, To: c, Label: "m_c", Size: rat.One(), Rate: rat.New(3, 4)}, // a's out port: 3/2 > 1
 	}}
-	if _, err := schedule.MergeFlows(p, big.NewInt(4), []schedule.MemberFlow{member}); err == nil {
+	if _, err := schedule.MergeFlows(p, big.NewInt(4), []core.Demand{member}); err == nil {
 		t.Error("overloaded member accepted")
 	}
 }
@@ -164,7 +165,7 @@ func TestScheduleFromGossipFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gossip.NewProblem: %v", err)
 	}
-	sched, err := solve(t, p, composite.GossipMember(pr, rat.One())).Schedule()
+	sched, err := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Schedule()
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -190,10 +191,10 @@ func TestMergeFlows(t *testing.T) {
 
 	// Member 0 streams a→b at rate 1 (busy 1/2); member 1 streams b→c at
 	// rate 1/2 and computes at c for 1/4 per time unit.
-	members := []schedule.MemberFlow{
-		{Transfers: []schedule.FlowTransfer{{From: a, To: b, Label: "op0:x", Size: rat.One(), Rate: rat.One()}}},
+	members := []core.Demand{
+		{Transfers: []core.FlowTransfer{{From: a, To: b, Label: "op0:x", Size: rat.One(), Rate: rat.One()}}},
 		{
-			Transfers:   []schedule.FlowTransfer{{From: b, To: c, Label: "op1:y", Size: rat.One(), Rate: rat.New(1, 2)}},
+			Transfers:   []core.FlowTransfer{{From: b, To: c, Label: "op1:y", Size: rat.One(), Rate: rat.New(1, 2)}},
 			ComputeTime: map[graph.NodeID]rat.Rat{c: rat.New(1, 4)},
 		},
 	}
@@ -224,9 +225,9 @@ func TestMergeFlowsRejectsOverload(t *testing.T) {
 	b := p.AddNode("b", rat.One())
 	p.AddLink(a, b, rat.One())
 
-	members := []schedule.MemberFlow{
-		{Transfers: []schedule.FlowTransfer{{From: a, To: b, Label: "op0:x", Size: rat.One(), Rate: rat.New(3, 4)}}},
-		{Transfers: []schedule.FlowTransfer{{From: a, To: b, Label: "op1:y", Size: rat.One(), Rate: rat.New(1, 2)}}},
+	members := []core.Demand{
+		{Transfers: []core.FlowTransfer{{From: a, To: b, Label: "op0:x", Size: rat.One(), Rate: rat.New(3, 4)}}},
+		{Transfers: []core.FlowTransfer{{From: a, To: b, Label: "op1:y", Size: rat.One(), Rate: rat.New(1, 2)}}},
 	}
 	if _, err := schedule.MergeFlows(p, big.NewInt(4), members); err == nil {
 		t.Fatal("oversubscribed port should fail to decompose")

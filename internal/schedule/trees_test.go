@@ -19,7 +19,7 @@ func fig6Trees(t *testing.T) (*reduce.Solution, *reduce.Application, []*reduce.T
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Part.(*reduce.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.Solution)
 	app := sol.Integerize()
 	trees, err := app.ExtractTrees()
 	if err != nil {
@@ -80,7 +80,7 @@ func TestFromTreesChainReduce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Part.(*reduce.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.Solution)
 	app := sol.Integerize()
 	trees, err := app.ExtractTrees()
 	if err != nil {

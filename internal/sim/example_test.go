@@ -19,7 +19,7 @@ func ExampleRun() {
 	if err != nil {
 		panic(err)
 	}
-	cp, err := composite.NewProblem(p, []composite.Member{composite.ScatterMember(pr, rat.One())})
+	cp, err := composite.NewProblem(p, []composite.Member{{Weight: rat.One(), Problem: pr}})
 	if err != nil {
 		panic(err)
 	}

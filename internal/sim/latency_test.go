@@ -77,7 +77,7 @@ func TestRunLatencyMatchesRunThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Part.(*scatter.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
 	m := ScatterModel(sol)
 	plain, err := Run(m, 200)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestRunLatencyReduceOldestIngredientWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Part.(*reduce.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.Solution)
 	app := sol.Integerize()
 	res, err := RunLatency(ReduceModel(app), 100)
 	if err != nil {

@@ -87,7 +87,7 @@ func TestScatterSimPaperFig2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Part.(*scatter.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
 	m := ScatterModel(sol)
 
 	prevRatio := rat.Zero()
@@ -124,7 +124,7 @@ func TestReduceSimPaperFig6(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Part.(*reduce.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.Solution)
 	app := sol.Integerize()
 	m := ReduceModel(app)
 
@@ -159,7 +159,7 @@ func TestReduceSimChain(t *testing.T) {
 		order = append(order, p.MustLookup(name))
 	}
 	pr, _ := reduce.NewProblem(p, order, order[0])
-	sol := solve(t, p, composite.ReduceMember(pr, rat.One())).Part.(*reduce.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.Solution)
 	app := sol.Integerize()
 	res, err := Run(ReduceModel(app), 200)
 	if err != nil {
@@ -180,7 +180,7 @@ func TestReduceSimChain(t *testing.T) {
 func TestThroughputConvergesToTP(t *testing.T) {
 	p, src, targets := topology.PaperFig2()
 	pr, _ := scatter.NewProblem(p, src, targets)
-	sol := solve(t, p, composite.ScatterMember(pr, rat.One())).Part.(*scatter.Solution)
+	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
 	m := ScatterModel(sol)
 	res, err := Run(m, 2000)
 	if err != nil {
