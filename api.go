@@ -21,7 +21,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/lru"
 	"repro/internal/obs"
-	"repro/internal/prefix"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/scatter"
@@ -717,7 +716,7 @@ func (s *Solver) newMember(spec Spec, weight Rat, o *solveOptions) (composite.Me
 
 	case KindPrefix:
 		var pre *PrefixProblem
-		pre, err = prefix.NewProblem(s.p, spec.Order)
+		pre, err = reduce.NewPrefixProblem(s.p, spec.Order)
 		if err == nil && o.messageSize != nil {
 			size := rat.Copy(o.messageSize)
 			pre.SizeOf = func(ReduceRange) Rat { return size }

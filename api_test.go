@@ -249,6 +249,33 @@ func TestSolveEquivalenceFig9Reduce(t *testing.T) {
 	}
 }
 
+// TestMessageSizeScalesDefaultTaskTime: WithMessageSize replaces the size
+// function after construction, and the default task time (result size /
+// speed) must follow it. On a chain of slow nodes over fast links compute
+// is the bottleneck, so ten times the size is exactly a tenth of the
+// throughput for every kind built on the reduce family.
+func TestMessageSizeScalesDefaultTaskTime(t *testing.T) {
+	p := steadystate.Chain(3, steadystate.R(1, 100), steadystate.R(1, 4))
+	order := []steadystate.NodeID{p.MustLookup("n0"), p.MustLookup("n1"), p.MustLookup("n2")}
+	for _, c := range []struct {
+		spec      steadystate.Spec
+		unit, ten string
+	}{
+		{steadystate.ReduceSpec(order, order[2]), "3/8", "3/80"},
+		{steadystate.PrefixSpec(order...), "1/4", "1/40"},
+		{steadystate.ReduceScatterSpec(order...), "1/8", "1/80"},
+	} {
+		unit := mustSolve(t, p, c.spec).Throughput()
+		ten := mustSolve(t, p, c.spec, steadystate.WithMessageSize(steadystate.R(10, 1))).Throughput()
+		ratEq(t, unit, c.unit, string(c.spec.Kind)+" TP(size 1)")
+		ratEq(t, ten, c.ten, string(c.spec.Kind)+" TP(size 10)")
+		if scaled := new(big.Rat).Mul(ten, big.NewRat(10, 1)); scaled.Cmp(unit) != 0 {
+			t.Errorf("%s: TP(size 10)·10 = %s, want TP(size 1) = %s",
+				c.spec.Kind, scaled.RatString(), unit.RatString())
+		}
+	}
+}
+
 // TestSolveEquivalenceGossip checks gossip on a ring.
 func TestSolveEquivalenceGossip(t *testing.T) {
 	p := steadystate.Ring(4, steadystate.R(1, 2), steadystate.R(1, 1))

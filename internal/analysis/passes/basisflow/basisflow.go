@@ -12,7 +12,7 @@
 // per-solve accounting (the handoff is consumed exactly once). The
 // analyzer therefore flags, in the solver packages above the LP
 // (internal/core, internal/scatter, internal/gossip, internal/reduce,
-// internal/prefix, internal/composite):
+// internal/composite):
 //
 //   - lp.Basis and lp.WarmStart composite literals, and new(lp.Basis) /
 //     new(lp.WarmStart) — warm-start state is minted at the edge only;
@@ -46,7 +46,6 @@ var scope = []string{
 	"repro/internal/scatter",
 	"repro/internal/gossip",
 	"repro/internal/reduce",
-	"repro/internal/prefix",
 	"repro/internal/composite",
 }
 

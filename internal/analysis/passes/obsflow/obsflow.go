@@ -11,8 +11,7 @@
 // silently loses the forked spans, and the golden trace-structure tests
 // cannot see what was never attached. The analyzer therefore flags, in
 // the solver packages (internal/lp, internal/core, internal/scatter,
-// internal/gossip, internal/reduce, internal/prefix,
-// internal/composite):
+// internal/gossip, internal/reduce, internal/composite):
 //
 //   - calls to obs.NewTracer — tracers are minted at the edge only;
 //   - calls to obs.WithTracer — installing a tracer is the root's move;
@@ -45,7 +44,6 @@ var scope = []string{
 	"repro/internal/scatter",
 	"repro/internal/gossip",
 	"repro/internal/reduce",
-	"repro/internal/prefix",
 	"repro/internal/composite",
 }
 

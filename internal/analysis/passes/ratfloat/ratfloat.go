@@ -8,7 +8,7 @@
 // certificate and the integer period. The analyzer therefore flags, in
 // the LP core (internal/lp), the shared framework (internal/core), the
 // per-kind solver packages (internal/scatter, internal/gossip,
-// internal/reduce, internal/prefix) and internal/composite:
+// internal/reduce) and internal/composite:
 //
 //   - any use of the identifiers float64 or float32 (conversions,
 //     declarations, struct fields, parameters);
@@ -46,7 +46,6 @@ var scope = []string{
 	"repro/internal/scatter",
 	"repro/internal/gossip",
 	"repro/internal/reduce",
-	"repro/internal/prefix",
 	"repro/internal/composite",
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
-	"repro/internal/prefix"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/scatter"
@@ -119,7 +118,7 @@ func TestMixedMembersVerifyAndSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := prefix.NewProblem(p, order)
+	pre, err := reduce.NewPrefixProblem(p, order)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package reduce_test
 
 import (
+	"context"
+	"strings"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
@@ -137,5 +140,56 @@ func TestComputeAtVerifyCatchesEscapees(t *testing.T) {
 		}
 	} else {
 		t.Log("optimum happened to compute only at target; nothing to check")
+	}
+}
+
+// TestComputeAtRejectsNodesThatCannotCompute: a ComputeAt entry that is
+// not a node of the platform, a router or a zero-speed node fails the
+// solve with an error naming it, instead of silently solving to TP = 0.
+func TestComputeAtRejectsNodesThatCannotCompute(t *testing.T) {
+	fig6, order, target := topology.PaperFig6()
+
+	path := graph.New()
+	a := path.AddNode("a", rat.One())
+	r := path.AddRouter("r")
+	b := path.AddNode("b", rat.One())
+	path.AddLink(a, r, rat.One())
+	path.AddLink(r, b, rat.One())
+
+	idle := graph.New()
+	x := idle.AddNode("x", rat.One())
+	z := idle.AddNode("z", rat.Zero())
+	y := idle.AddNode("y", rat.One())
+	idle.AddLink(x, z, rat.One())
+	idle.AddLink(z, y, rat.One())
+
+	for _, c := range []struct {
+		name    string
+		p       *graph.Platform
+		order   []graph.NodeID
+		target  graph.NodeID
+		compute []graph.NodeID
+		want    string
+	}{
+		{"unknown node", fig6, order, target, []graph.NodeID{99},
+			"composite: member 0: reduce: compute node 99 is not on the platform"},
+		{"router", path, []graph.NodeID{a, b}, b, []graph.NodeID{r},
+			"composite: member 0: reduce: compute node r cannot compute"},
+		{"zero speed", idle, []graph.NodeID{x, y}, y, []graph.NodeID{y, z},
+			"composite: member 0: reduce: compute node z cannot compute"},
+	} {
+		pr, err := reduce.NewProblem(c.p, c.order, c.target)
+		if err != nil {
+			t.Fatalf("%s: NewProblem: %v", c.name, err)
+		}
+		pr.ComputeAt = c.compute
+		cp, err := composite.NewProblem(c.p, []composite.Member{{Weight: rat.One(), Problem: pr}})
+		if err != nil {
+			t.Fatalf("%s: composite.NewProblem: %v", c.name, err)
+		}
+		_, err = cp.SolveCtx(context.Background())
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: SolveCtx error %v, want %q", c.name, err, c.want)
+		}
 	}
 }

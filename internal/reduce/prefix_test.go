@@ -1,4 +1,4 @@
-package prefix_test
+package reduce_test
 
 import (
 	"context"
@@ -7,15 +7,14 @@ import (
 
 	"repro/internal/composite"
 	"repro/internal/graph"
-	"repro/internal/prefix"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/topology"
 )
 
-// solve solves one prefix or reduce problem on its own: a one-member
-// composite, the single LP path.
-func solve(t *testing.T, p *graph.Platform, mem composite.Member) *composite.MemberSolution {
+// solveMember solves one prefix or reduce problem on its own: a
+// one-member composite, the single LP path.
+func solveMember(t *testing.T, p *graph.Platform, mem composite.Member) *composite.MemberSolution {
 	t.Helper()
 	cp, err := composite.NewProblem(p, []composite.Member{mem})
 	if err != nil {
@@ -37,11 +36,11 @@ func TestTwoNodePrefix(t *testing.T) {
 	a := p.AddNode("P0", rat.One())
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, err := prefix.NewProblem(p, []graph.NodeID{a, b})
+	pr, err := reduce.NewPrefixProblem(p, []graph.NodeID{a, b})
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
+	sol := solveMember(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.PrefixSolution)
 	if !rat.Eq(sol.TP, rat.One()) {
 		t.Errorf("TP = %s, want 1", sol.TP.RatString())
 	}
@@ -52,11 +51,11 @@ func TestTwoNodePrefix(t *testing.T) {
 
 func TestPrefixOnFig6Triangle(t *testing.T) {
 	p, order, _ := topology.PaperFig6()
-	pr, err := prefix.NewProblem(p, order)
+	pr, err := reduce.NewPrefixProblem(p, order)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
+	sol := solveMember(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.PrefixSolution)
 	if sol.TP.Sign() <= 0 {
 		t.Fatal("TP must be positive")
 	}
@@ -66,7 +65,7 @@ func TestPrefixOnFig6Triangle(t *testing.T) {
 	// A prefix needs strictly more work than a reduce to the same nodes
 	// (every rank is a delivery), so TP_prefix ≤ TP_reduce.
 	rpr, _ := reduce.NewProblem(p, order, order[0])
-	rsol := solve(t, p, composite.Member{Weight: rat.One(), Problem: rpr}).Part.(*reduce.Solution)
+	rsol := solveMember(t, p, composite.Member{Weight: rat.One(), Problem: rpr}).Part.(*reduce.Solution)
 	if sol.TP.Cmp(rsol.TP) > 0 {
 		t.Errorf("prefix TP %s exceeds reduce TP %s", sol.TP.RatString(), rsol.TP.RatString())
 	}
@@ -75,10 +74,10 @@ func TestPrefixOnFig6Triangle(t *testing.T) {
 
 func TestPrefixValidation(t *testing.T) {
 	p, order, _ := topology.PaperFig6()
-	if _, err := prefix.NewProblem(p, order[:1]); err == nil {
+	if _, err := reduce.NewPrefixProblem(p, order[:1]); err == nil {
 		t.Error("single participant should fail")
 	}
-	if _, err := prefix.NewProblem(p, []graph.NodeID{order[0], order[0]}); err == nil {
+	if _, err := reduce.NewPrefixProblem(p, []graph.NodeID{order[0], order[0]}); err == nil {
 		t.Error("duplicate participant should fail")
 	}
 	q := graph.New()
@@ -87,7 +86,7 @@ func TestPrefixValidation(t *testing.T) {
 	b := q.AddNode("b", rat.One())
 	q.AddLink(a, b, rat.One())
 	q.AddLink(b, r, rat.One())
-	if _, err := prefix.NewProblem(q, []graph.NodeID{a, r}); err == nil {
+	if _, err := reduce.NewPrefixProblem(q, []graph.NodeID{a, r}); err == nil {
 		t.Error("router participant should fail")
 	}
 	// One-directional chain fails rank reachability (rank 0 must reach
@@ -96,11 +95,11 @@ func TestPrefixValidation(t *testing.T) {
 	x := u.AddNode("x", rat.One())
 	y := u.AddNode("y", rat.One())
 	u.AddEdge(y, x, rat.One()) // only y→x
-	if _, err := prefix.NewProblem(u, []graph.NodeID{x, y}); err == nil {
+	if _, err := reduce.NewPrefixProblem(u, []graph.NodeID{x, y}); err == nil {
 		t.Error("rank-unreachable order should fail")
 	}
 	// The reverse order works: rank 0 = y can reach rank 1 = x.
-	if _, err := prefix.NewProblem(u, []graph.NodeID{y, x}); err != nil {
+	if _, err := reduce.NewPrefixProblem(u, []graph.NodeID{y, x}); err != nil {
 		t.Errorf("reverse order should validate: %v", err)
 	}
 }
@@ -111,11 +110,11 @@ func TestPrefixChain(t *testing.T) {
 	for _, name := range []string{"n0", "n1", "n2"} {
 		order = append(order, p.MustLookup(name))
 	}
-	pr, err := prefix.NewProblem(p, order)
+	pr, err := reduce.NewPrefixProblem(p, order)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
+	sol := solveMember(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.PrefixSolution)
 	if sol.TP.Sign() <= 0 {
 		t.Error("TP must be positive")
 	}
@@ -132,8 +131,8 @@ func TestPrefixString(t *testing.T) {
 	a := p.AddNode("P0", rat.One())
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, _ := prefix.NewProblem(p, []graph.NodeID{a, b})
-	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
+	pr, _ := reduce.NewPrefixProblem(p, []graph.NodeID{a, b})
+	sol := solveMember(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.PrefixSolution)
 	if !strings.Contains(sol.String(), "prefix throughput") {
 		t.Errorf("String:\n%s", sol.String())
 	}
@@ -144,8 +143,8 @@ func TestPrefixVerifyCatchesTampering(t *testing.T) {
 	a := p.AddNode("P0", rat.One())
 	b := p.AddNode("P1", rat.One())
 	p.AddLink(a, b, rat.One())
-	pr, _ := prefix.NewProblem(p, []graph.NodeID{a, b})
-	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*prefix.Solution)
+	pr, _ := reduce.NewPrefixProblem(p, []graph.NodeID{a, b})
+	sol := solveMember(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*reduce.PrefixSolution)
 	sol.TP = rat.Add(sol.TP, rat.One())
 	if err := sol.Verify(); err == nil {
 		t.Error("Verify accepted inflated TP")
@@ -162,16 +161,15 @@ func TestPrefixVerifyRejectsTaskOnRouter(t *testing.T) {
 	b := p.AddNode("b", rat.One())
 	p.AddLink(a, r, rat.One())
 	p.AddLink(r, b, rat.One())
-	pr, err := prefix.NewProblem(p, []graph.NodeID{a, b})
+	pr, err := reduce.NewPrefixProblem(p, []graph.NodeID{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := &prefix.Solution{
-		Problem: pr,
-		TP:      rat.One(),
-		Sends:   map[reduce.SendKey]rat.Rat{},
-		Tasks:   map[reduce.TaskKey]rat.Rat{{Node: r, T: reduce.Task{K: 0, L: 0, M: 1}}: rat.One()},
-	}
+	sol := &reduce.PrefixSolution{Problem: pr, Rates: reduce.Rates{
+		TP:    rat.One(),
+		Sends: map[reduce.SendKey]rat.Rat{},
+		Tasks: map[reduce.TaskKey]rat.Rat{{Node: r, T: reduce.Task{K: 0, L: 0, M: 1}}: rat.One()},
+	}}
 	err = sol.Verify()
 	if err == nil || !strings.Contains(err.Error(), "task on non-computing node r") {
 		t.Errorf("Verify = %v, want a task on non-computing node r", err)

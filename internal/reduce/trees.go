@@ -27,23 +27,8 @@ type Application struct {
 // period Period().
 func (s *Solution) Integerize() *Application {
 	period := s.Period()
-	a := &Application{
-		Problem: s.Problem,
-		Period:  period,
-		Sends:   make(map[SendKey]*big.Int),
-		Tasks:   make(map[TaskKey]*big.Int),
-		Ops:     rat.ScaleToInt(s.TP, period),
-	}
-	for k, r := range s.Sends {
-		if v := rat.ScaleToInt(r, period); v.Sign() > 0 {
-			a.Sends[k] = v
-		}
-	}
-	for k, r := range s.Tasks {
-		if v := rat.ScaleToInt(r, period); v.Sign() > 0 {
-			a.Tasks[k] = v
-		}
-	}
+	a := &Application{Problem: s.Problem, Period: period, Ops: rat.ScaleToInt(s.TP, period)}
+	a.Sends, a.Tasks = s.Counts(period)
 	return a
 }
 

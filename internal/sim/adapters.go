@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/graph"
-	"repro/internal/prefix"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/scatter"
@@ -111,25 +110,22 @@ func GossipModel(sol *gossip.Solution) *Model {
 // rangeType names a partial result.
 func rangeType(r reduce.Range) TypeID { return TypeID(r.String()) }
 
-// ReduceModel builds the simulation model of a reduce application (the
-// integerized solution): transfers from A's send counts, one rule per task
-// kind ordered by result length (so intra-period task chains resolve),
-// initial values as sources, the final value at the target as the sink.
-func ReduceModel(app *reduce.Application) *Model {
-	pr := app.Problem
+// rangeModel builds the replay model shared by the reduce family from
+// integer per-period counts: transfers of partial results, one rule per
+// task kind ordered by result length (so intra-period task chains
+// resolve), and the initial values v[i,i] as sources at their owners. The
+// kind adds its sinks.
+func rangeModel(p *graph.Platform, period *big.Int, order []graph.NodeID, sends map[reduce.SendKey]*big.Int, tasks map[reduce.TaskKey]*big.Int) *Model {
 	m := &Model{
-		Platform: pr.Platform,
-		Period:   app.Period,
+		Platform: p,
+		Period:   period,
 		Sources:  make(map[Endpoint]bool),
 		Sinks:    make(map[Endpoint]bool),
 	}
-	for i, owner := range pr.Order {
+	for i, owner := range order {
 		m.Sources[Endpoint{owner, rangeType(reduce.Range{K: i, M: i})}] = true
 	}
-	final := reduce.Range{K: 0, M: pr.N()}
-	m.Sinks[Endpoint{pr.Target, rangeType(final)}] = true
-
-	for k, c := range app.Sends {
+	for k, c := range sends {
 		if c.Sign() == 0 {
 			continue
 		}
@@ -137,7 +133,7 @@ func ReduceModel(app *reduce.Application) *Model {
 			From: k.From, To: k.To, Type: rangeType(k.R), Count: c,
 		})
 	}
-	for k, c := range app.Tasks {
+	for k, c := range tasks {
 		if c.Sign() == 0 {
 			continue
 		}
@@ -153,6 +149,16 @@ func ReduceModel(app *reduce.Application) *Model {
 	// rules are independent, but deterministic models diff cleanly.
 	sort.Slice(m.Transfers, func(i, j int) bool { return transferLess(m.Transfers[i], m.Transfers[j]) })
 	sort.Slice(m.Rules, func(i, j int) bool { return ruleLess(m.Rules[i], m.Rules[j]) })
+	return m
+}
+
+// ReduceModel builds the simulation model of a reduce application (the
+// integerized solution): the reduce family's model with the final value at
+// the target as the sink.
+func ReduceModel(app *reduce.Application) *Model {
+	pr := app.Problem
+	m := rangeModel(pr.Platform, app.Period, pr.Order, app.Sends, app.Tasks)
+	m.Sinks[Endpoint{pr.Target, rangeType(reduce.Range{K: 0, M: pr.N()})}] = true
 	return m
 }
 
@@ -201,56 +207,22 @@ func BroadcastModel(sol *scatter.BroadcastSolution) *Model {
 	return m
 }
 
-// PrefixModel builds the simulation model of a prefix solution: transfers
-// from the fragment send rates, one rule per suffix-extension or producing
-// task (ordered by result length, so intra-period chains resolve), the
-// initial values v[i,i] as sources at their owners, and one quota sink per
-// rank — rank i must absorb v[0,i] at rate TP while any surplus stays
-// buffered for forwarding downstream. Rank 0 owns v[0,0] locally (source
-// and sink at once), so its quota is credited directly each period. All
-// rates are scaled to integers at the solution period.
-func PrefixModel(sol *prefix.Solution) *Model {
+// PrefixModel builds the simulation model of a prefix solution: the reduce
+// family's model at the solution period, with one quota sink per rank —
+// rank i must absorb v[0,i] at rate TP while any surplus stays buffered
+// for forwarding downstream. Rank 0 owns v[0,0] locally (source and sink
+// at once), so its quota is credited directly each period.
+func PrefixModel(sol *reduce.PrefixSolution) *Model {
 	pr := sol.Problem
 	period := sol.Period()
+	sends, tasks := sol.Counts(period)
+	m := rangeModel(pr.Platform, period, pr.Order, sends, tasks)
 	quota := rat.ScaleToInt(sol.TP, period)
-	m := &Model{
-		Platform:  pr.Platform,
-		Period:    period,
-		Sources:   make(map[Endpoint]bool),
-		Sinks:     make(map[Endpoint]bool),
-		SinkQuota: make(map[Endpoint]*big.Int),
-	}
-	for i, owner := range pr.Order {
-		m.Sources[Endpoint{owner, rangeType(reduce.Range{K: i, M: i})}] = true
-	}
+	m.SinkQuota = make(map[Endpoint]*big.Int)
 	for i, owner := range pr.Order {
 		e := Endpoint{owner, rangeType(reduce.Range{K: 0, M: i})}
 		m.Sinks[e] = true
 		m.SinkQuota[e] = new(big.Int).Set(quota)
 	}
-	for k, r := range sol.Sends {
-		count := rat.ScaleToInt(r, period)
-		if count.Sign() == 0 {
-			continue
-		}
-		m.Transfers = append(m.Transfers, Transfer{
-			From: k.From, To: k.To, Type: rangeType(k.R), Count: count,
-		})
-	}
-	for k, r := range sol.Tasks {
-		count := rat.ScaleToInt(r, period)
-		if count.Sign() == 0 {
-			continue
-		}
-		m.Rules = append(m.Rules, Rule{
-			Node:     k.Node,
-			Consumes: []TypeID{rangeType(k.T.Left()), rangeType(k.T.Right())},
-			Produces: rangeType(k.T.Result()),
-			Count:    count,
-			Order:    k.T.Result().Len(),
-		})
-	}
-	sort.Slice(m.Transfers, func(i, j int) bool { return transferLess(m.Transfers[i], m.Transfers[j]) })
-	sort.Slice(m.Rules, func(i, j int) bool { return ruleLess(m.Rules[i], m.Rules[j]) })
 	return m
 }

@@ -100,7 +100,6 @@ import (
 	"repro/internal/composite"
 	"repro/internal/gossip"
 	"repro/internal/graph"
-	"repro/internal/prefix"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/scatter"
@@ -243,10 +242,10 @@ type CompositeMemberSolution = composite.MemberSolution
 // Parallel prefix (Section 6 extension)
 
 // PrefixProblem is a Series of Parallel Prefixes instance.
-type PrefixProblem = prefix.Problem
+type PrefixProblem = reduce.PrefixProblem
 
 // PrefixSolution is a solved prefix series.
-type PrefixSolution = prefix.Solution
+type PrefixSolution = reduce.PrefixSolution
 
 // ---------------------------------------------------------------------------
 // Schedules (Sections 3.3, 4.3)
