@@ -159,6 +159,16 @@ func (t *denseTableau) negateRow(i int) {
 
 func (t *denseTableau) colSign(i, c int) int { return t.rows[i].n[c].Sign() }
 
+func (t *denseTableau) rowLen(i int) int {
+	n := 0
+	for _, v := range t.rows[i].n {
+		if v.Sign() != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // dropRow splices row i out with explicit copies. The earlier
 // append-based splice (`append(t.rows[:i], t.rows[i+1:]...)`) shifted in
 // place but left the dropped row aliased past the new length in the

@@ -65,6 +65,11 @@ type tableau interface {
 	// basis rebuild's pivot-row probe. Both implementations answer from
 	// the same normalized rows, so the rebuild is representation-invariant.
 	colSign(i, c int) int
+	// rowLen returns the number of nonzero entries stored in row i (rhs
+	// included) — the warm basis rebuild's fill probe, which sends each
+	// wanted column to the shortest eligible row. Both implementations
+	// count the same normalized rows, so they pick the same rows.
+	rowLen(i int) int
 	// negateRow flips the sign of every entry of row i.
 	negateRow(i int)
 	// dropRow removes row i (and its basis slot).
@@ -305,23 +310,34 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	warm := checkWarmBasis(warmTake(ctx), fp, t.nRows(), nCols, artCols)
 	warmOK := false
 	rebuildPivots := 0
-	if warm != nil && warm.cols != nil {
-		ok := rebuildWarmBasis(t, warm.cols, nCols)
-		warmOK = ok && warmFeasible(t, artCols)
-		switch {
-		case !ok:
-			warm.reason = WarmRejectSingular
-		case !warmOK:
-			warm.reason = WarmRejectInfeasible
+	if warm != nil && warm.ws.Basis != nil {
+		// One lp.warmstart span per offered candidate, attempted or
+		// rejected up front. Its attributes are deterministic functions
+		// of the scenario and the basis; its time covers the rebuild, the
+		// feasibility check and, on a reject, the cold re-assembly.
+		_, warmSpan := obs.StartSpan(ctx, "lp.warmstart")
+		spent := 0
+		if warm.cols != nil {
+			ok := rebuildWarmBasis(t, warm.cols, nCols)
+			warmOK = ok && warmFeasible(t, artCols)
+			switch {
+			case !ok:
+				warm.reason = WarmRejectSingular
+			case !warmOK:
+				warm.reason = WarmRejectInfeasible
+			}
+			spent = t.pivotCount()
+			if warmOK {
+				rebuildPivots = spent
+			} else {
+				t, artCols = buildTableau(ctx, rowsIn, nStruct, nSlack, nCols, budget)
+			}
 		}
-		rebuildPivots = t.pivotCount()
-		warmSpan(ctx, len(warm.cols), warmOK, warm.reason, rebuildPivots)
-		if !warmOK {
-			t, artCols = buildTableau(ctx, rowsIn, nStruct, nSlack, nCols, budget)
-			rebuildPivots = 0
-		}
-	} else if warm != nil && warm.ws.Basis != nil {
-		warmSpan(ctx, warm.ws.Basis.Size(), false, warm.reason, 0)
+		warmSpan.SetAttr("basis", warm.ws.Basis.Size())
+		warmSpan.SetAttr("used", warmOK)
+		warmSpan.SetAttr("reject_reason", warm.reason)
+		warmSpan.SetAttr("rebuild_pivots", spent)
+		warmSpan.End()
 	}
 
 	// Phase 1: minimize the sum of artificials, i.e. maximize −Σa. The

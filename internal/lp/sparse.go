@@ -260,6 +260,7 @@ func (t *sparseTableau) negateRow(i int) {
 }
 
 func (t *sparseTableau) colSign(i, c int) int { return t.rows[i].sign(c) }
+func (t *sparseTableau) rowLen(i int) int     { return len(t.rows[i].num) }
 
 // dropRow splices row i out with explicit copies. The earlier
 // append-based splice left the dropped *sparseRow aliased past the new

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 
 	"repro/internal/lru"
-	"repro/internal/obs"
 )
 
 // Warm-start machinery: a solved LP's optimal basis is a reusable asset.
@@ -195,37 +194,38 @@ func checkWarmBasis(ws *WarmStart, fp string, nRows, nCols int, artCols []bool) 
 }
 
 // rebuildWarmBasis pivots the candidate basic columns into a freshly
-// assembled tableau (Gauss-Jordan, no ratio test): for each wanted column
-// not yet basic, the first row — ascending, deterministic across tableau
-// implementations — whose current basic column is not itself wanted and
-// whose entry in the wanted column is nonzero becomes the pivot row (the
-// row is negated first when the entry is negative, keeping the pivot
-// strictly positive). Returns false when some wanted column has no
-// eligible row: the recorded basis is singular for the new coefficients.
+// assembled tableau (Gauss-Jordan, no ratio test). Wanted columns arrive
+// in the order given; each one not yet basic is pivoted into the
+// shortest eligible row — fewest stored entries, ties to the lowest row
+// index — where a row is eligible when its current basic column is not
+// itself wanted and its entry in the wanted column is nonzero (the row is
+// negated first when the entry is negative, keeping the pivot strictly
+// positive). The row choice changes only the fill along the way: each
+// rebuilt row is B⁻¹A for its basic column, so the final tableau is the
+// same up to row order, and later pivots ignore row order (entering reads
+// only the objective row, leaving breaks ratio ties on the basic column).
+// Returns false when some wanted column has no eligible row: the recorded
+// basis is singular for the new coefficients.
 func rebuildWarmBasis(t tableau, want []int, nCols int) bool {
 	wanted := make([]bool, nCols)
 	for _, c := range want {
 		wanted[c] = true
 	}
-	rowOf := make([]int, nCols)
-	for j := range rowOf {
-		rowOf[j] = -1
-	}
+	isBasic := make([]bool, nCols)
 	for i := 0; i < t.nRows(); i++ {
-		rowOf[t.basic(i)] = i
+		isBasic[t.basic(i)] = true
 	}
 	for _, c := range want {
-		if rowOf[c] >= 0 {
+		if isBasic[c] {
 			continue
 		}
-		pick := -1
+		pick, pickLen := -1, 0
 		for i := 0; i < t.nRows(); i++ {
 			if wanted[t.basic(i)] {
 				continue
 			}
-			if t.colSign(i, c) != 0 {
-				pick = i
-				break
+			if n := t.rowLen(i); (pick < 0 || n < pickLen) && t.colSign(i, c) != 0 {
+				pick, pickLen = i, n
 			}
 		}
 		if pick < 0 {
@@ -234,10 +234,9 @@ func rebuildWarmBasis(t tableau, want []int, nCols int) bool {
 		if t.colSign(pick, c) < 0 {
 			t.negateRow(pick)
 		}
-		old := t.basic(pick)
+		isBasic[t.basic(pick)] = false
 		t.pivot(pick, c)
-		rowOf[old] = -1
-		rowOf[c] = pick
+		isBasic[c] = true
 	}
 	return true
 }
@@ -257,23 +256,6 @@ func warmFeasible(t tableau, artCols []bool) bool {
 		}
 	}
 	return true
-}
-
-// warmSpan emits the lp.warmstart span: one per solve that carried a
-// warm-start handoff with a candidate basis, attempted or rejected. All
-// attributes are deterministic functions of the scenario and the offered
-// basis (sizes, fingerprint match, the stable rejection reason, and the
-// pivots the basis rebuild spent).
-func warmSpan(ctx context.Context, basisSize int, used bool, reason string, rebuildPivots int) {
-	_, span := obs.StartSpan(ctx, "lp.warmstart")
-	if span == nil {
-		return
-	}
-	span.SetAttr("basis", basisSize)
-	span.SetAttr("used", used)
-	span.SetAttr("reject_reason", reason)
-	span.SetAttr("rebuild_pivots", rebuildPivots)
-	span.End()
 }
 
 // finish writes the attempt's outcome and the solution's certified basis

@@ -3,7 +3,11 @@ package lp
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math/big"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/lru"
@@ -87,6 +91,40 @@ func TestWarmResolveSkipsPhase1(t *testing.T) {
 	}
 }
 
+// randomWarmModel builds a small random LP from seed, with every
+// objective and constraint coefficient scaled by scale: the same seed
+// gives the same structure (fingerprint) for every scale.
+func randomWarmModel(seed int64, scale rat.Rat) *Model {
+	r := rand.New(rand.NewSource(seed))
+	n := 2 + r.Intn(3)
+	mr := 2 + r.Intn(4)
+	m := NewMaximize()
+	vars := make([]Var, n)
+	for j := 0; j < n; j++ {
+		vars[j] = m.Var(fmt.Sprintf("x%d", j))
+		m.SetObjective(vars[j], rat.Mul(rat.Int(int64(r.Intn(11)-5)), scale))
+	}
+	for i := 0; i < mr; i++ {
+		e := NewExpr()
+		for j := 0; j < n; j++ {
+			c := int64(r.Intn(9) - 3)
+			if c == 0 {
+				continue
+			}
+			e = e.Plus(rat.Mul(rat.Int(c), scale), vars[j])
+		}
+		sense := []Sense{Leq, Geq, Eq}[r.Intn(3)]
+		if len(e) == 0 {
+			continue
+		}
+		m.AddConstraint(fmt.Sprintf("c%d", i), e, sense, rat.Int(int64(r.Intn(15))))
+	}
+	for j := 0; j < n; j++ {
+		m.SetUpper(vars[j], rat.Int(int64(10+r.Intn(10))))
+	}
+	return m
+}
+
 // TestWarmPerturbedEquivalence is the dense-vs-sparse warm property test:
 // over random LPs, mint a basis from a cold solve, perturb every
 // coefficient multiplicatively (structure preserved), and re-solve warm
@@ -95,36 +133,7 @@ func TestWarmResolveSkipsPhase1(t *testing.T) {
 // equal the perturbed model's cold optimum exactly.
 func TestWarmPerturbedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	build := func(seed int64, scale rat.Rat) *Model {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(3)
-		mr := 2 + r.Intn(4)
-		m := NewMaximize()
-		vars := make([]Var, n)
-		for j := 0; j < n; j++ {
-			vars[j] = m.Var(fmt.Sprintf("x%d", j))
-			m.SetObjective(vars[j], rat.Mul(rat.Int(int64(r.Intn(11)-5)), scale))
-		}
-		for i := 0; i < mr; i++ {
-			e := NewExpr()
-			for j := 0; j < n; j++ {
-				c := int64(r.Intn(9) - 3)
-				if c == 0 {
-					continue
-				}
-				e = e.Plus(rat.Mul(rat.Int(c), scale), vars[j])
-			}
-			sense := []Sense{Leq, Geq, Eq}[r.Intn(3)]
-			if len(e) == 0 {
-				continue
-			}
-			m.AddConstraint(fmt.Sprintf("c%d", i), e, sense, rat.Int(int64(r.Intn(15))))
-		}
-		for j := 0; j < n; j++ {
-			m.SetUpper(vars[j], rat.Int(int64(10+r.Intn(10))))
-		}
-		return m
-	}
+	build := randomWarmModel
 	warmUses := 0
 	for trial := 0; trial < 60; trial++ {
 		seed := rng.Int63()
@@ -164,6 +173,10 @@ func TestWarmPerturbedEquivalence(t *testing.T) {
 		if sparse.Iterations != dense.Iterations || sparse.Phase1Iterations != dense.Phase1Iterations {
 			t.Fatalf("trial %d: pivots sparse (%d,%d), dense (%d,%d)", trial,
 				sparse.Iterations, sparse.Phase1Iterations, dense.Iterations, dense.Phase1Iterations)
+		}
+		if !slices.Equal(wsS.Final.cols, wsD.Final.cols) {
+			t.Fatalf("trial %d: final basis rows sparse %v, dense %v", trial,
+				wsS.Final.cols, wsD.Final.cols)
 		}
 		if !rat.Eq(sparse.Objective, pcold.Objective) {
 			t.Fatalf("trial %d: warm optimum %s != cold optimum %s", trial,
@@ -366,5 +379,120 @@ func TestWarmHandoffConsumedOnce(t *testing.T) {
 	}
 	if ws.Final != final {
 		t.Fatal("second solve wrote to a consumed handoff")
+	}
+}
+
+// freshTableau assembles m's initial tableau on the named tableau, with
+// SolveCtx's column layout, and returns it with its column count.
+func freshTableau(kind tableauKind, m *Model) (tableau, int) {
+	rows := m.normalizedRows()
+	nSlack, nArt := 0, 0
+	for _, r := range rows {
+		if r.sense != Eq {
+			nSlack++
+		}
+		if r.sense != Leq {
+			nArt++
+		}
+	}
+	nCols := len(m.names) + nSlack + nArt
+	tab, _ := buildTableau(kind.ctx(), rows, len(m.names), nSlack, nCols, blandBudget(len(rows), nCols, -1))
+	return tab, nCols
+}
+
+// TestWarmRebuildPicksShortestRow pins the rebuild's row rule: a wanted
+// column is pivoted into the eligible row with the fewest stored
+// entries, not the first eligible row. x has an entry in both rows, and
+// the short row (x, slack, rhs) stores one entry fewer than the long row
+// (x, y, slack, rhs), so x must become basic in row 1.
+func TestWarmRebuildPicksShortestRow(t *testing.T) {
+	for _, kind := range bothKinds {
+		m := NewMaximize()
+		x := m.Var("x")
+		y := m.Var("y")
+		m.SetObjective(x, rat.Int(2))
+		m.SetObjective(y, rat.One())
+		m.AddConstraint("long", NewExpr().Plus1(x).Plus1(y), Leq, rat.Int(10))
+		m.AddConstraint("short", NewExpr().Plus1(x), Leq, rat.Int(4))
+		tab, nCols := freshTableau(kind, m)
+		if !rebuildWarmBasis(tab, []int{int(x), int(y)}, nCols) {
+			t.Fatalf("%s: rebuild of {x, y} reported a singular basis", kind)
+		}
+		if got := tab.basic(1); got != int(x) {
+			t.Fatalf("%s: short row holds basic column %d, want x = %d", kind, got, x)
+		}
+		if got := tab.basic(0); got != int(y) {
+			t.Fatalf("%s: long row holds basic column %d, want y = %d", kind, got, y)
+		}
+	}
+}
+
+// rowSnapshot renders row i of tab exactly: its denominator, then the
+// column and numerator of every stored entry in column order.
+func rowSnapshot(tab tableau, i int) string {
+	var sb strings.Builder
+	put := func(d *big.Int, cols []int, nums []*big.Int) {
+		fmt.Fprintf(&sb, "/%s", d)
+		for k, c := range cols {
+			fmt.Fprintf(&sb, " %d:%s", c, nums[k])
+		}
+	}
+	switch tt := tab.(type) {
+	case *sparseTableau:
+		put(tt.rows[i].d, tt.rows[i].cols, tt.rows[i].num)
+	case *denseTableau:
+		var cols []int
+		var nums []*big.Int
+		for c, v := range tt.rows[i].n {
+			if v.Sign() != 0 {
+				cols, nums = append(cols, c), append(nums, v)
+			}
+		}
+		put(tt.rows[i].d, cols, nums)
+	}
+	return sb.String()
+}
+
+// TestWarmRebuildOrderInvariant pins the premise that lets the rebuild
+// choose its pivot rows freely: the rebuilt tableau of a basis is unique
+// up to row order, because each normalized row is B⁻¹A for its basic
+// column. Over random LPs, the cold optimal basis is rebuilt on fresh
+// tableaus with its columns in the given order and reversed; every row,
+// keyed by its basic column, must read the same denominator, columns and
+// numerators both times.
+func TestWarmRebuildOrderInvariant(t *testing.T) {
+	rebuilt := func(kind tableauKind, m *Model, want []int) map[int]string {
+		t.Helper()
+		tab, nCols := freshTableau(kind, m)
+		if !rebuildWarmBasis(tab, want, nCols) {
+			t.Fatalf("%s: rebuild of the model's own optimal basis %v reported singular", kind, want)
+		}
+		rows := make(map[int]string, tab.nRows())
+		for i := 0; i < tab.nRows(); i++ {
+			rows[tab.basic(i)] = rowSnapshot(tab, i)
+		}
+		return rows
+	}
+	checked := 0
+	for seed := int64(0); seed < 200; seed++ {
+		cold, err := randomWarmModel(seed, rat.One()).SolveCtx(context.Background())
+		if err != nil {
+			continue
+		}
+		given := cold.Basis().cols
+		reversed := slices.Clone(given)
+		slices.Reverse(reversed)
+		for _, kind := range bothKinds {
+			m := randomWarmModel(seed, rat.One())
+			a, b := rebuilt(kind, m, given), rebuilt(kind, m, reversed)
+			if !maps.Equal(a, b) {
+				t.Fatalf("seed %d (%s): rebuilt rows depend on column order:\n given    %v\n reversed %v",
+					seed, kind, a, b)
+			}
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no seeded LP solved")
 	}
 }
