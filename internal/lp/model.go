@@ -31,9 +31,14 @@
 // parallel (column, numerator) slices sorted by column. The steady-state
 // LPs are extremely sparse — a one-port or compute row touches only a
 // node's incident edges, a conservation row only one commodity's
-// variables around one node — so pivots cost O(nnz) big.Int
-// multiplications instead of O(columns). Composite solves, whose variable
-// counts multiply by the member count, win the most.
+// variables around one node — so pivots cost O(nnz) multiplications
+// instead of O(columns). Composite solves, whose variable counts multiply
+// by the member count, win the most. A row whose normalized values all
+// fit in an int64 is stored in machine words and updated with 128-bit
+// intermediates; a row that needs more is stored and updated in big.Int,
+// and returns to words when its values fit again. The values alone decide
+// a row's form, so the answers, pivots and counters are those of the
+// big.Int arithmetic throughout.
 //
 // A dense reference tableau, each row a full integer vector, lives in the
 // package's tests (dense_test.go) behind the same tableau interface. Tests

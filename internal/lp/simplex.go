@@ -116,8 +116,9 @@ func blandBudget(rows, cols, override int) int {
 }
 
 // iterate pivots until optimality, unboundedness or context cancellation.
-// Each pivot is dominated by big.Int row arithmetic, so a per-pivot
-// cancellation check costs nothing measurable. rec, when non-nil, observes
+// Each pivot is dominated by its row updates, O(nnz) exact integer
+// operations per updated row, so a per-pivot cancellation check costs
+// nothing measurable. rec, when non-nil, observes
 // every pivot for the solve trace; with no tracer installed rec is nil and
 // the loop's only added cost is one pointer comparison per pivot
 // (allocation-free, pinned by TestNoTracerPivotLoopAllocationFree).

@@ -476,6 +476,12 @@ func TestRowNormalize(t *testing.T) {
 	if r.d.Int64() != 4 || r.n[0].Int64() != 2 || r.n[1].Int64() != -3 || r.n[2].Int64() != 0 {
 		t.Errorf("normalize: got n=%v d=%v", r.n, r.d)
 	}
+	// The same row as a sparse word row divides out the same content gcd.
+	w := &sparseRow{cols: []int{0, 1}, w: []int64{6, -9}, wd: 12}
+	normalizeWords(w)
+	if w.wd != 4 || w.w[0] != 2 || w.w[1] != -3 {
+		t.Errorf("normalizeWords: got w=%v d=%v", w.w, w.wd)
+	}
 }
 
 func TestLargePipelineLPPerformance(t *testing.T) {

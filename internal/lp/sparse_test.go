@@ -3,7 +3,9 @@ package lp
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,7 +18,13 @@ import (
 // path, not merely reach the same optimum).
 func solveBoth(t *testing.T, m *Model) (*Solution, *Solution) {
 	t.Helper()
-	sparse, sErr := m.SolveCtx(sparseKind.ctx())
+	return solveBothOn(t, m, sparseKind.ctx())
+}
+
+// solveBothOn is solveBoth with the sparse solve run under sparseCtx.
+func solveBothOn(t *testing.T, m *Model, sparseCtx context.Context) (*Solution, *Solution) {
+	t.Helper()
+	sparse, sErr := m.SolveCtx(sparseCtx)
 	dense, dErr := m.SolveCtx(denseKind.ctx())
 	if (sErr == nil) != (dErr == nil) {
 		t.Fatalf("sparse err = %v, dense err = %v", sErr, dErr)
@@ -178,6 +186,100 @@ func TestSparseDenseRandom(t *testing.T) {
 			m.SetUpper(vars[j], rat.Int(int64(10+rng.Intn(10))))
 		}
 		solveBoth(t, m)
+	}
+}
+
+// TestSparseDenseWordEscape drives the sparse tableau's rows across the
+// word boundary and holds them to the big.Int-only dense oracle. It
+// solves the random LPs of randomWarmModel with every coefficient scaled:
+// at scale 1 every row stays in word form; at 2³¹−1 the rows load as
+// words and some updates overflow a word mid-solve, rerunning in big.Int
+// (the escape); at the prime just below 2⁶³ rows load wide and some
+// narrow back to words. Sparse must equal dense at every scale.
+func TestSparseDenseWordEscape(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		scale    rat.Rat
+		escape   bool // some word update escapes to big.Int
+		loadWide bool // some row loads in wide form
+		narrow   bool // some wide row narrows back
+	}{
+		{"1", rat.One(), false, false, false},
+		{"2^31-1", rat.Int(math.MaxInt32), true, false, true},
+		{"p63", rat.Int(9223372036854775783), true, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Keep every sparse tableau the solves build, to read their
+			// counters afterwards.
+			var tabs []*sparseTableau
+			ctx := context.WithValue(context.Background(), tableauCtxKey{}, func(nCols, blandAfter int) tableau {
+				st := newSparseTableau(nCols, blandAfter)
+				tabs = append(tabs, st)
+				return st
+			})
+			solved, wideLoads := 0, 0
+			for seed := int64(0); seed < 200; seed++ {
+				if s, _ := solveBothOn(t, randomWarmModel(seed, tc.scale), ctx); s != nil {
+					solved++
+				}
+				fresh, _ := freshTableau(sparseKind, randomWarmModel(seed, tc.scale))
+				for _, r := range fresh.(*sparseTableau).rows {
+					if r.wide {
+						wideLoads++
+					}
+				}
+			}
+			escapes, narrows := 0, 0
+			for _, st := range tabs {
+				escapes += st.escapes
+				narrows += st.narrows
+			}
+			t.Logf("%d of 200 LPs solved; %d escapes, %d rows loaded wide, %d narrows",
+				solved, escapes, wideLoads, narrows)
+			if solved == 0 {
+				t.Fatal("no LP solved")
+			}
+			if (escapes > 0) != tc.escape {
+				t.Errorf("%d escapes, want some: %v", escapes, tc.escape)
+			}
+			if (wideLoads > 0) != tc.loadWide {
+				t.Errorf("%d rows loaded wide, want some: %v", wideLoads, tc.loadWide)
+			}
+			if (narrows > 0) != tc.narrow {
+				t.Errorf("%d narrows, want some: %v", narrows, tc.narrow)
+			}
+		})
+	}
+}
+
+// TestCombineWordsAllocationFree holds the sparse tableau's
+// allocation-free claim for word rows: once the row and scratch buffers
+// have grown, restoring two word rows and updating one against the other
+// allocates nothing. The update scales by a non-unit pivot, fills in a
+// column, cancels the pivot column and divides out a content gcd of 3.
+func TestCombineWordsAllocationFree(t *testing.T) {
+	tab := newSparseTableau(8, 0)
+	tmpl := sparseRow{cols: []int{0, 2, 3, 5, 8}, w: []int64{4, 6, -3, 7, 10}, wd: 5}
+	prow := &sparseRow{cols: []int{1, 2, 3, 8}, w: []int64{-2, 3, 1, 4}, wd: 3}
+	r := &sparseRow{}
+	update := func() {
+		r.cols = append(r.cols[:0], tmpl.cols...)
+		r.w = append(r.w[:0], tmpl.w...)
+		r.wd = tmpl.wd
+		tab.combine(r, prow, prow.get(2), r.get(2))
+	}
+	for i := 0; i < 4; i++ {
+		update() // grow the buffers the row and the scratch trade
+	}
+	if allocs := testing.AllocsPerRun(100, update); allocs != 0 {
+		t.Fatalf("word update allocates %v times per run, want 0", allocs)
+	}
+	// (r·3 − 6·prow)/(5·3), divided by the content gcd 3.
+	if r.wide || tab.escapes != 0 {
+		t.Fatalf("update left word form: wide %v, %d escapes", r.wide, tab.escapes)
+	}
+	if !slices.Equal(r.cols, []int{0, 1, 3, 5, 8}) || !slices.Equal(r.w, []int64{4, 4, -5, 7, 2}) || r.wd != 5 {
+		t.Fatalf("update = cols %v, numerators %v / %d; want [0 1 3 5 8], [4 4 -5 7 2] / 5", r.cols, r.w, r.wd)
 	}
 }
 

@@ -428,7 +428,8 @@ func TestWarmRebuildPicksShortestRow(t *testing.T) {
 }
 
 // rowSnapshot renders row i of tab exactly: its denominator, then the
-// column and numerator of every stored entry in column order.
+// column and numerator of every stored entry in column order. A sparse
+// row reads the same whether it is in word or wide form.
 func rowSnapshot(tab tableau, i int) string {
 	var sb strings.Builder
 	put := func(d *big.Int, cols []int, nums []*big.Int) {
@@ -439,7 +440,12 @@ func rowSnapshot(tab tableau, i int) string {
 	}
 	switch tt := tab.(type) {
 	case *sparseTableau:
-		put(tt.rows[i].d, tt.rows[i].cols, tt.rows[i].num)
+		r := tt.rows[i]
+		nums := make([]*big.Int, len(r.cols))
+		for k := range nums {
+			nums[k] = r.at(k).toBig(new(big.Int))
+		}
+		put(r.den().toBig(new(big.Int)), r.cols, nums)
 	case *denseTableau:
 		var cols []int
 		var nums []*big.Int
