@@ -1,9 +1,9 @@
-// api.go defines the unified collective API: every collective of the
-// paper (scatter, gossip, reduce, gather, prefix) is described by a Spec,
-// solved through the single context-aware entry point Solve (or a
-// reusable Solver session), and returned as a Solution that uniformly
-// exposes the throughput, the periodic schedule, the simulation model and
-// a serializable report.
+// api.go defines the unified collective API: every collective kind
+// (scatter, broadcast, gossip, reduce, gather, prefix, reduce-scatter,
+// allreduce and composite) is described by a Spec, solved through the
+// single context-aware entry point Solve (or a reusable Solver session),
+// and returned as a Solution that uniformly exposes the throughput, the
+// periodic schedule, the simulation model and a serializable report.
 package steadystate
 
 import (
@@ -519,7 +519,7 @@ type Certified interface {
 // Solve computes the optimal steady-state throughput of the collective
 // described by spec on the platform, together with the machinery to turn
 // it into schedules, simulations and reports. It is the single entry
-// point for all five collective kinds; ctx cancels the exact simplex loop
+// point for all nine collective kinds; ctx cancels the exact simplex loop
 // between pivots.
 //
 // One-shot convenience for NewSolver(p).Solve(ctx, spec, opts...): use a

@@ -1,7 +1,8 @@
 // Command sscollect solves a steady-state collective on a platform or
 // scenario file and prints the optimal throughput, the LP solution, and
 // optionally the periodic schedule, extracted reduction trees, a protocol
-// simulation, and a machine-readable report.
+// replay checked against its Lemma-1 window, and a machine-readable
+// report.
 //
 // Usage:
 //
@@ -13,17 +14,16 @@
 //	sscollect -platform p.json -op prefix  -order n0,n1,n2
 //	sscollect -platform p.json -op reducescatter -order n0,n1,n2 -schedule
 //	sscollect -platform p.json -op allreduce -order n0,n1,n2 -schedule
+//	sscollect -platform fig6 -op allreduce -simulate 50
 //	sscollect -platform scenario.json -report report.json
 //	sscollect -op trace -in traces.jsonl -top 5   # summarize a sweep trace JSONL
 //	sscollect -op warm -in warm.jsonl             # summarize a warm sweep's cold-vs-warm deltas
-//	sscollect -op sim -in scenarios/ -simulate 50 # sim-conformance sweep: replay each scenario,
-//	                                              # check delivered ∈ [TP·K − warmup, TP·K]
 //
 // A scenario file (cmd/topogen -spec) carries both the platform and the
 // collective spec, so -op and the role flags become optional overrides;
-// the same files drive cmd/sweep in batches and cmd/solverd over HTTP.
-// Omit -platform to use the paper's figure platforms: -platform
-// fig2|fig6|fig9.
+// the same files drive cmd/sweep in batches (cmd/sweep -simulate replays
+// a batch) and cmd/solverd over HTTP. -platform fig2|fig6|fig9 selects
+// one of the paper's figure platforms with its canonical spec.
 package main
 
 import (
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		platformFile = fs.String("platform", "", "platform or scenario JSON file, or fig2|fig6|fig9")
-		op           = fs.String("op", "", "collective: scatter|broadcast|gossip|reduce|gather|prefix|reducescatter|allreduce (default: the scenario's spec, else scatter), trace/warm to summarize a sweep's trace/result JSONL, or sim for a sim-conformance sweep over -in scenarios")
+		op           = fs.String("op", "", "collective: scatter|broadcast|gossip|reduce|gather|prefix|reducescatter|allreduce (default: the scenario's spec, else scatter), or trace/warm to summarize a sweep's trace/result JSONL")
 		source       = fs.String("source", "", "scatter source node name")
 		sources      = fs.String("sources", "", "gossip source names, comma separated")
 		targets      = fs.String("targets", "", "scatter/gossip target names, comma separated")
@@ -63,10 +63,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fixedPeriod  = fs.Int64("fixedperiod", 0, "truncate the reduce tree family to this period (Section 4.6)")
 		showSched    = fs.Bool("schedule", false, "print the periodic schedule (Gantt)")
 		showTrees    = fs.Bool("trees", false, "print extracted reduction trees (reduce/gather)")
-		simulate     = fs.Int("simulate", 0, "simulate the protocol for N periods")
+		simulate     = fs.Int("simulate", 0, "replay the protocol for N periods and check every sink set against its Lemma-1 window")
 		latency      = fs.Bool("latency", false, "with -simulate: also report per-operation pipeline latency")
 		reportFile   = fs.String("report", "", "write the solution summary as JSON to this file")
-		traceIn      = fs.String("in", "", "with -op trace or -op warm: sweep JSONL to summarize (\"-\": stdin); with -op sim: comma-separated scenario files or directories")
+		traceIn      = fs.String("in", "", "with -op trace or -op warm: sweep JSONL to summarize (\"-\": stdin)")
 		topSpans     = fs.Int("top", 5, "with -op trace: slowest spans to list")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -82,11 +82,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// Likewise offline: per-chain cold-vs-warm deltas from a warm
 		// sweep's result JSONL.
 		return warmSummary(*traceIn, stdout)
-	}
-	if *op == "sim" {
-		// A batch of its own solves: replay every -in scenario and check
-		// delivered counts against the Lemma-1 window.
-		return simSweep(*traceIn, *simulate, *reportFile, stdout, stderr)
 	}
 
 	sc, err := loadScenario(*platformFile)
@@ -194,11 +189,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *simulate > 0 {
-		m, err := sol.SimModel()
-		if err != nil {
-			return fmt.Errorf("simulation model: %w", err)
-		}
-		if err := simReport(stdout, m, *simulate, sol, *latency); err != nil {
+		if err := simReport(stdout, sol, *simulate, *latency); err != nil {
 			return err
 		}
 	}
@@ -258,37 +249,28 @@ func loadScenario(spec string) (*steadystate.Scenario, error) {
 	return &steadystate.Scenario{Platform: p}, nil
 }
 
-func simReport(stdout io.Writer, m *steadystate.SimModel, periods int, sol steadystate.Solution, latency bool) error {
-	res, err := steadystate.Simulate(m, periods)
+// simReport replays the solution and prints the Lemma-1 verdict of every
+// sink set: one line for a base kind, one per member for a composite.
+func simReport(stdout io.Writer, sol steadystate.Solution, periods int, latency bool) error {
+	check, err := steadystate.CheckReplay(sol, periods)
 	if err != nil {
-		return fmt.Errorf("simulate: %w", err)
+		return err
 	}
-	k := new(big.Int).Mul(big.NewInt(int64(periods)), m.Period)
-	bound := new(big.Rat).Mul(sol.Throughput(), new(big.Rat).SetInt(k))
-	delivered := new(big.Rat).SetInt(res.MinDelivered())
-	ratio := new(big.Rat)
-	if bound.Sign() > 0 {
-		ratio.Quo(delivered, bound)
-	}
-	f, _ := ratio.Float64()
-	fmt.Fprintf(stdout, "simulated %d periods (K = %s time units): delivered %s ops, bound %s, ratio %.4f (init ends period %d)\n",
-		periods, k.String(), res.MinDelivered().String(), bound.RatString(), f, res.FirstFullPeriod)
-	if conc, ok := sol.(steadystate.Concurrent); ok {
-		// The merged replay carries every member under its own commodity
-		// namespace: report each member's share against its own bound.
-		for i, member := range conc.Members() {
-			d := res.MinDeliveredPrefix(steadystate.SimMemberPrefix(i))
-			mb := new(big.Rat).Mul(member.Throughput(), new(big.Rat).SetInt(k))
-			mr := new(big.Rat)
-			if mb.Sign() > 0 {
-				mr.Quo(new(big.Rat).SetInt(d), mb)
-			}
-			mf, _ := mr.Float64()
-			fmt.Fprintf(stdout, "  member %s (%s): delivered %s ops, bound %s, ratio %.4f\n",
-				strings.TrimSuffix(steadystate.SimMemberPrefix(i), ":"), member.Kind(), d.String(), mb.RatString(), mf)
+	fmt.Fprintf(stdout, "simulated %d periods of length %s (init ends period %d, depth bound %d)\n",
+		periods, check.Period, check.FirstFull, check.DepthBound)
+	for _, w := range check.Windows {
+		verdict := "ok"
+		if !w.OK {
+			verdict = "FAIL: " + w.Reason
 		}
+		fmt.Fprintf(stdout, "  %s: delivered %s ops, window [%s, %s]: %s\n",
+			w.Label(), w.Delivered, w.Floor, w.Bound, verdict)
 	}
 	if latency {
+		m, err := sol.SimModel()
+		if err != nil {
+			return fmt.Errorf("simulation model: %w", err)
+		}
 		lat, err := steadystate.SimulateLatency(m, periods)
 		if err != nil {
 			return fmt.Errorf("latency simulation: %w", err)

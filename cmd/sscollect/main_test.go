@@ -218,67 +218,6 @@ func TestPrefixScheduleOnFig6(t *testing.T) {
 	}
 }
 
-// simSweepCheapScenarios lists the fast members of testdata/sweep (the
-// fig9 reduce and tiers42 prefix scenarios are multi-minute LPs, so the
-// unit test pins the cheap ones explicitly; CI sweeps whole directories).
-func simSweepCheapScenarios() string {
-	files := []string{
-		"fig6-allreduce.json", "fig6-reduce.json", "fig6-rscatter.json",
-		"tiers42-broadcast.json", "tiers42-scatter.json", "bad-truncated.json",
-	}
-	for i, f := range files {
-		files[i] = filepath.Join("..", "..", "testdata", "sweep", f)
-	}
-	return strings.Join(files, ",")
-}
-
-func TestOpSimGolden(t *testing.T) {
-	report := filepath.Join(t.TempDir(), "sim.json")
-	out := runOK(t, "-op", "sim", "-in", simSweepCheapScenarios(), "-simulate", "40", "-report", report)
-
-	golden, err := os.ReadFile(filepath.Join("testdata", "op-sim.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != string(golden) {
-		t.Errorf("-op sim output differs from testdata/op-sim.golden:\ngot:\n%s\nwant:\n%s", out, golden)
-	}
-
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sweep simSweepSummary
-	if err := json.Unmarshal(data, &sweep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if sweep.Periods != 40 || len(sweep.Scenarios) != 6 {
-		t.Errorf("report = %d periods, %d scenarios; want 40, 6", sweep.Periods, len(sweep.Scenarios))
-	}
-	if sweep.Failures != 0 || sweep.Errors != 1 {
-		t.Errorf("report counts failures=%d errors=%d; want 0 conformance failures, 1 load error", sweep.Failures, sweep.Errors)
-	}
-	for _, sc := range sweep.Scenarios {
-		if sc.Name == "fig6-allreduce" && len(sc.Members) != 4 {
-			t.Errorf("allreduce summary has %d member rows, want 4", len(sc.Members))
-		}
-	}
-}
-
-func TestOpSimErrorPaths(t *testing.T) {
-	cases := [][]string{
-		{"-op", "sim"},                     // missing -in
-		{"-op", "sim", "-in", "nope.json"}, // unreadable entry
-		{"-op", "sim", "-in", ", ,"},       // no files
-	}
-	for _, args := range cases {
-		var out, errOut bytes.Buffer
-		if err := run(args, &out, &errOut); err == nil {
-			t.Errorf("run(%v) should fail", args)
-		}
-	}
-}
-
 func TestCompositeSimulateMemberLines(t *testing.T) {
 	// A composite -simulate reports the merged replay plus one line per
 	// member against the member's own bound.

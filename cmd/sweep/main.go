@@ -4,7 +4,10 @@
 // parallelism, and the outcomes are aggregated into one deterministic
 // SweepReport (per-kind throughput table, LP cost counters, solve-time
 // percentiles, failure list). Malformed or unsolvable scenarios land in
-// the failure list; they never abort the sweep.
+// the failure list; they never abort the sweep. With -simulate K every
+// solved scenario is also replayed for K periods and checked against its
+// Lemma-1 window [TP·K − warmup, TP·K]; any failed verdict makes the
+// command exit non-zero.
 //
 // Usage:
 //
@@ -16,6 +19,10 @@
 //	sweep -dir s/ -out report.json -jsonl log.jsonl
 //	sweep -dir s/ -trace traces.jsonl          # span-structured solve traces, one line per scenario
 //	sweep -dir chains/ -warm                   # warm-start each perturbation chain through a basis cache
+//	sweep -simulate 50 a/*.json b/*.json       # replay 50 periods per scenario, check each verdict
+//
+// Flags go before the file arguments: flag parsing stops at the first
+// file.
 //
 // The end-to-end pipeline from a single seed (generate → sweep):
 //
@@ -81,6 +88,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		jsonl   = fs.String("jsonl", "", "stream one JSON line per completed scenario to this file (\"-\": stderr)")
 		trace   = fs.String("trace", "", "solve with tracing and stream one trace JSON line per solved scenario to this file (\"-\": stderr)")
 		warm    = fs.Bool("warm", false, "warm-start perturbation chains: group scenarios by name stem (topogen -perturb suffixes), solve each chain in order through a shared basis cache")
+		replay  = fs.Int("simulate", 0, "replay each solved scenario for N periods and check it against its Lemma-1 window; a failed verdict exits non-zero (0: no replay)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -99,7 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("no scenarios to sweep (use -dir and/or file arguments)")
 	}
 
-	opts := sweep.Options{Jobs: *jobs, SolveTimeout: *timeout, Warm: *warm}
+	opts := sweep.Options{Jobs: *jobs, SolveTimeout: *timeout, Warm: *warm, Simulate: *replay}
 	if *shard != "" {
 		// Strict i/n parsing: trailing garbage must not silently run the
 		// wrong split in a multi-process deployment.
@@ -169,6 +177,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workers, time.Since(start).Round(time.Millisecond))
 	if runErr != nil {
 		return fmt.Errorf("sweep interrupted (partial report written): %w", runErr)
+	}
+	if report.ReplayFailures > 0 {
+		for _, res := range report.Results {
+			if res.Replay == nil {
+				continue
+			}
+			if err := res.Replay.Err(); err != nil {
+				fmt.Fprintf(stderr, "sweep: %s: replay: %v\n", res.Name, err)
+			}
+		}
+		return fmt.Errorf("%d scenario(s) failed the replay check", report.ReplayFailures)
 	}
 	return nil
 }

@@ -110,6 +110,24 @@ func TestSweepShardFlag(t *testing.T) {
 	}
 }
 
+// TestSweepSimulateFlag: -simulate replays every solved scenario and puts
+// its verdict on the result; conforming replays exit zero.
+func TestSweepSimulateFlag(t *testing.T) {
+	out, _ := runOK(t, "-dir", fixtureDir, "-glob", "fig6-*.json", "-simulate", "10")
+	var report steadystate.SweepReport
+	if err := json.Unmarshal([]byte(out), &report); err != nil {
+		t.Fatal(err)
+	}
+	if report.Solved != 3 || report.ReplayFailures != 0 {
+		t.Errorf("solved %d, replay failures %d; want 3 conforming fig6 replays", report.Solved, report.ReplayFailures)
+	}
+	for _, res := range report.Results {
+		if res.Replay == nil || res.Replay.Periods != 10 || res.Replay.Err() != nil {
+			t.Errorf("%s: replay verdict %+v, want a passing 10-period check", res.Name, res.Replay)
+		}
+	}
+}
+
 func TestSweepErrors(t *testing.T) {
 	cases := [][]string{
 		{},                         // no inputs
@@ -121,6 +139,7 @@ func TestSweepErrors(t *testing.T) {
 		{"-dir", fixtureDir, "-shard", "1/2x"},
 		{"-dir", fixtureDir, "-shard", "1/"},
 		{"-dir", fixtureDir, "-glob", "[bad"},
+		{"-dir", fixtureDir, "-simulate", "-1"},
 		{"-badflag"},
 	}
 	for _, args := range cases {

@@ -19,6 +19,10 @@
 //     and inside the simplex loop; results completed before the cancel
 //     are already flushed to the JSONL log and appear in the partial
 //     report Run returns alongside the context error.
+//   - With Options.Simulate, each worker replays the scenario it just
+//     solved and checks it against its Lemma-1 window
+//     (steadystate.CheckReplay); the report carries every verdict and
+//     counts the failed ones.
 //
 // Everything in the report except its Timing block is deterministic:
 // -jobs 1 and -jobs 8 runs of the same batch produce identical
@@ -51,8 +55,8 @@ import (
 // why loading it failed (the sweep reports it as a failure and moves on).
 type Job struct {
 	// Name identifies the job in results, failures and the JSONL log;
-	// loaders use the file base name. Names should be unique within a
-	// sweep — results sort by them.
+	// loaders use the file base name. Results sort by name; jobs that
+	// share one (files of different directories) sort by their outcomes.
 	Name string
 	// Path is the source file, when the job came from one (diagnostic
 	// only).
@@ -171,6 +175,12 @@ type Options struct {
 	// deals jobs round-robin and so splits chains across shards — shard a
 	// warm sweep only if partial warmth per shard is acceptable.
 	Warm bool
+	// Simulate, when positive, replays every solved scenario for this many
+	// periods, on the solution its worker just computed, and attaches the
+	// Lemma-1 verdict (steadystate.CheckReplay) to its result; the report
+	// counts the failed verdicts. A replay that cannot run is a failed
+	// verdict. Zero skips the replay; a negative count is rejected.
+	Simulate int
 }
 
 // Record is one line of the JSONL stream: the scenario name plus either
@@ -209,7 +219,7 @@ type runState struct {
 
 // record logs one completed scenario: a JSONL line (if streaming) plus
 // the aggregate entry.
-func (st *runState) record(name string, rep *steadystate.Report, solveMS float64, err error) {
+func (st *runState) record(name string, rep *steadystate.Report, replay *steadystate.ReplayCheck, solveMS float64, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	rec := Record{Name: name, SolveMS: solveMS, Report: rep}
@@ -220,7 +230,9 @@ func (st *runState) record(name string, rep *steadystate.Report, solveMS float64
 		rec.Error = err.Error()
 		st.failures = append(st.failures, &steadystate.SweepFailure{Name: name, Error: err.Error()})
 	} else {
-		st.results = append(st.results, steadystate.SweepResultOf(name, rep))
+		res := steadystate.SweepResultOf(name, rep)
+		res.Replay = replay
+		st.results = append(st.results, res)
 		st.durations = append(st.durations, solveMS)
 	}
 	if st.opts.JSONL != nil {
@@ -360,6 +372,9 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 		ctx = context.Background()
 	}
 	start := time.Now()
+	if opts.Simulate < 0 {
+		return nil, fmt.Errorf("sweep: replay length %d is negative", opts.Simulate)
+	}
 	selected, err := Shard(jobs, opts.ShardIndex, opts.ShardCount)
 	if err != nil {
 		return nil, err
@@ -374,7 +389,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 	runJob := func(i int, solver *steadystate.Solver) bool {
 		job := selected[i]
 		if job.Err != nil {
-			st.record(job.Name, nil, 0, job.Err)
+			st.record(job.Name, nil, nil, 0, job.Err)
 			return true
 		}
 		solveCtx, cancel := ctx, context.CancelFunc(func() {})
@@ -382,7 +397,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 			solveCtx, cancel = context.WithTimeout(ctx, opts.SolveTimeout)
 		}
 		solveStart := time.Now()
-		rep, err := solveOne(solveCtx, solver, job, opts.Trace != nil)
+		rep, replay, err := solveOne(solveCtx, solver, job, &opts)
 		cancel()
 		if err != nil && ctx.Err() != nil {
 			// The whole run was canceled mid-solve: this scenario was not
@@ -391,14 +406,14 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 			return false
 		}
 		if err != nil {
-			st.record(job.Name, nil, msSince(solveStart), err)
+			st.record(job.Name, nil, nil, msSince(solveStart), err)
 			return true
 		}
 		if rep.Trace != nil {
 			st.recordTrace(job.Name, rep.Kind, rep.Trace)
 			rep.Trace = nil
 		}
-		st.record(job.Name, rep, rep.SolveMS, nil)
+		st.record(job.Name, rep, replay, rep.SolveMS, nil)
 		return true
 	}
 
@@ -480,19 +495,28 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 	return report, ctx.Err()
 }
 
-// solveOne solves one job on its session and returns the solution report.
-// With tracing on, WithTrace is appended to a capacity-clipped copy of
-// the job's options so the shared Job slice is never mutated.
-func solveOne(ctx context.Context, solver *steadystate.Solver, job Job, trace bool) (*steadystate.Report, error) {
-	opts := job.Opts
-	if trace {
-		opts = append(opts[:len(opts):len(opts)], steadystate.WithTrace())
+// solveOne solves one job on its session and returns the solution report
+// and, when opts.Simulate is positive, the replay verdict. With tracing
+// on, WithTrace is appended to a capacity-clipped copy of the job's
+// options so the shared Job slice is never mutated.
+func solveOne(ctx context.Context, solver *steadystate.Solver, job Job, opts *Options) (*steadystate.Report, *steadystate.ReplayCheck, error) {
+	solveOpts := job.Opts
+	if opts.Trace != nil {
+		solveOpts = append(solveOpts[:len(solveOpts):len(solveOpts)], steadystate.WithTrace())
 	}
-	sol, err := solver.Solve(ctx, job.Scenario.Spec, opts...)
+	sol, err := solver.Solve(ctx, job.Scenario.Spec, solveOpts...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return sol.Report()
+	rep, err := sol.Report()
+	if err != nil || opts.Simulate == 0 {
+		return rep, nil, err
+	}
+	replay, err := steadystate.CheckReplay(sol, opts.Simulate)
+	if err != nil {
+		replay = &steadystate.ReplayCheck{Periods: opts.Simulate, Error: err.Error()}
+	}
+	return rep, replay, nil
 }
 
 func msSince(t time.Time) float64 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,6 +80,54 @@ func TestSweepGolden(t *testing.T) {
 	}
 }
 
+// replayGolden is what testdata/sweep-replay-golden.json pins of a
+// replaying sweep: every scenario's Lemma-1 verdict and the failure list.
+// Regenerate it with
+//
+//	go run ./cmd/sweep -dir testdata/sweep -jobs 4 -simulate 40 |
+//	  jq '{replay_failures: (.replay_failures // 0), results: [.results[] | {name, kind, replay}], failures}'
+type replayGolden struct {
+	ReplayFailures int `json:"replay_failures"`
+	Results        []struct {
+		Name   string                   `json:"name"`
+		Kind   steadystate.Kind         `json:"kind"`
+		Replay *steadystate.ReplayCheck `json:"replay"`
+	} `json:"results"`
+	Failures []*steadystate.SweepFailure `json:"failures"`
+}
+
+// TestSweepReplayGolden pins the replay verdicts of the whole fixture
+// corpus: per scenario the period, warmup and depth bound, per sink set
+// (per member for composites) the delivered count against its window.
+func TestSweepReplayGolden(t *testing.T) {
+	report, err := Run(context.Background(), loadFixtureJobs(t), Options{Jobs: 4, Simulate: 40})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	data, err := json.Marshal(report)
+	if err != nil {
+		t.Fatalf("marshal report: %v", err)
+	}
+	raw, err := os.ReadFile("../../testdata/sweep-replay-golden.json")
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	project := func(what string, data []byte) string {
+		var g replayGolden
+		if err := json.Unmarshal(data, &g); err != nil {
+			t.Fatalf("parse %s: %v", what, err)
+		}
+		out, err := json.MarshalIndent(&g, "", "  ")
+		if err != nil {
+			t.Fatalf("marshal %s: %v", what, err)
+		}
+		return string(out)
+	}
+	if got, want := project("report", data), project("golden", raw); got != want {
+		t.Errorf("replay verdicts drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
 // TestSweepJobsInvariance: the aggregate must not depend on worker count.
 func TestSweepJobsInvariance(t *testing.T) {
 	jobs := loadFixtureJobs(t)
@@ -127,6 +176,56 @@ func TestSweepShardUnion(t *testing.T) {
 	union.Platforms = full.Platforms
 	if got, want := normalize(t, union), normalize(t, full); got != want {
 		t.Errorf("shard union differs from full run:\n--- union ---\n%s\n--- full ---\n%s", got, want)
+	}
+}
+
+// TestAggregateOrderIndependent: files of different directories share
+// base names, so a batch can hold several results per name. Any
+// permutation of the same results and failures must aggregate to the same
+// bytes, and the failed replay verdicts (a failed window, a replay that
+// could not run) are counted.
+func TestAggregateOrderIndependent(t *testing.T) {
+	kinds := []steadystate.Kind{steadystate.KindScatter, steadystate.KindBroadcast, steadystate.KindReduce}
+	failed := []*steadystate.ReplayCheck{
+		{Periods: 5, Windows: []steadystate.ReplayWindow{{Kind: steadystate.KindScatter, Delivered: "9", Reason: "pipeline never reached a full period"}}},
+		{Periods: 5, Error: "simulate: sim: model period must be positive"},
+	}
+	var results []*steadystate.SweepResult
+	var failures []*steadystate.SweepFailure
+	for n := 0; n < 8; n++ {
+		name := fmt.Sprintf("tiers-%04d.json", n)
+		for k, kind := range kinds {
+			results = append(results, &steadystate.SweepResult{
+				Name: name, Kind: kind, Throughput: fmt.Sprintf("%d/7", n+k+1), Period: "7",
+				LPVars: 10*n + k, LPPivots: n * k, LPDensity: 1 / float64(n+k+1),
+			})
+			if n < len(failed) && k == 0 {
+				results[len(results)-1].Replay = failed[n]
+			}
+			failures = append(failures, &steadystate.SweepFailure{Name: name, Error: fmt.Sprintf("error %d", k)})
+		}
+	}
+	aggregate := func(reverse bool) string {
+		t.Helper()
+		r := &steadystate.SweepReport{}
+		for i := range results {
+			j := i
+			if reverse {
+				j = len(results) - 1 - i
+			}
+			r.Results = append(r.Results, results[j])
+			r.Failures = append(r.Failures, failures[j])
+		}
+		if _, err := r.Aggregate(); err != nil {
+			t.Fatalf("Aggregate: %v", err)
+		}
+		if r.ReplayFailures != len(failed) {
+			t.Errorf("replay_failures = %d, want %d", r.ReplayFailures, len(failed))
+		}
+		return normalize(t, r)
+	}
+	if forward, backward := aggregate(false), aggregate(true); forward != backward {
+		t.Errorf("aggregate depends on input order:\n--- forward ---\n%s\n--- reversed ---\n%s", forward, backward)
 	}
 }
 

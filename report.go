@@ -196,6 +196,9 @@ type SweepResult struct {
 	WarmStart       bool   `json:"warm_start,omitempty"`
 	WarmReject      string `json:"warm_reject,omitempty"`
 	WarmPivotsSaved int    `json:"lp_warm_pivots_saved,omitempty"`
+	// Replay is the Lemma-1 verdict of the scenario's replay (CheckReplay).
+	// Only sweeps that replay set it.
+	Replay *ReplayCheck `json:"replay,omitempty"`
 }
 
 // SweepFailure records one scenario that could not be solved — a file
@@ -250,14 +253,18 @@ type SweepTiming struct {
 
 // SweepReport is the aggregated outcome of a scenario sweep. Everything
 // except Timing is deterministic with stable ordering: Results and
-// Failures sort by name, Kinds by kind, so reports from -jobs 1 and
-// -jobs 8 runs are identical and complementary -shard runs union cleanly.
+// Failures sort by name, then by content, Kinds by kind, so reports from
+// -jobs 1 and -jobs 8 runs are identical and complementary -shard runs
+// union cleanly.
 type SweepReport struct {
 	// Scenarios = Solved + Failed is the number of scenarios this run
 	// attempted (after shard selection).
 	Scenarios int `json:"scenarios"`
 	Solved    int `json:"solved"`
 	Failed    int `json:"failed"`
+	// ReplayFailures counts the solved scenarios whose replay verdict
+	// failed (zero when the sweep did not replay).
+	ReplayFailures int `json:"replay_failures,omitempty"`
 	// Shard is "i/n" when the sweep ran shard i of n, empty otherwise.
 	Shard string `json:"shard,omitempty"`
 	// Platforms counts the distinct platform topologies (by content hash)
@@ -290,16 +297,34 @@ func SweepResultOf(name string, rep *Report) *SweepResult {
 	}
 }
 
+// sortByName sorts entries by name. Names can repeat (files of different
+// directories share base names), so equal names fall back to the entries'
+// JSON encodings: any permutation of the same entries sorts to the same
+// sequence, and a batch of unique names never encodes anything.
+func sortByName[T any](entries []*T, name func(*T) string) {
+	sort.Slice(entries, func(i, j int) bool {
+		if a, b := name(entries[i]), name(entries[j]); a != b {
+			return a < b
+		}
+		// Sweep entries hold strings, integers, bools and finite floats:
+		// encoding them cannot fail.
+		x, _ := json.Marshal(entries[i])
+		y, _ := json.Marshal(entries[j])
+		return string(x) < string(y)
+	})
+}
+
 // Aggregate sorts the report's results, failures and kind tables into
 // their canonical order and recomputes the counters and per-kind
 // aggregates from Results and Failures. Call after appending results;
 // the receiver is returned for chaining.
 func (r *SweepReport) Aggregate() (*SweepReport, error) {
-	sort.Slice(r.Results, func(i, j int) bool { return r.Results[i].Name < r.Results[j].Name })
-	sort.Slice(r.Failures, func(i, j int) bool { return r.Failures[i].Name < r.Failures[j].Name })
+	sortByName(r.Results, func(res *SweepResult) string { return res.Name })
+	sortByName(r.Failures, func(f *SweepFailure) string { return f.Name })
 	r.Solved = len(r.Results)
 	r.Failed = len(r.Failures)
 	r.Scenarios = r.Solved + r.Failed
+	r.ReplayFailures = 0
 
 	type acc struct {
 		count            int
@@ -314,6 +339,9 @@ func (r *SweepReport) Aggregate() (*SweepReport, error) {
 	}
 	byKind := make(map[Kind]*acc)
 	for _, res := range r.Results {
+		if res.Replay != nil && res.Replay.Err() != nil {
+			r.ReplayFailures++
+		}
 		tp, err := rat.Parse(res.Throughput)
 		if err != nil {
 			return nil, fmt.Errorf("steadystate: sweep result %s has unparseable throughput %q: %w",

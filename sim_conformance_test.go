@@ -2,13 +2,13 @@
 // seeded Tiers platform, must replay through SimModel with delivered
 // counts inside [TP·K − warmup, TP·K] — Lemma 1 as the ceiling and the
 // buffered protocol's pipeline-fill bound as the floor, with the warmup
-// bounded by the schedule depth. Warm-vs-cold solves must additionally
-// produce byte-identical models (same fingerprint) and identical delivered
-// counts, pinning the whole solve→model→replay chain as deterministic
-// (internal/lp pins the same for dense-vs-sparse solves, since only its
-// test binary can select the dense tableau). Every case is also pinned
-// across commits against testdata/solve-identity.golden: report, LP pivot
-// path, simulation model and schedule.
+// bounded by the schedule depth (CheckReplay). Warm-vs-cold solves must
+// additionally produce byte-identical models (same fingerprint) and
+// identical delivered counts, pinning the whole solve→model→replay chain
+// as deterministic (internal/lp pins the same for dense-vs-sparse solves,
+// since only its test binary can select the dense tableau). Every case is
+// also pinned across commits against testdata/solve-identity.golden:
+// report, LP pivot path, simulation model and schedule.
 package steadystate_test
 
 import (
@@ -67,68 +67,20 @@ func simConformanceCases(t *testing.T) []simConformanceCase {
 	}
 }
 
-// perPeriodOps returns tp·period as an exact integer (the full per-sink
-// delivery quota of one period).
-func perPeriodOps(t *testing.T, tp steadystate.Rat, period *big.Int) *big.Int {
-	t.Helper()
-	scaled := new(big.Rat).Mul(tp, new(big.Rat).SetInt(period))
-	if !scaled.IsInt() {
-		t.Fatalf("TP·T = %s is not an integer", scaled.RatString())
-	}
-	return new(big.Int).Set(scaled.Num())
-}
-
-// assertConformance checks delivered ∈ [ops·(K−W), ops·K] with W the end
-// of the initialization phase, itself bounded by the schedule depth.
-func assertConformance(t *testing.T, label string, delivered, ops *big.Int, periods, firstFull, depth int) {
-	t.Helper()
-	if ops.Sign() == 0 {
-		if delivered.Sign() != 0 {
-			t.Errorf("%s: delivered %s with zero throughput", label, delivered)
-		}
-		return
-	}
-	if firstFull < 0 {
-		t.Errorf("%s: pipeline never reached a full period", label)
-		return
-	}
-	if firstFull > depth {
-		t.Errorf("%s: warmup %d periods exceeds the schedule-depth bound %d", label, firstFull, depth)
-	}
-	upper := new(big.Int).Mul(ops, big.NewInt(int64(periods)))
-	lower := new(big.Int).Mul(ops, big.NewInt(int64(periods-firstFull)))
-	if delivered.Cmp(upper) > 0 {
-		t.Errorf("%s: delivered %s beats the Lemma-1 bound %s", label, delivered, upper)
-	}
-	if delivered.Cmp(lower) < 0 {
-		t.Errorf("%s: delivered %s below the warmup floor %s (warmup %d of %d periods)",
-			label, delivered, lower, firstFull, periods)
-	}
-}
-
-// runConformance replays a solved case and applies the delivered-count
-// window per sink set — overall for base kinds, per member for composites.
+// runConformance replays a solved case and requires every sink set —
+// the whole solution for base kinds, each member for composites — to land
+// in its Lemma-1 window.
 func runConformance(t *testing.T, sol steadystate.Solution, periods int) {
 	t.Helper()
-	m, err := sol.SimModel()
+	check, err := steadystate.CheckReplay(sol, periods)
 	if err != nil {
-		t.Fatalf("SimModel: %v", err)
+		t.Fatalf("CheckReplay: %v", err)
 	}
-	res, err := steadystate.Simulate(m, periods)
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
-	depth := len(m.Transfers) + len(m.Rules) + 1
-	if conc, ok := sol.(steadystate.Concurrent); ok {
-		for i, member := range conc.Members() {
-			ops := perPeriodOps(t, member.Throughput(), m.Period)
-			delivered := res.MinDeliveredPrefix(steadystate.SimMemberPrefix(i))
-			assertConformance(t, string(member.Kind()), delivered, ops, periods, res.FirstFullPeriod, depth)
+	for _, w := range check.Windows {
+		if !w.OK {
+			t.Errorf("%s: %s", w.Label(), w.Reason)
 		}
-		return
 	}
-	ops := perPeriodOps(t, sol.Throughput(), m.Period)
-	assertConformance(t, string(sol.Kind()), res.MinDelivered(), ops, periods, res.FirstFullPeriod, depth)
 }
 
 // TestSimConformanceEveryKind is the headline table: solve → model →
@@ -144,6 +96,91 @@ func TestSimConformanceEveryKind(t *testing.T) {
 			}
 			runConformance(t, sol, c.periods)
 		})
+	}
+}
+
+// scaledTP misreports a solution's throughput by a factor, leaving its
+// schedule and simulation model alone.
+type scaledTP struct {
+	steadystate.Solution
+	factor steadystate.Rat
+}
+
+func (s scaledTP) Throughput() steadystate.Rat {
+	return new(big.Rat).Mul(s.Solution.Throughput(), s.factor)
+}
+
+// TestCheckReplayRejectsMisreportedThroughput: the window is tight on both
+// sides. On a one-link scatter (TP = 2, period 1) a solution claiming half
+// its rate delivers past Lemma 1's ceiling for the claim, and one claiming
+// double its rate falls below the warmup floor.
+func TestCheckReplayRejectsMisreportedThroughput(t *testing.T) {
+	p := steadystate.NewPlatform()
+	a := p.AddNode("a", steadystate.R(1, 1))
+	b := p.AddNode("b", steadystate.R(1, 1))
+	p.AddLink(a, b, steadystate.R(1, 2))
+	sol, err := steadystate.Solve(context.Background(), p, steadystate.ScatterSpec(a, b))
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if sol.Throughput().Cmp(steadystate.R(2, 1)) != 0 || sol.Period().Cmp(big.NewInt(1)) != 0 {
+		t.Fatalf("TP = %s, period %s; want 2 and 1", sol.Throughput().RatString(), sol.Period())
+	}
+	for _, c := range []struct {
+		factor steadystate.Rat
+		reason string
+	}{
+		{steadystate.R(1, 2), "beats the Lemma-1 bound"},
+		{steadystate.R(2, 1), "below the warmup floor"},
+	} {
+		check, err := steadystate.CheckReplay(scaledTP{sol, c.factor}, 20)
+		if err != nil {
+			t.Fatalf("CheckReplay: %v", err)
+		}
+		if len(check.Windows) != 1 {
+			t.Fatalf("TP×%s: %d windows, want 1", c.factor.RatString(), len(check.Windows))
+		}
+		w := check.Windows[0]
+		if w.OK || !strings.Contains(w.Reason, c.reason) || check.Err() == nil {
+			t.Errorf("TP×%s: window %+v, want a failure whose reason has %q", c.factor.RatString(), w, c.reason)
+		}
+	}
+}
+
+// TestCheckReplayCompositeMembers: a composite whose members carry
+// different weights is judged member by member, each against its own
+// throughput Weight·TP — never the merged minimum against the common TP,
+// which would fail this conforming schedule.
+func TestCheckReplayCompositeMembers(t *testing.T) {
+	p6, order6, _ := steadystate.PaperFig6()
+	spec := steadystate.CompositeSpec(
+		[]steadystate.Spec{
+			steadystate.ScatterSpec(order6[0], order6[1], order6[2]),
+			steadystate.ReduceSpec(order6, order6[0]),
+		},
+		[]steadystate.Rat{steadystate.R(2, 1), steadystate.R(3, 1)})
+	sol, err := steadystate.Solve(context.Background(), p6, spec)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	check, err := steadystate.CheckReplay(sol, 60)
+	if err != nil {
+		t.Fatalf("CheckReplay: %v", err)
+	}
+	want := []steadystate.ReplayWindow{
+		{Member: "op0", Kind: steadystate.KindScatter, Delivered: "120", Floor: "120", Bound: "120", OK: true},
+		{Member: "op1", Kind: steadystate.KindReduce, Delivered: "180", Floor: "180", Bound: "180", OK: true},
+	}
+	if len(check.Windows) != len(want) {
+		t.Fatalf("%d windows, want one per member: %+v", len(check.Windows), check.Windows)
+	}
+	for i, w := range check.Windows {
+		if w != want[i] {
+			t.Errorf("window %d = %+v, want %+v", i, w, want[i])
+		}
+	}
+	if err := check.Err(); err != nil {
+		t.Errorf("Err() = %v, want nil", err)
 	}
 }
 
