@@ -96,12 +96,14 @@ func newDenseTableau(nCols, blandAfter int) *denseTableau {
 	}
 }
 
-func (t *denseTableau) addRow(entries []colVal, den *big.Int, basic int) {
+// addRow stores word entries as big.Ints, so the oracle loads exactly the
+// rows the sparse tableau loads.
+func (t *denseTableau) addRow(entries []colVal, den scalar, basic int) {
 	r := newRow(t.rhs + 1)
 	for _, e := range entries {
-		r.n[e.col].Set(e.num)
+		r.n[e.col].Set(e.num.toBig(new(big.Int)))
 	}
-	r.d = new(big.Int).Set(den)
+	r.d = new(big.Int).Set(den.toBig(new(big.Int)))
 	r.normalize()
 	t.rows = append(t.rows, r)
 	t.basis = append(t.basis, basic)
@@ -202,11 +204,11 @@ func (t *denseTableau) installPhase1(art []bool) {
 	}
 }
 
-func (t *denseTableau) installObjective(entries []colVal, den *big.Int) {
+func (t *denseTableau) installObjective(entries []colVal, den scalar) {
 	z := newRow(t.rhs + 1)
-	z.d = new(big.Int).Set(den)
+	z.d = new(big.Int).Set(den.toBig(new(big.Int)))
 	for _, e := range entries {
-		z.n[e.col].Set(e.num)
+		z.n[e.col].Set(e.num.toBig(new(big.Int)))
 	}
 	t.obj = z
 	for i, b := range t.basis {

@@ -3,6 +3,8 @@ package lp
 import (
 	"fmt"
 	"math"
+	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/rat"
@@ -80,21 +82,24 @@ func decodeLP(data []byte) *Model {
 	return m
 }
 
+// fuzzLPSeeds is FuzzLP's seed corpus.
+var fuzzLPSeeds = [][]byte{
+	{},
+	// max over 2 variables, 2 rows of small coefficients.
+	{0x13, 1, 3, 0, 0, 1, 1, 0, 1, 0, 2, 1, 3},
+	// min over 4 variables with bounds, 5 rows, one a repeat.
+	{0x2e, 5, 6, 7, 8, 0x0f, 1, 2, 3, 4, 0, 5, 6, 7, 8, 2, 1, 1, 0, 1, 2, 3, 4, 1, 6, 0, 7, 5, 6, 2, 0, 3},
+	// max over 3 variables: word-boundary coefficients everywhere.
+	{0x25, 6, 7, 5, 0x02, 6, 0, 7, 6, 5, 0, 1, 0, 6, 7, 8, 2, 3, 0, 5, 5, 6, 1, 6, 0, 8, 8, 7, 2, 5},
+}
+
 // FuzzLP is the LP's differential fuzz target: whatever small LP the
 // bytes decode to, the sparse tableau and the big.Int-only dense oracle
 // must return the same error, or the same pivot counts, objective and
 // values (solveBoth), the solution must pass Model.Verify, and the
 // objective must evaluate to the reported optimum.
 func FuzzLP(f *testing.F) {
-	for _, seed := range [][]byte{
-		{},
-		// max over 2 variables, 2 rows of small coefficients.
-		{0x13, 1, 3, 0, 0, 1, 1, 0, 1, 0, 2, 1, 3},
-		// min over 4 variables with bounds, 5 rows, one a repeat.
-		{0x2e, 5, 6, 7, 8, 0x0f, 1, 2, 3, 4, 0, 5, 6, 7, 8, 2, 1, 1, 0, 1, 2, 3, 4, 1, 6, 0, 7, 5, 6, 2, 0, 3},
-		// max over 3 variables: word-boundary coefficients everywhere.
-		{0x25, 6, 7, 5, 0x02, 6, 0, 7, 6, 5, 0, 1, 0, 6, 7, 8, 2, 3, 0, 5, 5, 6, 1, 6, 0, 8, 8, 7, 2, 5},
-	} {
+	for _, seed := range fuzzLPSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -105,6 +110,120 @@ func FuzzLP(f *testing.F) {
 		}
 		if got := m.EvalObjective(sparse.Values()); !rat.Eq(got, sparse.Objective) {
 			t.Fatalf("objective evaluates to %s, solve reported %s", got.RatString(), sparse.Objective.RatString())
+		}
+	})
+}
+
+// combineValues is the table FuzzCombine draws row numerators from: units,
+// small primes, and values near ±2⁶³ whose products with the pivot row
+// overflow a word. None is zero or math.MinInt64, as in a word row.
+var combineValues = []int64{
+	1, -1, 2, -3, 5, -7, 11, 13,
+	math.MaxInt32, -math.MaxInt32, 1 << 62, -(1 << 62),
+	math.MaxInt64, -math.MaxInt64, 9223372036854775783, -4611686018427387847,
+}
+
+// combineDens is the table FuzzCombine draws row denominators from.
+var combineDens = []int64{1, 1, 2, 6, 35, math.MaxInt32, 9223372036854775783}
+
+// decodeCombine builds the operands of a unit-pivot row update from fuzz
+// bytes: a word row r, a word pivot row whose entry in the pivot column
+// is 1, and f, r's entry there. The first byte picks the pivot column
+// among 12 and r's denominator, the second the pivot row's denominator.
+// Then one byte per column puts an entry in r, in the pivot row or in
+// both (always both in the pivot column), and one byte per entry draws
+// its value; a shared column whose r byte has the high bit set holds f·q
+// when that fits, so the update cancels it.
+func decodeCombine(data []byte) (r, prow *sparseRow, f int64) {
+	b := lpBytes(data)
+	head := b.next()
+	pc := int(head) % 12
+	r = &sparseRow{wd: combineDens[int(head>>4)%len(combineDens)]}
+	prow = &sparseRow{wd: combineDens[int(b.next())%len(combineDens)]}
+	f = combineValues[int(b.next())%len(combineValues)]
+	for col := 0; col < 12; col++ {
+		in := b.next() % 4
+		if col == pc {
+			in = 3
+		}
+		var q int64
+		if in&2 != 0 {
+			q = 1
+			if col != pc {
+				q = combineValues[int(b.next())%len(combineValues)]
+			}
+			prow.cols, prow.w = append(prow.cols, col), append(prow.w, q)
+		}
+		if in&1 != 0 {
+			v := f
+			if col != pc {
+				c := b.next()
+				v = combineValues[int(c)%len(combineValues)]
+				if fq := mul(f, q); c&0x80 != 0 && q != 0 && fq.hi == 0 && fq.lo <= math.MaxInt64 {
+					v = fq.word()
+				}
+			}
+			r.cols, r.w = append(r.cols, col), append(r.w, v)
+		}
+	}
+	return r, prow, f
+}
+
+// cloneWordRow returns a deep copy of a word row.
+func cloneWordRow(r *sparseRow) *sparseRow {
+	return &sparseRow{cols: slices.Clone(r.cols), w: slices.Clone(r.w), wd: r.wd}
+}
+
+// sameWordRow reports whether two rows are the same word row: columns,
+// numerators, denominator and form.
+func sameWordRow(a, b *sparseRow) bool {
+	return !a.wide && !b.wide && a.wd == b.wd && slices.Equal(a.cols, b.cols) && slices.Equal(a.w, b.w)
+}
+
+// FuzzCombine is the differential fuzz target of the unit-pivot row
+// update: whatever rows the bytes decode to, combineUnit must either
+// leave r exactly as the general merge (combineWords with p = 1) leaves
+// it, or decline and leave r untouched — and it may decline only when a
+// changed value r − f·q needs more than 63 bits.
+func FuzzCombine(f *testing.F) {
+	for _, seed := range [][]byte{
+		// Small values over a denominator of 6, fill-in and shared columns.
+		{0x32, 3, 2, 1, 3, 4, 2, 5, 3, 1, 2, 6, 0, 3, 0x81, 2, 7},
+		// Near-2⁶³ entries: one cancels exactly, one lands near 2⁶³.
+		{0x05, 1, 1, 3, 12, 13, 2, 14, 1, 3, 15, 2, 3, 9, 0x80, 2, 12},
+		// Every column shared, every r entry but one cancelling.
+		{0x60, 0, 4, 3, 2, 0x80, 3, 3, 0x80, 3, 5, 0x80, 3, 7, 0x80, 3, 1, 0x80, 3, 2, 0x80},
+		// Fill-in −2·(2⁶³−1) needs 64 bits: the update declines.
+		{0x00, 0, 2, 0, 2, 12, 1, 4},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, prow, fv := decodeCombine(data)
+		fast, merged := cloneWordRow(r), cloneWordRow(r)
+		if !newSparseTableau(12, 0).combineUnit(fast, prow, fv) {
+			if !sameWordRow(fast, r) {
+				t.Fatalf("combineUnit declined but changed r: %+v, was %+v", fast, r)
+			}
+			wide := false
+			for j, col := range prow.cols {
+				v := new(big.Int).Mul(big.NewInt(fv), big.NewInt(prow.w[j]))
+				v.Neg(v)
+				if k, ok := slices.BinarySearch(r.cols, col); ok {
+					v.Add(v, big.NewInt(r.w[k]))
+				}
+				wide = wide || !v.IsInt64() || v.Int64() == math.MinInt64
+			}
+			if !wide {
+				t.Fatalf("combineUnit declined an update whose changed values all fit a word: r %+v, prow %+v, f %d", r, prow, fv)
+			}
+			return
+		}
+		if !newSparseTableau(12, 0).combineWords(merged, prow, 1, fv) {
+			t.Fatalf("combineUnit committed %+v where the general merge declines: r %+v, prow %+v, f %d", fast, r, prow, fv)
+		}
+		if !sameWordRow(fast, merged) {
+			t.Fatalf("combineUnit = %+v, general merge = %+v: r %+v, prow %+v, f %d", fast, merged, r, prow, fv)
 		}
 	})
 }

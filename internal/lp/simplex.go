@@ -4,18 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
+	"math"
+	"math/bits"
 
 	"repro/internal/obs"
 	"repro/internal/rat"
 )
 
 // colVal is one nonzero tableau entry under construction: the column index
-// and the integer numerator (the row's shared denominator travels
-// alongside). Rows are assembled with strictly increasing columns.
+// and the integer numerator, a word or a big.Int (the row's shared
+// denominator travels alongside). Rows are assembled with strictly
+// increasing columns.
 type colVal struct {
 	col int
-	num *big.Int
+	num scalar
 }
 
 // tableau is the pivoting storage of the two-phase simplex. The driver in
@@ -31,7 +33,7 @@ type tableau interface {
 	// addRow appends a constraint row with the given sorted nonzero
 	// entries (including the rhs column) over denominator den, with the
 	// column basic initially basic in it.
-	addRow(entries []colVal, den *big.Int, basic int)
+	addRow(entries []colVal, den scalar, basic int)
 	// nRows returns the current row count (rows can be dropped).
 	nRows() int
 	// basic returns the column basic in row i.
@@ -54,7 +56,7 @@ type tableau interface {
 	installPhase1(art []bool)
 	// installObjective installs a reduced-cost row from the given sorted
 	// entries over den and eliminates the basic columns.
-	installObjective(entries []colVal, den *big.Int)
+	installObjective(entries []colVal, den scalar)
 	// objRHSSign returns the sign of the objective row's rhs entry.
 	objRHSSign() int
 	// firstNonzero returns the first column (ascending, excluding rhs)
@@ -196,41 +198,117 @@ func buildTableau(ctx context.Context, rowsIn []normRow, nStruct, nSlack, nCols,
 	slackAt := nStruct
 	artAt := nStruct + nSlack
 	artCols := make([]bool, nCols)
+	var entries []colVal // reused: addRow copies what it keeps
 	for _, rin := range rowsIn {
-		coeffs := make([]rat.Rat, 0, len(rin.terms)+1)
-		for _, term := range rin.terms {
-			coeffs = append(coeffs, term.Coeff)
-		}
-		den := rat.DenominatorLCM(append(coeffs, rin.rhs)...)
-		entries := make([]colVal, 0, len(rin.terms)+2)
-		for _, term := range rin.terms {
-			entries = append(entries, colVal{int(term.Var), rat.ScaleToInt(term.Coeff, den)})
-		}
+		var den, rhs scalar
+		entries, den, rhs = scaleRow(entries[:0], rin.terms, rin.rhs)
 		basic := -1
 		switch rin.sense {
 		case Leq:
-			entries = append(entries, colVal{slackAt, new(big.Int).Set(den)}) // +1 slack
+			entries = append(entries, colVal{slackAt, den}) // +1 slack
 			basic = slackAt
 			slackAt++
 		case Geq:
-			entries = append(entries, colVal{slackAt, new(big.Int).Neg(den)}) // -1 surplus
+			entries = append(entries, colVal{slackAt, den.neg()}) // -1 surplus
 			slackAt++
-			entries = append(entries, colVal{artAt, new(big.Int).Set(den)}) // +1 artificial
+			entries = append(entries, colVal{artAt, den}) // +1 artificial
 			basic = artAt
 			artCols[artAt] = true
 			artAt++
 		case Eq:
-			entries = append(entries, colVal{artAt, new(big.Int).Set(den)})
+			entries = append(entries, colVal{artAt, den})
 			basic = artAt
 			artCols[artAt] = true
 			artAt++
 		}
-		if rin.rhs.Sign() != 0 {
-			entries = append(entries, colVal{nCols, rat.ScaleToInt(rin.rhs, den)})
+		if rhs.sign() != 0 {
+			entries = append(entries, colVal{nCols, rhs})
 		}
 		t.addRow(entries, den, basic)
 	}
 	return t, artCols
+}
+
+// scaleRow appends terms to out as integer numerators over den, the least
+// common multiple of the denominators of the terms and rhs, and returns
+// den and rhs over den. The numbers are words when every one of them fits
+// a word row (scaleWords), else big.Ints through big.Rat products; both
+// compute the same integers.
+func scaleRow(out []colVal, terms Expr, rhs rat.Rat) ([]colVal, scalar, scalar) {
+	if words, den, r, ok := scaleWords(out, terms, rhs); ok {
+		return words, den, r
+	}
+	coeffs := make([]rat.Rat, 0, len(terms)+1)
+	for _, term := range terms {
+		coeffs = append(coeffs, term.Coeff)
+	}
+	den := rat.DenominatorLCM(append(coeffs, rhs)...)
+	for _, term := range terms {
+		out = append(out, colVal{int(term.Var), scalar{big: rat.ScaleToInt(term.Coeff, den)}})
+	}
+	return out, scalar{big: den}, scalar{big: rat.ScaleToInt(rhs, den)}
+}
+
+// scaleWords is scaleRow in machine words: the lcm in uint64 and the
+// scaled numerators in 128-bit products. It reports false when a
+// numerator or denominator of the row, their lcm or a scaled numerator
+// does not fit a word row.
+func scaleWords(out []colVal, terms Expr, rhs rat.Rat) ([]colVal, scalar, scalar, bool) {
+	lcm, ok := lcmWord(1, rhs)
+	for k := 0; ok && k < len(terms); k++ {
+		lcm, ok = lcmWord(lcm, terms[k].Coeff)
+	}
+	if !ok {
+		return out, scalar{}, scalar{}, false
+	}
+	for _, term := range terms {
+		v, ok := scaleWord(term.Coeff, lcm)
+		if !ok {
+			return out, scalar{}, scalar{}, false
+		}
+		out = append(out, colVal{int(term.Var), v})
+	}
+	r, ok := scaleWord(rhs, lcm)
+	return out, scalar{w: int64(lcm)}, r, ok
+}
+
+// lcmWord returns the lcm of l and the denominator of x when the
+// numerator and denominator of x and the lcm all fit a word row.
+func lcmWord(l uint64, x rat.Rat) (uint64, bool) {
+	_, d, ok := ratWords(x)
+	if !ok {
+		return 0, false
+	}
+	hi, lo := bits.Mul64(l/gcd64(l, d), d)
+	return lo, hi == 0 && lo <= math.MaxInt64
+}
+
+// ratWords returns the numerator and denominator of x when both fit an
+// int64.
+func ratWords(x rat.Rat) (int64, uint64, bool) {
+	n := x.Num()
+	if !n.IsInt64() {
+		return 0, 0, false
+	}
+	if x.IsInt() {
+		return n.Int64(), 1, true
+	}
+	d := x.Denom()
+	if !d.IsInt64() {
+		return 0, 0, false
+	}
+	return n.Int64(), d.Uint64(), true
+}
+
+// scaleWord returns x·lcm as a word scalar when it fits a word row; the
+// numerator and denominator of x fit an int64 (lcmWord checked them).
+func scaleWord(x rat.Rat, lcm uint64) (scalar, bool) {
+	n, d, _ := ratWords(x)
+	m := mul(n, int64(lcm/d))
+	if m.hi != 0 || m.lo > math.MaxInt64 {
+		return scalar{}, false
+	}
+	return scalar{w: m.word()}, true
 }
 
 // driveOutArtificials removes every artificial column from the basis once
@@ -394,19 +472,18 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	t.resetRule(budget)
 
 	// Build the reduced-cost row −c and eliminate the basic columns.
-	objDen := rat.DenominatorLCM(values(m.obj)...)
-	objEntries := make([]colVal, 0, len(m.obj))
+	var negObj Expr
 	for v := 0; v < nStruct; v++ {
 		c, ok := m.obj[Var(v)]
 		if !ok || c.Sign() == 0 {
 			continue
 		}
-		cc := c
-		if !m.maximize {
-			cc = rat.Neg(c)
+		if m.maximize {
+			c = rat.Neg(c)
 		}
-		objEntries = append(objEntries, colVal{v, new(big.Int).Neg(rat.ScaleToInt(cc, objDen))})
+		negObj = append(negObj, Term{Var: Var(v), Coeff: c})
 	}
+	objEntries, objDen, _ := scaleRow(nil, negObj, rat.Zero())
 	_, p2Span := obs.StartSpan(ctx, "lp.phase2")
 	rec2 := newPivotRecorder(p2Span, nCols+1)
 	t.installObjective(objEntries, objDen)
@@ -444,13 +521,4 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 		warm.finish(sol, warmOK, warm.reason, phase1Pivots)
 	}
 	return sol, nil
-}
-
-// values collects the values of a map in unspecified order.
-func values[K comparable, V any](m map[K]V) []V {
-	out := make([]V, 0, len(m))
-	for _, v := range m {
-		out = append(out, v) //sslint:allow order-insensitive by contract: sole consumer is DenominatorLCM
-	}
-	return out
 }

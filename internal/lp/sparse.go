@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 
 	"repro/internal/rat"
 )
@@ -36,11 +37,32 @@ type sparseRow struct {
 	d    *big.Int   // wide form: the denominator, > 0
 }
 
-// scalar is one number read out of a row: the word w when big is nil
-// (the row is in word form), else big. The zero scalar is an absent entry.
+// scalar is one integer of the tableau — an entry read out of a row, a
+// denominator, or a numerator of a row under assembly: the word w when
+// big is nil, else big. A word scalar is never math.MinInt64. The zero
+// scalar is an absent entry.
 type scalar struct {
 	w   int64
 	big *big.Int
+}
+
+// word returns s as an int64 when it fits a word row.
+func (s scalar) word() (int64, bool) {
+	switch {
+	case s.big == nil:
+		return s.w, true
+	case fitsWord(s.big):
+		return s.big.Int64(), true
+	}
+	return 0, false
+}
+
+// neg returns −s.
+func (s scalar) neg() scalar {
+	if s.big != nil {
+		return scalar{big: new(big.Int).Neg(s.big)}
+	}
+	return scalar{w: -s.w}
 }
 
 func (s scalar) sign() int {
@@ -134,9 +156,13 @@ func (r *sparseRow) less(k, j int) bool {
 // pivot rules, sparse rows. Rows are in word form whenever their values
 // fit, so most updates run in machine words with 128-bit intermediates;
 // a row whose values do not fit runs the big.Int update instead, one row
-// at a time. Row updates run allocation-free through tableau-owned
-// scratch buffers and a big.Int pool, so the skipped zero-columns turn
-// into wall-clock speedup over the dense tableau.
+// at a time. An update whose pivot entry is 1 (most of them) copies the
+// entries it leaves unchanged in bulk and computes only those the pivot
+// row touches. The ratio test records where each row holds the entering
+// column, so the pivot that follows searches no row. Row updates run
+// allocation-free through tableau-owned scratch buffers and a big.Int
+// pool, so the skipped zero-columns turn into wall-clock speedup over the
+// dense tableau.
 type sparseTableau struct {
 	rows  []*sparseRow
 	obj   *sparseRow
@@ -147,6 +173,12 @@ type sparseTableau struct {
 	pivots     int
 	blandAfter int
 	bland      bool
+	// colPos[i] is row i's position of column posCol (−1 when the row has
+	// no entry there), recorded by leaving for the pivot that follows.
+	// posCol is −1 when no positions are current: every pivot and every
+	// dropRow clears it.
+	colPos []int
+	posCol int
 	// scratch state for allocation-free row updates: the merge target
 	// slices (swapped with the updated row's), the unnormalized values of
 	// a word update, a pool of retired big.Ints (re-used for fill-in and
@@ -175,6 +207,7 @@ func newSparseTableau(nCols, blandAfter int) *sparseTableau {
 		rhs:        nCols,
 		dead:       make([]bool, nCols),
 		blandAfter: blandAfter,
+		posCol:     -1,
 	}
 }
 
@@ -269,16 +302,18 @@ func (t *sparseTableau) narrow(r *sparseRow) {
 // dense eliminations (pivot elimination uses the pivot numerator as p;
 // objective installation over a solved row uses the row's denominator),
 // where f is r's entry in the eliminated column. When both rows are in
-// word form the update runs in words (combineWords); when either row is
-// wide, or the word result does not fit, the big.Int update runs for r
-// alone (combineWide). Both normalize by the content gcd, so r ends with
-// the same values, and in the same form, whichever code computed it.
+// word form the update runs in words: combineUnit when p is 1, else (or
+// when combineUnit declines) the general merge combineWords. When either
+// row is wide, or the word result does not fit, the big.Int update runs
+// for r alone (combineWide). All of them normalize by the content gcd, so
+// r ends with the same values, and in the same form, whichever code
+// computed it.
 func (t *sparseTableau) combine(r, prow *sparseRow, p, f scalar) {
 	if f.sign() == 0 {
 		return
 	}
 	if !r.wide && !prow.wide {
-		if t.combineWords(r, prow, p.w, f.w) {
+		if p.w == 1 && t.combineUnit(r, prow, f.w) || t.combineWords(r, prow, p.w, f.w) {
 			return
 		}
 		t.escapes++
@@ -286,15 +321,75 @@ func (t *sparseTableau) combine(r, prow *sparseRow, p, f scalar) {
 	t.combineWide(r, prow, p, f)
 }
 
-// combineWords is combine over two word rows. The merge walks both
-// sorted column lists once and forms every r·p − f·q and d·p exactly in
-// sign-magnitude 128-bit words, then divides by their content gcd.
-// Values that fit a word before normalization (nearly all) go straight
-// to the output, folding into the gcd as they pass; from the first one
-// that does not, the rest of the update keeps its values in 128 bits.
-// The result is committed, swapping r's slices with the tableau scratch
-// so steady state allocates nothing, only when every normalized value
-// fits a word; otherwise combineWords reports false and leaves r
+// combineUnit is combine over two word rows for a pivot entry of 1:
+// r ← (r − f·prow)/d over r's own denominator d, so the entries of r
+// outside prow's columns keep their numerators. For each column of prow
+// it binary-searches forward in r, copies the run of r before it in bulk,
+// and forms the one changed or new value r − f·q in 128 bits, dropping it
+// when it cancels. The content gcd starts from d and the changed values;
+// the rest of the row folds in only while it stays above 1. When a changed
+// value needs more than 63 bits before normalization, combineUnit reports
+// false and leaves r untouched, and the general merge takes the update.
+func (t *sparseTableau) combineUnit(r, prow *sparseRow, f int64) bool {
+	cols := t.scratchCols[:0]
+	w := t.scratchW[:0]
+	g := uint64(r.wd)
+	i := 0
+	for j, col := range prow.cols {
+		k, found := slices.BinarySearch(r.cols[i:], col)
+		k += i
+		cols = append(cols, r.cols[i:k]...)
+		w = append(w, r.w[i:k]...)
+		m := mul(f, prow.w[j])
+		if found {
+			m = wordMag(r.w[k]).sub(m)
+			k++
+		} else {
+			m.neg = !m.neg // −f·q, never zero
+		}
+		i = k
+		if m.isZero() {
+			continue
+		}
+		if m.hi != 0 || m.lo > math.MaxInt64 {
+			t.scratchCols, t.scratchW = cols, w // keep the grown buffers
+			return false
+		}
+		if g != 1 {
+			g = gcd64(g, m.lo)
+		}
+		cols = append(cols, col)
+		w = append(w, m.word())
+	}
+	cols = append(cols, r.cols[i:]...)
+	w = append(w, r.w[i:]...)
+	if g != 1 {
+		for _, v := range w {
+			if g = gcd64(g, absU(v)); g == 1 {
+				break
+			}
+		}
+	}
+	if g != 1 {
+		for k := range w {
+			w[k] /= int64(g)
+		}
+	}
+	t.scratchCols, r.cols = r.cols[:0], cols
+	t.scratchW, r.w = r.w[:0], w
+	r.wd /= int64(g)
+	return true
+}
+
+// combineWords is combine over two word rows, the general merge. It walks
+// both sorted column lists once and forms every r·p − f·q and d·p
+// exactly in sign-magnitude 128-bit words, then divides by their content
+// gcd. Values that fit a word before normalization (nearly all) go
+// straight to the output, folding into the gcd as they pass; from the
+// first one that does not, the rest of the update keeps its values in
+// 128 bits. The result is committed, swapping r's slices with the tableau
+// scratch so steady state allocates nothing, only when every normalized
+// value fits a word; otherwise combineWords reports false and leaves r
 // untouched.
 func (t *sparseTableau) combineWords(r, prow *sparseRow, p, f int64) bool {
 	pOne := p == 1 // unit pivots (common here) skip the scaling
@@ -453,29 +548,31 @@ func (t *sparseTableau) combineWide(r, prow *sparseRow, p, f scalar) {
 
 // loadRow builds a row from sorted entries over den, in word form when
 // the normalized values fit.
-func (t *sparseTableau) loadRow(entries []colVal, den *big.Int) *sparseRow {
-	r := &sparseRow{}
-	fits := fitsWord(den)
+func (t *sparseTableau) loadRow(entries []colVal, den scalar) *sparseRow {
+	r := &sparseRow{cols: make([]int, 0, len(entries))}
+	wd, fits := den.word()
 	for _, e := range entries {
-		if e.num.Sign() != 0 {
+		if e.num.sign() != 0 {
 			r.cols = append(r.cols, e.col)
-			fits = fits && fitsWord(e.num)
+			_, ok := e.num.word()
+			fits = fits && ok
 		}
 	}
 	if fits {
-		r.wd = den.Int64()
+		r.wd, r.w = wd, make([]int64, 0, len(r.cols))
 		for _, e := range entries {
-			if e.num.Sign() != 0 {
-				r.w = append(r.w, e.num.Int64())
+			if v, _ := e.num.word(); v != 0 {
+				r.w = append(r.w, v)
 			}
 		}
 		normalizeWords(r)
 		return r
 	}
-	r.wide, r.d = true, new(big.Int).Set(den)
+	r.wide, r.d = true, new(big.Int).Set(den.toBig(&t.tmp))
+	r.num = make([]*big.Int, 0, len(r.cols))
 	for _, e := range entries {
-		if e.num.Sign() != 0 {
-			r.num = append(r.num, new(big.Int).Set(e.num))
+		if e.num.sign() != 0 {
+			r.num = append(r.num, new(big.Int).Set(e.num.toBig(&t.tmp)))
 		}
 	}
 	t.normalizeWide(r)
@@ -483,7 +580,7 @@ func (t *sparseTableau) loadRow(entries []colVal, den *big.Int) *sparseRow {
 	return r
 }
 
-func (t *sparseTableau) addRow(entries []colVal, den *big.Int, basic int) {
+func (t *sparseTableau) addRow(entries []colVal, den scalar, basic int) {
 	t.rows = append(t.rows, t.loadRow(entries, den))
 	t.basis = append(t.basis, basic)
 }
@@ -574,6 +671,7 @@ func (t *sparseTableau) dropRow(i int) {
 	t.rows = t.rows[:n-1]
 	copy(t.basis[i:], t.basis[i+1:])
 	t.basis = t.basis[:n-1]
+	t.posCol = -1
 }
 
 func (t *sparseTableau) installPhase1(art []bool) {
@@ -594,7 +692,7 @@ func (t *sparseTableau) installPhase1(art []bool) {
 	}
 }
 
-func (t *sparseTableau) installObjective(entries []colVal, den *big.Int) {
+func (t *sparseTableau) installObjective(entries []colVal, den scalar) {
 	z := t.loadRow(entries, den)
 	t.obj = z
 	for i, b := range t.basis {
@@ -604,10 +702,13 @@ func (t *sparseTableau) installObjective(entries []colVal, den *big.Int) {
 
 // pivot performs a Gauss-Jordan pivot at (pr, pc); the entry must be
 // strictly positive. Rows without an entry in the pivot column are
-// untouched, which the sparse lookup makes O(log nnz) to discover.
+// untouched. A pivot of the simplex loop reads each row's entry at the
+// position the ratio test just recorded for pc (colEntry), so it searches
+// no row; the drive-out and warm-rebuild pivots, which run no ratio test,
+// binary-search each row instead.
 func (t *sparseTableau) pivot(pr, pc int) {
 	prow := t.rows[pr]
-	p := prow.get(pc) // > 0
+	p := t.colEntry(pr, pc) // > 0
 	if p.big != nil {
 		p.big = t.alloc().Set(p.big) // becomes the row's denominator below
 	}
@@ -615,8 +716,9 @@ func (t *sparseTableau) pivot(pr, pc int) {
 		if i == pr {
 			continue
 		}
-		t.combine(ri, prow, p, ri.get(pc))
+		t.combine(ri, prow, p, t.colEntry(i, pc))
 	}
+	t.posCol = -1
 	if t.obj != nil {
 		// Warm-basis rebuild pivots run before any objective is installed.
 		t.combine(t.obj, prow, p, t.obj.get(pc))
@@ -634,6 +736,20 @@ func (t *sparseTableau) pivot(pr, pc int) {
 	}
 	t.basis[pr] = pc
 	t.pivots++
+}
+
+// colEntry returns row i's entry in column c: at the position leaving
+// recorded when its positions are for c, else by binary search. Rows
+// before i may have changed since leaving ran; row i and its position
+// may not.
+func (t *sparseTableau) colEntry(i, c int) scalar {
+	if t.posCol != c {
+		return t.rows[i].get(c)
+	}
+	if k := t.colPos[i]; k >= 0 {
+		return t.rows[i].at(k)
+	}
+	return scalar{}
 }
 
 // entering picks the entering column, or -1 at optimality — Dantzig's
@@ -664,16 +780,24 @@ func (t *sparseTableau) entering() int {
 }
 
 // leaving runs the ratio test for entering column c — identical rule and
-// tie-breaking to the dense implementation.
+// tie-breaking to the dense implementation. It records every row's
+// position of c in colPos for the pivot that follows, and reads each rhs
+// from the row's last slot, because rhs is the highest column.
 func (t *sparseTableau) leaving(c int) int {
 	best := -1
 	var bn, bd scalar // best ratio = bn/bd, bd > 0
+	pos := t.colPos[:0]
 	for i, ri := range t.rows {
-		a := ri.get(c)
-		if a.sign() <= 0 {
+		k := ri.find(c)
+		pos = append(pos, k)
+		if k < 0 || ri.signAt(k) < 0 {
 			continue
 		}
-		b := ri.get(t.rhs)
+		a := ri.at(k)
+		var b scalar
+		if last := len(ri.cols) - 1; ri.cols[last] == t.rhs {
+			b = ri.at(last)
+		}
 		if best == -1 {
 			best, bn, bd = i, b, a
 			continue
@@ -688,6 +812,7 @@ func (t *sparseTableau) leaving(c int) int {
 			}
 		}
 	}
+	t.colPos, t.posCol = pos, c
 	return best
 }
 

@@ -241,9 +241,8 @@ func tiers42CompositeSpec(tb testing.TB) (*steadystate.Platform, steadystate.Spe
 // dense reference (WithDenseTableau) each iteration and reports the
 // wall-clock ratio. Both solves run the identical pivot sequence — the
 // benchmark fails if the exact throughputs diverge — so the ratio isolates
-// the per-pivot cost of multiplying zeros. Expected ≥ 1.5× (4.1–4.6×
-// measured on a 2-core x86-64 machine, 20 iterations; 2.8–2.9× there
-// before sparse rows moved to machine words).
+// the per-pivot cost of multiplying zeros. Expected ≥ 1.5× (8.5–9.1×
+// measured on a 2-core x86-64 machine, 20 iterations).
 func BenchmarkAblationDenseLP(b *testing.B) {
 	p, spec := tiers42CompositeSpec(b)
 	ctx := context.Background()

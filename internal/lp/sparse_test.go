@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sync"
@@ -280,6 +281,201 @@ func TestCombineWordsAllocationFree(t *testing.T) {
 	}
 	if !slices.Equal(r.cols, []int{0, 1, 3, 5, 8}) || !slices.Equal(r.w, []int64{4, 4, -5, 7, 2}) || r.wd != 5 {
 		t.Fatalf("update = cols %v, numerators %v / %d; want [0 1 3 5 8], [4 4 -5 7 2] / 5", r.cols, r.w, r.wd)
+	}
+}
+
+// TestCombineUnitAllocationFree holds the allocation-free claim for an
+// update whose pivot entry is 1, which copies r's unchanged entries in
+// bulk. The update fills in a column, cancels the pivot column and keeps
+// r's denominator 6: the changed values share the factor 2 with 6, and
+// only a copied entry, 5, brings the content gcd down to 1.
+func TestCombineUnitAllocationFree(t *testing.T) {
+	tab := newSparseTableau(8, 0)
+	tmpl := sparseRow{cols: []int{0, 2, 3, 5, 8}, w: []int64{4, 2, 10, 5, 14}, wd: 6}
+	prow := &sparseRow{cols: []int{1, 2, 3, 8}, w: []int64{2, 1, 4, 6}, wd: 5}
+	if !tab.combineUnit(cloneWordRow(&tmpl), prow, 2) {
+		t.Fatal("combineUnit declined an update whose values fit a word")
+	}
+	r := &sparseRow{}
+	update := func() {
+		r.cols = append(r.cols[:0], tmpl.cols...)
+		r.w = append(r.w[:0], tmpl.w...)
+		r.wd = tmpl.wd
+		tab.combine(r, prow, prow.get(2), r.get(2))
+	}
+	for i := 0; i < 4; i++ {
+		update() // grow the buffers the row and the scratch trade
+	}
+	if allocs := testing.AllocsPerRun(100, update); allocs != 0 {
+		t.Fatalf("unit-pivot update allocates %v times per run, want 0", allocs)
+	}
+	// (r − 2·prow)/6: 4, −2·2, 2 − 2·1 = 0, 10 − 2·4, 5, 14 − 2·6.
+	if r.wide || tab.escapes != 0 {
+		t.Fatalf("update left word form: wide %v, %d escapes", r.wide, tab.escapes)
+	}
+	if !slices.Equal(r.cols, []int{0, 1, 3, 5, 8}) || !slices.Equal(r.w, []int64{4, -4, 2, 5, 2}) || r.wd != 6 {
+		t.Fatalf("update = cols %v, numerators %v / %d; want [0 1 3 5 8], [4 -4 2 5 2] / 6", r.cols, r.w, r.wd)
+	}
+}
+
+// positionsModel is max x + y + z over four ≤ rows that hold z at
+// different positions: row 0 not at all, rows 1 and 3 at position 1, row
+// 2 at position 2. A pivot on z that read positions recorded before the
+// rows moved or changed would read the wrong entries.
+func positionsModel() *Model {
+	m := NewMaximize()
+	x, y, z := m.Var("x"), m.Var("y"), m.Var("z")
+	for _, v := range []Var{x, y, z} {
+		m.SetObjective(v, rat.One())
+	}
+	m.AddConstraint("c0", NewExpr().Plus1(x).Plus1(y), Leq, rat.Int(4))
+	m.AddConstraint("c1", NewExpr().Plus(rat.Int(2), x).Plus1(z), Leq, rat.Int(6))
+	m.AddConstraint("c2", NewExpr().Plus1(x).Plus(rat.Int(3), y).Plus1(z), Leq, rat.Int(9))
+	m.AddConstraint("c3", NewExpr().Plus1(y).Plus1(z), Leq, rat.Int(5))
+	return m
+}
+
+// TestLeavingAllocationFree: once the tableau's position slice has grown,
+// the ratio test allocates nothing.
+func TestLeavingAllocationFree(t *testing.T) {
+	tab, _ := freshTableau(sparseKind, positionsModel())
+	const z = 2
+	if got := tab.leaving(z); got != 3 {
+		t.Fatalf("leaving(z) = row %d, want row 3 (ratio 5)", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tab.leaving(z) }); allocs != 0 {
+		t.Fatalf("leaving allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestPivotPositionsNeverStale: the positions leaving records serve only
+// the pivot that directly follows it. A row drop or another pivot in
+// between must send the pivot back to searching its rows, so the tableau
+// ends exactly as if the ratio test had never run.
+func TestPivotPositionsNeverStale(t *testing.T) {
+	const x, z = 0, 2
+	for _, tc := range []struct {
+		name    string
+		between func(tableau)
+		pr      int // the pivot row for z afterwards
+	}{
+		{"nothing", func(tableau) {}, 2},
+		{"dropRow", func(tab tableau) { tab.dropRow(0) }, 1},
+		{"pivot", func(tab tableau) { tab.pivot(0, x) }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(ratioTest bool) tableau {
+				tab, _ := freshTableau(sparseKind, positionsModel())
+				if ratioTest {
+					tab.leaving(z)
+				}
+				tc.between(tab)
+				tab.pivot(tc.pr, z)
+				return tab
+			}
+			got, want := run(true), run(false)
+			if got.nRows() != want.nRows() {
+				t.Fatalf("%d rows, want %d", got.nRows(), want.nRows())
+			}
+			for i := 0; i < want.nRows(); i++ {
+				if g, w := rowSnapshot(got, i), rowSnapshot(want, i); g != w || got.basic(i) != want.basic(i) {
+					t.Errorf("row %d = %s (basic %d), want %s (basic %d)", i, g, got.basic(i), w, want.basic(i))
+				}
+			}
+		})
+	}
+}
+
+// bigRatRows is the big.Rat reference for buildTableau's row assembly: it
+// loads m's initial tableau rows with each row's lcm and numerators
+// computed through big.Rat (rat.DenominatorLCM, rat.ScaleToInt), every
+// entry a big.Int.
+func bigRatRows(m *Model) []*sparseRow {
+	rowsIn := m.normalizedRows()
+	nSlack, nArt := 0, 0
+	for _, r := range rowsIn {
+		if r.sense != Eq {
+			nSlack++
+		}
+		if r.sense != Leq {
+			nArt++
+		}
+	}
+	nStruct := len(m.names)
+	nCols := nStruct + nSlack + nArt
+	tab := newSparseTableau(nCols, 0)
+	slackAt, artAt := nStruct, nStruct+nSlack
+	for _, rin := range rowsIn {
+		coeffs := []rat.Rat{rin.rhs}
+		for _, term := range rin.terms {
+			coeffs = append(coeffs, term.Coeff)
+		}
+		den := rat.DenominatorLCM(coeffs...)
+		var entries []colVal
+		for _, term := range rin.terms {
+			entries = append(entries, colVal{int(term.Var), scalar{big: rat.ScaleToInt(term.Coeff, den)}})
+		}
+		switch rin.sense {
+		case Leq:
+			entries = append(entries, colVal{slackAt, scalar{big: den}})
+			slackAt++
+		case Geq:
+			entries = append(entries, colVal{slackAt, scalar{big: new(big.Int).Neg(den)}}, colVal{artAt, scalar{big: den}})
+			slackAt++
+			artAt++
+		case Eq:
+			entries = append(entries, colVal{artAt, scalar{big: den}})
+			artAt++
+		}
+		if rin.rhs.Sign() != 0 {
+			entries = append(entries, colVal{nCols, scalar{big: rat.ScaleToInt(rin.rhs, den)}})
+		}
+		tab.addRow(entries, scalar{big: den}, -1)
+	}
+	return tab.rows
+}
+
+// TestWordAssemblyMatchesBigRat holds buildTableau's word assembly to the
+// big.Rat reference bigRatRows, on the rows of randomWarmModel at the
+// three scales of TestSparseDenseWordEscape and on the LPs of FuzzLP's
+// seeds. Every row must load with the same columns, numerators,
+// denominator and form; a row whose lcm or scaled numerators do not fit a
+// word must load in big.Int form.
+func TestWordAssemblyMatchesBigRat(t *testing.T) {
+	var models []*Model
+	for _, scale := range []rat.Rat{rat.One(), rat.Int(math.MaxInt32), rat.Int(9223372036854775783)} {
+		for seed := int64(0); seed < 200; seed++ {
+			models = append(models, randomWarmModel(seed, scale))
+		}
+	}
+	for _, seed := range fuzzLPSeeds {
+		models = append(models, decodeLP(seed))
+	}
+	wordRows, wideRows := 0, 0
+	for n, m := range models {
+		tab, _ := freshTableau(sparseKind, m)
+		got := tab.(*sparseTableau)
+		want := &sparseTableau{rows: bigRatRows(m), basis: make([]int, len(got.rows))}
+		if len(got.rows) != len(want.rows) {
+			t.Fatalf("model %d: %d rows, want %d", n, len(got.rows), len(want.rows))
+		}
+		for i, rin := range m.normalizedRows() {
+			if g, w := rowSnapshot(got, i), rowSnapshot(want, i); g != w || got.rows[i].wide != want.rows[i].wide {
+				t.Errorf("model %d row %d = %s (wide %v), want %s (wide %v)", n, i, g, got.rows[i].wide, w, want.rows[i].wide)
+			}
+			if _, _, _, fits := scaleWords(nil, rin.terms, rin.rhs); fits {
+				wordRows++
+			} else {
+				wideRows++
+				if !got.rows[i].wide {
+					t.Errorf("model %d row %d: values exceed a word, but the row loaded in word form", n, i)
+				}
+			}
+		}
+	}
+	t.Logf("%d rows assembled in words, %d in big.Int", wordRows, wideRows)
+	if wordRows == 0 || wideRows == 0 {
+		t.Fatalf("%d word rows, %d big.Int rows: want both", wordRows, wideRows)
 	}
 }
 

@@ -12,9 +12,9 @@
 //   - Every solve runs under a per-solve context deadline; one malformed
 //     file or one timed-out solve lands in the report's failure list
 //     instead of aborting the run.
-//   - Shard i of n (deterministic round-robin over the name-sorted job
-//     list) lets independent processes split one batch; their reports
-//     union to the full result set.
+//   - Shard i of n (deterministic round-robin over the job list sorted
+//     by name, then path) lets independent processes split one batch;
+//     their reports union to the full result set.
 //   - Cancellation of the run context stops the workers between solves
 //     and inside the simplex loop; results completed before the cancel
 //     are already flushed to the JSONL log and appear in the partial
@@ -33,6 +33,7 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -43,6 +44,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,8 +60,8 @@ type Job struct {
 	// loaders use the file base name. Results sort by name; jobs that
 	// share one (files of different directories) sort by their outcomes.
 	Name string
-	// Path is the source file, when the job came from one (diagnostic
-	// only).
+	// Path is the source file, when the job came from one. Besides
+	// diagnostics, it orders jobs that share a name (Shard).
 	Path string
 	// Scenario is the parsed platform + spec to solve.
 	Scenario *steadystate.Scenario
@@ -148,9 +150,9 @@ type Options struct {
 	// SolveTimeout bounds each individual solve; 0 means no per-solve
 	// deadline (the run context still applies).
 	SolveTimeout time.Duration
-	// ShardIndex/ShardCount select shard i of n: the name-sorted job list
-	// is dealt round-robin, job j going to shard j mod n. ShardCount ≤ 1
-	// disables sharding.
+	// ShardIndex/ShardCount select shard i of n: the job list, sorted by
+	// name and then path, is dealt round-robin, job j going to shard
+	// j mod n. ShardCount ≤ 1 disables sharding.
 	ShardIndex, ShardCount int
 	// JSONL, when non-nil, receives one JSON line per completed scenario
 	// (in completion order — the deterministic view is the report). Each
@@ -259,26 +261,24 @@ func (st *runState) recordTrace(name string, kind steadystate.Kind, tr *steadyst
 }
 
 // Shard returns the jobs of shard index among count shards: the input is
-// sorted by name and dealt round-robin, so complementary shards partition
-// the batch deterministically regardless of load order. count ≤ 1
-// returns the full sorted batch.
+// sorted by name, then by cleaned Path (files of different directories
+// can share a name), and dealt round-robin, so complementary shards
+// partition the batch deterministically regardless of load order.
+// count ≤ 1 returns the full sorted batch.
 func Shard(jobs []Job, index, count int) ([]Job, error) {
-	if count <= 1 {
-		// Unsharded runs (count 0 or 1) only accept index 0 — a nonzero
-		// index with a forgotten count is a misconfigured shard worker
-		// that would otherwise re-solve the whole batch.
-		if index != 0 {
-			return nil, fmt.Errorf("sweep: shard index %d out of range for %d shard(s)", index, count)
-		}
-		sorted := append([]Job(nil), jobs...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-		return sorted, nil
-	}
-	if index < 0 || index >= count {
+	// Unsharded runs (count 0 or 1) only accept index 0 — a nonzero index
+	// with a forgotten count is a misconfigured shard worker that would
+	// otherwise re-solve the whole batch.
+	if index < 0 || index >= max(count, 1) {
 		return nil, fmt.Errorf("sweep: shard index %d out of range for %d shard(s)", index, count)
 	}
-	sorted := append([]Job(nil), jobs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	sorted := slices.Clone(jobs)
+	slices.SortStableFunc(sorted, func(a, b Job) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(filepath.Clean(a.Path), filepath.Clean(b.Path)))
+	})
+	if count <= 1 {
+		return sorted, nil
+	}
 	var out []Job
 	for i, job := range sorted {
 		if i%count == index {

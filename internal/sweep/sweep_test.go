@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -238,6 +239,46 @@ func TestSweepShardErrors(t *testing.T) {
 		if _, err := Shard(jobs, bad[0], bad[1]); err == nil {
 			t.Errorf("Shard(index=%d, count=%d) should fail", bad[0], bad[1])
 		}
+	}
+}
+
+// TestShardIndependentOfLoadOrder: files of different directories share
+// base names, so the order of a shard cannot rest on names alone. The
+// same four tiers-0000.json files, listed in either order, must deal the
+// same shard 0, and shards 0 and 1 must partition the batch.
+func TestShardIndependentOfLoadOrder(t *testing.T) {
+	var forward []Job
+	for _, dir := range []string{"allreduce", "scatter", "./broadcast", "gossip/"} {
+		forward = append(forward, Job{Name: "tiers-0000.json", Path: dir + "/tiers-0000.json"})
+	}
+	backward := slices.Clone(forward)
+	slices.Reverse(backward)
+	paths := func(jobs []Job) []string {
+		var out []string
+		for _, j := range jobs {
+			out = append(out, filepath.Clean(j.Path))
+		}
+		return out
+	}
+	var shards [2][]string
+	for i := range shards {
+		a, err := Shard(forward, i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Shard(backward, i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(paths(a), paths(b)) {
+			t.Errorf("shard %d/2 depends on the argument order: %v forward, %v backward", i, paths(a), paths(b))
+		}
+		shards[i] = paths(a)
+	}
+	union := append(slices.Clone(shards[0]), shards[1]...)
+	slices.Sort(union)
+	if want := []string{"allreduce/tiers-0000.json", "broadcast/tiers-0000.json", "gossip/tiers-0000.json", "scatter/tiers-0000.json"}; !slices.Equal(union, want) {
+		t.Errorf("shards 0/2 and 1/2 hold %v and %v; want a partition of %v", shards[0], shards[1], want)
 	}
 }
 
