@@ -60,6 +60,7 @@ import (
 	"strings"
 	"time"
 
+	steadystate "repro"
 	"repro/internal/sweep"
 )
 
@@ -179,15 +180,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("sweep interrupted (partial report written): %w", runErr)
 	}
 	if report.ReplayFailures > 0 {
-		for _, res := range report.Results {
-			if res.Replay == nil {
-				continue
-			}
-			if err := res.Replay.Err(); err != nil {
-				fmt.Fprintf(stderr, "sweep: %s: replay: %v\n", res.Name, err)
-			}
-		}
+		printReplayFailures(stderr, report)
 		return fmt.Errorf("%d scenario(s) failed the replay check", report.ReplayFailures)
 	}
 	return nil
+}
+
+// printReplayFailures writes one line per result whose replay verdict
+// failed, naming it by file and kind: a batch over several directories
+// holds one result per directory under the same file name.
+func printReplayFailures(w io.Writer, report *steadystate.SweepReport) {
+	for _, res := range report.Results {
+		if res.Replay == nil {
+			continue
+		}
+		if err := res.Replay.Err(); err != nil {
+			fmt.Fprintf(w, "sweep: %s (%s): replay: %v\n", res.Name, res.Kind, err)
+		}
+	}
 }

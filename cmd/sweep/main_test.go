@@ -128,6 +128,27 @@ func TestSweepSimulateFlag(t *testing.T) {
 	}
 }
 
+// TestPrintReplayFailures: a failed verdict is reported by file name and
+// kind, so two results named alike — one file per kind directory — are
+// told apart, and a passing verdict prints nothing.
+func TestPrintReplayFailures(t *testing.T) {
+	report := &steadystate.SweepReport{
+		ReplayFailures: 1,
+		Results: []*steadystate.SweepResult{
+			{Name: "tiers-0000.json", Kind: steadystate.KindBroadcast,
+				Replay: &steadystate.ReplayCheck{Windows: []steadystate.ReplayWindow{{Kind: steadystate.KindBroadcast, OK: true}}}},
+			{Name: "tiers-0000.json", Kind: steadystate.KindScatter,
+				Replay: &steadystate.ReplayCheck{Windows: []steadystate.ReplayWindow{{Kind: steadystate.KindScatter, Reason: "below the floor"}}}},
+			{Name: "tiers-0001.json", Kind: steadystate.KindScatter},
+		},
+	}
+	var out bytes.Buffer
+	printReplayFailures(&out, report)
+	if got, want := out.String(), "sweep: tiers-0000.json (scatter): replay: scatter: below the floor\n"; got != want {
+		t.Errorf("printed %q, want %q", got, want)
+	}
+}
+
 func TestSweepErrors(t *testing.T) {
 	cases := [][]string{
 		{},                         // no inputs

@@ -87,3 +87,85 @@ func TestSeed42SweepColdPivotPath(t *testing.T) {
 		}
 	}
 }
+
+// warmPath is what testdata/warm-chains-seed42.json pins of one solve of
+// a warm chain sweep: the answer, the LP counters and the warm-start
+// outcome.
+type warmPath struct {
+	Name            string           `json:"name"`
+	Kind            steadystate.Kind `json:"kind"`
+	Throughput      string           `json:"throughput"`
+	Period          string           `json:"period"`
+	LPPivots        int              `json:"lp_pivots"`
+	LPPhase1Pivots  int              `json:"lp_phase1_pivots"`
+	WarmStart       bool             `json:"warm_start"`
+	WarmReject      string           `json:"warm_reject"`
+	WarmPivotsSaved int              `json:"lp_warm_pivots_saved"`
+}
+
+// TestSeed42WarmChainPivotPath is TestSeed42SweepColdPivotPath for the
+// warm path: it generates CI's three seed-42 warm-chain shapes, sweeps
+// each with Warm, so every solve after a chain head rebuilds its
+// predecessor's basis, and pins every result's answer, pivot counters and
+// warm-start outcome. A change that moves warm pivots on purpose
+// regenerates the golden with
+//
+//	for b in "scatter 4 8" "broadcast 3 6" "allreduce 2 4 -ranks 3"; do set -- $b
+//	  go run ./cmd/topogen -kind tiers -spec -seed 42 -op $1 -count $2 -perturb $3 ${4:+$4 $5} -out /tmp/w42/$1
+//	  go run ./cmd/sweep -jobs 2 -warm -out /tmp/w42/$1.json /tmp/w42/$1/*.json
+//	done
+//	jq -s '[.[].results[] | {name, kind, throughput, period, lp_pivots,
+//	  lp_phase1_pivots: (.lp_phase1_pivots // 0), warm_start: (.warm_start // false),
+//	  warm_reject: (.warm_reject // ""), lp_warm_pivots_saved: (.lp_warm_pivots_saved // 0)}]' \
+//	  /tmp/w42/scatter.json /tmp/w42/broadcast.json /tmp/w42/allreduce.json
+func TestSeed42WarmChainPivotPath(t *testing.T) {
+	dir := t.TempDir()
+	var got []warmPath
+	for _, b := range []struct {
+		op, count, perturb string
+		extra              []string
+	}{
+		{"scatter", "4", "8", nil},
+		{"broadcast", "3", "6", nil},
+		{"allreduce", "2", "4", []string{"-ranks", "3"}},
+	} {
+		sub := filepath.Join(dir, b.op)
+		runOK(t, append([]string{"-kind", "tiers", "-spec", "-seed", "42",
+			"-op", b.op, "-count", b.count, "-perturb", b.perturb, "-out", sub}, b.extra...)...)
+		jobs, err := sweep.LoadDir(sub, "*.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := sweep.Run(context.Background(), jobs, sweep.Options{Jobs: 2, Warm: true})
+		if err != nil {
+			t.Fatalf("warm sweep of %s chains: %v", b.op, err)
+		}
+		if report.Failed != 0 {
+			t.Fatalf("%d of %d %s scenarios failed: %+v", report.Failed, report.Scenarios, b.op, report.Failures)
+		}
+		for _, r := range report.Results {
+			got = append(got, warmPath{r.Name, r.Kind, r.Throughput, r.Period, r.LPPivots, r.LPPhase1Pivots,
+				r.WarmStart, r.WarmReject, r.WarmPivotsSaved})
+		}
+	}
+
+	raw, err := os.ReadFile(filepath.Join("testdata", "warm-chains-seed42.json"))
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	var want []warmPath
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("parse golden: %v", err)
+	}
+	if len(want) != 67 {
+		t.Fatalf("golden holds %d results, want the chains' 67", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("result %d:\n got  %+v\n want %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -80,8 +80,7 @@ type denseTableau struct {
 	rows  []*row
 	obj   *row  // reduced-cost row: obj.n[j]/obj.d = cB·B⁻¹Aj − cj; rhs = objective value
 	basis []int // basis[i] = column basic in row i
-	dead  []bool
-	rhs   int // index of the rhs column
+	rhs   int   // index of the rhs column
 	// iteration bookkeeping
 	pivots     int
 	blandAfter int
@@ -91,7 +90,6 @@ type denseTableau struct {
 func newDenseTableau(nCols, blandAfter int) *denseTableau {
 	return &denseTableau{
 		rhs:        nCols,
-		dead:       make([]bool, nCols),
 		blandAfter: blandAfter,
 	}
 }
@@ -135,11 +133,16 @@ func (t *denseTableau) resetRule(budget int) {
 	t.blandAfter = t.pivots + budget
 }
 
-func (t *denseTableau) markDead(cols []bool) {
-	for j, dead := range cols {
-		if dead {
-			t.dead[j] = true
+// dropColumns zeroes the flagged columns of every constraint row and
+// renormalizes the row, as the sparse tableau drops their entries.
+func (t *denseTableau) dropColumns(cols []bool) {
+	for _, r := range t.rows {
+		for j, drop := range cols {
+			if drop {
+				r.n[j].SetInt64(0)
+			}
 		}
+		r.normalize()
 	}
 }
 
@@ -279,7 +282,7 @@ func (t *denseTableau) entering() int {
 	}
 	best := -1
 	for j := 0; j < t.rhs; j++ {
-		if t.dead[j] || t.obj.n[j].Sign() >= 0 {
+		if t.obj.n[j].Sign() >= 0 {
 			continue
 		}
 		if t.bland {

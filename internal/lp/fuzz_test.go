@@ -91,6 +91,9 @@ var fuzzLPSeeds = [][]byte{
 	{0x2e, 5, 6, 7, 8, 0x0f, 1, 2, 3, 4, 0, 5, 6, 7, 8, 2, 1, 1, 0, 1, 2, 3, 4, 1, 6, 0, 7, 5, 6, 2, 0, 3},
 	// max over 3 variables: word-boundary coefficients everywhere.
 	{0x25, 6, 7, 5, 0x02, 6, 0, 7, 6, 5, 0, 1, 0, 6, 7, 8, 2, 3, 0, 5, 5, 6, 1, 6, 0, 8, 8, 7, 2, 5},
+	// max x0 + x1 subject to x0 + x1 = 1 twice and x0 ≤ 1/2: the drive-out
+	// drops the redundant equality row, and the row after it moves up.
+	{0x1b, 1, 1, 0x00, 0, 1, 1, 1, 1, 1, 0, 1, 0, 0, 3},
 }
 
 // FuzzLP is the LP's differential fuzz target: whatever small LP the

@@ -38,12 +38,13 @@
 // intermediates; a row that needs more is stored and updated in big.Int,
 // and returns to words when its values fit again. The values alone decide
 // a row's form, so the answers, pivots and counters are those of the
-// big.Int arithmetic throughout. A pivot costs only what it changes: the
-// ratio test records where each row holds the entering column, so the
-// pivot searches no row, and when the pivot entry is 1 (most pivots) a
-// row update copies the entries the pivot row does not touch in bulk.
-// Rows whose coefficients fit in words are also assembled in words, with
-// no big.Rat arithmetic.
+// big.Int arithmetic throughout. A pivot costs only what it changes: an
+// index of the rows holding each column sends the ratio test and the
+// pivot to those rows alone, when the pivot entry is 1 (most pivots) a
+// row update copies the entries the pivot row does not touch in bulk, and
+// the artificial columns leave every row once phase 1 is over. Rows whose
+// coefficients fit in words are also assembled in words, with no big.Rat
+// arithmetic.
 //
 // A dense reference tableau, each row a full integer vector, lives in the
 // package's tests (dense_test.go) behind the same tableau interface. Tests

@@ -22,13 +22,17 @@ type colVal struct {
 
 // tableau is the pivoting storage of the two-phase simplex. The driver in
 // SolveCtx owns the phase logic (row assembly, phase-1 artificials, the
-// drive-out loop, phase-2 objective installation, extraction); the
-// implementation owns entry storage and the pivot arithmetic. The sparse
-// tableau (sparse.go) is the only production implementation. The
-// interface is the seam through which this package's tests substitute
-// the dense reference tableau (dense_test.go), which must pick identical
-// entering/leaving columns on identical states so that dense and sparse
-// solves are bit-equivalent — the equivalence tests pin this.
+// drive-out loop, dropping the artificial columns and installing the
+// phase-2 objective, extraction); the implementation owns entry storage
+// and the pivot arithmetic, including which rows a ratio test or a pivot
+// visits. The sparse tableau (sparse.go) is the only production
+// implementation. The interface is the seam through which this package's
+// tests substitute the dense reference tableau (dense_test.go), which
+// must pick identical entering/leaving columns on identical states so
+// that dense and sparse solves are bit-equivalent — the equivalence tests
+// pin this. The picks read only the rational values of the live columns
+// and the rhs, and ratio ties break on each row's basic column, so the
+// order in which an implementation visits rows cannot change them.
 type tableau interface {
 	// addRow appends a constraint row with the given sorted nonzero
 	// entries (including the rhs column) over denominator den, with the
@@ -76,8 +80,11 @@ type tableau interface {
 	negateRow(i int)
 	// dropRow removes row i (and its basis slot).
 	dropRow(i int)
-	// markDead excludes the flagged columns from future entering picks.
-	markDead(cols []bool)
+	// dropColumns removes the flagged columns, none of them basic, from
+	// every constraint row for good and renormalizes each row by its
+	// content gcd: the values of the entries that remain are unchanged,
+	// and no later pivot reads or updates the dropped ones.
+	dropColumns(cols []bool)
 	// value returns the rhs value of row i as an exact rational.
 	value(i int) rat.Rat
 	// objValue returns the objective row's rhs as an exact rational.
@@ -433,7 +440,6 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 		// dropped redundant rows) sit at value zero — warmFeasible checked
 		// — so the standard drive-out applies.
 		driveOutArtificials(t, artCols)
-		t.markDead(artCols)
 		phase1Pivots = t.pivotCount() - rebuildPivots
 		if phase1Pivots > 0 {
 			_, p1Span := obs.StartSpan(ctx, "lp.phase1")
@@ -458,7 +464,6 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 			return nil, ErrInfeasible
 		}
 		driveOutArtificials(t, artCols)
-		t.markDead(artCols)
 		phase1Pivots = t.pivotCount()
 		rec.finish(p1Span, t, phase1Pivots)
 		p1Span.End()
@@ -486,6 +491,11 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	objEntries, objDen, _ := scaleRow(nil, negObj, rat.Zero())
 	_, p2Span := obs.StartSpan(ctx, "lp.phase2")
 	rec2 := newPivotRecorder(p2Span, nCols+1)
+	if nArt > 0 {
+		// Every artificial is nonbasic at zero now and must stay there:
+		// drop them, so phase 2 neither updates nor counts their entries.
+		t.dropColumns(artCols)
+	}
 	t.installObjective(objEntries, objDen)
 	if err := iterate(ctx, t, rec2); err != nil {
 		return nil, err

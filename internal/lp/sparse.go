@@ -158,8 +158,10 @@ func (r *sparseRow) less(k, j int) bool {
 // a row whose values do not fit runs the big.Int update instead, one row
 // at a time. An update whose pivot entry is 1 (most of them) copies the
 // entries it leaves unchanged in bulk and computes only those the pivot
-// row touches. The ratio test records where each row holds the entering
-// column, so the pivot that follows searches no row. Row updates run
+// row touches. A per-column index lists the rows that may hold each
+// column, so the ratio test and every pivot visit only the rows holding
+// the entering column, never the whole tableau; dropColumns removes the
+// artificial columns from the rows once phase 1 is over. Row updates run
 // allocation-free through tableau-owned scratch buffers and a big.Int
 // pool, so the skipped zero-columns turn into wall-clock speedup over the
 // dense tableau.
@@ -167,18 +169,22 @@ type sparseTableau struct {
 	rows  []*sparseRow
 	obj   *sparseRow
 	basis []int
-	dead  []bool
 	rhs   int // index of the rhs column
 	// iteration bookkeeping
 	pivots     int
 	blandAfter int
 	bland      bool
-	// colPos[i] is row i's position of column posCol (−1 when the row has
-	// no entry there), recorded by leaving for the pivot that follows.
-	// posCol is −1 when no positions are current: every pivot and every
-	// dropRow clears it.
-	colPos []int
-	posCol int
+	// colRows[c] lists the rows that may hold column c (rhs excluded):
+	// every row that does is listed, but a listed row may since have lost
+	// its entry, and may be listed twice. The index is nil until the first
+	// ratio test or pivot builds it, and addRow, dropRow and dropColumns
+	// set it back to nil. Every fill-in of a constraint row appends to its
+	// column's list, and a pivot on c, which follows every ratio test on c
+	// but an unbounded one, resets c's list to the pivot row, clearing it
+	// of stale entries and duplicates. fill is the row whose fill-in the
+	// running update lists (−1 while the objective row is updated).
+	colRows [][]int32
+	fill    int32
 	// scratch state for allocation-free row updates: the merge target
 	// slices (swapped with the updated row's), the unnormalized values of
 	// a word update, a pool of retired big.Ints (re-used for fill-in and
@@ -205,9 +211,54 @@ type sparseTableau struct {
 func newSparseTableau(nCols, blandAfter int) *sparseTableau {
 	return &sparseTableau{
 		rhs:        nCols,
-		dead:       make([]bool, nCols),
 		blandAfter: blandAfter,
-		posCol:     -1,
+		fill:       -1,
+	}
+}
+
+// filled lists row t.fill in the index of col, where the running update
+// has just given it an entry.
+func (t *sparseTableau) filled(col int) {
+	if t.fill >= 0 && col < t.rhs {
+		t.colRows[col] = append(t.colRows[col], t.fill)
+	}
+}
+
+// rowsOf returns the list of column c, building the index first when it
+// is not built: before the first ratio test or pivot, and after rows or
+// columns were dropped.
+func (t *sparseTableau) rowsOf(c int) []int32 {
+	if t.colRows == nil {
+		t.buildIndex()
+	}
+	return t.colRows[c]
+}
+
+// buildIndex lists every row under each of its columns. The lists are cut
+// from one array, each with room for as many fill-ins as it has entries
+// before it moves.
+func (t *sparseTableau) buildIndex() {
+	n := make([]int, t.rhs)
+	total := 0
+	for _, r := range t.rows {
+		for _, col := range r.cols {
+			if col < t.rhs {
+				n[col]++
+				total++
+			}
+		}
+	}
+	all := make([]int32, 2*total)
+	t.colRows = make([][]int32, t.rhs)
+	for c, k := range n {
+		t.colRows[c], all = all[:0:2*k], all[2*k:]
+	}
+	for i, r := range t.rows {
+		for _, col := range r.cols {
+			if col < t.rhs {
+				t.colRows[col] = append(t.colRows[col], int32(i))
+			}
+		}
 	}
 }
 
@@ -355,6 +406,9 @@ func (t *sparseTableau) combineUnit(r, prow *sparseRow, f int64) bool {
 			t.scratchCols, t.scratchW = cols, w // keep the grown buffers
 			return false
 		}
+		if !found {
+			t.filled(col)
+		}
 		if g != 1 {
 			g = gcd64(g, m.lo)
 		}
@@ -421,6 +475,7 @@ func (t *sparseTableau) combineWords(r, prow *sparseRow, p, f int64) bool {
 			col = prow.cols[j]
 			m = mul(f, prow.w[j])
 			m.neg = !m.neg // −f·q, never zero
+			t.filled(col)
 			j++
 		default:
 			col = r.cols[i]
@@ -517,6 +572,7 @@ func (t *sparseTableau) combineWide(r, prow *sparseRow, p, f scalar) {
 			n.Neg(n)
 			cols = append(cols, prow.cols[j])
 			num = append(num, n)
+			t.filled(prow.cols[j])
 			j++
 		default:
 			n := r.num[i]
@@ -583,6 +639,7 @@ func (t *sparseTableau) loadRow(entries []colVal, den scalar) *sparseRow {
 func (t *sparseTableau) addRow(entries []colVal, den scalar, basic int) {
 	t.rows = append(t.rows, t.loadRow(entries, den))
 	t.basis = append(t.basis, basic)
+	t.colRows = nil
 }
 
 func (t *sparseTableau) nRows() int           { return len(t.rows) }
@@ -621,12 +678,43 @@ func (t *sparseTableau) resetRule(budget int) {
 	t.blandAfter = t.pivots + budget
 }
 
-func (t *sparseTableau) markDead(cols []bool) {
-	for j, dead := range cols {
-		if dead {
-			t.dead[j] = true
+// dropColumns removes the flagged columns from every constraint row and
+// renormalizes each row it shortens by its content gcd, so the values of
+// the entries that remain do not change. The index is rebuilt, free of
+// the dropped columns and of every stale entry.
+func (t *sparseTableau) dropColumns(cols []bool) {
+	for _, r := range t.rows {
+		n := 0
+		for k, col := range r.cols {
+			if col < t.rhs && cols[col] {
+				if r.wide {
+					t.pool = append(t.pool, r.num[k])
+				}
+				continue
+			}
+			r.cols[n] = col
+			if r.wide {
+				r.num[n] = r.num[k]
+			} else {
+				r.w[n] = r.w[k]
+			}
+			n++
+		}
+		if n == len(r.cols) {
+			continue
+		}
+		r.cols = r.cols[:n]
+		if r.wide {
+			clear(r.num[n:])
+			r.num = r.num[:n]
+			t.normalizeWide(r)
+			t.narrow(r)
+		} else {
+			r.w = r.w[:n]
+			normalizeWords(r)
 		}
 	}
+	t.colRows = nil
 }
 
 func (t *sparseTableau) firstNonzero(i int, skip []bool) (int, int) {
@@ -671,7 +759,7 @@ func (t *sparseTableau) dropRow(i int) {
 	t.rows = t.rows[:n-1]
 	copy(t.basis[i:], t.basis[i+1:])
 	t.basis = t.basis[:n-1]
-	t.posCol = -1
+	t.colRows = nil // the rows after i moved up one
 }
 
 func (t *sparseTableau) installPhase1(art []bool) {
@@ -701,24 +789,27 @@ func (t *sparseTableau) installObjective(entries []colVal, den scalar) {
 }
 
 // pivot performs a Gauss-Jordan pivot at (pr, pc); the entry must be
-// strictly positive. Rows without an entry in the pivot column are
-// untouched. A pivot of the simplex loop reads each row's entry at the
-// position the ratio test just recorded for pc (colEntry), so it searches
-// no row; the drive-out and warm-rebuild pivots, which run no ratio test,
-// binary-search each row instead.
+// strictly positive. It updates only the rows the index lists under pc —
+// rows without an entry there are untouched — and then lists pr alone,
+// the one row left holding pc.
 func (t *sparseTableau) pivot(pr, pc int) {
 	prow := t.rows[pr]
-	p := t.colEntry(pr, pc) // > 0
+	p := prow.get(pc) // > 0
 	if p.big != nil {
 		p.big = t.alloc().Set(p.big) // becomes the row's denominator below
 	}
-	for i, ri := range t.rows {
-		if i == pr {
+	list := t.rowsOf(pc)
+	for _, i := range list {
+		if int(i) == pr {
 			continue
 		}
-		t.combine(ri, prow, p, t.colEntry(i, pc))
+		if f := t.rows[i].get(pc); f.sign() != 0 {
+			t.fill = i
+			t.combine(t.rows[i], prow, p, f)
+		}
 	}
-	t.posCol = -1
+	t.fill = -1
+	t.colRows[pc] = append(list[:0], int32(pr))
 	if t.obj != nil {
 		// Warm-basis rebuild pivots run before any objective is installed.
 		t.combine(t.obj, prow, p, t.obj.get(pc))
@@ -738,20 +829,6 @@ func (t *sparseTableau) pivot(pr, pc int) {
 	t.pivots++
 }
 
-// colEntry returns row i's entry in column c: at the position leaving
-// recorded when its positions are for c, else by binary search. Rows
-// before i may have changed since leaving ran; row i and its position
-// may not.
-func (t *sparseTableau) colEntry(i, c int) scalar {
-	if t.posCol != c {
-		return t.rows[i].get(c)
-	}
-	if k := t.colPos[i]; k >= 0 {
-		return t.rows[i].at(k)
-	}
-	return scalar{}
-}
-
 // entering picks the entering column, or -1 at optimality — Dantzig's
 // rule, falling back to Bland's once cycling is suspected, iterating only
 // the objective row's nonzero entries (zero reduced costs are never
@@ -766,7 +843,7 @@ func (t *sparseTableau) entering() int {
 		if col >= t.rhs {
 			break
 		}
-		if t.dead[col] || obj.signAt(k) >= 0 {
+		if obj.signAt(k) >= 0 {
 			continue
 		}
 		if t.bland {
@@ -780,16 +857,17 @@ func (t *sparseTableau) entering() int {
 }
 
 // leaving runs the ratio test for entering column c — identical rule and
-// tie-breaking to the dense implementation. It records every row's
-// position of c in colPos for the pivot that follows, and reads each rhs
-// from the row's last slot, because rhs is the highest column.
+// tie-breaking to the dense implementation — over the rows the index
+// lists under c. Ties break on the rows' basic columns, which differ from
+// row to row, so neither the order of the list nor a row listed twice
+// can change the row picked. Each rhs is read from the row's last slot,
+// because rhs is the highest column.
 func (t *sparseTableau) leaving(c int) int {
 	best := -1
 	var bn, bd scalar // best ratio = bn/bd, bd > 0
-	pos := t.colPos[:0]
-	for i, ri := range t.rows {
+	for _, li := range t.rowsOf(c) {
+		i, ri := int(li), t.rows[li]
 		k := ri.find(c)
-		pos = append(pos, k)
 		if k < 0 || ri.signAt(k) < 0 {
 			continue
 		}
@@ -812,7 +890,6 @@ func (t *sparseTableau) leaving(c int) int {
 			}
 		}
 	}
-	t.colPos, t.posCol = pos, c
 	return best
 }
 

@@ -386,6 +386,112 @@ func TestPivotPositionsNeverStale(t *testing.T) {
 	}
 }
 
+// checkedTableau is the sparse tableau with its column index and its
+// column drop checked as they happen: after every pivot and row drop,
+// every row holding a column (rhs excluded) is listed under it; a column
+// drop must remove every entry of a dropped column and leave the value of
+// every other entry as it was.
+type checkedTableau struct {
+	*sparseTableau
+	t      *testing.T
+	counts *indexCounts
+}
+
+// indexCounts tallies what the checked tableaus of a test went through.
+type indexCounts struct{ pivots, rowDrops, colDrops int }
+
+func (c checkedTableau) pivot(pr, pc int) {
+	c.sparseTableau.pivot(pr, pc)
+	c.counts.pivots++
+	c.checkIndex("pivot")
+}
+
+func (c checkedTableau) dropRow(i int) {
+	c.sparseTableau.dropRow(i)
+	c.counts.rowDrops++
+	c.checkIndex("dropRow")
+}
+
+func (c checkedTableau) dropColumns(cols []bool) {
+	before := make([]map[int]rat.Rat, len(c.rows))
+	for i, r := range c.rows {
+		before[i] = map[int]rat.Rat{}
+		for _, col := range r.cols {
+			before[i][col] = c.rational(r, col)
+		}
+	}
+	c.sparseTableau.dropColumns(cols)
+	c.counts.colDrops++
+	for i, r := range c.rows {
+		live := 0
+		for _, col := range r.cols {
+			if col < c.rhs && cols[col] {
+				c.t.Fatalf("row %d still holds dropped column %d", i, col)
+			}
+			if got := c.rational(r, col); !rat.Eq(got, before[i][col]) {
+				c.t.Fatalf("row %d column %d = %s after the drop, was %s", i, col, got.RatString(), before[i][col].RatString())
+			}
+		}
+		for col := range before[i] {
+			if col >= c.rhs || !cols[col] {
+				live++
+			}
+		}
+		if live != len(r.cols) {
+			c.t.Fatalf("row %d holds %d entries after the drop, want its %d live ones", i, len(r.cols), live)
+		}
+	}
+	c.checkIndex("dropColumns")
+}
+
+// checkIndex fails the test when some row holding a column is missing
+// from the column's list.
+func (c checkedTableau) checkIndex(after string) {
+	for i, r := range c.rows {
+		for _, col := range r.cols {
+			if col < c.rhs && !slices.Contains(c.rowsOf(col), int32(i)) {
+				c.t.Fatalf("after %s (pivot %d): row %d holds column %d but is not listed there: %v",
+					after, c.counts.pivots, i, col, c.rowsOf(col))
+			}
+		}
+	}
+}
+
+// TestColumnIndexAndDropInvariants solves the LPs of randomWarmModel at
+// the three scales of TestSparseDenseWordEscape and of FuzzLP's seeds on
+// checkedTableau, cold and then warm from the cold basis, so the
+// invariants are checked after every simplex, drive-out and warm-rebuild
+// pivot, every row drop and every column drop. The runs must include a
+// drive-out that drops a redundant row.
+func TestColumnIndexAndDropInvariants(t *testing.T) {
+	var models []*Model
+	for _, scale := range []rat.Rat{rat.One(), rat.Int(math.MaxInt32), rat.Int(9223372036854775783)} {
+		for seed := int64(0); seed < 200; seed++ {
+			models = append(models, randomWarmModel(seed, scale))
+		}
+	}
+	for _, seed := range fuzzLPSeeds {
+		models = append(models, decodeLP(seed))
+	}
+	counts := &indexCounts{}
+	ctx := context.WithValue(context.Background(), tableauCtxKey{}, func(nCols, blandAfter int) tableau {
+		return checkedTableau{newSparseTableau(nCols, blandAfter), t, counts}
+	})
+	for _, m := range models {
+		cold, err := m.SolveCtx(ctx)
+		if err != nil {
+			continue
+		}
+		if _, err := m.SolveCtx(WithWarmBasis(ctx, &WarmStart{Basis: cold.Basis()})); err != nil {
+			t.Fatalf("warm re-solve: %v", err)
+		}
+	}
+	t.Logf("%d pivots, %d row drops, %d column drops", counts.pivots, counts.rowDrops, counts.colDrops)
+	if counts.rowDrops == 0 || counts.colDrops == 0 {
+		t.Fatalf("%d row drops, %d column drops: want both", counts.rowDrops, counts.colDrops)
+	}
+}
+
 // bigRatRows is the big.Rat reference for buildTableau's row assembly: it
 // loads m's initial tableau rows with each row's lcm and numerators
 // computed through big.Rat (rat.DenominatorLCM, rat.ScaleToInt), every
