@@ -7,11 +7,14 @@
 package steadystate
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -189,6 +192,123 @@ func CompositeSpec(members []Spec, weights []Rat) Spec {
 	}
 }
 
+// field is a set of the Spec fields a kind reads, in the order validate
+// checks them.
+type field uint8
+
+const (
+	fSource field = 1 << iota
+	fSources
+	fTargets
+	fOrder
+	fTarget  // must be in Order
+	fMembers // Members and Weights
+)
+
+func (f field) has(g field) bool { return f&g != 0 }
+
+// option is a set of the size, task-time and period options, in the order
+// a refusal names them.
+type option uint8
+
+const (
+	optBlockSize option = 1 << iota
+	optFixedPeriod
+	optMessageSize
+	optTaskTime
+)
+
+var optionNames = [...]string{"WithBlockSize", "WithFixedPeriod", "WithMessageSize", "WithTaskTime"}
+
+// kindRow is what the API knows of one kind: the Spec fields it reads,
+// the options it takes, the fewest participants its Order needs beyond
+// what its problem constructors check, and how it solves. A base kind
+// builds its problem and replays a solved part; a composite kind expands
+// into member specs of base kinds and their weights (nil: all 1).
+type kindRow struct {
+	fields   field
+	options  option
+	minOrder int
+	problem  func(p *Platform, s Spec, o *solveOptions) (core.Collective, error)
+	replay   func(core.Part) *SimModel
+	expand   func(s Spec) (members []Spec, weights []Rat)
+}
+
+// kinds is the one statement of every kind's roles, options and solve
+// path: adding a kind means a constant, a …Spec constructor and a row.
+// The flow kinds take no options, since edge costs fix their message
+// sizes; the fixed-period truncation needs a single reduce tree family.
+var kinds = map[Kind]kindRow{
+	KindScatter: {fields: fSource | fTargets,
+		problem: func(p *Platform, s Spec, _ *solveOptions) (core.Collective, error) {
+			return scatter.NewProblem(p, s.Source, s.Targets)
+		},
+		replay: func(part core.Part) *SimModel { return sim.ScatterModel(part.(*ScatterSolution)) }},
+	// A broadcast replicates per target: each target's bundled virtual
+	// flow is a commodity of its own, delivered against TP per target.
+	KindBroadcast: {fields: fSource | fTargets,
+		problem: func(p *Platform, s Spec, _ *solveOptions) (core.Collective, error) {
+			return scatter.NewBroadcastProblem(p, s.Source, s.Targets)
+		},
+		replay: func(part core.Part) *SimModel { return sim.BroadcastModel(part.(*BroadcastSolution)) }},
+	KindGossip: {fields: fSources | fTargets,
+		problem: func(p *Platform, s Spec, _ *solveOptions) (core.Collective, error) {
+			return gossip.NewProblem(p, s.Sources, s.Targets)
+		},
+		replay: func(part core.Part) *SimModel { return sim.GossipModel(part.(*GossipSolution)) }},
+	KindReduce: {fields: fOrder | fTarget, options: optMessageSize | optTaskTime | optFixedPeriod,
+		problem: func(p *Platform, s Spec, o *solveOptions) (core.Collective, error) {
+			pr, err := reduce.NewProblem(p, s.Order, s.Target)
+			if err == nil {
+				o.tune(&pr.Family, o.messageSize)
+			}
+			return pr, err
+		},
+		replay: func(part core.Part) *SimModel { return sim.ReduceModel(part.(*ReduceSolution).Integerize()) }},
+	// A gather sizes its partial results by its block size instead.
+	KindGather: {fields: fOrder | fTarget, options: optBlockSize | optTaskTime | optFixedPeriod,
+		problem: func(p *Platform, s Spec, o *solveOptions) (core.Collective, error) {
+			pr, err := reduce.NewGatherProblem(p, s.Order, s.Target, o.blockSize)
+			if err == nil {
+				o.tune(&pr.Family, nil)
+			}
+			return pr, err
+		},
+		replay: func(part core.Part) *SimModel { return sim.ReduceModel(part.(*ReduceSolution).Integerize()) }},
+	KindPrefix: {fields: fOrder, options: optMessageSize | optTaskTime,
+		problem: func(p *Platform, s Spec, o *solveOptions) (core.Collective, error) {
+			pr, err := reduce.NewPrefixProblem(p, s.Order)
+			if err == nil {
+				o.tune(&pr.Family, o.messageSize)
+			}
+			return pr, err
+		},
+		replay: func(part core.Part) *SimModel { return sim.PrefixModel(part.(*PrefixSolution)) }},
+	KindReduceScatter: {fields: fOrder, options: optMessageSize | optTaskTime, minOrder: 2,
+		expand: func(s Spec) ([]Spec, []Rat) { return reduceScatter(s.Order), nil }},
+	// Allreduce is Träff's decomposition: the reduce-scatter members plus
+	// an allgather (a gossip redistributing each reduced segment), all at
+	// weight 1. The allgather moves unit-size segments, so a message size,
+	// which would scale only the reduce phase, is refused.
+	KindAllreduce: {fields: fOrder, options: optTaskTime, minOrder: 2,
+		expand: func(s Spec) ([]Spec, []Rat) {
+			return append(reduceScatter(s.Order), GossipSpec(s.Order, s.Order)), nil
+		}},
+	// A composite passes each option to the members that take it.
+	KindComposite: {fields: fMembers, options: optMessageSize | optTaskTime | optBlockSize,
+		expand: func(s Spec) ([]Spec, []Rat) { return s.Members, s.Weights }},
+}
+
+// reduceScatter returns the members of a reduce-scatter over order: the
+// reduce of segment i, over the full order, delivered to order[i].
+func reduceScatter(order []NodeID) []Spec {
+	members := make([]Spec, len(order))
+	for i, id := range order {
+		members[i] = ReduceSpec(order, id)
+	}
+	return members
+}
+
 // jsonSpec is the serialized form: only the fields the kind uses are
 // emitted, scalar node IDs travel as pointers so id 0 survives, and
 // composite weights travel as exact rational strings.
@@ -206,28 +326,31 @@ type jsonSpec struct {
 // MarshalJSON serializes the spec, emitting only the fields its kind
 // uses.
 func (s Spec) MarshalJSON() ([]byte, error) {
+	row, ok := kinds[s.Kind]
+	if !ok {
+		return nil, fmt.Errorf("steadystate: cannot marshal spec of unknown kind %q", s.Kind)
+	}
 	js := jsonSpec{Kind: s.Kind}
-	switch s.Kind {
-	case KindScatter, KindBroadcast:
-		src := s.Source
-		js.Source = &src
-		js.Targets = s.Targets
-	case KindGossip:
+	if row.fields.has(fSource) {
+		js.Source = &s.Source
+	}
+	if row.fields.has(fSources) {
 		js.Sources = s.Sources
+	}
+	if row.fields.has(fTargets) {
 		js.Targets = s.Targets
-	case KindReduce, KindGather:
-		tgt := s.Target
+	}
+	if row.fields.has(fOrder) {
 		js.Order = s.Order
-		js.Target = &tgt
-	case KindPrefix, KindReduceScatter, KindAllreduce:
-		js.Order = s.Order
-	case KindComposite:
+	}
+	if row.fields.has(fTarget) {
+		js.Target = &s.Target
+	}
+	if row.fields.has(fMembers) {
 		js.Members = s.Members
 		for _, w := range s.Weights {
 			js.Weights = append(js.Weights, w.RatString())
 		}
-	default:
-		return nil, fmt.Errorf("steadystate: cannot marshal spec of unknown kind %q", s.Kind)
 	}
 	return json.Marshal(js)
 }
@@ -275,78 +398,62 @@ func (s Spec) CanonicalKey() (string, error) {
 // semantic validation (reachability, duplicates, routers) is delegated to
 // the per-kind problem constructors.
 func (s Spec) validate(p *Platform) error {
-	check := func(role string, ids ...NodeID) error {
+	row, ok := kinds[s.Kind]
+	if !ok {
+		return fmt.Errorf("steadystate: unknown collective kind %q", s.Kind)
+	}
+	if len(s.Order) < row.minOrder {
+		return fmt.Errorf("steadystate: %s spec: need at least two participants", s.Kind)
+	}
+	check := func(f field, role string, ids ...NodeID) error {
 		for _, id := range ids {
-			if int(id) < 0 || int(id) >= p.NumNodes() {
+			if row.fields.has(f) && (int(id) < 0 || int(id) >= p.NumNodes()) {
 				return fmt.Errorf("steadystate: %s spec: %s references unknown node id %d (platform has %d nodes)",
 					s.Kind, role, int(id), p.NumNodes())
 			}
 		}
 		return nil
 	}
-	switch s.Kind {
-	case KindScatter, KindBroadcast:
-		if err := check("source", s.Source); err != nil {
-			return err
-		}
-		return check("targets", s.Targets...)
-	case KindGossip:
-		if err := check("sources", s.Sources...); err != nil {
-			return err
-		}
-		return check("targets", s.Targets...)
-	case KindReduce, KindGather:
-		if err := check("order", s.Order...); err != nil {
-			return err
-		}
-		if err := check("target", s.Target); err != nil {
-			return err
-		}
-		for _, id := range s.Order {
-			if id == s.Target {
-				return nil
-			}
-		}
+	if err := cmp.Or(check(fSource, "source", s.Source), check(fSources, "sources", s.Sources...),
+		check(fTargets, "targets", s.Targets...), check(fOrder, "order", s.Order...),
+		check(fTarget, "target", s.Target)); err != nil {
+		return err
+	}
+	if row.fields.has(fTarget) && !slices.Contains(s.Order, s.Target) {
 		return fmt.Errorf("steadystate: %s spec: target %s is not in the participant order",
 			s.Kind, p.Node(s.Target).Name)
-	case KindPrefix:
-		return check("order", s.Order...)
-	case KindReduceScatter, KindAllreduce:
-		if len(s.Order) < 2 {
-			return fmt.Errorf("steadystate: %s spec: need at least two participants", s.Kind)
-		}
-		return check("order", s.Order...)
-	case KindComposite:
-		if len(s.Members) == 0 {
-			return fmt.Errorf("steadystate: composite spec has no members")
-		}
-		if s.Weights != nil && len(s.Weights) != len(s.Members) {
-			return fmt.Errorf("steadystate: composite spec has %d weights for %d members",
-				len(s.Weights), len(s.Members))
-		}
-		for i, w := range s.Weights {
-			if w == nil || w.Sign() <= 0 {
-				return fmt.Errorf("steadystate: composite member %d has non-positive weight", i)
-			}
-		}
-		for i, mem := range s.Members {
-			switch mem.Kind {
-			case KindComposite, KindReduceScatter, KindAllreduce:
-				return fmt.Errorf("steadystate: composite member %d: %s members cannot nest", i, mem.Kind)
-			}
-			if err := mem.validate(p); err != nil {
-				return fmt.Errorf("steadystate: composite member %d: %w", i, err)
-			}
-		}
+	}
+	if !row.fields.has(fMembers) {
 		return nil
 	}
-	return fmt.Errorf("steadystate: unknown collective kind %q", s.Kind)
+	if len(s.Members) == 0 {
+		return fmt.Errorf("steadystate: composite spec has no members")
+	}
+	if s.Weights != nil && len(s.Weights) != len(s.Members) {
+		return fmt.Errorf("steadystate: composite spec has %d weights for %d members",
+			len(s.Weights), len(s.Members))
+	}
+	for i, w := range s.Weights {
+		if w == nil || w.Sign() <= 0 {
+			return fmt.Errorf("steadystate: composite member %d has non-positive weight", i)
+		}
+	}
+	for i, mem := range s.Members {
+		if kinds[mem.Kind].expand != nil {
+			return fmt.Errorf("steadystate: composite member %d: %s members cannot nest", i, mem.Kind)
+		}
+		if err := mem.validate(p); err != nil {
+			return fmt.Errorf("steadystate: composite member %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // SolveOption customizes a Solve call.
 type SolveOption func(*solveOptions)
 
 type solveOptions struct {
+	given       option
 	messageSize Rat
 	taskTime    func(NodeID, ReduceTask) Rat
 	blockSize   Rat
@@ -354,23 +461,46 @@ type solveOptions struct {
 	trace       bool
 }
 
-// WithMessageSize sets a uniform partial-result size for reduce and
-// prefix solves (the paper's Figure 9 experiment uses size 10). Task
-// times derived from node speeds scale with it.
+// sizeOption copies a size option; a nil size becomes zero, so Solve
+// rejects it as non-positive.
+func sizeOption(size Rat) Rat {
+	if size == nil {
+		return rat.Zero()
+	}
+	return rat.Copy(size)
+}
+
+// tune applies the reduce-family options to a problem: size (nil: keep
+// the constructor's) replaces its sizes, the task time its default.
+func (o *solveOptions) tune(f *reduce.Family, size Rat) {
+	if size != nil {
+		size := rat.Copy(size)
+		f.SizeOf = func(ReduceRange) Rat { return size }
+	}
+	if o.taskTime != nil {
+		f.TaskTime = o.taskTime
+	}
+}
+
+// WithMessageSize sets a uniform partial-result size for reduce, prefix
+// and reduce-scatter solves and for a composite's reduce and prefix
+// members (the paper's Figure 9 experiment uses size 10). Task times
+// derived from node speeds scale with it.
 func WithMessageSize(size Rat) SolveOption {
-	return func(o *solveOptions) { o.messageSize = rat.Copy(size) }
+	return func(o *solveOptions) { o.given |= optMessageSize; o.messageSize = sizeOption(size) }
 }
 
 // WithTaskTime overrides w(P_i, T), the time for a node to run one merge
-// task, for reduce, gather and prefix solves.
+// task, for reduce, gather and prefix solves and members.
 func WithTaskTime(f func(NodeID, ReduceTask) Rat) SolveOption {
-	return func(o *solveOptions) { o.taskTime = f }
+	return func(o *solveOptions) { o.given |= optTaskTime; o.taskTime = f }
 }
 
-// WithBlockSize sets the per-participant block size of a gather (partial
-// results have size (m−k+1)·blockSize). Defaults to 1.
+// WithBlockSize sets the per-participant block size of a gather or of a
+// composite's gather members (partial results have size
+// (m−k+1)·blockSize). Defaults to 1.
 func WithBlockSize(size Rat) SolveOption {
-	return func(o *solveOptions) { o.blockSize = rat.Copy(size) }
+	return func(o *solveOptions) { o.given |= optBlockSize; o.blockSize = sizeOption(size) }
 }
 
 // WithFixedPeriod truncates the reduce/gather tree family to the given
@@ -378,6 +508,7 @@ func WithBlockSize(size Rat) SolveOption {
 // schedule and Report includes the approximation's throughput and loss.
 func WithFixedPeriod(period *big.Int) SolveOption {
 	return func(o *solveOptions) {
+		o.given |= optFixedPeriod
 		// A nil period becomes zero, so Solve rejects it as non-positive.
 		o.fixedPeriod = new(big.Int)
 		if period != nil {
@@ -400,54 +531,19 @@ func WithTrace() SolveOption {
 	return func(o *solveOptions) { o.trace = true }
 }
 
-// optionsFor materializes the options and rejects combinations the kind
-// does not support and non-positive sizes and periods, so misuse fails
-// loudly instead of being ignored or surfacing later as an unbounded LP.
+// optionsFor materializes the options and rejects those the kind does not
+// take and non-positive sizes and periods, so misuse fails loudly instead
+// of being ignored or surfacing later as an unbounded LP. An unknown kind
+// is left to validate.
 func optionsFor(kind Kind, opts []SolveOption) (*solveOptions, error) {
-	o := &solveOptions{}
+	o := &solveOptions{blockSize: rat.One()}
 	for _, opt := range opts {
 		opt(o)
 	}
-	switch kind {
-	case KindScatter, KindBroadcast, KindGossip:
-		if o.messageSize != nil || o.taskTime != nil || o.blockSize != nil || o.fixedPeriod != nil {
-			return nil, fmt.Errorf("steadystate: %s solves take no options (message sizes are fixed by edge costs)", kind)
-		}
-	case KindReduce:
-		if o.blockSize != nil {
-			return nil, fmt.Errorf("steadystate: WithBlockSize applies only to %s specs", KindGather)
-		}
-	case KindGather:
-		if o.messageSize != nil {
-			return nil, fmt.Errorf("steadystate: use WithBlockSize (not WithMessageSize) for %s specs", KindGather)
-		}
-	case KindPrefix:
-		if o.blockSize != nil {
-			return nil, fmt.Errorf("steadystate: WithBlockSize applies only to %s specs", KindGather)
-		}
-		if o.fixedPeriod != nil {
-			return nil, fmt.Errorf("steadystate: WithFixedPeriod is not supported for %s specs", KindPrefix)
-		}
-	case KindReduceScatter, KindAllreduce:
-		if o.blockSize != nil {
-			return nil, fmt.Errorf("steadystate: WithBlockSize applies only to %s specs", KindGather)
-		}
-		if o.fixedPeriod != nil {
-			return nil, fmt.Errorf("steadystate: WithFixedPeriod is not supported for %s specs (the merged schedule has no single tree family)", kind)
-		}
-		if kind == KindAllreduce && o.messageSize != nil {
-			// The allgather member redistributes the reduced segments at
-			// unit size (gossip flows have no size parameter yet); scaling
-			// only the reduce phase would under-charge the allgather and
-			// report an unachievable throughput.
-			return nil, fmt.Errorf("steadystate: WithMessageSize is not supported for %s specs (the allgather phase moves unit-size segments)", KindAllreduce)
-		}
-	case KindComposite:
-		// Size and task-time options pass through to the members they
-		// apply to; the fixed-period truncation has no composite analogue.
-		if o.fixedPeriod != nil {
-			return nil, fmt.Errorf("steadystate: WithFixedPeriod is not supported for %s specs", KindComposite)
-		}
+	row, known := kinds[kind]
+	if refused := o.given &^ row.options; known && refused != 0 {
+		return nil, fmt.Errorf("steadystate: %s is not supported for %s specs",
+			optionNames[bits.TrailingZeros8(uint8(refused))], kind)
 	}
 	if o.messageSize != nil && o.messageSize.Sign() <= 0 {
 		return nil, fmt.Errorf("steadystate: WithMessageSize must be positive, got %s", o.messageSize.RatString())
@@ -630,141 +726,44 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 	return sol, nil
 }
 
+// solve validates the spec and solves its members jointly as one
+// shared-capacity LP — the single LP path of every kind. A base kind is
+// the one-member expansion of itself.
 func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions) (solved, error) {
 	if err := spec.validate(s.p); err != nil {
 		return nil, unsolvable(err)
 	}
-
-	switch spec.Kind {
-	case KindScatter, KindBroadcast, KindGossip, KindReduce, KindGather, KindPrefix:
-		// A plain solve is the one-member composite.
-		mem, err := s.newMember(spec, rat.One(), o)
+	row := kinds[spec.Kind]
+	specs, weights := []Spec{spec}, []Rat(nil)
+	if row.expand != nil {
+		specs, weights = row.expand(spec)
+	}
+	members := make([]composite.Member, len(specs))
+	for i, ms := range specs {
+		pr, err := kinds[ms.Kind].problem(s.p, ms, o)
 		if err != nil {
+			if row.expand != nil {
+				err = fmt.Errorf("steadystate: %s member %d: %w", spec.Kind, i, err)
+			}
 			return nil, unsolvable(err)
 		}
-		sol, err := s.solveMembers(ctx, []composite.Member{mem})
-		if err != nil {
-			return nil, err
+		members[i] = composite.Member{Weight: rat.One(), Problem: pr}
+		if weights != nil {
+			members[i].Weight = weights[i]
 		}
-		return newSolution(spec, sol.Members[0], sol.Stats, o.fixedPeriod), nil
-
-	case KindReduceScatter:
-		// Reduce-scatter is the composite of N concurrent reduces: the
-		// reduce of segment i, over the full order, delivered to Order[i],
-		// all with equal weight.
-		members := make([]Spec, len(spec.Order))
-		for i, id := range spec.Order {
-			members[i] = ReduceSpec(spec.Order, id)
-		}
-		return s.solveComposite(ctx, spec, members, nil, o)
-
-	case KindAllreduce:
-		// Allreduce is Träff's decomposition: a reduce-scatter phase (N
-		// concurrent reduces, segment i delivered to Order[i]) composed
-		// with an allgather phase (a gossip over the participants
-		// redistributing each reduced segment), every member at weight 1 —
-		// one whole allreduce completes per unit of the common rate.
-		members := make([]Spec, 0, len(spec.Order)+1)
-		for _, id := range spec.Order {
-			members = append(members, ReduceSpec(spec.Order, id))
-		}
-		members = append(members, GossipSpec(spec.Order, spec.Order))
-		return s.solveComposite(ctx, spec, members, nil, o)
-
-	case KindComposite:
-		return s.solveComposite(ctx, spec, spec.Members, spec.Weights, o)
 	}
-	return nil, unsolvable(fmt.Errorf("steadystate: unknown collective kind %q", spec.Kind))
-}
-
-// newMember builds the kind-specific problem of a base spec, with the
-// options applied, and pairs it with its weight as a composite member. It
-// is the single problem-construction path for both plain and composite
-// solves.
-func (s *Solver) newMember(spec Spec, weight Rat, o *solveOptions) (composite.Member, error) {
-	var pr core.Collective
-	var err error
-	switch spec.Kind {
-	case KindScatter:
-		pr, err = scatter.NewProblem(s.p, spec.Source, spec.Targets)
-
-	case KindBroadcast:
-		pr, err = scatter.NewBroadcastProblem(s.p, spec.Source, spec.Targets)
-
-	case KindGossip:
-		pr, err = gossip.NewProblem(s.p, spec.Sources, spec.Targets)
-
-	case KindReduce, KindGather:
-		var red *ReduceProblem
-		if spec.Kind == KindGather {
-			block := o.blockSize
-			if block == nil {
-				block = rat.One()
-			}
-			red, err = reduce.NewGatherProblem(s.p, spec.Order, spec.Target, block)
-		} else {
-			red, err = reduce.NewProblem(s.p, spec.Order, spec.Target)
-			if err == nil && o.messageSize != nil {
-				size := rat.Copy(o.messageSize)
-				red.SizeOf = func(ReduceRange) Rat { return size }
-			}
-		}
-		if err == nil && o.taskTime != nil {
-			red.TaskTime = o.taskTime
-		}
-		pr = red
-
-	case KindPrefix:
-		var pre *PrefixProblem
-		pre, err = reduce.NewPrefixProblem(s.p, spec.Order)
-		if err == nil && o.messageSize != nil {
-			size := rat.Copy(o.messageSize)
-			pre.SizeOf = func(ReduceRange) Rat { return size }
-		}
-		if err == nil && o.taskTime != nil {
-			pre.TaskTime = o.taskTime
-		}
-		pr = pre
-
-	default:
-		return composite.Member{}, fmt.Errorf("steadystate: %q cannot be a composite member", spec.Kind)
-	}
-	if err != nil {
-		return composite.Member{}, err
-	}
-	return composite.Member{Weight: weight, Problem: pr}, nil
-}
-
-// solveMembers assembles the members into one shared-capacity LP and
-// solves it — the single LP path of every kind.
-func (s *Solver) solveMembers(ctx context.Context, members []composite.Member) (*composite.Solution, error) {
 	cp, err := composite.NewProblem(s.p, members)
 	if err != nil {
 		return nil, unsolvable(err)
 	}
-	return cp.SolveCtx(ctx)
-}
-
-// solveComposite builds the member problems of a composite kind and
-// solves them jointly.
-func (s *Solver) solveComposite(ctx context.Context, spec Spec, memberSpecs []Spec, weights []Rat, o *solveOptions) (solved, error) {
-	members := make([]composite.Member, len(memberSpecs))
-	for i, ms := range memberSpecs {
-		w := rat.One()
-		if weights != nil {
-			w = weights[i]
-		}
-		mem, err := s.newMember(ms, w, o)
-		if err != nil {
-			return nil, unsolvable(fmt.Errorf("steadystate: %s member %d: %w", spec.Kind, i, err))
-		}
-		members[i] = mem
-	}
-	sol, err := s.solveMembers(ctx, members)
+	sol, err := cp.SolveCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return newCompositeSolution(spec, memberSpecs, sol), nil
+	if row.expand == nil {
+		return newSolution(spec, sol.Members[0], sol.Stats, o.fixedPeriod), nil
+	}
+	return newCompositeSolution(spec, specs, sol), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -836,13 +835,13 @@ func (s *solution) Report() (*Report, error) {
 // newSolution wraps one solved base-kind member — of a plain (one-member)
 // solve or of a composite — as the Solution answering spec, with the LP
 // counters of the solve. The member schedules itself, the one materializing
-// path of every base kind; only a reduce or gather part is wrapped in
-// reduceSolution, which adds the tree certificate its schedule and report
-// build on. fixed is the WithFixedPeriod truncation of a reduce or gather
-// (nil otherwise).
+// path of every base kind, and replays through its kind's adapter; only a
+// reduce or gather part is wrapped in reduceSolution, which adds the tree
+// certificate its schedule and report build on. fixed is the
+// WithFixedPeriod truncation of a reduce or gather (nil otherwise).
 func newSolution(spec Spec, ms *composite.MemberSolution, stats core.FlowStats, fixed *big.Int) solved {
 	sol := solution{spec: spec, inner: ms.Part, stats: stats, schedule: ms.Schedule,
-		simModel: func() (*SimModel, error) { return partSimModel(ms.Part) }}
+		simModel: func() (*SimModel, error) { return kinds[spec.Kind].replay(ms.Part), nil }}
 	red, ok := ms.Part.(*ReduceSolution)
 	if !ok {
 		return &sol
@@ -850,28 +849,6 @@ func newSolution(spec Spec, ms *composite.MemberSolution, stats core.FlowStats, 
 	s := &reduceSolution{solution: sol, sol: red, fixed: fixed}
 	s.schedule, s.extend = s.treeSchedule, s.treeReport
 	return s
-}
-
-// partSimModel builds the replay model of one solved base-kind member: the
-// one place a kind chooses its simulation adapter, for plain solves and
-// merged composite models alike. A broadcast replicates per target (each
-// target's bundled virtual flow is a commodity of its own, delivered
-// against TP per target); a reduce or gather replays its integer
-// application.
-func partSimModel(part core.Part) (*SimModel, error) {
-	switch part := part.(type) {
-	case *ScatterSolution:
-		return sim.ScatterModel(part), nil
-	case *BroadcastSolution:
-		return sim.BroadcastModel(part), nil
-	case *GossipSolution:
-		return sim.GossipModel(part), nil
-	case *ReduceSolution:
-		return sim.ReduceModel(part.Integerize()), nil
-	case *PrefixSolution:
-		return sim.PrefixModel(part), nil
-	}
-	return nil, fmt.Errorf("steadystate: no simulation model for %T", part)
 }
 
 // reduceSolution is the Solution of a reduce or gather: it adds the
@@ -975,11 +952,7 @@ func (s *compositeSolution) mergedSimModel() (*SimModel, error) {
 	models := make([]*SimModel, len(s.sol.Members))
 	labels := make([]string, len(s.sol.Members))
 	for i, ms := range s.sol.Members {
-		m, err := partSimModel(ms.Part)
-		if err != nil {
-			return nil, fmt.Errorf("%s member %d simulation model: %w", s.spec.Kind, i, err)
-		}
-		models[i] = m
+		models[i] = kinds[s.memberSpecs[i].Kind].replay(ms.Part)
 		labels[i] = SimMemberPrefix(i)
 	}
 	return MergeSimModels(s.sol.Problem.Platform, s.sol.Period(), models, labels)

@@ -61,6 +61,8 @@ func TestErrUnsolvableTagging(t *testing.T) {
 		{"nil fixed period", red, steadystate.WithFixedPeriod(nil)},
 		{"zero message size", red, steadystate.WithMessageSize(steadystate.R(0, 1))},
 		{"negative message size", red, steadystate.WithMessageSize(steadystate.R(-1, 1))},
+		{"nil message size", red, steadystate.WithMessageSize(nil)},
+		{"nil block size", steadystate.GatherSpec(order, target), steadystate.WithBlockSize(nil)},
 		{"zero prefix message size", steadystate.PrefixSpec(order...), steadystate.WithMessageSize(steadystate.R(0, 1))},
 		{"zero composite message size", steadystate.CompositeSpec([]steadystate.Spec{red}, nil),
 			steadystate.WithMessageSize(steadystate.R(0, 1))},
@@ -420,18 +422,103 @@ func TestSolveErrorPaths(t *testing.T) {
 		{"empty kind", p6, steadystate.Spec{}, nil},
 		{"gossip no sources", p6, steadystate.GossipSpec(nil, order), nil},
 		{"prefix single participant", p6, steadystate.PrefixSpec(order[0]), nil},
-		{"scatter rejects message size", p, steadystate.ScatterSpec(src, targets...),
-			[]steadystate.SolveOption{steadystate.WithMessageSize(steadystate.R(2, 1))}},
-		{"reduce rejects block size", p6, steadystate.ReduceSpec(order, target),
-			[]steadystate.SolveOption{steadystate.WithBlockSize(steadystate.R(2, 1))}},
-		{"gather rejects message size", p6, steadystate.GatherSpec(order, target),
-			[]steadystate.SolveOption{steadystate.WithMessageSize(steadystate.R(2, 1))}},
-		{"prefix rejects fixed period", p6, steadystate.PrefixSpec(order...),
-			[]steadystate.SolveOption{steadystate.WithFixedPeriod(big.NewInt(10))}},
 	}
 	for _, tc := range cases {
 		if _, err := steadystate.Solve(ctx, tc.p, tc.spec, tc.opts...); err == nil {
 			t.Errorf("%s: Solve succeeded, want error", tc.name)
+		}
+	}
+}
+
+// TestSolveOptionMatrix pins which kind takes which option: each of the
+// nine kinds on Fig. 6 (the specs of TestSolutionCapabilities) against
+// each size, task-time and period option. An accepted option solves to
+// the throughput pinned here; a refused one fails as ErrUnsolvable naming
+// the option and the kind. Several refused options are named in one
+// order: block size, then fixed period, then message size.
+func TestSolveOptionMatrix(t *testing.T) {
+	ctx := context.Background()
+	p, order, target := steadystate.PaperFig6()
+	base := []steadystate.Spec{
+		steadystate.ScatterSpec(order[0], order[1], order[2]),
+		steadystate.BroadcastSpec(order[0], order[1], order[2]),
+		steadystate.GossipSpec(order, order),
+		steadystate.ReduceSpec(order, target),
+		steadystate.GatherSpec(order, target),
+		steadystate.PrefixSpec(order...),
+	}
+	specs := append(append([]steadystate.Spec(nil), base...),
+		steadystate.ReduceScatterSpec(order...),
+		steadystate.AllreduceSpec(order...),
+		steadystate.CompositeSpec(base, nil))
+
+	taskTime := func(steadystate.NodeID, steadystate.ReduceTask) steadystate.Rat { return steadystate.R(1, 2) }
+	size := steadystate.WithMessageSize(steadystate.R(2, 1))
+	task := steadystate.WithTaskTime(taskTime)
+	block := steadystate.WithBlockSize(steadystate.R(2, 1))
+	period := steadystate.WithFixedPeriod(big.NewInt(30))
+	opts := []steadystate.SolveOption{size, task, block, period}
+	names := []string{"WithMessageSize", "WithTaskTime", "WithBlockSize", "WithFixedPeriod"}
+	// want[kind][i] is the throughput under opts[i]; "" marks a refusal.
+	want := map[steadystate.Kind][4]string{
+		steadystate.KindScatter:       {"", "", "", ""},
+		steadystate.KindBroadcast:     {"", "", "", ""},
+		steadystate.KindGossip:        {"", "", "", ""},
+		steadystate.KindReduce:        {"1/2", "1", "", "1"},
+		steadystate.KindGather:        {"", "1/2", "1/4", "1/2"},
+		steadystate.KindPrefix:        {"1/8", "1/4", "", ""},
+		steadystate.KindReduceScatter: {"1/8", "1/4", "", ""},
+		steadystate.KindAllreduce:     {"", "1/8", "", ""},
+		steadystate.KindComposite:     {"1/18", "1/14", "1/14", ""},
+	}
+	refusal := func(name string, kind steadystate.Kind) string {
+		return fmt.Sprintf("steadystate: %s is not supported for %s specs", name, kind)
+	}
+	accepted := 0
+	for _, spec := range specs {
+		row, ok := want[spec.Kind]
+		if !ok {
+			t.Fatalf("no expectation for kind %q", spec.Kind)
+		}
+		for i, opt := range opts {
+			sol, err := steadystate.Solve(ctx, p, spec, opt)
+			if row[i] == "" {
+				if !errors.Is(err, steadystate.ErrUnsolvable) || err.Error() != refusal(names[i], spec.Kind) {
+					t.Errorf("%s %s: err %v, want ErrUnsolvable %q", spec.Kind, names[i], err, refusal(names[i], spec.Kind))
+				}
+				continue
+			}
+			accepted++
+			if err != nil {
+				t.Errorf("%s %s: %v", spec.Kind, names[i], err)
+				continue
+			}
+			ratEq(t, sol.Throughput(), row[i], fmt.Sprintf("%s %s TP", spec.Kind, names[i]))
+		}
+	}
+	if accepted != 14 || len(specs)*len(opts) != 36 {
+		t.Errorf("%d of %d cells accepted, want 14 of 36", accepted, len(specs)*len(opts))
+	}
+
+	for _, c := range []struct {
+		spec steadystate.Spec
+		opts []steadystate.SolveOption
+		name string
+	}{
+		{specs[0], opts, "WithBlockSize"},
+		{specs[0], []steadystate.SolveOption{size, task}, "WithMessageSize"},
+		{steadystate.ReduceSpec(order, target), []steadystate.SolveOption{size, block, period}, "WithBlockSize"},
+		{steadystate.GatherSpec(order, target), []steadystate.SolveOption{size, block, period}, "WithMessageSize"},
+		{steadystate.PrefixSpec(order...), []steadystate.SolveOption{size, period}, "WithFixedPeriod"},
+		{steadystate.PrefixSpec(order...), []steadystate.SolveOption{period, block}, "WithBlockSize"},
+		{steadystate.ReduceScatterSpec(order...), []steadystate.SolveOption{size, block, period}, "WithBlockSize"},
+		{steadystate.AllreduceSpec(order...), []steadystate.SolveOption{size, period}, "WithFixedPeriod"},
+		{steadystate.AllreduceSpec(order...), []steadystate.SolveOption{size, block, period}, "WithBlockSize"},
+		{steadystate.CompositeSpec(base, nil), []steadystate.SolveOption{size, block, period}, "WithFixedPeriod"},
+	} {
+		_, err := steadystate.Solve(ctx, p, c.spec, c.opts...)
+		if want := refusal(c.name, c.spec.Kind); !errors.Is(err, steadystate.ErrUnsolvable) || err.Error() != want {
+			t.Errorf("%s with %d options: err %v, want ErrUnsolvable %q", c.spec.Kind, len(c.opts), err, want)
 		}
 	}
 }
@@ -513,33 +600,51 @@ func TestSolverSessionMatchesColdSolves(t *testing.T) {
 	}
 }
 
-// TestSpecJSONRoundTrip serializes every kind of spec and checks the
-// round trip, including node id 0 in scalar roles.
+// TestSpecJSONRoundTrip pins the canonical key of every kind — the cache
+// key of solverd and of the basis cache — and checks the round trip. Each
+// spec sets every field, the ones its kind ignores included, and node id
+// 0 in both scalar roles: the key holds exactly the fields the kind reads.
 func TestSpecJSONRoundTrip(t *testing.T) {
-	specs := []steadystate.Spec{
-		steadystate.ScatterSpec(0, 1, 2),
-		steadystate.GossipSpec([]steadystate.NodeID{0, 1}, []steadystate.NodeID{2, 3}),
+	members := []steadystate.Spec{
 		steadystate.ReduceSpec([]steadystate.NodeID{0, 1, 2}, 0),
-		steadystate.GatherSpec([]steadystate.NodeID{2, 1, 0}, 2),
-		steadystate.PrefixSpec(0, 1, 2),
+		steadystate.ScatterSpec(0, 1, 2),
 	}
-	for _, spec := range specs {
-		data, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", spec.Kind, err)
+	for _, c := range []struct {
+		kind steadystate.Kind
+		key  string
+	}{
+		{steadystate.KindScatter, `{"kind":"scatter","source":0,"targets":[2,3]}`},
+		{steadystate.KindBroadcast, `{"kind":"broadcast","source":0,"targets":[2,3]}`},
+		{steadystate.KindGossip, `{"kind":"gossip","sources":[1,2],"targets":[2,3]}`},
+		{steadystate.KindReduce, `{"kind":"reduce","order":[2,1,0],"target":0}`},
+		{steadystate.KindGather, `{"kind":"gather","order":[2,1,0],"target":0}`},
+		{steadystate.KindPrefix, `{"kind":"prefix","order":[2,1,0]}`},
+		{steadystate.KindReduceScatter, `{"kind":"reducescatter","order":[2,1,0]}`},
+		{steadystate.KindAllreduce, `{"kind":"allreduce","order":[2,1,0]}`},
+		{steadystate.KindComposite, `{"kind":"composite","members":[` +
+			`{"kind":"reduce","order":[0,1,2],"target":0},{"kind":"scatter","source":0,"targets":[1,2]}],` +
+			`"weights":["1","2/3"]}`},
+	} {
+		spec := steadystate.Spec{Kind: c.kind, Source: 0, Sources: []steadystate.NodeID{1, 2},
+			Targets: []steadystate.NodeID{2, 3}, Order: []steadystate.NodeID{2, 1, 0}, Target: 0,
+			Members: members, Weights: []steadystate.Rat{steadystate.R(1, 1), steadystate.R(2, 3)}}
+		key, err := spec.CanonicalKey()
+		if err != nil || key != c.key {
+			t.Errorf("%s: key %s (err %v), want %s", c.kind, key, err, c.key)
+			continue
 		}
 		var back steadystate.Spec
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("%s: unmarshal: %v", spec.Kind, err)
+		if err := json.Unmarshal([]byte(key), &back); err != nil {
+			t.Fatalf("%s: unmarshal: %v", c.kind, err)
 		}
-		if back.Kind != spec.Kind || back.Source != spec.Source || back.Target != spec.Target ||
-			len(back.Sources) != len(spec.Sources) || len(back.Targets) != len(spec.Targets) ||
-			len(back.Order) != len(spec.Order) {
-			t.Errorf("%s: round trip changed spec: %+v vs %+v", spec.Kind, back, spec)
+		if again, err := back.CanonicalKey(); err != nil || again != key {
+			t.Errorf("%s: round trip changed the key: %s (err %v), want %s", c.kind, again, err, key)
 		}
 	}
-	if _, err := json.Marshal(steadystate.Spec{Kind: "bogus"}); err == nil {
-		t.Error("marshal of unknown kind should fail")
+	_, err := steadystate.Spec{Kind: "bogus"}.CanonicalKey()
+	if want := `json: error calling MarshalJSON for type steadystate.Spec: ` +
+		`steadystate: cannot marshal spec of unknown kind "bogus"`; err == nil || err.Error() != want {
+		t.Errorf("marshal of unknown kind: err %v, want %q", err, want)
 	}
 }
 

@@ -11,7 +11,7 @@
 //	sscollect -platform p.json -op gossip  -sources n0,n1 -targets n2,n3
 //	sscollect -platform p.json -op reduce  -order n0,n1,n2 -target n0 -trees -schedule
 //	sscollect -platform p.json -op gather  -order n0,n1,n2 -target n0 -blocksize 2
-//	sscollect -platform p.json -op prefix  -order n0,n1,n2
+//	sscollect -platform p.json -op prefix  -order n0,n1,n2 -size 10
 //	sscollect -platform p.json -op reducescatter -order n0,n1,n2 -schedule
 //	sscollect -platform p.json -op allreduce -order n0,n1,n2 -schedule
 //	sscollect -platform fig6 -op allreduce -simulate 50
@@ -23,7 +23,9 @@
 // collective spec, so -op and the role flags become optional overrides;
 // the same files drive cmd/sweep in batches (cmd/sweep -simulate replays
 // a batch) and cmd/solverd over HTTP. -platform fig2|fig6|fig9 selects
-// one of the paper's figure platforms with its canonical spec.
+// one of the paper's figure platforms with its canonical spec. -size and
+// -blocksize reach Solve only when given, so a kind that does not take
+// them refuses them.
 package main
 
 import (
@@ -58,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		targets      = fs.String("targets", "", "scatter/gossip target names, comma separated")
 		order        = fs.String("order", "", "reduce/gather/prefix participant names in rank order")
 		target       = fs.String("target", "", "reduce/gather target node name")
-		size         = fs.String("size", "1", "uniform message size (reduce)")
-		blockSize    = fs.String("blocksize", "1", "per-participant block size (gather)")
+		size         = fs.String("size", "", "uniform message size (reduce, prefix, reducescatter, composite; default 1)")
+		blockSize    = fs.String("blocksize", "", "per-participant block size (gather, composite; default 1)")
 		fixedPeriod  = fs.Int64("fixedperiod", 0, "truncate the reduce tree family to this period (Section 4.6)")
 		showSched    = fs.Bool("schedule", false, "print the periodic schedule (Gantt)")
 		showTrees    = fs.Bool("trees", false, "print extracted reduction trees (reduce/gather)")
@@ -134,18 +136,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var opts []steadystate.SolveOption
-	switch spec.Kind {
-	case steadystate.KindReduce, steadystate.KindReduceScatter:
+	if *size != "" {
 		sz, err := steadystate.ParseRat(*size)
 		if err != nil {
 			return fmt.Errorf("bad -size: %w", err)
 		}
 		opts = append(opts, steadystate.WithMessageSize(sz))
-	case steadystate.KindAllreduce:
-		if *size != "1" {
-			return fmt.Errorf("-size is not supported for allreduce (the allgather phase moves unit-size segments)")
-		}
-	case steadystate.KindGather:
+	}
+	if *blockSize != "" {
 		bs, err := steadystate.ParseRat(*blockSize)
 		if err != nil {
 			return fmt.Errorf("bad -blocksize: %w", err)

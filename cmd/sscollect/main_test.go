@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,15 +97,47 @@ func TestReduceCustomSizeOnFile(t *testing.T) {
 	}
 }
 
+// TestSizeFlagsGoToSolve: -size and -blocksize reach Solve only when
+// given, so the kind accepts them or Solve refuses them; left unset, the
+// kind's unit sizes apply.
+func TestSizeFlagsGoToSolve(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-platform", "fig6", "-op", "prefix", "-size", "10"}, "prefix throughput TP = 1/40 "},
+		{[]string{"-platform", "fig6", "-op", "reduce"}, "reduce throughput TP = 1 "},
+		{[]string{"-platform", "fig6", "-op", "gather", "-blocksize", "2"}, "reduce throughput TP = 1/4 "},
+	} {
+		if out := runOK(t, c.args...); !strings.Contains(out, c.want) {
+			t.Errorf("run(%v): output missing %q:\n%s", c.args, c.want, out)
+		}
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-platform", "fig2", "-size", "2"}, "steadystate: WithMessageSize is not supported for scatter specs"},
+		{[]string{"-platform", "fig6", "-op", "reduce", "-blocksize", "2"}, "steadystate: WithBlockSize is not supported for reduce specs"},
+	} {
+		var out, errOut bytes.Buffer
+		err := run(c.args, &out, &errOut)
+		if !errors.Is(err, steadystate.ErrUnsolvable) || err.Error() != c.want {
+			t.Errorf("run(%v): err %v, want Solve's refusal %q", c.args, err, c.want)
+		}
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	path := writeTriangle(t)
 	cases := [][]string{
 		{},                              // missing platform
 		{"-platform", "nope.json"},      // unreadable file
 		{"-platform", path, "-op", "x"}, // unknown op
-		{"-platform", path, "-op", "scatter", "-source", "zzz", "-targets", "b"},              // unknown node
-		{"-platform", path, "-op", "gossip"},                                                  // missing endpoints
-		{"-platform", path, "-op", "reduce", "-order", "a,b", "-target", "a", "-size", "bad"}, // bad size
+		{"-platform", path, "-op", "scatter", "-source", "zzz", "-targets", "b"},                   // unknown node
+		{"-platform", path, "-op", "gossip"},                                                       // missing endpoints
+		{"-platform", path, "-op", "reduce", "-order", "a,b", "-target", "a", "-size", "bad"},      // bad size
+		{"-platform", path, "-op", "gather", "-order", "a,b", "-target", "a", "-blocksize", "bad"}, // bad block size
 		{"-badflag"},
 	}
 	for _, args := range cases {

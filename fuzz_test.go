@@ -36,6 +36,16 @@ func FuzzUnmarshalScenario(f *testing.F) {
 		`{"platform": {"nodes": [{"name":"a"}]}, "spec": {"kind": "scatter", "source": 99}}`,
 		`{"platform": {"nodes": [{"name":"a"}]}, "spec": {"kind": "composite", "members": [], "weights": ["1/0"]}}`,
 		`{"platform": {"nodes": [{"name":"a"}]}, "spec": {"kind": "nope"}}`,
+		// One spec per remaining kind, each with a field its kind ignores,
+		// so the fixed point covers every kind's serialization.
+		`{"platform": {"nodes": [{"name":"a"},{"name":"b"}]}, "spec": {"kind": "broadcast", "source": 0, "targets": [1], "order": [0, 1]}}`,
+		`{"platform": {"nodes": [{"name":"a"},{"name":"b"}]}, "spec": {"kind": "gossip", "sources": [0], "targets": [1], "target": 1}}`,
+		`{"platform": {"nodes": [{"name":"a"},{"name":"b"}]}, "spec": {"kind": "gather", "order": [0, 1], "target": 0, "source": 1}}`,
+		`{"platform": {"nodes": [{"name":"a"},{"name":"b"}]}, "spec": {"kind": "prefix", "order": [0, 1], "targets": [1]}}`,
+		`{"platform": {"nodes": [{"name":"a"},{"name":"b"}]}, "spec": {"kind": "reducescatter", "order": [1, 0], "target": 1}}`,
+		`{"platform": {"nodes": [{"name":"a"},{"name":"b"}]}, "spec": {"kind": "allreduce", "order": [0, 1], "sources": [0]}}`,
+		`{"platform": {"nodes": [{"name":"a"},{"name":"b"}]}, "spec": {"kind": "composite", "order": [0], ` +
+			`"members": [{"kind": "scatter", "source": 0, "targets": [1]}, {"kind": "reduce", "order": [0, 1], "target": 1}], "weights": ["1", "2/3"]}}`,
 		`{"platform": {"nodes": [{"name":"a"}]}, "spec": 7}`,
 		`{"spec": {"kind": "scatter"}}`,
 	} {

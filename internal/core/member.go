@@ -13,7 +13,7 @@ import (
 // scatter, broadcast, gossip, reduce (gather included) and prefix.
 // internal/composite drives each member of the steady-state LP through it
 // alone, so adding a kind means a problem, a fragment and a solution type
-// implementing the contract, plus a spec case in the public API.
+// implementing the contract, plus a row in the public API's kind table.
 type Collective interface {
 	// Kind names the collective family.
 	Kind() string
