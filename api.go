@@ -688,6 +688,11 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 	if err != nil {
 		return nil, unsolvable(err)
 	}
+	// Validate before anything reads the spec: the basis cache keys it
+	// with CanonicalKey, which expects a valid spec.
+	if err := spec.validate(s.p); err != nil {
+		return nil, unsolvable(err)
+	}
 	// The tracer roots the span tree around the whole solve, including
 	// model assembly.
 	var tracer *obs.Tracer
@@ -726,13 +731,10 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 	return sol, nil
 }
 
-// solve validates the spec and solves its members jointly as one
-// shared-capacity LP — the single LP path of every kind. A base kind is
-// the one-member expansion of itself.
+// solve solves a validated spec's members jointly as one shared-capacity
+// LP — the single LP path of every kind. A base kind is the one-member
+// expansion of itself.
 func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions) (solved, error) {
-	if err := spec.validate(s.p); err != nil {
-		return nil, unsolvable(err)
-	}
 	row := kinds[spec.Kind]
 	specs, weights := []Spec{spec}, []Rat(nil)
 	if row.expand != nil {

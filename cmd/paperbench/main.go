@@ -192,7 +192,7 @@ func prop3() {
 // delivered/bound ratio converging to 1.
 func convergenceTable(m *steadystate.SimModel, tp steadystate.Rat) {
 	fmt.Fprintf(out, "%-10s %-14s %-14s %s\n", "periods", "delivered", "bound TP*K", "ratio")
-	for _, periods := range []int{10, 50, 100, 500, 1000, 5000} {
+	for _, periods := range []int{10, 50, 100, 500, 1000, 5000, 1000000} {
 		res := must(steadystate.Simulate(m, periods))
 		k := new(big.Int).Mul(big.NewInt(int64(periods)), m.Period)
 		bound := new(big.Rat).Mul(tp, new(big.Rat).SetInt(k))

@@ -14,7 +14,7 @@
 //	sscollect -platform p.json -op prefix  -order n0,n1,n2 -size 10
 //	sscollect -platform p.json -op reducescatter -order n0,n1,n2 -schedule
 //	sscollect -platform p.json -op allreduce -order n0,n1,n2 -schedule
-//	sscollect -platform fig6 -op allreduce -simulate 50
+//	sscollect -platform fig6 -op allreduce -simulate 1000
 //	sscollect -platform scenario.json -report report.json
 //	sscollect -op trace -in traces.jsonl -top 5   # summarize a sweep trace JSONL
 //	sscollect -op warm -in warm.jsonl             # summarize a warm sweep's cold-vs-warm deltas
@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fixedPeriod  = fs.Int64("fixedperiod", 0, "truncate the reduce tree family to this period (Section 4.6)")
 		showSched    = fs.Bool("schedule", false, "print the periodic schedule (Gantt)")
 		showTrees    = fs.Bool("trees", false, "print extracted reduction trees (reduce/gather)")
-		simulate     = fs.Int("simulate", 0, "replay the protocol for N periods and check every sink set against its Lemma-1 window")
+		simulate     = fs.Int("simulate", 0, "replay the protocol for N periods and check every sink set against its Lemma-1 window and, once a period repeats, its exact rate")
 		latency      = fs.Bool("latency", false, "with -simulate: also report per-operation pipeline latency")
 		reportFile   = fs.String("report", "", "write the solution summary as JSON to this file")
 		traceIn      = fs.String("in", "", "with -op trace or -op warm: sweep JSONL to summarize (\"-\": stdin)")
@@ -254,8 +254,12 @@ func simReport(stdout io.Writer, sol steadystate.Solution, periods int, latency 
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "simulated %d periods of length %s (init ends period %d, depth bound %d)\n",
-		periods, check.Period, check.FirstFull, check.DepthBound)
+	steady := "no period repeats"
+	if check.Steady >= 0 {
+		steady = fmt.Sprintf("repeats from period %d", check.Steady)
+	}
+	fmt.Fprintf(stdout, "simulated %d periods of length %s (init ends period %d, %s, depth bound %d)\n",
+		periods, check.Period, check.FirstFull, steady, check.DepthBound)
 	for _, w := range check.Windows {
 		verdict := "ok"
 		if !w.OK {

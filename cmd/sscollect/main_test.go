@@ -43,7 +43,7 @@ func writeTriangle(t *testing.T) string {
 
 func TestScatterOnFig2(t *testing.T) {
 	out := runOK(t, "-platform", "fig2", "-op", "scatter", "-schedule", "-simulate", "20")
-	for _, want := range []string{"TP = 1/2", "slot boundaries:", "simulated 20 periods"} {
+	for _, want := range []string{"TP = 1/2", "slot boundaries:", "simulated 20 periods", "repeats from period 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -6,8 +6,10 @@
 // percentiles, failure list). Malformed or unsolvable scenarios land in
 // the failure list; they never abort the sweep. With -simulate K every
 // solved scenario is also replayed for K periods and checked against its
-// Lemma-1 window [TP·K − warmup, TP·K]; any failed verdict makes the
-// command exit non-zero.
+// Lemma-1 window [TP·K − warmup, TP·K] and, from the first period that
+// repeats, its exact rate TP·T per period at every sink; any failed
+// verdict makes the command exit non-zero. The replay stops at the
+// repeating period, so a large K costs no more than a small one.
 //
 // Usage:
 //
@@ -19,7 +21,7 @@
 //	sweep -dir s/ -out report.json -jsonl log.jsonl
 //	sweep -dir s/ -trace traces.jsonl          # span-structured solve traces, one line per scenario
 //	sweep -dir chains/ -warm                   # warm-start each perturbation chain through a basis cache
-//	sweep -simulate 50 a/*.json b/*.json       # replay 50 periods per scenario, check each verdict
+//	sweep -simulate 1000 a/*.json b/*.json     # replay 1000 periods per scenario, check each verdict
 //
 // Flags go before the file arguments: flag parsing stops at the first
 // file.

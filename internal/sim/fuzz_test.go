@@ -77,36 +77,74 @@ func fuzzModel(data []byte) *Model {
 // FuzzSimModel: hand-built or decoded models must never panic the replay
 // loop — Run and RunLatency either reject the model via Validate or
 // complete, and a model accepted by Validate must replay cleanly with
-// deliveries consistent between the two engines.
+// deliveries consistent between the two engines, at a horizon inside the
+// models' warmup (4 periods) and one past it (16). When the short run
+// already repeats a period, the long run must be that run plus 12 copies
+// of the repeating period.
 func FuzzSimModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte("steady-state scatter and reduce"))
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff})
+	// Three nodes, period 1, a is a source of x and c a sink of x; a sends
+	// 2 x to b per period, and b forwards 2 (a conserving relay, which
+	// repeats from period 1) or 1 (a relay that grows, which never repeats).
+	f.Add([]byte{1, 2, 2, 1, 2, 1, 3, 2, 3, 1, 3, 0, 1, 1, 1, 1, 3, 1, 1, 1})
+	f.Add([]byte{1, 2, 2, 1, 2, 1, 3, 2, 3, 1, 2, 0, 1, 1, 1, 1, 3, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := fuzzModel(data)
 		valid := m.Validate() == nil
 
-		res, err := Run(m, 4)
-		if valid && err != nil {
-			t.Fatalf("Run rejected a model Validate accepted: %v", err)
+		var runs []*Result
+		for _, k := range []int{4, 16} {
+			res, err := Run(m, k)
+			if valid && err != nil {
+				t.Fatalf("K=%d: Run rejected a model Validate accepted: %v", k, err)
+			}
+			if !valid && err == nil {
+				t.Fatalf("K=%d: Run accepted a model Validate rejected", k)
+			}
+			lres, lerr := RunLatency(m, k)
+			if (lerr == nil) != (err == nil) {
+				t.Fatalf("K=%d: Run error %v but RunLatency error %v", k, err, lerr)
+			}
+			if err != nil {
+				return
+			}
+			for e, d := range res.Delivered {
+				if d.Sign() < 0 {
+					t.Fatalf("K=%d: negative delivery at %v", k, e)
+				}
+				if ld := lres.Delivered[e]; ld == nil || ld.Cmp(d) != 0 {
+					t.Fatalf("K=%d: sink %v: Run delivered %s, RunLatency %v", k, e, d, ld)
+				}
+			}
+			runs = append(runs, res)
 		}
-		if !valid && err == nil {
-			t.Fatal("Run accepted a model Validate rejected")
-		}
-		lres, lerr := RunLatency(m, 4)
-		if (lerr == nil) != (err == nil) {
-			t.Fatalf("Run error %v but RunLatency error %v", err, lerr)
-		}
-		if err != nil {
+
+		short, long := runs[0], runs[1]
+		if short.Steady < 0 {
 			return
 		}
-		for e, d := range res.Delivered {
-			if d.Sign() < 0 {
-				t.Fatalf("negative delivery at %v", e)
+		if long.Steady != short.Steady {
+			t.Fatalf("K=4 repeats from period %d, K=16 from %d", short.Steady, long.Steady)
+		}
+		for e, d := range short.Delivered {
+			want := new(big.Int).Mul(short.SteadyDelivered[e], big.NewInt(12))
+			want.Add(want, d)
+			if got := long.Delivered[e]; got.Cmp(want) != 0 {
+				t.Fatalf("sink %v: K=16 delivered %s, want K=4's %s + 12×%s", e, got, d, short.SteadyDelivered[e])
 			}
-			if ld := lres.Delivered[e]; ld == nil || ld.Cmp(d) != 0 {
-				t.Fatalf("sink %v: Run delivered %s, RunLatency %v", e, d, ld)
+		}
+		if short.FirstFullPeriod != long.FirstFullPeriod {
+			t.Fatalf("FirstFullPeriod %d at K=4, %d at K=16", short.FirstFullPeriod, long.FirstFullPeriod)
+		}
+		if len(short.MaxBuffer) != len(long.MaxBuffer) {
+			t.Fatalf("MaxBuffer has %d entries at K=4, %d at K=16", len(short.MaxBuffer), len(long.MaxBuffer))
+		}
+		for e, b := range short.MaxBuffer {
+			if lb := long.MaxBuffer[e]; lb == nil || lb.Cmp(b) != 0 {
+				t.Fatalf("MaxBuffer at %v: %s at K=4, %v at K=16", e, b, lb)
 			}
 		}
 	})

@@ -9,7 +9,9 @@
 // feasibility is the schedule package's job (matching decomposition);
 // what is simulated here is the part the static schedule cannot show —
 // pipeline fill, buffer growth, and the start-up losses that make the
-// achieved-to-optimal ratio approach 1 only in the limit.
+// achieved-to-optimal ratio approach 1 only in the limit. Once a period
+// repeats its start buffers the rest of the run is known exactly, so Run
+// stops stepping there (see Run).
 //
 // The engine is generic: a Model has typed buffers per node, per-period
 // transfer quotas, per-period production rules (reduction tasks), infinite
@@ -186,6 +188,13 @@ type Result struct {
 	// transfer and rule executed at full quota, or -1 if never — the end
 	// of the initialization phase.
 	FirstFullPeriod int
+	// Steady is the first period (0-based) that ended with the buffers it
+	// started with, or -1 if the run ended first. A period's step reads
+	// nothing but its start buffers, so every later period repeats it.
+	Steady int
+	// SteadyDelivered is the per-sink delivery of period Steady, and so of
+	// every period after it; nil when Steady is -1.
+	SteadyDelivered map[Endpoint]*big.Int
 }
 
 // MinDelivered returns the smallest per-sink delivery count — the number
@@ -237,6 +246,14 @@ func (r *Result) MinDeliveredPrefix(prefix string) *big.Int {
 //     to SinkQuota with the surplus kept buffered; a sink that is also a
 //     source counts its quota directly (locally owned deliveries).
 //
+// A period's step is a function of its start buffers alone, so once a
+// period p ends with the buffers it started with, every later period
+// repeats it exactly: MaxBuffer and FirstFullPeriod are final, and each
+// sink delivers the same amount per period. Run stops there, adds
+// (periods − 1 − p) times period p's delivery, and records p as Steady;
+// the Result is the one a run stepping every period returns. A model whose
+// buffers keep changing steps every period.
+//
 // Run fails on malformed models (Validate) and on internal inconsistencies
 // (negative buffers), which would indicate a protocol bug rather than a
 // property of the plan.
@@ -259,6 +276,7 @@ func Run(m *Model, periods int) (*Result, error) {
 		Delivered:       make(map[Endpoint]*big.Int),
 		MaxBuffer:       make(map[Endpoint]*big.Int),
 		FirstFullPeriod: -1,
+		Steady:          -1,
 	}
 	for e := range m.Sinks {
 		res.Delivered[e] = new(big.Int)
@@ -286,6 +304,7 @@ func Run(m *Model, periods int) (*Result, error) {
 		}
 	}
 
+	start := snapshot(buf)
 	for period := 0; period < periods; period++ {
 		full := true
 
@@ -372,28 +391,64 @@ func Run(m *Model, periods int) (*Result, error) {
 		// with the surplus left buffered for forwarding. A sink that is
 		// also a source holds unlimited local supply — its buffer is never
 		// stocked — so it counts its quota directly.
+		drained := make(map[Endpoint]*big.Int, len(m.Sinks))
 		for e := range m.Sinks {
+			take := new(big.Int)
+			drained[e] = take
 			if m.Sources[e] {
-				res.Delivered[e].Add(res.Delivered[e], m.SinkQuota[e])
-				continue
-			}
-			b := get(e)
-			if b.Sign() <= 0 {
-				continue
-			}
-			take := b
-			if q, ok := m.SinkQuota[e]; ok && b.Cmp(q) > 0 {
-				take = q
+				take.Set(m.SinkQuota[e])
+			} else if b := get(e); b.Sign() > 0 {
+				take.Set(b)
+				if q, ok := m.SinkQuota[e]; ok && b.Cmp(q) > 0 {
+					take.Set(q)
+				}
+				b.Sub(b, take)
 			}
 			res.Delivered[e].Add(res.Delivered[e], take)
-			b.Sub(b, take)
 		}
 
 		if full && res.FirstFullPeriod == -1 {
 			res.FirstFullPeriod = period
 		}
+
+		// The end buffers are the next period's start: if they equal this
+		// period's start, every remaining period repeats this one.
+		end := snapshot(buf)
+		if sameBuffers(start, end) {
+			res.Steady, res.SteadyDelivered = period, drained
+			rest := big.NewInt(int64(periods - 1 - period))
+			for e, d := range drained {
+				res.Delivered[e].Add(res.Delivered[e], new(big.Int).Mul(d, rest))
+			}
+			break
+		}
+		start = end
 	}
 	return res, nil
+}
+
+// snapshot copies the nonzero buffers.
+func snapshot(buf map[Endpoint]*big.Int) map[Endpoint]*big.Int {
+	s := make(map[Endpoint]*big.Int, len(buf))
+	for e, b := range buf {
+		if b.Sign() != 0 {
+			s[e] = new(big.Int).Set(b)
+		}
+	}
+	return s
+}
+
+// sameBuffers reports whether two snapshots hold the same buffers.
+func sameBuffers(a, b map[Endpoint]*big.Int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for e, v := range a {
+		if w, ok := b[e]; !ok || v.Cmp(w) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Throughput returns delivered operations per time unit over the run:

@@ -72,10 +72,56 @@ func TestDirectRelayPipeline(t *testing.T) {
 	if res.FirstFullPeriod != 1 {
 		t.Errorf("FirstFullPeriod = %d, want 1", res.FirstFullPeriod)
 	}
+	// Period 1 starts and ends with 2 messages at the relay, so it repeats
+	// from there on, delivering 2 per period.
+	if d := res.SteadyDelivered[Endpoint{dst, ty}]; res.Steady != 1 || d == nil || d.Cmp(big.NewInt(2)) != 0 {
+		t.Errorf("Steady = %d delivering %v, want period 1 delivering 2", res.Steady, d)
+	}
 	// Buffer bound: the relay holds at most 2× its per-period demand
 	// (Section 3.4's 2·buff-min-size claim).
 	if mb := res.MaxBuffer[Endpoint{rel, ty}]; mb == nil || mb.Cmp(big.NewInt(4)) > 0 {
 		t.Errorf("relay max buffer = %v, want ≤ 4", mb)
+	}
+}
+
+// TestGrowingRelayStepsEveryPeriod: a relay that receives 2 messages per
+// period but forwards 1 gains one every period, so no period ends with
+// the buffers it started with. Run reports no repeat and steps all K
+// periods: the relay's high-water mark is reached in the last one.
+func TestGrowingRelayStepsEveryPeriod(t *testing.T) {
+	p := graph.New()
+	src := p.AddNode("src", rat.One())
+	rel := p.AddNode("relay", rat.One())
+	dst := p.AddNode("dst", rat.One())
+	ty := TypeID("m")
+	m := &Model{
+		Platform: p,
+		Period:   big.NewInt(1),
+		Transfers: []Transfer{
+			{From: src, To: rel, Type: ty, Count: big.NewInt(2)},
+			{From: rel, To: dst, Type: ty, Count: big.NewInt(1)},
+		},
+		Sources: map[Endpoint]bool{{src, ty}: true},
+		Sinks:   map[Endpoint]bool{{dst, ty}: true},
+	}
+	const periods = 100
+	res, err := Run(m, periods)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Steady != -1 || res.SteadyDelivered != nil {
+		t.Errorf("Steady = %d, SteadyDelivered = %v; want -1 and nil", res.Steady, res.SteadyDelivered)
+	}
+	// Period k ends with k + 2 messages at the relay; it forwards one per
+	// period from period 1 on.
+	if mb := res.MaxBuffer[Endpoint{rel, ty}]; mb == nil || mb.Cmp(big.NewInt(periods+1)) != 0 {
+		t.Errorf("relay max buffer = %v, want %d", mb, periods+1)
+	}
+	if d := res.Delivered[Endpoint{dst, ty}]; d.Cmp(big.NewInt(periods-1)) != 0 {
+		t.Errorf("delivered %s, want %d", d, periods-1)
+	}
+	if res.FirstFullPeriod != 1 {
+		t.Errorf("FirstFullPeriod = %d, want 1", res.FirstFullPeriod)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -69,16 +70,20 @@ func simConformanceCases(t *testing.T) []simConformanceCase {
 
 // runConformance replays a solved case and requires every sink set —
 // the whole solution for base kinds, each member for composites — to land
-// in its Lemma-1 window.
+// in its Lemma-1 window and, once the replay repeats a period, to deliver
+// exactly TP·T per period at every sink.
 func runConformance(t *testing.T, sol steadystate.Solution, periods int) {
 	t.Helper()
 	check, err := steadystate.CheckReplay(sol, periods)
 	if err != nil {
 		t.Fatalf("CheckReplay: %v", err)
 	}
+	if check.Steady < 0 {
+		t.Errorf("no period repeats its buffers within %d periods", periods)
+	}
 	for _, w := range check.Windows {
-		if !w.OK {
-			t.Errorf("%s: %s", w.Label(), w.Reason)
+		if !w.OK || !w.Exact {
+			t.Errorf("%s: ok %v, exact %v: %s", w.Label(), w.OK, w.Exact, w.Reason)
 		}
 	}
 }
@@ -99,6 +104,105 @@ func TestSimConformanceEveryKind(t *testing.T) {
 	}
 }
 
+// TestReplayJumpEqualsFullRun: Simulate stops at the first period that
+// ends with the buffers it started with and adds the remaining periods,
+// so its result must be the one a run stepping every period returns. On
+// every solvable testdata/sweep scenario and every conformance case, a
+// 1000-period Simulate delivers what SimulateLatency (which steps every
+// period) delivers, and its buffer high-water marks and warmup are those
+// of Simulate(Steady+1), a run that ends on the repeating period and so
+// steps all of its periods.
+func TestReplayJumpEqualsFullRun(t *testing.T) {
+	const periods = 1000
+	ctx := context.Background()
+	check := func(t *testing.T, sol steadystate.Solution) {
+		m, err := sol.SimModel()
+		if err != nil {
+			t.Fatalf("SimModel: %v", err)
+		}
+		res, err := steadystate.Simulate(m, periods)
+		if err != nil {
+			t.Fatalf("Simulate: %v", err)
+		}
+		if res.Steady < 0 {
+			t.Fatalf("no period repeats its buffers within %d periods", periods)
+		}
+		stepped, err := steadystate.SimulateLatency(m, periods)
+		if err != nil {
+			t.Fatalf("SimulateLatency: %v", err)
+		}
+		if diff := diffCounts(res.Delivered, stepped.Delivered); diff != "" {
+			t.Errorf("Delivered: Simulate and SimulateLatency differ at %s", diff)
+		}
+		ref, err := steadystate.Simulate(m, res.Steady+1)
+		if err != nil {
+			t.Fatalf("Simulate(%d): %v", res.Steady+1, err)
+		}
+		if ref.Steady != res.Steady || ref.FirstFullPeriod != res.FirstFullPeriod {
+			t.Errorf("steady period %d, first full %d; Simulate(%d) gives %d and %d",
+				res.Steady, res.FirstFullPeriod, res.Steady+1, ref.Steady, ref.FirstFullPeriod)
+		}
+		if diff := diffCounts(res.MaxBuffer, ref.MaxBuffer); diff != "" {
+			t.Errorf("MaxBuffer: Simulate(%d) and Simulate(%d) differ at %s", periods, res.Steady+1, diff)
+		}
+	}
+
+	files, err := filepath.Glob(filepath.Join("testdata", "sweep", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.HasPrefix(filepath.Base(f), "bad-") {
+			continue // malformed on purpose
+		}
+		t.Run("sweep/"+filepath.Base(f), func(t *testing.T) {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc steadystate.Scenario
+			if err := json.Unmarshal(data, &sc); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			sol, err := sc.Solve(ctx)
+			if err != nil {
+				t.Fatalf("Solve: %v", err)
+			}
+			check(t, sol)
+		})
+	}
+	for _, c := range simConformanceCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			sol, err := steadystate.Solve(ctx, c.p, c.spec)
+			if err != nil {
+				t.Fatalf("Solve: %v", err)
+			}
+			check(t, sol)
+		})
+	}
+}
+
+// diffCounts names the first key, in printed order, at which two count
+// maps differ, or returns "" when they are equal.
+func diffCounts[K comparable](a, b map[K]*big.Int) string {
+	var diffs []string
+	for k, v := range a {
+		if w := b[k]; w == nil || v.Cmp(w) != 0 {
+			diffs = append(diffs, fmt.Sprintf("%v: %s vs %v", k, v, w))
+		}
+	}
+	for k, w := range b {
+		if a[k] == nil {
+			diffs = append(diffs, fmt.Sprintf("%v: <nil> vs %s", k, w))
+		}
+	}
+	if len(diffs) == 0 {
+		return ""
+	}
+	sort.Strings(diffs)
+	return diffs[0]
+}
+
 // scaledTP misreports a solution's throughput by a factor, leaving its
 // schedule and simulation model alone.
 type scaledTP struct {
@@ -113,7 +217,9 @@ func (s scaledTP) Throughput() steadystate.Rat {
 // TestCheckReplayRejectsMisreportedThroughput: the window is tight on both
 // sides. On a one-link scatter (TP = 2, period 1) a solution claiming half
 // its rate delivers past Lemma 1's ceiling for the claim, and one claiming
-// double its rate falls below the warmup floor.
+// double its rate falls below the warmup floor. Either way the replay
+// repeats a period, and the exact verdict fails too: the sink delivers 2
+// per period, not the claimed TP·T.
 func TestCheckReplayRejectsMisreportedThroughput(t *testing.T) {
 	p := steadystate.NewPlatform()
 	a := p.AddNode("a", steadystate.R(1, 1))
@@ -144,6 +250,68 @@ func TestCheckReplayRejectsMisreportedThroughput(t *testing.T) {
 		if w.OK || !strings.Contains(w.Reason, c.reason) || check.Err() == nil {
 			t.Errorf("TP×%s: window %+v, want a failure whose reason has %q", c.factor.RatString(), w, c.reason)
 		}
+		if check.Steady < 0 || w.Exact {
+			t.Errorf("TP×%s: steady period %d, exact %v; want a repeat and a failed exact verdict",
+				c.factor.RatString(), check.Steady, w.Exact)
+		}
+	}
+}
+
+// doubledTo doubles every transfer of a solution's simulation model that
+// arrives at one node, leaving its throughput claim alone.
+type doubledTo struct {
+	steadystate.Solution
+	node steadystate.NodeID
+}
+
+func (d doubledTo) SimModel() (*steadystate.SimModel, error) {
+	m, err := d.Solution.SimModel()
+	if err != nil {
+		return nil, err
+	}
+	out := *m
+	out.Transfers = append(m.Transfers[:0:0], m.Transfers...)
+	for i, tr := range out.Transfers {
+		if tr.To == d.node {
+			out.Transfers[i].Count = new(big.Int).Mul(tr.Count, big.NewInt(2))
+		}
+	}
+	return &out, nil
+}
+
+// TestCheckReplayNamesOffRateSink: a replay whose completed operations sit
+// inside the window can still fail the exact verdict, and the reason names
+// the sink. On a two-target scatter (TP = 1, period 1), a model that ships
+// c twice its quota still completes 1 operation per period, bounded by b,
+// but c receives 2 per period.
+func TestCheckReplayNamesOffRateSink(t *testing.T) {
+	p := steadystate.NewPlatform()
+	a := p.AddNode("a", steadystate.R(1, 1))
+	b := p.AddNode("b", steadystate.R(1, 1))
+	c := p.AddNode("c", steadystate.R(1, 1))
+	p.AddLink(a, b, steadystate.R(1, 2))
+	p.AddLink(a, c, steadystate.R(1, 2))
+	sol, err := steadystate.Solve(context.Background(), p, steadystate.ScatterSpec(a, b, c))
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if sol.Throughput().Cmp(steadystate.R(1, 1)) != 0 || sol.Period().Cmp(big.NewInt(1)) != 0 {
+		t.Fatalf("TP = %s, period %s; want 1 and 1", sol.Throughput().RatString(), sol.Period())
+	}
+	check, err := steadystate.CheckReplay(doubledTo{sol, c}, 20)
+	if err != nil {
+		t.Fatalf("CheckReplay: %v", err)
+	}
+	if len(check.Windows) != 1 || check.Steady < 0 {
+		t.Fatalf("steady period %d, windows %+v; want a repeat and one window", check.Steady, check.Windows)
+	}
+	w := check.Windows[0]
+	want := fmt.Sprintf("delivers 2 per period from period %d, not TP·T = 1", check.Steady)
+	if w.OK || w.Exact || !strings.HasPrefix(w.Reason, "sink m_") || !strings.Contains(w.Reason, " at c "+want) {
+		t.Errorf("window %+v, want a failed exact verdict naming sink c: %q", w, want)
+	}
+	if w.Delivered != "20" || w.Floor != "20" || w.Bound != "20" {
+		t.Errorf("window %+v, want 20 delivered inside [20, 20]", w)
 	}
 }
 
@@ -168,8 +336,8 @@ func TestCheckReplayCompositeMembers(t *testing.T) {
 		t.Fatalf("CheckReplay: %v", err)
 	}
 	want := []steadystate.ReplayWindow{
-		{Member: "op0", Kind: steadystate.KindScatter, Delivered: "120", Floor: "120", Bound: "120", OK: true},
-		{Member: "op1", Kind: steadystate.KindReduce, Delivered: "180", Floor: "180", Bound: "180", OK: true},
+		{Member: "op0", Kind: steadystate.KindScatter, Delivered: "120", Floor: "120", Bound: "120", Exact: true, OK: true},
+		{Member: "op1", Kind: steadystate.KindReduce, Delivered: "180", Floor: "180", Bound: "180", Exact: true, OK: true},
 	}
 	if len(check.Windows) != len(want) {
 		t.Fatalf("%d windows, want one per member: %+v", len(check.Windows), check.Windows)

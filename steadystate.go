@@ -287,8 +287,10 @@ func MergeSimModels(p *Platform, period *big.Int, members []*SimModel, labels []
 func SimMemberPrefix(i int) string { return composite.MemberLabel(i) }
 
 // Simulate runs the Section 3.4 protocol for the given number of periods
-// and reports delivered operations, buffer high-water marks and the end of
-// the initialization phase.
+// and reports delivered operations, buffer high-water marks, the end of
+// the initialization phase and the first period that repeats its buffers.
+// It stops stepping at that period and adds the remaining ones exactly, so
+// its cost does not grow with the number of periods past the warmup.
 func Simulate(m *SimModel, periods int) (*SimResult, error) { return sim.Run(m, periods) }
 
 // SimLatencyResult reports per-operation pipeline latency.

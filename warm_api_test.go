@@ -7,7 +7,9 @@ package steadystate_test
 
 import (
 	"context"
+	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	steadystate "repro"
@@ -209,5 +211,24 @@ func TestWarmSolverEdgeDeleteRejected(t *testing.T) {
 	if rep.LPPivots != crep.LPPivots || rep.LPPhase1Pivots != crep.LPPhase1Pivots {
 		t.Errorf("rejected warm solve pivots (%d, %d phase 1) differ from cold (%d, %d)",
 			rep.LPPivots, rep.LPPhase1Pivots, crep.LPPivots, crep.LPPhase1Pivots)
+	}
+}
+
+// TestBasisCacheRejectsInvalidSpec: a session with a basis cache validates
+// the spec before keying it, so a composite with a nil weight fails with
+// the same unsolvable error as a plain Solve instead of panicking in
+// CanonicalKey.
+func TestBasisCacheRejectsInvalidSpec(t *testing.T) {
+	ctx := context.Background()
+	p, order, target := steadystate.PaperFig6()
+	spec := steadystate.CompositeSpec(
+		[]steadystate.Spec{steadystate.ReduceSpec(order, target)}, []steadystate.Rat{nil})
+	_, plain := steadystate.Solve(ctx, p, spec)
+	if plain == nil || !strings.Contains(plain.Error(), "composite member 0 has non-positive weight") {
+		t.Fatalf("plain Solve error = %v, want the non-positive weight refusal", plain)
+	}
+	_, cached := steadystate.NewSolver(p).UseBasisCache(steadystate.NewBasisCache(4)).Solve(ctx, spec)
+	if cached == nil || cached.Error() != plain.Error() || !errors.Is(cached, steadystate.ErrUnsolvable) {
+		t.Errorf("cached session error = %v, want %q tagged ErrUnsolvable", cached, plain)
 	}
 }
