@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/composite"
 	"repro/internal/core"
-	"repro/internal/gossip"
 	"repro/internal/lp"
 	"repro/internal/lru"
 	"repro/internal/obs"
@@ -243,19 +242,19 @@ var kinds = map[Kind]kindRow{
 		problem: func(p *Platform, s Spec, _ *solveOptions) (core.Collective, error) {
 			return scatter.NewProblem(p, s.Source, s.Targets)
 		},
-		replay: func(part core.Part) *SimModel { return sim.ScatterModel(part.(*ScatterSolution)) }},
+		replay: replayFlows},
 	// A broadcast replicates per target: each target's bundled virtual
 	// flow is a commodity of its own, delivered against TP per target.
 	KindBroadcast: {fields: fSource | fTargets,
 		problem: func(p *Platform, s Spec, _ *solveOptions) (core.Collective, error) {
 			return scatter.NewBroadcastProblem(p, s.Source, s.Targets)
 		},
-		replay: func(part core.Part) *SimModel { return sim.BroadcastModel(part.(*BroadcastSolution)) }},
+		replay: replayFlows},
 	KindGossip: {fields: fSources | fTargets,
 		problem: func(p *Platform, s Spec, _ *solveOptions) (core.Collective, error) {
-			return gossip.NewProblem(p, s.Sources, s.Targets)
+			return scatter.NewGossipProblem(p, s.Sources, s.Targets)
 		},
-		replay: func(part core.Part) *SimModel { return sim.GossipModel(part.(*GossipSolution)) }},
+		replay: replayFlows},
 	KindReduce: {fields: fOrder | fTarget, options: optMessageSize | optTaskTime | optFixedPeriod,
 		problem: func(p *Platform, s Spec, o *solveOptions) (core.Collective, error) {
 			pr, err := reduce.NewProblem(p, s.Order, s.Target)
@@ -297,6 +296,12 @@ var kinds = map[Kind]kindRow{
 	// A composite passes each option to the members that take it.
 	KindComposite: {fields: fMembers, options: optMessageSize | optTaskTime | optBlockSize,
 		expand: func(s Spec) ([]Spec, []Rat) { return s.Members, s.Weights }},
+}
+
+// replayFlows builds the replay model of a forwarding kind's part: the
+// streams of its commodities.
+func replayFlows(part core.Part) *SimModel {
+	return sim.FlowModel(part.(interface{ Streams() scatter.Streams }).Streams())
 }
 
 // reduceScatter returns the members of a reduce-scatter over order: the

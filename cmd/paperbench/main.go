@@ -1,14 +1,14 @@
 // Command paperbench regenerates every experimental artifact of the paper
 // (Legrand/Marchal/Robert, IPPS 2004) as text tables: the figure-by-figure
 // results, the asymptotic-optimality convergence of Propositions 1 and 3,
-// the fixed-period approximation sweep of Section 4.6, baseline
-// comparisons, solver scaling, and solver-session reuse. Each experiment
-// prints the paper's value next to the measured one.
+// the fixed-period approximation sweep of Section 4.6, and baseline
+// comparisons. Each experiment prints the paper's value next to the
+// measured one.
 //
 // Usage:
 //
 //	paperbench                      # run everything
-//	paperbench -run fig9            # run one experiment (fig2|fig3|fig4|fig6|fig7|fig9|prop1|prop3|prop4|gossip|prefix|rscatter|bcast|allreduce|baseline|scaling|session)
+//	paperbench -run fig9            # run one experiment (fig2|fig3|fig4|fig6|fig7|fig9|prop1|prop3|prop4|gossip|prefix|rscatter|bcast|allreduce|baseline)
 //	paperbench -timeout 30s         # bound every solve with a deadline
 //
 // To solve one scenario file (cmd/topogen -spec) and write its report
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	steadystate "repro"
-	"repro/internal/topology"
 )
 
 // out is the report destination; tests point it at a buffer.
@@ -54,7 +53,7 @@ func main() {
 		{"fig7", fig7}, {"fig9", fig9}, {"prop1", prop1}, {"prop3", prop3},
 		{"prop4", prop4}, {"gossip", gossipExp}, {"prefix", prefixExp},
 		{"rscatter", reduceScatterExp}, {"bcast", broadcastExp}, {"allreduce", allreduceExp},
-		{"baseline", baselineExp}, {"scaling", scaling}, {"session", sessionExp},
+		{"baseline", baselineExp},
 	}
 	any := false
 	for _, e := range experiments {
@@ -326,106 +325,4 @@ func baselineExp() {
 			f(new(big.Rat).Quo(lpSol.Throughput(), flat.Throughput)),
 			f(new(big.Rat).Quo(lpSol.Throughput(), bin.Throughput)))
 	}
-}
-
-// scaling: LP size and solve time as the platform grows.
-func scaling() {
-	fmt.Fprintf(out, "%-22s %-8s %-8s %-8s %-10s %s\n", "platform", "vars", "cons", "pivots", "time", "TP")
-	for _, nLans := range []int{2, 3, 4, 5} {
-		cfg := steadystate.DefaultTiersConfig(7)
-		cfg.LANs = nLans
-		p := steadystate.Tiers(cfg)
-		parts := p.Participants()
-		start := time.Now()
-		sol := must(steadystate.Solve(ctx, p, steadystate.ScatterSpec(parts[0], parts[1:]...)))
-		solveTime := time.Since(start)
-		rep := must(sol.Report())
-		fmt.Fprintf(out, "scatter-tiers-%-9d %-8d %-8d %-8d %-10v %s\n", nLans,
-			rep.LPVars, rep.LPConstraints, rep.LPPivots,
-			solveTime.Round(time.Millisecond), rep.Throughput)
-	}
-	for _, nParts := range []int{3, 4, 5, 6} {
-		p := topology.Chain(nParts, steadystate.R(1, 2), steadystate.R(1, 1))
-		var order []steadystate.NodeID
-		for _, n := range p.Nodes() {
-			order = append(order, n.ID)
-		}
-		start := time.Now()
-		sol := must(steadystate.Solve(ctx, p, steadystate.ReduceSpec(order, order[0])))
-		solveTime := time.Since(start)
-		rep := must(sol.Report())
-		fmt.Fprintf(out, "reduce-chain-%-9d %-8d %-8d %-8d %-10v %s\n", nParts,
-			rep.LPVars, rep.LPConstraints, rep.LPPivots,
-			solveTime.Round(time.Millisecond), rep.Throughput)
-	}
-}
-
-// sessionExp: a repeated-sweep workload — every participant of one Tiers
-// platform scatters to three peers — solved twice: cold (fresh platform
-// state per solve) and through one Solver session (shared reachability
-// index). The sweep is the access pattern of paperbench itself and of the
-// topology scaling runs.
-func sessionExp() {
-	cfg := steadystate.DefaultTiersConfig(11)
-	specs := func(p *steadystate.Platform) []steadystate.Spec {
-		parts := p.Participants()
-		var out []steadystate.Spec
-		for i := range parts {
-			var targets []steadystate.NodeID
-			for d := 1; d <= 3; d++ {
-				targets = append(targets, parts[(i+d)%len(parts)])
-			}
-			out = append(out, steadystate.ScatterSpec(parts[i], targets...))
-		}
-		return out
-	}
-
-	runCold := func() []steadystate.Rat {
-		var tps []steadystate.Rat
-		for _, spec := range specs(steadystate.Tiers(cfg)) {
-			// Rebuild the platform per solve: no shared state at all.
-			sol := must(steadystate.Solve(ctx, steadystate.Tiers(cfg), spec))
-			tps = append(tps, sol.Throughput())
-		}
-		return tps
-	}
-	p := steadystate.Tiers(cfg)
-	solver := steadystate.NewSolver(p)
-	runSession := func() []steadystate.Rat {
-		var tps []steadystate.Rat
-		for _, spec := range specs(p) {
-			sol := must(solver.Solve(ctx, spec))
-			tps = append(tps, sol.Throughput())
-		}
-		return tps
-	}
-
-	// Interleaved best-of-3: a single back-to-back pair is dominated by
-	// allocator and GC noise at these solve sizes.
-	var coldTPs, sessTPs []steadystate.Rat
-	var cold, sess time.Duration
-	for round := 0; round < 3; round++ {
-		start := time.Now()
-		coldTPs = runCold()
-		if d := time.Since(start); round == 0 || d < cold {
-			cold = d
-		}
-		start = time.Now()
-		sessTPs = runSession()
-		if d := time.Since(start); round == 0 || d < sess {
-			sess = d
-		}
-	}
-
-	for i, coldTP := range coldTPs {
-		if coldTP.Cmp(sessTPs[i]) != 0 {
-			fmt.Fprintf(out, "MISMATCH on spec %d: cold %s vs session %s\n",
-				i, coldTP.RatString(), sessTPs[i].RatString())
-			return
-		}
-	}
-	fmt.Fprintf(out, "sweep of %d scatter solves on one tiers platform:\n", len(specs(p)))
-	fmt.Fprintf(out, "  cold solves:    %v\n", cold.Round(time.Millisecond))
-	fmt.Fprintf(out, "  solver session: %v (%.2fx)\n", sess.Round(time.Millisecond),
-		float64(cold)/float64(sess))
 }

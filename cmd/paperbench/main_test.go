@@ -78,26 +78,3 @@ func TestPrefixExperiment(t *testing.T) {
 		t.Errorf("prefix output:\n%s", got)
 	}
 }
-
-func TestScalingExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaling sweep in -short mode")
-	}
-	got := capture(scaling)
-	if !strings.Contains(got, "scatter-tiers") || !strings.Contains(got, "reduce-chain") {
-		t.Errorf("scaling output:\n%s", got)
-	}
-}
-
-func TestSessionExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("session sweep in -short mode")
-	}
-	got := capture(sessionExp)
-	if strings.Contains(got, "MISMATCH") {
-		t.Fatalf("session sweep diverged from cold solves:\n%s", got)
-	}
-	if !strings.Contains(got, "solver session:") {
-		t.Errorf("session output:\n%s", got)
-	}
-}

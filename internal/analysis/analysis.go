@@ -39,6 +39,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // An Analyzer is one static check: a name, a documentation string, and a
@@ -98,4 +99,25 @@ type Diagnostic struct {
 // String renders the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
+}
+
+// SolverPackages lists the import paths of the solver stack above the LP:
+// the packages that assemble, solve and extract the steady-state
+// programs. An analyzer that also covers internal/lp adds it itself.
+var SolverPackages = []string{
+	"repro/internal/core",
+	"repro/internal/scatter",
+	"repro/internal/reduce",
+	"repro/internal/composite",
+}
+
+// InScope reports whether the package path is one of scope or nested
+// under one.
+func InScope(path string, scope []string) bool {
+	for _, s := range scope {
+		if path == s || strings.HasPrefix(path, s+"/") {
+			return true
+		}
+	}
+	return false
 }

@@ -11,8 +11,8 @@
 // happens to run first under that context, silently corrupting the
 // per-solve accounting (the handoff is consumed exactly once). The
 // analyzer therefore flags, in the solver packages above the LP
-// (internal/core, internal/scatter, internal/gossip, internal/reduce,
-// internal/composite):
+// (analysis.SolverPackages: internal/core, internal/scatter,
+// internal/reduce, internal/composite):
 //
 //   - lp.Basis and lp.WarmStart composite literals, and new(lp.Basis) /
 //     new(lp.WarmStart) — warm-start state is minted at the edge only;
@@ -26,7 +26,6 @@ package basisflow
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -36,28 +35,6 @@ var Analyzer = &analysis.Analyzer{
 	Name: "basisflow",
 	Doc:  "forbid hand-built warm-start bases below the solve root (mint with Solution.Basis, hand off at the session edge)",
 	Run:  run,
-}
-
-// scope lists the import paths (and their subpackages) where warm-start
-// state may only be observed, never minted. internal/lp itself is the
-// implementation and stays out of scope.
-var scope = []string{
-	"repro/internal/core",
-	"repro/internal/scatter",
-	"repro/internal/gossip",
-	"repro/internal/reduce",
-	"repro/internal/composite",
-}
-
-// inScope reports whether the package path is one of the solver
-// packages or nested under one.
-func inScope(path string) bool {
-	for _, s := range scope {
-		if path == s || strings.HasPrefix(path, s+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 // minted names the lp types whose construction is reserved for the LP
@@ -70,7 +47,10 @@ var minted = map[string]bool{
 // run flags hand-constructed warm-start state and mid-stack handoffs in
 // solver packages.
 func run(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path()) {
+	// Warm-start state may only be observed, never minted, in the solver
+	// packages; internal/lp itself is the implementation and stays out of
+	// scope.
+	if !analysis.InScope(pass.Pkg.Path(), analysis.SolverPackages) {
 		return nil
 	}
 	for _, f := range pass.Files {

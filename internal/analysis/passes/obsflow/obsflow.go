@@ -11,7 +11,7 @@
 // silently loses the forked spans, and the golden trace-structure tests
 // cannot see what was never attached. The analyzer therefore flags, in
 // the solver packages (internal/lp, internal/core, internal/scatter,
-// internal/gossip, internal/reduce, internal/composite):
+// internal/reduce, internal/composite):
 //
 //   - calls to obs.NewTracer — tracers are minted at the edge only;
 //   - calls to obs.WithTracer — installing a tracer is the root's move;
@@ -24,7 +24,6 @@ package obsflow
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -37,26 +36,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scope lists the import paths (and their subpackages) that participate
-// in traces only through the context.
-var scope = []string{
-	"repro/internal/lp",
-	"repro/internal/core",
-	"repro/internal/scatter",
-	"repro/internal/gossip",
-	"repro/internal/reduce",
-	"repro/internal/composite",
-}
-
-// inScope reports whether the package path is one of the solver
-// packages or nested under one.
-func inScope(path string) bool {
-	for _, s := range scope {
-		if path == s || strings.HasPrefix(path, s+"/") {
-			return true
-		}
-	}
-	return false
-}
+// in traces only through the context: the LP and the solver packages
+// above it.
+var scope = append([]string{"repro/internal/lp"}, analysis.SolverPackages...)
 
 // rootOnly names the obs functions reserved for the trace root.
 var rootOnly = map[string]string{
@@ -66,7 +48,7 @@ var rootOnly = map[string]string{
 
 // run flags obs.NewTracer and obs.WithTracer calls in solver packages.
 func run(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path()) {
+	if !analysis.InScope(pass.Pkg.Path(), scope) {
 		return nil
 	}
 	for _, f := range pass.Files {

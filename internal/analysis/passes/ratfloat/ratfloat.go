@@ -7,8 +7,8 @@
 // anywhere on that path silently destroys both the optimality
 // certificate and the integer period. The analyzer therefore flags, in
 // the LP core (internal/lp), the shared framework (internal/core), the
-// per-kind solver packages (internal/scatter, internal/gossip,
-// internal/reduce) and internal/composite:
+// per-kind solver packages (internal/scatter, internal/reduce) and
+// internal/composite:
 //
 //   - any use of the identifiers float64 or float32 (conversions,
 //     declarations, struct fields, parameters);
@@ -26,7 +26,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -39,30 +38,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scope lists the import paths (and their subpackages) whose arithmetic
-// must stay rational.
-var scope = []string{
-	"repro/internal/lp",
-	"repro/internal/core",
-	"repro/internal/scatter",
-	"repro/internal/gossip",
-	"repro/internal/reduce",
-	"repro/internal/composite",
-}
-
-// inScope reports whether the package path is one of the exact-rational
-// packages or nested under one.
-func inScope(path string) bool {
-	for _, s := range scope {
-		if path == s || strings.HasPrefix(path, s+"/") {
-			return true
-		}
-	}
-	return false
-}
+// must stay rational: the LP and the solver packages above it.
+var scope = append([]string{"repro/internal/lp"}, analysis.SolverPackages...)
 
 // run flags float identifiers, float literals and math.* calls.
 func run(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path()) {
+	if !analysis.InScope(pass.Pkg.Path(), scope) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -33,12 +33,15 @@
 // no data), so the per-member sub-solutions are ordinary
 // scatter/broadcast/gossip/reduce/prefix solutions (a MemberSolution's
 // Part) and reuse the existing tree-extraction and verification
-// machinery. The merged periodic schedule decomposes the union of all
-// members' transfers (each Part's Demand) into one sequence of
-// one-port-safe matching slots over the LCM of the member periods; a
-// member's own schedule (MemberSolution.Schedule) is the one-member case
-// of the same construction, and it is the schedule of every plain
-// scatter, broadcast, gossip and prefix solve.
+// machinery. Verify checks each member on its own, then the one capacity
+// check (core.VerifyCapacity) on all members' demands together: the
+// shared ports and compute are what the superposition adds. The merged
+// periodic schedule decomposes the union of all members' transfers (each
+// Part's Demand) into one sequence of one-port-safe matching slots over
+// the LCM of the member periods; a member's own schedule
+// (MemberSolution.Schedule) is the one-member case of the same
+// construction, and it is the schedule of every plain scatter, broadcast,
+// gossip and prefix solve.
 package composite
 
 import (
@@ -227,68 +230,21 @@ func (s *Solution) Period() *big.Int {
 }
 
 // Verify re-checks the solution independently of the LP solver: every
-// member's own constraints (conservation, delivery at Weight·TP), then the
-// shared capacity rows — per-edge occupation, per-node one-port send and
-// receive totals, and per-node compute totals, each summed over all
-// members — that make the superposition feasible.
+// member's own constraints (its own capacity, conservation, delivery at
+// Weight·TP), then the shared capacity — per-edge occupation, per-node
+// one-port send and receive totals and per-node compute totals, each
+// summed over all members' demands (core.VerifyCapacity) — that makes the
+// superposition feasible.
 func (s *Solution) Verify() error {
-	p := s.Problem.Platform
-	edgeTot := make(map[core.EdgeKey]rat.Rat)
-	outTot := make(map[graph.NodeID]rat.Rat)
-	inTot := make(map[graph.NodeID]rat.Rat)
-	compTot := make(map[graph.NodeID]rat.Rat)
-
+	demands := make([]core.Demand, len(s.Members))
 	for i, ms := range s.Members {
 		if err := ms.Part.Verify(); err != nil {
 			return fmt.Errorf("composite: member %d: %w", i, err)
 		}
-		mf := ms.Part.Demand()
-		for _, tr := range mf.Transfers {
-			occ := rat.Mul(rat.Mul(tr.Rate, tr.Size), p.Cost(tr.From, tr.To))
-			k := core.EdgeKey{From: tr.From, To: tr.To}
-			if edgeTot[k] == nil {
-				edgeTot[k] = rat.Zero()
-			}
-			edgeTot[k].Add(edgeTot[k], occ)
-			if outTot[tr.From] == nil {
-				outTot[tr.From] = rat.Zero()
-			}
-			if inTot[tr.To] == nil {
-				inTot[tr.To] = rat.Zero()
-			}
-			outTot[tr.From].Add(outTot[tr.From], occ)
-			inTot[tr.To].Add(inTot[tr.To], occ)
-		}
-		for id, busy := range mf.ComputeTime {
-			if compTot[id] == nil {
-				compTot[id] = rat.Zero()
-			}
-			compTot[id].Add(compTot[id], busy)
-		}
+		demands[i] = ms.Part.Demand()
 	}
-	for k, occ := range edgeTot {
-		if occ.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("composite: shared edge %s→%s occupation %s > 1",
-				p.Node(k.From).Name, p.Node(k.To).Name, occ.RatString())
-		}
-	}
-	for id, occ := range outTot {
-		if occ.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("composite: node %s sends for %s > 1 across members",
-				p.Node(id).Name, occ.RatString())
-		}
-	}
-	for id, occ := range inTot {
-		if occ.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("composite: node %s receives for %s > 1 across members",
-				p.Node(id).Name, occ.RatString())
-		}
-	}
-	for id, busy := range compTot {
-		if busy.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("composite: node %s computes for %s > 1 across members",
-				p.Node(id).Name, busy.RatString())
-		}
+	if err := core.VerifyCapacity(s.Problem.Platform, demands...); err != nil {
+		return fmt.Errorf("composite: members together: %w", err)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
@@ -110,7 +109,7 @@ func TestMixedMembersVerifyAndSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go1, err := gossip.NewProblem(p, order[:2], order[1:])
+	go1, err := scatter.NewGossipProblem(p, order[:2], order[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +230,7 @@ func TestMemberScheduleDeterministic(t *testing.T) {
 		p.AddEdge(s, hub, rat.One())
 		sources = append(sources, s)
 	}
-	pr, err := gossip.NewProblem(p, sources, []graph.NodeID{target})
+	pr, err := scatter.NewGossipProblem(p, sources, []graph.NodeID{target})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package core implements the shared steady-state framework of the paper
 // (Section 2): the one-port operation model, the per-edge occupation
 // variables s(Pi→Pj) and their constraints (equations (1)–(3)), the typed
-// flow representation shared by the scatter and gossip solvers, and the
-// asymptotic-optimality bookkeeping of Section 3.4 (buffer sizes,
-// initialization latency, steady period count).
+// flow representation and the LP rows shared by the forwarding kinds
+// (scatter, broadcast, gossip), and the asymptotic-optimality bookkeeping
+// of Section 3.4 (buffer sizes, initialization latency, steady period
+// count).
 //
 // Every collective in this repository follows the same recipe: declare
 // fractional per-edge message rates (plus, for reduce, fractional per-node
@@ -16,6 +17,12 @@
 // member through the contract alone: it assembles the fragments of one or
 // more collectives, maximizes the throughput TP, and hands the rational
 // solution to the schedule and tree-extraction machinery.
+//
+// A solved part is checked against the platform's capacity in one place:
+// VerifyCapacity sums what one or more Demands ask of every edge, port and
+// compute node. Every part's Verify runs it on the part's own demand, and
+// a composite runs it on all members' demands together. A Flow holds
+// rates only; it checks nothing itself.
 package core
 
 import (
@@ -136,9 +143,9 @@ func (b *ComputeBuilder) AddConstraints(m *lp.Model) {
 }
 
 // Flow is the solved steady-state communication pattern of a forwarding
-// collective (scatter, gossip): for every directed edge and message type C,
-// the fractional number of messages of that type crossing the edge per time
-// unit, plus the achieved throughput.
+// collective (scatter, broadcast, gossip): for every directed edge and
+// message type C, the fractional number of messages of that type crossing
+// the edge per time unit, plus the achieved throughput.
 type Flow[C comparable] struct {
 	Platform   *graph.Platform
 	Throughput rat.Rat
@@ -177,57 +184,6 @@ func (f *Flow[C]) Send(from, to graph.NodeID, c C) rat.Rat {
 	return rat.Zero()
 }
 
-// EdgeOccupancy computes s(e) = Σ_c rate(e,c)·size(c)·c(e) for every edge
-// with traffic.
-func (f *Flow[C]) EdgeOccupancy(sizeOf func(C) rat.Rat) map[EdgeKey]rat.Rat {
-	occ := make(map[EdgeKey]rat.Rat)
-	for k, m := range f.Sends {
-		cost := f.Platform.Cost(k.From, k.To)
-		s := rat.Zero()
-		for c, r := range m {
-			s.Add(s, rat.Mul(rat.Mul(r, sizeOf(c)), cost))
-		}
-		occ[k] = s
-	}
-	return occ
-}
-
-// VerifyOnePort checks that the flow respects the one-port model: every
-// edge occupation ≤ 1 and every node's total outgoing and incoming
-// occupation ≤ 1. It returns the first violation found.
-func (f *Flow[C]) VerifyOnePort(sizeOf func(C) rat.Rat) error {
-	occ := f.EdgeOccupancy(sizeOf)
-	outTot := make(map[graph.NodeID]rat.Rat)
-	inTot := make(map[graph.NodeID]rat.Rat)
-	for k, s := range occ {
-		if s.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("core: edge %s→%s occupation %s > 1",
-				f.Platform.Node(k.From).Name, f.Platform.Node(k.To).Name, s.RatString())
-		}
-		if outTot[k.From] == nil {
-			outTot[k.From] = rat.Zero()
-		}
-		if inTot[k.To] == nil {
-			inTot[k.To] = rat.Zero()
-		}
-		outTot[k.From].Add(outTot[k.From], s)
-		inTot[k.To].Add(inTot[k.To], s)
-	}
-	for id, s := range outTot {
-		if s.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("core: node %s sends for %s > 1 per time unit",
-				f.Platform.Node(id).Name, s.RatString())
-		}
-	}
-	for id, s := range inTot {
-		if s.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("core: node %s receives for %s > 1 per time unit",
-				f.Platform.Node(id).Name, s.RatString())
-		}
-	}
-	return nil
-}
-
 // AllRates returns every send rate plus the throughput — the input to the
 // period computation (LCM of denominators).
 func (f *Flow[C]) AllRates() []rat.Rat {
@@ -246,23 +202,35 @@ func (f *Flow[C]) Period() *big.Int {
 	return rat.DenominatorLCM(f.AllRates()...)
 }
 
-// InflowOutflow sums, for node n and type c, the total incoming and
-// outgoing rates. Used by conservation-law checks.
-func (f *Flow[C]) InflowOutflow(n graph.NodeID, c C) (in, out rat.Rat) {
-	in, out = rat.Zero(), rat.Zero()
-	for k, m := range f.Sends {
-		r, ok := m[c]
-		if !ok {
-			continue
-		}
-		if k.To == n {
-			in.Add(in, r)
-		}
-		if k.From == n {
-			out.Add(out, r)
+// InflowOutflow sums, in one pass over the sends, the incoming and the
+// outgoing rate of every listed message type at every node: in[k][n] and
+// out[k][n] for types[k] at node n. Sends of unlisted types are skipped.
+// The conservation checks read every cell from it.
+func (f *Flow[C]) InflowOutflow(types []C) (in, out [][]big.Rat) {
+	index := make(map[C]int, len(types))
+	for k, c := range types {
+		index[c] = k
+	}
+	in, out = cells(len(types), f.Platform.NumNodes()), cells(len(types), f.Platform.NumNodes())
+	for e, m := range f.Sends {
+		for c, r := range m {
+			if k, ok := index[c]; ok {
+				in[k][e.To].Add(&in[k][e.To], r)
+				out[k][e.From].Add(&out[k][e.From], r)
+			}
 		}
 	}
 	return in, out
+}
+
+// cells returns rows×cols zero rationals, one row slice per row.
+func cells(rows, cols int) [][]big.Rat {
+	flat := make([]big.Rat, rows*cols)
+	out := make([][]big.Rat, rows)
+	for k := range out {
+		out[k] = flat[k*cols : (k+1)*cols]
+	}
+	return out
 }
 
 // Protocol carries the parameters of the asymptotically optimal schedule

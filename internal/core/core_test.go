@@ -101,25 +101,31 @@ func TestFlowNegativeRatePanics(t *testing.T) {
 	f.SetSend(a, b, 0, rat.Int(-1))
 }
 
-func unitSize[C comparable](C) rat.Rat { return rat.One() }
+// capacity checks the flow's sends, as unit-size transfers, against the
+// platform's capacity.
+func capacity[C comparable](f *Flow[C]) error {
+	return VerifyCapacity(f.Platform, Demand{Transfers: f.Transfers(func(C) string { return "m" })})
+}
+
+// wantErr requires err to carry exactly the text want.
+func wantErr(t *testing.T, err error, want string) {
+	t.Helper()
+	if err == nil || err.Error() != want {
+		t.Errorf("error = %v, want %q", err, want)
+	}
+}
 
 func TestFlowEdgeOccupancyAndOnePort(t *testing.T) {
 	p, a, b := twoNode(t)
 	f := NewFlow[int](p)
 	f.SetSend(a, b, 0, rat.One()) // 1 msg/unit × cost 1/2 → occupation 1/2
 	f.SetSend(a, b, 1, rat.One())
-	occ := f.EdgeOccupancy(unitSize[int])
-	if !rat.Eq(occ[EdgeKey{a, b}], rat.One()) {
-		t.Errorf("occupancy = %s, want 1", occ[EdgeKey{a, b}].RatString())
-	}
-	if err := f.VerifyOnePort(unitSize[int]); err != nil {
-		t.Errorf("VerifyOnePort: %v", err)
+	if err := capacity(f); err != nil {
+		t.Errorf("occupation 1 rejected: %v", err)
 	}
 	// Push it over the edge capacity.
 	f.SetSend(a, b, 2, rat.One())
-	if err := f.VerifyOnePort(unitSize[int]); err == nil {
-		t.Error("VerifyOnePort accepted an overloaded edge")
-	}
+	wantErr(t, capacity(f), "core: edge a→b occupation 3/2 > 1")
 }
 
 func TestFlowOnePortNodeAggregation(t *testing.T) {
@@ -134,9 +140,7 @@ func TestFlowOnePortNodeAggregation(t *testing.T) {
 	f := NewFlow[int](p)
 	f.SetSend(s, u, 0, rat.New(3, 4))
 	f.SetSend(s, v, 0, rat.New(3, 4))
-	if err := f.VerifyOnePort(unitSize[int]); err == nil {
-		t.Error("VerifyOnePort accepted an oversubscribed out-port")
-	}
+	wantErr(t, capacity(f), "core: node s sends for 3/2 > 1 per time unit")
 	// Receiving side aggregation.
 	q := graph.New()
 	x := q.AddNode("x", rat.One())
@@ -147,9 +151,48 @@ func TestFlowOnePortNodeAggregation(t *testing.T) {
 	g := NewFlow[int](q)
 	g.SetSend(x, z, 0, rat.New(3, 4))
 	g.SetSend(y, z, 0, rat.New(3, 4))
-	if err := g.VerifyOnePort(unitSize[int]); err == nil {
-		t.Error("VerifyOnePort accepted an oversubscribed in-port")
+	wantErr(t, capacity(g), "core: node z receives for 3/2 > 1 per time unit")
+}
+
+// TestVerifyCapacitySumsDemands: the check charges every demand it is
+// given to the same edges, ports and compute nodes, weighs a transfer by
+// its size and its edge's cost, and reports the first violation in a
+// fixed order — edges, then send ports, receive ports and compute time,
+// each by node — whatever order the maps iterate in.
+func TestVerifyCapacitySumsDemands(t *testing.T) {
+	p := graph.New()
+	a := p.AddNode("a", rat.One())
+	b := p.AddNode("b", rat.One())
+	c := p.AddNode("c", rat.One())
+	p.AddLink(a, b, rat.New(1, 2))
+	p.AddLink(a, c, rat.One())
+	half := Demand{
+		Transfers:   []FlowTransfer{{From: a, To: b, Label: "x", Size: rat.Int(2), Rate: rat.New(1, 2)}},
+		ComputeTime: map[graph.NodeID]rat.Rat{c: rat.New(2, 3)},
 	}
+	if err := VerifyCapacity(p, half); err != nil {
+		t.Fatalf("one demand rejected: %v", err)
+	}
+	// Together the two demands fill a→b exactly but give c 4/3 of compute.
+	wantErr(t, VerifyCapacity(p, half, half), "core: node c computes for 4/3 > 1 per time unit")
+
+	// Every edge and both ports of a are overloaded: the lowest edge wins,
+	// 60 times over in case the text depended on map order.
+	over := Demand{Transfers: []FlowTransfer{
+		{From: a, To: c, Label: "y", Size: rat.One(), Rate: rat.Int(2)},
+		{From: c, To: a, Label: "y", Size: rat.One(), Rate: rat.Int(2)},
+		{From: a, To: b, Label: "y", Size: rat.One(), Rate: rat.Int(3)},
+	}}
+	for i := 0; i < 60; i++ {
+		wantErr(t, VerifyCapacity(p, over), "core: edge a→b occupation 3/2 > 1")
+	}
+	// Within every edge, a's send port is the first violation.
+	ports := Demand{Transfers: []FlowTransfer{
+		{From: b, To: a, Label: "z", Size: rat.One(), Rate: rat.Int(2)},
+		{From: a, To: b, Label: "z", Size: rat.One(), Rate: rat.Int(1)},
+		{From: a, To: c, Label: "z", Size: rat.One(), Rate: rat.New(3, 4)},
+	}}
+	wantErr(t, VerifyCapacity(p, ports), "core: node a sends for 5/4 > 1 per time unit")
 }
 
 func TestFlowPeriod(t *testing.T) {
@@ -173,13 +216,20 @@ func TestFlowInflowOutflow(t *testing.T) {
 	f := NewFlow[string](p)
 	f.SetSend(a, b, "m", rat.New(2, 5))
 	f.SetSend(b, c, "m", rat.New(2, 5))
-	in, out := f.InflowOutflow(b, "m")
-	if !rat.Eq(in, rat.New(2, 5)) || !rat.Eq(out, rat.New(2, 5)) {
-		t.Errorf("in=%s out=%s, want 2/5 both", in.RatString(), out.RatString())
+	f.SetSend(a, b, "n", rat.New(1, 5))
+	f.SetSend(b, c, "skipped", rat.One())
+	in, out := f.InflowOutflow([]string{"n", "m"})
+	if !rat.Eq(&in[1][b], rat.New(2, 5)) || !rat.Eq(&out[1][b], rat.New(2, 5)) {
+		t.Errorf("relay in=%s out=%s, want 2/5 both", in[1][b].RatString(), out[1][b].RatString())
 	}
-	in, out = f.InflowOutflow(a, "m")
-	if !rat.IsZero(in) || !rat.Eq(out, rat.New(2, 5)) {
-		t.Errorf("source in=%s out=%s", in.RatString(), out.RatString())
+	if !rat.IsZero(&in[1][a]) || !rat.Eq(&out[1][a], rat.New(2, 5)) {
+		t.Errorf("source in=%s out=%s", in[1][a].RatString(), out[1][a].RatString())
+	}
+	if !rat.Eq(&in[0][b], rat.New(1, 5)) || !rat.IsZero(&out[0][b]) || !rat.IsZero(&in[0][c]) {
+		t.Errorf("n at b: in=%s out=%s; at c: in=%s", in[0][b].RatString(), out[0][b].RatString(), in[0][c].RatString())
+	}
+	if !rat.Eq(&in[1][c], rat.New(2, 5)) {
+		t.Errorf("an unlisted type was counted: in(c, m) = %s", in[1][c].RatString())
 	}
 }
 

@@ -50,22 +50,19 @@ func StatsOf(m *lp.Model, sol *lp.Solution) FlowStats {
 	}
 }
 
-// flowKey identifies a transfer variable of a FlowFragment.
+// flowKey identifies a transfer variable of a forwarding fragment.
 type flowKey struct {
 	e EdgeKey
 	c Commodity
 }
 
-// FlowFragment is one uniform-flow collective's share of a linear program:
-// the transfer variables of its commodities, with their one-port occupancy
-// registered on a (possibly shared) OccupancyBuilder. A single fragment at
-// weight 1 is the paper's Section 3 (SSSP(G)) / Section 3.5 (SSPA2A(G))
-// program: maximize the common throughput TP such that every commodity is
-// delivered to its destination at rate TP per time unit, subject to
-// per-edge occupation ≤ 1, the one-port constraints and the conservation
-// law at every forwarding node. Several fragments on one model with one
-// shared builder superpose concurrent collectives on the same platform
-// capacity; internal/composite assembles and solves both cases.
+// FlowRows is what every forwarding fragment — scatter, gossip and
+// broadcast — shares: the reachability index that prunes its transfer
+// variables, the variables themselves (one per edge and commodity), the
+// conservation and delivery rows over them, and the read-out of the
+// solved flow. The fragments differ only in their commodities, in how a
+// commodity is named in variable and row names, and in broadcast's carry
+// rates, which it declares beside the transfers.
 //
 // Following the paper's conservation reading ("all the packets reaching a
 // node which is not their final destination are transferred"), the
@@ -75,21 +72,151 @@ type flowKey struct {
 // their own source and messages leaving their destination — which keeps the
 // LP smaller and rules out self-delivery cycles that would otherwise
 // inflate TP.
+type FlowRows struct {
+	p     *graph.Platform
+	comms []Commodity
+	name  func(Commodity) string
+	// fromSrc[s] is the set of nodes reachable from s; toDst[d] the set of
+	// nodes that can reach d, d included.
+	fromSrc, toDst map[graph.NodeID]map[graph.NodeID]bool
+	sends          map[flowKey]lp.Var
+}
+
+// NewFlowRows indexes, for the commodities on p, which nodes each source
+// reaches and which nodes reach each destination, under a "reachability"
+// span of ctx. name renders a commodity in variable and row names.
+func NewFlowRows(ctx context.Context, p *graph.Platform, comms []Commodity, name func(Commodity) string) *FlowRows {
+	_, span := obs.StartSpan(ctx, "reachability")
+	r := &FlowRows{
+		p:       p,
+		comms:   append([]Commodity(nil), comms...),
+		name:    name,
+		fromSrc: make(map[graph.NodeID]map[graph.NodeID]bool),
+		toDst:   make(map[graph.NodeID]map[graph.NodeID]bool),
+		sends:   make(map[flowKey]lp.Var),
+	}
+	for _, c := range comms {
+		if r.fromSrc[c.Src] == nil {
+			set := make(map[graph.NodeID]bool)
+			for _, n := range p.ReachableFrom(c.Src) {
+				set[n] = true
+			}
+			r.fromSrc[c.Src] = set
+		}
+		if r.toDst[c.Dst] == nil {
+			set := make(map[graph.NodeID]bool)
+			for _, n := range p.Nodes() {
+				if n.ID == c.Dst || p.CanReach(n.ID, c.Dst) {
+					set[n.ID] = true
+				}
+			}
+			r.toDst[c.Dst] = set
+		}
+	}
+	span.SetAttr("sources", len(r.fromSrc))
+	span.SetAttr("destinations", len(r.toDst))
+	span.End()
+	return r
+}
+
+// Useful reports whether commodity c may cross edge e: a useful transfer
+// starts somewhere the commodity can exist and ends somewhere it can
+// still make progress; never into its own source, never out of its
+// destination.
+func (r *FlowRows) Useful(e graph.Edge, c Commodity) bool {
+	return e.To != c.Src && e.From != c.Dst && r.fromSrc[c.Src][e.From] && r.toDst[c.Dst][e.To]
+}
+
+// Declare declares into m the transfer variable of commodity c on edge e,
+// named "<label>send(<from>-><to>,<name>)".
+func (r *FlowRows) Declare(m *lp.Model, label string, e graph.Edge, c Commodity) lp.Var {
+	v := m.Var(fmt.Sprintf("%ssend(%s->%s,%s)", label, r.p.Node(e.From).Name, r.p.Node(e.To).Name, r.name(c)))
+	r.sends[flowKey{EdgeKey{e.From, e.To}, c}] = v
+	return v
+}
+
+// Len returns the number of declared transfer variables.
+func (r *FlowRows) Len() int { return len(r.sends) }
+
+// AddComputeVars declares nothing: a forwarding collective runs no tasks.
+func (r *FlowRows) AddComputeVars(*lp.Model, string, *ComputeBuilder) {}
+
+// AddFlowConstraints adds, for every commodity in order, its conservation
+// at every forwarding node with traffic and its delivery of weight·tp at
+// its destination. With weight 1 as the model's only fragment this is
+// exactly the plain SSSP/SSPA2A program; in a shared model, weight scales
+// the member's delivered rate relative to the common objective tp.
+func (r *FlowRows) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weight rat.Rat) {
+	sum := func(edges []graph.Edge, c Commodity) lp.Expr {
+		expr := lp.NewExpr()
+		for _, e := range edges {
+			if v, ok := r.sends[flowKey{EdgeKey{e.From, e.To}, c}]; ok {
+				expr = expr.Plus1(v)
+			}
+		}
+		return expr
+	}
+	for _, c := range r.comms {
+		for _, n := range r.p.Nodes() {
+			if n.ID == c.Src {
+				continue
+			}
+			in := sum(r.p.InEdges(n.ID), c)
+			if n.ID == c.Dst {
+				m.AddConstraint(fmt.Sprintf("%sdeliver(%s,%s)", label, n.Name, r.name(c)),
+					in.Minus(weight, tp), lp.Eq, rat.Zero())
+				continue
+			}
+			out := sum(r.p.OutEdges(n.ID), c)
+			if len(in) == 0 && len(out) == 0 {
+				continue
+			}
+			cons := in
+			for _, t := range out {
+				cons = cons.Minus(t.Coeff, t.Var)
+			}
+			m.AddConstraint(fmt.Sprintf("%sconserve(%s,%s)", label, n.Name, r.name(c)),
+				cons, lp.Eq, rat.Zero())
+		}
+	}
+}
+
+// Flow reads the solved transfer rates into a typed flow with throughput
+// tp, canceling zero-net circulations.
+func (r *FlowRows) Flow(sol *lp.Solution, tp rat.Rat) *Flow[Commodity] {
+	out := NewFlow[Commodity](r.p)
+	out.Throughput = rat.Copy(tp)
+	for k, v := range r.sends {
+		out.SetSend(k.e.From, k.e.To, k.c, sol.Value(v))
+	}
+	CancelCycles(out)
+	return out
+}
+
+// FlowFragment is one scatter's or gossip's share of a linear program: the
+// transfer variables of its commodities, with their one-port occupancy
+// registered on a (possibly shared) OccupancyBuilder. A single fragment at
+// weight 1 is the paper's Section 3 (SSSP(G)) / Section 3.5 (SSPA2A(G))
+// program: maximize the common throughput TP such that every commodity is
+// delivered to its destination at rate TP per time unit, subject to
+// per-edge occupation ≤ 1, the one-port constraints and the conservation
+// law at every forwarding node. Several fragments on one model with one
+// shared builder superpose concurrent collectives on the same platform
+// capacity; internal/composite assembles and solves both cases.
 type FlowFragment struct {
-	Platform    *graph.Platform
-	Commodities []Commodity
-	sends       map[flowKey]lp.Var
-	part        func(*Flow[Commodity]) Part
+	*FlowRows
+	part func(*Flow[Commodity]) Part
 }
 
 // NewFlowFragment validates the commodities and declares their transfer
-// variables into m, registering each variable's busy time with occ. label
-// prefixes variable names so several fragments can share one model. The
-// caller emits the port constraints (occ.AddConstraints) once after every
-// fragment has been declared, then calls AddFlowConstraints per fragment.
-// part wraps the extracted flow as the kind's solution. ctx carries the
-// solve trace, if any: assembly opens an "assemble" span with a
-// "reachability" child covering the pruning-index computation.
+// variables into m, named by commodity "m<src>_<dst>" and registering each
+// variable's busy time with occ. label prefixes variable names so several
+// fragments can share one model. The caller emits the port constraints
+// (occ.AddConstraints) once after every fragment has been declared, then
+// calls AddFlowConstraints per fragment. part wraps the extracted flow as
+// the kind's solution. ctx carries the solve trace, if any: assembly opens
+// an "assemble" span with a "reachability" child covering the
+// pruning-index computation.
 func NewFlowFragment(ctx context.Context, m *lp.Model, label string, p *graph.Platform, commodities []Commodity, occ *OccupancyBuilder, part func(*Flow[Commodity]) Part) (*FlowFragment, error) {
 	ctx, asmSpan := obs.StartSpan(ctx, "assemble")
 	asmSpan.SetAttr("kind", "flow")
@@ -115,124 +242,25 @@ func NewFlowFragment(ctx context.Context, m *lp.Model, label string, p *graph.Pl
 				p.Node(c.Src).Name, p.Node(c.Dst).Name)
 		}
 	}
-
-	// Reachability sets for pruning: fromSrc[s] = reachable from s;
-	// toDst[d] = nodes that can reach d (reverse reachability, computed by
-	// scanning each node once per destination).
-	_, reachSpan := obs.StartSpan(ctx, "reachability")
-	fromSrc := make(map[graph.NodeID]map[graph.NodeID]bool)
-	toDst := make(map[graph.NodeID]map[graph.NodeID]bool)
-	for _, c := range commodities {
-		if fromSrc[c.Src] == nil {
-			set := make(map[graph.NodeID]bool)
-			for _, n := range p.ReachableFrom(c.Src) {
-				set[n] = true
-			}
-			fromSrc[c.Src] = set
-		}
-		if toDst[c.Dst] == nil {
-			set := make(map[graph.NodeID]bool)
-			for _, n := range p.Nodes() {
-				if n.ID == c.Dst || p.CanReach(n.ID, c.Dst) {
-					set[n.ID] = true
-				}
-			}
-			toDst[c.Dst] = set
-		}
-	}
-	reachSpan.SetAttr("sources", len(fromSrc))
-	reachSpan.SetAttr("destinations", len(toDst))
-	reachSpan.End()
-
-	f := &FlowFragment{
-		Platform:    p,
-		Commodities: append([]Commodity(nil), commodities...),
-		sends:       make(map[flowKey]lp.Var),
-		part:        part,
-	}
-	allowed := func(e graph.Edge, c Commodity) bool {
-		// A useful transfer starts somewhere the commodity can exist and
-		// ends somewhere it can still make progress; never into its own
-		// source, never out of its destination.
-		return e.To != c.Src && e.From != c.Dst &&
-			fromSrc[c.Src][e.From] && toDst[c.Dst][e.To]
-	}
+	rows := NewFlowRows(ctx, p, commodities, func(c Commodity) string {
+		return "m" + p.Node(c.Src).Name + "_" + p.Node(c.Dst).Name
+	})
 	for _, e := range p.Edges() {
 		for _, c := range commodities {
-			if !allowed(e, c) {
-				continue
+			if rows.Useful(e, c) {
+				occ.Add(e.From, e.To, rows.Declare(m, label, e, c), e.Cost) // unit-size messages
 			}
-			name := fmt.Sprintf("%ssend(%s->%s,m%s_%s)", label,
-				p.Node(e.From).Name, p.Node(e.To).Name,
-				p.Node(c.Src).Name, p.Node(c.Dst).Name)
-			v := m.Var(name)
-			f.sends[flowKey{EdgeKey{e.From, e.To}, c}] = v
-			occ.Add(e.From, e.To, v, e.Cost) // unit-size messages
 		}
 	}
-	asmSpan.SetAttr("vars", len(f.sends))
-	return f, nil
-}
-
-// AddComputeVars declares nothing: a forwarding collective runs no tasks.
-func (f *FlowFragment) AddComputeVars(*lp.Model, string, *ComputeBuilder) {}
-
-// AddFlowConstraints adds the fragment's conservation constraints at
-// forwarding nodes and the delivery of weight·tp at every destination.
-// With weight 1 as the model's only fragment this is exactly the plain
-// SSSP/SSPA2A program; in a shared model, weight scales the member's
-// delivered rate relative to the common objective tp.
-func (f *FlowFragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weight rat.Rat) {
-	p := f.Platform
-	for _, c := range f.Commodities {
-		for _, n := range p.Nodes() {
-			if n.ID == c.Src {
-				continue
-			}
-			in := lp.NewExpr()
-			for _, e := range p.InEdges(n.ID) {
-				if v, ok := f.sends[flowKey{EdgeKey{e.From, e.To}, c}]; ok {
-					in = in.Plus1(v)
-				}
-			}
-			if n.ID == c.Dst {
-				in = in.Minus(weight, tp)
-				m.AddConstraint(
-					fmt.Sprintf("%sdeliver(%s,m%s_%s)", label, n.Name, p.Node(c.Src).Name, p.Node(c.Dst).Name),
-					in, lp.Eq, rat.Zero())
-				continue
-			}
-			out := lp.NewExpr()
-			for _, e := range p.OutEdges(n.ID) {
-				if v, ok := f.sends[flowKey{EdgeKey{e.From, e.To}, c}]; ok {
-					out = out.Plus1(v)
-				}
-			}
-			if len(in) == 0 && len(out) == 0 {
-				continue
-			}
-			cons := in
-			for _, t := range out {
-				cons = cons.Minus(t.Coeff, t.Var)
-			}
-			m.AddConstraint(
-				fmt.Sprintf("%sconserve(%s,m%s_%s)", label, n.Name, p.Node(c.Src).Name, p.Node(c.Dst).Name),
-				cons, lp.Eq, rat.Zero())
-		}
-	}
+	asmSpan.SetAttr("vars", rows.Len())
+	return &FlowFragment{FlowRows: rows, part: part}, nil
 }
 
 // Extract reads the fragment's solved rates into a typed flow with the
 // given throughput, canceling zero-net circulations, and wraps it as the
 // kind's solution.
 func (f *FlowFragment) Extract(sol *lp.Solution, tp rat.Rat) Part {
-	out := NewFlow[Commodity](f.Platform)
-	out.Throughput = rat.Copy(tp)
-	for k, v := range f.sends {
-		out.SetSend(k.e.From, k.e.To, k.c, sol.Value(v))
-	}
-	CancelCycles(out)
-	return f.part(out)
+	return f.part(f.Flow(sol, tp))
 }
 
 // CancelCycles removes pure circulations from each commodity of the flow:

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/composite"
 	"repro/internal/core"
-	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/rat"
@@ -27,10 +26,16 @@ func solve(t *testing.T, p *graph.Platform, mem composite.Member) (*core.Flow[co
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if g, ok := sol.Members[0].Part.(*gossip.Solution); ok {
+	if g, ok := sol.Members[0].Part.(*scatter.GossipSolution); ok {
 		return g.Flow, sol.Stats
 	}
 	return sol.Members[0].Part.(*scatter.Solution).Flow, sol.Stats
+}
+
+// onePort checks the flow's sends, as unit-size transfers, against the
+// platform's one-port capacity.
+func onePort(f *core.Flow[core.Commodity]) error {
+	return core.VerifyCapacity(f.Platform, core.Demand{Transfers: f.Transfers(func(core.Commodity) string { return "m" })})
 }
 
 // scatterMember returns the scatter from src to targets — the commodities
@@ -57,7 +62,7 @@ func TestSolveUniformFlowSingleEdge(t *testing.T) {
 	if stats.Vars == 0 || stats.Constraints == 0 {
 		t.Errorf("stats look empty: %+v", stats)
 	}
-	if err := f.VerifyOnePort(func(core.Commodity) rat.Rat { return rat.One() }); err != nil {
+	if err := onePort(f); err != nil {
 		t.Errorf("one-port: %v", err)
 	}
 }
@@ -140,9 +145,9 @@ func TestSolveUniformFlowConservation(t *testing.T) {
 	if !rat.Eq(f.Throughput, rat.One()) {
 		t.Errorf("TP = %s, want 1", f.Throughput.RatString())
 	}
-	in, out := f.InflowOutflow(r, core.Commodity{s, d})
-	if !rat.Eq(in, out) {
-		t.Errorf("conservation violated at router: in=%s out=%s", in.RatString(), out.RatString())
+	in, out := f.InflowOutflow([]core.Commodity{{s, d}})
+	if !rat.Eq(&in[0][r], &out[0][r]) {
+		t.Errorf("conservation violated at router: in=%s out=%s", in[0][r].RatString(), out[0][r].RatString())
 	}
 }
 
@@ -159,7 +164,7 @@ func TestSolveUniformFlowGossip(t *testing.T) {
 
 	// Sources == targets: every ordered pair of distinct nodes is a
 	// commodity.
-	pr, err := gossip.NewProblem(p, ids, ids)
+	pr, err := scatter.NewGossipProblem(p, ids, ids)
 	if err != nil {
 		t.Fatalf("gossip.NewProblem: %v", err)
 	}
@@ -169,7 +174,7 @@ func TestSolveUniformFlowGossip(t *testing.T) {
 	if !rat.Eq(f.Throughput, rat.New(1, 2)) {
 		t.Errorf("TP = %s, want 1/2", f.Throughput.RatString())
 	}
-	if err := f.VerifyOnePort(func(core.Commodity) rat.Rat { return rat.One() }); err != nil {
+	if err := onePort(f); err != nil {
 		t.Errorf("one-port: %v", err)
 	}
 }
@@ -271,7 +276,7 @@ func TestSolveUniformFlowOnTiers(t *testing.T) {
 	if f.Throughput.Sign() <= 0 {
 		t.Error("throughput should be positive on a connected platform")
 	}
-	if err := f.VerifyOnePort(func(core.Commodity) rat.Rat { return rat.One() }); err != nil {
+	if err := onePort(f); err != nil {
 		t.Errorf("one-port: %v", err)
 	}
 	t.Logf("tiers scatter: TP=%s vars=%d cons=%d pivots=%d",

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/big"
+	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/lp"
@@ -68,8 +70,8 @@ type FlowTransfer struct {
 
 // Demand is one collective's load on the platform: its typed transfers,
 // in no particular order, plus (for the reduce family) the per-node
-// compute occupation per time unit. It feeds schedule.MergeFlows and the
-// shared-capacity checks of a composite.
+// compute occupation per time unit. It feeds schedule.MergeFlows and
+// VerifyCapacity.
 type Demand struct {
 	Transfers []FlowTransfer
 	// ComputeTime maps a node to its compute busy fraction (≤ 1).
@@ -86,4 +88,63 @@ func (f *Flow[C]) Transfers(label func(C) string) []FlowTransfer {
 		}
 	}
 	return out
+}
+
+// VerifyCapacity checks the demands, summed, against the platform's
+// capacity, independent of the LP: the occupation of every edge
+// (Σ rate·size·cost), the send and the receive port of every node, and
+// every node's compute time must each be at most 1 per time unit. It
+// returns the first violation — edges in (from, to) order, then send
+// ports, receive ports and compute time in node order — so the text does
+// not depend on map order.
+func VerifyCapacity(p *graph.Platform, demands ...Demand) error {
+	edges := make(map[EdgeKey]*big.Rat)
+	n := p.NumNodes()
+	send, recv, compute := make([]big.Rat, n), make([]big.Rat, n), make([]big.Rat, n)
+	var occ big.Rat
+	for _, d := range demands {
+		for _, tr := range d.Transfers {
+			occ.Mul(tr.Rate, tr.Size)
+			occ.Mul(&occ, p.Cost(tr.From, tr.To))
+			k := EdgeKey{tr.From, tr.To}
+			if edges[k] == nil {
+				edges[k] = new(big.Rat)
+			}
+			edges[k].Add(edges[k], &occ)
+			send[tr.From].Add(&send[tr.From], &occ)
+			recv[tr.To].Add(&recv[tr.To], &occ)
+		}
+		for id, busy := range d.ComputeTime {
+			compute[id].Add(&compute[id], busy)
+		}
+	}
+	keys := make([]EdgeKey, 0, len(edges))
+	for k := range edges {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].From != keys[j].From {
+			return keys[i].From < keys[j].From
+		}
+		return keys[i].To < keys[j].To
+	})
+	one := rat.One()
+	for _, k := range keys {
+		if edges[k].Cmp(one) > 0 {
+			return fmt.Errorf("core: edge %s→%s occupation %s > 1",
+				p.Node(k.From).Name, p.Node(k.To).Name, edges[k].RatString())
+		}
+	}
+	for _, check := range []struct {
+		load []big.Rat
+		verb string
+	}{{send, "sends"}, {recv, "receives"}, {compute, "computes"}} {
+		for id := range check.load {
+			if check.load[id].Cmp(one) > 0 {
+				return fmt.Errorf("core: node %s %s for %s > 1 per time unit",
+					p.Node(graph.NodeID(id)).Name, check.verb, check.load[id].RatString())
+			}
+		}
+	}
+	return nil
 }

@@ -235,22 +235,15 @@ func computeTime(tasks map[TaskKey]rat.Rat, taskTime func(graph.NodeID, Task) ra
 }
 
 // verify re-checks the family's constraints on the rates, independent of
-// the LP: one-port occupation; compute occupation, with every task on one
-// of computeNodes(fam.Platform, only) — checked first, since a router or a
-// zero-speed node has no task time; and the balance of every (node, range)
-// cell but a leaf at its owner, which must be TP where owed says the cell
-// delivers and zero elsewhere. It returns the first violation, prefixed by
-// kind.
+// the LP: every task on one of computeNodes(fam.Platform, only) — checked
+// first, since the demand reads task times and a router or a zero-speed
+// node has none; the platform's capacity under the family's demand
+// (core.VerifyCapacity: one-port and compute occupation); and the balance
+// of every (node, range) cell but a leaf at its owner, which must be TP
+// where owed says the cell delivers and zero elsewhere. It returns the
+// first violation, prefixed by kind.
 func (s *Rates) verify(kind string, fam *Family, only []graph.NodeID, owed func(graph.NodeID, Range) bool) error {
 	p, n := fam.Platform, fam.N()
-	f := core.NewFlow[Range](p)
-	for k, r := range s.Sends {
-		f.SetSend(k.From, k.To, k.R, r)
-	}
-	if err := f.VerifyOnePort(fam.SizeOf); err != nil {
-		return fmt.Errorf("%s: %w", kind, err)
-	}
-
 	allowed := make(map[graph.NodeID]bool)
 	for _, id := range computeNodes(p, only) {
 		allowed[id] = true
@@ -260,19 +253,22 @@ func (s *Rates) verify(kind string, fam *Family, only []graph.NodeID, owed func(
 			return fmt.Errorf("%s: task on non-computing node %s", kind, p.Node(k.Node).Name)
 		}
 	}
-	for id, a := range computeTime(s.Tasks, fam.TaskTime) {
-		if a.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("%s: node %s computes for %s > 1 per time unit", kind, p.Node(id).Name, a.RatString())
-		}
+	if err := core.VerifyCapacity(p, s.demand(fam)); err != nil {
+		return fmt.Errorf("%s: %w", kind, err)
 	}
 
+	ranges := Ranges(n)
+	f := core.NewFlow[Range](p)
+	for k, r := range s.Sends {
+		f.SetSend(k.From, k.To, k.R, r)
+	}
+	ins, outs := f.InflowOutflow(ranges)
 	for _, node := range p.Nodes() {
-		for _, r := range Ranges(n) {
+		for j, r := range ranges {
 			if r.IsLeaf() && fam.Order[r.K] == node.ID {
 				continue
 			}
-			in, out := f.InflowOutflow(node.ID, r)
-			bal := rat.Sub(in, out)
+			bal := rat.Sub(&ins[j][node.ID], &outs[j][node.ID])
 			for l := r.K; l < r.M; l++ {
 				if v, ok := s.Tasks[TaskKey{node.ID, Task{r.K, l, r.M}}]; ok {
 					bal.Add(bal, v)

@@ -41,36 +41,23 @@ type BroadcastProblem struct {
 // source must not be one of the targets (it already holds every message)
 // and every target must be reachable.
 func NewBroadcastProblem(p *graph.Platform, source graph.NodeID, targets []graph.NodeID) (*BroadcastProblem, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("broadcast: no targets")
-	}
-	seen := make(map[graph.NodeID]bool)
-	for _, t := range targets {
-		if t == source {
-			return nil, fmt.Errorf("broadcast: source %s cannot be a target", p.Node(source).Name)
-		}
-		if seen[t] {
-			return nil, fmt.Errorf("broadcast: duplicate target %s", p.Node(t).Name)
-		}
-		seen[t] = true
-		if !p.CanReach(source, t) {
-			return nil, fmt.Errorf("broadcast: target %s unreachable from source %s",
-				p.Node(t).Name, p.Node(source).Name)
-		}
+	if err := validateTargets(broadcastKind, p, source, targets); err != nil {
+		return nil, err
 	}
 	return &BroadcastProblem{Platform: p, Source: source, Targets: append([]graph.NodeID(nil), targets...)}, nil
 }
 
 // Kind names the collective family.
-func (pr *BroadcastProblem) Kind() string { return "broadcast" }
+func (pr *BroadcastProblem) Kind() string { return broadcastKind.name }
 
 // Host returns the platform the problem is bound to.
 func (pr *BroadcastProblem) Host() *graph.Platform { return pr.Platform }
 
-// broadcastKey identifies one per-target flow variable of a fragment.
-type broadcastKey struct {
-	e core.EdgeKey
-	t graph.NodeID
+// carryBound is one replication bound x(e, b_t) ≤ y(e) of a fragment.
+type carryBound struct {
+	e    graph.Edge
+	c    core.Commodity
+	x, y lp.Var
 }
 
 // BroadcastFragment is one broadcast's share of a linear program: the
@@ -81,140 +68,70 @@ type broadcastKey struct {
 // with other collectives on the same platform capacity. Either way
 // internal/composite assembles and solves the model.
 type BroadcastFragment struct {
+	*core.FlowRows
 	Problem *BroadcastProblem
-	carry   map[core.EdgeKey]lp.Var
-	sends   map[broadcastKey]lp.Var
+	bounds  []carryBound
 }
 
 // NewFragment declares the fragment's carry and flow variables into m,
-// registering only the carry rates with occ — the per-target flows are
-// virtual copies of the same bytes. label prefixes variable names so
-// several fragments can share one model. The caller emits the port
-// constraints (occ.AddConstraints) once after every fragment has been
-// declared, then calls AddFlowConstraints per fragment. ctx carries the
-// solve trace, if any: assembly opens an "assemble" span with a
-// "reachability" child covering the pruning-index computation.
+// edge by edge, each carry before the flows it bounds, registering only
+// the carry rates with occ — the per-target flows are virtual copies of
+// the same bytes. label prefixes variable names so several fragments can
+// share one model. The caller emits the port constraints
+// (occ.AddConstraints) once after every fragment has been declared, then
+// calls AddFlowConstraints per fragment. ctx carries the solve trace, if
+// any: assembly opens an "assemble" span with a "reachability" child
+// covering the pruning-index computation.
 func (pr *BroadcastProblem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) (core.Fragment, error) {
 	ctx, asmSpan := obs.StartSpan(ctx, "assemble")
 	asmSpan.SetAttr("kind", "broadcast")
 	asmSpan.SetAttr("label", label)
 	asmSpan.SetAttr("targets", len(pr.Targets))
+	defer asmSpan.End()
 	p := pr.Platform
-	_, reachSpan := obs.StartSpan(ctx, "reachability")
-	fromSrc := make(map[graph.NodeID]bool)
-	for _, n := range p.ReachableFrom(pr.Source) {
-		fromSrc[n] = true
-	}
-	toDst := make(map[graph.NodeID]map[graph.NodeID]bool)
-	for _, t := range pr.Targets {
-		set := make(map[graph.NodeID]bool)
-		for _, n := range p.Nodes() {
-			if n.ID == t || p.CanReach(n.ID, t) {
-				set[n.ID] = true
-			}
-		}
-		toDst[t] = set
-	}
-	reachSpan.SetAttr("sources", 1)
-	reachSpan.SetAttr("destinations", len(toDst))
-	reachSpan.End()
-
+	comms := fromSource(pr.Source, pr.Targets)
 	f := &BroadcastFragment{
-		Problem: pr,
-		carry:   make(map[core.EdgeKey]lp.Var),
-		sends:   make(map[broadcastKey]lp.Var),
+		FlowRows: core.NewFlowRows(ctx, p, comms, func(c core.Commodity) string { return broadcastKind.label(p, c) }),
+		Problem:  pr,
 	}
+	carries := 0
 	for _, e := range p.Edges() {
-		// The same pruning as the scatter commodity (source, t): a useful
-		// copy starts somewhere the message can exist and ends somewhere it
-		// can still make progress toward t.
-		var useful []graph.NodeID
-		for _, t := range pr.Targets {
-			if e.To != pr.Source && e.From != t && fromSrc[e.From] && toDst[t][e.To] {
-				useful = append(useful, t)
+		// An edge gets a carry only if some target's copy may usefully
+		// cross it.
+		var useful []core.Commodity
+		for _, c := range comms {
+			if f.Useful(e, c) {
+				useful = append(useful, c)
 			}
 		}
 		if len(useful) == 0 {
 			continue
 		}
-		k := core.EdgeKey{From: e.From, To: e.To}
 		y := m.Var(fmt.Sprintf("%scarry(%s->%s)", label, p.Node(e.From).Name, p.Node(e.To).Name))
-		f.carry[k] = y
+		carries++
 		occ.Add(e.From, e.To, y, e.Cost) // unit-size messages, sent once per edge
-		for _, t := range useful {
-			name := fmt.Sprintf("%ssend(%s->%s,b_%s)", label,
-				p.Node(e.From).Name, p.Node(e.To).Name, p.Node(t).Name)
-			f.sends[broadcastKey{k, t}] = m.Var(name)
+		for _, c := range useful {
+			f.bounds = append(f.bounds, carryBound{e: e, c: c, x: f.Declare(m, label, e, c), y: y})
 		}
 	}
-	asmSpan.SetAttr("vars", len(f.carry)+len(f.sends))
-	asmSpan.End()
+	asmSpan.SetAttr("vars", carries+f.Len())
 	return f, nil
 }
 
-// AddComputeVars declares nothing: a broadcast runs no tasks.
-func (f *BroadcastFragment) AddComputeVars(*lp.Model, string, *core.ComputeBuilder) {}
-
-// AddFlowConstraints adds the replication bounds x(e, b_t) ≤ y(e), the
-// per-target conservation at forwarding nodes, and the delivery of
+// AddFlowConstraints adds the replication bounds x(e, b_t) ≤ y(e), then
+// the per-target conservation at forwarding nodes and the delivery of
 // weight·tp at every target. With weight 1 as the model's only fragment
 // this is the plain broadcast program; in a shared model, weight scales
 // the broadcast's delivered rate relative to the common objective tp.
 func (f *BroadcastFragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weight rat.Rat) {
 	p := f.Problem.Platform
-	for _, e := range p.Edges() {
-		k := core.EdgeKey{From: e.From, To: e.To}
-		y, ok := f.carry[k]
-		if !ok {
-			continue
-		}
-		for _, t := range f.Problem.Targets {
-			x, ok := f.sends[broadcastKey{k, t}]
-			if !ok {
-				continue
-			}
-			m.AddConstraint(
-				fmt.Sprintf("%scarrybound(%s->%s,b_%s)", label,
-					p.Node(e.From).Name, p.Node(e.To).Name, p.Node(t).Name),
-				lp.NewExpr().Plus1(x).Minus(rat.One(), y), lp.Leq, rat.Zero())
-		}
+	for _, b := range f.bounds {
+		m.AddConstraint(
+			fmt.Sprintf("%scarrybound(%s->%s,%s)", label,
+				p.Node(b.e.From).Name, p.Node(b.e.To).Name, broadcastKind.label(p, b.c)),
+			lp.NewExpr().Plus1(b.x).Minus(rat.One(), b.y), lp.Leq, rat.Zero())
 	}
-	for _, t := range f.Problem.Targets {
-		for _, n := range p.Nodes() {
-			if n.ID == f.Problem.Source {
-				continue
-			}
-			in := lp.NewExpr()
-			for _, e := range p.InEdges(n.ID) {
-				if v, ok := f.sends[broadcastKey{core.EdgeKey{From: e.From, To: e.To}, t}]; ok {
-					in = in.Plus1(v)
-				}
-			}
-			if n.ID == t {
-				in = in.Minus(weight, tp)
-				m.AddConstraint(
-					fmt.Sprintf("%sdeliver(%s,b_%s)", label, n.Name, p.Node(t).Name),
-					in, lp.Eq, rat.Zero())
-				continue
-			}
-			out := lp.NewExpr()
-			for _, e := range p.OutEdges(n.ID) {
-				if v, ok := f.sends[broadcastKey{core.EdgeKey{From: e.From, To: e.To}, t}]; ok {
-					out = out.Plus1(v)
-				}
-			}
-			if len(in) == 0 && len(out) == 0 {
-				continue
-			}
-			cons := in
-			for _, term := range out {
-				cons = cons.Minus(term.Coeff, term.Var)
-			}
-			m.AddConstraint(
-				fmt.Sprintf("%sconserve(%s,b_%s)", label, n.Name, p.Node(t).Name),
-				cons, lp.Eq, rat.Zero())
-		}
-	}
+	f.FlowRows.AddFlowConstraints(m, label, tp, weight)
 }
 
 // Extract reads the fragment's solved rates into a broadcast solution
@@ -222,13 +139,7 @@ func (f *BroadcastFragment) AddFlowConstraints(m *lp.Model, label string, tp lp.
 // carry rate of each edge is tightened to the maximum per-target flow it
 // must cover (the LP may leave slack in y within the port capacity).
 func (f *BroadcastFragment) Extract(sol *lp.Solution, tp rat.Rat) core.Part {
-	flow := core.NewFlow[core.Commodity](f.Problem.Platform)
-	flow.Throughput = rat.Copy(tp)
-	for k, v := range f.sends {
-		flow.SetSend(k.e.From, k.e.To, core.Commodity{Src: f.Problem.Source, Dst: k.t}, sol.Value(v))
-	}
-	core.CancelCycles(flow)
-
+	flow := f.Flow(sol, tp)
 	carry := make(map[core.EdgeKey]rat.Rat)
 	for e, types := range flow.Sends {
 		max := rat.Zero()
@@ -302,59 +213,23 @@ func (s *BroadcastSolution) Verify() error {
 			}
 		}
 	}
-	outTot := make(map[graph.NodeID]rat.Rat)
-	inTot := make(map[graph.NodeID]rat.Rat)
-	for e, r := range s.Carry {
-		occ := rat.Mul(r, p.Cost(e.From, e.To))
-		if occ.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("broadcast: edge %s→%s occupation %s > 1",
-				p.Node(e.From).Name, p.Node(e.To).Name, occ.RatString())
-		}
-		if outTot[e.From] == nil {
-			outTot[e.From] = rat.Zero()
-		}
-		if inTot[e.To] == nil {
-			inTot[e.To] = rat.Zero()
-		}
-		outTot[e.From].Add(outTot[e.From], occ)
-		inTot[e.To].Add(inTot[e.To], occ)
+	if err := core.VerifyCapacity(p, s.Demand()); err != nil {
+		return fmt.Errorf("broadcast: %w", err)
 	}
-	for id, occ := range outTot {
-		if occ.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("broadcast: node %s sends for %s > 1 per time unit",
-				p.Node(id).Name, occ.RatString())
-		}
-	}
-	for id, occ := range inTot {
-		if occ.Cmp(rat.One()) > 0 {
-			return fmt.Errorf("broadcast: node %s receives for %s > 1 per time unit",
-				p.Node(id).Name, occ.RatString())
-		}
-	}
-	for _, t := range s.Problem.Targets {
-		com := core.Commodity{Src: s.Problem.Source, Dst: t}
-		for _, n := range p.Nodes() {
-			in, out := s.Flow.InflowOutflow(n.ID, com)
-			switch n.ID {
-			case s.Problem.Source:
-				// The source mints messages; only its emissions matter.
-			case t:
-				if !rat.IsZero(out) {
-					return fmt.Errorf("broadcast: target %s re-emits its own copy", n.Name)
-				}
-				if !rat.Eq(in, s.TP) {
-					return fmt.Errorf("broadcast: target %s receives %s, want TP=%s",
-						n.Name, in.RatString(), s.TP.RatString())
-				}
-			default:
-				if !rat.Eq(in, out) {
-					return fmt.Errorf("broadcast: conservation violated at %s for b_%s: in=%s out=%s",
-						n.Name, p.Node(t).Name, in.RatString(), out.RatString())
-				}
-			}
-		}
-	}
-	return nil
+	return broadcastKind.balance(s.Flow, fromSource(s.Problem.Source, s.Problem.Targets), s.TP)
+}
+
+// Streams returns the solution as its replay reads it: each target's copy
+// of the stream is its own commodity. The wire moves the shared carry
+// stream y(e) — one physical copy per edge — but a carried message
+// satisfies every downstream target's conservation at once, so the replay
+// tracks the per-target virtual flows x(e, b_t) bundled inside it, and
+// delivered counts are checked against TP per target, not per physical
+// edge-copy. Verify establishes the bundling invariant x(e, b_t) ≤ y(e)
+// that makes this replay physically realizable.
+func (s *BroadcastSolution) Streams() Streams {
+	return Streams{Period: s.Period(), Flow: s.Flow,
+		Commodities: fromSource(s.Problem.Source, s.Problem.Targets), kind: broadcastKind}
 }
 
 // Demand lists the broadcast's physical load: one unit-size transfer per

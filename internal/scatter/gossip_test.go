@@ -1,32 +1,23 @@
-package gossip_test
+package scatter_test
 
 import (
-	"context"
 	"math/big"
 	"strings"
 	"testing"
 
 	"repro/internal/composite"
 	"repro/internal/core"
-	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/rat"
+	"repro/internal/scatter"
 	"repro/internal/topology"
 )
 
-// solve solves the gossip on its own: a one-member composite, the single
-// LP path.
-func solve(t *testing.T, pr *gossip.Problem) *gossip.Solution {
+// solveGossip solves the gossip on its own: a one-member composite, the
+// single LP path.
+func solveGossip(t *testing.T, pr *scatter.GossipProblem) *scatter.GossipSolution {
 	t.Helper()
-	cp, err := composite.NewProblem(pr.Platform, []composite.Member{{Weight: rat.One(), Problem: pr}})
-	if err != nil {
-		t.Fatalf("composite.NewProblem: %v", err)
-	}
-	sol, err := cp.SolveCtx(context.Background())
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	return sol.Members[0].Part.(*gossip.Solution)
+	return solve(t, pr.Platform, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.GossipSolution)
 }
 
 func triangle(t *testing.T) (*graph.Platform, []graph.NodeID) {
@@ -44,14 +35,14 @@ func triangle(t *testing.T) (*graph.Platform, []graph.NodeID) {
 
 func TestAllToAllTriangle(t *testing.T) {
 	p, ids := triangle(t)
-	pr, err := gossip.NewProblem(p, ids, ids)
+	pr, err := scatter.NewGossipProblem(p, ids, ids)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
 	if got := len(pr.Commodities()); got != 6 {
 		t.Fatalf("commodities = %d, want 6 (self pairs excluded)", got)
 	}
-	sol := solve(t, pr)
+	sol := solveGossip(t, pr)
 	// Each node emits 2 messages per gossip through a 1-capacity port:
 	// TP = 1/2.
 	if !rat.Eq(sol.Throughput(), rat.New(1, 2)) {
@@ -68,11 +59,11 @@ func TestAllToAllTriangle(t *testing.T) {
 func TestGossipSubsetSourcesTargets(t *testing.T) {
 	// Sources {a}, targets {b, c}: degenerates to a scatter.
 	p, ids := triangle(t)
-	pr, err := gossip.NewProblem(p, ids[:1], ids[1:])
+	pr, err := scatter.NewGossipProblem(p, ids[:1], ids[1:])
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, pr)
+	sol := solveGossip(t, pr)
 	// a sends 2 unit messages per operation out of one port → 1/2.
 	if !rat.Eq(sol.Throughput(), rat.New(1, 2)) {
 		t.Errorf("TP = %s, want 1/2", sol.Throughput().RatString())
@@ -86,7 +77,7 @@ func TestGossipOverlapExcludesSelf(t *testing.T) {
 	// Sources and targets overlap on one node: the (x, x) commodity is
 	// excluded, others remain.
 	p, ids := triangle(t)
-	pr, err := gossip.NewProblem(p, []graph.NodeID{ids[0], ids[1]}, []graph.NodeID{ids[1], ids[2]})
+	pr, err := scatter.NewGossipProblem(p, []graph.NodeID{ids[0], ids[1]}, []graph.NodeID{ids[1], ids[2]})
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
@@ -94,7 +85,7 @@ func TestGossipOverlapExcludesSelf(t *testing.T) {
 	if got := len(pr.Commodities()); got != 3 {
 		t.Fatalf("commodities = %d, want 3", got)
 	}
-	sol := solve(t, pr)
+	sol := solveGossip(t, pr)
 	if err := sol.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
@@ -102,16 +93,16 @@ func TestGossipOverlapExcludesSelf(t *testing.T) {
 
 func TestGossipValidation(t *testing.T) {
 	p, ids := triangle(t)
-	if _, err := gossip.NewProblem(p, nil, ids); err == nil {
+	if _, err := scatter.NewGossipProblem(p, nil, ids); err == nil {
 		t.Error("no sources should fail")
 	}
-	if _, err := gossip.NewProblem(p, ids, nil); err == nil {
+	if _, err := scatter.NewGossipProblem(p, ids, nil); err == nil {
 		t.Error("no targets should fail")
 	}
-	if _, err := gossip.NewProblem(p, []graph.NodeID{ids[0], ids[0]}, ids); err == nil {
+	if _, err := scatter.NewGossipProblem(p, []graph.NodeID{ids[0], ids[0]}, ids); err == nil {
 		t.Error("duplicate source should fail")
 	}
-	if _, err := gossip.NewProblem(p, ids[:1], ids[:1]); err == nil {
+	if _, err := scatter.NewGossipProblem(p, ids[:1], ids[:1]); err == nil {
 		t.Error("single self pair should fail")
 	}
 
@@ -120,15 +111,15 @@ func TestGossipValidation(t *testing.T) {
 	a := q.AddNode("a", rat.One())
 	b := q.AddNode("b", rat.One())
 	q.AddEdge(a, b, rat.One())
-	if _, err := gossip.NewProblem(q, []graph.NodeID{b}, []graph.NodeID{a}); err == nil {
+	if _, err := scatter.NewGossipProblem(q, []graph.NodeID{b}, []graph.NodeID{a}); err == nil {
 		t.Error("unreachable pair should fail")
 	}
 }
 
 func TestGossipProtocolRatio(t *testing.T) {
 	p, ids := triangle(t)
-	pr, _ := gossip.NewProblem(p, ids, ids)
-	sol := solve(t, pr)
+	pr, _ := scatter.NewGossipProblem(p, ids, ids)
+	sol := solveGossip(t, pr)
 	proto := sol.Protocol(big.NewInt(100000))
 	ratio := proto.Ratio(sol.Throughput())
 	if ratio.Cmp(rat.One()) > 0 || rat.Less(ratio, rat.New(95, 100)) {
@@ -138,8 +129,8 @@ func TestGossipProtocolRatio(t *testing.T) {
 
 func TestGossipString(t *testing.T) {
 	p, ids := triangle(t)
-	pr, _ := gossip.NewProblem(p, ids[:1], ids[1:])
-	sol := solve(t, pr)
+	pr, _ := scatter.NewGossipProblem(p, ids[:1], ids[1:])
+	sol := solveGossip(t, pr)
 	out := sol.String()
 	if !strings.Contains(out, "gossip throughput") || !strings.Contains(out, "send(") {
 		t.Errorf("String output unexpected:\n%s", out)
@@ -158,11 +149,11 @@ func TestGossipStarRelay(t *testing.T) {
 		p.AddLink(c, id, rat.One())
 		leaves = append(leaves, id)
 	}
-	pr, err := gossip.NewProblem(p, leaves, leaves)
+	pr, err := scatter.NewGossipProblem(p, leaves, leaves)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, pr)
+	sol := solveGossip(t, pr)
 	if !rat.Eq(sol.Throughput(), rat.New(1, 6)) {
 		t.Errorf("TP = %s, want 1/6", sol.Throughput().RatString())
 	}
@@ -178,11 +169,11 @@ func TestGossipOnTiers(t *testing.T) {
 	p := topology.Tiers(topology.DefaultTiersConfig(31))
 	parts := p.Participants()
 	// Keep the commodity count modest: 3 sources × 3 targets.
-	pr, err := gossip.NewProblem(p, parts[:3], parts[len(parts)-3:])
+	pr, err := scatter.NewGossipProblem(p, parts[:3], parts[len(parts)-3:])
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	sol := solve(t, pr)
+	sol := solveGossip(t, pr)
 	if sol.Throughput().Sign() <= 0 {
 		t.Error("TP should be positive")
 	}
@@ -198,7 +189,7 @@ func TestGossipOnTiers(t *testing.T) {
 // runs at the all-to-all rate 1/2.
 func TestAllgatherIsGossip(t *testing.T) {
 	p, ids := triangle(t)
-	ag, err := gossip.NewProblem(p, ids, ids)
+	ag, err := scatter.NewGossipProblem(p, ids, ids)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
@@ -219,7 +210,7 @@ func TestAllgatherIsGossip(t *testing.T) {
 			}
 		}
 	}
-	agSol := solve(t, ag)
+	agSol := solveGossip(t, ag)
 	if !rat.Eq(agSol.Throughput(), rat.New(1, 2)) {
 		t.Errorf("allgather TP = %s, want 1/2", agSol.Throughput().RatString())
 	}

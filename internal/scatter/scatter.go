@@ -1,25 +1,35 @@
-// Package scatter implements Section 3 of the paper: the Series of
-// Scatters problem. One source processor owns an unbounded series of
-// unit-size messages, one distinct message per target per scatter
-// operation, and the goal is to maximize the steady-state throughput TP —
-// the (rational) number of scatter operations initiated per time unit —
-// under the one-port model.
+// Package scatter implements the forwarding family of collectives: the
+// Series of Scatters of Section 3 of the paper, the Series of Gossips of
+// Section 3.5 (pipelined personalized all-to-all), and the Series of
+// Broadcasts, the companion construction in which every target receives a
+// copy of one stream. In each, source processors own an unbounded series
+// of unit-size messages that are forwarded, never combined, and the goal
+// is to maximize the steady-state throughput TP — the (rational) number of
+// operations initiated per time unit — under the one-port model.
 //
-// A Problem's commodities (source, t), one per target, feed the linear
-// program SSSP(G) (equations (1)–(6)) through core.FlowFragment; the
-// composite package assembles and solves it exactly over the rationals,
-// and the Solution holds the per-edge typed message rates. The companion
-// helpers expose the Section 3.4 machinery: the integer period, per-node
-// buffer requirements, and the asymptotically optimal buffered protocol
-// parameters used to prove Proposition 1.
+// The three kinds are one linear program over different commodity sets:
+// a scatter's commodities are (source, t), one per target; a gossip's are
+// every (source, target) pair with distinct endpoints; a broadcast's are
+// (source, t) again, but one shared carry rate per edge pays for all its
+// copies. They share everything else and differ only in data: the
+// reachability pruning and the conservation and delivery rows
+// (core.FlowRows), one balance check, one replay adapter (sim.FlowModel,
+// reading Streams), and — for scatter and gossip — one solved core, Flows.
+// They differ in their commodities, in the names they give a commodity
+// (LP names "m<src>_<dst>" or "b_<dst>"; demand labels "m_<dst>",
+// "m_<src>_<dst>" or "bcast"; replay types "m_<src>_<dst>" or "b_<dst>"),
+// and in broadcast's carry rates.
+//
+// The composite package assembles and solves each program exactly over
+// the rationals. The Section 3.4 helpers expose the integer period,
+// per-node buffer requirements, and the asymptotically optimal buffered
+// protocol parameters used to prove Propositions 1 and 2.
 package scatter
 
 import (
 	"context"
-	"fmt"
 	"math/big"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -39,28 +49,14 @@ type Problem struct {
 // crosses the network, so its throughput is not defined by the model), and
 // every target must be reachable.
 func NewProblem(p *graph.Platform, source graph.NodeID, targets []graph.NodeID) (*Problem, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("scatter: no targets")
-	}
-	seen := make(map[graph.NodeID]bool)
-	for _, t := range targets {
-		if t == source {
-			return nil, fmt.Errorf("scatter: source %s cannot be a target", p.Node(source).Name)
-		}
-		if seen[t] {
-			return nil, fmt.Errorf("scatter: duplicate target %s", p.Node(t).Name)
-		}
-		seen[t] = true
-		if !p.CanReach(source, t) {
-			return nil, fmt.Errorf("scatter: target %s unreachable from source %s",
-				p.Node(t).Name, p.Node(source).Name)
-		}
+	if err := validateTargets(scatterKind, p, source, targets); err != nil {
+		return nil, err
 	}
 	return &Problem{Platform: p, Source: source, Targets: append([]graph.NodeID(nil), targets...)}, nil
 }
 
 // Kind names the collective family.
-func (pr *Problem) Kind() string { return "scatter" }
+func (pr *Problem) Kind() string { return scatterKind.name }
 
 // Host returns the platform the problem is bound to.
 func (pr *Problem) Host() *graph.Platform { return pr.Platform }
@@ -68,77 +64,19 @@ func (pr *Problem) Host() *graph.Platform { return pr.Platform }
 // NewFragment declares the scatter's commodities (source, t), one per
 // target, into m through core.NewFlowFragment.
 func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) (core.Fragment, error) {
-	comms := make([]core.Commodity, len(pr.Targets))
-	for j, t := range pr.Targets {
-		comms[j] = core.Commodity{Src: pr.Source, Dst: t}
-	}
-	return core.NewFlowFragment(ctx, m, label, pr.Platform, comms, occ,
-		func(f *core.Flow[core.Commodity]) core.Part { return &Solution{Problem: pr, Flow: f} })
+	comms := fromSource(pr.Source, pr.Targets)
+	return core.NewFlowFragment(ctx, m, label, pr.Platform, comms, occ, func(f *core.Flow[core.Commodity]) core.Part {
+		return &Solution{Problem: pr, Flows: Flows{Flow: f, kind: scatterKind, comms: comms}}
+	})
 }
 
 // Solution is a solved Series of Scatters: the optimal throughput and the
-// steady-state communication pattern achieving it.
+// steady-state communication pattern achieving it. Its Flow maps every
+// directed edge and message type m_t (identified by the commodity
+// (source, t)) to its fractional per-time-unit rate.
 type Solution struct {
 	Problem *Problem
-	// Flow maps every directed edge and message type m_t (identified by
-	// the commodity (source, t)) to its fractional per-time-unit rate.
-	Flow *core.Flow[core.Commodity]
-}
-
-// Throughput returns TP: scatters initiated per time unit.
-func (s *Solution) Throughput() rat.Rat { return rat.Copy(s.Flow.Throughput) }
-
-// UnitSize is the message size function for scatter flows (all messages
-// have unit size; edge costs already express per-message transfer time).
-func UnitSize(core.Commodity) rat.Rat { return rat.One() }
-
-// Period returns the schedule period T: the smallest integer such that
-// every per-period message count send(e, m_t)·T is an integer.
-func (s *Solution) Period() *big.Int { return s.Flow.Period() }
-
-// AllRates returns the throughput and every send rate — the input to the
-// period computation.
-func (s *Solution) AllRates() []rat.Rat { return s.Flow.AllRates() }
-
-// Demand lists one unit-size transfer per edge and message type, labeled
-// "m_<target>".
-func (s *Solution) Demand() core.Demand {
-	p := s.Problem.Platform
-	return core.Demand{Transfers: s.Flow.Transfers(func(c core.Commodity) string { return "m_" + p.Node(c.Dst).Name })}
-}
-
-// Verify checks the solution against the paper's constraints, independent
-// of the LP solver: one-port feasibility, conservation at every node other
-// than the source and the type's target, and delivery of exactly TP per
-// target. It returns the first violation.
-func (s *Solution) Verify() error {
-	if err := s.Flow.VerifyOnePort(UnitSize); err != nil {
-		return fmt.Errorf("scatter: %w", err)
-	}
-	for _, t := range s.Problem.Targets {
-		com := core.Commodity{Src: s.Problem.Source, Dst: t}
-		for _, n := range s.Problem.Platform.Nodes() {
-			in, out := s.Flow.InflowOutflow(n.ID, com)
-			switch n.ID {
-			case s.Problem.Source:
-				// The source mints messages; only its emissions matter.
-			case t:
-				if !rat.IsZero(out) {
-					return fmt.Errorf("scatter: target %s re-emits its own messages", n.Name)
-				}
-				if !rat.Eq(in, s.Flow.Throughput) {
-					return fmt.Errorf("scatter: target %s receives %s, want TP=%s",
-						n.Name, in.RatString(), s.Flow.Throughput.RatString())
-				}
-			default:
-				if !rat.Eq(in, out) {
-					return fmt.Errorf("scatter: conservation violated at %s for m_%s: in=%s out=%s",
-						n.Name, s.Problem.Platform.Node(t).Name, in.RatString(), out.RatString())
-				}
-			}
-		}
-	}
-	return nil
+	Flows
 }
 
 // BufferRequirement is the Section 3.4 steady-state buffer bound for one
@@ -191,37 +129,4 @@ func (s *Solution) BufferRequirements() []BufferRequirement {
 		return out[i].Target < out[j].Target
 	})
 	return out
-}
-
-// Protocol returns the Section 3.4 protocol parameters for a horizon of K
-// time units: period, initialization latency and steady period count, from
-// which the asymptotic-optimality ratio of Proposition 1 follows.
-func (s *Solution) Protocol(horizon *big.Int) core.Protocol {
-	return core.Protocol{
-		Period:   s.Period(),
-		Diameter: s.Problem.Platform.HopDiameter(),
-		Horizon:  new(big.Int).Set(horizon),
-	}
-}
-
-// String renders the solution as the paper's figures do: throughput, then
-// per-edge typed message rates.
-func (s *Solution) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scatter throughput TP = %s (period %s)\n",
-		s.Flow.Throughput.RatString(), s.Period().String())
-	p := s.Problem.Platform
-	var lines []string
-	for e, types := range s.Flow.Sends {
-		for com, r := range types {
-			lines = append(lines, fmt.Sprintf("  send(%s->%s, m_%s) = %s",
-				p.Node(e.From).Name, p.Node(e.To).Name, p.Node(com.Dst).Name, r.RatString()))
-		}
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/composite"
 	"repro/internal/core"
-	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/scatter"
@@ -161,7 +160,7 @@ func TestScheduleFromGossipFlow(t *testing.T) {
 	p.AddLink(ids[1], ids[2], rat.One())
 	p.AddLink(ids[0], ids[2], rat.One())
 	// Sources == targets: every ordered pair of distinct nodes is a stream.
-	pr, err := gossip.NewProblem(p, ids, ids)
+	pr, err := scatter.NewGossipProblem(p, ids, ids)
 	if err != nil {
 		t.Fatalf("gossip.NewProblem: %v", err)
 	}

@@ -1,51 +1,43 @@
 package sim
 
 import (
-	"fmt"
 	"math/big"
 	"sort"
 
-	"repro/internal/core"
-	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/scatter"
 )
 
-// commodityType names a scatter/gossip stream.
-func commodityType(p *graph.Platform, c core.Commodity) TypeID {
-	return TypeID(fmt.Sprintf("m_%s_%s", p.Node(c.Src).Name, p.Node(c.Dst).Name))
-}
-
-// flowModel builds a Model from any uniform flow: the integer per-period
-// transfer quotas, one source per commodity at its emitter, one sink at
-// its destination.
-func flowModel(flow *core.Flow[core.Commodity]) *Model {
-	p := flow.Platform
-	period := flow.Period()
+// FlowModel builds the simulation model of a forwarding solution —
+// scatter, broadcast or gossip — from its streams: the integer
+// per-period transfer quotas, and for every commodity a source at its
+// emitter and a sink at its destination, named by the commodity's message
+// type. A broadcast's commodities are its per-target copies, so its replay
+// delivers TP to every target from the virtual flows bundled inside the
+// shared carry stream.
+func FlowModel(s scatter.Streams) *Model {
 	m := &Model{
-		Platform: p,
-		Period:   period,
+		Platform: s.Flow.Platform,
+		Period:   s.Period,
 		Sources:  make(map[Endpoint]bool),
 		Sinks:    make(map[Endpoint]bool),
 	}
-	seen := make(map[core.Commodity]bool)
-	for e, types := range flow.Sends {
+	for e, types := range s.Flow.Sends {
 		for c, r := range types {
-			count := rat.ScaleToInt(r, period)
+			count := rat.ScaleToInt(r, s.Period)
 			if count.Sign() == 0 {
 				continue
 			}
 			m.Transfers = append(m.Transfers, Transfer{
-				From: e.From, To: e.To, Type: commodityType(p, c), Count: count,
+				From: e.From, To: e.To, Type: TypeID(s.Type(c)), Count: count,
 			})
-			if !seen[c] {
-				seen[c] = true
-				m.Sources[Endpoint{c.Src, commodityType(p, c)}] = true
-				m.Sinks[Endpoint{c.Dst, commodityType(p, c)}] = true
-			}
 		}
+	}
+	for _, c := range s.Commodities {
+		m.Sources[Endpoint{c.Src, TypeID(s.Type(c))}] = true
+		m.Sinks[Endpoint{c.Dst, TypeID(s.Type(c))}] = true
 	}
 	// The replay's per-period effects are commutative, but a canonical
 	// transfer order keeps models comparable and traces reproducible.
@@ -84,27 +76,6 @@ func ruleLess(a, b Rule) bool {
 		}
 	}
 	return len(a.Consumes) < len(b.Consumes)
-}
-
-// ScatterModel builds the simulation model of a scatter solution.
-func ScatterModel(sol *scatter.Solution) *Model {
-	m := flowModel(sol.Flow)
-	// Targets with no traffic (disconnected at TP=0) still get sinks so
-	// MinDelivered stays honest.
-	for _, t := range sol.Problem.Targets {
-		c := core.Commodity{Src: sol.Problem.Source, Dst: t}
-		m.Sinks[Endpoint{t, commodityType(sol.Problem.Platform, c)}] = true
-	}
-	return m
-}
-
-// GossipModel builds the simulation model of a gossip solution.
-func GossipModel(sol *gossip.Solution) *Model {
-	m := flowModel(sol.Flow)
-	for _, c := range sol.Problem.Commodities() {
-		m.Sinks[Endpoint{c.Dst, commodityType(sol.Problem.Platform, c)}] = true
-	}
-	return m
 }
 
 // rangeType names a partial result.
@@ -159,51 +130,6 @@ func ReduceModel(app *reduce.Application) *Model {
 	pr := app.Problem
 	m := rangeModel(pr.Platform, app.Period, pr.Order, app.Sends, app.Tasks)
 	m.Sinks[Endpoint{pr.Target, rangeType(reduce.Range{K: 0, M: pr.N()})}] = true
-	return m
-}
-
-// broadcastType names one target's replicated copy of the broadcast
-// stream.
-func broadcastType(p *graph.Platform, target graph.NodeID) TypeID {
-	return TypeID("b_" + p.Node(target).Name)
-}
-
-// BroadcastModel builds the simulation model of a broadcast solution. The
-// wire moves the shared carry stream y(e) — one physical copy per edge —
-// but a carried message satisfies every downstream target's conservation
-// at once, so the replay tracks the per-target virtual flows x(e, b_t)
-// bundled inside it: each target's copy is its own commodity with a source
-// at the broadcast source and a sink at the target, and delivered counts
-// are checked against TP per target, not per physical edge-copy. The
-// bundling invariant x(e, b_t) ≤ y(e), which makes this replay physically
-// realizable, is established by BroadcastSolution.Verify.
-func BroadcastModel(sol *scatter.BroadcastSolution) *Model {
-	p := sol.Problem.Platform
-	period := sol.Period()
-	m := &Model{
-		Platform: p,
-		Period:   period,
-		Sources:  make(map[Endpoint]bool),
-		Sinks:    make(map[Endpoint]bool),
-	}
-	for e, types := range sol.Flow.Sends {
-		for c, r := range types {
-			count := rat.ScaleToInt(r, period)
-			if count.Sign() == 0 {
-				continue
-			}
-			m.Transfers = append(m.Transfers, Transfer{
-				From: e.From, To: e.To, Type: broadcastType(p, c.Dst), Count: count,
-			})
-		}
-	}
-	// Every target gets its source/sink pair even at zero traffic (TP=0)
-	// so MinDelivered stays honest.
-	for _, t := range sol.Problem.Targets {
-		m.Sources[Endpoint{sol.Problem.Source, broadcastType(p, t)}] = true
-		m.Sinks[Endpoint{t, broadcastType(p, t)}] = true
-	}
-	sort.Slice(m.Transfers, func(i, j int) bool { return transferLess(m.Transfers[i], m.Transfers[j]) })
 	return m
 }
 

@@ -28,7 +28,7 @@ func ExampleRun() {
 		panic(err)
 	}
 	sol := solved.Members[0].Part.(*scatter.Solution)
-	res, err := Run(ScatterModel(sol), 100)
+	res, err := Run(FlowModel(sol.Streams()), 100)
 	if err != nil {
 		panic(err)
 	}

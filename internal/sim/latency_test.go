@@ -78,7 +78,7 @@ func TestRunLatencyMatchesRunThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
-	m := ScatterModel(sol)
+	m := FlowModel(sol.Streams())
 	plain, err := Run(m, 200)
 	if err != nil {
 		t.Fatal(err)

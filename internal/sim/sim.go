@@ -17,13 +17,13 @@
 // transfer quotas, per-period production rules (reduction tasks), infinite
 // sources (initial values), and sinks that count deliveries (optionally up
 // to a per-period quota, with the surplus kept buffered for forwarding).
-// Adapters in this package build models from every solved kind: scatter
-// and gossip flows, reduce applications, broadcast solutions (the shared
-// carry stream replayed with per-target replication), prefix solutions
-// (quota sinks per rank), and — via Merge — composite solutions
-// (reduce-scatter, allreduce, arbitrary composites), whose member models
-// are superposed over the merged period under per-member commodity
-// namespaces.
+// Adapters in this package build models from every solved kind: one
+// adapter, FlowModel, for the forwarding kinds (scatter and gossip flows,
+// and broadcast solutions, whose shared carry stream is replayed with
+// per-target replication); reduce applications; prefix solutions (quota
+// sinks per rank); and — via Merge — composite solutions (reduce-scatter,
+// allreduce, arbitrary composites), whose member models are superposed
+// over the merged period under per-member commodity namespaces.
 package sim
 
 import (

@@ -134,7 +134,7 @@ func TestScatterSimPaperFig2(t *testing.T) {
 		t.Fatalf("NewProblem: %v", err)
 	}
 	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
-	m := ScatterModel(sol)
+	m := FlowModel(sol.Streams())
 
 	prevRatio := rat.Zero()
 	for _, periods := range []int{10, 100, 1000} {
@@ -227,7 +227,7 @@ func TestThroughputConvergesToTP(t *testing.T) {
 	p, src, targets := topology.PaperFig2()
 	pr, _ := scatter.NewProblem(p, src, targets)
 	sol := solve(t, p, composite.Member{Weight: rat.One(), Problem: pr}).Part.(*scatter.Solution)
-	m := ScatterModel(sol)
+	m := FlowModel(sol.Streams())
 	res, err := Run(m, 2000)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

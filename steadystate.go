@@ -98,7 +98,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/composite"
-	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
@@ -162,10 +161,10 @@ type BroadcastSolution = scatter.BroadcastSolution
 // Gossip (Section 3.5)
 
 // GossipProblem is a Series of Gossips (personalized all-to-all) instance.
-type GossipProblem = gossip.Problem
+type GossipProblem = scatter.GossipProblem
 
 // GossipSolution is a solved Series of Gossips.
-type GossipSolution = gossip.Solution
+type GossipSolution = scatter.GossipSolution
 
 // ---------------------------------------------------------------------------
 // Reduce (Section 4)
