@@ -706,29 +706,27 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 		tracer.Root().SetAttr("kind", string(spec.Kind))
 		ctx = obs.WithTracer(ctx, tracer)
 	}
-	// With a basis cache attached, offer the cached basis for this problem
-	// shape to the LP (the solve validates it against the structural
-	// fingerprint and falls back to cold when it does not fit) and collect
+	// With a basis cache attached, start the LP from the cached basis for
+	// this problem shape (the solve validates it against the structural
+	// fingerprint and falls back to cold when it does not fit) and cache
 	// the freshly certified basis on the way out.
-	var ws *lp.WarmStart
 	var basisKey string
+	var cached *lp.Basis
 	if s.bases != nil {
 		if specKey, err := spec.CanonicalKey(); err == nil {
 			basisKey = fmt.Sprintf("%d|%s", s.p.NumNodes(), specKey)
-			cached, _ := s.bases.Get(basisKey)
-			ws = &lp.WarmStart{Basis: cached}
-			ctx = lp.WithWarmBasis(ctx, ws)
+			cached, _ = s.bases.Get(basisKey)
 		}
 	}
-	sol, err := s.solve(ctx, spec, o)
+	sol, lpSol, err := s.solve(ctx, spec, o, cached)
 	if err != nil {
 		return nil, err
 	}
 	b := sol.base()
 	b.dur = time.Since(start)
-	if ws != nil {
-		s.bases.Put(basisKey, ws.Final)
-		b.warmUsed, b.warmReject, b.warmSaved = ws.Used, ws.RejectReason, ws.PivotsSaved
+	if basisKey != "" {
+		s.bases.Put(basisKey, lpSol.Basis())
+		b.warmUsed, b.warmReject, b.warmSaved = lpSol.WarmUsed, lpSol.WarmReject, lpSol.WarmPivotsSaved
 	}
 	if tracer != nil {
 		b.trace = tracer.Finish()
@@ -737,9 +735,11 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 }
 
 // solve solves a validated spec's members jointly as one shared-capacity
-// LP — the single LP path of every kind. A base kind is the one-member
-// expansion of itself.
-func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions) (solved, error) {
+// LP, started from the basis start when non-nil — the single LP path of
+// every kind. A base kind is the one-member expansion of itself. It
+// returns the solved LP beside the Solution, for its warm-start outcome
+// and final basis.
+func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions, start *lp.Basis) (solved, *lp.Solution, error) {
 	row := kinds[spec.Kind]
 	specs, weights := []Spec{spec}, []Rat(nil)
 	if row.expand != nil {
@@ -752,7 +752,7 @@ func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions) (solved,
 			if row.expand != nil {
 				err = fmt.Errorf("steadystate: %s member %d: %w", spec.Kind, i, err)
 			}
-			return nil, unsolvable(err)
+			return nil, nil, unsolvable(err)
 		}
 		members[i] = composite.Member{Weight: rat.One(), Problem: pr}
 		if weights != nil {
@@ -761,16 +761,17 @@ func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions) (solved,
 	}
 	cp, err := composite.NewProblem(s.p, members)
 	if err != nil {
-		return nil, unsolvable(err)
+		return nil, nil, unsolvable(err)
 	}
+	cp.StartFrom = start
 	sol, err := cp.SolveCtx(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if row.expand == nil {
-		return newSolution(spec, sol.Members[0], sol.Stats, o.fixedPeriod), nil
+		return newSolution(spec, sol.Members[0], sol.Stats, o.fixedPeriod), sol.LP, nil
 	}
-	return newCompositeSolution(spec, specs, sol), nil
+	return newCompositeSolution(spec, specs, sol), sol.LP, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -101,10 +101,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 }
 
-// SolverPackages lists the import paths of the solver stack above the LP:
-// the packages that assemble, solve and extract the steady-state
-// programs. An analyzer that also covers internal/lp adds it itself.
+// SolverPackages lists the import paths of the solver stack: the LP and
+// the packages above it that assemble, solve and extract the
+// steady-state programs.
 var SolverPackages = []string{
+	"repro/internal/lp",
 	"repro/internal/core",
 	"repro/internal/scatter",
 	"repro/internal/reduce",

@@ -35,11 +35,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// scope lists the import paths (and their subpackages) that participate
-// in traces only through the context: the LP and the solver packages
-// above it.
-var scope = append([]string{"repro/internal/lp"}, analysis.SolverPackages...)
-
 // rootOnly names the obs functions reserved for the trace root.
 var rootOnly = map[string]string{
 	"NewTracer":  "tracers are minted at the edge (Solver.Solve, serve, sweep)",
@@ -48,7 +43,7 @@ var rootOnly = map[string]string{
 
 // run flags obs.NewTracer and obs.WithTracer calls in solver packages.
 func run(pass *analysis.Pass) error {
-	if !analysis.InScope(pass.Pkg.Path(), scope) {
+	if !analysis.InScope(pass.Pkg.Path(), analysis.SolverPackages) {
 		return nil
 	}
 	for _, f := range pass.Files {

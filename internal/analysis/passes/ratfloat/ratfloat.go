@@ -37,13 +37,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// scope lists the import paths (and their subpackages) whose arithmetic
-// must stay rational: the LP and the solver packages above it.
-var scope = append([]string{"repro/internal/lp"}, analysis.SolverPackages...)
-
 // run flags float identifiers, float literals and math.* calls.
 func run(pass *analysis.Pass) error {
-	if !analysis.InScope(pass.Pkg.Path(), scope) {
+	if !analysis.InScope(pass.Pkg.Path(), analysis.SolverPackages) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -1,12 +1,11 @@
-// Package sslint assembles the repository's analyzer suite — the eight
+// Package sslint assembles the repository's analyzer suite — the seven
 // passes that mechanize the exactness, determinism, context, fragment,
-// error-code, tracing, warm-start provenance and documentation
-// invariants — for cmd/sslint and the driver-level tests.
+// error-code, tracing and documentation invariants — for cmd/sslint and
+// the driver-level tests.
 package sslint
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/passes/basisflow"
 	"repro/internal/analysis/passes/ctxflow"
 	"repro/internal/analysis/passes/errcode"
 	"repro/internal/analysis/passes/exporteddoc"
@@ -19,7 +18,6 @@ import (
 // Suite returns the full analyzer suite in stable (alphabetical) order.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		basisflow.Analyzer,
 		ctxflow.Analyzer,
 		errcode.Analyzer,
 		exporteddoc.Analyzer,

@@ -72,6 +72,9 @@ type Member struct {
 type Problem struct {
 	Platform *graph.Platform
 	Members  []Member
+	// StartFrom, when non-nil, is the basis the shared LP starts from
+	// (lp.Model.StartFrom); Solution.LP records whether it was used.
+	StartFrom *lp.Basis
 }
 
 // NewProblem validates and returns a composite instance. Every member must
@@ -153,6 +156,9 @@ type Solution struct {
 	TP      rat.Rat
 	Members []*MemberSolution
 	Stats   core.FlowStats
+	// LP is the solved shared LP: its warm-start outcome and its final
+	// basis, for the next solve to start from.
+	LP *lp.Solution
 }
 
 // MemberLabel returns member i's namespace, "op<i>:": it prefixes the
@@ -191,6 +197,7 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 		f.AddFlowConstraints(m, MemberLabel(i), tp, pr.Members[i].Weight)
 	}
 
+	m.StartFrom(pr.StartFrom)
 	sol, err := m.SolveCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("composite: shared LP: %w", err)
@@ -203,6 +210,7 @@ func (pr *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 		Problem: pr,
 		TP:      rat.Copy(sol.Objective),
 		Stats:   core.StatsOf(m, sol),
+		LP:      sol,
 	}
 	_, exSpan := obs.StartSpan(ctx, "extract")
 	exSpan.SetAttr("members", len(pr.Members))

@@ -198,12 +198,12 @@ var verifyCases = []verifyCase{
 		rows := reduceRows(&sol.Rates, vp)
 		delete(rows, "compute") // a gather's merges are free
 		return sol, rows
-	}, map[string]string{ // a gather is a reduce, and says so
-		"edge":         "reduce: core: edge u→v occupation 2 > 1",
-		"send port":    "reduce: core: node u sends for 3/2 > 1 per time unit",
-		"receive port": "reduce: core: node u receives for 3/2 > 1 per time unit",
-		"conservation": "reduce: balance at u for v[0,0] is -1/4, want 0",
-		"delivery":     "reduce: balance at p2 for v[0,2] is 5/2, want 5",
+	}, map[string]string{
+		"edge":         "gather: core: edge u→v occupation 2 > 1",
+		"send port":    "gather: core: node u sends for 3/2 > 1 per time unit",
+		"receive port": "gather: core: node u receives for 3/2 > 1 per time unit",
+		"conservation": "gather: balance at u for v[0,0] is -1/4, want 0",
+		"delivery":     "gather: balance at p2 for v[0,2] is 5/2, want 5",
 	}},
 	{"prefix", func(t *testing.T, vp *verifyPlatform) (core.Part, map[string]func()) {
 		pr, err := reduce.NewPrefixProblem(vp.p, vp.order)

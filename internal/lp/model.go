@@ -18,7 +18,7 @@
 //   - SolveCtx: two-phase primal simplex. Pivoting uses Dantzig's rule and
 //     falls back to Bland's rule (which provably terminates) when the
 //     iteration count suggests cycling. The context cancels the solve
-//     between pivots and may offer a warm-start basis (WithWarmBasis).
+//     between pivots, and StartFrom offers a warm-start basis.
 //   - Verify: independent feasibility check of a solution against the model,
 //     used by tests and callers to guard against solver defects.
 //
@@ -248,6 +248,9 @@ type Model struct {
 	// concurrent solves never share it; tests set it through the
 	// unexported setBlandAfter.
 	blandOverride int
+	// start is the basis offered to the model's solves (StartFrom); nil
+	// solves cold.
+	start *Basis
 }
 
 // NewMaximize returns an empty model whose objective will be maximized.
@@ -363,11 +366,18 @@ type Solution struct {
 	// the lp.warmstart trace span, not in Iterations or here.
 	Phase1Iterations int
 
-	// basisCols / fingerprint / nCols snapshot the certified basis and the
-	// model structure it belongs to, for Solution.Basis.
-	basisCols   []int
-	fingerprint string
-	nCols       int
+	// WarmUsed reports whether the solve started from the basis offered
+	// by Model.StartFrom. WarmReject is the WarmReject* constant naming
+	// why an offered basis was declined; it is empty when the basis was
+	// used or none was offered. WarmPivotsSaved estimates the phase-1
+	// pivots the start avoided: the cold ancestor's phase-1 pivots minus
+	// this solve's, floored at zero, and zero unless WarmUsed.
+	WarmUsed        bool
+	WarmReject      string
+	WarmPivotsSaved int
+
+	// basis is the certified final basis, for Solution.Basis.
+	basis *Basis
 }
 
 // Value returns the value assigned to v.

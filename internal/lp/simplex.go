@@ -355,8 +355,9 @@ func finalBasis(t tableau) []int {
 // SolveCtx optimizes the model and returns an optimal solution, or
 // ErrInfeasible / ErrUnbounded. The simplex loop checks ctx between
 // pivots and returns an error wrapping ctx.Err() when the context is
-// canceled or its deadline expires. The context may also offer a
-// warm-start basis (WithWarmBasis; cold by default).
+// canceled or its deadline expires. A basis offered by StartFrom starts
+// the solve warm (cold by default), and the solution records the
+// outcome.
 func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	nStruct := len(m.names)
 	rowsIn := m.normalizedRows()
@@ -387,30 +388,30 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	rowsSpan.SetAttr("nonzeros", t.nonzeros())
 	rowsSpan.End()
 
-	// Warm start: when the context offers a certified basis whose
+	// Warm start: when the model offers a certified basis whose
 	// structural fingerprint matches this model, pivot the tableau
 	// directly into that basis. If the rebuilt basis is primal-feasible
 	// for the new right-hand side, phase 1 is skipped entirely; otherwise
 	// the half-rebuilt tableau is discarded and the untouched cold path
 	// runs, so a rejected candidate changes no pivot and no value.
-	warm := checkWarmBasis(warmTake(ctx), fp, t.nRows(), nCols, artCols)
 	warmOK := false
+	reject := ""
 	rebuildPivots := 0
-	if warm != nil && warm.ws.Basis != nil {
+	if start := m.start; start != nil {
 		// One lp.warmstart span per offered candidate, attempted or
 		// rejected up front. Its attributes are deterministic functions
 		// of the scenario and the basis; its time covers the rebuild, the
 		// feasibility check and, on a reject, the cold re-assembly.
 		_, warmSpan := obs.StartSpan(ctx, "lp.warmstart")
 		spent := 0
-		if warm.cols != nil {
-			ok := rebuildWarmBasis(t, warm.cols, nCols)
+		if reject = start.mismatch(fp, t.nRows(), nCols, artCols); reject == "" {
+			ok := rebuildWarmBasis(t, start.cols, nCols)
 			warmOK = ok && warmFeasible(t, artCols)
 			switch {
 			case !ok:
-				warm.reason = WarmRejectSingular
+				reject = WarmRejectSingular
 			case !warmOK:
-				warm.reason = WarmRejectInfeasible
+				reject = WarmRejectInfeasible
 			}
 			spent = t.pivotCount()
 			if warmOK {
@@ -419,9 +420,9 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 				t, artCols = buildTableau(ctx, rowsIn, nStruct, nSlack, nCols, budget)
 			}
 		}
-		warmSpan.SetAttr("basis", warm.ws.Basis.Size())
+		warmSpan.SetAttr("basis", start.Size())
 		warmSpan.SetAttr("used", warmOK)
-		warmSpan.SetAttr("reject_reason", warm.reason)
+		warmSpan.SetAttr("reject_reason", reject)
 		warmSpan.SetAttr("rebuild_pivots", spent)
 		warmSpan.End()
 	}
@@ -523,12 +524,15 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 		values:           vals,
 		Iterations:       t.pivotCount() - rebuildPivots,
 		Phase1Iterations: phase1Pivots,
-		basisCols:        finalBasis(t),
-		fingerprint:      fp,
-		nCols:            nCols,
+		WarmUsed:         warmOK,
+		WarmReject:       reject,
+		basis:            &Basis{cols: finalBasis(t), fingerprint: fp, nCols: nCols, originPhase1: phase1Pivots},
 	}
-	if warm != nil {
-		warm.finish(sol, warmOK, warm.reason, phase1Pivots)
+	if warmOK {
+		// A warm-started solve spends (near) zero phase-1 pivots of its
+		// own, so its basis inherits the cold ancestor's (Solution.Basis).
+		sol.WarmPivotsSaved = max(m.start.originPhase1-phase1Pivots, 0)
+		sol.basis.originPhase1 = max(phase1Pivots, m.start.originPhase1)
 	}
 	return sol, nil
 }

@@ -482,7 +482,8 @@ func TestColumnIndexAndDropInvariants(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if _, err := m.SolveCtx(WithWarmBasis(ctx, &WarmStart{Basis: cold.Basis()})); err != nil {
+		m.StartFrom(cold.Basis())
+		if _, err := m.SolveCtx(ctx); err != nil {
 			t.Fatalf("warm re-solve: %v", err)
 		}
 	}

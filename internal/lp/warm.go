@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -19,12 +18,15 @@ import (
 // optimum, never the arithmetic, so warm and cold solves agree on the
 // optimal objective bit for bit.
 //
-// The contract is intentionally narrow. A Basis can only be minted by
+// The contract is intentionally narrow. A Basis is minted only by
 // Solution.Basis() — it is a snapshot of a basis the simplex actually
-// certified — and it re-enters a solve only through WithWarmBasis. The
-// basisflow analyzer enforces exactly this in the solver packages.
+// certified — and it enters a solve only through Model.StartFrom, whose
+// outcome the solve reports on its Solution. Basis fields are
+// unexported, so the only basis code outside this package can build is
+// the zero value: its empty fingerprint matches no model, and a solve
+// offered one runs cold and reports WarmRejectFingerprint.
 
-// Warm-start rejection reasons, recorded on WarmStart.RejectReason and in
+// Warm-start rejection reasons, recorded on Solution.WarmReject and in
 // Report/metrics reject histograms. Stable strings: they are compared in
 // tests and aggregated across sweeps.
 const (
@@ -47,88 +49,34 @@ const (
 
 // Basis is a snapshot of a certified simplex basis: the basic column per
 // surviving tableau row, in row order, plus the structural fingerprint of
-// the model it solved and the pivot counters of the originating solve
-// (used to report lp_warm_pivots_saved). Values are immutable once
-// minted; Solution.Basis is the only constructor.
+// the model it solved and the phase-1 pivots of its cold ancestor (used
+// to report Solution.WarmPivotsSaved). Values are immutable once minted;
+// a solve is the only constructor (Solution.Basis).
 type Basis struct {
 	cols         []int
 	fingerprint  string
 	nCols        int
 	originPhase1 int
-	originTotal  int
 }
 
 // Size returns the number of basic columns in the snapshot.
 func (b *Basis) Size() int { return len(b.cols) }
 
-// Fingerprint returns the structural fingerprint of the model the basis
-// was minted from. A warm start is attempted only when the incoming
-// model's fingerprint matches exactly.
-func (b *Basis) Fingerprint() string { return b.fingerprint }
+// Basis returns the solution's certified final basis, for a later solve
+// to start from (Model.StartFrom); nil for the zero Solution. The basis
+// of a warm-started solve inherits its cold ancestor's phase-1 pivot
+// count: down a chain of perturbed re-solves, every warm start reports
+// its savings against the chain head's cold phase 1, not against its
+// already-warm predecessor.
+func (s *Solution) Basis() *Basis { return s.basis }
 
-// Basis snapshots the solution's certified basis for reuse by a later
-// WithWarmBasis solve. Returns nil when the solution predates basis
-// tracking (zero value).
-func (s *Solution) Basis() *Basis {
-	if s.basisCols == nil {
-		return nil
-	}
-	return &Basis{
-		cols:         append([]int(nil), s.basisCols...),
-		fingerprint:  s.fingerprint,
-		nCols:        s.nCols,
-		originPhase1: s.Phase1Iterations,
-		originTotal:  s.Iterations,
-	}
-}
-
-// WarmStart is the per-solve warm-start handoff carried by the context:
-// the caller supplies a candidate Basis, and the solve writes back what
-// happened (used or rejected, pivots saved, and the freshly certified
-// Final basis for the cache). One WarmStart serves exactly one
-// Model.SolveCtx — the first solve under the context consumes it.
-type WarmStart struct {
-	// Basis is the candidate starting basis; nil means "no candidate yet,
-	// but record the final basis" (the first solve of a chain).
-	Basis *Basis
-
-	// Used reports whether the solve actually started from Basis.
-	Used bool
-	// RejectReason is the WarmReject* constant explaining a declined
-	// candidate; empty when Used, and empty when no candidate was offered.
-	RejectReason string
-	// PivotsSaved estimates the phase-1 pivots avoided relative to the
-	// originating solve (origin phase-1 pivots minus this solve's, floored
-	// at zero); meaningful only when Used.
-	PivotsSaved int
-	// Final is the certified basis of this solve, for the caller's cache.
-	Final *Basis
-
-	taken bool
-}
-
-// warmCtxKey carries the warm-start handoff through a context.
-type warmCtxKey struct{}
-
-// WithWarmBasis returns a context that offers ws to the next
-// Model.SolveCtx beneath it. The decoration travels the whole solver
-// stack, but the handoff is consumed by exactly one solve (steady-state
-// solves run one LP per session solve, so the solve that consumes it is
-// the solve the caller meant).
-func WithWarmBasis(ctx context.Context, ws *WarmStart) context.Context {
-	return context.WithValue(ctx, warmCtxKey{}, ws)
-}
-
-// warmTake claims the context's warm-start handoff, or nil when absent or
-// already consumed by an earlier solve under the same context.
-func warmTake(ctx context.Context) *WarmStart {
-	ws, ok := ctx.Value(warmCtxKey{}).(*WarmStart)
-	if !ok || ws == nil || ws.taken {
-		return nil
-	}
-	ws.taken = true
-	return ws
-}
+// StartFrom offers b as the starting basis of the model's solves: a
+// SolveCtx whose structure matches b's fingerprint pivots the fresh
+// tableau straight into b and, when that basis is primal-feasible,
+// skips phase 1. A basis that does not fit is rejected and the solve
+// runs cold; either way the outcome is on the Solution (WarmUsed,
+// WarmReject, WarmPivotsSaved). Nil, the default, solves cold.
+func (m *Model) StartFrom(b *Basis) { m.start = b }
 
 // structuralFingerprint hashes the model structure the simplex actually
 // sees: the normalized row list (senses and sorted variable ids per row,
@@ -156,41 +104,22 @@ func structuralFingerprint(nStruct int, rows []normRow) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// warmAttempt is the solve-local state of one warm-start attempt.
-type warmAttempt struct {
-	ws     *WarmStart
-	cols   []int  // validated candidate basis, nil when rejected up front
-	reason string // WarmReject* when the candidate was rejected
-}
-
-// checkWarmBasis validates the context's warm candidate against the
-// incoming model's fingerprint and tableau shape. A nil return means no
-// handoff was present at all.
-func checkWarmBasis(ws *WarmStart, fp string, nRows, nCols int, artCols []bool) *warmAttempt {
-	if ws == nil {
-		return nil
-	}
-	w := &warmAttempt{ws: ws}
-	b := ws.Basis
-	if b == nil {
-		return w
-	}
+// mismatch returns the WarmReject* reason why b cannot start a solve of
+// the model with fingerprint fp on a tableau of nRows rows and nCols
+// columns, or "" when it fits.
+func (b *Basis) mismatch(fp string, nRows, nCols int, artCols []bool) string {
 	if b.fingerprint != fp {
-		w.reason = WarmRejectFingerprint
-		return w
+		return WarmRejectFingerprint
 	}
 	if b.nCols != nCols || len(b.cols) > nRows {
-		w.reason = WarmRejectShape
-		return w
+		return WarmRejectShape
 	}
 	for _, c := range b.cols {
 		if c < 0 || c >= nCols || artCols[c] {
-			w.reason = WarmRejectShape
-			return w
+			return WarmRejectShape
 		}
 	}
-	w.cols = b.cols
-	return w
+	return ""
 }
 
 // rebuildWarmBasis pivots the candidate basic columns into a freshly
@@ -256,28 +185,6 @@ func warmFeasible(t tableau, artCols []bool) bool {
 		}
 	}
 	return true
-}
-
-// finish writes the attempt's outcome and the solution's certified basis
-// back onto the handoff.
-func (w *warmAttempt) finish(sol *Solution, used bool, reason string, phase1Pivots int) {
-	saved := 0
-	if used && w.ws.Basis != nil {
-		saved = max(w.ws.Basis.originPhase1-phase1Pivots, 0)
-	}
-	w.ws.Used, w.ws.RejectReason, w.ws.PivotsSaved = used, reason, saved
-	w.ws.Final = sol.Basis()
-	if used && w.ws.Final != nil && w.ws.Basis != nil {
-		// A warm-started solve spends (near) zero phase-1 pivots of its
-		// own, so its Final basis inherits the ancestral cold cost: down a
-		// chain of perturbed re-solves, every warm start reports its
-		// savings against the chain head's cold phase 1, not against its
-		// already-warm predecessor.
-		if w.ws.Basis.originPhase1 > w.ws.Final.originPhase1 {
-			w.ws.Final.originPhase1 = w.ws.Basis.originPhase1
-			w.ws.Final.originTotal = w.ws.Basis.originTotal
-		}
-	}
 }
 
 // BasisCache is a bounded LRU of certified bases, keyed by the caller's

@@ -14,20 +14,19 @@ import (
 	"repro/internal/rat"
 )
 
-// warmSolve solves m on the named tableau with the given candidate basis
-// and returns the solution plus the handoff outcome.
-func warmSolve(t *testing.T, m *Model, b *Basis, kind tableauKind) (*Solution, *WarmStart) {
+// warmSolve solves m on the named tableau starting from the given
+// candidate basis; the solution carries the outcome.
+func warmSolve(t *testing.T, m *Model, b *Basis, kind tableauKind) *Solution {
 	t.Helper()
-	ws := &WarmStart{Basis: b}
-	ctx := WithWarmBasis(kind.ctx(), ws)
-	sol, err := m.SolveCtx(ctx)
+	m.StartFrom(b)
+	sol, err := m.SolveCtx(kind.ctx())
 	if err != nil {
 		t.Fatalf("warm solve (%s): %v", kind, err)
 	}
 	if err := m.Verify(sol.Values()); err != nil {
 		t.Fatalf("warm solution fails verification: %v", err)
 	}
-	return sol, ws
+	return sol
 }
 
 // scaledModel rebuilds the degenerate phase-1 test program with every
@@ -52,7 +51,7 @@ func degenerateProgram(f rat.Rat) *Model {
 
 // TestWarmResolveSkipsPhase1 pins the headline warm-start contract: a
 // model re-solved from its own certified basis spends no iterate pivots
-// in phase 1 (only the deterministic basis rebuild), reports ws.Used,
+// in phase 1 (only the deterministic basis rebuild), reports WarmUsed,
 // and reproduces the cold optimum bit for bit — under both tableaus.
 func TestWarmResolveSkipsPhase1(t *testing.T) {
 	for _, kind := range bothKinds {
@@ -65,9 +64,9 @@ func TestWarmResolveSkipsPhase1(t *testing.T) {
 			t.Fatal("cold solution minted no basis")
 		}
 		m := degenerateProgram(rat.One())
-		warm, ws := warmSolve(t, m, b, kind)
-		if !ws.Used {
-			t.Fatalf("warm basis not used (%s): reject %q", kind, ws.RejectReason)
+		warm := warmSolve(t, m, b, kind)
+		if !warm.WarmUsed {
+			t.Fatalf("warm basis not used (%s): reject %q", kind, warm.WarmReject)
 		}
 		if !rat.Eq(warm.Objective, cold.Objective) {
 			t.Fatalf("warm objective %s != cold %s", warm.Objective.RatString(), cold.Objective.RatString())
@@ -85,7 +84,7 @@ func TestWarmResolveSkipsPhase1(t *testing.T) {
 		if p2 := warm.Iterations - warm.Phase1Iterations; p2 != 0 {
 			t.Fatalf("re-solve from the optimal basis spent %d phase-2 pivots (%s)", p2, kind)
 		}
-		if ws.Final == nil {
+		if warm.Basis() == nil {
 			t.Fatal("warm solve minted no final basis")
 		}
 	}
@@ -147,17 +146,18 @@ func TestWarmPerturbedEquivalence(t *testing.T) {
 		if err != nil {
 			// The perturbation flipped the model infeasible/unbounded; the
 			// warm path must agree on the failure.
-			if _, werr := build(seed, rat.New(21, 20)).SolveCtx(
-				WithWarmBasis(context.Background(), &WarmStart{Basis: b})); werr != err {
+			warm := build(seed, rat.New(21, 20))
+			warm.StartFrom(b)
+			if _, werr := warm.SolveCtx(context.Background()); werr != err {
 				t.Fatalf("trial %d: warm err %v, cold err %v", trial, werr, err)
 			}
 			continue
 		}
-		sparse, wsS := warmSolve(t, build(seed, rat.New(21, 20)), b, sparseKind)
-		dense, wsD := warmSolve(t, build(seed, rat.New(21, 20)), b, denseKind)
-		if wsS.Used != wsD.Used || wsS.RejectReason != wsD.RejectReason {
+		sparse := warmSolve(t, build(seed, rat.New(21, 20)), b, sparseKind)
+		dense := warmSolve(t, build(seed, rat.New(21, 20)), b, denseKind)
+		if sparse.WarmUsed != dense.WarmUsed || sparse.WarmReject != dense.WarmReject {
 			t.Fatalf("trial %d: warm outcome diverged: sparse (%v,%q) dense (%v,%q)",
-				trial, wsS.Used, wsS.RejectReason, wsD.Used, wsD.RejectReason)
+				trial, sparse.WarmUsed, sparse.WarmReject, dense.WarmUsed, dense.WarmReject)
 		}
 		if !rat.Eq(sparse.Objective, dense.Objective) {
 			t.Fatalf("trial %d: sparse %s, dense %s", trial,
@@ -174,15 +174,15 @@ func TestWarmPerturbedEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: pivots sparse (%d,%d), dense (%d,%d)", trial,
 				sparse.Iterations, sparse.Phase1Iterations, dense.Iterations, dense.Phase1Iterations)
 		}
-		if !slices.Equal(wsS.Final.cols, wsD.Final.cols) {
+		if !slices.Equal(sparse.Basis().cols, dense.Basis().cols) {
 			t.Fatalf("trial %d: final basis rows sparse %v, dense %v", trial,
-				wsS.Final.cols, wsD.Final.cols)
+				sparse.Basis().cols, dense.Basis().cols)
 		}
 		if !rat.Eq(sparse.Objective, pcold.Objective) {
 			t.Fatalf("trial %d: warm optimum %s != cold optimum %s", trial,
 				sparse.Objective.RatString(), pcold.Objective.RatString())
 		}
-		if wsS.Used {
+		if sparse.WarmUsed {
 			warmUses++
 		}
 	}
@@ -191,9 +191,12 @@ func TestWarmPerturbedEquivalence(t *testing.T) {
 	}
 }
 
-// TestWarmFingerprintMismatch pins the rejection path: a basis minted
-// from a structurally different model is declined with
-// WarmRejectFingerprint and the solve degrades to the cold result.
+// TestWarmFingerprintMismatch pins the rejection path under both
+// tableaus, for the two bases that fit no model: the zero Basis, the
+// only one code outside this package can build, and a basis minted from
+// a structurally different model. Each is declined with
+// WarmRejectFingerprint, and the solve is the cold solve: the same
+// objective, values and pivot counters, plus a final basis for the cache.
 func TestWarmFingerprintMismatch(t *testing.T) {
 	donor := NewMaximize()
 	x := donor.Var("x")
@@ -203,24 +206,38 @@ func TestWarmFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := degenerateProgram(rat.One())
-	warm, ws := warmSolve(t, m, dsol.Basis(), sparseKind)
-	if ws.Used {
-		t.Fatal("structurally foreign basis was accepted")
-	}
-	if ws.RejectReason != WarmRejectFingerprint {
-		t.Fatalf("reject reason %q, want %q", ws.RejectReason, WarmRejectFingerprint)
-	}
-	cold, err := degenerateProgram(rat.One()).SolveCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rat.Eq(warm.Objective, cold.Objective) || warm.Iterations != cold.Iterations {
-		t.Fatalf("rejected warm solve diverged from cold: obj %s vs %s, pivots %d vs %d",
-			warm.Objective.RatString(), cold.Objective.RatString(), warm.Iterations, cold.Iterations)
-	}
-	if ws.Final == nil {
-		t.Fatal("rejected solve should still mint a final basis for the cache")
+	candidates := []struct {
+		name string
+		b    *Basis
+	}{{"zero", &Basis{}}, {"foreign", dsol.Basis()}}
+	for _, kind := range bothKinds {
+		cold, err := degenerateProgram(rat.One()).SolveCtx(kind.ctx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range candidates {
+			name, b := c.name, c.b
+			warm := warmSolve(t, degenerateProgram(rat.One()), b, kind)
+			if warm.WarmUsed || warm.WarmReject != WarmRejectFingerprint {
+				t.Fatalf("%s basis (%s): used %v, reject %q, want reject %q",
+					name, kind, warm.WarmUsed, warm.WarmReject, WarmRejectFingerprint)
+			}
+			if !rat.Eq(warm.Objective, cold.Objective) || warm.Iterations != cold.Iterations ||
+				warm.Phase1Iterations != cold.Phase1Iterations {
+				t.Fatalf("%s basis (%s): rejected warm solve diverged from cold: obj %s vs %s, pivots %d/%d vs %d/%d",
+					name, kind, warm.Objective.RatString(), cold.Objective.RatString(),
+					warm.Iterations, warm.Phase1Iterations, cold.Iterations, cold.Phase1Iterations)
+			}
+			wv, cv := warm.Values(), cold.Values()
+			for i := range cv {
+				if !rat.Eq(wv[i], cv[i]) {
+					t.Fatalf("%s basis (%s): value %d = %s, cold %s", name, kind, i, wv[i].RatString(), cv[i].RatString())
+				}
+			}
+			if warm.Basis() == nil {
+				t.Fatalf("%s basis (%s): rejected solve should still mint a final basis for the cache", name, kind)
+			}
+		}
 	}
 }
 
@@ -253,15 +270,15 @@ func TestWarmInfeasibleBasisFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, ws := warmSolve(t, build(4), b, kind)
-		if ws.Used {
+		warm := warmSolve(t, build(4), b, kind)
+		if warm.WarmUsed {
 			// The optimal basis of B=5 keeps the cap slack nonbasic at x=B;
 			// with B=2 that stays feasible only if the basis never priced
 			// the slack — guard the test's premise.
 			t.Fatalf("expected infeasible warm basis to be rejected (%s)", kind)
 		}
-		if ws.RejectReason != WarmRejectInfeasible {
-			t.Fatalf("reject reason %q, want %q (%s)", ws.RejectReason, WarmRejectInfeasible, kind)
+		if warm.WarmReject != WarmRejectInfeasible {
+			t.Fatalf("reject reason %q, want %q (%s)", warm.WarmReject, WarmRejectInfeasible, kind)
 		}
 		if !rat.Eq(warm.Objective, cold.Objective) {
 			t.Fatalf("fallback objective %s != cold %s (%s)",
@@ -300,11 +317,11 @@ func TestDropRowRegression(t *testing.T) {
 		}
 		// Warm re-solve with perturbed coefficients: rebuild pivots run on
 		// a tableau that must be internally consistent after the drops.
-		second, ws := warmSolve(t, degenerateProgram(rat.New(10, 9)), b, kind)
-		if !ws.Used {
-			t.Fatalf("warm basis rejected after drop (%s): %q", kind, ws.RejectReason)
+		second := warmSolve(t, degenerateProgram(rat.New(10, 9)), b, kind)
+		if !second.WarmUsed {
+			t.Fatalf("warm basis rejected after drop (%s): %q", kind, second.WarmReject)
 		}
-		third, _ := warmSolve(t, degenerateProgram(rat.New(10, 9)), second.Basis(), kind)
+		third := warmSolve(t, degenerateProgram(rat.New(10, 9)), second.Basis(), kind)
 		if !rat.Eq(second.Objective, third.Objective) {
 			t.Fatalf("re-pivot after drop diverged: %s vs %s",
 				second.Objective.RatString(), third.Objective.RatString())
@@ -347,38 +364,6 @@ func TestBasisCacheLRU(t *testing.T) {
 	zero.Put("x", b)
 	if zero.Len() != 0 {
 		t.Fatal("zero-capacity cache stored an entry")
-	}
-}
-
-// TestWarmHandoffConsumedOnce pins the one-solve-per-handoff contract:
-// a second solve under the same context runs cold — it spends the cold
-// solve's phase-1 pivots and leaves the handoff's outcome untouched.
-func TestWarmHandoffConsumedOnce(t *testing.T) {
-	cold, err := degenerateProgram(rat.One()).SolveCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := &WarmStart{Basis: cold.Basis()}
-	ctx := WithWarmBasis(context.Background(), ws)
-	first, err := degenerateProgram(rat.One()).SolveCtx(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ws.Used || first.Phase1Iterations >= cold.Phase1Iterations {
-		t.Fatalf("first solve did not consume the handoff: used %v, phase-1 pivots %d (cold %d)",
-			ws.Used, first.Phase1Iterations, cold.Phase1Iterations)
-	}
-	final := ws.Final
-	second, err := degenerateProgram(rat.One()).SolveCtx(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Phase1Iterations != cold.Phase1Iterations {
-		t.Fatalf("second solve spent %d phase-1 pivots, cold %d: it reused a consumed handoff",
-			second.Phase1Iterations, cold.Phase1Iterations)
-	}
-	if ws.Final != final {
-		t.Fatal("second solve wrote to a consumed handoff")
 	}
 }
 

@@ -21,6 +21,7 @@ func NewGatherProblem(p *graph.Platform, order []graph.NodeID, target graph.Node
 	if err != nil {
 		return nil, err
 	}
+	pr.kind = "gather"
 	size := rat.Copy(blockSize)
 	pr.SizeOf = func(r Range) rat.Rat {
 		return rat.Mul(rat.Int(int64(r.Len())), size)

@@ -25,6 +25,9 @@ func TestGatherChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGatherProblem: %v", err)
 	}
+	if pr.Kind() != "gather" {
+		t.Errorf("Kind() = %q, want gather", pr.Kind())
+	}
 	sol, _ := solve(t, pr)
 	if !rat.Eq(sol.TP, rat.New(1, 2)) {
 		t.Errorf("TP = %s, want 1/2", sol.TP.RatString())

@@ -172,13 +172,17 @@ type Problem struct {
 	// paper's model. Restricting to just the target ablates the paper's
 	// interleaving of computation with communication (gather-then-reduce).
 	ComputeAt []graph.NodeID
+
+	// kind names the collective: "reduce", or "gather" for a problem
+	// built by NewGatherProblem.
+	kind string
 }
 
 // NewProblem validates and returns a reduce problem with default size and
 // task-time functions.
 func NewProblem(p *graph.Platform, order []graph.NodeID, target graph.NodeID) (*Problem, error) {
-	pr := &Problem{Target: target}
-	if err := pr.init("reduce", p, order); err != nil {
+	pr := &Problem{Target: target, kind: "reduce"}
+	if err := pr.init(pr.kind, p, order); err != nil {
 		return nil, err
 	}
 	if p.Node(target).Router {
@@ -193,8 +197,9 @@ func NewProblem(p *graph.Platform, order []graph.NodeID, target graph.NodeID) (*
 	return pr, nil
 }
 
-// Kind names the collective family; a gather is a reduce.
-func (pr *Problem) Kind() string { return "reduce" }
+// Kind names the collective: "reduce", or "gather" for a problem built
+// by NewGatherProblem.
+func (pr *Problem) Kind() string { return pr.kind }
 
 // delivers reports whether (node, r) is the final result v[0,N] at the
 // target: the one cell a reduce delivers, which it never forwards.
@@ -290,7 +295,7 @@ func (s *Solution) Demand() core.Demand { return s.demand(&s.Problem.Family) }
 // and the throughput equation (the target's final results balance to TP).
 // It returns the first violation.
 func (s *Solution) Verify() error {
-	return s.verify("reduce", &s.Problem.Family, s.Problem.ComputeAt, s.Problem.delivers)
+	return s.verify(s.Problem.kind, &s.Problem.Family, s.Problem.ComputeAt, s.Problem.delivers)
 }
 
 // String renders the solution like the paper's Figure 6(b)/10: throughput,

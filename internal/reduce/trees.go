@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rat"
 )
@@ -358,6 +359,35 @@ func (t *Tree) Computations() []TaskKey {
 		}
 	})
 	return out
+}
+
+// TreeDemand is the load of a tree family on the platform at the given
+// period, for schedule.MergeFlows to serialize (Section 4.3): every
+// communication of tree ti is one transfer labeled v[k,m]#ti, sized by
+// SizeOf, at w(T)/period messages per time unit, and the trees' tasks
+// give each node's compute time Σ rate·TaskTime. Computation is not
+// serialized (the full-overlap model runs it alongside the transfers).
+// The same construction serves fixed-period plans (Section 4.6): pass
+// the plan's trees and period.
+func (a *Application) TreeDemand(trees []*Tree, period *big.Int) core.Demand {
+	per := new(big.Rat).SetInt(period)
+	var d core.Demand
+	tasks := make(map[TaskKey]rat.Rat)
+	for ti, tree := range trees {
+		rate := rat.Div(new(big.Rat).SetInt(tree.Weight), per)
+		for _, c := range tree.Communications() {
+			d.Transfers = append(d.Transfers, core.FlowTransfer{From: c.From, To: c.To,
+				Label: fmt.Sprintf("%s#%d", c.R, ti), Size: a.Problem.SizeOf(c.R), Rate: rate})
+		}
+		for _, tk := range tree.Computations() {
+			if tasks[tk] == nil {
+				tasks[tk] = rat.Zero()
+			}
+			tasks[tk].Add(tasks[tk], rate)
+		}
+	}
+	d.ComputeTime = computeTime(tasks, a.Problem.TaskTime)
+	return d
 }
 
 // String renders the tree in the style of the paper's Figures 11–12.

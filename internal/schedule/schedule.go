@@ -14,13 +14,13 @@
 // 4(a)); Unsplit rescales the period so that every slot moves a whole
 // number of messages (Figure 4(b)).
 //
-// Two constructions are exposed. MergeFlows superposes the typed transfer
-// demands of one or more collectives (each solved part's core.Demand) over
-// a common period — the LCM of the member periods — into a single
-// one-port-safe slot sequence; every solved member, and so every plain
-// solve of a base kind, schedules through it
-// (composite.MemberSolution.Schedule). FromTrees serializes a reduce's
-// certified reduction-tree family instead.
+// One construction is exposed. MergeFlows superposes the typed transfer
+// demands of one or more collectives (each a core.Demand) over a common
+// period — the LCM of the member periods — into a single one-port-safe
+// slot sequence. Every solved member, and so every plain solve of a base
+// kind, schedules through it (composite.MemberSolution.Schedule), and so
+// does a reduce's certified reduction-tree family
+// (reduce.Application.TreeDemand).
 package schedule
 
 import (

@@ -5,12 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/composite"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
 	"repro/internal/schedule"
 	"repro/internal/topology"
 )
+
+// fromTrees serializes a reduction-tree family at period through
+// MergeFlows, as steadystate.ReduceSchedule does.
+func fromTrees(app *reduce.Application, trees []*reduce.Tree, period *big.Int) (*schedule.Schedule, error) {
+	return schedule.MergeFlows(app.Problem.Platform, period, []core.Demand{app.TreeDemand(trees, period)})
+}
 
 func fig6Trees(t *testing.T) (*reduce.Solution, *reduce.Application, []*reduce.Tree) {
 	t.Helper()
@@ -33,9 +40,9 @@ func fig6Trees(t *testing.T) (*reduce.Solution, *reduce.Application, []*reduce.T
 // computation overlapped, everything within the period.
 func TestPaperFig6PipelinedSchedule(t *testing.T) {
 	sol, app, trees := fig6Trees(t)
-	sched, err := schedule.FromTrees(app, trees, nil)
+	sched, err := fromTrees(app, trees, app.Period)
 	if err != nil {
-		t.Fatalf("FromTrees: %v", err)
+		t.Fatalf("MergeFlows: %v", err)
 	}
 	if err := sched.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
@@ -58,9 +65,9 @@ func TestFromTreesFixedPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ApproximateFixedPeriod: %v", err)
 	}
-	sched, err := schedule.FromTrees(app, plan.Trees, fixed)
+	sched, err := fromTrees(app, plan.Trees, fixed)
 	if err != nil {
-		t.Fatalf("FromTrees: %v", err)
+		t.Fatalf("MergeFlows: %v", err)
 	}
 	if err := sched.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
@@ -86,9 +93,9 @@ func TestFromTreesChainReduce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExtractTrees: %v", err)
 	}
-	sched, err := schedule.FromTrees(app, trees, nil)
+	sched, err := fromTrees(app, trees, app.Period)
 	if err != nil {
-		t.Fatalf("FromTrees: %v", err)
+		t.Fatalf("MergeFlows: %v", err)
 	}
 	if err := sched.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)

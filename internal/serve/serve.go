@@ -63,14 +63,6 @@ type Config struct {
 	// means DefaultSessionCacheSize. Eviction only costs warmth: a new
 	// session is built on the next request for that platform.
 	SessionCacheSize int
-	// BasisCacheSize bounds the warm-start basis cache shared by every
-	// session: certified simplex bases keyed by problem shape, reused to
-	// skip phase 1 when a structurally identical scenario arrives (a
-	// perturbed platform, a re-submitted spec). 0 means
-	// DefaultBasisCacheSize, negative disables warm starts. Warm starts
-	// never change response bytes — reports stay bit-identical to cold
-	// solves (modulo solve_ms and the warm_start telemetry fields).
-	BasisCacheSize int
 	// DefaultSolveTimeout is the per-request deadline applied when the
 	// request does not carry one; 0 means DefaultSolveTimeoutValue,
 	// negative means no default deadline.
@@ -92,11 +84,18 @@ const (
 	DefaultQueueDepth        = 64
 	DefaultCacheSize         = 1024
 	DefaultSessionCacheSize  = 64
-	DefaultBasisCacheSize    = 1024
 	DefaultSolveTimeoutValue = 2 * time.Minute
 	DefaultMaxSolveTimeout   = 10 * time.Minute
 	DefaultMaxBodyBytes      = 8 << 20
 )
+
+// basisCacheSize bounds the warm-start basis cache shared by every
+// session: certified simplex bases keyed by problem shape, reused to skip
+// phase 1 when a structurally identical scenario arrives (a perturbed
+// platform, a re-submitted spec). Warm starts never change response
+// bytes — reports stay bit-identical to cold solves (modulo solve_ms and
+// the warm_start telemetry fields).
+const basisCacheSize = 1024
 
 // withDefaults returns the config with zero values replaced by defaults.
 func (c Config) withDefaults() Config {
@@ -111,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionCacheSize <= 0 {
 		c.SessionCacheSize = DefaultSessionCacheSize
-	}
-	if c.BasisCacheSize == 0 {
-		c.BasisCacheSize = DefaultBasisCacheSize
 	}
 	if c.DefaultSolveTimeout == 0 {
 		c.DefaultSolveTimeout = DefaultSolveTimeoutValue
@@ -289,7 +285,7 @@ func newServer(cfg Config) *Server {
 		queue:    make(chan *task, cfg.QueueDepth),
 		cache:    lru.New[*steadystate.Report](cfg.CacheSize),
 		sessions: lru.New[*steadystate.Solver](cfg.SessionCacheSize),
-		bases:    steadystate.NewBasisCache(cfg.BasisCacheSize),
+		bases:    steadystate.NewBasisCache(basisCacheSize),
 		workers:  make(chan struct{}),
 	}
 	s.metrics = newMetrics(func() int { return len(s.queue) })

@@ -68,9 +68,6 @@ type Job struct {
 	// Err marks a job that failed to load; it is reported as a failure
 	// without being solved.
 	Err error
-	// Opts are extra solve options for this scenario (message sizes,
-	// block sizes, ...).
-	Opts []steadystate.SolveOption
 }
 
 // LoadFile loads one scenario file into a Job. Load errors are recorded
@@ -495,14 +492,13 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 	return report, ctx.Err()
 }
 
-// solveOne solves one job on its session and returns the solution report
-// and, when opts.Simulate is positive, the replay verdict. With tracing
-// on, WithTrace is appended to a capacity-clipped copy of the job's
-// options so the shared Job slice is never mutated.
+// solveOne solves one job on its session, traced when opts.Trace is set,
+// and returns the solution report and, when opts.Simulate is positive,
+// the replay verdict.
 func solveOne(ctx context.Context, solver *steadystate.Solver, job Job, opts *Options) (*steadystate.Report, *steadystate.ReplayCheck, error) {
-	solveOpts := job.Opts
+	var solveOpts []steadystate.SolveOption
 	if opts.Trace != nil {
-		solveOpts = append(solveOpts[:len(solveOpts):len(solveOpts)], steadystate.WithTrace())
+		solveOpts = append(solveOpts, steadystate.WithTrace())
 	}
 	sol, err := solver.Solve(ctx, job.Scenario.Spec, solveOpts...)
 	if err != nil {

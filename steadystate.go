@@ -98,6 +98,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/composite"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rat"
 	"repro/internal/reduce"
@@ -260,7 +261,10 @@ type ScheduleSlot = schedule.Slot
 // period to use the application's exact period, or a fixed-period plan's
 // trees with its period.
 func ReduceSchedule(app *ReduceApplication, trees []*ReductionTree, period *big.Int) (*Schedule, error) {
-	return schedule.FromTrees(app, trees, period)
+	if period == nil {
+		period = app.Period
+	}
+	return schedule.MergeFlows(app.Problem.Platform, period, []core.Demand{app.TreeDemand(trees, period)})
 }
 
 // ---------------------------------------------------------------------------
