@@ -107,7 +107,7 @@ func TestSizeFlagsGoToSolve(t *testing.T) {
 	}{
 		{[]string{"-platform", "fig6", "-op", "prefix", "-size", "10"}, "prefix throughput TP = 1/40 "},
 		{[]string{"-platform", "fig6", "-op", "reduce"}, "reduce throughput TP = 1 "},
-		{[]string{"-platform", "fig6", "-op", "gather", "-blocksize", "2"}, "reduce throughput TP = 1/4 "},
+		{[]string{"-platform", "fig6", "-op", "gather", "-blocksize", "2"}, "gather throughput TP = 1/4 "},
 	} {
 		if out := runOK(t, c.args...); !strings.Contains(out, c.want) {
 			t.Errorf("run(%v): output missing %q:\n%s", c.args, c.want, out)
@@ -206,7 +206,7 @@ func TestScenarioFileCarriesSpec(t *testing.T) {
 func TestGatherOnFile(t *testing.T) {
 	path := writeTriangle(t)
 	out := runOK(t, "-platform", path, "-op", "gather", "-order", "a,b,c", "-target", "a", "-blocksize", "2", "-trees")
-	for _, want := range []string{"reduce throughput", "reduction trees cover"} {
+	for _, want := range []string{"gather throughput", "reduction trees cover"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

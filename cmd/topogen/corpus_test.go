@@ -169,3 +169,54 @@ func TestSeed42WarmChainPivotPath(t *testing.T) {
 		}
 	}
 }
+
+// TestSymmetricPivotPath pins the pivot paths of the degenerate LPs of
+// symmetric platforms: reduce-scatter and allreduce on the 4-node ring
+// and on the stars with 4 and 5 leaves, where most phase-2 pivots are
+// degenerate. It sweeps the six scenarios and compares every result's
+// throughput, period and pivot counters with the golden, which a change
+// that moves pivots on purpose regenerates with
+//
+//	for k in "ring 4" "star 4" "star 5"; do set -- $k
+//	  for op in reducescatter allreduce; do
+//	    go run ./cmd/topogen -kind $1 -n $2 -spec -op $op -out /tmp/sym/$1-$2-$op.json
+//	  done
+//	done
+//	go run ./cmd/sweep -jobs 2 /tmp/sym/*.json |
+//	  jq '[.results[] | {name, kind, throughput, period, lp_pivots, lp_phase1_pivots: (.lp_phase1_pivots // 0), lp_nonzeros}]'
+func TestSymmetricPivotPath(t *testing.T) {
+	dir := t.TempDir()
+	for _, p := range []struct{ kind, n string }{{"ring", "4"}, {"star", "4"}, {"star", "5"}} {
+		for _, op := range []string{"reducescatter", "allreduce"} {
+			runOK(t, "-kind", p.kind, "-n", p.n, "-spec", "-op", op,
+				"-out", filepath.Join(dir, p.kind+"-"+p.n+"-"+op+".json"))
+		}
+	}
+	jobs, err := sweep.LoadDir(dir, "*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := sweep.Run(context.Background(), jobs, sweep.Options{Jobs: 2})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if report.Failed != 0 {
+		t.Fatalf("%d of %d scenarios failed: %+v", report.Failed, report.Scenarios, report.Failures)
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "symmetric-pivots.json"))
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	var want []pivotPath
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("parse golden: %v", err)
+	}
+	if len(want) != 6 || len(report.Results) != len(want) {
+		t.Fatalf("%d results, golden holds %d, want 6", len(report.Results), len(want))
+	}
+	for i, r := range report.Results {
+		if got := (pivotPath{r.Name, r.Kind, r.Throughput, r.Period, r.LPPivots, r.LPPhase1Pivots, r.LPNonZeros}); got != want[i] {
+			t.Errorf("result %d:\n got  %+v\n want %+v", i, got, want[i])
+		}
+	}
+}

@@ -94,6 +94,10 @@ var fuzzLPSeeds = [][]byte{
 	// max x0 + x1 subject to x0 + x1 = 1 twice and x0 ≤ 1/2: the drive-out
 	// drops the redundant equality row, and the row after it moves up.
 	{0x1b, 1, 1, 0x00, 0, 1, 1, 1, 1, 1, 0, 1, 0, 0, 3},
+	// A ratio test that must settle a deferred row, and a drive-out that
+	// drops a row while another is deferred (lockstep_test.go).
+	settleInLeavingSeed,
+	dropWhileStaleSeed,
 }
 
 // FuzzLP is the LP's differential fuzz target: whatever small LP the
@@ -172,9 +176,16 @@ func decodeCombine(data []byte) (r, prow *sparseRow, f int64) {
 	return r, prow, f
 }
 
-// cloneWordRow returns a deep copy of a word row.
-func cloneWordRow(r *sparseRow) *sparseRow {
-	return &sparseRow{cols: slices.Clone(r.cols), w: slices.Clone(r.w), wd: r.wd}
+// cloneRow returns a deep copy of r.
+func cloneRow(r *sparseRow) *sparseRow {
+	c := &sparseRow{cols: slices.Clone(r.cols), wide: r.wide, stale: r.stale, w: slices.Clone(r.w), wd: r.wd}
+	if r.wide {
+		c.d = new(big.Int).Set(r.d)
+		for _, v := range r.num {
+			c.num = append(c.num, new(big.Int).Set(v))
+		}
+	}
+	return c
 }
 
 // sameWordRow reports whether two rows are the same word row: columns,
@@ -203,7 +214,7 @@ func FuzzCombine(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, prow, fv := decodeCombine(data)
-		fast, merged := cloneWordRow(r), cloneWordRow(r)
+		fast, merged := cloneRow(r), cloneRow(r)
 		if !newSparseTableau(12, 0).combineUnit(fast, prow, fv) {
 			if !sameWordRow(fast, r) {
 				t.Fatalf("combineUnit declined but changed r: %+v, was %+v", fast, r)

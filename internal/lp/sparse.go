@@ -29,12 +29,13 @@ import (
 // most 2⁶³−1. math.MinInt64 is therefore never stored, and negating a
 // word row cannot overflow.
 type sparseRow struct {
-	cols []int
-	wide bool
-	w    []int64    // word form: parallel to cols; entries are never zero
-	wd   int64      // word form: the denominator, > 0
-	num  []*big.Int // wide form: parallel to cols; entries are never zero
-	d    *big.Int   // wide form: the denominator, > 0
+	cols  []int
+	wide  bool
+	stale bool       // deferred: eliminations against basic rows are pending
+	w     []int64    // word form: parallel to cols; entries are never zero
+	wd    int64      // word form: the denominator, > 0
+	num   []*big.Int // wide form: parallel to cols; entries are never zero
+	d     *big.Int   // wide form: the denominator, > 0
 }
 
 // scalar is one integer of the tableau — an entry read out of a row, a
@@ -142,6 +143,15 @@ func (r *sparseRow) signAt(k int) int {
 	return 1
 }
 
+// rhsAt returns the rhs numerator, read from the row's last slot because
+// rhs is the highest column.
+func (r *sparseRow) rhsAt(rhs int) scalar {
+	if last := len(r.cols) - 1; last >= 0 && r.cols[last] == rhs {
+		return r.at(last)
+	}
+	return scalar{}
+}
+
 // less reports whether the numerator at position k is below the one at
 // position j. All entries share the denominator, so numerators compare.
 func (r *sparseRow) less(k, j int) bool {
@@ -165,11 +175,28 @@ func (r *sparseRow) less(k, j int) bool {
 // allocation-free through tableau-owned scratch buffers and a big.Int
 // pool, so the skipped zero-columns turn into wall-clock speedup over the
 // dense tableau.
+//
+// Once an objective is installed, a degenerate pivot (rhs 0 in the pivot
+// row) defers the rows with a positive rhs instead of updating them: such
+// a pivot moves no rhs, and no positive-rhs row can win a ratio test
+// while a zero-rhs row qualifies. A deferred (stale) row settles when it
+// must be read whole (settleAll): in a ratio test that no zero-rhs row
+// decides, before any other pivot and any row drop, and in
+// installObjective and nonzeros. Settling
+// eliminates the basic columns the row holds against their rows, which
+// leaves it B⁻¹[A | b]'s row normalized by its content gcd, the value
+// and form eager updates would have left.
 type sparseTableau struct {
 	rows  []*sparseRow
 	obj   *sparseRow
 	basis []int
 	rhs   int // index of the rhs column
+	// stale lists the deferred rows once each; rowOf maps a column to the
+	// row it is basic in (−1 otherwise) while settleAll runs, and elim
+	// holds the columns it eliminates from one row.
+	stale []int32
+	rowOf []int32
+	elim  []int
 	// iteration bookkeeping
 	pivots     int
 	blandAfter int
@@ -180,9 +207,11 @@ type sparseTableau struct {
 	// ratio test or pivot builds it, and addRow, dropRow and dropColumns
 	// set it back to nil. Every fill-in of a constraint row appends to its
 	// column's list, and a pivot on c, which follows every ratio test on c
-	// but an unbounded one, resets c's list to the pivot row, clearing it
-	// of stale entries and duplicates. fill is the row whose fill-in the
-	// running update lists (−1 while the objective row is updated).
+	// but an unbounded one, resets c's list to the pivot row and the
+	// deferred rows it lists, which may still hold c, clearing it of the
+	// other lost entries and duplicates. fill is the row whose fill-in the
+	// running update or settle lists (−1 while the objective row is
+	// updated).
 	colRows [][]int32
 	fill    int32
 	// scratch state for allocation-free row updates: the merge target
@@ -642,18 +671,23 @@ func (t *sparseTableau) addRow(entries []colVal, den scalar, basic int) {
 	t.colRows = nil
 }
 
-func (t *sparseTableau) nRows() int           { return len(t.rows) }
-func (t *sparseTableau) basic(i int) int      { return t.basis[i] }
-func (t *sparseTableau) pivotCount() int      { return t.pivots }
-func (t *sparseTableau) objRHSSign() int      { return t.obj.sign(t.rhs) }
-func (t *sparseTableau) objValue() rat.Rat    { return t.rational(t.obj, t.rhs) }
+func (t *sparseTableau) nRows() int        { return len(t.rows) }
+func (t *sparseTableau) basic(i int) int   { return t.basis[i] }
+func (t *sparseTableau) pivotCount() int   { return t.pivots }
+func (t *sparseTableau) objRHSSign() int   { return t.obj.sign(t.rhs) }
+func (t *sparseTableau) objValue() rat.Rat { return t.rational(t.obj, t.rhs) }
+func (t *sparseTableau) blandActive() bool { return t.bland }
+
+// value and rowRHSSign read a deferred row as it stands: rows defer only
+// through pivots that move no rhs, so its rhs is exact.
 func (t *sparseTableau) value(i int) rat.Rat  { return t.rational(t.rows[i], t.rhs) }
-func (t *sparseTableau) blandActive() bool    { return t.bland }
 func (t *sparseTableau) rowRHSSign(i int) int { return t.rows[i].sign(t.rhs) }
 
-// nonzeros counts stored entries; sparse rows never hold zeros and both
-// implementations normalize identically, so this equals the dense scan.
+// nonzeros counts stored entries of the settled rows; sparse rows never
+// hold zeros and both implementations normalize identically, so this
+// equals the dense scan.
 func (t *sparseTableau) nonzeros() int {
+	t.settleAll()
 	nnz := 0
 	for _, r := range t.rows {
 		nnz += len(r.cols)
@@ -717,6 +751,10 @@ func (t *sparseTableau) dropColumns(cols []bool) {
 	t.colRows = nil
 }
 
+// firstNonzero, negateRow, colSign and rowLen read row i as stored, so
+// it must not be deferred. The drive-out hands them only rows with rhs 0,
+// which never defer, and the warm rebuild runs before any objective is
+// installed, when no pivot defers.
 func (t *sparseTableau) firstNonzero(i int, skip []bool) (int, int) {
 	r := t.rows[i]
 	for k, col := range r.cols {
@@ -752,7 +790,10 @@ func (t *sparseTableau) rowLen(i int) int     { return len(t.rows[i].cols) }
 // rotate through the tableau's scratch buffers via combine's swaps)
 // reachable for the rest of the solve. Clearing the vacated tail slot
 // severs the alias; the regression test pins solve → drop → re-pivot.
+// The deferred rows settle first, while row i's basic column still has
+// its row to be eliminated against.
 func (t *sparseTableau) dropRow(i int) {
+	t.settleAll()
 	n := len(t.rows)
 	copy(t.rows[i:], t.rows[i+1:])
 	t.rows[n-1] = nil
@@ -781,6 +822,7 @@ func (t *sparseTableau) installPhase1(art []bool) {
 }
 
 func (t *sparseTableau) installObjective(entries []colVal, den scalar) {
+	t.settleAll() // the eliminations below need every row solved
 	z := t.loadRow(entries, den)
 	t.obj = z
 	for i, b := range t.basis {
@@ -790,26 +832,45 @@ func (t *sparseTableau) installObjective(entries []colVal, den scalar) {
 
 // pivot performs a Gauss-Jordan pivot at (pr, pc); the entry must be
 // strictly positive. It updates only the rows the index lists under pc —
-// rows without an entry there are untouched — and then lists pr alone,
-// the one row left holding pc.
+// rows without an entry there are untouched — and then lists pr and the
+// deferred rows it listed, the only rows that may still hold pc. A
+// degenerate pivot under an installed objective defers the positive-rhs
+// rows holding pc; any other pivot settles the deferred rows first.
 func (t *sparseTableau) pivot(pr, pc int) {
 	prow := t.rows[pr]
+	deferring := t.obj != nil && prow.rhsAt(t.rhs).sign() == 0
+	if !deferring {
+		t.settleAll()
+	}
 	p := prow.get(pc) // > 0
 	if p.big != nil {
 		p.big = t.alloc().Set(p.big) // becomes the row's denominator below
 	}
 	list := t.rowsOf(pc)
+	kept := list[:0]
 	for _, i := range list {
 		if int(i) == pr {
 			continue
 		}
-		if f := t.rows[i].get(pc); f.sign() != 0 {
+		r := t.rows[i]
+		if r.stale {
+			kept = append(kept, i)
+			continue
+		}
+		f := r.get(pc)
+		switch {
+		case f.sign() == 0:
+		case deferring && r.rhsAt(t.rhs).sign() > 0:
+			r.stale = true
+			t.stale = append(t.stale, i)
+			kept = append(kept, i)
+		default:
 			t.fill = i
-			t.combine(t.rows[i], prow, p, f)
+			t.combine(r, prow, p, f)
 		}
 	}
 	t.fill = -1
-	t.colRows[pc] = append(list[:0], int32(pr))
+	t.colRows[pc] = append(kept, int32(pr))
 	if t.obj != nil {
 		// Warm-basis rebuild pivots run before any objective is installed.
 		t.combine(t.obj, prow, p, t.obj.get(pc))
@@ -860,22 +921,35 @@ func (t *sparseTableau) entering() int {
 // tie-breaking to the dense implementation — over the rows the index
 // lists under c. Ties break on the rows' basic columns, which differ from
 // row to row, so neither the order of the list nor a row listed twice
-// can change the row picked. Each rhs is read from the row's last slot,
-// because rhs is the highest column.
+// can change the row picked. The deferred rows all have a positive rhs,
+// so they cannot beat or tie a ratio of 0; only when the rows that are
+// not deferred give no ratio of 0 or below do the deferred rows settle
+// and the test run over every row.
 func (t *sparseTableau) leaving(c int) int {
+	best, b := t.ratioTest(c)
+	if len(t.stale) > 0 && (best < 0 || b.sign() > 0) {
+		t.settleAll()
+		best, _ = t.ratioTest(c)
+	}
+	return best
+}
+
+// ratioTest is leaving over the rows that are not deferred; it returns
+// the row picked, or -1, and that row's rhs numerator.
+func (t *sparseTableau) ratioTest(c int) (int, scalar) {
 	best := -1
 	var bn, bd scalar // best ratio = bn/bd, bd > 0
 	for _, li := range t.rowsOf(c) {
 		i, ri := int(li), t.rows[li]
+		if ri.stale {
+			continue
+		}
 		k := ri.find(c)
 		if k < 0 || ri.signAt(k) < 0 {
 			continue
 		}
 		a := ri.at(k)
-		var b scalar
-		if last := len(ri.cols) - 1; ri.cols[last] == t.rhs {
-			b = ri.at(last)
-		}
+		b := ri.rhsAt(t.rhs)
 		if best == -1 {
 			best, bn, bd = i, b, a
 			continue
@@ -890,7 +964,54 @@ func (t *sparseTableau) leaving(c int) int {
 			}
 		}
 	}
-	return best
+	return best, bn
+}
+
+// settleAll settles every deferred row: each basic column the row holds,
+// other than its own, is eliminated against that column's row, the
+// elimination installObjective runs on the objective row. The rows it
+// eliminates against are never deferred ones. Rows defer only through
+// degenerate pivots, whose pivot rows have rhs 0, so since the first
+// deferral no positive-rhs row has changed its basic column; a deferred
+// row therefore holds no other deferred row's basic column, and the rows
+// it does hold columns of are solved. Fill-in is listed in the index
+// (when it is built) as a pivot lists it.
+func (t *sparseTableau) settleAll() {
+	if len(t.stale) == 0 {
+		return
+	}
+	if t.rowOf == nil {
+		t.rowOf = make([]int32, t.rhs)
+		for c := range t.rowOf {
+			t.rowOf[c] = -1
+		}
+	}
+	for i, b := range t.basis {
+		t.rowOf[b] = int32(i)
+	}
+	for _, i := range t.stale {
+		r := t.rows[i]
+		elim := t.elim[:0]
+		for _, col := range r.cols {
+			if col < t.rhs && t.rowOf[col] >= 0 && t.rowOf[col] != i {
+				elim = append(elim, col)
+			}
+		}
+		if t.colRows != nil {
+			t.fill = i
+		}
+		for _, col := range elim {
+			b := t.rows[t.rowOf[col]]
+			t.combine(r, b, b.den(), r.get(col))
+		}
+		t.elim = elim
+		r.stale = false
+	}
+	t.fill = -1
+	for _, b := range t.basis {
+		t.rowOf[b] = -1
+	}
+	t.stale = t.stale[:0]
 }
 
 // cmpCross returns the sign of x·y − u·v: in 128-bit words when all four

@@ -108,6 +108,26 @@ func TestSparseDenseEquivalenceAcrossKinds(t *testing.T) {
 	}
 }
 
+// TestDeferredRowsLockstepTiers is the lp package's
+// TestDeferredRowsLockstep on a steady-state LP: the seed-42 Tiers
+// broadcast from the first participant to all others (the first
+// broadcast of the seed-42 sweep corpus, 290 pivots) runs on the sparse
+// and the dense tableau in lockstep, and its degenerate pivots must
+// defer rows and some ratio test must settle them.
+func TestDeferredRowsLockstepTiers(t *testing.T) {
+	p := steadystate.Tiers(steadystate.DefaultTiersConfig(42))
+	parts := p.Participants()
+	var n lp.LockstepCounts
+	ctx := lp.WithLockstepTableau(context.Background(), t, &n)
+	if _, err := steadystate.Solve(ctx, p, steadystate.BroadcastSpec(parts[0], parts[1:]...)); err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	t.Logf("%+v", n)
+	if n.Deferred == 0 || n.LeavingSettles == 0 {
+		t.Fatalf("%+v: want rows deferred and ratio tests that settle them", n)
+	}
+}
+
 // sameReplay asserts two solves produced byte-identical models and
 // identical delivered counts.
 func sameReplay(t *testing.T, label string, a, b steadystate.Solution, periods int) {

@@ -293,7 +293,7 @@ func TestCombineUnitAllocationFree(t *testing.T) {
 	tab := newSparseTableau(8, 0)
 	tmpl := sparseRow{cols: []int{0, 2, 3, 5, 8}, w: []int64{4, 2, 10, 5, 14}, wd: 6}
 	prow := &sparseRow{cols: []int{1, 2, 3, 8}, w: []int64{2, 1, 4, 6}, wd: 5}
-	if !tab.combineUnit(cloneWordRow(&tmpl), prow, 2) {
+	if !tab.combineUnit(cloneRow(&tmpl), prow, 2) {
 		t.Fatal("combineUnit declined an update whose values fit a word")
 	}
 	r := &sparseRow{}

@@ -17,11 +17,10 @@ func NewGatherProblem(p *graph.Platform, order []graph.NodeID, target graph.Node
 	if blockSize == nil || blockSize.Sign() <= 0 {
 		return nil, errNonPositiveBlock
 	}
-	pr, err := NewProblem(p, order, target)
+	pr, err := newProblem("gather", p, order, target)
 	if err != nil {
 		return nil, err
 	}
-	pr.kind = "gather"
 	size := rat.Copy(blockSize)
 	pr.SizeOf = func(r Range) rat.Rat {
 		return rat.Mul(rat.Int(int64(r.Len())), size)
@@ -30,7 +29,7 @@ func NewGatherProblem(p *graph.Platform, order []graph.NodeID, target graph.Node
 	return pr, nil
 }
 
-var errNonPositiveBlock = errorString("reduce: gather block size must be positive")
+var errNonPositiveBlock = errorString("gather: block size must be positive")
 
 // errorString is a tiny allocation-free error type for sentinel errors.
 type errorString string

@@ -32,6 +32,9 @@ func TestGatherChain(t *testing.T) {
 	if !rat.Eq(sol.TP, rat.New(1, 2)) {
 		t.Errorf("TP = %s, want 1/2", sol.TP.RatString())
 	}
+	if out := sol.String(); !strings.HasPrefix(out, "gather throughput TP = 1/2 ") {
+		t.Errorf("String() = %q, want it to name the gather", out)
+	}
 	if err := sol.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
@@ -58,14 +61,24 @@ func TestGatherValidation(t *testing.T) {
 	a := p.AddNode("a", rat.One())
 	b := p.AddNode("b", rat.One())
 	p.AddLink(a, b, rat.One())
-	if _, err := reduce.NewGatherProblem(p, []graph.NodeID{a, b}, a, rat.Zero()); err == nil {
-		t.Error("zero block size accepted")
-	}
-	if _, err := reduce.NewGatherProblem(p, []graph.NodeID{a, b}, a, nil); err == nil {
-		t.Error("nil block size accepted")
-	}
-	if _, err := reduce.NewGatherProblem(p, []graph.NodeID{a}, a, rat.One()); err == nil {
-		t.Error("single participant accepted")
+	// A gather's errors carry its own name, never the reduce it builds on.
+	c := p.AddNode("c", rat.One())
+	p.AddEdge(a, c, rat.One())
+	for _, tc := range []struct {
+		name  string
+		order []graph.NodeID
+		block rat.Rat
+		want  string
+	}{
+		{"zero block size", []graph.NodeID{a, b}, rat.Zero(), "gather: block size must be positive"},
+		{"nil block size", []graph.NodeID{a, b}, nil, "gather: block size must be positive"},
+		{"single participant", []graph.NodeID{a}, rat.One(),
+			"gather: need at least two participants (a single value needs no reduction)"},
+		{"unreachable target", []graph.NodeID{a, c}, rat.One(), "gather: participant c cannot reach target a"},
+	} {
+		if _, err := reduce.NewGatherProblem(p, tc.order, a, tc.block); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -181,17 +181,23 @@ type Problem struct {
 // NewProblem validates and returns a reduce problem with default size and
 // task-time functions.
 func NewProblem(p *graph.Platform, order []graph.NodeID, target graph.NodeID) (*Problem, error) {
-	pr := &Problem{Target: target, kind: "reduce"}
-	if err := pr.init(pr.kind, p, order); err != nil {
+	return newProblem("reduce", p, order, target)
+}
+
+// newProblem is NewProblem for a problem of the given kind, "reduce" or
+// "gather", whose errors and output carry that name.
+func newProblem(kind string, p *graph.Platform, order []graph.NodeID, target graph.NodeID) (*Problem, error) {
+	pr := &Problem{Target: target, kind: kind}
+	if err := pr.init(kind, p, order); err != nil {
 		return nil, err
 	}
 	if p.Node(target).Router {
-		return nil, fmt.Errorf("reduce: target %s is a router", p.Node(target).Name)
+		return nil, fmt.Errorf("%s: target %s is a router", kind, p.Node(target).Name)
 	}
 	for _, id := range order {
 		if id != target && !p.CanReach(id, target) {
-			return nil, fmt.Errorf("reduce: participant %s cannot reach target %s",
-				p.Node(id).Name, p.Node(target).Name)
+			return nil, fmt.Errorf("%s: participant %s cannot reach target %s",
+				kind, p.Node(id).Name, p.Node(target).Name)
 		}
 	}
 	return pr, nil
@@ -230,10 +236,10 @@ type Fragment struct {
 func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) (core.Fragment, error) {
 	for _, id := range pr.ComputeAt {
 		if int(id) < 0 || int(id) >= pr.Platform.NumNodes() {
-			return nil, fmt.Errorf("reduce: compute node %d is not on the platform", id)
+			return nil, fmt.Errorf("%s: compute node %d is not on the platform", pr.kind, id)
 		}
 		if n := pr.Platform.Node(id); n.Router || n.Speed.Sign() <= 0 {
-			return nil, fmt.Errorf("reduce: compute node %s cannot compute (router or zero speed)", n.Name)
+			return nil, fmt.Errorf("%s: compute node %s cannot compute (router or zero speed)", pr.kind, n.Name)
 		}
 	}
 	return &Fragment{Problem: pr, vars: declare(ctx, "reduce", &pr.Family, pr.ComputeAt, m, label, occ, pr.delivers)}, nil
@@ -300,4 +306,4 @@ func (s *Solution) Verify() error {
 
 // String renders the solution like the paper's Figure 6(b)/10: throughput,
 // transfers and tasks with their rates.
-func (s *Solution) String() string { return s.format("reduce", s.Problem.Platform) }
+func (s *Solution) String() string { return s.format(s.Problem.kind, s.Problem.Platform) }
