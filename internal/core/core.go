@@ -2,9 +2,7 @@
 // (Section 2): the one-port operation model, the per-edge occupation
 // variables s(Pi→Pj) and their constraints (equations (1)–(3)), the typed
 // flow representation and the LP rows shared by the forwarding kinds
-// (scatter, broadcast, gossip), and the asymptotic-optimality bookkeeping
-// of Section 3.4 (buffer sizes, initialization latency, steady period
-// count).
+// (scatter, broadcast, gossip), and the integer period of Section 3.4.
 //
 // Every collective in this repository follows the same recipe: declare
 // fractional per-edge message rates (plus, for reduce, fractional per-node
@@ -231,59 +229,4 @@ func cells(rows, cols int) [][]big.Rat {
 		out[k] = flat[k*cols : (k+1)*cols]
 	}
 	return out
-}
-
-// Protocol carries the parameters of the asymptotically optimal schedule
-// of Section 3.4, for a periodic schedule of integer period T on a graph of
-// hop diameter D, run over a horizon of K time units:
-//
-//	I = D·T               (initialization latency bound)
-//	r = ⌊(K − 2I − T)/T⌋  (full steady-state periods)
-//	steady(G,K) = r·T·TP  (operations completed in steady state)
-//
-// Lemma 1 bounds any schedule by opt(G,K) ≤ TP·K, so the achieved ratio
-// steady/opt → 1 as K grows (Proposition 1/3).
-type Protocol struct {
-	Period   *big.Int
-	Diameter int
-	Horizon  *big.Int
-}
-
-// InitLatency returns I = D·T.
-func (pr Protocol) InitLatency() *big.Int {
-	return new(big.Int).Mul(big.NewInt(int64(pr.Diameter)), pr.Period)
-}
-
-// SteadyPeriods returns r = ⌊(K − 2I − T)/T⌋, clamped at 0.
-func (pr Protocol) SteadyPeriods() *big.Int {
-	i := pr.InitLatency()
-	num := new(big.Int).Set(pr.Horizon)
-	num.Sub(num, new(big.Int).Lsh(i, 1))
-	num.Sub(num, pr.Period)
-	if num.Sign() < 0 {
-		return big.NewInt(0)
-	}
-	return num.Div(num, pr.Period)
-}
-
-// SteadyOperations returns steady(G,K) = r·T·TP as an exact rational.
-func (pr Protocol) SteadyOperations(tp rat.Rat) rat.Rat {
-	rT := new(big.Int).Mul(pr.SteadyPeriods(), pr.Period)
-	return rat.Mul(new(big.Rat).SetInt(rT), tp)
-}
-
-// OptimalBound returns the Lemma 1 bound opt(G,K) ≤ TP·K.
-func (pr Protocol) OptimalBound(tp rat.Rat) rat.Rat {
-	return rat.Mul(new(big.Rat).SetInt(pr.Horizon), tp)
-}
-
-// Ratio returns steady(G,K)/(TP·K) — the fraction of the optimal bound the
-// concrete protocol achieves (→ 1 as the horizon grows). Returns 0 when
-// the bound is 0.
-func (pr Protocol) Ratio(tp rat.Rat) rat.Rat {
-	bound := pr.OptimalBound(tp)
-	if bound.Sign() == 0 {
-		return rat.Zero()
-	}
-	return rat.Div(pr.SteadyOperations(tp), bound)
 }

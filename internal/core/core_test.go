@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/big"
 	"testing"
 
 	"repro/internal/graph"
@@ -230,58 +229,5 @@ func TestFlowInflowOutflow(t *testing.T) {
 	}
 	if !rat.Eq(&in[1][c], rat.New(2, 5)) {
 		t.Errorf("an unlisted type was counted: in(c, m) = %s", in[1][c].RatString())
-	}
-}
-
-func TestProtocolArithmetic(t *testing.T) {
-	pr := Protocol{Period: big.NewInt(12), Diameter: 2, Horizon: big.NewInt(1000)}
-	if got := pr.InitLatency(); got.Int64() != 24 {
-		t.Errorf("InitLatency = %s, want 24", got)
-	}
-	// r = floor((1000 - 48 - 12)/12) = floor(940/12) = 78.
-	if got := pr.SteadyPeriods(); got.Int64() != 78 {
-		t.Errorf("SteadyPeriods = %s, want 78", got)
-	}
-	tp := rat.New(1, 2)
-	// steady = 78·12·(1/2) = 468; bound = 500.
-	if got := pr.SteadyOperations(tp); !rat.Eq(got, rat.Int(468)) {
-		t.Errorf("SteadyOperations = %s, want 468", got.RatString())
-	}
-	if got := pr.OptimalBound(tp); !rat.Eq(got, rat.Int(500)) {
-		t.Errorf("OptimalBound = %s, want 500", got.RatString())
-	}
-	if got := pr.Ratio(tp); !rat.Eq(got, rat.New(468, 500)) {
-		t.Errorf("Ratio = %s, want 117/125", got.RatString())
-	}
-}
-
-func TestProtocolShortHorizon(t *testing.T) {
-	pr := Protocol{Period: big.NewInt(12), Diameter: 2, Horizon: big.NewInt(10)}
-	if got := pr.SteadyPeriods(); got.Sign() != 0 {
-		t.Errorf("SteadyPeriods = %s, want 0", got)
-	}
-	if got := pr.Ratio(rat.Zero()); !rat.IsZero(got) {
-		t.Errorf("Ratio with zero TP = %s, want 0", got.RatString())
-	}
-}
-
-// TestProtocolRatioConvergence checks the Proposition 1 statement
-// numerically: the ratio increases toward 1 as the horizon grows.
-func TestProtocolRatioConvergence(t *testing.T) {
-	tp := rat.New(2, 9)
-	prev := rat.Zero()
-	for _, k := range []int64{100, 1000, 10000, 100000} {
-		pr := Protocol{Period: big.NewInt(9), Diameter: 4, Horizon: big.NewInt(k)}
-		r := pr.Ratio(tp)
-		if r.Cmp(prev) < 0 {
-			t.Errorf("ratio decreased at K=%d: %s < %s", k, r.RatString(), prev.RatString())
-		}
-		if r.Cmp(rat.One()) > 0 {
-			t.Errorf("ratio exceeds 1 at K=%d: %s", k, r.RatString())
-		}
-		prev = r
-	}
-	if rat.Less(prev, rat.New(99, 100)) {
-		t.Errorf("ratio at K=100000 still %s < 0.99", prev.RatString())
 	}
 }

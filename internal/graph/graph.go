@@ -121,15 +121,6 @@ func (p *Platform) computeReach(src NodeID) []uint64 {
 	return set
 }
 
-// Preindex eagerly computes the reachability closure of every node, so
-// that subsequent solves only read the cache. Solver sessions call this
-// once per platform; it is safe (merely redundant) to call it again.
-func (p *Platform) Preindex() {
-	for id := range p.nodes {
-		p.reachSet(NodeID(id))
-	}
-}
-
 // AddNode adds a computing node with the given name and speed and returns
 // its ID. Names must be unique.
 func (p *Platform) AddNode(name string, speed rat.Rat) NodeID {
@@ -315,45 +306,6 @@ func (p *Platform) CanReach(src, dst NodeID) bool {
 	p.checkNode(dst)
 	set := p.reachSet(src)
 	return set[dst>>6]&(1<<(uint(dst)&63)) != 0
-}
-
-// HopDiameter returns the largest finite hop-count shortest path between
-// any ordered pair of mutually reachable nodes. The paper uses the graph
-// width/diameter to bound the initialization latency I of the steady-state
-// protocol.
-func (p *Platform) HopDiameter() int {
-	max := 0
-	for src := range p.nodes {
-		dist := p.bfs(NodeID(src))
-		for _, d := range dist {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-// bfs returns hop distances from src (-1 when unreachable).
-func (p *Platform) bfs(src NodeID) []int {
-	dist := make([]int, len(p.nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, idx := range p.out[n] {
-			t := p.edges[idx].To
-			if dist[t] == -1 {
-				dist[t] = dist[n] + 1
-				queue = append(queue, t)
-			}
-		}
-	}
-	return dist
 }
 
 // Validate checks structural sanity: at least one node, positive costs,

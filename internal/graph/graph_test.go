@@ -140,19 +140,6 @@ func TestReachability(t *testing.T) {
 	_ = a
 }
 
-func TestHopDiameter(t *testing.T) {
-	p, _, _, _ := line(t)
-	if d := p.HopDiameter(); d != 2 {
-		t.Errorf("HopDiameter = %d, want 2", d)
-	}
-	// Single node: diameter 0.
-	q := New()
-	q.AddNode("solo", rat.One())
-	if d := q.HopDiameter(); d != 0 {
-		t.Errorf("solo HopDiameter = %d, want 0", d)
-	}
-}
-
 func TestParticipants(t *testing.T) {
 	p, s, _, z := line(t)
 	parts := p.Participants()
@@ -326,7 +313,9 @@ func TestReachabilityCacheInvalidation(t *testing.T) {
 	b := p.AddNode("b", rat.One())
 	c := p.AddNode("c", rat.One())
 	p.AddEdge(a, b, rat.One())
-	p.Preindex() // warm every closure, then mutate under it
+	for _, n := range []NodeID{a, b, c} {
+		p.ReachableFrom(n) // warm every closure, then mutate under it
+	}
 	if !p.CanReach(a, b) || p.CanReach(a, c) {
 		t.Fatal("wrong reachability before mutation")
 	}

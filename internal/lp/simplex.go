@@ -444,13 +444,13 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 		phase1Pivots = t.pivotCount() - rebuildPivots
 		if phase1Pivots > 0 {
 			_, p1Span := obs.StartSpan(ctx, "lp.phase1")
-			rec := newPivotRecorder(p1Span, nCols+1)
+			rec := newPivotRecorder(p1Span)
 			rec.finish(p1Span, t, phase1Pivots)
 			p1Span.End()
 		}
 	} else if nArt > 0 {
 		_, p1Span := obs.StartSpan(ctx, "lp.phase1")
-		rec := newPivotRecorder(p1Span, nCols+1)
+		rec := newPivotRecorder(p1Span)
 		t.installPhase1(artCols)
 		if err := iterate(ctx, t, rec); err != nil {
 			if errors.Is(err, ErrUnbounded) {
@@ -491,7 +491,7 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	}
 	objEntries, objDen, _ := scaleRow(nil, negObj, rat.Zero())
 	_, p2Span := obs.StartSpan(ctx, "lp.phase2")
-	rec2 := newPivotRecorder(p2Span, nCols+1)
+	rec2 := newPivotRecorder(p2Span)
 	if nArt > 0 {
 		// Every artificial is nonbasic at zero now and must stay there:
 		// drop them, so phase 2 neither updates nor counts their entries.

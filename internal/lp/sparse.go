@@ -685,7 +685,9 @@ func (t *sparseTableau) rowRHSSign(i int) int { return t.rows[i].sign(t.rhs) }
 
 // nonzeros counts stored entries of the settled rows; sparse rows never
 // hold zeros and both implementations normalize identically, so this
-// equals the dense scan.
+// equals the dense scan. The solve reads it once, for the lp.rows span,
+// before its first pivot, when no row can be stale; settling first keeps
+// a count taken later exact as well.
 func (t *sparseTableau) nonzeros() int {
 	t.settleAll()
 	nnz := 0

@@ -128,6 +128,28 @@ func TestDeferredRowsLockstepTiers(t *testing.T) {
 	}
 }
 
+// TestTracingChangesNoTableauWorkTiers is the lp package's
+// TestTracingChangesNoTableauWork on the seed-42 Tiers broadcast of
+// TestDeferredRowsLockstepTiers: traced and untraced, the solve must make
+// the same tableau calls, deferred rows and all.
+func TestTracingChangesNoTableauWorkTiers(t *testing.T) {
+	p := steadystate.Tiers(steadystate.DefaultTiersConfig(42))
+	parts := p.Participants()
+	spec := steadystate.BroadcastSpec(parts[0], parts[1:]...)
+	var untraced, traced []string
+	if _, err := steadystate.Solve(lp.WithCallLog(context.Background(), &untraced), p, spec); err != nil {
+		t.Fatalf("untraced solve: %v", err)
+	}
+	sol, err := steadystate.Solve(lp.WithCallLog(context.Background(), &traced), p, spec, steadystate.WithTrace())
+	if err != nil {
+		t.Fatalf("traced solve: %v", err)
+	}
+	if rep, err := sol.Report(); err != nil || rep.Trace == nil {
+		t.Fatalf("traced solve carries no trace (%v)", err)
+	}
+	lp.SameTableauCalls(t, "tiers42 broadcast", untraced, traced)
+}
+
 // sameReplay asserts two solves produced byte-identical models and
 // identical delivered counts.
 func sameReplay(t *testing.T, label string, a, b steadystate.Solution, periods int) {

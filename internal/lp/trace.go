@@ -4,45 +4,33 @@ import (
 	"repro/internal/obs"
 )
 
-// trajectoryEvery is K: the phase-local pivot stride at which the
-// recorder samples the tableau trajectory and an objective waypoint.
-// Sampling is structural (pivot ordinals, not wall clock), so the
-// trajectory is identical run over run.
-const trajectoryEvery = 64
-
 // pivotRecorder accumulates the per-pivot events of one simplex phase
 // for the solve trace: the Dantzig/Bland entering split, Bland
-// activations, degenerate pivots (leaving row with zero rhs), the
-// tableau nonzero/density trajectory and exact objective waypoints. A
-// nil recorder is the off switch — iterate guards every observation
-// behind one nil check, so an untraced solve stays allocation-free in
-// the pivot loop.
+// activations and degenerate pivots (leaving row with zero rhs). It
+// reads only what the pivot loop has already decided, so a traced solve
+// makes exactly the tableau calls an untraced one makes. A nil recorder
+// is the off switch — iterate guards every observation behind one nil
+// check, so an untraced solve stays allocation-free in the pivot loop.
 type pivotRecorder struct {
-	cols int // total tableau columns including rhs, for density
-
 	pivots           int // pivots observed by the iterate loop this phase
 	degenerate       int
 	dantzig          int
 	bland            int
 	blandActivations int
 	blandWasActive   bool
-
-	samples   []obs.TableauSample
-	waypoints []obs.Waypoint
 }
 
 // newPivotRecorder returns a recorder feeding the span, or nil when the
 // span is nil (no tracer in the context).
-func newPivotRecorder(span *obs.Span, cols int) *pivotRecorder {
+func newPivotRecorder(span *obs.Span) *pivotRecorder {
 	if span == nil {
 		return nil
 	}
-	return &pivotRecorder{cols: cols}
+	return &pivotRecorder{}
 }
 
 // observe records one pivot about to happen: t's entering rule and the
-// leaving row r's degeneracy, plus a trajectory sample every
-// trajectoryEvery pivots (including the phase's initial state).
+// leaving row r's degeneracy.
 func (rec *pivotRecorder) observe(t tableau, r int) {
 	if t.blandActive() {
 		rec.bland++
@@ -56,19 +44,7 @@ func (rec *pivotRecorder) observe(t tableau, r int) {
 	if t.rowRHSSign(r) == 0 {
 		rec.degenerate++
 	}
-	if rec.pivots%trajectoryEvery == 0 {
-		rec.sample(t)
-	}
 	rec.pivots++
-}
-
-// sample appends one trajectory point and objective waypoint at the
-// tableau's current (solve-global) pivot ordinal.
-func (rec *pivotRecorder) sample(t tableau) {
-	rec.samples = append(rec.samples,
-		obs.NewTableauSample(t.pivotCount(), t.nRows(), rec.cols, t.nonzeros()))
-	rec.waypoints = append(rec.waypoints,
-		obs.Waypoint{Pivot: t.pivotCount(), Objective: t.objValue().RatString()})
 }
 
 // finish writes the phase's attributes onto its span. phasePivots is
@@ -80,7 +56,6 @@ func (rec *pivotRecorder) finish(span *obs.Span, t tableau, phasePivots int) {
 	if rec == nil {
 		return
 	}
-	rec.sample(t) // final state: optimal objective, settled tableau
 	span.SetAttr("pivots", phasePivots)
 	span.SetAttr("driveout_pivots", phasePivots-rec.pivots)
 	span.SetAttr("degenerate_pivots", rec.degenerate)
@@ -88,6 +63,4 @@ func (rec *pivotRecorder) finish(span *obs.Span, t tableau, phasePivots int) {
 	span.SetAttr("bland_pivots", rec.bland)
 	span.SetAttr("bland_activations", rec.blandActivations)
 	span.SetAttr("objective", t.objValue().RatString())
-	span.SetAttr("trajectory", rec.samples)
-	span.SetAttr("objective_waypoints", rec.waypoints)
 }

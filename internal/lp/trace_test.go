@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -92,12 +93,6 @@ func TestTracedPhaseSpansReconcile(t *testing.T) {
 				if s.Attrs["driveout_pivots"].(int) < 0 {
 					t.Errorf("%s negative drive-out", s.Name)
 				}
-				if len(s.Attrs["trajectory"].([]obs.TableauSample)) == 0 {
-					t.Errorf("%s has no trajectory samples", s.Name)
-				}
-				if len(s.Attrs["objective_waypoints"].([]obs.Waypoint)) == 0 {
-					t.Errorf("%s has no objective waypoints", s.Name)
-				}
 			}
 			if p2.Attrs["driveout_pivots"].(int) != 0 {
 				t.Errorf("phase 2 cannot have drive-out pivots: %v", p2.Attrs["driveout_pivots"])
@@ -112,9 +107,9 @@ func TestTracedPhaseSpansReconcile(t *testing.T) {
 }
 
 // TestTracedDenseSparseIdenticalTrace pins that the dense and sparse
-// tableaus execute the same pivot sequence through identical tableau
-// states: their timing-stripped traces — pivot counts, rule splits,
-// nonzero trajectories, objective waypoints — serialize byte-identically.
+// tableaus execute the same pivot sequence: their timing-stripped traces
+// — row shape and nonzeros, pivot counts, rule and degeneracy splits,
+// phase objectives — serialize byte-identically.
 func TestTracedDenseSparseIdenticalTrace(t *testing.T) {
 	_, sparse := solveTraced(t, tracedModel(), sparseKind)
 	_, dense := solveTraced(t, tracedModel(), denseKind)
@@ -131,6 +126,140 @@ func TestTracedDenseSparseIdenticalTrace(t *testing.T) {
 	}
 }
 
+// callLogTableau wraps a tableau and logs, in order, every call that can
+// change it, with its arguments and answer. Probes that only read the
+// tableau pass through unlogged.
+type callLogTableau struct {
+	tableau
+	log *[]string
+}
+
+// WithCallLog returns a context under which every Model.SolveCtx runs
+// on the sparse tableau wrapped in a callLogTableau appending to log.
+// Like WithDenseTableau, only this package's test binary can see it.
+func WithCallLog(ctx context.Context, log *[]string) context.Context {
+	return context.WithValue(ctx, tableauCtxKey{}, func(nCols, blandAfter int) tableau {
+		*log = append(*log, fmt.Sprintf("newTableau(%d, %d)", nCols, blandAfter))
+		return callLogTableau{newSparseTableau(nCols, blandAfter), log}
+	})
+}
+
+func (c callLogTableau) add(format string, args ...any) {
+	*c.log = append(*c.log, fmt.Sprintf(format, args...))
+}
+
+func (c callLogTableau) addRow(entries []colVal, den scalar, basic int) {
+	c.tableau.addRow(entries, den, basic)
+	c.add("addRow(%d entries, basic %d)", len(entries), basic)
+}
+
+func (c callLogTableau) entering() int {
+	col := c.tableau.entering()
+	c.add("entering() = %d", col)
+	return col
+}
+
+func (c callLogTableau) leaving(col int) int {
+	r := c.tableau.leaving(col)
+	c.add("leaving(%d) = %d", col, r)
+	return r
+}
+
+func (c callLogTableau) pivot(pr, pc int) {
+	c.tableau.pivot(pr, pc)
+	c.add("pivot(%d, %d)", pr, pc)
+}
+
+func (c callLogTableau) resetRule(budget int) {
+	c.tableau.resetRule(budget)
+	c.add("resetRule(%d)", budget)
+}
+
+func (c callLogTableau) installPhase1(art []bool) {
+	c.tableau.installPhase1(art)
+	c.add("installPhase1(%v)", art)
+}
+
+func (c callLogTableau) installObjective(entries []colVal, den scalar) {
+	c.tableau.installObjective(entries, den)
+	c.add("installObjective(%d entries)", len(entries))
+}
+
+func (c callLogTableau) dropRow(i int) {
+	c.tableau.dropRow(i)
+	c.add("dropRow(%d)", i)
+}
+
+func (c callLogTableau) dropColumns(cols []bool) {
+	c.tableau.dropColumns(cols)
+	c.add("dropColumns(%v)", cols)
+}
+
+func (c callLogTableau) negateRow(i int) {
+	c.tableau.negateRow(i)
+	c.add("negateRow(%d)", i)
+}
+
+func (c callLogTableau) nonzeros() int {
+	n := c.tableau.nonzeros()
+	c.add("nonzeros() = %d", n)
+	return n
+}
+
+// SameTableauCalls fails t unless the two call logs are equal, naming
+// the first call where they part.
+func SameTableauCalls(t *testing.T, label string, untraced, traced []string) {
+	t.Helper()
+	for i := range min(len(untraced), len(traced)) {
+		if untraced[i] != traced[i] {
+			t.Fatalf("%s: call %d: untraced %s, traced %s", label, i, untraced[i], traced[i])
+		}
+	}
+	if len(untraced) != len(traced) {
+		t.Fatalf("%s: untraced solve makes %d tableau calls, traced %d", label, len(untraced), len(traced))
+	}
+}
+
+// TestTracingChangesNoTableauWork: a traced solve must make exactly the
+// tableau calls an untraced solve makes, so the per-layer numbers a trace
+// reports describe the untraced program. Inputs are tracedModel and
+// FuzzLP's seeds, each solved cold and then warm from its cold basis.
+func TestTracingChangesNoTableauWork(t *testing.T) {
+	models := []*Model{tracedModel()}
+	for _, seed := range fuzzLPSeeds {
+		models = append(models, decodeLP(seed))
+	}
+	solve := func(m *Model, traced bool) ([]string, *Solution) {
+		var log []string
+		ctx := WithCallLog(context.Background(), &log)
+		if traced {
+			ctx = obs.WithTracer(ctx, obs.NewTracer("solve"))
+		}
+		sol, err := m.SolveCtx(ctx)
+		if err != nil {
+			log = append(log, "error: "+err.Error())
+		}
+		return log, sol
+	}
+	pivots := 0
+	for i, m := range models {
+		untraced, cold := solve(m, false)
+		traced, _ := solve(m, true)
+		SameTableauCalls(t, fmt.Sprintf("model %d cold", i), untraced, traced)
+		if cold == nil {
+			continue
+		}
+		pivots += cold.Iterations
+		m.StartFrom(cold.Basis())
+		untraced, _ = solve(m, false)
+		traced, _ = solve(m, true)
+		SameTableauCalls(t, fmt.Sprintf("model %d warm", i), untraced, traced)
+	}
+	if pivots == 0 {
+		t.Fatal("no input pivots; the comparison shows nothing")
+	}
+}
+
 // TestNoTracerPivotLoopAllocationFree pins the off switch: with no
 // tracer in the context, span creation, recorder construction and every
 // nil-receiver observation allocate nothing — the untraced pivot loop
@@ -142,7 +271,7 @@ func TestNoTracerPivotLoopAllocationFree(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ctx2, span := obs.StartSpan(ctx, "lp.phase2")
-		rec := newPivotRecorder(span, 64)
+		rec := newPivotRecorder(span)
 		span.SetAttr("pivots", 0)
 		rec.finish(span, nil, 0)
 		span.End()

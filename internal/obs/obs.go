@@ -193,33 +193,3 @@ func (s *Span) Walk(visit func(*Span)) {
 		c.Walk(visit)
 	}
 }
-
-// TableauSample is one point of a phase's tableau trajectory, recorded
-// every K pivots: the live dimensions, the nonzero count and the
-// resulting density. All fields are exact functions of the pivot
-// sequence, so trajectories golden-compare.
-type TableauSample struct {
-	Pivot    int     `json:"pivot"`
-	Rows     int     `json:"rows"`
-	Cols     int     `json:"cols"`
-	NonZeros int     `json:"nonzeros"`
-	Density  float64 `json:"density"`
-}
-
-// NewTableauSample builds a trajectory point, deriving density from the
-// integer measurements (the ratfloat discipline keeps float arithmetic
-// out of internal/lp, so the division happens here).
-func NewTableauSample(pivot, rows, cols, nonzeros int) TableauSample {
-	s := TableauSample{Pivot: pivot, Rows: rows, Cols: cols, NonZeros: nonzeros}
-	if rows > 0 && cols > 0 {
-		s.Density = float64(nonzeros) / (float64(rows) * float64(cols))
-	}
-	return s
-}
-
-// Waypoint is one objective-value waypoint of a simplex phase: the
-// exact rational objective after the given pivot.
-type Waypoint struct {
-	Pivot     int    `json:"pivot"`
-	Objective string `json:"objective"`
-}

@@ -146,18 +146,6 @@ func (s *Flows) Verify() error {
 	return s.kind.balance(s.Flow, s.comms, s.Flow.Throughput)
 }
 
-// Protocol returns the Section 3.4 protocol parameters for a horizon of K
-// time units: period, initialization latency and steady period count, from
-// which the asymptotic-optimality ratio of Proposition 1 (Proposition 2
-// for gossips) follows.
-func (s *Flows) Protocol(horizon *big.Int) core.Protocol {
-	return core.Protocol{
-		Period:   s.Period(),
-		Diameter: s.Flow.Platform.HopDiameter(),
-		Horizon:  new(big.Int).Set(horizon),
-	}
-}
-
 // Streams returns the solution as its replay reads it.
 func (s *Flows) Streams() Streams {
 	return Streams{Period: s.Period(), Flow: s.Flow, Commodities: s.comms, kind: s.kind}

@@ -21,20 +21,17 @@
 // and in broadcast's carry rates.
 //
 // The composite package assembles and solves each program exactly over
-// the rationals. The Section 3.4 helpers expose the integer period,
-// per-node buffer requirements, and the asymptotically optimal buffered
-// protocol parameters used to prove Propositions 1 and 2.
+// the rationals. Period gives the integer period of Section 3.4's
+// buffered protocol; replaying that protocol (sim.FlowModel, checked by
+// steadystate.CheckReplay) shows Propositions 1 and 2 on each solution.
 package scatter
 
 import (
 	"context"
-	"math/big"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/lp"
-	"repro/internal/rat"
 )
 
 // Problem is a Series of Scatters instance.
@@ -77,56 +74,4 @@ func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, o
 type Solution struct {
 	Problem *Problem
 	Flows
-}
-
-// BufferRequirement is the Section 3.4 steady-state buffer bound for one
-// (node, message type) pair: the node must hold at least MinMessages
-// messages of the type before entering steady state, and never holds more
-// than 2·MinMessages.
-type BufferRequirement struct {
-	Node graph.NodeID
-	// Target identifies the message type m_target.
-	Target graph.NodeID
-	// MinMessages = Σ_j send(node→j, m_target) · T: messages of the type
-	// forwarded by the node during one period.
-	MinMessages *big.Int
-}
-
-// BufferRequirements returns the buffer bounds for every forwarding node
-// and type with traffic, for the integer period Period(). Entries are
-// sorted by node then target for deterministic output.
-func (s *Solution) BufferRequirements() []BufferRequirement {
-	period := new(big.Rat).SetInt(s.Period())
-	acc := make(map[[2]graph.NodeID]rat.Rat)
-	for e, types := range s.Flow.Sends {
-		if e.From == s.Problem.Source {
-			continue // the source mints messages, it does not buffer them
-		}
-		for com, r := range types {
-			k := [2]graph.NodeID{e.From, com.Dst}
-			if acc[k] == nil {
-				acc[k] = rat.Zero()
-			}
-			acc[k].Add(acc[k], r)
-		}
-	}
-	var out []BufferRequirement
-	for k, r := range acc {
-		scaled := rat.Mul(r, period)
-		if !scaled.IsInt() {
-			panic("scatter: period does not clear buffer denominators")
-		}
-		out = append(out, BufferRequirement{
-			Node:        k[0],
-			Target:      k[1],
-			MinMessages: new(big.Int).Set(scaled.Num()),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Target < out[j].Target
-	})
-	return out
 }

@@ -2,7 +2,6 @@ package scatter_test
 
 import (
 	"context"
-	"math/big"
 	"strings"
 	"testing"
 
@@ -128,65 +127,6 @@ func TestHeterogeneousBeatsBottleneck(t *testing.T) {
 	// Source out-port: TP·1 + TP·5 ≤ 1 → TP = 1/6.
 	if !rat.Eq(sol.Throughput(), rat.New(1, 6)) {
 		t.Errorf("TP = %s, want 1/6", sol.Throughput().RatString())
-	}
-}
-
-func TestBufferRequirements(t *testing.T) {
-	sol := solveFig2(t)
-	reqs := sol.BufferRequirements()
-	if len(reqs) == 0 {
-		t.Fatal("no buffer requirements for a relaying platform")
-	}
-	p := sol.Problem.Platform
-	src := sol.Problem.Source
-	for _, r := range reqs {
-		if r.Node == src {
-			t.Error("source must not appear in buffer requirements")
-		}
-		if r.MinMessages.Sign() <= 0 {
-			t.Errorf("node %s type m_%s: non-positive buffer %s",
-				p.Node(r.Node).Name, p.Node(r.Target).Name, r.MinMessages)
-		}
-	}
-	// Forwarders (Pa and/or Pb) must buffer exactly the per-period counts:
-	// total forwarded messages per period = TP·period per target stream
-	// crossing them. Check aggregate: sum over forwarders of m_t buffers
-	// equals per-period forwarded count of each type.
-	period := new(big.Rat).SetInt(sol.Period())
-	for _, tgt := range sol.Problem.Targets {
-		want := rat.Mul(sol.Throughput(), period) // messages of m_tgt delivered per period
-		got := rat.Zero()
-		for _, r := range reqs {
-			if r.Target == tgt {
-				got.Add(got, new(big.Rat).SetInt(r.MinMessages))
-			}
-		}
-		// Every delivered message of m_tgt crosses exactly one forwarder
-		// on this platform (source → forwarder → target), so the buffered
-		// count equals the delivered count.
-		if !rat.Eq(got, want) {
-			t.Errorf("m_%s buffered %s per period, want %s",
-				p.Node(tgt).Name, got.RatString(), want.RatString())
-		}
-	}
-}
-
-func TestProtocolAsymptotics(t *testing.T) {
-	sol := solveFig2(t)
-	prev := rat.Zero()
-	for _, k := range []int64{100, 1000, 10000} {
-		pr := sol.Protocol(big.NewInt(k))
-		ratio := pr.Ratio(sol.Throughput())
-		if ratio.Cmp(prev) < 0 {
-			t.Errorf("ratio not monotone at K=%d", k)
-		}
-		if ratio.Cmp(rat.One()) > 0 {
-			t.Errorf("ratio > 1 at K=%d: %s (violates Lemma 1)", k, ratio.RatString())
-		}
-		prev = ratio
-	}
-	if rat.Less(prev, rat.New(9, 10)) {
-		t.Errorf("ratio at K=10000 is %s, expected ≥ 0.9", prev.RatString())
 	}
 }
 

@@ -571,3 +571,114 @@ func TestHTTPSweepMatchesSolve(t *testing.T) {
 		t.Fatalf("sweep and solve reports diverged:\nsweep: %s\nsolve: %s", got, want)
 	}
 }
+
+// TestHTTPTracedSolve drives ?trace=1: a traced miss carries the request's
+// ID and no replay mark; a traced hit carries its own request's ID, the
+// replay mark and the first solve's span tree; the cached Report keeps
+// neither mark; an untraced post of the same scenario is a miss without a
+// trace, since traced reports cache under their own key; and a traced
+// /sweep record carries the sweep request's ID.
+func TestHTTPTracedSolve(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	body := scenarioJSON(t, 1)
+	traced := func(wantCache string) (*steadystate.Report, string) {
+		t.Helper()
+		resp, data := postJSON(t, ts.URL+"/solve?trace=1", body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("traced solve: %d %q", resp.StatusCode, data)
+		}
+		if got := resp.Header.Get("X-Cache"); got != wantCache {
+			t.Fatalf("traced solve X-Cache: got %q want %q", got, wantCache)
+		}
+		var rep steadystate.Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatalf("decode report: %v", err)
+		}
+		if rep.Trace == nil || rep.Trace.Root == nil {
+			t.Fatalf("traced solve returned no trace: %s", data)
+		}
+		id := resp.Header.Get("X-Request-ID")
+		if id == "" || rep.Trace.ID != id {
+			t.Fatalf("trace id %q, X-Request-ID %q", rep.Trace.ID, id)
+		}
+		return &rep, id
+	}
+	spans := func(rep *steadystate.Report) string {
+		t.Helper()
+		data, err := json.Marshal(rep.Trace.WithoutTiming().Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	first, firstID := traced("miss")
+	if first.Trace.Replayed {
+		t.Error("a cold traced solve is marked replayed")
+	}
+	second, secondID := traced("hit")
+	third, thirdID := traced("hit")
+	if secondID == firstID || thirdID == secondID {
+		t.Errorf("request ids repeat: %s, %s, %s", firstID, secondID, thirdID)
+	}
+	for _, hit := range []*steadystate.Report{second, third} {
+		if !hit.Trace.Replayed {
+			t.Error("a traced cache hit is not marked replayed")
+		}
+		if got, want := spans(hit), spans(first); got != want {
+			t.Errorf("replayed span tree differs from the solve's:\nhit:  %s\ncold: %s", got, want)
+		}
+	}
+	cached, hit, err := s.solve(context.Background(), testScenario(t, 1), false, true)
+	if err != nil || !hit {
+		t.Fatalf("cached traced report: hit %v, err %v", hit, err)
+	}
+	if cached.Trace.ID != "" || cached.Trace.Replayed {
+		t.Errorf("served requests mutated the cached trace: id %q, replayed %v", cached.Trace.ID, cached.Trace.Replayed)
+	}
+
+	resp, data := postJSON(t, ts.URL+"/solve", body)
+	if got := resp.Header.Get("X-Cache"); resp.StatusCode != 200 || got != "miss" {
+		t.Fatalf("untraced solve after traced ones: %d, X-Cache %q", resp.StatusCode, got)
+	}
+	var plain steadystate.Report
+	if err := json.Unmarshal(data, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if plain.Trace != nil {
+		t.Errorf("untraced solve carries a trace: %s", data)
+	}
+
+	var in bytes.Buffer
+	for n, name := range []string{"cached", "fresh"} {
+		line, err := json.Marshal(sweepLine{Name: name, Scenario: scenarioJSON(t, 1+2*n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Write(append(line, '\n'))
+	}
+	sweepResp, err := http.Post(ts.URL+"/sweep?trace=1", "application/x-ndjson", &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sweepResp.Body.Close()
+	id := sweepResp.Header.Get("X-Request-ID")
+	recs := 0
+	sc := bufio.NewScanner(sweepResp.Body)
+	for sc.Scan() {
+		var rec sweep.Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("sweep record %q: %v", sc.Text(), err)
+		}
+		recs++
+		if rec.Report == nil || rec.Report.Trace == nil {
+			t.Fatalf("%s: traced sweep record without a trace: %s", rec.Name, sc.Text())
+		}
+		if tr := rec.Report.Trace; tr.ID != id || tr.Replayed != (rec.Name == "cached") {
+			t.Errorf("%s: trace id %q replayed %v, want id %q replayed %v", rec.Name, tr.ID, tr.Replayed, id, rec.Name == "cached")
+		}
+	}
+	if err := sc.Err(); err != nil || recs != 2 {
+		t.Fatalf("%d sweep records (%v), want 2", recs, err)
+	}
+}

@@ -158,8 +158,8 @@ type Options struct {
 	// Trace, when non-nil, enables WithTrace on every solve and receives
 	// one TraceRecord JSON line per solved scenario (in completion order).
 	// The trace is stripped from the report before aggregation, so the
-	// sweep report and the JSONL stream stay byte-identical whether or not
-	// tracing is on.
+	// sweep report and the JSONL stream are those of an untraced sweep,
+	// apart from their wall-clock fields.
 	Trace io.Writer
 	// Warm enables warm-started chain sweeps: the name-sorted jobs are
 	// grouped into perturbation chains by name stem (topogen -perturb

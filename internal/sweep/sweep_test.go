@@ -416,3 +416,112 @@ func TestLoadDirErrors(t *testing.T) {
 		t.Errorf("read-error message leaks the directory path: %q", job.Err)
 	}
 }
+
+// TestSweepTraceStream: a traced sweep writes one TraceRecord per solved
+// result, with the result's name and kind, whose lp.phase1 span holds the
+// result's lp_phase1_pivots and whose two phase spans sum to its
+// lp_pivots. The report and the result stream are those of an untraced
+// sweep, apart from wall-clock fields.
+func TestSweepTraceStream(t *testing.T) {
+	jobs := loadFixtureJobs(t)
+	var plainLog, tracedLog, traces bytes.Buffer
+	plain, err := Run(context.Background(), jobs, Options{Jobs: 1, JSONL: &plainLog})
+	if err != nil {
+		t.Fatalf("untraced Run: %v", err)
+	}
+	traced, err := Run(context.Background(), jobs, Options{Jobs: 1, JSONL: &tracedLog, Trace: &traces})
+	if err != nil {
+		t.Fatalf("traced Run: %v", err)
+	}
+	if a, b := normalize(t, plain), normalize(t, traced); a != b {
+		t.Errorf("tracing changed the report:\n--- untraced ---\n%s\n--- traced ---\n%s", a, b)
+	}
+	if a, b := untimedRecords(t, &plainLog), untimedRecords(t, &tracedLog); a != b {
+		t.Errorf("tracing changed the result stream:\n--- untraced ---\n%s\n--- traced ---\n%s", a, b)
+	}
+
+	byName := make(map[string]TraceRecord)
+	for _, line := range strings.Split(strings.TrimSpace(traces.String()), "\n") {
+		var rec TraceRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if _, dup := byName[rec.Name]; dup {
+			t.Errorf("%s: traced twice", rec.Name)
+		}
+		byName[rec.Name] = rec
+	}
+	if len(byName) != len(traced.Results) {
+		t.Errorf("%d trace records for %d solved results", len(byName), len(traced.Results))
+	}
+	phase1 := 0
+	for _, res := range traced.Results {
+		rec, ok := byName[res.Name]
+		switch {
+		case !ok:
+			t.Errorf("%s: no trace record", res.Name)
+			continue
+		case rec.Kind != res.Kind:
+			t.Errorf("%s: trace kind %s, result kind %s", res.Name, rec.Kind, res.Kind)
+		}
+		p1, p2 := phasePivots(t, rec.Trace)
+		if p1 != res.LPPhase1Pivots {
+			t.Errorf("%s: lp.phase1 pivots %d, lp_phase1_pivots %d", res.Name, p1, res.LPPhase1Pivots)
+		}
+		if p1+p2 != res.LPPivots {
+			t.Errorf("%s: phase pivots %d+%d, lp_pivots %d", res.Name, p1, p2, res.LPPivots)
+		}
+		phase1 += p1
+	}
+	if len(traced.Results) == 0 || phase1 == 0 {
+		t.Fatalf("%d results with %d phase-1 pivots: the reconciliation shows nothing", len(traced.Results), phase1)
+	}
+}
+
+// untimedRecords renders a result stream without its wall-clock fields,
+// one record per line in name order.
+func untimedRecords(t *testing.T, log *bytes.Buffer) string {
+	t.Helper()
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		var rec Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("result line %q: %v", line, err)
+		}
+		rec.SolveMS = 0
+		if rec.Report != nil {
+			rec.Report.SolveMS = 0
+		}
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(data))
+	}
+	slices.Sort(lines)
+	return strings.Join(lines, "\n")
+}
+
+// phasePivots sums the "pivots" attributes of a trace's lp.phase1 and
+// lp.phase2 spans, as a trace read back from JSON holds them.
+func phasePivots(t *testing.T, tr *steadystate.Trace) (phase1, phase2 int) {
+	t.Helper()
+	if tr == nil {
+		t.Fatal("trace record without a trace")
+	}
+	tr.Root.Walk(func(s *steadystate.Span) {
+		if s.Name != "lp.phase1" && s.Name != "lp.phase2" {
+			return
+		}
+		n, ok := s.Attrs["pivots"].(float64)
+		if !ok {
+			t.Errorf("%s span without pivots: %v", s.Name, s.Attrs)
+		}
+		if s.Name == "lp.phase1" {
+			phase1 += int(n)
+		} else {
+			phase2 += int(n)
+		}
+	})
+	return phase1, phase2
+}

@@ -3,6 +3,7 @@ package topology
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/rat"
 )
 
@@ -21,8 +22,13 @@ func TestChain(t *testing.T) {
 	if p.NumNodes() != 5 || p.NumEdges() != 8 {
 		t.Errorf("chain: %d nodes %d edges", p.NumNodes(), p.NumEdges())
 	}
-	if d := p.HopDiameter(); d != 4 {
-		t.Errorf("chain diameter = %d, want 4", d)
+	for i := range 5 {
+		for j := range 5 {
+			_, ok := p.FindEdge(graph.NodeID(i), graph.NodeID(j))
+			if want := i-j == 1 || j-i == 1; ok != want {
+				t.Errorf("chain link %d→%d present %v, want %v", i, j, ok, want)
+			}
+		}
 	}
 }
 
@@ -31,8 +37,13 @@ func TestRing(t *testing.T) {
 	if p.NumNodes() != 6 || p.NumEdges() != 12 {
 		t.Errorf("ring: %d nodes %d edges", p.NumNodes(), p.NumEdges())
 	}
-	if d := p.HopDiameter(); d != 3 {
-		t.Errorf("ring diameter = %d, want 3", d)
+	for i := range 6 {
+		for j := range 6 {
+			_, ok := p.FindEdge(graph.NodeID(i), graph.NodeID(j))
+			if want := (i+1)%6 == j || (j+1)%6 == i; ok != want {
+				t.Errorf("ring link %d→%d present %v, want %v", i, j, ok, want)
+			}
+		}
 	}
 }
 

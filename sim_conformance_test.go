@@ -462,9 +462,9 @@ func TestSimReplayIdentityWarmVsCold(t *testing.T) {
 
 // solveIdentityLine renders one case of the cross-commit identity golden:
 // the report without its wall-clock fields, a digest of the lp.* spans of
-// the timing-free trace (pivot, Bland and degenerate counters, objective
-// waypoints), the simulation model fingerprint, and a digest of the Gantt
-// rendering of the schedule.
+// the timing-free trace (row shape, pivot, Bland and degenerate counters,
+// phase objectives), the simulation model fingerprint, and a digest of
+// the Gantt rendering of the schedule.
 func solveIdentityLine(t *testing.T, name string, sol steadystate.Solution) string {
 	t.Helper()
 	rep, err := sol.Report()
