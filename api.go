@@ -1,9 +1,9 @@
 // api.go defines the unified collective API: every collective kind
 // (scatter, broadcast, gossip, reduce, gather, prefix, reduce-scatter,
 // allreduce and composite) is described by a Spec, solved through the
-// single context-aware entry point Solve (or a reusable Solver session),
-// and returned as a Solution that uniformly exposes the throughput, the
-// periodic schedule, the simulation model and a serializable report.
+// single context-aware entry point Solve, and returned as a Solution that
+// uniformly exposes the throughput, the periodic schedule, the simulation
+// model and a serializable report.
 package steadystate
 
 import (
@@ -464,6 +464,7 @@ type solveOptions struct {
 	blockSize   Rat
 	fixedPeriod *big.Int
 	trace       bool
+	bases       *BasisCache
 }
 
 // sizeOption copies a size option; a nil size becomes zero, so Solve
@@ -534,6 +535,21 @@ func WithFixedPeriod(period *big.Int) SolveOption {
 // pivot.
 func WithTrace() SolveOption {
 	return func(o *solveOptions) { o.trace = true }
+}
+
+// WithBasisCache warm-starts the solve from the cache. Solve looks up a
+// certified basis of the same problem shape — keyed by node count and the
+// spec's canonical key, deliberately coarser than the platform content
+// hash so a perturbed platform (cost jitter, speed scaling) still hits —
+// and stores its own certified basis back. The LP-level structural
+// fingerprint guards safety: a basis from a structurally different model
+// (an edge deleted, a row's sense flipped) is rejected and the solve runs
+// cold, so warm starts never change any reported rational, only the pivot
+// path taken to reach it. Report().WarmStart and lp_warm_pivots_saved
+// record the outcome per solve. One cache may serve concurrent solves on
+// any platforms. Valid for every kind; a nil cache does nothing.
+func WithBasisCache(c *BasisCache) SolveOption {
+	return func(o *solveOptions) { o.bases = c }
 }
 
 // optionsFor materializes the options and rejects those the kind does not
@@ -617,85 +633,41 @@ type Certified interface {
 	Certificate() (*ReduceApplication, []*ReductionTree, error)
 }
 
-// Solve computes the optimal steady-state throughput of the collective
-// described by spec on the platform, together with the machinery to turn
-// it into schedules, simulations and reports. It is the single entry
-// point for all nine collective kinds; ctx cancels the exact simplex loop
-// between pivots.
-//
-// One-shot convenience for NewSolver(p).Solve(ctx, spec, opts...): use a
-// Solver session when solving repeatedly on one platform.
-func Solve(ctx context.Context, p *Platform, spec Spec, opts ...SolveOption) (Solution, error) {
-	return NewSolver(p).Solve(ctx, spec, opts...)
-}
-
-// Solver is a solving session bound to one platform. It is safe for
-// concurrent use and reuses per-platform state across solves — the
-// reachability index behind problem validation and LP variable pruning is
-// computed once per source node and shared — so sweeps that solve many
-// specs on the same platform are faster than repeated cold Solve calls.
-// The platform must not be mutated while the session is in use.
-type Solver struct {
-	p     *Platform
-	bases *BasisCache
-}
-
-// BasisCache is an LRU cache of certified simplex bases — the shared
-// warm-start state behind Solver.UseBasisCache (alias of the LP-level
-// cache so serving layers can pool one cache across sessions). It is
-// safe for concurrent use; a nil cache is inert.
-type BasisCache = lp.BasisCache
+// BasisCache is an LRU cache of certified simplex bases: the warm-start
+// state WithBasisCache hands to Solve. It is safe for concurrent use; a
+// nil cache is inert.
+type BasisCache = lru.Cache[*lp.Basis]
 
 // NewBasisCache returns a basis cache retaining up to capacity entries
 // with least-recently-used eviction. A capacity <= 0 yields a cache
 // that stores nothing (useful for disabling warm starts via config).
 func NewBasisCache(capacity int) *BasisCache { return lru.New[*lp.Basis](capacity) }
 
-// NewSolver returns a solving session for the platform.
-func NewSolver(p *Platform) *Solver {
-	if p == nil {
-		panic("steadystate: NewSolver on nil platform")
-	}
-	return &Solver{p: p}
-}
-
-// UseBasisCache attaches a warm-start basis cache to the session and
-// returns the session. Every subsequent Solve consults the cache for a
-// certified basis of the same problem shape — keyed by node count and
-// the spec's canonical key, deliberately coarser than the platform
-// content hash so a perturbed platform (cost jitter, speed scaling)
-// still hits — and stores its own certified basis back. The LP-level
-// structural fingerprint guards safety: a basis from a structurally
-// different model (an edge deleted, a row's sense flipped) is rejected
-// and the solve runs cold, so warm starts never change any reported
-// rational — only the pivot path taken to reach it. Report().WarmStart
-// and lp_warm_pivots_saved record the outcome per solve. The cache may
-// be shared across sessions (it is safe for concurrent use); attach it
-// before the first Solve.
-func (s *Solver) UseBasisCache(c *BasisCache) *Solver {
-	s.bases = c
-	return s
-}
-
-// Platform returns the platform the session solves on.
-func (s *Solver) Platform() *Platform { return s.p }
-
-// Solve solves one spec on the session's platform. See the package-level
-// Solve for semantics. The wall-clock duration of the call is recorded on
-// the solution and surfaced as Report().SolveMS, so sweep drivers can
+// Solve computes the optimal steady-state throughput of the collective
+// described by spec on the platform, together with the machinery to turn
+// it into schedules, simulations and reports. It is the single entry
+// point for all nine collective kinds; ctx cancels the exact simplex loop
+// between pivots. Solve is safe for concurrent use on one platform, which
+// must not be mutated meanwhile; the platform memoizes the reachability
+// index behind validation and LP pruning, so repeated solves on it build
+// that index once. The wall-clock duration of the call is recorded on the
+// solution and surfaced as Report().SolveMS, so sweep drivers can
 // aggregate solver cost without timing every call themselves.
-func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Solution, error) {
+func Solve(ctx context.Context, p *Platform, spec Spec, opts ...SolveOption) (Solution, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
+	if p == nil {
+		return nil, unsolvable(errors.New("steadystate: nil platform"))
+	}
 	o, err := optionsFor(spec.Kind, opts)
 	if err != nil {
 		return nil, unsolvable(err)
 	}
 	// Validate before anything reads the spec: the basis cache keys it
 	// with CanonicalKey, which expects a valid spec.
-	if err := spec.validate(s.p); err != nil {
+	if err := spec.validate(p); err != nil {
 		return nil, unsolvable(err)
 	}
 	// The tracer roots the span tree around the whole solve, including
@@ -706,26 +678,26 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 		tracer.Root().SetAttr("kind", string(spec.Kind))
 		ctx = obs.WithTracer(ctx, tracer)
 	}
-	// With a basis cache attached, start the LP from the cached basis for
-	// this problem shape (the solve validates it against the structural
+	// With a basis cache, start the LP from the cached basis for this
+	// problem shape (the solve validates it against the structural
 	// fingerprint and falls back to cold when it does not fit) and cache
 	// the freshly certified basis on the way out.
 	var basisKey string
 	var cached *lp.Basis
-	if s.bases != nil {
+	if o.bases != nil {
 		if specKey, err := spec.CanonicalKey(); err == nil {
-			basisKey = fmt.Sprintf("%d|%s", s.p.NumNodes(), specKey)
-			cached, _ = s.bases.Get(basisKey)
+			basisKey = fmt.Sprintf("%d|%s", p.NumNodes(), specKey)
+			cached, _ = o.bases.Get(basisKey)
 		}
 	}
-	sol, lpSol, err := s.solve(ctx, spec, o, cached)
+	sol, lpSol, err := solve(ctx, p, spec, o, cached)
 	if err != nil {
 		return nil, err
 	}
 	b := sol.base()
 	b.dur = time.Since(start)
 	if basisKey != "" {
-		s.bases.Put(basisKey, lpSol.Basis())
+		o.bases.Put(basisKey, lpSol.Basis())
 		b.warmUsed, b.warmReject, b.warmSaved = lpSol.WarmUsed, lpSol.WarmReject, lpSol.WarmPivotsSaved
 	}
 	if tracer != nil {
@@ -739,7 +711,7 @@ func (s *Solver) Solve(ctx context.Context, spec Spec, opts ...SolveOption) (Sol
 // every kind. A base kind is the one-member expansion of itself. It
 // returns the solved LP beside the Solution, for its warm-start outcome
 // and final basis.
-func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions, start *lp.Basis) (solved, *lp.Solution, error) {
+func solve(ctx context.Context, p *Platform, spec Spec, o *solveOptions, start *lp.Basis) (solved, *lp.Solution, error) {
 	row := kinds[spec.Kind]
 	specs, weights := []Spec{spec}, []Rat(nil)
 	if row.expand != nil {
@@ -747,7 +719,7 @@ func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions, start *l
 	}
 	members := make([]composite.Member, len(specs))
 	for i, ms := range specs {
-		pr, err := kinds[ms.Kind].problem(s.p, ms, o)
+		pr, err := kinds[ms.Kind].problem(p, ms, o)
 		if err != nil {
 			if row.expand != nil {
 				err = fmt.Errorf("steadystate: %s member %d: %w", spec.Kind, i, err)
@@ -759,7 +731,7 @@ func (s *Solver) solve(ctx context.Context, spec Spec, o *solveOptions, start *l
 			members[i].Weight = weights[i]
 		}
 	}
-	cp, err := composite.NewProblem(s.p, members)
+	cp, err := composite.NewProblem(p, members)
 	if err != nil {
 		return nil, nil, unsolvable(err)
 	}
@@ -811,7 +783,7 @@ type solution struct {
 }
 
 // solved is what the solve paths return: a Solution whose telemetry
-// Solver.Solve fills in once the solve is done.
+// Solve fills in once the solve is done.
 type solved interface {
 	Solution
 	base() *solution

@@ -544,11 +544,11 @@ func TestSolveCanceledContext(t *testing.T) {
 	}
 }
 
-// TestSolverSessionConcurrent solves several specs concurrently through
-// one session; run under -race this pins the concurrency-safety claim.
-func TestSolverSessionConcurrent(t *testing.T) {
+// TestSolveConcurrentOnOnePlatform solves several specs concurrently on
+// one platform; run under -race this pins the locking of the platform's
+// reachability memo, which every solve reads and fills.
+func TestSolveConcurrentOnOnePlatform(t *testing.T) {
 	p, order, target := steadystate.PaperFig6()
-	solver := steadystate.NewSolver(p)
 	specs := []steadystate.Spec{
 		steadystate.ReduceSpec(order, target),
 		steadystate.PrefixSpec(order...),
@@ -561,7 +561,7 @@ func TestSolverSessionConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sol, err := solver.Solve(context.Background(), spec)
+			sol, err := steadystate.Solve(context.Background(), p, spec)
 			if err == nil && sol.Throughput().Sign() <= 0 {
 				err = errors.New("non-positive throughput")
 			}
@@ -576,27 +576,40 @@ func TestSolverSessionConcurrent(t *testing.T) {
 	}
 }
 
-// TestSolverSessionMatchesColdSolves: a session's results must be
-// bit-identical to one-shot solves.
-func TestSolverSessionMatchesColdSolves(t *testing.T) {
+// TestSolveReusedPlatformMatchesFreshCopy: solves on a platform whose
+// reachability memo earlier solves filled must be bit-identical to solves
+// on a fresh copy.
+func TestSolveReusedPlatformMatchesFreshCopy(t *testing.T) {
 	p := steadystate.Tiers(steadystate.DefaultTiersConfig(23))
 	parts := p.Participants()
-	solver := steadystate.NewSolver(p)
 	for i := 0; i < 3; i++ {
 		spec := steadystate.ScatterSpec(parts[i], parts[i+1], parts[i+2])
-		warm, err := solver.Solve(context.Background(), spec)
+		reused, err := steadystate.Solve(context.Background(), p, spec)
 		if err != nil {
-			t.Fatalf("session solve %d: %v", i, err)
+			t.Fatalf("reused-platform solve %d: %v", i, err)
 		}
-		cold, err := steadystate.Solve(context.Background(),
+		fresh, err := steadystate.Solve(context.Background(),
 			steadystate.Tiers(steadystate.DefaultTiersConfig(23)), spec)
 		if err != nil {
-			t.Fatalf("cold solve %d: %v", i, err)
+			t.Fatalf("fresh-platform solve %d: %v", i, err)
 		}
-		if warm.Throughput().Cmp(cold.Throughput()) != 0 {
-			t.Errorf("solve %d: session TP %s != cold TP %s",
-				i, warm.Throughput().RatString(), cold.Throughput().RatString())
+		if reused.Throughput().Cmp(fresh.Throughput()) != 0 {
+			t.Errorf("solve %d: reused-platform TP %s != fresh-platform TP %s",
+				i, reused.Throughput().RatString(), fresh.Throughput().RatString())
 		}
+	}
+}
+
+// TestSolveNilPlatformUnsolvable: a solve with no platform, directly or
+// through an empty Scenario, is the caller's fault, reported as an error
+// tagged ErrUnsolvable rather than a panic.
+func TestSolveNilPlatformUnsolvable(t *testing.T) {
+	ctx := context.Background()
+	if _, err := steadystate.Solve(ctx, nil, steadystate.ScatterSpec(0, 1)); !errors.Is(err, steadystate.ErrUnsolvable) {
+		t.Errorf("Solve(nil platform) error = %v, want ErrUnsolvable", err)
+	}
+	if _, err := (&steadystate.Scenario{}).Solve(ctx); !errors.Is(err, steadystate.ErrUnsolvable) {
+		t.Errorf("empty Scenario.Solve error = %v, want ErrUnsolvable", err)
 	}
 }
 

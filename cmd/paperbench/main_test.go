@@ -51,17 +51,27 @@ func TestFig7Experiment(t *testing.T) {
 	}
 }
 
+// convergenceRow returns the fields of the table row for K periods.
+func convergenceRow(table, periods string) []string {
+	for _, line := range strings.Split(table, "\n") {
+		if fields := strings.Fields(line); len(fields) > 0 && fields[0] == periods {
+			return fields
+		}
+	}
+	return nil
+}
+
 func TestProp1Experiment(t *testing.T) {
 	got := capture(prop1)
-	if !strings.Contains(got, "ratio") || !strings.Contains(got, "0.9") {
-		t.Errorf("prop1 output:\n%s", got)
+	if row := strings.Join(convergenceRow(got, "1000000"), " "); row != "1000000 999999 1000000 0.999999" {
+		t.Errorf("prop1 K = 10^6 row %q, output:\n%s", row, got)
 	}
 }
 
 func TestProp3Experiment(t *testing.T) {
 	got := capture(prop3)
-	if !strings.Contains(got, "ratio") {
-		t.Errorf("prop3 output:\n%s", got)
+	if row := strings.Join(convergenceRow(got, "1000000"), " "); row != "1000000 999999 1000000 0.999999" {
+		t.Errorf("prop3 K = 10^6 row %q, output:\n%s", row, got)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command solverd serves the steady-state solver as a long-running HTTP
 // daemon: scenarios (the same platform+spec JSON files cmd/topogen writes
 // and cmd/sweep consumes) are posted over HTTP and answered with solved
-// Reports, amortizing solver sessions and caching hot scenarios across
-// requests — the serving counterpart of the batch pipeline
+// Reports, sharing one warm-start basis cache and caching hot scenarios
+// across requests — the serving counterpart of the batch pipeline
 // topogen → sweep → report.
 //
 // Usage:
@@ -80,7 +80,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workers    = fs.Int("workers", 0, "solver pool size (0: GOMAXPROCS)")
 		queue      = fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth (full queue answers 503)")
 		cache      = fs.Int("cache", serve.DefaultCacheSize, "report-cache entries (negative: disable)")
-		sessions   = fs.Int("sessions", serve.DefaultSessionCacheSize, "solver session pool entries (one per distinct platform)")
 		timeout    = fs.Duration("timeout", serve.DefaultSolveTimeoutValue, "default per-request deadline (negative: none)")
 		maxTimeout = fs.Duration("max-timeout", serve.DefaultMaxSolveTimeout, "cap on request-supplied ?timeout=")
 		maxBody    = fs.Int64("max-body", serve.DefaultMaxBodyBytes, "max request body (and /sweep line) bytes")
@@ -105,7 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Workers:             *workers,
 		QueueDepth:          *queue,
 		CacheSize:           *cache,
-		SessionCacheSize:    *sessions,
 		DefaultSolveTimeout: *timeout,
 		MaxSolveTimeout:     *maxTimeout,
 		MaxBodyBytes:        *maxBody,

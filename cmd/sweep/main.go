@@ -1,15 +1,15 @@
 // Command sweep runs the sharded scenario-sweep engine (internal/sweep)
-// over a batch of scenario files: every scenario is solved through a
-// shared, platform-deduplicated Solver session pool with bounded
-// parallelism, and the outcomes are aggregated into one deterministic
-// SweepReport (per-kind throughput table, LP cost counters, solve-time
-// percentiles, failure list). Malformed or unsolvable scenarios land in
-// the failure list; they never abort the sweep. With -simulate K every
-// solved scenario is also replayed for K periods and checked against its
-// Lemma-1 window [TP·K − warmup, TP·K] and, from the first period that
-// repeats, its exact rate TP·T per period at every sink; any failed
-// verdict makes the command exit non-zero. The replay stops at the
-// repeating period, so a large K costs no more than a small one.
+// over a batch of scenario files: every scenario is solved on its own
+// platform with bounded parallelism, and the outcomes are aggregated into
+// one deterministic SweepReport (per-kind throughput table, LP cost
+// counters, solve-time percentiles, failure list). Malformed or
+// unsolvable scenarios land in the failure list; they never abort the
+// sweep. With -simulate K every solved scenario is also replayed for K
+// periods and checked against its Lemma-1 window [TP·K − warmup, TP·K]
+// and, from the first period that repeats, its exact rate TP·T per period
+// at every sink; any failed verdict makes the command exit non-zero. The
+// replay stops at the repeating period, so a large K costs no more than a
+// small one.
 //
 // Usage:
 //
@@ -45,7 +45,8 @@
 // order, each carrying the full solution report or the error.
 //
 // For a long-running serving counterpart of this batch engine — the same
-// scenario files posted over HTTP with session reuse and a report cache —
+// scenario files posted over HTTP with a shared basis cache and a report
+// cache —
 // see cmd/solverd; its /sweep endpoint streams this same record format.
 package main
 

@@ -1,8 +1,8 @@
 // Package obsflow enforces the tracing discipline of internal/obs: the
 // solver stack participates in a trace only through the context.
 //
-// A trace is rooted at the edge of the system — steadystate.Solver.Solve
-// mints the Tracer, internal/serve and cmd/sweep ask for it — and
+// A trace is rooted at the edge of the system — steadystate.Solve mints
+// the Tracer, internal/serve and cmd/sweep ask for it — and
 // travels down the solver stack inside the context. Library code opens
 // spans with obs.StartSpan (or recovers the tracer with obs.FromContext)
 // against the context it was handed; it never mints a tracer of its own
@@ -37,7 +37,7 @@ var Analyzer = &analysis.Analyzer{
 
 // rootOnly names the obs functions reserved for the trace root.
 var rootOnly = map[string]string{
-	"NewTracer":  "tracers are minted at the edge (Solver.Solve, serve, sweep)",
+	"NewTracer":  "tracers are minted at the edge (Solve, serve, sweep)",
 	"WithTracer": "installing a tracer re-roots the trace; pass the context you received",
 }
 

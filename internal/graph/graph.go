@@ -63,7 +63,7 @@ type Platform struct {
 // reachCache memoizes, per source node, the bitset of nodes reachable by
 // directed paths. Problem validation and LP variable pruning perform many
 // CanReach queries per solve; on repeated solves over the same platform
-// (solver sessions, topology sweeps) the closure is computed once. The
+// the closure is computed once. The
 // cache is safe for concurrent readers and is dropped whenever the
 // platform gains a node or an edge.
 type reachCache struct {

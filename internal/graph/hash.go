@@ -2,9 +2,10 @@
 // canonical JSON serialization. Two platforms hash equally exactly when
 // their canonical serializations agree byte for byte — same nodes in the
 // same insertion order, same edges, same exact rational costs and speeds
-// — which is the sharing contract of solver-session pools: node IDs are
-// insertion-ordered and stable across the JSON round trip, so a spec
-// valid against one copy is valid against every copy with the same hash.
+// — which is the identity contract of the serving layer's report cache:
+// node IDs are insertion-ordered and stable across the JSON round trip,
+// so a spec valid against one copy is valid against every copy with the
+// same hash.
 package graph
 
 import (
@@ -19,8 +20,7 @@ import (
 // normalizes to the canonical form — but it is sensitive to node and edge
 // insertion order, because node IDs (and with them every Spec referencing
 // the platform) depend on it. A nil platform is unhashable and returns an
-// error; callers pooling sessions by hash should fall back to a private
-// session rather than fail the solve.
+// error.
 func (p *Platform) ContentHash() ([sha256.Size]byte, error) {
 	if p == nil {
 		return [sha256.Size]byte{}, fmt.Errorf("graph: cannot hash nil platform")

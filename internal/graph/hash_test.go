@@ -92,8 +92,8 @@ func TestContentHashDistinguishesContent(t *testing.T) {
 }
 
 func TestContentHashRoundTrip(t *testing.T) {
-	// Marshal → unmarshal must preserve the hash (the session-sharing
-	// contract of sweep and serve).
+	// Marshal → unmarshal must preserve the hash (the identity contract
+	// of sweep's platform count and serve's report cache).
 	p := twoNodePlatform(t)
 	before, err := p.ContentHash()
 	if err != nil {

@@ -229,14 +229,13 @@ func TestTraceIdentityDenseVsSparse(t *testing.T) {
 		t.Fatalf("parse fixture: %v", err)
 	}
 	parts := p.Participants()
-	solver := steadystate.NewSolver(p)
 	specs := map[string]steadystate.Spec{
 		"scatter": steadystate.ScatterSpec(parts[0], parts[1:3]...),
 		"reduce":  steadystate.ReduceSpec(parts[:4], parts[0]),
 	}
 	trace := func(t *testing.T, ctx context.Context, spec steadystate.Spec) string {
 		t.Helper()
-		sol, err := solver.Solve(ctx, spec, steadystate.WithTrace())
+		sol, err := steadystate.Solve(ctx, p, spec, steadystate.WithTrace())
 		if err != nil {
 			t.Fatalf("traced solve: %v", err)
 		}

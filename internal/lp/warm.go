@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-
-	"repro/internal/lru"
 )
 
 // Warm-start machinery: a solved LP's optimal basis is a reusable asset.
@@ -186,12 +184,3 @@ func warmFeasible(t tableau, artCols []bool) bool {
 	}
 	return true
 }
-
-// BasisCache is a bounded LRU of certified bases, keyed by the caller's
-// notion of "same problem shape" (the steady-state Solver keys it by node
-// count and canonical spec key, deliberately coarser than the platform
-// content hash so perturbed platforms still hit — the fingerprint check
-// inside the solve is what guarantees safety). A zero or negative
-// capacity stores nothing, and a nil cache is inert. Safe for concurrent
-// use.
-type BasisCache = lru.Cache[*Basis]

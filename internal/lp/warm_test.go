@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/lru"
 	"repro/internal/rat"
 )
 
@@ -326,44 +325,6 @@ func TestDropRowRegression(t *testing.T) {
 			t.Fatalf("re-pivot after drop diverged: %s vs %s",
 				second.Objective.RatString(), third.Objective.RatString())
 		}
-	}
-}
-
-// TestBasisCacheLRU pins the cache's bounded deterministic behavior.
-func TestBasisCacheLRU(t *testing.T) {
-	sol, err := degenerateProgram(rat.One()).SolveCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := sol.Basis()
-	c := lru.New[*Basis](2)
-	c.Put("a", b)
-	c.Put("b", b)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a evicted under capacity")
-	}
-	c.Put("c", b) // evicts b (a was refreshed)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("lru entry not evicted")
-	}
-	if got, ok := c.Get("a"); !ok || got != b {
-		t.Fatal("resident entry a missing")
-	}
-	if got, ok := c.Get("c"); !ok || got != b {
-		t.Fatal("resident entry c missing")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-	var nilCache *BasisCache
-	nilCache.Put("x", b)
-	if _, ok := nilCache.Get("x"); ok || nilCache.Len() != 0 {
-		t.Fatal("nil cache must be inert")
-	}
-	zero := lru.New[*Basis](0)
-	zero.Put("x", b)
-	if zero.Len() != 0 {
-		t.Fatal("zero-capacity cache stored an entry")
 	}
 }
 

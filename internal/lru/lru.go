@@ -1,5 +1,5 @@
 // Package lru is the fixed-capacity least-recently-used cache behind the
-// serving layer's report cache and session pool and the LP basis cache.
+// serving layer's report cache and the warm-start basis cache.
 // Eviction is deterministic: the eviction order is a pure function of the
 // Get/Put sequence, never of timing, so caches built on it are testable.
 package lru
@@ -55,37 +55,11 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // Put inserts the value (or refreshes an existing key), evicting the
 // least recently used entry when the cache is over capacity.
 func (c *Cache[V]) Put(key string, val V) {
-	if c == nil {
+	if c == nil || c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.put(key, val)
-}
-
-// GetOrPut returns the cached value for key, or — atomically with the
-// lookup — stores and returns make()'s result. The session pool uses it
-// so concurrent requests for one platform share a single Solver.
-func (c *Cache[V]) GetOrPut(key string, make func() V) V {
-	if c == nil {
-		return make()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*entry[V]).val
-	}
-	val := make()
-	c.put(key, val)
-	return val
-}
-
-// put is the lock-held insertion core of Put and GetOrPut.
-func (c *Cache[V]) put(key string, val V) {
-	if c.cap <= 0 {
-		return
-	}
 	if el, ok := c.items[key]; ok {
 		el.Value.(*entry[V]).val = val
 		c.ll.MoveToFront(el)

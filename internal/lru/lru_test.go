@@ -70,21 +70,6 @@ func TestLRUPutRefreshesExisting(t *testing.T) {
 	}
 }
 
-func TestLRUGetOrPut(t *testing.T) {
-	c := New[string](4)
-	calls := 0
-	make1 := func() string { calls++; return "v1" }
-	if v := c.GetOrPut("k", make1); v != "v1" {
-		t.Fatalf("first GetOrPut: %v", v)
-	}
-	if v := c.GetOrPut("k", func() string { calls++; return "v2" }); v != "v1" {
-		t.Fatalf("second GetOrPut rebuilt: %v", v)
-	}
-	if calls != 1 {
-		t.Fatalf("constructor ran %d times, want 1", calls)
-	}
-}
-
 func TestLRUDisabled(t *testing.T) {
 	c := New[int](0)
 	c.Put("a", 1)
@@ -93,6 +78,17 @@ func TestLRUDisabled(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("len: got %d want 0", c.Len())
+	}
+}
+
+func TestLRUNilInert(t *testing.T) {
+	var c *Cache[int]
+	c.Put("a", 1)
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("nil cache returned a value")
+	}
+	if c.Len() != 0 || c.Keys() != nil {
+		t.Fatalf("nil cache: len %d, keys %v", c.Len(), c.Keys())
 	}
 }
 
@@ -108,7 +104,6 @@ func TestLRUConcurrent(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g+i)%24)
 				c.Put(key, i)
 				c.Get(key)
-				c.GetOrPut(key, func() int { return i })
 			}
 		}(g)
 	}

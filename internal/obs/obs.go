@@ -1,7 +1,7 @@
 // Package obs is the solve-tracing layer: a context-carried, nil-safe
 // span API producing one deterministic span tree per solve.
 //
-// A Tracer is rooted at the edge of the system (steadystate.Solver.Solve,
+// A Tracer is rooted at the edge of the system (steadystate.Solve,
 // internal/serve, cmd/sweep) and travels down the solver stack inside the
 // context — WithTracer installs it, FromContext recovers it, StartSpan
 // opens a child of the context's current span. Library code never mints

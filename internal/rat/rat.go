@@ -109,20 +109,6 @@ func Sum(xs ...Rat) Rat {
 	return s
 }
 
-// MinOf returns the minimum of xs. It panics on an empty slice.
-func MinOf(xs ...Rat) Rat {
-	if len(xs) == 0 {
-		panic("rat: MinOf of empty slice")
-	}
-	m := Copy(xs[0])
-	for _, x := range xs[1:] {
-		if x.Cmp(m) < 0 {
-			m.Set(x)
-		}
-	}
-	return m
-}
-
 // MaxOf returns the maximum of xs. It panics on an empty slice.
 func MaxOf(xs ...Rat) Rat {
 	if len(xs) == 0 {
@@ -190,9 +176,6 @@ func Floor(x Rat) *big.Int {
 	}
 	return q
 }
-
-// FloorDiv returns ⌊x/y⌋ as a big.Int. It panics if y == 0.
-func FloorDiv(x, y Rat) *big.Int { return Floor(Div(x, y)) }
 
 // Float returns x as a float64 (for reporting only; may round).
 func Float(x Rat) float64 {

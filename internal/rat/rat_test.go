@@ -114,21 +114,9 @@ func TestSumAndFolds(t *testing.T) {
 	if !Eq(s, One()) {
 		t.Errorf("Sum = %s, want 1", s.RatString())
 	}
-	if !Eq(MinOf(New(3, 1), New(1, 2), New(2, 3)), New(1, 2)) {
-		t.Error("MinOf wrong")
-	}
 	if !Eq(MaxOf(New(3, 1), New(1, 2), New(2, 3)), Int(3)) {
 		t.Error("MaxOf wrong")
 	}
-}
-
-func TestMinOfEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MinOf() did not panic")
-		}
-	}()
-	MinOf()
 }
 
 func TestDenominatorLCM(t *testing.T) {
@@ -184,15 +172,6 @@ func TestFloor(t *testing.T) {
 		if got := Floor(c.x); got.Int64() != c.want {
 			t.Errorf("Floor(%s) = %s, want %d", c.x.RatString(), got, c.want)
 		}
-	}
-}
-
-func TestFloorDiv(t *testing.T) {
-	if got := FloorDiv(Int(7), Int(2)); got.Int64() != 3 {
-		t.Errorf("FloorDiv(7,2) = %s, want 3", got)
-	}
-	if got := FloorDiv(New(9, 2), New(3, 2)); got.Int64() != 3 {
-		t.Errorf("FloorDiv(9/2,3/2) = %s, want 3", got)
 	}
 }
 

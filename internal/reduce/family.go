@@ -125,9 +125,23 @@ func (v *vars) conserve(m *lp.Model, label string, tp lp.Var, weight rat.Rat, sk
 }
 
 // rates reads the positive solved rates of the variables, with throughput
-// tp.
+// tp, canceling zero-net send circulations per range: the simplex may
+// return them at no objective cost, a replay never fills one that no unit
+// enters, and the tree extractor requires cycle-free transfer support to
+// terminate.
 func (v *vars) rates(sol *lp.Solution, tp rat.Rat) Rates {
-	return Rates{TP: rat.Copy(tp), Sends: positive(sol, v.Sends), Tasks: positive(sol, v.Tasks)}
+	f := core.NewFlow[Range](v.fam.Platform)
+	for k, r := range positive(sol, v.Sends) {
+		f.SetSend(k.From, k.To, k.R, r)
+	}
+	core.CancelCycles(f)
+	sends := make(map[SendKey]rat.Rat)
+	for e, types := range f.Sends {
+		for rg, r := range types {
+			sends[SendKey{e.From, e.To, rg}] = r
+		}
+	}
+	return Rates{TP: rat.Copy(tp), Sends: sends, Tasks: positive(sol, v.Tasks)}
 }
 
 // positive returns the solved values of vars that are positive.

@@ -69,8 +69,7 @@ func (f *prefixFragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var
 }
 
 // Extract reads the fragment's solved rates into a PrefixSolution with
-// the given throughput. Unlike a reduce it keeps send circulations:
-// canceling them would change the rates wherever the simplex returns one.
+// the given throughput.
 func (f *prefixFragment) Extract(sol *lp.Solution, tp rat.Rat) core.Part {
 	return &PrefixSolution{Problem: f.Problem, Rates: f.rates(sol, tp)}
 }

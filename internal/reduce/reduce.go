@@ -261,11 +261,9 @@ func (f *Fragment) AddFlowConstraints(m *lp.Model, label string, tp lp.Var, weig
 }
 
 // Extract reads the fragment's solved rates into a Solution with the
-// given throughput, canceling zero-net send circulations.
+// given throughput.
 func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat) core.Part {
-	out := &Solution{Problem: f.Problem, Rates: f.rates(sol, tp)}
-	out.cancelCycles()
-	return out
+	return &Solution{Problem: f.Problem, Rates: f.rates(sol, tp)}
 }
 
 // Solution is a solved Series of Reduces: the optimal throughput and the
@@ -273,23 +271,6 @@ func (f *Fragment) Extract(sol *lp.Solution, tp rat.Rat) core.Part {
 type Solution struct {
 	Problem *Problem
 	Rates
-}
-
-// cancelCycles removes zero-net send circulations per range (the simplex
-// may return them at no objective cost; the tree extractor requires
-// cycle-free transfer support to terminate).
-func (s *Solution) cancelCycles() {
-	f := core.NewFlow[Range](s.Problem.Platform)
-	for k, r := range s.Sends {
-		f.SetSend(k.From, k.To, k.R, r)
-	}
-	core.CancelCycles(f)
-	s.Sends = make(map[SendKey]rat.Rat)
-	for e, types := range f.Sends {
-		for rg, r := range types {
-			s.Sends[SendKey{e.From, e.To, rg}] = r
-		}
-	}
 }
 
 // Demand lists one transfer per edge and partial result, labeled by its

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -680,5 +681,105 @@ func TestHTTPTracedSolve(t *testing.T) {
 	}
 	if err := sc.Err(); err != nil || recs != 2 {
 		t.Fatalf("%d sweep records (%v), want 2", recs, err)
+	}
+}
+
+// rebuilt copies p with every edge cost multiplied by factor, leaving out
+// edge skip (-1: none). Nodes are re-added in ID order, so specs stay
+// valid on the copy.
+func rebuilt(p *steadystate.Platform, factor steadystate.Rat, skip int) *steadystate.Platform {
+	q := steadystate.NewPlatform()
+	for _, n := range p.Nodes() {
+		if n.Router {
+			q.AddRouter(n.Name)
+		} else {
+			q.AddNode(n.Name, n.Speed)
+		}
+	}
+	for i, e := range p.Edges() {
+		if i != skip {
+			q.AddEdge(e.From, e.To, new(big.Rat).Mul(e.Cost, factor))
+		}
+	}
+	return q
+}
+
+// TestHTTPSharedBasisCache pins the server's one basis cache, which every
+// solve is offered: a platform whose edge costs all doubled warm-starts
+// from the first solve's basis and still answers a cold solve's
+// throughput, and the basis is refused by the structural fingerprint on a
+// platform that lost an edge; /metrics counts one of each.
+func TestHTTPSharedBasisCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	base := steadystate.Tiers(steadystate.DefaultTiersConfig(11))
+	parts := base.Participants()
+	spec := steadystate.ScatterSpec(parts[0], parts[1], parts[2], parts[3])
+	solve := func(p *steadystate.Platform) steadystate.Report {
+		t.Helper()
+		body, err := json.Marshal(&steadystate.Scenario{Platform: p, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postJSON(t, ts.URL+"/solve", body)
+		if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("solve: %d (X-Cache %q) %q", resp.StatusCode, resp.Header.Get("X-Cache"), data)
+		}
+		var rep steadystate.Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatalf("decode report: %v", err)
+		}
+		return rep
+	}
+	warmCounts := func() (uint64, uint64) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap MetricsSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatalf("decode /metrics: %v", err)
+		}
+		return snap.WarmStarts, snap.WarmRejects
+	}
+
+	if rep := solve(base); rep.WarmStart || rep.WarmReject != "" {
+		t.Fatalf("first solve: warm_start %v, warm_reject %q; want cold", rep.WarmStart, rep.WarmReject)
+	}
+
+	two := big.NewRat(2, 1)
+	rep := solve(rebuilt(base, two, -1))
+	if !rep.WarmStart {
+		t.Errorf("doubled-cost solve not warm-started (warm_reject %q)", rep.WarmReject)
+	}
+	cold, err := steadystate.Solve(context.Background(), rebuilt(base, two, -1), spec)
+	if err != nil {
+		t.Fatalf("cold solve of the doubled platform: %v", err)
+	}
+	if want := cold.Throughput().RatString(); rep.Throughput != want {
+		t.Errorf("warm throughput %s, cold %s", rep.Throughput, want)
+	}
+	if starts, rejects := warmCounts(); starts != 1 || rejects != 0 {
+		t.Errorf("/metrics after the warm start: warm_starts %d, warm_rejects %d; want 1, 0", starts, rejects)
+	}
+
+	// The first edge whose removal leaves every participant reachable.
+	var cut *steadystate.Platform
+	for i := range base.Edges() {
+		if q := rebuilt(base, big.NewRat(1, 1), i); q.Validate() == nil {
+			cut = q
+			break
+		}
+	}
+	if cut == nil {
+		t.Fatal("no single edge of the seeded Tiers platform is removable")
+	}
+	if rep := solve(cut); rep.WarmStart || rep.WarmReject != "fingerprint_mismatch" {
+		t.Errorf("edge-cut solve: warm_start %v, warm_reject %q; want the fingerprint_mismatch refusal",
+			rep.WarmStart, rep.WarmReject)
+	}
+	if starts, rejects := warmCounts(); starts != 1 || rejects != 1 {
+		t.Errorf("/metrics after the refusal: warm_starts %d, warm_rejects %d; want 1, 1", starts, rejects)
 	}
 }

@@ -1,6 +1,6 @@
 // Package serve is the solver-as-a-service layer behind cmd/solverd: it
-// turns the steady-state library's session-ready pieces — concurrency-safe
-// Solver sessions, JSON Scenario/Report serialization, context
+// turns the steady-state library's pieces — a Solve that is safe for
+// concurrent use, JSON Scenario/Report serialization, context
 // cancellation threaded into the exact simplex — into a long-running
 // serving loop.
 //
@@ -17,10 +17,9 @@
 //     queue wait and solve; the context cancels the simplex between
 //     pivots, so a deadline miss frees the worker promptly and answers a
 //     structured 504.
-//   - Worker pool: a fixed number of workers drain the queue into Solver
-//     sessions pooled per platform content hash, so concurrent scenarios
-//     sharing a topology share one memoized reachability index — the same
-//     dedup contract as internal/sweep.
+//   - Worker pool: a fixed number of workers drain the queue, each
+//     solving a scenario on its own platform, warm-started from one basis
+//     cache shared by every solve.
 //   - Report cache: an LRU of (platform-hash, spec-key) → Report. A hit
 //     returns the exact Report object computed by the cold solve —
 //     bit-identical bytes, no LP work — so hot scenarios cost a map
@@ -59,10 +58,6 @@ type Config struct {
 	// CacheSize is the report-cache capacity in entries; 0 means
 	// DefaultCacheSize, negative disables the cache.
 	CacheSize int
-	// SessionCacheSize bounds the per-platform Solver session pool; 0
-	// means DefaultSessionCacheSize. Eviction only costs warmth: a new
-	// session is built on the next request for that platform.
-	SessionCacheSize int
 	// DefaultSolveTimeout is the per-request deadline applied when the
 	// request does not carry one; 0 means DefaultSolveTimeoutValue,
 	// negative means no default deadline.
@@ -83,14 +78,13 @@ type Config struct {
 const (
 	DefaultQueueDepth        = 64
 	DefaultCacheSize         = 1024
-	DefaultSessionCacheSize  = 64
 	DefaultSolveTimeoutValue = 2 * time.Minute
 	DefaultMaxSolveTimeout   = 10 * time.Minute
 	DefaultMaxBodyBytes      = 8 << 20
 )
 
 // basisCacheSize bounds the warm-start basis cache shared by every
-// session: certified simplex bases keyed by problem shape, reused to skip
+// solve: certified simplex bases keyed by problem shape, reused to skip
 // phase 1 when a structurally identical scenario arrives (a perturbed
 // platform, a re-submitted spec). Warm starts never change response
 // bytes — reports stay bit-identical to cold solves (modulo solve_ms and
@@ -107,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = DefaultCacheSize
-	}
-	if c.SessionCacheSize <= 0 {
-		c.SessionCacheSize = DefaultSessionCacheSize
 	}
 	if c.DefaultSolveTimeout == 0 {
 		c.DefaultSolveTimeout = DefaultSolveTimeoutValue
@@ -211,22 +202,10 @@ func CacheKey(sc *steadystate.Scenario) (string, error) {
 	return hex.EncodeToString(h[:]) + "|" + specKey, nil
 }
 
-// platformKeyOf extracts the platform-hash half of a cache key — the
-// session-pool key.
-func platformKeyOf(cacheKey string) string {
-	for i := 0; i < len(cacheKey); i++ {
-		if cacheKey[i] == '|' {
-			return cacheKey[:i]
-		}
-	}
-	return cacheKey
-}
-
 // task is one admitted solve traveling from the handler to a worker.
 type task struct {
 	ctx      context.Context
 	scenario *steadystate.Scenario
-	session  *steadystate.Solver
 	key      string
 	trace    bool
 	enqueued time.Time
@@ -242,16 +221,15 @@ type taskResult struct {
 }
 
 // Server is one solver service instance: the admission queue, the worker
-// pool, the session pool, the report cache and the telemetry. Create with
+// pool, the report and basis caches and the telemetry. Create with
 // New, expose with Handler, stop with Drain + Close.
 type Server struct {
-	cfg      Config
-	queue    chan *task
-	cache    *lru.Cache[*steadystate.Report]
-	sessions *lru.Cache[*steadystate.Solver]
-	bases    *steadystate.BasisCache
-	metrics  *Metrics
-	workers  chan struct{} // closed when every worker has exited
+	cfg     Config
+	queue   chan *task
+	cache   *lru.Cache[*steadystate.Report]
+	bases   *steadystate.BasisCache
+	metrics *Metrics
+	workers chan struct{} // closed when every worker has exited
 	// The admission gate: draining refuses new admissions, admitters
 	// counts handlers between admit() and their queue send. Close may only
 	// close the queue once draining is set AND admitters has drained —
@@ -261,9 +239,9 @@ type Server struct {
 	draining  bool
 	admitters sync.WaitGroup
 	closeOnce sync.Once
-	// solveFn runs one admitted scenario on its session; tests substitute
-	// it to make queue timing deterministic.
-	solveFn func(ctx context.Context, session *steadystate.Solver, sc *steadystate.Scenario, trace bool) (*steadystate.Report, error)
+	// solveFn runs one admitted scenario, warm-started from bases; tests
+	// substitute it to make queue timing deterministic.
+	solveFn func(ctx context.Context, sc *steadystate.Scenario, bases *steadystate.BasisCache, trace bool) (*steadystate.Report, error)
 	// logger receives the structured request log (nil: logging off).
 	logger *slog.Logger
 }
@@ -281,12 +259,11 @@ func New(cfg Config) *Server {
 func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		queue:    make(chan *task, cfg.QueueDepth),
-		cache:    lru.New[*steadystate.Report](cfg.CacheSize),
-		sessions: lru.New[*steadystate.Solver](cfg.SessionCacheSize),
-		bases:    steadystate.NewBasisCache(basisCacheSize),
-		workers:  make(chan struct{}),
+		cfg:     cfg,
+		queue:   make(chan *task, cfg.QueueDepth),
+		cache:   lru.New[*steadystate.Report](cfg.CacheSize),
+		bases:   steadystate.NewBasisCache(basisCacheSize),
+		workers: make(chan struct{}),
 	}
 	s.metrics = newMetrics(func() int { return len(s.queue) })
 	s.solveFn = solveScenario
@@ -311,14 +288,15 @@ func (s *Server) start() {
 	}()
 }
 
-// solveScenario is the production solveFn: solve the spec on the session
-// and reduce the solution to its report, span-traced when asked.
-func solveScenario(ctx context.Context, session *steadystate.Solver, sc *steadystate.Scenario, trace bool) (*steadystate.Report, error) {
-	var opts []steadystate.SolveOption
+// solveScenario is the production solveFn: solve the scenario, warm-started
+// from bases, and reduce the solution to its report, span-traced when
+// asked.
+func solveScenario(ctx context.Context, sc *steadystate.Scenario, bases *steadystate.BasisCache, trace bool) (*steadystate.Report, error) {
+	opts := []steadystate.SolveOption{steadystate.WithBasisCache(bases)}
 	if trace {
 		opts = append(opts, steadystate.WithTrace())
 	}
-	sol, err := session.Solve(ctx, sc.Spec, opts...)
+	sol, err := sc.Solve(ctx, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +313,7 @@ func (s *Server) worker() {
 			t.done <- taskResult{err: err}
 			continue
 		}
-		rep, err := s.solveFn(t.ctx, t.session, t.scenario, t.trace)
+		rep, err := s.solveFn(t.ctx, t.scenario, s.bases, t.trace)
 		if err != nil {
 			t.done <- taskResult{err: err}
 			continue
@@ -438,8 +416,7 @@ func (s *Server) solve(ctx context.Context, sc *steadystate.Scenario, block, tra
 	}
 	if trace {
 		// "|" cannot appear in a hex platform hash, so the suffix cannot
-		// collide with an untraced key; platformKeyOf still reads the
-		// session-pool key off the front.
+		// collide with an untraced key.
 		key += "|trace"
 	}
 
@@ -454,14 +431,9 @@ func (s *Server) solve(ctx context.Context, sc *steadystate.Scenario, block, tra
 	if !s.admit() {
 		return nil, false, errDraining()
 	}
-	session := s.sessions.GetOrPut(platformKeyOf(key), func() *steadystate.Solver {
-		return steadystate.NewSolver(sc.Platform).UseBasisCache(s.bases)
-	})
-
 	t := &task{
 		ctx:      ctx,
 		scenario: sc,
-		session:  session,
 		key:      key,
 		trace:    trace,
 		enqueued: time.Now(),

@@ -34,7 +34,7 @@ func blockedServer(cfg Config) (*Server, chan struct{}, func()) {
 	s := newServer(cfg)
 	picked := make(chan struct{}, 64)
 	release := make(chan struct{})
-	s.solveFn = func(ctx context.Context, _ *steadystate.Solver, _ *steadystate.Scenario, _ bool) (*steadystate.Report, error) {
+	s.solveFn = func(ctx context.Context, _ *steadystate.Scenario, _ *steadystate.BasisCache, _ bool) (*steadystate.Report, error) {
 		picked <- struct{}{}
 		select {
 		case <-release:
@@ -231,7 +231,7 @@ func TestCloseCompletesQueuedWork(t *testing.T) {
 func TestCloseDuringAdmissionDoesNotPanic(t *testing.T) {
 	for round := 0; round < 25; round++ {
 		s := newServer(Config{Workers: 2, QueueDepth: 1, CacheSize: -1})
-		s.solveFn = func(context.Context, *steadystate.Solver, *steadystate.Scenario, bool) (*steadystate.Report, error) {
+		s.solveFn = func(context.Context, *steadystate.Scenario, *steadystate.BasisCache, bool) (*steadystate.Report, error) {
 			return &steadystate.Report{Kind: steadystate.KindScatter, Throughput: "1"}, nil
 		}
 		s.start()
@@ -292,7 +292,7 @@ func TestSolveErrorClassification(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newServer(Config{Workers: 1, CacheSize: -1})
-			s.solveFn = func(context.Context, *steadystate.Solver, *steadystate.Scenario, bool) (*steadystate.Report, error) {
+			s.solveFn = func(context.Context, *steadystate.Scenario, *steadystate.BasisCache, bool) (*steadystate.Report, error) {
 				return nil, tc.err
 			}
 			s.start()
@@ -326,30 +326,5 @@ func TestSolveRejectsBadScenarios(t *testing.T) {
 	}
 	if got := s.metrics.Snapshot().BadRequests; got != uint64(len(cases)) {
 		t.Fatalf("bad_requests: got %d want %d", got, len(cases))
-	}
-}
-
-func TestSessionPoolSharesPlatforms(t *testing.T) {
-	// Two scenarios over byte-identical platforms share one session; a
-	// different platform gets its own.
-	s := New(Config{Workers: 2})
-	defer s.Close()
-	ctx := context.Background()
-
-	a1, a2, b := testScenario(t, 0), testScenario(t, 0), testScenario(t, 1)
-	// Distinct specs on the identical platform, so the second is not a
-	// report-cache hit.
-	a2.Spec = steadystate.BroadcastSpec(a2.Spec.Source, a2.Spec.Targets...)
-	if _, _, err := s.Solve(ctx, a1, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Solve(ctx, a2, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Solve(ctx, b, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.sessions.Len(); got != 2 {
-		t.Fatalf("session pool size: got %d want 2 (a1/a2 shared, b private)", got)
 	}
 }

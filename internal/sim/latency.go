@@ -287,14 +287,3 @@ func alignCohorts(streams [][]cohort, total *big.Int) []cohort {
 	}
 	return out
 }
-
-// sortedRules returns the rules in execution order (stable by Order).
-func sortedRules(rules []Rule) []Rule {
-	out := append([]Rule(nil), rules...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Order < out[j-1].Order; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}

@@ -292,8 +292,7 @@ func Run(m *Model, periods int) (*Result, error) {
 		demand[e].Add(demand[e], t.Count)
 	}
 
-	rules := append([]Rule(nil), m.Rules...)
-	sort.SliceStable(rules, func(i, j int) bool { return rules[i].Order < rules[j].Order })
+	rules := sortedRules(m.Rules)
 
 	note := func(e Endpoint, v *big.Int) {
 		if m.Sources[e] {
@@ -425,6 +424,13 @@ func Run(m *Model, periods int) (*Result, error) {
 		start = end
 	}
 	return res, nil
+}
+
+// sortedRules returns the rules in execution order (stable by Order).
+func sortedRules(rules []Rule) []Rule {
+	out := append([]Rule(nil), rules...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Order < out[j].Order })
+	return out
 }
 
 // snapshot copies the nonzero buffers.

@@ -6,9 +6,9 @@
 //
 // The engine is built for fleets of scenarios rather than single solves:
 //
-//   - Platforms are deduplicated by content hash, so scenarios that share
-//     a topology share one concurrency-safe Solver session (and with it
-//     the memoized reachability index behind validation and LP pruning).
+//   - Each scenario solves on its own platform through steadystate.Solve;
+//     the report counts the distinct platforms (by content hash) among
+//     them.
 //   - Every solve runs under a per-solve context deadline; one malformed
 //     file or one timed-out solve lands in the report's failure list
 //     instead of aborting the run.
@@ -285,35 +285,19 @@ func Shard(jobs []Job, index, count int) ([]Job, error) {
 	return out, nil
 }
 
-// sessions builds one Solver per distinct platform topology: platforms
-// are deduplicated by Platform.ContentHash, and jobs whose platforms hash
-// equally share the session (node IDs are insertion-ordered and stable
-// across the JSON round trip, so a spec from one copy is valid against
-// another byte-identical copy). Returns the per-job session list and the
-// number of distinct platforms.
-func sessions(jobs []Job) ([]*steadystate.Solver, int) {
-	solvers := make([]*steadystate.Solver, len(jobs))
-	byHash := make(map[[sha256.Size]byte]*steadystate.Solver)
-	for i, job := range jobs {
+// distinctPlatforms counts the distinct platforms among the loaded jobs
+// by Platform.ContentHash; an unhashable platform is not counted.
+func distinctPlatforms(jobs []Job) int {
+	seen := make(map[[sha256.Size]byte]bool)
+	for _, job := range jobs {
 		if job.Scenario == nil {
 			continue
 		}
-		h, err := job.Scenario.Platform.ContentHash()
-		if err != nil {
-			// Unhashable platform: fall back to a private session rather
-			// than failing a solvable scenario.
-			solvers[i] = steadystate.NewSolver(job.Scenario.Platform)
-			continue
+		if h, err := job.Scenario.Platform.ContentHash(); err == nil {
+			seen[h] = true
 		}
-		if s, ok := byHash[h]; ok {
-			solvers[i] = s
-			continue
-		}
-		s := steadystate.NewSolver(job.Scenario.Platform)
-		byHash[h] = s
-		solvers[i] = s
 	}
-	return solvers, len(byHash)
+	return len(seen)
 }
 
 // ChainKey returns the perturbation-chain key of a scenario name: the
@@ -359,11 +343,10 @@ func chainsOf(jobs []Job) [][]int {
 	return chains
 }
 
-// Run sweeps the jobs: shard selection, platform-deduplicated solver
-// sessions, bounded-parallel solving, JSONL streaming, and deterministic
-// aggregation. It returns the aggregated report together with ctx.Err()
-// if the run was cut short — the report then covers the scenarios that
-// completed before the cancellation.
+// Run sweeps the jobs: shard selection, bounded-parallel solving, JSONL
+// streaming, and deterministic aggregation. It returns the aggregated
+// report together with ctx.Err() if the run was cut short — the report
+// then covers the scenarios that completed before the cancellation.
 func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -377,13 +360,13 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 		return nil, err
 	}
 
-	solvers, platforms := sessions(selected)
 	st := &runState{opts: &opts}
 
-	// runJob solves selected[i] on the given session and records the
-	// outcome; it returns false when the whole run was canceled mid-solve
-	// (the scenario then appears in neither results nor failures).
-	runJob := func(i int, solver *steadystate.Solver) bool {
+	// runJob solves selected[i], warm-started from bases when non-nil, and
+	// records the outcome; it returns false when the whole run was
+	// canceled mid-solve (the scenario then appears in neither results nor
+	// failures).
+	runJob := func(i int, bases *steadystate.BasisCache) bool {
 		job := selected[i]
 		if job.Err != nil {
 			st.record(job.Name, nil, nil, 0, job.Err)
@@ -394,7 +377,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 			solveCtx, cancel = context.WithTimeout(ctx, opts.SolveTimeout)
 		}
 		solveStart := time.Now()
-		rep, replay, err := solveOne(solveCtx, solver, job, &opts)
+		rep, replay, err := solveOne(solveCtx, job, bases, &opts)
 		cancel()
 		if err != nil && ctx.Err() != nil {
 			// The whole run was canceled mid-solve: this scenario was not
@@ -451,24 +434,20 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 			defer wg.Done()
 			for u := range queue {
 				if !opts.Warm {
-					if !runJob(u, solvers[u]) {
+					if !runJob(u, nil) {
 						return
 					}
 					continue
 				}
-				// A warm chain: each job gets a private session on its own
-				// (possibly perturbed) platform, but the chain shares one
-				// basis cache, so every solve after the head is offered its
+				// A warm chain: each job solves its own (possibly
+				// perturbed) platform, but the chain shares one basis
+				// cache, so every solve after the head is offered its
 				// predecessor's certified basis. The cache is chain-local —
 				// the parallel schedule never changes which basis a solve
 				// sees.
 				cache := steadystate.NewBasisCache(len(chains[u]) + 1)
 				for _, i := range chains[u] {
-					solver := solvers[i]
-					if sc := selected[i].Scenario; sc != nil {
-						solver = steadystate.NewSolver(sc.Platform).UseBasisCache(cache)
-					}
-					if !runJob(i, solver) {
+					if !runJob(i, cache) {
 						return
 					}
 				}
@@ -478,7 +457,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 	wg.Wait()
 
 	report := &steadystate.SweepReport{
-		Platforms: platforms,
+		Platforms: distinctPlatforms(selected),
 		Results:   st.results,
 		Failures:  st.failures,
 	}
@@ -492,15 +471,15 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*steadystate.SweepRepor
 	return report, ctx.Err()
 }
 
-// solveOne solves one job on its session, traced when opts.Trace is set,
-// and returns the solution report and, when opts.Simulate is positive,
-// the replay verdict.
-func solveOne(ctx context.Context, solver *steadystate.Solver, job Job, opts *Options) (*steadystate.Report, *steadystate.ReplayCheck, error) {
-	var solveOpts []steadystate.SolveOption
+// solveOne solves one job, warm-started from bases and traced when
+// opts.Trace is set, and returns the solution report and, when
+// opts.Simulate is positive, the replay verdict.
+func solveOne(ctx context.Context, job Job, bases *steadystate.BasisCache, opts *Options) (*steadystate.Report, *steadystate.ReplayCheck, error) {
+	solveOpts := []steadystate.SolveOption{steadystate.WithBasisCache(bases)}
 	if opts.Trace != nil {
 		solveOpts = append(solveOpts, steadystate.WithTrace())
 	}
-	sol, err := solver.Solve(ctx, job.Scenario.Spec, solveOpts...)
+	sol, err := job.Scenario.Solve(ctx, solveOpts...)
 	if err != nil {
 		return nil, nil, err
 	}

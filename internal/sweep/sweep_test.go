@@ -350,10 +350,10 @@ func TestSweepCancellation(t *testing.T) {
 	}
 }
 
-// TestSweepPlatformDedupMatchesColdSolves: scenarios sharing a topology
-// share one solver session, and the shared sessions return bit-identical
-// results to cold per-scenario solves.
-func TestSweepPlatformDedupMatchesColdSolves(t *testing.T) {
+// TestSweepMatchesColdSolves: every swept result is bit-identical to a
+// cold solve of its scenario (the golden pins the distinct-platform
+// count).
+func TestSweepMatchesColdSolves(t *testing.T) {
 	jobs := loadFixtureJobs(t)
 	report, err := Run(context.Background(), jobs, Options{Jobs: 4})
 	if err != nil {

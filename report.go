@@ -117,8 +117,8 @@ type Report struct {
 	// composite). It is measurement, not arithmetic: two identical solves
 	// report identical throughputs but may report different SolveMS.
 	SolveMS float64 `json:"solve_ms,omitempty"`
-	// WarmStart is true when the solve reused a cached basis from a
-	// Solver session's basis cache (see Solver.UseBasisCache):
+	// WarmStart is true when the solve reused a cached basis from the
+	// basis cache it was given (see WithBasisCache):
 	// WarmPivotsSaved estimates the phase-1 pivots the reuse avoided
 	// (the cached basis's original phase-1 cost minus the pivots this
 	// solve actually spent restoring it). When a cached basis was offered
@@ -268,8 +268,7 @@ type SweepReport struct {
 	// Shard is "i/n" when the sweep ran shard i of n, empty otherwise.
 	Shard string `json:"shard,omitempty"`
 	// Platforms counts the distinct platform topologies (by content hash)
-	// among the attempted scenarios — each backed one shared Solver
-	// session.
+	// among the attempted scenarios.
 	Platforms int               `json:"platforms"`
 	Kinds     []*SweepKindStats `json:"kinds,omitempty"`
 	Results   []*SweepResult    `json:"results,omitempty"`

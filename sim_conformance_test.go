@@ -446,12 +446,11 @@ func TestSimReplayIdentityWarmVsCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cold Solve: %v", err)
 			}
-			solver := steadystate.NewSolver(c.p)
-			solver.UseBasisCache(steadystate.NewBasisCache(8))
-			if _, err := solver.Solve(ctx, c.spec); err != nil {
+			bases := steadystate.WithBasisCache(steadystate.NewBasisCache(8))
+			if _, err := steadystate.Solve(ctx, c.p, c.spec, bases); err != nil {
 				t.Fatalf("cache-priming Solve: %v", err)
 			}
-			warm, err := solver.Solve(ctx, c.spec)
+			warm, err := steadystate.Solve(ctx, c.p, c.spec, bases)
 			if err != nil {
 				t.Fatalf("warm Solve: %v", err)
 			}

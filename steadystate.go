@@ -70,12 +70,14 @@
 //	    fmt.Println(member.Spec().Target, member.Throughput())
 //	}
 //
-// For repeated solves on one platform (sweeps, services), a Solver
-// session reuses per-platform state and is safe for concurrent use:
+// Solve is safe for concurrent use, and repeated solves on one platform
+// (sweeps, services) reuse the reachability index the platform memoizes.
+// A basis cache passed with WithBasisCache warm-starts each solve from
+// the certified basis of an earlier solve of the same shape:
 //
-//	solver := steadystate.NewSolver(p)
+//	bases := steadystate.WithBasisCache(steadystate.NewBasisCache(64))
 //	for _, spec := range specs {
-//	    sol, err := solver.Solve(ctx, spec)
+//	    sol, err := steadystate.Solve(ctx, p, spec, bases)
 //	    ...
 //	}
 //
@@ -111,8 +113,8 @@ import (
 // Platform is the heterogeneous platform graph G = (V, E, c): directed
 // edges carry the time to transfer a unit-size message; non-router nodes
 // carry compute speeds. Platform.ContentHash identifies a platform by the
-// sha256 of its canonical JSON — the session-sharing and report-cache key
-// of the sweep engine and the solverd serving layer.
+// sha256 of its canonical JSON — the distinct-platform count of the sweep
+// engine and the report-cache key of the solverd serving layer.
 type Platform = graph.Platform
 
 // NodeID identifies a platform node.

@@ -1,6 +1,6 @@
 // Trace tests: WithTrace must produce a deterministic span tree per
 // solve — byte-identical modulo timing, reconciling exactly with the
-// Report's LP counters — and concurrent traced solves on one session
+// Report's LP counters — and concurrent traced solves on one platform
 // must produce disjoint traces (run under -race in CI).
 package steadystate_test
 
@@ -14,11 +14,11 @@ import (
 	steadystate "repro"
 )
 
-// traceReport solves the spec under ctx with tracing on and returns the
-// report.
-func traceReport(t *testing.T, ctx context.Context, s *steadystate.Solver, spec steadystate.Spec) *steadystate.Report {
+// traceReport solves the spec on p under ctx with tracing on and returns
+// the report.
+func traceReport(t *testing.T, ctx context.Context, p *steadystate.Platform, spec steadystate.Spec) *steadystate.Report {
 	t.Helper()
-	sol, err := s.Solve(ctx, spec, steadystate.WithTrace())
+	sol, err := steadystate.Solve(ctx, p, spec, steadystate.WithTrace())
 	if err != nil {
 		t.Fatalf("traced solve: %v", err)
 	}
@@ -92,7 +92,6 @@ func checkTraceReconciles(t *testing.T, rep *steadystate.Report) {
 func TestTraceGoldenStructure(t *testing.T) {
 	p := loadFixture(t, "tiers42.json")
 	parts := p.Participants()
-	solver := steadystate.NewSolver(p)
 	ctx := context.Background()
 	specs := map[string]steadystate.Spec{
 		"scatter": steadystate.ScatterSpec(parts[0], parts[1:3]...),
@@ -100,7 +99,7 @@ func TestTraceGoldenStructure(t *testing.T) {
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
-			rep := traceReport(t, ctx, solver, spec)
+			rep := traceReport(t, ctx, p, spec)
 			checkTraceReconciles(t, rep)
 
 			// Wall clock lives only in timing blocks: present on every span,
@@ -123,7 +122,7 @@ func TestTraceGoldenStructure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := json.Marshal(traceReport(t, ctx, solver, spec).Trace.WithoutTiming())
+			again, err := json.Marshal(traceReport(t, ctx, p, spec).Trace.WithoutTiming())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,13 +151,12 @@ func TestUntracedSolveHasNoTrace(t *testing.T) {
 }
 
 // TestConcurrentTracesDisjoint proves concurrent traced solves on one
-// Solver session produce disjoint traces: each goroutine's trace is its
+// platform produce disjoint traces: each goroutine's trace is its
 // own tree, reconciling with its own report — no span ever leaks into
 // another solve's trace. The -race runner in CI makes the memory claim.
 func TestConcurrentTracesDisjoint(t *testing.T) {
 	p := loadFixture(t, "tiers42.json")
 	parts := p.Participants()
-	solver := steadystate.NewSolver(p)
 	specs := []steadystate.Spec{
 		steadystate.ScatterSpec(parts[0], parts[1:3]...),
 		steadystate.ReduceSpec(parts[:4], parts[0]),
@@ -174,7 +172,7 @@ func TestConcurrentTracesDisjoint(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sol, err := solver.Solve(context.Background(), specs[i%len(specs)], steadystate.WithTrace())
+			sol, err := steadystate.Solve(context.Background(), p, specs[i%len(specs)], steadystate.WithTrace())
 			if err == nil {
 				reports[i], err = sol.Report()
 			}

@@ -1,7 +1,7 @@
 package steadystate_test
 
-// Warm-start equivalence at the API level: a Solver session with a basis
-// cache must return bit-identical throughputs to cold solves — on every
+// Warm-start equivalence at the API level: a solve with a basis cache
+// must return bit-identical throughputs to cold solves — on every
 // collective kind, on identical re-solves, and on perturbed platforms —
 // while the Report's warm-start telemetry records what the cache did.
 
@@ -62,20 +62,20 @@ func rebuildWith(p *steadystate.Platform, factor steadystate.Rat, keep func(i in
 	return q
 }
 
-// TestWarmSolverMatchesColdAllKinds re-solves every kind through a
-// basis-cached session: the second, warm-started solve must return the
+// TestWarmSolverMatchesColdAllKinds re-solves every kind with one basis
+// cache: the second, warm-started solve must return the
 // identical throughput with zero simplex pivots (its predecessor's basis
 // is already optimal), and the report must say so.
 func TestWarmSolverMatchesColdAllKinds(t *testing.T) {
 	p := steadystate.Tiers(steadystate.DefaultTiersConfig(7))
 	for name, spec := range warmKindSpecs(t, p) {
 		t.Run(name, func(t *testing.T) {
-			solver := steadystate.NewSolver(p).UseBasisCache(steadystate.NewBasisCache(16))
-			first, err := solver.Solve(context.Background(), spec)
+			bases := steadystate.WithBasisCache(steadystate.NewBasisCache(16))
+			first, err := steadystate.Solve(context.Background(), p, spec, bases)
 			if err != nil {
 				t.Fatalf("first solve: %v", err)
 			}
-			second, err := solver.Solve(context.Background(), spec)
+			second, err := steadystate.Solve(context.Background(), p, spec, bases)
 			if err != nil {
 				t.Fatalf("second solve: %v", err)
 			}
@@ -114,8 +114,8 @@ func TestWarmSolverMatchesColdAllKinds(t *testing.T) {
 	}
 }
 
-// TestWarmSolverPerturbedPlatform shares one basis cache between a base
-// platform's session and a cost-jittered copy's: the perturbed solve
+// TestWarmSolverPerturbedPlatform shares one basis cache between solves
+// on a base platform and on a cost-jittered copy: the perturbed solve
 // must warm-start off the base basis (the structural fingerprint is
 // unchanged by cost scaling) and still return exactly the throughput a
 // cold solve of the perturbed platform returns.
@@ -124,13 +124,13 @@ func TestWarmSolverPerturbedPlatform(t *testing.T) {
 	parts := base.Participants()
 	spec := steadystate.ScatterSpec(parts[0], parts[1], parts[2], parts[3])
 
-	cache := steadystate.NewBasisCache(16)
-	if _, err := steadystate.NewSolver(base).UseBasisCache(cache).Solve(context.Background(), spec); err != nil {
+	bases := steadystate.WithBasisCache(steadystate.NewBasisCache(16))
+	if _, err := steadystate.Solve(context.Background(), base, spec, bases); err != nil {
 		t.Fatalf("base solve: %v", err)
 	}
 
 	perturbed := rebuildWith(base, big.NewRat(21, 20), nil)
-	warm, err := steadystate.NewSolver(perturbed).UseBasisCache(cache).Solve(context.Background(), spec)
+	warm, err := steadystate.Solve(context.Background(), perturbed, spec, bases)
 	if err != nil {
 		t.Fatalf("perturbed warm solve: %v", err)
 	}
@@ -163,8 +163,8 @@ func TestWarmSolverEdgeDeleteRejected(t *testing.T) {
 	parts := base.Participants()
 	spec := steadystate.ScatterSpec(parts[0], parts[1], parts[2], parts[3])
 
-	cache := steadystate.NewBasisCache(16)
-	if _, err := steadystate.NewSolver(base).UseBasisCache(cache).Solve(context.Background(), spec); err != nil {
+	bases := steadystate.WithBasisCache(steadystate.NewBasisCache(16))
+	if _, err := steadystate.Solve(context.Background(), base, spec, bases); err != nil {
 		t.Fatalf("base solve: %v", err)
 	}
 
@@ -182,7 +182,7 @@ func TestWarmSolverEdgeDeleteRejected(t *testing.T) {
 		t.Skip("no single edge of the seeded Tiers platform is removable")
 	}
 
-	warm, err := steadystate.NewSolver(cut).UseBasisCache(cache).Solve(context.Background(), spec)
+	warm, err := steadystate.Solve(context.Background(), cut, spec, bases)
 	if err != nil {
 		t.Fatalf("edge-cut warm solve: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestWarmSolverEdgeDeleteRejected(t *testing.T) {
 	}
 }
 
-// TestBasisCacheRejectsInvalidSpec: a session with a basis cache validates
+// TestBasisCacheRejectsInvalidSpec: a solve with a basis cache validates
 // the spec before keying it, so a composite with a nil weight fails with
 // the same unsolvable error as a plain Solve instead of panicking in
 // CanonicalKey.
@@ -227,8 +227,8 @@ func TestBasisCacheRejectsInvalidSpec(t *testing.T) {
 	if plain == nil || !strings.Contains(plain.Error(), "composite member 0 has non-positive weight") {
 		t.Fatalf("plain Solve error = %v, want the non-positive weight refusal", plain)
 	}
-	_, cached := steadystate.NewSolver(p).UseBasisCache(steadystate.NewBasisCache(4)).Solve(ctx, spec)
+	_, cached := steadystate.Solve(ctx, p, spec, steadystate.WithBasisCache(steadystate.NewBasisCache(4)))
 	if cached == nil || cached.Error() != plain.Error() || !errors.Is(cached, steadystate.ErrUnsolvable) {
-		t.Errorf("cached session error = %v, want %q tagged ErrUnsolvable", cached, plain)
+		t.Errorf("cached solve error = %v, want %q tagged ErrUnsolvable", cached, plain)
 	}
 }
