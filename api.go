@@ -353,7 +353,10 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 	}
 	if row.fields.has(fMembers) {
 		js.Members = s.Members
-		for _, w := range s.Weights {
+		for i, w := range s.Weights {
+			if w == nil {
+				return nil, fmt.Errorf("steadystate: cannot marshal composite member %d: nil weight", i)
+			}
 			js.Weights = append(js.Weights, w.RatString())
 		}
 	}

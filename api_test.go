@@ -659,6 +659,18 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		`steadystate: cannot marshal spec of unknown kind "bogus"`; err == nil || err.Error() != want {
 		t.Errorf("marshal of unknown kind: err %v, want %q", err, want)
 	}
+	// CompositeSpec keeps a nil weight for validate to refuse; marshaling
+	// it names the member instead of panicking.
+	nilWeight := steadystate.CompositeSpec(members, []steadystate.Rat{steadystate.R(1, 1), nil})
+	_, err = nilWeight.CanonicalKey()
+	if want := `json: error calling MarshalJSON for type steadystate.Spec: ` +
+		`steadystate: cannot marshal composite member 1: nil weight`; err == nil || err.Error() != want {
+		t.Errorf("canonical key of a nil weight: err %v, want %q", err, want)
+	}
+	if _, err := json.Marshal(&steadystate.Scenario{Platform: steadystate.NewPlatform(), Spec: nilWeight}); err == nil ||
+		!strings.Contains(err.Error(), "composite member 1: nil weight") {
+		t.Errorf("marshal of a scenario with a nil weight: err %v, want the member named", err)
+	}
 }
 
 // TestScenarioRoundTrip: a platform+spec scenario file must survive JSON

@@ -244,6 +244,19 @@ func (t *denseTableau) pivot(pr, pc int) {
 	t.pivots++
 }
 
+// pivotForward is the eager pivot: the oracle leaves no row waiting, so
+// every row it holds is settled.
+func (t *denseTableau) pivotForward(pr, pc int, _ []bool) { t.pivot(pr, pc) }
+
+// rowsOf lists every row.
+func (t *denseTableau) rowsOf(int) []int32 {
+	rows := make([]int32, len(t.rows))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}
+
 // eliminate applies ri ← ri − (ri[pc]/p)·prow in row-integer form:
 // n'[j] = n[j]·p − n[pc]·prow.n[j], d' = d·p, then renormalizes.
 func (t *denseTableau) eliminate(ri, prow *row, p *big.Int, pc int) {

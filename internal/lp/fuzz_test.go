@@ -48,6 +48,11 @@ func (b *lpBytes) value() rat.Rat {
 // side follow.
 func decodeLP(data []byte) *Model {
 	b := lpBytes(data)
+	return b.lp()
+}
+
+// lp decodes an LP as decodeLP does, leaving the bytes after it unread.
+func (b *lpBytes) lp() *Model {
 	head := b.next()
 	m := NewMinimize()
 	if head&1 != 0 {
@@ -82,6 +87,38 @@ func decodeLP(data []byte) *Model {
 	return m
 }
 
+// scale draws a positive value: the magnitude of a value of fuzzValues,
+// or 1 in place of 0.
+func (b *lpBytes) scale() rat.Rat {
+	v := b.value()
+	if v.Sign() == 0 {
+		return rat.One()
+	}
+	return v.Abs(v)
+}
+
+// scaledBounds returns a copy of m with every right-hand side and upper
+// bound multiplied by s > 0: the same structure, so m's bases fit it, and
+// the feasible region scaled by s, so m's optimal basis is optimal for it.
+func scaledBounds(m *Model, s rat.Rat) *Model {
+	c := newModel(m.maximize)
+	for _, name := range m.names {
+		c.Var(name)
+	}
+	for v, coeff := range m.obj {
+		c.SetObjective(v, coeff)
+	}
+	for v, u := range m.upper {
+		if u != nil {
+			c.SetUpper(Var(v), rat.Mul(u, s))
+		}
+	}
+	for _, con := range m.cons {
+		c.AddConstraint(con.Name, con.Expr, con.Sense, rat.Mul(con.RHS, s))
+	}
+	return c
+}
+
 // fuzzLPSeeds is FuzzLP's seed corpus.
 var fuzzLPSeeds = [][]byte{
 	{},
@@ -102,21 +139,59 @@ var fuzzLPSeeds = [][]byte{
 
 // FuzzLP is the LP's differential fuzz target: whatever small LP the
 // bytes decode to, the sparse tableau and the big.Int-only dense oracle
-// must return the same error, or the same pivot counts, objective and
-// values (solveBoth), the solution must pass Model.Verify, and the
-// objective must evaluate to the reported optimum.
+// must return the same error, or the same pivot counts, objective, values
+// and final basis (solveBoth), the solution must pass Model.Verify, and
+// the objective must evaluate to the reported optimum. An LP with an
+// optimum is then solved warm, again on both tableaus, from its optimal
+// basis twice: as it is, where the basis must be used and give the same
+// optimum, and the same values unless phase 2 pivots; and with every
+// right-hand side and upper bound scaled by a positive value drawn from
+// the bytes after the LP, where the optimum must be the scaled copy's
+// cold one.
 func FuzzLP(f *testing.F) {
 	for _, seed := range fuzzLPSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := decodeLP(data)
+		b := lpBytes(data)
+		m := b.lp()
 		sparse, _ := solveBoth(t, m)
 		if sparse == nil {
 			return
 		}
 		if got := m.EvalObjective(sparse.Values()); !rat.Eq(got, sparse.Objective) {
 			t.Fatalf("objective evaluates to %s, solve reported %s", got.RatString(), sparse.Objective.RatString())
+		}
+
+		m.StartFrom(sparse.Basis())
+		warm, _ := solveBoth(t, m)
+		switch {
+		case warm == nil:
+			t.Fatal("warm re-solve from the optimal basis failed")
+		case !warm.WarmUsed:
+			t.Fatalf("warm re-solve rejected its own optimal basis: %s", warm.WarmReject)
+		case !rat.Eq(warm.Objective, sparse.Objective):
+			t.Fatalf("warm re-solve: objective %s, cold %s", warm.Objective.RatString(), sparse.Objective.RatString())
+		case warm.Iterations == warm.Phase1Iterations:
+			for v, x := range warm.Values() {
+				if !rat.Eq(x, sparse.Values()[v]) {
+					t.Fatalf("warm re-solve without a phase-2 pivot: %s = %s, cold %s",
+						m.names[v], x.RatString(), sparse.Values()[v].RatString())
+				}
+			}
+		}
+
+		s := b.scale()
+		scaled := scaledBounds(m, s)
+		cold, _ := solveBoth(t, scaled)
+		scaled.StartFrom(sparse.Basis())
+		warm, _ = solveBoth(t, scaled)
+		if cold == nil || warm == nil {
+			t.Fatalf("bounds scaled by %s: cold %v, warm %v: an optimum scales", s.RatString(), cold != nil, warm != nil)
+		}
+		if !rat.Eq(warm.Objective, cold.Objective) {
+			t.Fatalf("bounds scaled by %s: warm objective %s, cold %s", s.RatString(),
+				warm.Objective.RatString(), cold.Objective.RatString())
 		}
 	})
 }

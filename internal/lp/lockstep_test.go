@@ -25,10 +25,12 @@ type lockstepTableau struct {
 }
 
 // LockstepCounts tallies what the lockstep tableaus of a test went
-// through: pivots, rows deferred by a pivot, ratio tests that had to
-// settle deferred rows, and row drops with deferred rows pending.
+// through: pivots, rows deferred by a degenerate pivot, ratio tests that
+// had to settle such rows, row drops with deferred rows pending, rows the
+// warm rebuild left waiting, and settles of those rows.
 type LockstepCounts struct {
 	Pivots, Deferred, LeavingSettles, DropsWhileStale int
+	RebuildDeferred, RebuildSettles                   int
 }
 
 // WithLockstepTableau returns a context under which every
@@ -77,7 +79,25 @@ func (l lockstepTableau) colSign(i, c int) int {
 }
 func (l lockstepTableau) rowLen(i int) int { return agree(l, "rowLen", l.s.rowLen(i), l.d.rowLen(i)) }
 func (l lockstepTableau) nonzeros() int {
+	defer l.countRebuildSettle(l.rebuildWaiting())
 	return agree(l, "nonzeros", l.s.nonzeros(), l.d.nonzeros())
+}
+
+// rowsOf returns the sparse tableau's list: the dense one lists every
+// row. The rebuild probes only rows it may pivot into, which both
+// tableaus hold alike; that the list names every row holding c is
+// checkedTableau's check.
+func (l lockstepTableau) rowsOf(c int) []int32 { return l.s.rowsOf(c) }
+
+// rebuildWaiting reports whether rows the warm rebuild left waiting are
+// pending; countRebuildSettle counts a settle of them when they were
+// pending before a call and are not after it.
+func (l lockstepTableau) rebuildWaiting() bool { return len(l.s.order) > 0 && len(l.s.stale) > 0 }
+
+func (l lockstepTableau) countRebuildSettle(waiting bool) {
+	if waiting && !l.rebuildWaiting() {
+		l.n.RebuildSettles++
+	}
 }
 
 func (l lockstepTableau) value(i int) rat.Rat {
@@ -98,21 +118,32 @@ func (l lockstepTableau) firstNonzero(i int, skip []bool) (int, int) {
 }
 
 func (l lockstepTableau) leaving(c int) int {
-	deferred := len(l.s.stale) > 0
+	waiting, deferred := l.rebuildWaiting(), len(l.s.stale) > 0
 	r := agree(l, "leaving", l.s.leaving(c), l.d.leaving(c))
-	if deferred && len(l.s.stale) == 0 {
+	l.countRebuildSettle(waiting)
+	if deferred && !waiting && len(l.s.stale) == 0 {
 		l.n.LeavingSettles++
 	}
 	return r
 }
 
 func (l lockstepTableau) pivot(pr, pc int) {
-	before := len(l.s.stale)
+	waiting, before := l.rebuildWaiting(), len(l.s.stale)
 	l.s.pivot(pr, pc)
 	l.d.pivot(pr, pc)
 	l.n.Pivots++
 	l.n.Deferred += max(len(l.s.stale)-before, 0)
+	l.countRebuildSettle(waiting)
 	l.same("pivot")
+}
+
+func (l lockstepTableau) pivotForward(pr, pc int, wanted []bool) {
+	before := len(l.s.stale)
+	l.s.pivotForward(pr, pc, wanted)
+	l.d.pivotForward(pr, pc, wanted)
+	l.n.Pivots++
+	l.n.RebuildDeferred += len(l.s.stale) - before
+	l.same("pivotForward")
 }
 
 func (l lockstepTableau) resetRule(budget int) {
@@ -142,6 +173,7 @@ func (l lockstepTableau) dropRow(i int) {
 	if len(l.s.stale) > 0 {
 		l.n.DropsWhileStale++
 	}
+	defer l.countRebuildSettle(l.rebuildWaiting())
 	l.s.dropRow(i)
 	l.d.dropRow(i)
 	l.same("dropRow")
@@ -179,6 +211,7 @@ func settledCopy(t *sparseTableau) *sparseTableau {
 	c := newSparseTableau(t.rhs, t.blandAfter)
 	c.basis = slices.Clone(t.basis)
 	c.stale = slices.Clone(t.stale)
+	c.order = slices.Clone(t.order)
 	for _, r := range t.rows {
 		c.rows = append(c.rows, cloneRow(r))
 	}
@@ -226,12 +259,23 @@ var (
 	dropWhileStaleSeed  = []byte{0x1d, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
 )
 
+// negateObjective flips the sign of every objective entry of m. The
+// structural fingerprint ignores the objective, so m's bases still fit,
+// but an optimal one is seldom optimal for the negated objective.
+func negateObjective(m *Model) {
+	for v, c := range m.obj {
+		m.obj[v] = rat.Neg(c)
+	}
+}
+
 // TestDeferredRowsLockstep runs the sparse and the dense tableau in
 // lockstep (lockstepTableau) through FuzzLP's seeds and the LPs of
 // randomWarmModel at the three scales of TestSparseDenseWordEscape, each
-// solved cold and then warm from its cold basis: both phases, the
-// drive-out, the warm rebuild and the row and column drops. The two
-// hand-built seeds must show what they are built for.
+// solved cold, then warm from its cold basis, then warm from the same
+// basis with its objective negated, where phase 2 must leave the basis:
+// both phases, the drive-out, the warm rebuild with its waiting rows,
+// their settling, and the row and column drops. The two hand-built seeds
+// must show what they are built for.
 func TestDeferredRowsLockstep(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -270,9 +314,14 @@ func TestDeferredRowsLockstep(t *testing.T) {
 		if _, err := m.SolveCtx(ctx); err != nil {
 			t.Fatalf("warm re-solve: %v", err)
 		}
+		negateObjective(m)
+		m.SolveCtx(ctx) // unbounded is an answer too; lockstep checks both agree
 	}
 	t.Logf("%+v", n)
 	if n.Deferred == 0 || n.LeavingSettles == 0 || n.DropsWhileStale == 0 {
 		t.Fatalf("%+v: want rows deferred, ratio tests that settle, and drops while rows are deferred", n)
+	}
+	if n.RebuildDeferred == 0 || n.RebuildSettles == 0 {
+		t.Fatalf("%+v: want rows the warm rebuild leaves waiting, and settles of them", n)
 	}
 }

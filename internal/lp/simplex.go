@@ -50,6 +50,18 @@ type tableau interface {
 	// pivot performs a Gauss-Jordan pivot at (pr, pc); the entry must be
 	// strictly positive.
 	pivot(pr, pc int)
+	// pivotForward is the warm rebuild's pivot at (pr, pc): rows whose
+	// basic column is flagged in wanted need not be updated. Until a ratio
+	// test, a pivot or a row drop settles them, value and rowRHSSign
+	// still read every row's basic value, and installObjective still
+	// installs the reduced costs of the basis. The sparse tableau leaves
+	// such rows waiting (eliminating forward only); the dense reference
+	// pivots as pivot does.
+	pivotForward(pr, pc int, wanted []bool)
+	// rowsOf lists the rows that may hold column c: every row with an
+	// entry there, and possibly rows without one, some more than once —
+	// the warm rebuild's pivot-row candidates.
+	rowsOf(c int) []int32
 	// pivotCount returns the pivots performed so far.
 	pivotCount() int
 	// resetRule restarts the cycling heuristic for a new phase: Dantzig's

@@ -186,17 +186,33 @@ func (r *sparseRow) less(k, j int) bool {
 // eliminates the basic columns the row holds against their rows, which
 // leaves it B⁻¹[A | b]'s row normalized by its content gcd, the value
 // and form eager updates would have left.
+//
+// The warm rebuild defers rows too (pivotForward): its pivots eliminate
+// forward only, so a row whose basic column the rebuild wants waits as
+// soon as a later pivot column reaches it. Such a row holds only the
+// basic columns of rows that entered after its own, so the rows of order
+// form a triangular system: x_B follows by back-substitution over the rhs
+// column (basicValues), the objective installs by forward substitution,
+// and the rows settle only when a ratio test needs them.
 type sparseTableau struct {
 	rows  []*sparseRow
 	obj   *sparseRow
 	basis []int
 	rhs   int // index of the rhs column
 	// stale lists the deferred rows once each; rowOf maps a column to the
-	// row it is basic in (−1 otherwise) while settleAll runs, and elim
-	// holds the columns it eliminates from one row.
+	// row it is basic in (−1 otherwise) while settleAll or basicValues
+	// runs, and elim holds the columns settleAll eliminates from one row.
 	stale []int32
 	rowOf []int32
 	elim  []int
+	// order lists, while the warm rebuild's rows wait, the rows whose
+	// basic column the rebuild wants in the order those columns entered:
+	// the rows basic in a wanted column before the first rebuild pivot,
+	// then each rebuild pivot's row. It is empty otherwise. xb holds the
+	// basic values basicValues computes for the waiting rows, indexed by
+	// row, once a value is read; nil until then.
+	order []int32
+	xb    []rat.Rat
 	// iteration bookkeeping
 	pivots     int
 	blandAfter int
@@ -678,10 +694,22 @@ func (t *sparseTableau) objRHSSign() int   { return t.obj.sign(t.rhs) }
 func (t *sparseTableau) objValue() rat.Rat { return t.rational(t.obj, t.rhs) }
 func (t *sparseTableau) blandActive() bool { return t.bland }
 
-// value and rowRHSSign read a deferred row as it stands: rows defer only
-// through pivots that move no rhs, so its rhs is exact.
-func (t *sparseTableau) value(i int) rat.Rat  { return t.rational(t.rows[i], t.rhs) }
-func (t *sparseTableau) rowRHSSign(i int) int { return t.rows[i].sign(t.rhs) }
+// value and rowRHSSign read a row's basic value. A row a degenerate pivot
+// deferred reads as it stands, since such pivots move no rhs; a row the
+// warm rebuild left waiting reads its back-substituted value.
+func (t *sparseTableau) value(i int) rat.Rat {
+	if t.rows[i].stale && len(t.order) > 0 {
+		return rat.Copy(t.basicValues()[i])
+	}
+	return t.rational(t.rows[i], t.rhs)
+}
+
+func (t *sparseTableau) rowRHSSign(i int) int {
+	if t.rows[i].stale && len(t.order) > 0 {
+		return t.basicValues()[i].Sign()
+	}
+	return t.rows[i].sign(t.rhs)
+}
 
 // nonzeros counts stored entries of the settled rows; sparse rows never
 // hold zeros and both implementations normalize identically, so this
@@ -754,9 +782,10 @@ func (t *sparseTableau) dropColumns(cols []bool) {
 }
 
 // firstNonzero, negateRow, colSign and rowLen read row i as stored, so
-// it must not be deferred. The drive-out hands them only rows with rhs 0,
-// which never defer, and the warm rebuild runs before any objective is
-// installed, when no pivot defers.
+// it must not be deferred. The drive-out hands them only rows with rhs 0
+// whose basic column is artificial, which never defer, and the warm
+// rebuild only rows whose basic column it does not want, which it
+// updates eagerly.
 func (t *sparseTableau) firstNonzero(i int, skip []bool) (int, int) {
 	r := t.rows[i]
 	for k, col := range r.cols {
@@ -823,10 +852,21 @@ func (t *sparseTableau) installPhase1(art []bool) {
 	}
 }
 
+// installObjective eliminates the basic columns from the new objective
+// row. Rows a degenerate pivot deferred settle first. The warm rebuild's
+// waiting rows need not: taken in the order their basic columns entered,
+// each holds only basic columns that later rows eliminate, so one pass
+// of forward substitution leaves the same reduced-cost row.
 func (t *sparseTableau) installObjective(entries []colVal, den scalar) {
-	t.settleAll() // the eliminations below need every row solved
+	if len(t.order) == 0 {
+		t.settleAll()
+	}
 	z := t.loadRow(entries, den)
 	t.obj = z
+	for _, i := range t.order {
+		r := t.rows[i]
+		t.combine(z, r, r.den(), z.get(t.basis[i]))
+	}
 	for i, b := range t.basis {
 		t.combine(z, t.rows[i], t.rows[i].den(), z.get(b))
 	}
@@ -839,11 +879,38 @@ func (t *sparseTableau) installObjective(entries []colVal, den scalar) {
 // degenerate pivot under an installed objective defers the positive-rhs
 // rows holding pc; any other pivot settles the deferred rows first.
 func (t *sparseTableau) pivot(pr, pc int) {
-	prow := t.rows[pr]
-	deferring := t.obj != nil && prow.rhsAt(t.rhs).sign() == 0
+	deferring := t.obj != nil && t.rows[pr].rhsAt(t.rhs).sign() == 0
 	if !deferring {
 		t.settleAll()
 	}
+	t.eliminate(pr, pc, deferring, nil)
+}
+
+// pivotForward is the warm rebuild's pivot at (pr, pc): it updates the
+// rows whose basic column is not flagged in wanted, as pivot does, and
+// defers the rows whose basic column is flagged and that hold pc. Row pr
+// enters order; the first rebuild pivot lists the rows already basic in
+// a wanted column ahead of it.
+func (t *sparseTableau) pivotForward(pr, pc int, wanted []bool) {
+	if len(t.order) == 0 {
+		for i, b := range t.basis {
+			if wanted[b] {
+				t.order = append(t.order, int32(i))
+			}
+		}
+	}
+	t.order = append(t.order, int32(pr))
+	t.xb = nil
+	t.eliminate(pr, pc, false, wanted)
+}
+
+// eliminate is the body of pivot and pivotForward: it eliminates pc from
+// the rows the index lists under it, but for row pr and the rows it
+// defers — those already deferred, with deferring the rows with a
+// positive rhs, and with wanted non-nil the rows whose basic column is
+// flagged — then solves row pr for pc.
+func (t *sparseTableau) eliminate(pr, pc int, deferring bool, wanted []bool) {
+	prow := t.rows[pr]
 	p := prow.get(pc) // > 0
 	if p.big != nil {
 		p.big = t.alloc().Set(p.big) // becomes the row's denominator below
@@ -862,7 +929,7 @@ func (t *sparseTableau) pivot(pr, pc int) {
 		f := r.get(pc)
 		switch {
 		case f.sign() == 0:
-		case deferring && r.rhsAt(t.rhs).sign() > 0:
+		case deferring && r.rhsAt(t.rhs).sign() > 0, wanted != nil && wanted[t.basis[i]]:
 			r.stale = true
 			t.stale = append(t.stale, i)
 			kept = append(kept, i)
@@ -923,11 +990,16 @@ func (t *sparseTableau) entering() int {
 // tie-breaking to the dense implementation — over the rows the index
 // lists under c. Ties break on the rows' basic columns, which differ from
 // row to row, so neither the order of the list nor a row listed twice
-// can change the row picked. The deferred rows all have a positive rhs,
-// so they cannot beat or tie a ratio of 0; only when the rows that are
-// not deferred give no ratio of 0 or below do the deferred rows settle
-// and the test run over every row.
+// can change the row picked. The rows a degenerate pivot deferred all
+// have a positive rhs, so they cannot beat or tie a ratio of 0; only when
+// the rows that are not deferred give no ratio of 0 or below do the
+// deferred rows settle and the test run over every row. The warm
+// rebuild's waiting rows may have rhs 0, so they settle before the first
+// ratio test.
 func (t *sparseTableau) leaving(c int) int {
+	if len(t.order) > 0 {
+		t.settleAll()
+	}
 	best, b := t.ratioTest(c)
 	if len(t.stale) > 0 && (best < 0 || b.sign() > 0) {
 		t.settleAll()
@@ -971,17 +1043,59 @@ func (t *sparseTableau) ratioTest(c int) (int, scalar) {
 
 // settleAll settles every deferred row: each basic column the row holds,
 // other than its own, is eliminated against that column's row, the
-// elimination installObjective runs on the objective row. The rows it
-// eliminates against are never deferred ones. Rows defer only through
-// degenerate pivots, whose pivot rows have rhs 0, so since the first
-// deferral no positive-rhs row has changed its basic column; a deferred
-// row therefore holds no other deferred row's basic column, and the rows
-// it does hold columns of are solved. Fill-in is listed in the index
-// (when it is built) as a pivot lists it.
+// elimination installObjective runs on the objective row, once that row
+// has settled. The warm rebuild's rows settle latest entry first, by
+// back-substitution, since each holds only the basic columns of rows that
+// entered after it. The other deferred rows settle in any order: they
+// defer only through degenerate pivots, whose pivot rows have rhs 0, so
+// since the first such deferral no positive-rhs row has changed its basic
+// column, and a row so deferred holds no other deferred row's basic
+// column. Fill-in is listed in the index (when it is built) as a pivot
+// lists it.
 func (t *sparseTableau) settleAll() {
 	if len(t.stale) == 0 {
+		t.order, t.xb = t.order[:0], nil
 		return
 	}
+	t.mapBasis()
+	for k := len(t.order) - 1; k >= 0; k-- {
+		t.settle(t.order[k])
+	}
+	for _, i := range t.stale {
+		t.settle(i)
+	}
+	t.fill = -1
+	t.unmapBasis()
+	t.stale = t.stale[:0]
+	t.order, t.xb = t.order[:0], nil
+}
+
+// settle settles row i when it is deferred; rowOf maps the basis.
+func (t *sparseTableau) settle(i int32) {
+	r := t.rows[i]
+	if !r.stale {
+		return
+	}
+	elim := t.elim[:0]
+	for _, col := range r.cols {
+		if col < t.rhs && t.rowOf[col] >= 0 && t.rowOf[col] != i {
+			elim = append(elim, col)
+		}
+	}
+	if t.colRows != nil {
+		t.fill = i
+	}
+	for _, col := range elim {
+		b := t.rows[t.rowOf[col]]
+		t.combine(r, b, b.den(), r.get(col))
+	}
+	t.elim = elim
+	r.stale = false
+}
+
+// mapBasis points rowOf at the row each basic column is basic in;
+// unmapBasis points it back at no row.
+func (t *sparseTableau) mapBasis() {
 	if t.rowOf == nil {
 		t.rowOf = make([]int32, t.rhs)
 		for c := range t.rowOf {
@@ -991,29 +1105,49 @@ func (t *sparseTableau) settleAll() {
 	for i, b := range t.basis {
 		t.rowOf[b] = int32(i)
 	}
-	for _, i := range t.stale {
-		r := t.rows[i]
-		elim := t.elim[:0]
-		for _, col := range r.cols {
-			if col < t.rhs && t.rowOf[col] >= 0 && t.rowOf[col] != i {
-				elim = append(elim, col)
-			}
-		}
-		if t.colRows != nil {
-			t.fill = i
-		}
-		for _, col := range elim {
-			b := t.rows[t.rowOf[col]]
-			t.combine(r, b, b.den(), r.get(col))
-		}
-		t.elim = elim
-		r.stale = false
-	}
-	t.fill = -1
+}
+
+func (t *sparseTableau) unmapBasis() {
 	for _, b := range t.basis {
 		t.rowOf[b] = -1
 	}
-	t.stale = t.stale[:0]
+}
+
+// basicValues returns the basic value of every row of order, indexed by
+// row, computing them on first use by back-substitution over the rhs
+// column alone: latest entry first, a row's value is its rhs less its
+// entry in each later row's basic column times that row's value, over
+// its entry in its own basic column (its denominator, as that entry is
+// 1). Each row's sum is formed fraction-free from the row's integers and
+// reduced once.
+func (t *sparseTableau) basicValues() []rat.Rat {
+	if t.xb != nil {
+		return t.xb
+	}
+	xb := make([]rat.Rat, len(t.rows))
+	t.mapBasis()
+	var p, q, a big.Int
+	for k := len(t.order) - 1; k >= 0; k-- {
+		i := t.order[k]
+		r := t.rows[i]
+		p.Set(r.rhsAt(t.rhs).toBig(&a))
+		q.SetInt64(1)
+		for pos, col := range r.cols {
+			if col >= t.rhs {
+				break
+			}
+			if j := t.rowOf[col]; j >= 0 && j != i && xb[j].Sign() != 0 {
+				x := xb[j] // p/q − a·x = (p·x.d − a·x.n·q) / (q·x.d)
+				a.Mul(r.at(pos).toBig(&a), x.Num())
+				p.Sub(p.Mul(&p, x.Denom()), a.Mul(&a, &q))
+				q.Mul(&q, x.Denom())
+			}
+		}
+		xb[i] = new(big.Rat).SetFrac(&p, q.Mul(&q, r.den().toBig(&a)))
+	}
+	t.unmapBasis()
+	t.xb = xb
+	return xb
 }
 
 // cmpCross returns the sign of x·y − u·v: in 128-bit words when all four

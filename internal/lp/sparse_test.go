@@ -15,8 +15,9 @@ import (
 
 // solveBoth solves the model under each tableau implementation and pins
 // bit-exact equivalence: same objective, same variable values, same total
-// and phase-1 pivot counts (the implementations must walk the same vertex
-// path, not merely reach the same optimum).
+// and phase-1 pivot counts, same warm-start outcome and same final basis
+// (the implementations must walk the same vertex path, not merely reach
+// the same optimum).
 func solveBoth(t *testing.T, m *Model) (*Solution, *Solution) {
 	t.Helper()
 	return solveBothOn(t, m, sparseKind.ctx())
@@ -53,6 +54,13 @@ func solveBothOn(t *testing.T, m *Model, sparseCtx context.Context) (*Solution, 
 	if sparse.Phase1Iterations != dense.Phase1Iterations {
 		t.Fatalf("phase-1 pivots: sparse %d, dense %d",
 			sparse.Phase1Iterations, dense.Phase1Iterations)
+	}
+	if sparse.WarmUsed != dense.WarmUsed || sparse.WarmReject != dense.WarmReject {
+		t.Fatalf("warm start: sparse (%v, %q), dense (%v, %q)",
+			sparse.WarmUsed, sparse.WarmReject, dense.WarmUsed, dense.WarmReject)
+	}
+	if !slices.Equal(sparse.Basis().cols, dense.Basis().cols) {
+		t.Fatalf("final basis: sparse %v, dense %v", sparse.Basis().cols, dense.Basis().cols)
 	}
 	if err := m.Verify(sparse.Values()); err != nil {
 		t.Fatalf("sparse solution fails verification: %v", err)
@@ -404,6 +412,12 @@ func (c checkedTableau) pivot(pr, pc int) {
 	c.sparseTableau.pivot(pr, pc)
 	c.counts.pivots++
 	c.checkIndex("pivot")
+}
+
+func (c checkedTableau) pivotForward(pr, pc int, wanted []bool) {
+	c.sparseTableau.pivotForward(pr, pc, wanted)
+	c.counts.pivots++
+	c.checkIndex("pivotForward")
 }
 
 func (c checkedTableau) dropRow(i int) {

@@ -170,6 +170,11 @@ func (c callLogTableau) pivot(pr, pc int) {
 	c.add("pivot(%d, %d)", pr, pc)
 }
 
+func (c callLogTableau) pivotForward(pr, pc int, wanted []bool) {
+	c.tableau.pivotForward(pr, pc, wanted)
+	c.add("pivotForward(%d, %d)", pr, pc)
+}
+
 func (c callLogTableau) resetRule(budget int) {
 	c.tableau.resetRule(budget)
 	c.add("resetRule(%d)", budget)

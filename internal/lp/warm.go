@@ -121,16 +121,28 @@ func (b *Basis) mismatch(fp string, nRows, nCols int, artCols []bool) string {
 }
 
 // rebuildWarmBasis pivots the candidate basic columns into a freshly
-// assembled tableau (Gauss-Jordan, no ratio test). Wanted columns arrive
-// in the order given; each one not yet basic is pivoted into the
-// shortest eligible row — fewest stored entries, ties to the lowest row
-// index — where a row is eligible when its current basic column is not
-// itself wanted and its entry in the wanted column is nonzero (the row is
-// negated first when the entry is negative, keeping the pivot strictly
-// positive). The row choice changes only the fill along the way: each
-// rebuilt row is B⁻¹A for its basic column, so the final tableau is the
-// same up to row order, and later pivots ignore row order (entering reads
-// only the objective row, leaving breaks ratio ties on the basic column).
+// assembled tableau (no ratio test). Wanted columns arrive in the order
+// given; each one not yet basic is pivoted into the shortest eligible row
+// — fewest stored entries, ties to the lowest row index — where a row is
+// eligible when its current basic column is not itself wanted and its
+// entry in the wanted column is nonzero (the row is negated first when
+// the entry is negative, keeping the pivot strictly positive). Only the
+// rows the tableau lists under the column (rowsOf) can hold it, so only
+// they are probed. The row choice changes only the fill along the way:
+// each rebuilt row is B⁻¹A for its basic column, so the final tableau is
+// the same up to row order, and later pivots ignore row order (entering
+// reads only the objective row, leaving breaks ratio ties on the basic
+// column).
+//
+// The rebuild eliminates forward only (pivotForward): a pivot updates
+// the rows that may still take a wanted column, the only rows a later
+// pick reads, so every pick is the one Gauss-Jordan elimination makes,
+// and the rows already basic in a wanted column may wait. Each waiting
+// row holds only the basic columns of rows that entered after its own,
+// so the tableau reads the basic values by back-substitution over the rhs
+// column, installs the objective by forward substitution, and settles the
+// waiting rows only for phase 2's first ratio test. A solve that is
+// optimal once the objective is installed never forms the rest of B⁻¹A.
 // Returns false when some wanted column has no eligible row: the recorded
 // basis is singular for the new coefficients.
 func rebuildWarmBasis(t tableau, want []int, nCols int) bool {
@@ -147,11 +159,12 @@ func rebuildWarmBasis(t tableau, want []int, nCols int) bool {
 			continue
 		}
 		pick, pickLen := -1, 0
-		for i := 0; i < t.nRows(); i++ {
+		for _, li := range t.rowsOf(c) {
+			i := int(li)
 			if wanted[t.basic(i)] {
 				continue
 			}
-			if n := t.rowLen(i); (pick < 0 || n < pickLen) && t.colSign(i, c) != 0 {
+			if n := t.rowLen(i); (pick < 0 || n < pickLen || n == pickLen && i < pick) && t.colSign(i, c) != 0 {
 				pick, pickLen = i, n
 			}
 		}
@@ -162,16 +175,18 @@ func rebuildWarmBasis(t tableau, want []int, nCols int) bool {
 			t.negateRow(pick)
 		}
 		isBasic[t.basic(pick)] = false
-		t.pivot(pick, c)
+		t.pivotForward(pick, c, wanted)
 		isBasic[c] = true
 	}
 	return true
 }
 
 // warmFeasible reports whether the rebuilt basis is primal-feasible for
-// the new right-hand side: every row's rhs is nonnegative and any
+// the new right-hand side: every row's basic value is nonnegative and any
 // leftover basic artificial sits at value zero (so the artificial
-// drive-out loop can remove it without moving the vertex).
+// drive-out loop can remove it without moving the vertex). The values are
+// x_B = B⁻¹b, read while the rebuild's rows still wait, so a rejected
+// basis costs the forward elimination alone.
 func warmFeasible(t tableau, artCols []bool) bool {
 	for i := 0; i < t.nRows(); i++ {
 		s := t.rowRHSSign(i)

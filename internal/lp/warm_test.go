@@ -348,27 +348,52 @@ func freshTableau(kind tableauKind, m *Model) (tableau, int) {
 
 // TestWarmRebuildPicksShortestRow pins the rebuild's row rule: a wanted
 // column is pivoted into the eligible row with the fewest stored
-// entries, not the first eligible row. x has an entry in both rows, and
-// the short row (x, slack, rhs) stores one entry fewer than the long row
-// (x, y, slack, rhs), so x must become basic in row 1.
+// entries, not the first eligible row, and a tie goes to the lower row
+// index, in whatever order the column index lists the rows. In "short",
+// x has an entry in both rows, and the short row (x, slack, rhs) stores
+// one entry fewer than the long row (x, y, slack, rhs), so x must become
+// basic in row 1. In "tie", x enters row 2, the shorter of its rows,
+// which fills y into row 0; the sparse index then lists y's rows as 1,
+// 2, 0, and rows 0 and 1 both store 6 entries, so y must enter row 0.
 func TestWarmRebuildPicksShortestRow(t *testing.T) {
-	for _, kind := range bothKinds {
-		m := NewMaximize()
-		x := m.Var("x")
-		y := m.Var("y")
-		m.SetObjective(x, rat.Int(2))
-		m.SetObjective(y, rat.One())
-		m.AddConstraint("long", NewExpr().Plus1(x).Plus1(y), Leq, rat.Int(10))
-		m.AddConstraint("short", NewExpr().Plus1(x), Leq, rat.Int(4))
-		tab, nCols := freshTableau(kind, m)
-		if !rebuildWarmBasis(tab, []int{int(x), int(y)}, nCols) {
-			t.Fatalf("%s: rebuild of {x, y} reported a singular basis", kind)
-		}
-		if got := tab.basic(1); got != int(x) {
-			t.Fatalf("%s: short row holds basic column %d, want x = %d", kind, got, x)
-		}
-		if got := tab.basic(0); got != int(y) {
-			t.Fatalf("%s: long row holds basic column %d, want y = %d", kind, got, y)
+	for _, tc := range []struct {
+		name  string
+		build func(m *Model) (want []Var, basic map[int]Var)
+	}{
+		{"short", func(m *Model) ([]Var, map[int]Var) {
+			x, y := m.Var("x"), m.Var("y")
+			m.SetObjective(x, rat.Int(2))
+			m.SetObjective(y, rat.One())
+			m.AddConstraint("long", NewExpr().Plus1(x).Plus1(y), Leq, rat.Int(10))
+			m.AddConstraint("short", NewExpr().Plus1(x), Leq, rat.Int(4))
+			return []Var{x, y}, map[int]Var{0: y, 1: x}
+		}},
+		{"tie", func(m *Model) ([]Var, map[int]Var) {
+			x, y, w, v := m.Var("x"), m.Var("y"), m.Var("w"), m.Var("v")
+			a, b, c := m.Var("a"), m.Var("b"), m.Var("c")
+			m.SetObjective(x, rat.One())
+			m.AddConstraint("r0", NewExpr().Plus1(x).Plus1(w).Plus1(v), Leq, rat.Int(3))
+			m.AddConstraint("r1", NewExpr().Plus1(y).Plus1(a).Plus1(b).Plus1(c), Leq, rat.Int(7))
+			m.AddConstraint("r2", NewExpr().Plus1(x).Plus1(y), Leq, rat.Int(2))
+			return []Var{x, y}, map[int]Var{0: y, 2: x}
+		}},
+	} {
+		for _, kind := range bothKinds {
+			m := NewMaximize()
+			want, basic := tc.build(m)
+			cols := make([]int, len(want))
+			for k, v := range want {
+				cols[k] = int(v)
+			}
+			tab, nCols := freshTableau(kind, m)
+			if !rebuildWarmBasis(tab, cols, nCols) {
+				t.Fatalf("%s (%s): rebuild of %v reported a singular basis", tc.name, kind, cols)
+			}
+			for i, v := range basic {
+				if got := tab.basic(i); got != int(v) {
+					t.Errorf("%s (%s): row %d holds basic column %d, want %s = %d", tc.name, kind, i, got, m.names[v], v)
+				}
+			}
 		}
 	}
 }
@@ -406,18 +431,22 @@ func rowSnapshot(tab tableau, i int) string {
 }
 
 // TestWarmRebuildOrderInvariant pins the premise that lets the rebuild
-// choose its pivot rows freely: the rebuilt tableau of a basis is unique
-// up to row order, because each normalized row is B⁻¹A for its basic
-// column. Over random LPs, the cold optimal basis is rebuilt on fresh
-// tableaus with its columns in the given order and reversed; every row,
-// keyed by its basic column, must read the same denominator, columns and
-// numerators both times.
+// choose its pivot rows freely, and lets the sparse tableau leave rows
+// waiting where the dense one eliminates eagerly: the settled tableau of
+// a basis is unique up to row order, because each normalized row is B⁻¹A
+// for its basic column. Over random LPs, the cold optimal basis is
+// rebuilt on fresh tableaus with its columns in the given order and
+// reversed; every settled row, keyed by its basic column, must read the
+// same denominator, columns and numerators both times.
 func TestWarmRebuildOrderInvariant(t *testing.T) {
 	rebuilt := func(kind tableauKind, m *Model, want []int) map[int]string {
 		t.Helper()
 		tab, nCols := freshTableau(kind, m)
 		if !rebuildWarmBasis(tab, want, nCols) {
 			t.Fatalf("%s: rebuild of the model's own optimal basis %v reported singular", kind, want)
+		}
+		if s, ok := tab.(*sparseTableau); ok {
+			tab = settledCopy(s)
 		}
 		rows := make(map[int]string, tab.nRows())
 		for i := 0; i < tab.nRows(); i++ {
