@@ -415,7 +415,7 @@ func (s Spec) validate(p *Platform) error {
 	}
 	check := func(f field, role string, ids ...NodeID) error {
 		for _, id := range ids {
-			if row.fields.has(f) && (int(id) < 0 || int(id) >= p.NumNodes()) {
+			if row.fields.has(f) && !p.HasNode(id) {
 				return fmt.Errorf("steadystate: %s spec: %s references unknown node id %d (platform has %d nodes)",
 					s.Kind, role, int(id), p.NumNodes())
 			}

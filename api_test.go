@@ -109,6 +109,50 @@ func solveReduceProblem(tb testing.TB, pr *steadystate.ReduceProblem) (*steadyst
 	return sol.Members[0].Part.(*steadystate.ReduceSolution), sol.Stats
 }
 
+// TestConstructorsRejectUnknownNodes: the public problem constructors
+// answer a node id that is not on the platform, and a nil platform, with
+// an error naming it, as Solve does, instead of panicking.
+func TestConstructorsRejectUnknownNodes(t *testing.T) {
+	p6, order, target := steadystate.PaperFig6()
+	withStranger := append(append([]steadystate.NodeID(nil), order...), 99)
+	for _, c := range []struct {
+		name, want string
+		call       func() error
+	}{
+		{"reduce target", "reduce: target 99 is not on the platform", func() error {
+			_, err := steadystate.NewReduceProblem(p6, order, 99)
+			return err
+		}},
+		{"reduce participant", "reduce: participant 99 is not on the platform", func() error {
+			_, err := steadystate.NewReduceProblem(p6, withStranger, target)
+			return err
+		}},
+		{"gather target", "gather: target 99 is not on the platform", func() error {
+			_, err := steadystate.NewGatherProblem(p6, order, 99, steadystate.R(1, 1))
+			return err
+		}},
+		{"single-path source", "baseline: node 99 is not on the platform", func() error {
+			_, err := steadystate.SinglePathScatter(p6, 99, order)
+			return err
+		}},
+		{"nil platform", "reduce: nil platform", func() error {
+			_, err := steadystate.NewReduceProblem(nil, order, target)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := c.call(); err == nil || err.Error() != c.want {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
 // TestSolutionCapabilities pins, for every kind and for every member kind
 // of a composite, the Kind, the dynamic type Unwrap returns, and which
 // optional capabilities the solution implements — absent ones included,

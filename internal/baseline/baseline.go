@@ -40,8 +40,16 @@ type ScatterResult struct {
 // inverse of the busiest port's per-operation time. This is what a static
 // routing table achieves, against the LP's multi-route optimum.
 func SinglePathScatter(p *graph.Platform, source graph.NodeID, targets []graph.NodeID) (*ScatterResult, error) {
+	if p == nil {
+		return nil, fmt.Errorf("baseline: nil platform")
+	}
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("baseline: no targets")
+	}
+	for _, id := range append([]graph.NodeID{source}, targets...) {
+		if !p.HasNode(id) {
+			return nil, fmt.Errorf("baseline: node %d is not on the platform", id)
+		}
 	}
 	res := &ScatterResult{Routes: make(map[graph.NodeID][]graph.NodeID)}
 	outLoad := make(map[graph.NodeID]rat.Rat)

@@ -195,10 +195,13 @@ func (p *Platform) AddLink(a, b NodeID, cost rat.Rat) {
 }
 
 func (p *Platform) checkNode(id NodeID) {
-	if int(id) < 0 || int(id) >= len(p.nodes) {
+	if !p.HasNode(id) {
 		panic(fmt.Sprintf("graph: unknown node %d", id))
 	}
 }
+
+// HasNode reports whether id names a node of the platform.
+func (p *Platform) HasNode(id NodeID) bool { return int(id) >= 0 && int(id) < len(p.nodes) }
 
 // NumNodes returns the number of nodes.
 func (p *Platform) NumNodes() int { return len(p.nodes) }

@@ -81,18 +81,9 @@ type denseTableau struct {
 	obj   *row  // reduced-cost row: obj.n[j]/obj.d = cB·B⁻¹Aj − cj; rhs = objective value
 	basis []int // basis[i] = column basic in row i
 	rhs   int   // index of the rhs column
-	// iteration bookkeeping
-	pivots     int
-	blandAfter int
-	bland      bool
 }
 
-func newDenseTableau(nCols, blandAfter int) *denseTableau {
-	return &denseTableau{
-		rhs:        nCols,
-		blandAfter: blandAfter,
-	}
-}
+func newDenseTableau(nCols int) *denseTableau { return &denseTableau{rhs: nCols} }
 
 // addRow stores word entries as big.Ints, so the oracle loads exactly the
 // rows the sparse tableau loads.
@@ -109,29 +100,9 @@ func (t *denseTableau) addRow(entries []colVal, den scalar, basic int) {
 
 func (t *denseTableau) nRows() int           { return len(t.rows) }
 func (t *denseTableau) basic(i int) int      { return t.basis[i] }
-func (t *denseTableau) pivotCount() int      { return t.pivots }
-func (t *denseTableau) objRHSSign() int      { return t.obj.n[t.rhs].Sign() }
 func (t *denseTableau) value(i int) rat.Rat  { return t.rows[i].rational(t.rhs) }
 func (t *denseTableau) objValue() rat.Rat    { return t.obj.rational(t.rhs) }
-func (t *denseTableau) blandActive() bool    { return t.bland }
 func (t *denseTableau) rowRHSSign(i int) int { return t.rows[i].n[t.rhs].Sign() }
-
-func (t *denseTableau) nonzeros() int {
-	nnz := 0
-	for _, r := range t.rows {
-		for _, v := range r.n {
-			if v.Sign() != 0 {
-				nnz++
-			}
-		}
-	}
-	return nnz
-}
-
-func (t *denseTableau) resetRule(budget int) {
-	t.bland = false
-	t.blandAfter = t.pivots + budget
-}
 
 // dropColumns zeroes the flagged columns of every constraint row and
 // renormalizes the row, as the sparse tableau drops their entries.
@@ -189,24 +160,6 @@ func (t *denseTableau) dropRow(i int) {
 	t.basis = t.basis[:n-1]
 }
 
-func (t *denseTableau) installPhase1(art []bool) {
-	w := newRow(t.rhs + 1)
-	for j := 0; j < t.rhs; j++ {
-		if art[j] {
-			w.n[j].SetInt64(1)
-		}
-	}
-	t.obj = w
-	for i, b := range t.basis {
-		if art[b] {
-			// w ← w − (w[b]/1)·row_i normalized: w[b] is 1, the row has
-			// row_i[b] = 1 as a rational, so subtract the row in rational
-			// form.
-			t.eliminateRational(w, t.rows[i], b)
-		}
-	}
-}
-
 func (t *denseTableau) installObjective(entries []colVal, den scalar) {
 	z := newRow(t.rhs + 1)
 	z.d = new(big.Int).Set(den.toBig(new(big.Int)))
@@ -241,7 +194,6 @@ func (t *denseTableau) pivot(pr, pc int) {
 	prow.d = new(big.Int).Set(p)
 	prow.normalize()
 	t.basis[pr] = pc
-	t.pivots++
 }
 
 // pivotForward is the eager pivot: the oracle leaves no row waiting, so
@@ -288,17 +240,14 @@ func (t *denseTableau) eliminate(ri, prow *row, p *big.Int, pc int) {
 
 // entering picks the entering column, or -1 if the tableau is optimal.
 // Dantzig's rule (most negative reduced cost) normally; Bland's rule
-// (lowest index with negative reduced cost) once cycling is suspected.
-func (t *denseTableau) entering() int {
-	if !t.bland && t.pivots > t.blandAfter {
-		t.bland = true
-	}
+// (lowest index with negative reduced cost) when bland is set.
+func (t *denseTableau) entering(bland bool) int {
 	best := -1
 	for j := 0; j < t.rhs; j++ {
 		if t.obj.n[j].Sign() >= 0 {
 			continue
 		}
-		if t.bland {
+		if bland {
 			return j
 		}
 		// All obj entries share one denominator, so numerators compare.

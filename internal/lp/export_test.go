@@ -9,7 +9,7 @@ import "context"
 // the decoration also reaches the simplex beneath steadystate.Solve in
 // the external lp_test package.
 func WithDenseTableau(ctx context.Context) context.Context {
-	return context.WithValue(ctx, tableauCtxKey{}, func(nCols, blandAfter int) tableau {
-		return newDenseTableau(nCols, blandAfter)
+	return context.WithValue(ctx, tableauCtxKey{}, func(nCols int) tableau {
+		return newDenseTableau(nCols)
 	})
 }

@@ -290,7 +290,7 @@ func FuzzCombine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, prow, fv := decodeCombine(data)
 		fast, merged := cloneRow(r), cloneRow(r)
-		if !newSparseTableau(12, 0).combineUnit(fast, prow, fv) {
+		if !newSparseTableau(12).combineUnit(fast, prow, fv) {
 			if !sameWordRow(fast, r) {
 				t.Fatalf("combineUnit declined but changed r: %+v, was %+v", fast, r)
 			}
@@ -308,7 +308,7 @@ func FuzzCombine(f *testing.F) {
 			}
 			return
 		}
-		if !newSparseTableau(12, 0).combineWords(merged, prow, 1, fv) {
+		if !newSparseTableau(12).combineWords(merged, prow, 1, fv) {
 			t.Fatalf("combineUnit committed %+v where the general merge declines: r %+v, prow %+v, f %d", fast, r, prow, fv)
 		}
 		if !sameWordRow(fast, merged) {

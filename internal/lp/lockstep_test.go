@@ -38,9 +38,9 @@ type LockstepCounts struct {
 // difference and tallies into n. Like WithDenseTableau, only this
 // package's test binary can see it.
 func WithLockstepTableau(ctx context.Context, t *testing.T, n *LockstepCounts) context.Context {
-	return context.WithValue(ctx, tableauCtxKey{}, func(nCols, blandAfter int) tableau {
-		s := checkedTableau{newSparseTableau(nCols, blandAfter), t, &indexCounts{}}
-		return lockstepTableau{s, newDenseTableau(nCols, blandAfter), n}
+	return context.WithValue(ctx, tableauCtxKey{}, func(nCols int) tableau {
+		s := checkedTableau{newSparseTableau(nCols), t, &indexCounts{}}
+		return lockstepTableau{s, newDenseTableau(nCols), n}
 	})
 }
 
@@ -49,7 +49,7 @@ func WithLockstepTableau(ctx context.Context, t *testing.T, n *LockstepCounts) c
 func agree[T comparable](l lockstepTableau, probe string, s, d T) T {
 	l.s.t.Helper()
 	if s != d {
-		l.s.t.Fatalf("pivot %d: %s: sparse %v, dense %v", l.d.pivots, probe, s, d)
+		l.s.t.Fatalf("pivot %d: %s: sparse %v, dense %v", l.n.Pivots, probe, s, d)
 	}
 	return s
 }
@@ -61,15 +61,8 @@ func (l lockstepTableau) addRow(entries []colVal, den scalar, basic int) {
 
 func (l lockstepTableau) nRows() int      { return agree(l, "nRows", l.s.nRows(), l.d.nRows()) }
 func (l lockstepTableau) basic(i int) int { return agree(l, "basic", l.s.basic(i), l.d.basic(i)) }
-func (l lockstepTableau) entering() int   { return agree(l, "entering", l.s.entering(), l.d.entering()) }
-func (l lockstepTableau) pivotCount() int {
-	return agree(l, "pivotCount", l.s.pivotCount(), l.d.pivotCount())
-}
-func (l lockstepTableau) objRHSSign() int {
-	return agree(l, "objRHSSign", l.s.objRHSSign(), l.d.objRHSSign())
-}
-func (l lockstepTableau) blandActive() bool {
-	return agree(l, "blandActive", l.s.blandActive(), l.d.blandActive())
+func (l lockstepTableau) entering(bland bool) int {
+	return agree(l, "entering", l.s.entering(bland), l.d.entering(bland))
 }
 func (l lockstepTableau) rowRHSSign(i int) int {
 	return agree(l, "rowRHSSign", l.s.rowRHSSign(i), l.d.rowRHSSign(i))
@@ -78,10 +71,6 @@ func (l lockstepTableau) colSign(i, c int) int {
 	return agree(l, "colSign", l.s.colSign(i, c), l.d.colSign(i, c))
 }
 func (l lockstepTableau) rowLen(i int) int { return agree(l, "rowLen", l.s.rowLen(i), l.d.rowLen(i)) }
-func (l lockstepTableau) nonzeros() int {
-	defer l.countRebuildSettle(l.rebuildWaiting())
-	return agree(l, "nonzeros", l.s.nonzeros(), l.d.nonzeros())
-}
 
 // rowsOf returns the sparse tableau's list: the dense one lists every
 // row. The rebuild probes only rows it may pivot into, which both
@@ -146,17 +135,6 @@ func (l lockstepTableau) pivotForward(pr, pc int, wanted []bool) {
 	l.same("pivotForward")
 }
 
-func (l lockstepTableau) resetRule(budget int) {
-	l.s.resetRule(budget)
-	l.d.resetRule(budget)
-}
-
-func (l lockstepTableau) installPhase1(art []bool) {
-	l.s.installPhase1(art)
-	l.d.installPhase1(art)
-	l.same("installPhase1")
-}
-
 func (l lockstepTableau) installObjective(entries []colVal, den scalar) {
 	l.s.installObjective(entries, den)
 	l.d.installObjective(entries, den)
@@ -193,22 +171,22 @@ func (l lockstepTableau) same(after string) {
 	t.Helper()
 	c := settledCopy(l.s.sparseTableau)
 	if !slices.Equal(c.basis, l.d.basis) {
-		t.Fatalf("after %s (pivot %d): basis sparse %v, dense %v", after, l.d.pivots, c.basis, l.d.basis)
+		t.Fatalf("after %s (pivot %d): basis sparse %v, dense %v", after, l.n.Pivots, c.basis, l.d.basis)
 	}
 	for i, r := range c.rows {
 		if !sameRow(r, l.d.rows[i]) {
 			t.Fatalf("after %s (pivot %d): row %d differs: sparse %s, dense %s",
-				after, l.d.pivots, i, rowSnapshot(c, i), rowSnapshot(l.d, i))
+				after, l.n.Pivots, i, rowSnapshot(c, i), rowSnapshot(l.d, i))
 		}
 	}
 	if (c.obj == nil) != (l.d.obj == nil) || c.obj != nil && !sameRow(c.obj, l.d.obj) {
-		t.Fatalf("after %s (pivot %d): objective rows differ", after, l.d.pivots)
+		t.Fatalf("after %s (pivot %d): objective rows differ", after, l.n.Pivots)
 	}
 }
 
 // settledCopy returns a deep copy of t with its deferred rows settled.
 func settledCopy(t *sparseTableau) *sparseTableau {
-	c := newSparseTableau(t.rhs, t.blandAfter)
+	c := newSparseTableau(t.rhs)
 	c.basis = slices.Clone(t.basis)
 	c.stale = slices.Clone(t.stale)
 	c.order = slices.Clone(t.order)

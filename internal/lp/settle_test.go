@@ -39,10 +39,10 @@ type settleProbe struct {
 // solve whose warm basis is rejected builds two). Like WithDenseTableau,
 // only this package's test binary can see it.
 func WithSettleProbe(ctx context.Context, t *testing.T, recs *[]*WarmSettles) context.Context {
-	return context.WithValue(ctx, tableauCtxKey{}, func(nCols, blandAfter int) tableau {
+	return context.WithValue(ctx, tableauCtxKey{}, func(nCols int) tableau {
 		rec := &WarmSettles{}
 		*recs = append(*recs, rec)
-		return settleProbe{newSparseTableau(nCols, blandAfter), t, rec, new(int), new(bool)}
+		return settleProbe{newSparseTableau(nCols), t, rec, new(int), new(bool)}
 	})
 }
 
@@ -116,11 +116,6 @@ func (p settleProbe) dropRow(i int) {
 func (p settleProbe) dropColumns(cols []bool) {
 	p.sparseTableau.dropColumns(cols)
 	*p.checked = false
-}
-
-func (p settleProbe) nonzeros() (n int) {
-	p.settling("nonzeros", func() { n = p.sparseTableau.nonzeros() })
-	return n
 }
 
 // SettleTally counts, over the solves CheckWarmSettles checked, the warm

@@ -21,11 +21,13 @@ type colVal struct {
 }
 
 // tableau is the pivoting storage of the two-phase simplex. The driver in
-// SolveCtx owns the phase logic (row assembly, phase-1 artificials, the
-// drive-out loop, dropping the artificial columns and installing the
-// phase-2 objective, extraction); the implementation owns entry storage
-// and the pivot arithmetic, including which rows a ratio test or a pivot
-// visits. The sparse tableau (sparse.go) is the only production
+// SolveCtx owns every decision: the phases and their objective rows (both
+// installed through installObjective), row assembly and the phase-1
+// artificials, the drive-out loop, dropping the artificial columns, each
+// phase's pivot count and the Bland budget (iterate), and extraction. The
+// implementation owns the rows and their arithmetic, including which rows
+// a ratio test or a pivot visits, and answers the probes the driver
+// reads. The sparse tableau (sparse.go) is the only production
 // implementation. The interface is the seam through which this package's
 // tests substitute the dense reference tableau (dense_test.go), which
 // must pick identical entering/leaving columns on identical states so
@@ -42,9 +44,10 @@ type tableau interface {
 	nRows() int
 	// basic returns the column basic in row i.
 	basic(i int) int
-	// entering picks the entering column (Dantzig, falling back to Bland
-	// after the pivot budget), or -1 at optimality.
-	entering() int
+	// entering picks the entering column, or -1 at optimality: the most
+	// negative reduced cost (Dantzig's rule), or with bland set the lowest
+	// column with a negative one (Bland's rule).
+	entering(bland bool) int
 	// leaving runs the ratio test for column c, or -1 when unbounded.
 	leaving(c int) int
 	// pivot performs a Gauss-Jordan pivot at (pr, pc); the entry must be
@@ -62,19 +65,9 @@ type tableau interface {
 	// entry there, and possibly rows without one, some more than once —
 	// the warm rebuild's pivot-row candidates.
 	rowsOf(c int) []int32
-	// pivotCount returns the pivots performed so far.
-	pivotCount() int
-	// resetRule restarts the cycling heuristic for a new phase: Dantzig's
-	// rule with a fresh budget of extra pivots on top of those spent.
-	resetRule(budget int)
-	// installPhase1 installs the phase-1 objective (minimize the sum of
-	// artificials) and eliminates the basic artificial columns.
-	installPhase1(art []bool)
 	// installObjective installs a reduced-cost row from the given sorted
 	// entries over den and eliminates the basic columns.
 	installObjective(entries []colVal, den scalar)
-	// objRHSSign returns the sign of the objective row's rhs entry.
-	objRHSSign() int
 	// firstNonzero returns the first column (ascending, excluding rhs)
 	// with a nonzero entry in row i among columns not skipped, and the
 	// entry's sign; (-1, 0) when the row is zero over those columns.
@@ -101,16 +94,9 @@ type tableau interface {
 	value(i int) rat.Rat
 	// objValue returns the objective row's rhs as an exact rational.
 	objValue() rat.Rat
-	// blandActive reports whether the cycling fallback (Bland's rule) has
-	// engaged in the current phase — a tracing observer.
-	blandActive() bool
 	// rowRHSSign returns the sign of row i's rhs entry (0 marks the
 	// degenerate pivots a tracing observer counts).
 	rowRHSSign(i int) int
-	// nonzeros counts the nonzero entries across constraint rows (rhs
-	// column included, objective row excluded). Both implementations
-	// normalize rows identically, so their counts agree entry for entry.
-	nonzeros() int
 }
 
 // tableauCtxKey carries a substitute tableau constructor through a
@@ -119,11 +105,11 @@ type tableauCtxKey struct{}
 
 // newTableau builds the sparse tableau, or the substitute the context
 // carries.
-func newTableau(ctx context.Context, nCols, blandAfter int) tableau {
-	if mk, ok := ctx.Value(tableauCtxKey{}).(func(nCols, blandAfter int) tableau); ok {
-		return mk(nCols, blandAfter)
+func newTableau(ctx context.Context, nCols int) tableau {
+	if mk, ok := ctx.Value(tableauCtxKey{}).(func(nCols int) tableau); ok {
+		return mk(nCols)
 	}
-	return newSparseTableau(nCols, blandAfter)
+	return newSparseTableau(nCols)
 }
 
 // blandBudget returns the number of pivots a phase may spend before the
@@ -136,28 +122,33 @@ func blandBudget(rows, cols, override int) int {
 	return 50 * (rows + cols + 20)
 }
 
-// iterate pivots until optimality, unboundedness or context cancellation.
-// Each pivot is dominated by its row updates, O(nnz) exact integer
-// operations per updated row, so a per-pivot cancellation check costs
-// nothing measurable. rec, when non-nil, observes
-// every pivot for the solve trace; with no tracer installed rec is nil and
-// the loop's only added cost is one pointer comparison per pivot
-// (allocation-free, pinned by TestNoTracerPivotLoopAllocationFree).
-func iterate(ctx context.Context, t tableau, rec *pivotRecorder) error {
-	for {
+// iterate pivots until optimality, unboundedness or context cancellation
+// and returns the pivots it made: one phase's search. Pricing follows
+// Dantzig's rule until the phase's own pivots exceed budget, and Bland's
+// rule from then on; the count only grows, so once the fallback engages
+// it stays on for the rest of the phase. Each pivot is dominated by its
+// row updates, O(nnz) exact integer operations per updated row, so a
+// per-pivot cancellation check costs nothing measurable. rec, when
+// non-nil, observes every pivot for the solve trace; with no tracer
+// installed rec is nil and the loop's only added cost is one pointer
+// comparison per pivot (allocation-free, pinned by
+// TestNoTracerPivotLoopAllocationFree).
+func iterate(ctx context.Context, t tableau, budget int, rec *pivotRecorder) (int, error) {
+	for n := 0; ; n++ {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("lp: interrupted after %d pivots: %w", t.pivotCount(), err)
+			return n, fmt.Errorf("lp: interrupted after %d pivots: %w", n, err)
 		}
-		c := t.entering()
+		bland := n > budget
+		c := t.entering(bland)
 		if c < 0 {
-			return nil
+			return n, nil
 		}
 		r := t.leaving(c)
 		if r < 0 {
-			return ErrUnbounded
+			return n, ErrUnbounded
 		}
 		if rec != nil {
-			rec.observe(t, r)
+			rec.observe(t, bland, r)
 		}
 		t.pivot(r, c)
 	}
@@ -211,9 +202,13 @@ func (m *Model) normalizedRows() []normRow {
 
 // buildTableau assembles a fresh tableau in the initial (slack/artificial)
 // basis from normalized rows. Column layout: structural | slacks |
-// artificials | rhs. Returns the tableau and the artificial-column mask.
-func buildTableau(ctx context.Context, rowsIn []normRow, nStruct, nSlack, nCols, budget int) (tableau, []bool) {
-	t := newTableau(ctx, nCols, budget)
+// artificials | rhs. Returns the tableau, the artificial-column mask and
+// the number of entries handed to addRow, which the tableau stores: no
+// entry is zero (scaleRow emits none, and the slack, artificial and rhs
+// entries are nonzero), and normalizing a row removes none.
+func buildTableau(ctx context.Context, rowsIn []normRow, nStruct, nSlack, nCols int) (tableau, []bool, int) {
+	t := newTableau(ctx, nCols)
+	nnz := 0
 	slackAt := nStruct
 	artAt := nStruct + nSlack
 	artCols := make([]bool, nCols)
@@ -244,8 +239,9 @@ func buildTableau(ctx context.Context, rowsIn []normRow, nStruct, nSlack, nCols,
 			entries = append(entries, colVal{nCols, rhs})
 		}
 		t.addRow(entries, den, basic)
+		nnz += len(entries)
 	}
-	return t, artCols
+	return t, artCols, nnz
 }
 
 // scaleRow appends terms to out as integer numerators over den, the least
@@ -335,8 +331,9 @@ func scaleWord(x rat.Rat, lcm uint64) (scalar, bool) {
 // its first nonzero non-artificial column (negating first when the entry
 // is negative — the row's rhs is 0, so feasibility is unaffected), or
 // drop the row entirely when it is zero over those columns (a redundant
-// constraint).
-func driveOutArtificials(t tableau, artCols []bool) {
+// constraint). Returns the pivots it made.
+func driveOutArtificials(t tableau, artCols []bool) int {
+	pivots := 0
 	for i := 0; i < t.nRows(); i++ {
 		if !artCols[t.basic(i)] {
 			continue
@@ -351,7 +348,9 @@ func driveOutArtificials(t tableau, artCols []bool) {
 			t.negateRow(i)
 		}
 		t.pivot(i, piv)
+		pivots++
 	}
+	return pivots
 }
 
 // finalBasis snapshots the basic column of every surviving row, in row
@@ -392,12 +391,12 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	// With a tracer in ctx, each stage below opens a span; undecorated
 	// contexts yield nil spans and nil recorders, whose methods no-op.
 	_, rowsSpan := obs.StartSpan(ctx, "lp.rows")
-	t, artCols := buildTableau(ctx, rowsIn, nStruct, nSlack, nCols, budget)
+	t, artCols, nnz := buildTableau(ctx, rowsIn, nStruct, nSlack, nCols)
 	rowsSpan.SetAttr("rows", t.nRows())
 	rowsSpan.SetAttr("structural", nStruct)
 	rowsSpan.SetAttr("slacks", nSlack)
 	rowsSpan.SetAttr("artificials", nArt)
-	rowsSpan.SetAttr("nonzeros", t.nonzeros())
+	rowsSpan.SetAttr("nonzeros", nnz)
 	rowsSpan.End()
 
 	// Warm start: when the model offers a certified basis whose
@@ -408,16 +407,16 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	// runs, so a rejected candidate changes no pivot and no value.
 	warmOK := false
 	reject := ""
-	rebuildPivots := 0
 	if start := m.start; start != nil {
 		// One lp.warmstart span per offered candidate, attempted or
 		// rejected up front. Its attributes are deterministic functions
 		// of the scenario and the basis; its time covers the rebuild, the
 		// feasibility check and, on a reject, the cold re-assembly.
 		_, warmSpan := obs.StartSpan(ctx, "lp.warmstart")
-		spent := 0
+		rebuildPivots := 0
 		if reject = start.mismatch(fp, t.nRows(), nCols, artCols); reject == "" {
-			ok := rebuildWarmBasis(t, start.cols, nCols)
+			var ok bool
+			rebuildPivots, ok = rebuildWarmBasis(t, start.cols, nCols)
 			warmOK = ok && warmFeasible(t, artCols)
 			switch {
 			case !ok:
@@ -425,23 +424,20 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 			case !warmOK:
 				reject = WarmRejectInfeasible
 			}
-			spent = t.pivotCount()
-			if warmOK {
-				rebuildPivots = spent
-			} else {
-				t, artCols = buildTableau(ctx, rowsIn, nStruct, nSlack, nCols, budget)
+			if !warmOK {
+				t, artCols, _ = buildTableau(ctx, rowsIn, nStruct, nSlack, nCols)
 			}
 		}
 		warmSpan.SetAttr("basis", start.Size())
 		warmSpan.SetAttr("used", warmOK)
 		warmSpan.SetAttr("reject_reason", reject)
-		warmSpan.SetAttr("rebuild_pivots", spent)
+		warmSpan.SetAttr("rebuild_pivots", rebuildPivots)
 		warmSpan.End()
 	}
 
 	// Phase 1: minimize the sum of artificials, i.e. maximize −Σa. The
-	// reduced-cost row starts as +1 on artificial columns, then basic
-	// columns are eliminated (each artificial is basic in its row). A
+	// reduced-cost row is +1 on each artificial column, and installing it
+	// eliminates the basic ones (each artificial is basic in its row). A
 	// feasible warm basis replaces all of this entirely: the eliminations
 	// that restored the warm basis are factorization, not simplex
 	// iterations, so they live on the lp.warmstart span (rebuild_pivots)
@@ -452,8 +448,7 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 		// Leftover basic artificials (possible when the originating solve
 		// dropped redundant rows) sit at value zero — warmFeasible checked
 		// — so the standard drive-out applies.
-		driveOutArtificials(t, artCols)
-		phase1Pivots = t.pivotCount() - rebuildPivots
+		phase1Pivots = driveOutArtificials(t, artCols)
 		if phase1Pivots > 0 {
 			_, p1Span := obs.StartSpan(ctx, "lp.phase1")
 			rec := newPivotRecorder(p1Span)
@@ -463,8 +458,15 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 	} else if nArt > 0 {
 		_, p1Span := obs.StartSpan(ctx, "lp.phase1")
 		rec := newPivotRecorder(p1Span)
-		t.installPhase1(artCols)
-		if err := iterate(ctx, t, rec); err != nil {
+		var phase1 []colVal
+		for c, art := range artCols {
+			if art {
+				phase1 = append(phase1, colVal{c, scalar{w: 1}})
+			}
+		}
+		t.installObjective(phase1, scalar{w: 1})
+		n, err := iterate(ctx, t, budget, rec)
+		if err != nil {
 			if errors.Is(err, ErrUnbounded) {
 				// Phase 1 objective is bounded (≥ −Σb); unbounded here means
 				// a solver bug, surface it loudly.
@@ -473,23 +475,21 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 			return nil, err
 		}
 		// Optimal phase-1 value is −(sum of artificials); feasible iff 0.
-		if t.objRHSSign() != 0 {
+		if t.objValue().Sign() != 0 {
 			return nil, ErrInfeasible
 		}
-		driveOutArtificials(t, artCols)
-		phase1Pivots = t.pivotCount()
+		phase1Pivots = n + driveOutArtificials(t, artCols)
 		rec.finish(p1Span, t, phase1Pivots)
 		p1Span.End()
 	}
 
-	// Phase 2: the real objective. Phase 1 may have tripped the cycling
-	// heuristic on a degenerate basis; that suspicion does not carry over to
-	// the new objective, so phase 2 restarts on Dantzig's rule with a fresh
-	// pivot budget (otherwise one degenerate phase 1 would force Bland's
-	// slow lowest-index rule on the entire optimization).
-	t.resetRule(budget)
-
-	// Build the reduced-cost row −c and eliminate the basic columns.
+	// Phase 2: the real objective, on Dantzig's rule with a fresh pivot
+	// budget. Phase 1 may have tripped the cycling heuristic on a
+	// degenerate basis; that suspicion does not carry over to the new
+	// objective, and iterate counts only its own phase's pivots (otherwise
+	// one degenerate phase 1 would force Bland's slow lowest-index rule on
+	// the entire optimization). The reduced-cost row is −c, and installing
+	// it eliminates the basic columns.
 	var negObj Expr
 	for v := 0; v < nStruct; v++ {
 		c, ok := m.obj[Var(v)]
@@ -510,10 +510,11 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 		t.dropColumns(artCols)
 	}
 	t.installObjective(objEntries, objDen)
-	if err := iterate(ctx, t, rec2); err != nil {
+	phase2Pivots, err := iterate(ctx, t, budget, rec2)
+	if err != nil {
 		return nil, err
 	}
-	rec2.finish(p2Span, t, t.pivotCount()-rebuildPivots-phase1Pivots)
+	rec2.finish(p2Span, t, phase2Pivots)
 	p2Span.End()
 
 	// Extract the solution.
@@ -534,7 +535,7 @@ func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
 		model:            m,
 		Objective:        objVal,
 		values:           vals,
-		Iterations:       t.pivotCount() - rebuildPivots,
+		Iterations:       phase1Pivots + phase2Pivots,
 		Phase1Iterations: phase1Pivots,
 		WarmUsed:         warmOK,
 		WarmReject:       reject,

@@ -182,10 +182,9 @@ func (r *sparseRow) less(k, j int) bool {
 // while a zero-rhs row qualifies. A deferred (stale) row settles when it
 // must be read whole (settleAll): in a ratio test that no zero-rhs row
 // decides, before any other pivot and any row drop, and in
-// installObjective and nonzeros. Settling
-// eliminates the basic columns the row holds against their rows, which
-// leaves it B⁻¹[A | b]'s row normalized by its content gcd, the value
-// and form eager updates would have left.
+// installObjective. Settling eliminates the basic columns the row holds
+// against their rows, which leaves it B⁻¹[A | b]'s row normalized by its
+// content gcd, the value and form eager updates would have left.
 //
 // The warm rebuild defers rows too (pivotForward): its pivots eliminate
 // forward only, so a row whose basic column the rebuild wants waits as
@@ -213,10 +212,6 @@ type sparseTableau struct {
 	// row, once a value is read; nil until then.
 	order []int32
 	xb    []rat.Rat
-	// iteration bookkeeping
-	pivots     int
-	blandAfter int
-	bland      bool
 	// colRows[c] lists the rows that may hold column c (rhs excluded):
 	// every row that does is listed, but a listed row may since have lost
 	// its entry, and may be listed twice. The index is nil until the first
@@ -253,12 +248,8 @@ type sparseTableau struct {
 	narrows int
 }
 
-func newSparseTableau(nCols, blandAfter int) *sparseTableau {
-	return &sparseTableau{
-		rhs:        nCols,
-		blandAfter: blandAfter,
-		fill:       -1,
-	}
+func newSparseTableau(nCols int) *sparseTableau {
+	return &sparseTableau{rhs: nCols, fill: -1}
 }
 
 // filled lists row t.fill in the index of col, where the running update
@@ -689,10 +680,7 @@ func (t *sparseTableau) addRow(entries []colVal, den scalar, basic int) {
 
 func (t *sparseTableau) nRows() int        { return len(t.rows) }
 func (t *sparseTableau) basic(i int) int   { return t.basis[i] }
-func (t *sparseTableau) pivotCount() int   { return t.pivots }
-func (t *sparseTableau) objRHSSign() int   { return t.obj.sign(t.rhs) }
 func (t *sparseTableau) objValue() rat.Rat { return t.rational(t.obj, t.rhs) }
-func (t *sparseTableau) blandActive() bool { return t.bland }
 
 // value and rowRHSSign read a row's basic value. A row a degenerate pivot
 // deferred reads as it stands, since such pivots move no rhs; a row the
@@ -711,20 +699,6 @@ func (t *sparseTableau) rowRHSSign(i int) int {
 	return t.rows[i].sign(t.rhs)
 }
 
-// nonzeros counts stored entries of the settled rows; sparse rows never
-// hold zeros and both implementations normalize identically, so this
-// equals the dense scan. The solve reads it once, for the lp.rows span,
-// before its first pivot, when no row can be stale; settling first keeps
-// a count taken later exact as well.
-func (t *sparseTableau) nonzeros() int {
-	t.settleAll()
-	nnz := 0
-	for _, r := range t.rows {
-		nnz += len(r.cols)
-	}
-	return nnz
-}
-
 // rational reads entry col of r as an exact rational.
 func (t *sparseTableau) rational(r *sparseRow, col int) rat.Rat {
 	n := r.get(col)
@@ -735,11 +709,6 @@ func (t *sparseTableau) rational(r *sparseRow, col int) rat.Rat {
 		return ratFromBigInts(n.big, r.d)
 	}
 	return new(big.Rat).SetFrac64(n.w, r.wd)
-}
-
-func (t *sparseTableau) resetRule(budget int) {
-	t.bland = false
-	t.blandAfter = t.pivots + budget
 }
 
 // dropColumns removes the flagged columns from every constraint row and
@@ -834,29 +803,14 @@ func (t *sparseTableau) dropRow(i int) {
 	t.colRows = nil // the rows after i moved up one
 }
 
-func (t *sparseTableau) installPhase1(art []bool) {
-	w := &sparseRow{wd: 1}
-	for j := 0; j < t.rhs; j++ {
-		if art[j] {
-			w.cols = append(w.cols, j)
-			w.w = append(w.w, 1)
-		}
-	}
-	t.obj = w
-	for i, b := range t.basis {
-		if art[b] {
-			// w ← w − w[b]·row_i in rational form; the row is solved for b
-			// (row_i[b]/row_i.d == 1), so p is the row's denominator.
-			t.combine(w, t.rows[i], t.rows[i].den(), w.get(b))
-		}
-	}
-}
-
 // installObjective eliminates the basic columns from the new objective
-// row. Rows a degenerate pivot deferred settle first. The warm rebuild's
-// waiting rows need not: taken in the order their basic columns entered,
-// each holds only basic columns that later rows eliminate, so one pass
-// of forward substitution leaves the same reduced-cost row.
+// row: z ← z − z[b]·row_i in rational form for the column b basic in row
+// i, which is solved for b (row_i[b]/row_i.d == 1), so p is the row's
+// denominator. Rows a degenerate pivot deferred settle first. The warm
+// rebuild's waiting rows need not: taken in the order their basic
+// columns entered, each holds only basic columns that later rows
+// eliminate, so one pass of forward substitution leaves the same
+// reduced-cost row.
 func (t *sparseTableau) installObjective(entries []colVal, den scalar) {
 	if len(t.order) == 0 {
 		t.settleAll()
@@ -956,17 +910,13 @@ func (t *sparseTableau) eliminate(pr, pc int, deferring bool, wanted []bool) {
 		normalizeWords(prow)
 	}
 	t.basis[pr] = pc
-	t.pivots++
 }
 
 // entering picks the entering column, or -1 at optimality — Dantzig's
-// rule, falling back to Bland's once cycling is suspected, iterating only
-// the objective row's nonzero entries (zero reduced costs are never
-// negative, so skipping them picks the same column the dense scan does).
-func (t *sparseTableau) entering() int {
-	if !t.bland && t.pivots > t.blandAfter {
-		t.bland = true
-	}
+// rule, or Bland's when bland is set, iterating only the objective row's
+// nonzero entries (zero reduced costs are never negative, so skipping
+// them picks the same column the dense scan does).
+func (t *sparseTableau) entering(bland bool) int {
 	obj := t.obj
 	best, bestK := -1, 0
 	for k, col := range obj.cols {
@@ -976,7 +926,7 @@ func (t *sparseTableau) entering() int {
 		if obj.signAt(k) >= 0 {
 			continue
 		}
-		if t.bland {
+		if bland {
 			return col
 		}
 		if best == -1 || obj.less(k, bestK) {

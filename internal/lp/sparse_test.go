@@ -221,8 +221,8 @@ func TestSparseDenseWordEscape(t *testing.T) {
 			// Keep every sparse tableau the solves build, to read their
 			// counters afterwards.
 			var tabs []*sparseTableau
-			ctx := context.WithValue(context.Background(), tableauCtxKey{}, func(nCols, blandAfter int) tableau {
-				st := newSparseTableau(nCols, blandAfter)
+			ctx := context.WithValue(context.Background(), tableauCtxKey{}, func(nCols int) tableau {
+				st := newSparseTableau(nCols)
 				tabs = append(tabs, st)
 				return st
 			})
@@ -231,7 +231,7 @@ func TestSparseDenseWordEscape(t *testing.T) {
 				if s, _ := solveBothOn(t, randomWarmModel(seed, tc.scale), ctx); s != nil {
 					solved++
 				}
-				fresh, _ := freshTableau(sparseKind, randomWarmModel(seed, tc.scale))
+				fresh, _, _ := freshTableau(sparseKind, randomWarmModel(seed, tc.scale))
 				for _, r := range fresh.(*sparseTableau).rows {
 					if r.wide {
 						wideLoads++
@@ -267,7 +267,7 @@ func TestSparseDenseWordEscape(t *testing.T) {
 // allocates nothing. The update scales by a non-unit pivot, fills in a
 // column, cancels the pivot column and divides out a content gcd of 3.
 func TestCombineWordsAllocationFree(t *testing.T) {
-	tab := newSparseTableau(8, 0)
+	tab := newSparseTableau(8)
 	tmpl := sparseRow{cols: []int{0, 2, 3, 5, 8}, w: []int64{4, 6, -3, 7, 10}, wd: 5}
 	prow := &sparseRow{cols: []int{1, 2, 3, 8}, w: []int64{-2, 3, 1, 4}, wd: 3}
 	r := &sparseRow{}
@@ -298,7 +298,7 @@ func TestCombineWordsAllocationFree(t *testing.T) {
 // r's denominator 6: the changed values share the factor 2 with 6, and
 // only a copied entry, 5, brings the content gcd down to 1.
 func TestCombineUnitAllocationFree(t *testing.T) {
-	tab := newSparseTableau(8, 0)
+	tab := newSparseTableau(8)
 	tmpl := sparseRow{cols: []int{0, 2, 3, 5, 8}, w: []int64{4, 2, 10, 5, 14}, wd: 6}
 	prow := &sparseRow{cols: []int{1, 2, 3, 8}, w: []int64{2, 1, 4, 6}, wd: 5}
 	if !tab.combineUnit(cloneRow(&tmpl), prow, 2) {
@@ -346,7 +346,7 @@ func positionsModel() *Model {
 // TestLeavingAllocationFree: once the tableau's position slice has grown,
 // the ratio test allocates nothing.
 func TestLeavingAllocationFree(t *testing.T) {
-	tab, _ := freshTableau(sparseKind, positionsModel())
+	tab, _, _ := freshTableau(sparseKind, positionsModel())
 	const z = 2
 	if got := tab.leaving(z); got != 3 {
 		t.Fatalf("leaving(z) = row %d, want row 3 (ratio 5)", got)
@@ -373,7 +373,7 @@ func TestPivotPositionsNeverStale(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(ratioTest bool) tableau {
-				tab, _ := freshTableau(sparseKind, positionsModel())
+				tab, _, _ := freshTableau(sparseKind, positionsModel())
 				if ratioTest {
 					tab.leaving(z)
 				}
@@ -488,8 +488,8 @@ func TestColumnIndexAndDropInvariants(t *testing.T) {
 		models = append(models, decodeLP(seed))
 	}
 	counts := &indexCounts{}
-	ctx := context.WithValue(context.Background(), tableauCtxKey{}, func(nCols, blandAfter int) tableau {
-		return checkedTableau{newSparseTableau(nCols, blandAfter), t, counts}
+	ctx := context.WithValue(context.Background(), tableauCtxKey{}, func(nCols int) tableau {
+		return checkedTableau{newSparseTableau(nCols), t, counts}
 	})
 	for _, m := range models {
 		cold, err := m.SolveCtx(ctx)
@@ -524,7 +524,7 @@ func bigRatRows(m *Model) []*sparseRow {
 	}
 	nStruct := len(m.names)
 	nCols := nStruct + nSlack + nArt
-	tab := newSparseTableau(nCols, 0)
+	tab := newSparseTableau(nCols)
 	slackAt, artAt := nStruct, nStruct+nSlack
 	for _, rin := range rowsIn {
 		coeffs := []rat.Rat{rin.rhs}
@@ -574,7 +574,7 @@ func TestWordAssemblyMatchesBigRat(t *testing.T) {
 	}
 	wordRows, wideRows := 0, 0
 	for n, m := range models {
-		tab, _ := freshTableau(sparseKind, m)
+		tab, _, _ := freshTableau(sparseKind, m)
 		got := tab.(*sparseTableau)
 		want := &sparseTableau{rows: bigRatRows(m), basis: make([]int, len(got.rows))}
 		if len(got.rows) != len(want.rows) {
@@ -597,6 +597,49 @@ func TestWordAssemblyMatchesBigRat(t *testing.T) {
 	t.Logf("%d rows assembled in words, %d in big.Int", wordRows, wideRows)
 	if wordRows == 0 || wideRows == 0 {
 		t.Fatalf("%d word rows, %d big.Int rows: want both", wordRows, wideRows)
+	}
+}
+
+// TestBuildTableauCountsStoredEntries holds the lp.rows span's nonzeros
+// to the tableau it describes: on both tableaus, the count buildTableau
+// returns (the entries it hands to addRow) must equal the entries the
+// tableau stores, Σ len(cols) on the sparse rows and the nonzero scan on
+// the dense ones, over FuzzLP's seeds and 50 randomWarmModel seeds.
+func TestBuildTableauCountsStoredEntries(t *testing.T) {
+	var models []*Model
+	for _, seed := range fuzzLPSeeds {
+		models = append(models, decodeLP(seed))
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		models = append(models, randomWarmModel(seed, rat.One()))
+	}
+	total := 0
+	for n, m := range models {
+		for _, kind := range bothKinds {
+			tab, _, nnz := freshTableau(kind, m)
+			stored := 0
+			switch tab := tab.(type) {
+			case *sparseTableau:
+				for _, r := range tab.rows {
+					stored += len(r.cols)
+				}
+			case *denseTableau:
+				for _, r := range tab.rows {
+					for _, v := range r.n {
+						if v.Sign() != 0 {
+							stored++
+						}
+					}
+				}
+			}
+			if nnz != stored {
+				t.Errorf("model %d, %s: buildTableau counts %d entries, the tableau stores %d", n, kind, nnz, stored)
+			}
+			total += nnz
+		}
+	}
+	if total == 0 {
+		t.Fatal("no entries counted; the comparison shows nothing")
 	}
 }
 

@@ -29,10 +29,10 @@ func newPivotRecorder(span *obs.Span) *pivotRecorder {
 	return &pivotRecorder{}
 }
 
-// observe records one pivot about to happen: t's entering rule and the
-// leaving row r's degeneracy.
-func (rec *pivotRecorder) observe(t tableau, r int) {
-	if t.blandActive() {
+// observe records one pivot about to happen: the entering rule (Bland's
+// when bland is set) and the leaving row r's degeneracy.
+func (rec *pivotRecorder) observe(t tableau, bland bool, r int) {
+	if bland {
 		rec.bland++
 		if !rec.blandWasActive {
 			rec.blandWasActive = true

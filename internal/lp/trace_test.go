@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -138,9 +139,9 @@ type callLogTableau struct {
 // on the sparse tableau wrapped in a callLogTableau appending to log.
 // Like WithDenseTableau, only this package's test binary can see it.
 func WithCallLog(ctx context.Context, log *[]string) context.Context {
-	return context.WithValue(ctx, tableauCtxKey{}, func(nCols, blandAfter int) tableau {
-		*log = append(*log, fmt.Sprintf("newTableau(%d, %d)", nCols, blandAfter))
-		return callLogTableau{newSparseTableau(nCols, blandAfter), log}
+	return context.WithValue(ctx, tableauCtxKey{}, func(nCols int) tableau {
+		*log = append(*log, fmt.Sprintf("newTableau(%d)", nCols))
+		return callLogTableau{newSparseTableau(nCols), log}
 	})
 }
 
@@ -153,9 +154,9 @@ func (c callLogTableau) addRow(entries []colVal, den scalar, basic int) {
 	c.add("addRow(%d entries, basic %d)", len(entries), basic)
 }
 
-func (c callLogTableau) entering() int {
-	col := c.tableau.entering()
-	c.add("entering() = %d", col)
+func (c callLogTableau) entering(bland bool) int {
+	col := c.tableau.entering(bland)
+	c.add("entering(%v) = %d", bland, col)
 	return col
 }
 
@@ -173,16 +174,6 @@ func (c callLogTableau) pivot(pr, pc int) {
 func (c callLogTableau) pivotForward(pr, pc int, wanted []bool) {
 	c.tableau.pivotForward(pr, pc, wanted)
 	c.add("pivotForward(%d, %d)", pr, pc)
-}
-
-func (c callLogTableau) resetRule(budget int) {
-	c.tableau.resetRule(budget)
-	c.add("resetRule(%d)", budget)
-}
-
-func (c callLogTableau) installPhase1(art []bool) {
-	c.tableau.installPhase1(art)
-	c.add("installPhase1(%v)", art)
 }
 
 func (c callLogTableau) installObjective(entries []colVal, den scalar) {
@@ -203,12 +194,6 @@ func (c callLogTableau) dropColumns(cols []bool) {
 func (c callLogTableau) negateRow(i int) {
 	c.tableau.negateRow(i)
 	c.add("negateRow(%d)", i)
-}
-
-func (c callLogTableau) nonzeros() int {
-	n := c.tableau.nonzeros()
-	c.add("nonzeros() = %d", n)
-	return n
 }
 
 // SameTableauCalls fails t unless the two call logs are equal, naming
@@ -262,6 +247,45 @@ func TestTracingChangesNoTableauWork(t *testing.T) {
 	}
 	if pivots == 0 {
 		t.Fatal("no input pivots; the comparison shows nothing")
+	}
+}
+
+// TestBlandBudgetPerPhase pins where Bland's fallback is decided: under a
+// budget of k pivots, iterate prices each phase with entering(false) for
+// its first k+1 calls and entering(true) from then on, and the first
+// phase-2 call is back at false. Each phase of the degenerate phase-1
+// program makes more than k+1 calls at both budgets, so the log shows
+// both sides of the switch in both phases.
+func TestBlandBudgetPerPhase(t *testing.T) {
+	for _, k := range []int{0, 1} {
+		m := degenerateProgram(rat.One())
+		m.setBlandAfter(k)
+		var log []string
+		if _, err := m.SolveCtx(WithCallLog(context.Background(), &log)); err != nil {
+			t.Fatalf("budget %d: %v", k, err)
+		}
+		var phases [][]string // the entering calls after each installed objective
+		for _, call := range log {
+			switch {
+			case strings.HasPrefix(call, "installObjective("):
+				phases = append(phases, nil)
+			case strings.HasPrefix(call, "entering("):
+				phases[len(phases)-1] = append(phases[len(phases)-1], call)
+			}
+		}
+		if len(phases) != 2 {
+			t.Fatalf("budget %d: %d objectives installed, want 2: %q", k, len(phases), log)
+		}
+		for p, calls := range phases {
+			if len(calls) <= k+1 {
+				t.Fatalf("budget %d, phase %d: %d entering calls, too few to show the switch: %q", k, p+1, len(calls), calls)
+			}
+			for i, call := range calls {
+				if want := fmt.Sprintf("entering(%v) ", i > k); !strings.HasPrefix(call, want) {
+					t.Errorf("budget %d, phase %d, call %d: %s, want %s…", k, p+1, i+1, call, want)
+				}
+			}
+		}
 	}
 }
 

@@ -143,9 +143,9 @@ func (b *Basis) mismatch(fp string, nRows, nCols int, artCols []bool) string {
 // column, installs the objective by forward substitution, and settles the
 // waiting rows only for phase 2's first ratio test. A solve that is
 // optimal once the objective is installed never forms the rest of B⁻¹A.
-// Returns false when some wanted column has no eligible row: the recorded
-// basis is singular for the new coefficients.
-func rebuildWarmBasis(t tableau, want []int, nCols int) bool {
+// Returns the pivots made, and false when some wanted column has no
+// eligible row: the recorded basis is singular for the new coefficients.
+func rebuildWarmBasis(t tableau, want []int, nCols int) (int, bool) {
 	wanted := make([]bool, nCols)
 	for _, c := range want {
 		wanted[c] = true
@@ -154,6 +154,7 @@ func rebuildWarmBasis(t tableau, want []int, nCols int) bool {
 	for i := 0; i < t.nRows(); i++ {
 		isBasic[t.basic(i)] = true
 	}
+	pivots := 0
 	for _, c := range want {
 		if isBasic[c] {
 			continue
@@ -169,16 +170,17 @@ func rebuildWarmBasis(t tableau, want []int, nCols int) bool {
 			}
 		}
 		if pick < 0 {
-			return false
+			return pivots, false
 		}
 		if t.colSign(pick, c) < 0 {
 			t.negateRow(pick)
 		}
 		isBasic[t.basic(pick)] = false
 		t.pivotForward(pick, c, wanted)
+		pivots++
 		isBasic[c] = true
 	}
-	return true
+	return pivots, true
 }
 
 // warmFeasible reports whether the rebuilt basis is primal-feasible for

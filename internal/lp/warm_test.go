@@ -329,8 +329,9 @@ func TestDropRowRegression(t *testing.T) {
 }
 
 // freshTableau assembles m's initial tableau on the named tableau, with
-// SolveCtx's column layout, and returns it with its column count.
-func freshTableau(kind tableauKind, m *Model) (tableau, int) {
+// SolveCtx's column layout, and returns it with its column count and the
+// number of entries buildTableau handed to it.
+func freshTableau(kind tableauKind, m *Model) (tableau, int, int) {
 	rows := m.normalizedRows()
 	nSlack, nArt := 0, 0
 	for _, r := range rows {
@@ -342,8 +343,8 @@ func freshTableau(kind tableauKind, m *Model) (tableau, int) {
 		}
 	}
 	nCols := len(m.names) + nSlack + nArt
-	tab, _ := buildTableau(kind.ctx(), rows, len(m.names), nSlack, nCols, blandBudget(len(rows), nCols, -1))
-	return tab, nCols
+	tab, _, nnz := buildTableau(kind.ctx(), rows, len(m.names), nSlack, nCols)
+	return tab, nCols, nnz
 }
 
 // TestWarmRebuildPicksShortestRow pins the rebuild's row rule: a wanted
@@ -385,8 +386,8 @@ func TestWarmRebuildPicksShortestRow(t *testing.T) {
 			for k, v := range want {
 				cols[k] = int(v)
 			}
-			tab, nCols := freshTableau(kind, m)
-			if !rebuildWarmBasis(tab, cols, nCols) {
+			tab, nCols, _ := freshTableau(kind, m)
+			if _, ok := rebuildWarmBasis(tab, cols, nCols); !ok {
 				t.Fatalf("%s (%s): rebuild of %v reported a singular basis", tc.name, kind, cols)
 			}
 			for i, v := range basic {
@@ -441,8 +442,8 @@ func rowSnapshot(tab tableau, i int) string {
 func TestWarmRebuildOrderInvariant(t *testing.T) {
 	rebuilt := func(kind tableauKind, m *Model, want []int) map[int]string {
 		t.Helper()
-		tab, nCols := freshTableau(kind, m)
-		if !rebuildWarmBasis(tab, want, nCols) {
+		tab, nCols, _ := freshTableau(kind, m)
+		if _, ok := rebuildWarmBasis(tab, want, nCols); !ok {
 			t.Fatalf("%s: rebuild of the model's own optimal basis %v reported singular", kind, want)
 		}
 		if s, ok := tab.(*sparseTableau); ok {

@@ -15,6 +15,7 @@ func FuzzParseRat(f *testing.F) {
 		"1/0", "0/0", "-1/0", "1/", "/2", "3/4/5", "1e3", "1.5e2", "0x10",
 		" 3", "3 ", "nan", "Inf", "--1", "9999999999999999999999/7",
 		"1/00", "0_1", "１/２",
+		"010/1", "1/010", "0x10/3", "1_0/3", "0b11/1", "1e999999",
 	} {
 		f.Add(seed)
 	}
@@ -58,6 +59,21 @@ func TestParseRejections(t *testing.T) {
 		"0/0":   "zero denominator",
 		"x":     "cannot parse",
 		"3/4/5": "cannot parse",
+		// Exponents, base prefixes, digit separators, signs on the
+		// denominator and spaces are not rationals as documented; an
+		// exponent would also let 8 bytes expand to millions of bits.
+		"1e999999": "cannot parse",
+		"1e3":      "cannot parse",
+		"1.5e2":    "cannot parse",
+		"0x10":     "cannot parse",
+		"0x10/3":   "cannot parse",
+		"1_0/3":    "cannot parse",
+		"0b11/1":   "cannot parse",
+		"3/-4":     "cannot parse",
+		"+-3":      "cannot parse",
+		".":        "cannot parse",
+		"-":        "cannot parse",
+		" 3":       "cannot parse",
 	}
 	for in, want := range cases {
 		r, err := Parse(in)

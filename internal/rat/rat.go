@@ -13,7 +13,6 @@ package rat
 import (
 	"fmt"
 	"math/big"
-	"sort"
 	"strings"
 )
 
@@ -69,17 +68,11 @@ func Inv(x Rat) Rat {
 	return new(big.Rat).Inv(x)
 }
 
-// Cmp returns -1, 0 or +1 according to the sign of x - y.
-func Cmp(x, y Rat) int { return x.Cmp(y) }
-
 // Eq reports whether x == y.
 func Eq(x, y Rat) bool { return x.Cmp(y) == 0 }
 
 // Less reports whether x < y.
 func Less(x, y Rat) bool { return x.Cmp(y) < 0 }
-
-// Leq reports whether x <= y.
-func Leq(x, y Rat) bool { return x.Cmp(y) <= 0 }
 
 // IsZero reports whether x == 0.
 func IsZero(x Rat) bool { return x.Sign() == 0 }
@@ -90,23 +83,6 @@ func Min(x, y Rat) Rat {
 		return Copy(x)
 	}
 	return Copy(y)
-}
-
-// Max returns the larger of x and y (a fresh copy).
-func Max(x, y Rat) Rat {
-	if x.Cmp(y) >= 0 {
-		return Copy(x)
-	}
-	return Copy(y)
-}
-
-// Sum returns the sum of xs as a fresh rational (0 for an empty slice).
-func Sum(xs ...Rat) Rat {
-	s := Zero()
-	for _, x := range xs {
-		s.Add(s, x)
-	}
-	return s
 }
 
 // MaxOf returns the maximum of xs. It panics on an empty slice.
@@ -165,55 +141,61 @@ func ScaleToInt(x Rat, scale *big.Int) *big.Int {
 	return new(big.Int).Set(p.Num())
 }
 
-// Floor returns ⌊x⌋ as a big.Int.
-func Floor(x Rat) *big.Int {
-	q := new(big.Int)
-	r := new(big.Int)
-	q.QuoRem(x.Num(), x.Denom(), r)
-	// big.Int.QuoRem truncates toward zero; fix up negatives.
-	if r.Sign() < 0 {
-		q.Sub(q, big.NewInt(1))
-	}
-	return q
-}
-
 // Float returns x as a float64 (for reporting only; may round).
 func Float(x Rat) float64 {
 	f, _ := x.Float64()
 	return f
 }
 
-// String formats x as "num/den" or "num" when the denominator is 1.
-func String(x Rat) string { return x.RatString() }
-
-// Parse parses a rational from a string. Accepted forms: "3", "-3", "3/4",
-// "0.25" (decimal expansions are converted exactly). Empty strings,
-// fractions with a missing side ("/", "3/", "/4") and zero denominators
-// are rejected with specific errors.
+// Parse parses a rational from a string: an optional sign and decimal
+// digits, then optionally "/" and the decimal digits of the denominator,
+// or "." and decimal digits — "3", "-3", "+3", "3/4", "0.25" and ".5"
+// (decimal expansions are converted exactly). Both sides of a fraction
+// are read in base 10, so "010/1" is 10 as "010" is. Everything else is
+// rejected as unparsable: exponents, base prefixes, digit separators and
+// spaces. Empty strings, fractions with a missing side ("/", "3/", "/4")
+// and zero denominators are rejected with specific errors.
 func Parse(s string) (Rat, error) {
 	if s == "" {
 		return nil, fmt.Errorf("rat: empty string is not a rational")
 	}
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		num, den := s[:i], s[i+1:]
-		if num == "" && den == "" {
+	sign, mag := "", s
+	if s[0] == '+' || s[0] == '-' {
+		sign, mag = s[:1], s[1:]
+	}
+	num, den := mag, "1"
+	if n, d, ok := strings.Cut(mag, "/"); ok {
+		switch {
+		case n == "" && d == "":
 			return nil, fmt.Errorf("rat: %q has neither numerator nor denominator", s)
-		}
-		if num == "" {
+		case n == "":
 			return nil, fmt.Errorf("rat: %q is missing its numerator", s)
-		}
-		if den == "" {
+		case d == "":
 			return nil, fmt.Errorf("rat: %q is missing its denominator", s)
 		}
-		if d, ok := new(big.Int).SetString(den, 10); ok && d.Sign() == 0 {
-			return nil, fmt.Errorf("rat: %q has a zero denominator", s)
-		}
+		num, den = n, d
+	} else if whole, frac, ok := strings.Cut(mag, "."); ok {
+		num, den = whole+frac, "1"+strings.Repeat("0", len(frac))
 	}
-	r, ok := new(big.Rat).SetString(s)
-	if !ok {
+	if num == "" || !decimal(num) || !decimal(den) {
 		return nil, fmt.Errorf("rat: cannot parse %q as a rational", s)
 	}
-	return r, nil
+	n, _ := new(big.Int).SetString(sign+num, 10)
+	d, _ := new(big.Int).SetString(den, 10)
+	if d.Sign() == 0 {
+		return nil, fmt.Errorf("rat: %q has a zero denominator", s)
+	}
+	return new(big.Rat).SetFrac(n, d), nil
+}
+
+// decimal reports whether s holds only the digits 0–9.
+func decimal(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // MustParse is Parse that panics on error; for tests and constants.
@@ -223,11 +205,6 @@ func MustParse(s string) Rat {
 		panic(err)
 	}
 	return r
-}
-
-// Sort sorts xs in increasing order, in place.
-func Sort(xs []Rat) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i].Cmp(xs[j]) < 0 })
 }
 
 // Clone returns a deep copy of xs.

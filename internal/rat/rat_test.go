@@ -79,14 +79,8 @@ func TestComparisons(t *testing.T) {
 	if !Less(a, b) || Less(b, a) {
 		t.Error("Less(1/2, 2/3) wrong")
 	}
-	if !Leq(a, a) || !Leq(a, b) || Leq(b, a) {
-		t.Error("Leq wrong")
-	}
 	if !Eq(a, New(2, 4)) {
 		t.Error("Eq(1/2, 2/4) should be true")
-	}
-	if Cmp(a, b) != -1 || Cmp(b, a) != 1 || Cmp(a, a) != 0 {
-		t.Error("Cmp wrong")
 	}
 	if !IsZero(Zero()) || IsZero(One()) {
 		t.Error("IsZero wrong")
@@ -95,27 +89,17 @@ func TestComparisons(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	a, b := New(1, 2), New(2, 3)
-	if !Eq(Min(a, b), a) || !Eq(Max(a, b), b) {
-		t.Error("Min/Max wrong")
+	if !Eq(Min(a, b), a) || !Eq(MaxOf(a, b), b) {
+		t.Error("Min/MaxOf wrong")
+	}
+	if !Eq(MaxOf(New(3, 1), New(1, 2), New(2, 3)), Int(3)) {
+		t.Error("MaxOf wrong")
 	}
 	// Results must be fresh copies.
 	m := Min(a, b)
 	m.SetInt64(99)
 	if !Eq(a, New(1, 2)) {
 		t.Error("Min aliases its argument")
-	}
-}
-
-func TestSumAndFolds(t *testing.T) {
-	if !Eq(Sum(), Zero()) {
-		t.Error("empty Sum should be 0")
-	}
-	s := Sum(New(1, 2), New(1, 3), New(1, 6))
-	if !Eq(s, One()) {
-		t.Errorf("Sum = %s, want 1", s.RatString())
-	}
-	if !Eq(MaxOf(New(3, 1), New(1, 2), New(2, 3)), Int(3)) {
-		t.Error("MaxOf wrong")
 	}
 }
 
@@ -155,26 +139,6 @@ func TestScaleToIntPanicsOnNonInteger(t *testing.T) {
 	ScaleToInt(New(1, 3), big.NewInt(2))
 }
 
-func TestFloor(t *testing.T) {
-	cases := []struct {
-		x    Rat
-		want int64
-	}{
-		{New(7, 2), 3},
-		{New(-7, 2), -4},
-		{Int(5), 5},
-		{Int(-5), -5},
-		{Zero(), 0},
-		{New(1, 10), 0},
-		{New(-1, 10), -1},
-	}
-	for _, c := range cases {
-		if got := Floor(c.x); got.Int64() != c.want {
-			t.Errorf("Floor(%s) = %s, want %d", c.x.RatString(), got, c.want)
-		}
-	}
-}
-
 func TestParse(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -183,8 +147,17 @@ func TestParse(t *testing.T) {
 	}{
 		{"3", "3", true},
 		{"-3", "-3", true},
+		{"+3", "3", true},
 		{"3/4", "3/4", true},
+		{"-3/4", "-3/4", true},
 		{"0.25", "1/4", true},
+		{".5", "1/2", true},
+		{"-.5", "-1/2", true},
+		// Both sides of a fraction are decimal, leading zeros included.
+		{"010", "10", true},
+		{"010/1", "10", true},
+		{"1/010", "1/10", true},
+		{"08/1", "8", true},
 		{"x", "", false},
 		{"", "", false},
 	}
@@ -209,14 +182,12 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("not-a-rational")
 }
 
-func TestSortAndClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	xs := []Rat{Int(3), New(1, 2), Int(-1)}
 	cl := Clone(xs)
-	Sort(xs)
-	want := []string{"-1", "1/2", "3"}
-	for i, w := range want {
-		if xs[i].RatString() != w {
-			t.Errorf("Sort[%d] = %s, want %s", i, xs[i].RatString(), w)
+	for i, x := range xs {
+		if !Eq(cl[i], x) {
+			t.Errorf("Clone[%d] = %s, want %s", i, cl[i].RatString(), x.RatString())
 		}
 	}
 	// Clone must be deep: mutate clone, original unchanged.
@@ -248,26 +219,12 @@ func TestPropertyDenominatorLCMClears(t *testing.T) {
 	}
 }
 
-// Property: Floor(x) <= x < Floor(x)+1.
-func TestPropertyFloorBracket(t *testing.T) {
-	f := func(n int32, d uint8) bool {
-		x := New(int64(n), int64(d)+1)
-		fl := Floor(x)
-		lo := new(big.Rat).SetInt(fl)
-		hi := new(big.Rat).Add(lo, big.NewRat(1, 1))
-		return lo.Cmp(x) <= 0 && x.Cmp(hi) < 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Min/Max bracket both operands.
+// Property: Min/MaxOf bracket both operands.
 func TestPropertyMinMax(t *testing.T) {
 	f := func(a, b int16) bool {
 		x, y := Int(int64(a)), Int(int64(b))
-		mn, mx := Min(x, y), Max(x, y)
-		return Leq(mn, x) && Leq(mn, y) && Leq(x, mx) && Leq(y, mx)
+		mn, mx := Min(x, y), MaxOf(x, y)
+		return !Less(x, mn) && !Less(y, mn) && !Less(mx, x) && !Less(mx, y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -128,16 +128,23 @@ type Family struct {
 	TaskTime func(graph.NodeID, Task) rat.Rat
 }
 
-// init validates the participants of a kind problem — at least two, no
-// router, no duplicate — and binds the family to p with the default size
-// and task-time functions. The default task time reads f.SizeOf when it
-// is called, so replacing SizeOf after construction scales it too.
+// init validates the platform and the participants of a kind problem — at
+// least two, each a node of the platform, no router, no duplicate — and
+// binds the family to p with the default size and task-time functions.
+// The default task time reads f.SizeOf when it is called, so replacing
+// SizeOf after construction scales it too.
 func (f *Family) init(kind string, p *graph.Platform, order []graph.NodeID) error {
+	if p == nil {
+		return fmt.Errorf("%s: nil platform", kind)
+	}
 	if len(order) < 2 {
 		return fmt.Errorf("%s: need at least two participants (a single value needs no reduction)", kind)
 	}
 	seen := make(map[graph.NodeID]bool)
 	for _, id := range order {
+		if !p.HasNode(id) {
+			return fmt.Errorf("%s: participant %d is not on the platform", kind, id)
+		}
 		if p.Node(id).Router {
 			return fmt.Errorf("%s: participant %s is a router", kind, p.Node(id).Name)
 		}
@@ -191,6 +198,9 @@ func newProblem(kind string, p *graph.Platform, order []graph.NodeID, target gra
 	if err := pr.init(kind, p, order); err != nil {
 		return nil, err
 	}
+	if !p.HasNode(target) {
+		return nil, fmt.Errorf("%s: target %d is not on the platform", kind, target)
+	}
 	if p.Node(target).Router {
 		return nil, fmt.Errorf("%s: target %s is a router", kind, p.Node(target).Name)
 	}
@@ -235,7 +245,7 @@ type Fragment struct {
 // router or a zero-speed node.
 func (pr *Problem) NewFragment(ctx context.Context, m *lp.Model, label string, occ *core.OccupancyBuilder) (core.Fragment, error) {
 	for _, id := range pr.ComputeAt {
-		if int(id) < 0 || int(id) >= pr.Platform.NumNodes() {
+		if !pr.Platform.HasNode(id) {
 			return nil, fmt.Errorf("%s: compute node %d is not on the platform", pr.kind, id)
 		}
 		if n := pr.Platform.Node(id); n.Router || n.Speed.Sign() <= 0 {

@@ -67,6 +67,14 @@ func decodeError(t *testing.T, data []byte) *ServiceError {
 	return body.Error
 }
 
+// exponentCostScenario is a 3-node scatter whose two edge costs are the
+// 8-byte "1e999999": read with an exponent, each would be a
+// 3,321,925-bit integer and the solve would take seconds. It is not a
+// rational as rat.Parse documents them, so the scenario is refused.
+var exponentCostScenario = []byte(`{"platform":{"nodes":[{"name":"a","speed":"1"},{"name":"b","speed":"1"},` +
+	`{"name":"c","speed":"1"}],"edges":[{"from":"a","to":"b","cost":"1e999999"},` +
+	`{"from":"a","to":"c","cost":"1e999999"}]},"spec":{"kind":"scatter","source":0,"targets":[1,2]}}`)
+
 func TestHTTPErrorTable(t *testing.T) {
 	// One platform with an unreachable spec for the unsolvable case.
 	unsolvable := func() []byte {
@@ -103,6 +111,7 @@ func TestHTTPErrorTable(t *testing.T) {
 		{"negative timeout", http.MethodPost, "/solve?timeout=-5s", scenarioJSON(t, 0), 400, "bad_scenario"},
 		{"instant deadline", http.MethodPost, "/solve?timeout=1ns", scenarioJSON(t, 0), 504, "deadline_exceeded"},
 		{"unsolvable spec", http.MethodPost, "/solve", unsolvable, 400, "unsolvable"},
+		{"exponent cost", http.MethodPost, "/solve", exponentCostScenario, 400, "bad_scenario"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

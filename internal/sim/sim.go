@@ -200,18 +200,7 @@ type Result struct {
 // MinDelivered returns the smallest per-sink delivery count — the number
 // of complete collective operations finished (an operation is complete
 // only when every sink got its message).
-func (r *Result) MinDelivered() *big.Int {
-	var min *big.Int
-	for _, d := range r.Delivered {
-		if min == nil || d.Cmp(min) < 0 {
-			min = d
-		}
-	}
-	if min == nil {
-		return new(big.Int)
-	}
-	return new(big.Int).Set(min)
-}
+func (r *Result) MinDelivered() *big.Int { return r.MinDeliveredPrefix("") }
 
 // MinDeliveredPrefix returns the smallest delivery count over the sinks
 // whose type starts with the given prefix — the per-member MinDelivered of
