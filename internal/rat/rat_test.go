@@ -92,15 +92,33 @@ func TestMinMax(t *testing.T) {
 	if !Eq(Min(a, b), a) || !Eq(MaxOf(a, b), b) {
 		t.Error("Min/MaxOf wrong")
 	}
-	if !Eq(MaxOf(New(3, 1), New(1, 2), New(2, 3)), Int(3)) {
-		t.Error("MaxOf wrong")
-	}
 	// Results must be fresh copies.
 	m := Min(a, b)
 	m.SetInt64(99)
 	if !Eq(a, New(1, 2)) {
 		t.Error("Min aliases its argument")
 	}
+}
+
+func TestSumAndFolds(t *testing.T) {
+	if !Eq(MaxOf(New(3, 1), New(1, 2), New(2, 3)), Int(3)) {
+		t.Error("MaxOf wrong")
+	}
+	if !Eq(MaxOf(New(-1, 2)), New(-1, 2)) {
+		t.Error("MaxOf of one element wrong")
+	}
+	xs := []Rat{New(1, 2), New(5, 2)}
+	m := MaxOf(xs...)
+	m.SetInt64(99)
+	if !Eq(xs[1], New(5, 2)) {
+		t.Error("MaxOf aliases its argument")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MaxOf of no elements should panic")
+		}
+	}()
+	MaxOf()
 }
 
 func TestDenominatorLCM(t *testing.T) {
